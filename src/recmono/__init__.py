@@ -59,6 +59,7 @@ from .recurrence import (
     make_h_spec,
     ratio_limit,
     term_minus_one,
+    terms_between,
 )
 from .regions import (
     COEFF_PLANE_REGIONS,
@@ -127,6 +128,7 @@ __all__ = [
     "riccati_orbit",
     "sign",
     "term_minus_one",
+    "terms_between",
     "to_decimal",
     "weighted_monotone",
     "write_csv",

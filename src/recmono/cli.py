@@ -113,6 +113,17 @@ def _spec_echo(spec: RecurrenceSpec) -> dict:
     }
 
 
+def _analyze_reproducer(args: argparse.Namespace) -> str:
+    """The analyze call as one ready-to-run line; the --flag=value form
+    keeps negative rationals from being read as options."""
+    if args.h_init is not None:
+        start = [f"--h-init={args.h_init}"]
+    else:
+        start = [f"--v0={args.v0}", f"--v1={args.v1}"]
+    return " ".join(["recmono analyze", f"--a={args.a}", f"--b={args.b}", *start,
+                     f"--window={args.window}", f"--from-k={args.from_k}"])
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     report = build_report(spec, window=args.window, from_k=args.from_k)
@@ -291,6 +302,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        print(_analyze_reproducer(args), file=sys.stderr)
         return 1
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

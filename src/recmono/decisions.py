@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .qfield import RationalLike, characteristic_roots, cmp_abs, order_by_modulus
-from .recurrence import RecurrenceSpec, iterate, term_minus_one
+from .recurrence import RecurrenceSpec, term_minus_one, terms_between
 
 __all__ = [
     "Branch",
@@ -73,8 +73,7 @@ def _triple_at(spec: RecurrenceSpec, k: int) -> tuple[Fraction, Fraction, Fracti
     """(a[k-1], a[k], a[k+1]); k = 0 uses the backward extension."""
     if k == 0:
         return term_minus_one(spec), spec.v0, spec.v1
-    terms = iterate(spec, k + 1).terms
-    return terms[k - 1], terms[k], terms[k + 1]
+    return terms_between(spec, k - 1, k + 1)
 
 
 def eventually_nondecreasing(spec: RecurrenceSpec) -> Verdict:

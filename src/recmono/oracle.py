@@ -4,12 +4,13 @@ These scans work directly on iterated terms and know nothing about the
 decision criteria; they are the second route every verdict is held
 against.  All comparisons are exact.
 
-For speed the scans run on a rescaled integer copy of the sequence:
-with a = A/q, b = B/q over a common denominator q and D clearing the
-starting pair, M[n] := a[n] * q**n * D is an integer sequence obeying
-M[n+2] = A*M[n+1] - B*q*M[n].  Each compared inequality, cleared of its
-(shared, positive) denominator, becomes a sign test on X + Y*sqrt(d)
-with integers X, Y and d = q**2 * (a**2 - 4b) >= 0 -- no rational
+For speed the scans run on a rescaled integer copy of the sequence,
+recurrence.integer_carrier: with a = A/q, b = B/q over a common
+denominator q and D clearing the starting pair, M[n] := a[n] * q**n * D
+is an integer sequence obeying M[n+2] = A*M[n+1] - B*q*M[n].  Each
+compared inequality, cleared of its (shared, positive) denominator,
+becomes a sign test on X + Y*sqrt(d) with integers X, Y and
+d = A**2 - 4*B*q = q**2 * (a**2 - 4b) >= 0 -- no rational
 normalization ever runs.  The rescaling multiplies compared quantities
 by positive constants only, so every verdict equals the one computed on
 raw terms; the test suite checks that equivalence against a direct
@@ -20,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import lcm
+from itertools import islice
 from typing import Optional
 
-from .qfield import characteristic_roots, order_by_modulus
-from .recurrence import RecurrenceSpec
+from .qfield import RootPair, characteristic_roots, order_by_modulus
+from .recurrence import RecurrenceSpec, integer_carrier
 
 __all__ = [
     "PropertyId",
@@ -58,20 +59,6 @@ class WindowReport:
     skipped_indices: tuple[int, ...]
 
 
-def _scaled_sequence(spec: RecurrenceSpec, n_max: int):
-    """(q, A, B, d, M) with M[n] = a[n] * q**n * D integral for n <= n_max
-    and d = q**2 * (a**2 - 4*b) the integer radicand of the discriminant."""
-    q = lcm(spec.a.denominator, spec.b.denominator)
-    A = int(spec.a * q)
-    B = int(spec.b * q)
-    D = lcm(spec.v0.denominator, spec.v1.denominator)
-    M = [int(spec.v0 * D), int(spec.v1 * q * D)]
-    Bq = B * q
-    for _ in range(n_max - 1):
-        M.append(A * M[-1] - Bq * M[-2])
-    return q, A, B, A * A - 4 * Bq, M
-
-
 def _int_sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
@@ -88,18 +75,8 @@ def _quad_int_sign(x: int, y: int, d: int) -> int:
     return sx * _int_sign(x * x - y * y * d)
 
 
-def _sq_residual(m_n: int, m_n1: int, A: int, d: int, s: int) -> tuple[int, int]:
-    """(P, Q) with P + Q*sqrt(d) = (2*q**(n+1)*D * (a[n]*alpha - a[n+1]))**2,
-    computed from the scaled terms: the doubled scaled residual is
-    (M[n]*A - 2*M[n+1]) + s*M[n]*sqrt(d), where s = +1 when the dominant
-    root alpha is (a + sqrt(disc))/2 and -1 when it is the other one."""
-    u = m_n * A - 2 * m_n1
-    return u * u + m_n * m_n * d, 2 * s * m_n * u
-
-
-def _dominant_sign(spec: RecurrenceSpec) -> int:
+def _dominant_sign(roots: RootPair) -> int:
     """+1 if the larger-modulus root is (a + sqrt(disc))/2, else -1."""
-    roots = characteristic_roots(spec.a, spec.b)
     alpha, _ = order_by_modulus(roots)
     return 1 if alpha == roots.alpha_plus else -1
 
@@ -114,7 +91,8 @@ def check_p1_window(spec: RecurrenceSpec, k: int, n_max: int) -> WindowReport:
         raise ValueError("start index must be non-negative")
     if n_max < k:
         raise ValueError("window must reach the start index")
-    q, A, B, _, M = _scaled_sequence(spec, n_max + 1)
+    q, A, B, _, M = integer_carrier(spec)
+    M = list(islice(M, n_max + 2))
     first: Optional[int] = None
     if k == 0:
         # a[-1] = (A*M[0] - M[1]) / (B*D) against a[0] = M[0]/D
@@ -135,56 +113,89 @@ def check_p2_window(spec: RecurrenceSpec, n_max: int) -> WindowReport:
 
     alpha is the dominant root; a negative discriminant is an error since
     the compared distances are not real then.  Comparisons where a[n] or
-    a[n+1] vanishes are skipped and recorded.  Each side is cleared of
-    denominators and squared, so the scan compares
-    (a[n]*alpha - a[n+1])^2 * a[n+1]^2 against
-    (a[n+1]*alpha - a[n+2])^2 * a[n]^2 exactly.
+    a[n+1] vanishes are skipped and recorded.
+
+    On the carrier the residual becomes
+    R[n] := 2*q**(n+1)*D * (a[n]*alpha - a[n+1]) = u[n] + s*M[n]*sqrt(d)
+    with u[n] = A*M[n] - 2*M[n+1] and s = +1 when alpha is
+    (a + sqrt(disc))/2, -1 otherwise.  The scan compares |R[n]*M[n+1]|
+    against |R[n+1]*M[n]|, which carry the same positive factor.
+    With sigma and tau the signs of those two products, the difference
+    of their moduli is
+    (sigma*u[n]*M[n+1] - tau*u[n+1]*M[n]) + s*M[n]*M[n+1]*(sigma - tau)*sqrt(d),
+    a plain integer sign whenever sigma = tau.  Each sign(R[n]) is
+    computed once, when first needed, and carried to the next index.
     """
     if n_max < 0:
         raise ValueError("window length must be non-negative")
     roots = characteristic_roots(spec.a, spec.b)
     if roots.discriminant_sign < 0:
         raise ValueError("ratio distances are undefined for complex roots")
-    _, A, _, d, M = _scaled_sequence(spec, n_max + 2)
-    s = _dominant_sign(spec)
+    q, A, B, _, M = integer_carrier(spec)
+    d = A * A - 4 * B * q
+    s = _dominant_sign(roots)
     skipped: list[int] = []
     first: Optional[int] = None
+    m0, m1 = next(M), next(M)
+    u0 = A * m0 - 2 * m1
+    g0: Optional[int] = None  # sign(R[n]), once computed
     for n in range(n_max + 1):
-        if M[n] == 0 or M[n + 1] == 0:
+        m2 = next(M)
+        u1 = A * m1 - 2 * m2
+        if m0 == 0 or m1 == 0:
             skipped.append(n)
-            continue
-        p_n, q_n = _sq_residual(M[n], M[n + 1], A, d, s)
-        p_n1, q_n1 = _sq_residual(M[n + 1], M[n + 2], A, d, s)
-        sq0, sq1 = M[n + 1] * M[n + 1], M[n] * M[n]
-        if _quad_int_sign(p_n * sq0 - p_n1 * sq1, q_n * sq0 - q_n1 * sq1, d) < 0:
-            first = n
-            break
+            g0 = None
+        else:
+            if g0 is None:
+                g0 = _quad_int_sign(u0, s * m0, d)
+            g1 = _quad_int_sign(u1, s * m1, d)
+            sigma = g0 if m1 > 0 else -g0
+            tau = g1 if m0 > 0 else -g1
+            if sigma == tau:
+                diff = sigma * _int_sign(u0 * m1 - u1 * m0)
+            else:
+                diff = _quad_int_sign(
+                    sigma * u0 * m1 - tau * u1 * m0, s * m0 * m1 * (sigma - tau), d
+                )
+            if diff < 0:
+                first = n
+                break
+            g0 = g1
+        m0, m1, u0 = m1, m2, u1
     return WindowReport(PropertyId.P2, (0, n_max), first is None, first, tuple(skipped))
 
 
 def check_p3_window(spec: RecurrenceSpec, n_max: int) -> WindowReport:
     """Scan |a[n]*alpha - a[n+1]| >= |a[n+1]*alpha - a[n+2]| for n in [0, n_max].
 
-    Real roots: squared residuals over a common denominator, compared
-    exactly.  Complex pair: the squared residual modulus is
-    (v1^2 - a*v0*v1 + b*v0^2) * b^n exactly, and consecutive values are
-    compared index by index.
+    Real roots: with the carrier residual R[n] = u[n] + s*M[n]*sqrt(d)
+    of check_p2_window and g[n] = sign(R[n]), the scan takes the sign of
+    q*|R[n]| - |R[n+1]| =
+    (g[n]*q*u[n] - g[n+1]*u[n+1]) + s*(g[n]*q*M[n] - g[n+1]*M[n+1])*sqrt(d),
+    each g computed once and carried to the next index.  Complex pair:
+    the squared residual modulus is (v1^2 - a*v0*v1 + b*v0^2) * b^n
+    exactly, and consecutive values are compared index by index.
     """
     if n_max < 0:
         raise ValueError("window length must be non-negative")
     roots = characteristic_roots(spec.a, spec.b)
     first: Optional[int] = None
     if roots.discriminant_sign >= 0:
-        q, A, _, d, M = _scaled_sequence(spec, n_max + 2)
-        s = _dominant_sign(spec)
-        qq = q * q
-        p_n, q_n = _sq_residual(M[0], M[1], A, d, s)
+        q, A, B, _, M = integer_carrier(spec)
+        d = A * A - 4 * B * q
+        s = _dominant_sign(roots)
+        m0, m1 = next(M), next(M)
+        u0 = A * m0 - 2 * m1
+        g0 = _quad_int_sign(u0, s * m0, d)
         for n in range(n_max + 1):
-            p_n1, q_n1 = _sq_residual(M[n + 1], M[n + 2], A, d, s)
-            if _quad_int_sign(qq * p_n - p_n1, qq * q_n - q_n1, d) < 0:
+            m2 = next(M)
+            u1 = A * m1 - 2 * m2
+            g1 = _quad_int_sign(u1, s * m1, d)
+            gq = g0 * q
+            if _quad_int_sign(gq * u0 - g1 * u1, s * (gq * m0 - g1 * m1), d) < 0:
                 first = n
                 break
-            p_n, q_n = p_n1, q_n1
+            m0, m1, u0, g0 = m1, m2, u1, g1
     else:
         # squared modulus sequence m * b^n tracked as an exact integer
         # pair (num, den); consecutive values compared cross-multiplied
@@ -208,7 +219,8 @@ def find_n0(spec: RecurrenceSpec, n_cap: int) -> Optional[int]:
     """
     if n_cap < 0:
         raise ValueError("cap must be non-negative")
-    q, _, _, _, M = _scaled_sequence(spec, n_cap + 1)
+    q, _, _, _, M = integer_carrier(spec)
+    M = list(islice(M, n_cap + 2))
     n0 = 0
     for n in range(n_cap + 1):
         if q * M[n] > M[n + 1]:

@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from itertools import islice
+from math import lcm
+from typing import Iterator, Optional
 
 from .qfield import (
     QuadElem,
@@ -37,6 +39,8 @@ __all__ = [
     "RatioLimit",
     "make_h_spec",
     "iterate",
+    "integer_carrier",
+    "terms_between",
     "term_minus_one",
     "closed_form_term",
     "ratio_limit",
@@ -91,6 +95,38 @@ def iterate(spec: RecurrenceSpec, n_max: int) -> SequenceWindow:
     for _ in range(n_max - 1):
         terms.append(spec.a * terms[-1] - spec.b * terms[-2])
     return SequenceWindow(0, tuple(terms[: n_max + 1]))
+
+
+def integer_carrier(spec: RecurrenceSpec) -> tuple[int, int, int, int, Iterator[int]]:
+    """(q, A, B, D, M): the sequence rescaled to integers.
+
+    With a = A/q, b = B/q over their common denominator q and D clearing
+    the starting pair, M yields M[0], M[1], ... without end, where
+    M[n] = a[n] * q**n * D obeys M[n+2] = A*M[n+1] - B*q*M[n].
+    """
+    q = lcm(spec.a.denominator, spec.b.denominator)
+    A, B = int(spec.a * q), int(spec.b * q)
+    D = lcm(spec.v0.denominator, spec.v1.denominator)
+    return q, A, B, D, _carrier_terms(A, B * q, int(spec.v0 * D), int(spec.v1 * q * D))
+
+
+def _carrier_terms(A: int, Bq: int, m0: int, m1: int) -> Iterator[int]:
+    while True:
+        yield m0
+        m0, m1 = m1, A * m1 - Bq * m0
+
+
+def terms_between(spec: RecurrenceSpec, lo: int, hi: int) -> tuple[Fraction, ...]:
+    """Exact terms a[lo] .. a[hi], read off the integer carrier."""
+    if not 0 <= lo <= hi:
+        raise ValueError("need 0 <= lo <= hi")
+    q, _, _, D, M = integer_carrier(spec)
+    scale = q**lo * D
+    out = []
+    for m in islice(M, lo, hi + 1):
+        out.append(Fraction(m, scale))
+        scale *= q
+    return tuple(out)
 
 
 def term_minus_one(spec: RecurrenceSpec) -> Fraction:

@@ -23,9 +23,9 @@ from .qfield import QuadElem, decimal_str, order_by_modulus
 from .recurrence import (
     LimitKind,
     RecurrenceSpec,
-    iterate,
     ratio_limit,
     term_minus_one,
+    terms_between,
 )
 from .riccati import riccati_orbit
 
@@ -78,7 +78,7 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
 
     roots = spec.roots()
     real = roots.discriminant_sign >= 0
-    terms = iterate(spec, max(window + 2, TERMS_PREVIEW_LEN)).terms
+    terms = terms_between(spec, 0, TERMS_PREVIEW_LEN - 1)
 
     # ---- verdicts ---------------------------------------------------------
     v_eventual = decisions.eventually_nondecreasing(spec)
@@ -199,8 +199,9 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
     p2_extra = {}
     if w2 is not None and w2.first_violation is not None:
         n = w2.first_violation
-        lhs = _abs_quad(alpha - terms[n + 1] / terms[n])
-        rhs = _abs_quad(alpha - terms[n + 2] / terms[n + 1])
+        t0, t1, t2 = terms_between(spec, n, n + 2)
+        lhs = _abs_quad(alpha - t1 / t0)
+        rhs = _abs_quad(alpha - t2 / t1)
         p2_extra["violation_detail"] = {
             "index": n,
             "lhs_decimal": decimal_str(lhs),
@@ -273,6 +274,6 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
         },
         "ratio_limit": limit_block,
         "riccati_prefix": riccati_block,
-        "terms_preview": [str(t) for t in terms[:TERMS_PREVIEW_LEN]],
+        "terms_preview": [str(t) for t in terms],
         "term_minus_one": str(term_minus_one(spec)),
     }

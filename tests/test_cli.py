@@ -122,6 +122,40 @@ class TestAnalyze:
         )
         assert code == 1 and "inconsistency" in err
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                ["--a", "1", "--b", "-1", "--h-init", "1"],
+                "recmono analyze --a=1 --b=-1 --h-init=1 --window=300 --from-k=0",
+            ),
+            (
+                ["--a=7/3", "--b=-5/7", "--v0=3/4", "--v1=-2/5", "--window", "40",
+                 "--from-k", "3"],
+                "recmono analyze --a=7/3 --b=-5/7 --v0=3/4 --v1=-2/5 --window=40 "
+                "--from-k=3",
+            ),
+        ],
+    )
+    def test_internal_inconsistency_prints_reproducer(
+        self, capsys, monkeypatch, argv, line
+    ):
+        from recmono import InternalInconsistency
+
+        def boom(spec, window=300, from_k=0):
+            raise InternalInconsistency("decision and window disagree")
+
+        monkeypatch.setattr(cli, "build_report", boom)
+        code, out, err = run_cli(capsys, "analyze", *argv)
+        assert code == 1 and out == ""
+        message, reproducer = err.splitlines()
+        assert "inconsistency" in message and reproducer == line
+        monkeypatch.undo()
+        # the printed line runs as given and describes the same call
+        code, rerun, _ = run_cli(capsys, *line.split()[1:])
+        code_direct, direct, _ = run_cli(capsys, "analyze", *argv)
+        assert code == code_direct == 0 and rerun == direct
+
 
 class TestSequence:
     def test_fibonacci_json(self, capsys):

@@ -24,6 +24,7 @@ from recmono import (
     make_h_spec,
     order_by_modulus,
     term_minus_one,
+    terms_between,
 )
 
 from conftest import build_corpus
@@ -254,3 +255,56 @@ class TestReferenceEquivalence:
     def test_n0_matches_reference(self):
         for spec in self._specs():
             assert find_n0(spec, 60) == ref_n0(spec, 60), spec
+
+
+class TestDegreeReducedScans:
+    """P2 and P3 compare |R[n]*M[n+1]| with |R[n+1]*M[n]| and q*|R[n]|
+    with |R[n+1]| through carried residual signs; pinned here against
+    the naive scans over a long window, on specs that run the whole
+    window or reach both the equal-sign and the opposite-sign case."""
+
+    WINDOW = 150
+
+    SPECS = (
+        # DP h-specs, q = 13; b < 0 flips the residual sign each step,
+        # b > 0 with two positive roots keeps it
+        make_h_spec(Fraction(28, 13), Fraction(-3, 13), Fraction(2, 5)),
+        make_h_spec(Fraction(30, 13), Fraction(12, 13), 1),
+        make_h_spec(Fraction(27, 13), Fraction(1, 13), -3),
+        FIB,  # beta < 0 and positive terms: the two products differ in sign
+        RecurrenceSpec(5, 6, 1, 1),  # square discriminant, roots 2 and 3
+        make_h_spec(5, 6, 1),
+        RecurrenceSpec(2, 1, 1, 3),  # repeated root 1
+        make_h_spec(1, Fraction(1, 4), 1),  # repeated root 1/2
+        RecurrenceSpec(4, 4, 1, 2),  # start on the eigen-solution 2^n
+        RecurrenceSpec(3, 2, -31, -30),  # a[5] = 0
+        RecurrenceSpec(3, 2, -16, 0),  # a[1] = 0, the scan goes on past it
+    )
+
+    def test_p2_matches_reference(self):
+        for spec in self.SPECS:
+            rep = check_p2_window(spec, self.WINDOW)
+            assert (
+                rep.holds_on_window,
+                rep.first_violation,
+                rep.skipped_indices,
+            ) == ref_p2(spec, self.WINDOW), spec
+
+    def test_p3_matches_reference(self):
+        for spec in self.SPECS:
+            rep = check_p3_window(spec, self.WINDOW)
+            assert (rep.holds_on_window, rep.first_violation) == ref_p3(
+                spec, self.WINDOW
+            ), spec
+
+    def test_carrier_terms_equal_iterated_terms(self):
+        for spec in build_corpus(777, 90):
+            terms = iterate(spec, 501).terms
+            for lo, hi in ((0, 8), (0, 2), (1, 3), (499, 501)):
+                assert terms_between(spec, lo, hi) == terms[lo : hi + 1], (spec, lo)
+
+    def test_carrier_terms_reject_bad_ranges(self):
+        with pytest.raises(ValueError):
+            terms_between(FIB, -1, 2)
+        with pytest.raises(ValueError):
+            terms_between(FIB, 3, 2)
