@@ -42,10 +42,9 @@ from .qfield import (
     characteristic_roots,
     cmp_abs,
     decimal_str,
-    modulus_gap_sign,
     order_by_modulus,
+    quadratic_roots,
     rational_sqrt,
-    sign,
     to_decimal,
 )
 from .recurrence import (
@@ -117,16 +116,15 @@ __all__ = [
     "is_quadratic_pisot",
     "iterate",
     "make_h_spec",
-    "modulus_gap_sign",
     "nondecreasing_from",
     "order_by_modulus",
     "positive_monotone_h",
+    "quadratic_roots",
     "ratio_limit",
     "ratio_monotone_h",
     "rational_sqrt",
     "rasterize",
     "riccati_orbit",
-    "sign",
     "term_minus_one",
     "terms_between",
     "to_decimal",

@@ -21,7 +21,7 @@ from .numtheory import boundary_characterization, enumerate_generalized_fibonacc
 from .qfield import characteristic_roots
 from .recurrence import RecurrenceSpec, iterate, make_h_spec
 from .regions import RegionId, rasterize, write_csv, write_pgm
-from .report import InternalInconsistency, build_report
+from .report import InternalInconsistency, build_report, spec_json
 from .riccati import riccati_orbit
 
 __all__ = ["main", "parse_rational"]
@@ -103,16 +103,6 @@ def _emit_json(payload: dict, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _spec_echo(spec: RecurrenceSpec) -> dict:
-    return {
-        "a": str(spec.a),
-        "b": str(spec.b),
-        "v0": str(spec.v0),
-        "v1": str(spec.v1),
-        "h_type": spec.h_type,
-    }
-
-
 def _analyze_reproducer(args: argparse.Namespace) -> str:
     """The analyze call as one ready-to-run line; the --flag=value form
     keeps negative rationals from being read as options."""
@@ -141,7 +131,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
         _emit_json(
             {
                 "schema": 1,
-                "spec": _spec_echo(spec),
+                "spec": spec_json(spec),
                 "n": args.n,
                 "start_index": window.start_index,
                 "terms": [str(t) for t in window.terms],
@@ -181,15 +171,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_regions(args: argparse.Namespace) -> int:
-    region = RegionId[args.region]
-    grid = rasterize(region, args.bbox, args.res)
     path = args.out
+    # checked before rasterizing: a large --res costs seconds of exact work
     if path.endswith(".pgm"):
-        write_pgm(grid, path)
+        write = write_pgm
     elif path.endswith(".csv"):
-        write_csv(grid, path)
+        write = write_csv
     else:
         raise ValueError(f"--out must end in .pgm or .csv, got {path!r}")
+    write(rasterize(RegionId[args.region], args.bbox, args.res), path)
     return 0
 
 

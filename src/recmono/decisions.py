@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Optional
 
 from .qfield import RationalLike, characteristic_roots, cmp_abs, order_by_modulus
 from .recurrence import RecurrenceSpec, term_minus_one, terms_between
@@ -76,20 +77,25 @@ def _triple_at(spec: RecurrenceSpec, k: int) -> tuple[Fraction, Fraction, Fracti
     return terms_between(spec, k - 1, k + 1)
 
 
-def eventually_nondecreasing(spec: RecurrenceSpec) -> Verdict:
-    """Is a[n] <= a[n+1] for all large n?
+def _p1_verdict(spec: RecurrenceSpec, k: Optional[int]) -> Verdict:
+    """The clause chain shared by both P1 tests; k = None is the eventual one.
 
-    Holds iff the discriminant is non-negative and either the dominant
-    growth clause fires (1 != r+ > 0, a > 0, (r+ - 1)(v1 - v0*r-) > 0) or
-    r+ = 1 and the first three terms are already ordered.
+    The eventual test reads the triple a[0], a[1], a[2] and consults it
+    only when r+ = 1; the from-k test reads a[k-1], a[k], a[k+1], after
+    the discriminant check since that costs O(k), and requires it on
+    every branch.
     """
     roots = characteristic_roots(spec.a, spec.b)
     if roots.discriminant_sign < 0:
         return Verdict(False, Branch.DISCRIMINANT_NEGATIVE)
+    if k is None:
+        lo, mid, hi = spec.v0, spec.v1, spec.a * spec.v1 - spec.b * spec.v0
+    else:
+        lo, mid, hi = _triple_at(spec, k)
+    ordered = lo <= mid <= hi
     ap, am = roots.alpha_plus, roots.alpha_minus
-    if ap == 1:
-        t2 = spec.a * spec.v1 - spec.b * spec.v0
-        if spec.v0 <= spec.v1 <= t2:
+    if ap == 1 or (k is not None and not ordered):
+        if ordered:
             return Verdict(True, Branch.COND_ALPHA_ONE)
         return Verdict(False, Branch.FAIL_INITIAL_TRIPLE)
     if ap.sign() <= 0:
@@ -100,6 +106,16 @@ def eventually_nondecreasing(spec: RecurrenceSpec) -> Verdict:
     if growth.sign() > 0:
         return Verdict(True, Branch.COND_MONOTONIC_1)
     return Verdict(False, Branch.FAIL_GROWTH_PRODUCT)
+
+
+def eventually_nondecreasing(spec: RecurrenceSpec) -> Verdict:
+    """Is a[n] <= a[n+1] for all large n?
+
+    Holds iff the discriminant is non-negative and either the dominant
+    growth clause fires (1 != r+ > 0, a > 0, (r+ - 1)(v1 - v0*r-) > 0) or
+    r+ = 1 and the first three terms are already ordered.
+    """
+    return _p1_verdict(spec, None)
 
 
 def nondecreasing_from(spec: RecurrenceSpec, k: int) -> Verdict:
@@ -111,26 +127,7 @@ def nondecreasing_from(spec: RecurrenceSpec, k: int) -> Verdict:
     """
     if k < 0:
         raise ValueError("start index must be non-negative")
-    roots = characteristic_roots(spec.a, spec.b)
-    if roots.discriminant_sign < 0:
-        return Verdict(False, Branch.DISCRIMINANT_NEGATIVE)
-    lo, mid, hi = _triple_at(spec, k)
-    triple_ok = lo <= mid <= hi
-    ap, am = roots.alpha_plus, roots.alpha_minus
-    if ap == 1:
-        if triple_ok:
-            return Verdict(True, Branch.COND_ALPHA_ONE)
-        return Verdict(False, Branch.FAIL_INITIAL_TRIPLE)
-    if not triple_ok:
-        return Verdict(False, Branch.FAIL_INITIAL_TRIPLE)
-    if ap.sign() <= 0:
-        return Verdict(False, Branch.FAIL_ALPHA_PLUS_NOT_POSITIVE)
-    if spec.a <= 0:
-        return Verdict(False, Branch.FAIL_A_NOT_POSITIVE)
-    growth = (ap - 1) * (spec.v1 - spec.v0 * am)
-    if growth.sign() > 0:
-        return Verdict(True, Branch.COND_MONOTONIC_1)
-    return Verdict(False, Branch.FAIL_GROWTH_PRODUCT)
+    return _p1_verdict(spec, k)
 
 
 def positive_monotone_h(spec: RecurrenceSpec) -> Verdict:

@@ -11,10 +11,9 @@ every remaining interior pair has a quadratic Pisot dominant root.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
-from .qfield import QuadElem, cmp_abs
+from .qfield import cmp_abs, order_by_modulus, quadratic_roots
 
 __all__ = [
     "IntCoeffPair",
@@ -49,16 +48,12 @@ def is_quadratic_pisot(pair: IntCoeffPair) -> bool:
     Requires irreducibility over the integers, a dominant root > 1 and a
     conjugate of absolute value < 1; all comparisons exact.
     """
-    a, b = pair
     if not is_irreducible(pair):
         return False
-    disc = a * a - 4 * b
-    if disc < 0:
+    roots = quadratic_roots(*pair)
+    if roots.discriminant_sign < 0:
         return False
-    half = Fraction(1, 2)
-    plus = QuadElem(Fraction(a) * half, half, Fraction(disc))
-    minus = QuadElem(Fraction(a) * half, -half, Fraction(disc))
-    alpha, beta = (plus, minus) if cmp_abs(plus, minus) >= 0 else (minus, plus)
+    alpha, beta = order_by_modulus(roots)
     return (alpha - 1).sign() > 0 and cmp_abs(beta, 1) < 0
 
 

@@ -24,7 +24,6 @@ from enum import Enum
 from itertools import islice
 from typing import Optional
 
-from .qfield import RootPair, characteristic_roots, order_by_modulus
 from .recurrence import RecurrenceSpec, integer_carrier
 
 __all__ = [
@@ -75,12 +74,6 @@ def _quad_int_sign(x: int, y: int, d: int) -> int:
     return sx * _int_sign(x * x - y * y * d)
 
 
-def _dominant_sign(roots: RootPair) -> int:
-    """+1 if the larger-modulus root is (a + sqrt(disc))/2, else -1."""
-    alpha, _ = order_by_modulus(roots)
-    return 1 if alpha == roots.alpha_plus else -1
-
-
 def check_p1_window(spec: RecurrenceSpec, k: int, n_max: int) -> WindowReport:
     """Scan a[n] <= a[n+1] for n in [k-1, n_max].
 
@@ -117,9 +110,12 @@ def check_p2_window(spec: RecurrenceSpec, n_max: int) -> WindowReport:
 
     On the carrier the residual becomes
     R[n] := 2*q**(n+1)*D * (a[n]*alpha - a[n+1]) = u[n] + s*M[n]*sqrt(d)
-    with u[n] = A*M[n] - 2*M[n+1] and s = +1 when alpha is
-    (a + sqrt(disc))/2, -1 otherwise.  The scan compares |R[n]*M[n+1]|
-    against |R[n+1]*M[n]|, which carry the same positive factor.
+    with u[n] = A*M[n] - 2*M[n+1] and s = +1 when A > 0, -1 otherwise.
+    That s picks alpha without a comparison: |(a + sqrt(disc))/2|^2 -
+    |(a - sqrt(disc))/2|^2 = a*sqrt(disc), and a spec has a != 0 (for a
+    repeated root d = 0 and s drops out).  The scan compares
+    |R[n]*M[n+1]| against |R[n+1]*M[n]|, which carry the same positive
+    factor.
     With sigma and tau the signs of those two products, the difference
     of their moduli is
     (sigma*u[n]*M[n+1] - tau*u[n+1]*M[n]) + s*M[n]*M[n+1]*(sigma - tau)*sqrt(d),
@@ -128,12 +124,11 @@ def check_p2_window(spec: RecurrenceSpec, n_max: int) -> WindowReport:
     """
     if n_max < 0:
         raise ValueError("window length must be non-negative")
-    roots = characteristic_roots(spec.a, spec.b)
-    if roots.discriminant_sign < 0:
-        raise ValueError("ratio distances are undefined for complex roots")
     q, A, B, _, M = integer_carrier(spec)
     d = A * A - 4 * B * q
-    s = _dominant_sign(roots)
+    if d < 0:
+        raise ValueError("ratio distances are undefined for complex roots")
+    s = 1 if A > 0 else -1
     skipped: list[int] = []
     first: Optional[int] = None
     m0, m1 = next(M), next(M)
@@ -178,12 +173,11 @@ def check_p3_window(spec: RecurrenceSpec, n_max: int) -> WindowReport:
     """
     if n_max < 0:
         raise ValueError("window length must be non-negative")
-    roots = characteristic_roots(spec.a, spec.b)
+    q, A, B, _, M = integer_carrier(spec)
+    d = A * A - 4 * B * q
     first: Optional[int] = None
-    if roots.discriminant_sign >= 0:
-        q, A, B, _, M = integer_carrier(spec)
-        d = A * A - 4 * B * q
-        s = _dominant_sign(roots)
+    if d >= 0:
+        s = 1 if A > 0 else -1
         m0, m1 = next(M), next(M)
         u0 = A * m0 - 2 * m1
         g0 = _quad_int_sign(u0, s * m0, d)

@@ -8,6 +8,11 @@ top of it.  Nothing here touches floating point; approximate rendering
 for display lives in `to_decimal` and is only used at the edges
 (reports, CLI output).
 
+Which real root is the dominant one, alpha, needs no comparison: with
+alpha+- = (a +- sqrt(disc))/2, |alpha+|^2 - |alpha-|^2 = a*sqrt(disc),
+so alpha is the plus root when a >= 0 and the minus root otherwise.
+`order_by_modulus` is the one place that applies this rule.
+
 The radicand is kept exactly as constructed (for roots: a^2 - 4*b) and
 is not reduced to squarefree form.  Elements built over different
 radicands never mix in practice, one recurrence fixes one discriminant,
@@ -34,11 +39,10 @@ __all__ = [
     "QuadElem",
     "RootPair",
     "rational_sqrt",
-    "sign",
     "cmp_abs",
     "characteristic_roots",
+    "quadratic_roots",
     "order_by_modulus",
-    "modulus_gap_sign",
     "to_decimal",
     "decimal_str",
 ]
@@ -236,14 +240,6 @@ class QuadElem:
         return f"QuadElem({self.p!r}, {self.q!r}, {self.d!r})"
 
 
-def sign(x: Union[QuadElem, RationalLike]) -> int:
-    """Exact sign of x, for QuadElem or rational input."""
-    q = QuadElem._coerce(x)
-    if q is None:
-        raise TypeError(f"cannot take sign of {type(x).__name__}")
-    return q.sign()
-
-
 def cmp_abs(x: Union[QuadElem, RationalLike], y: Union[QuadElem, RationalLike]) -> int:
     """Compare |x| with |y| exactly: sign of x^2 - y^2."""
     qx, qy = QuadElem._coerce(x), QuadElem._coerce(y)
@@ -271,9 +267,18 @@ class RootPair:
 
 def characteristic_roots(a: RationalLike, b: RationalLike) -> RootPair:
     """Exact roots of x^2 - a*x + b for nonzero rational a, b."""
-    a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("both coefficients must be nonzero")
+    return quadratic_roots(a, b)
+
+
+def quadratic_roots(a: RationalLike, b: RationalLike) -> RootPair:
+    """Exact roots of x^2 - a*x + b for any rational a, b.
+
+    Unlike characteristic_roots this admits a = 0 or b = 0, which occur
+    as grid points of the coefficient plane.
+    """
+    a, b = Fraction(a), Fraction(b)
     disc = a * a - 4 * b
     if disc < 0:
         return RootPair(disc, -1, None, None, b)
@@ -288,37 +293,18 @@ def characteristic_roots(a: RationalLike, b: RationalLike) -> RootPair:
 
 
 def order_by_modulus(roots: RootPair) -> tuple[QuadElem, QuadElem]:
-    """(alpha, beta) with |alpha| >= |beta|; raises for complex roots."""
+    """(alpha, beta) with |alpha| >= |beta|; raises for complex roots.
+
+    alpha is the plus root exactly when a >= 0 (see the module
+    docstring); for a = 0 or a repeated root the moduli tie and alpha is
+    the plus root.
+    """
     if roots.discriminant_sign < 0:
         raise ValueError("complex roots cannot be ordered by real modulus")
     ap, am = roots.alpha_plus, roots.alpha_minus
-    if cmp_abs(ap, am) >= 0:
+    if ap.p + am.p >= 0:  # the rational parts of the roots sum to a
         return ap, am
     return am, ap
-
-
-def modulus_gap_sign(a: RationalLike, b: RationalLike) -> int:
-    """Sign of |alpha_plus| - |alpha_minus| by the coefficient-sign table.
-
-    For b > 0 the gap equals +-sqrt(a^2 - 4b) depending on the sign of a;
-    for b < 0 it equals a.  The table value is cross-checked against the
-    direct modulus comparison on every call.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("both coefficients must be nonzero")
-    disc = a * a - 4 * b
-    if disc < 0:
-        raise ValueError("no real roots, gap undefined")
-    if b > 0:
-        gap = 1 if disc > 0 else 0
-        if a < 0:
-            gap = -gap
-    else:
-        gap = 1 if a > 0 else -1
-    roots = characteristic_roots(a, b)
-    assert gap == cmp_abs(roots.alpha_plus, roots.alpha_minus)
-    return gap
 
 
 def to_decimal(x: Union[QuadElem, RationalLike], digits: int = 12) -> Decimal:

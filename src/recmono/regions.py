@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .qfield import QuadElem, RationalLike, cmp_abs
+from .qfield import QuadElem, RationalLike, cmp_abs, order_by_modulus, quadratic_roots
 
 __all__ = [
     "RegionId",
@@ -70,18 +70,12 @@ def contains_root_plane(region: RegionId, alpha: RationalLike, beta: RationalLik
 
 @lru_cache(maxsize=1 << 16)
 def _ordered_roots(a: Fraction, b: Fraction) -> tuple[QuadElem, QuadElem]:
-    """Roots of x^2 - a*x + b by descending modulus; requires disc >= 0.
+    """(alpha, beta) at a grid point with disc >= 0, a = 0 or b = 0 allowed.
 
-    Unlike characteristic_roots this admits a = 0 or b = 0, which do
-    occur as grid points.
+    Cached so that the D1P, D2P and D3P rasters of one bbox build each
+    point's roots once.
     """
-    disc = a * a - 4 * b
-    half = Fraction(1, 2)
-    plus = QuadElem(a * half, half, disc)
-    minus = QuadElem(a * half, -half, disc)
-    if cmp_abs(plus, minus) >= 0:
-        return plus, minus
-    return minus, plus
+    return order_by_modulus(quadratic_roots(a, b))
 
 
 def contains_coeff_plane(region: RegionId, a: RationalLike, b: RationalLike) -> bool:

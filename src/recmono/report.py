@@ -29,7 +29,7 @@ from .recurrence import (
 )
 from .riccati import riccati_orbit
 
-__all__ = ["InternalInconsistency", "build_report"]
+__all__ = ["InternalInconsistency", "build_report", "spec_json"]
 
 RICCATI_PREFIX_LEN = 8
 TERMS_PREVIEW_LEN = 9
@@ -37,6 +37,17 @@ TERMS_PREVIEW_LEN = 9
 
 class InternalInconsistency(RuntimeError):
     """A decision verdict contradicts its oracle window."""
+
+
+def spec_json(spec: RecurrenceSpec) -> dict:
+    """The input recurrence as echoed by every JSON output that takes one."""
+    return {
+        "a": str(spec.a),
+        "b": str(spec.b),
+        "v0": str(spec.v0),
+        "v1": str(spec.v1),
+        "h_type": spec.h_type,
+    }
 
 
 def _quad_json(x: QuadElem) -> dict:
@@ -113,17 +124,12 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
     def _mismatch(msg: str) -> None:
         raise InternalInconsistency(f"decision/oracle mismatch: {msg}")
 
-    if v_from_k.holds and not w1_from_k.holds_on_window:
-        _mismatch(
-            f"nondecreasing_from({from_k}) holds but the window finds a "
-            f"violation at {w1_from_k.first_violation}"
-        )
-    if v_immediate.holds and not w1_immediate.holds_on_window:
-        _mismatch(
-            f"nondecreasing_from(0) holds but the window finds a violation "
-            f"at {w1_immediate.first_violation}"
-        )
     for verdict, wind, k in ((v_from_k, w1_from_k, from_k), (v_immediate, w1_immediate, 0)):
+        if verdict.holds and not wind.holds_on_window:
+            _mismatch(
+                f"nondecreasing_from({k}) holds but the window finds a "
+                f"violation at {wind.first_violation}"
+            )
         if (
             not verdict.holds
             and verdict.branch is Branch.FAIL_INITIAL_TRIPLE
@@ -168,18 +174,9 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
         )
 
     # ---- assembled blocks --------------------------------------------------
-    if roots.discriminant_sign > 0:
+    if real:
         roots_block = {
-            "kind": "real_distinct",
-            "alpha_plus": _quad_json(roots.alpha_plus),
-            "alpha_minus": _quad_json(roots.alpha_minus),
-            "alpha": _quad_json(alpha),
-            "beta": _quad_json(beta),
-            "modulus_squared": None,
-        }
-    elif roots.discriminant_sign == 0:
-        roots_block = {
-            "kind": "real_repeated",
+            "kind": "real_distinct" if roots.discriminant_sign > 0 else "real_repeated",
             "alpha_plus": _quad_json(roots.alpha_plus),
             "alpha_minus": _quad_json(roots.alpha_minus),
             "alpha": _quad_json(alpha),
@@ -238,13 +235,7 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
 
     return {
         "schema": 1,
-        "spec": {
-            "a": str(spec.a),
-            "b": str(spec.b),
-            "v0": str(spec.v0),
-            "v1": str(spec.v1),
-            "h_type": spec.h_type,
-        },
+        "spec": spec_json(spec),
         "window": window,
         "from_k": from_k,
         "discriminant": {

@@ -237,7 +237,11 @@ class TestRegions:
             x, y = map(float, line.split(","))
             assert -3 < x < 3 and -3 < y < 3
 
-    def test_unknown_extension_rejected(self, capsys, tmp_path):
+    def test_unknown_extension_rejected(self, capsys, tmp_path, monkeypatch):
+        def no_raster(*args):
+            raise AssertionError("rasterized before checking --out")
+
+        monkeypatch.setattr(cli, "rasterize", no_raster)
         code, _, err = run_cli(
             capsys,
             "regions", "--region", "DP", "--bbox=-1,5,-7,5",

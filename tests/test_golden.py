@@ -1,0 +1,140 @@
+"""Golden corpus: pinned CLI invocations whose output stays byte-identical.
+
+Each case runs `recmono.cli.main` in-process and compares its exit code,
+its stdout with tests/golden/<name>.out and, for cases that write a file
+through `--out`, that file with tests/golden/<name>.file.  The corpus
+covers all six subcommands and the README examples, and leans on the
+root ordering: negative `a` with distinct, square-discriminant and
+repeated roots, complex pairs, h-type starts, `--from-k`, and
+coefficient-plane rasters whose cell centres land on a = 0 and b = 0.
+
+After an intended output change, regenerate the files and review the
+diff:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from recmono.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+OUT = "{out}"  # replaced by a temporary path; the suffix picks the format
+
+# name -> (exit code, argv)
+CASES = {
+    # README examples
+    "readme_analyze_fibonacci": (0, ["analyze", "--a", "1", "--b", "-1", "--h-init", "1"]),
+    "readme_analyze_lucas_out": (0, ["analyze", "--a", "1", "--b", "-1", "--v0", "2",
+                                     "--v1", "1", "--window", "500", "--out", OUT + ".json"]),
+    "readme_sequence_csv": (0, ["sequence", "--a", "1", "--b", "1/4", "--h-init", "1",
+                                "--n", "6", "--format", "csv"]),
+    "readme_enumerate_csv": (0, ["enumerate", "--a-max", "3", "--format", "csv"]),
+    "readme_regions_dp_pgm": (0, ["regions", "--region", "DP", "--bbox=-1,5,-7,5",
+                                  "--res", "201", "--out", OUT + ".pgm"]),
+    "readme_regions_d_csv": (0, ["regions", "--region", "D", "--bbox=-3,3,-3,3",
+                                 "--res", "201", "--out", OUT + ".csv"]),
+    "readme_riccati": (0, ["riccati", "--a", "1", "--b", "-1", "--b0", "1/2", "--n", "5"]),
+    "readme_characterize": (0, ["characterize"]),
+    # analyze: the root ordering under every discriminant shape
+    "analyze_neg_a_distinct": (0, ["analyze", "--a=-7/3", "--b=-5/7", "--v0=3/4",
+                                   "--v1=-2/5", "--window", "120"]),
+    "analyze_neg_a_square_disc": (0, ["analyze", "--a=-3", "--b=2", "--v0=1", "--v1=1/2"]),
+    "analyze_neg_a_repeated": (0, ["analyze", "--a=-2", "--b=1", "--v0=1", "--v1=3"]),
+    "analyze_pos_a_repeated_halving": (0, ["analyze", "--a", "1", "--b", "1/4",
+                                           "--h-init", "1"]),
+    "analyze_complex_pair": (0, ["analyze", "--a", "1", "--b", "1", "--v0", "1", "--v1", "2"]),
+    "analyze_neg_a_complex": (0, ["analyze", "--a=-1/2", "--b=3", "--v0=2", "--v1=-1"]),
+    "analyze_h_neg_a_square_disc": (0, ["analyze", "--a=-5/2", "--b=1", "--h-init=2/3"]),
+    "analyze_h_inside_dp": (0, ["analyze", "--a", "3", "--b", "1", "--h-init", "1"]),
+    "analyze_h_wide_roots": (0, ["analyze", "--a", "1", "--b=-6", "--h-init", "1",
+                                 "--window", "60"]),
+    "analyze_pos_a_square_disc": (0, ["analyze", "--a", "5", "--b", "6", "--v0", "1",
+                                      "--v1", "1"]),
+    "analyze_eigen_start": (0, ["analyze", "--a", "3", "--b", "2", "--v0", "1", "--v1", "2"]),
+    "analyze_zero_start": (0, ["analyze", "--a", "2", "--b", "3/4", "--v0", "0", "--v1", "1"]),
+    "analyze_from_k_mixed": (0, ["analyze", "--a", "7/3", "--b=-5/7", "--v0", "3/4",
+                                 "--v1=-2/5", "--window", "150", "--from-k", "40"]),
+    "analyze_from_k_lucas": (0, ["analyze", "--a", "1", "--b", "-1", "--v0", "2", "--v1", "1",
+                                 "--from-k", "5"]),
+    "analyze_from_k_neg_a": (0, ["analyze", "--a=-3", "--b=-4", "--v0=1", "--v1=1",
+                                 "--window", "100", "--from-k", "3"]),
+    "analyze_zero_coefficient_exit2": (2, ["analyze", "--a", "0", "--b", "1", "--v0", "1",
+                                           "--v1", "1"]),
+    # sequence and enumerate, both formats
+    "sequence_neg_a_json": (0, ["sequence", "--a=-2", "--b=1", "--v0=1", "--v1=3",
+                                "--n", "8", "--format", "json"]),
+    "sequence_fibonacci_csv": (0, ["sequence", "--a", "1", "--b", "-1", "--h-init", "1",
+                                   "--n", "12", "--format", "csv"]),
+    "enumerate_json": (0, ["enumerate", "--a-max", "4", "--format", "json"]),
+    "enumerate_csv": (0, ["enumerate", "--a-max", "6", "--format", "csv"]),
+    # riccati and characterize
+    "riccati_complex": (0, ["riccati", "--a", "1", "--b", "1", "--b0", "2", "--n", "6"]),
+    "riccati_neg_a": (0, ["riccati", "--a=-3", "--b", "2", "--b0", "1", "--n", "4"]),
+    "characterize_small": (0, ["characterize", "--scan-bound", "20"]),
+    # symmetric bboxes at odd resolution: centre row and column sit on
+    # b = 0 and a = 0
+    "regions_d1p_axes_pgm": (0, ["regions", "--region", "D1P", "--bbox=-3,3,-3,3",
+                                 "--res", "15", "--out", OUT + ".pgm"]),
+    "regions_d2p_axes_pgm": (0, ["regions", "--region", "D2P", "--bbox=-3,3,-3,3",
+                                 "--res", "15", "--out", OUT + ".pgm"]),
+    "regions_d3p_axes_pgm": (0, ["regions", "--region", "D3P", "--bbox=-3,3,-3,3",
+                                 "--res", "15", "--out", OUT + ".pgm"]),
+    "regions_d2p_axes_csv": (0, ["regions", "--region", "D2P", "--bbox=-5,5,-5,5",
+                                 "--res", "21", "--out", OUT + ".csv"]),
+    "regions_d3p_axes_csv": (0, ["regions", "--region", "D3P", "--bbox=-5,5,-5,5",
+                                 "--res", "21", "--out", OUT + ".csv"]),
+    "regions_d2_csv": (0, ["regions", "--region", "D2", "--bbox=-2,2,-2,2",
+                           "--res", "9", "--out", OUT + ".csv"]),
+}
+
+
+def run_case(argv: list[str], tmp: Path) -> tuple[int, bytes, bytes | None]:
+    """(exit code, stdout bytes, --out file bytes or None) of one call."""
+    out_path = None
+    args = []
+    for arg in argv:
+        if arg.startswith(OUT):
+            out_path = tmp / ("out" + arg[len(OUT):])
+            arg = str(out_path)
+        args.append(arg)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(args)
+    written = out_path.read_bytes() if out_path is not None and out_path.exists() else None
+    return code, stdout.getvalue().encode("utf-8"), written
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, tmp_path):
+    expected_code, argv = CASES[name]
+    code, stdout, written = run_case(argv, tmp_path)
+    assert code == expected_code
+    assert stdout == (GOLDEN / f"{name}.out").read_bytes()
+    file_path = GOLDEN / f"{name}.file"
+    assert written == (file_path.read_bytes() if file_path.exists() else None)
+
+
+def regenerate() -> None:
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (expected_code, argv) in sorted(CASES.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stdout, written = run_case(argv, Path(tmp))
+        if code != expected_code:
+            sys.exit(f"{name}: exit {code}, expected {expected_code}")
+        (GOLDEN / f"{name}.out").write_bytes(stdout)
+        if written is not None:
+            (GOLDEN / f"{name}.file").write_bytes(written)
+
+
+if __name__ == "__main__":
+    regenerate()

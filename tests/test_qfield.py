@@ -21,10 +21,8 @@ from recmono import (
     characteristic_roots,
     cmp_abs,
     decimal_str,
-    modulus_gap_sign,
     order_by_modulus,
     rational_sqrt,
-    sign,
     to_decimal,
 )
 
@@ -194,10 +192,6 @@ class TestSignAndCompare:
         with pytest.raises(ValueError):
             r2 < phi  # noqa: B015 -- the comparison itself must raise
 
-    def test_module_level_sign(self):
-        assert sign(QuadElem(Fraction(2), Fraction(-1), Fraction(5))) == -1
-        assert sign(QuadElem(Fraction(0), Fraction(0), Fraction(0))) == 0
-
 
 class TestCharacteristicRoots:
     def test_fibonacci_roots(self):
@@ -242,21 +236,6 @@ class TestCharacteristicRoots:
         alpha, beta = order_by_modulus(roots)
         assert cmp_abs(alpha, beta) >= 0
         assert {alpha, beta} == {roots.alpha_plus, roots.alpha_minus}
-
-    @given(
-        a=st.fractions(min_value=-15, max_value=15, max_denominator=8),
-        b=st.fractions(min_value=-15, max_value=15, max_denominator=8),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_modulus_gap_sign_consistent(self, a, b):
-        if a == 0 or b == 0:
-            return
-        roots = characteristic_roots(a, b)
-        if roots.discriminant_sign < 0:
-            with pytest.raises(ValueError):
-                modulus_gap_sign(a, b)
-            return
-        assert modulus_gap_sign(a, b) == cmp_abs(roots.alpha_plus, roots.alpha_minus)
 
 
 class TestDecimalRendering:
