@@ -8,18 +8,33 @@ top of it.  Nothing here touches floating point; approximate rendering
 for display lives in `to_decimal` and is only used at the edges
 (reports, CLI output).
 
+Every sign is decided on integers, once: `surd_sign(x, y, n)` is the
+sign of x + y*sqrt(n) for integers x, y and n >= 0.  It is exact for
+any n, a perfect square included, because its only comparison is
+x^2 against y^2*n.  `QuadElem.sign` clears its denominators and calls
+it; the raster cells of `regions`, whose centres sit on integer
+numerators over one common denominator, call it directly.
+
 Which real root is the dominant one, alpha, needs no comparison: with
 alpha+- = (a +- sqrt(disc))/2, |alpha+|^2 - |alpha-|^2 = a*sqrt(disc),
 so alpha is the plus root when a >= 0 and the minus root otherwise.
-`order_by_modulus` is the one place that applies this rule.
+`dominant_root_sign` is the one place that states this rule;
+`order_by_modulus` and the raster cells of `regions` apply it.
 
 The radicand is kept exactly as constructed (for roots: a^2 - 4*b) and
 is not reduced to squarefree form.  Elements built over different
 radicands never mix in practice, one recurrence fixes one discriminant,
 and the arithmetic raises if they do.  The one normalization performed
 is collapsing a perfect-square radicand into the rational part, which
-guarantees: q != 0 implies sqrt(d) is irrational.  The exactness of
-`sign` rests on that invariant.
+guarantees: q != 0 implies sqrt(d) is irrational.  Only the public
+constructor decides squareness (two `isqrt`s); the ring operations
+combine elements over one radicand, which by the invariant is either 0
+or not a square, so their results keep it without a re-check.  Normal
+form makes equality and hashing structural and the norm of a nonzero
+element nonzero.
+
+`surd_sign` and `dominant_root_sign` are the package's integer kernel,
+not part of its exported API, and are left out of `__all__`.
 """
 
 from __future__ import annotations
@@ -48,8 +63,38 @@ __all__ = [
 ]
 
 
+_ZERO = Fraction(0)
+
+
 def _rat_sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
+
+
+def surd_sign(x: int, y: int, n: int) -> int:
+    """Sign of x + y*sqrt(n) for integers x, y and n >= 0, exactly.
+
+    When x and y*sqrt(n) differ in sign the sum has the sign of the
+    larger modulus, that is of x^2 - y^2*n; a tie there is a true zero.
+    """
+    sx = (x > 0) - (x < 0)
+    sy = (y > 0) - (y < 0) if n else 0
+    if sx == sy or sy == 0:
+        return sx
+    if sx == 0:
+        return sy
+    t = x * x - y * y * n
+    return sx * ((t > 0) - (t < 0))
+
+
+def dominant_root_sign(a: Union[int, Fraction]) -> int:
+    """s such that alpha = (a + s*sqrt(disc))/2 is a root of largest modulus.
+
+    |alpha+|^2 - |alpha-|^2 = a*sqrt(disc), so s = +1 when a >= 0 and
+    -1 otherwise; at a = 0 the moduli tie and the plus root is taken.
+    The sign of a is that of any positive multiple of it, so integer
+    numerators over a positive denominator may be passed as well.
+    """
+    return 1 if a >= 0 else -1
 
 
 def rational_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -79,14 +124,30 @@ class QuadElem:
         if d < 0:
             raise ValueError("radicand must be non-negative")
         if q == 0:
-            d = Fraction(0)
+            d = _ZERO
         else:
             r = rational_sqrt(d)
             if r is not None:
-                p, q, d = p + q * r, Fraction(0), Fraction(0)
+                p, q, d = p + q * r, _ZERO, _ZERO
         self.p = p
         self.q = q
         self.d = d
+
+    @classmethod
+    def _closed(cls, p: Fraction, q: Fraction, d: Fraction) -> "QuadElem":
+        """p + q*sqrt(d) where d is 0 or a radicand already in normal form.
+
+        Ring operations build their results here: their radicand is one
+        an operand already carries, so it is not re-checked for squareness.
+        """
+        x = object.__new__(cls)
+        x.p = p
+        if q == 0:
+            x.q = x.d = _ZERO
+        else:
+            x.q = q
+            x.d = d
+        return x
 
     # -- coercion helpers -------------------------------------------------
 
@@ -116,12 +177,12 @@ class QuadElem:
         if o is None:
             return NotImplemented
         d = self._common_radicand(o)
-        return QuadElem(self.p + o.p, self.q + o.q, d)
+        return QuadElem._closed(self.p + o.p, self.q + o.q, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadElem":
-        return QuadElem(-self.p, -self.q, self.d)
+        return QuadElem._closed(-self.p, -self.q, self.d)
 
     def __sub__(self, other: object) -> "QuadElem":
         o = self._coerce(other)
@@ -140,7 +201,7 @@ class QuadElem:
         if o is None:
             return NotImplemented
         d = self._common_radicand(o)
-        return QuadElem(
+        return QuadElem._closed(
             self.p * o.p + self.q * o.q * d,
             self.p * o.q + self.q * o.p,
             d,
@@ -149,7 +210,7 @@ class QuadElem:
     __rmul__ = __mul__
 
     def conjugate(self) -> "QuadElem":
-        return QuadElem(self.p, -self.q, self.d)
+        return QuadElem._closed(self.p, -self.q, self.d)
 
     def __truediv__(self, other: object) -> "QuadElem":
         o = self._coerce(other)
@@ -161,8 +222,8 @@ class QuadElem:
         norm = o.p * o.p - o.q * o.q * d
         if norm == 0:
             raise ZeroDivisionError("division by zero element")
-        num = self * QuadElem(o.p, -o.q, d)
-        return QuadElem(num.p / norm, num.q / norm, d)
+        num = self * QuadElem._closed(o.p, -o.q, d)
+        return QuadElem._closed(num.p / norm, num.q / norm, d)
 
     def __rtruediv__(self, other: object) -> "QuadElem":
         o = self._coerce(other)
@@ -175,7 +236,7 @@ class QuadElem:
             return NotImplemented
         if exponent < 0:
             return (QuadElem(1) / self) ** (-exponent)
-        result = QuadElem(1, 0, self.d)
+        result = QuadElem._closed(Fraction(1), _ZERO, _ZERO)
         base = self
         e = exponent
         while e:
@@ -190,19 +251,17 @@ class QuadElem:
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}.
 
-        With q != 0 the radicand is irrational, so for mixed signs of p
-        and q the comparison |p| versus |q|*sqrt(d) never ties and is
-        decided by the rational quantity p^2 - q^2 d.
+        p + q*sqrt(f/g) times the positive P*Q*g, where P and Q are the
+        denominators of p and q, is the integer surd
+        p_num*Q*g + q_num*P*sqrt(f*g), whose sign `surd_sign` decides.
         """
-        sp = _rat_sign(self.p)
-        if self.q == 0:
-            return sp
-        sq = _rat_sign(self.q)
-        if sp == 0:
-            return sq
-        if sp == sq:
-            return sp
-        return sp * _rat_sign(self.p * self.p - self.q * self.q * self.d)
+        p, q = self.p, self.q
+        if q == 0:
+            return _rat_sign(p)
+        g = self.d.denominator
+        return surd_sign(
+            p.numerator * q.denominator * g, q.numerator * p.denominator, self.d.numerator * g
+        )
 
     def __bool__(self) -> bool:
         return not (self.p == 0 and self.q == 0)
@@ -241,11 +300,11 @@ class QuadElem:
 
 
 def cmp_abs(x: Union[QuadElem, RationalLike], y: Union[QuadElem, RationalLike]) -> int:
-    """Compare |x| with |y| exactly: sign of x^2 - y^2."""
+    """Compare |x| with |y| exactly: sign of x^2 - y^2 = (x - y)*(x + y)."""
     qx, qy = QuadElem._coerce(x), QuadElem._coerce(y)
     if qx is None or qy is None:
         raise TypeError("cmp_abs needs QuadElem or rational arguments")
-    return (qx * qx - qy * qy).sign()
+    return (qx - qy).sign() * (qx + qy).sign()
 
 
 @dataclass(frozen=True)
@@ -295,14 +354,15 @@ def quadratic_roots(a: RationalLike, b: RationalLike) -> RootPair:
 def order_by_modulus(roots: RootPair) -> tuple[QuadElem, QuadElem]:
     """(alpha, beta) with |alpha| >= |beta|; raises for complex roots.
 
-    alpha is the plus root exactly when a >= 0 (see the module
-    docstring); for a = 0 or a repeated root the moduli tie and alpha is
-    the plus root.
+    alpha is the plus root exactly when `dominant_root_sign(a)` is +1;
+    for a = 0 or a repeated root the moduli tie and alpha is the plus
+    root.
     """
     if roots.discriminant_sign < 0:
         raise ValueError("complex roots cannot be ordered by real modulus")
     ap, am = roots.alpha_plus, roots.alpha_minus
-    if ap.p + am.p >= 0:  # the rational parts of the roots sum to a
+    # the rational parts of the roots sum to a
+    if dominant_root_sign(ap.p + am.p) > 0:
         return ap, am
     return am, ap
 

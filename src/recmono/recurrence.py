@@ -156,7 +156,11 @@ def closed_form_term(spec: RecurrenceSpec, n: int) -> Fraction:
         return c0 * (n + 1) * root**n + (c1 - spec.a * c0) * n * root ** (n - 1)
     ap, am = roots.alpha_plus, roots.alpha_minus
     surd = QuadElem(0, 1, roots.discriminant)  # r+ - r-
-    value = ((c1 - c0 * am) * ap**n - (c1 - c0 * ap) * am**n) / surd
+    ap_n = ap**n
+    # r- is the conjugate of r+ only while sqrt(disc) is irrational; with
+    # a square discriminant both roots are rational and am**n is needed
+    am_n = ap_n.conjugate() if ap.q != 0 else am**n
+    value = ((c1 - c0 * am) * ap_n - (c1 - c0 * ap) * am_n) / surd
     assert value.q == 0  # the irrational parts must cancel exactly
     return value.p
 

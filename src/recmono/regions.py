@@ -7,9 +7,19 @@ closed coefficient region DP = {a >= 1, -a - 1 <= b <= a - 1} equals the
 intersection of the three primed regions; rasters make that visible and
 the test suite checks it pointwise.
 
-Membership is evaluated at exact rational cell centers; the only
-approximation anywhere is the 6-significant-digit rendering in CSV
-output.
+Membership is decided exactly, on integers.  A point (x, y) is written
+as integer numerators X, Y over one positive denominator L; a raster
+puts every cell centre of its bbox over one common L, built from the
+corner denominators and 2*res, so its cells never touch a Fraction.
+Root-plane regions are then integer comparisons.  In the coefficient
+plane the roots of x^2 - (X/L)*x + Y/L are (X +- sqrt(N))/(2L) with
+N = X^2 - 4*Y*L, and each test is the sign of an integer surd
+u + v*sqrt(N), decided by `qfield.surd_sign`; alpha is the plus root iff
+`qfield.dominant_root_sign(X)` is +1.  No squareness check is made: the
+integer sign is exact whether or not N is a square.  `rasterize`,
+`contains_coeff_plane` and `contains_root_plane` all call the same
+per-region predicates.  The only approximation anywhere is the
+6-significant-digit rendering in CSV output.
 """
 
 from __future__ import annotations
@@ -17,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from typing import Union
+from math import lcm
 
-from .qfield import QuadElem, RationalLike, cmp_abs, order_by_modulus, quadratic_roots
+from .qfield import RationalLike, dominant_root_sign, surd_sign
 
 __all__ = [
     "RegionId",
@@ -53,58 +62,117 @@ COEFF_PLANE_REGIONS = frozenset(
 )
 
 
+# Each predicate decides membership of the point (X/L, Y/L), L > 0.
+# Root plane: the point is (alpha, beta).
+
+
+def _d1(X: int, Y: int, L: int) -> bool:
+    return X + Y >= L and X >= L and abs(X) >= abs(Y)
+
+
+def _d2(X: int, Y: int, L: int) -> bool:
+    return abs(X + Y) >= abs(Y) and abs(X) >= abs(Y)
+
+
+def _d3(X: int, Y: int, L: int) -> bool:
+    return abs(Y) <= L and abs(X) >= abs(Y)
+
+
+def _d(X: int, Y: int, L: int) -> bool:
+    # closed form of D1 cap D2 cap D3
+    return X + Y >= L and X >= L and abs(Y) <= L
+
+
+# Coefficient plane: the point is (a, b); with N = X^2 - 4*Y*L and
+# s = dominant_root_sign(X), alpha = (X + s*sqrt(N))/(2L) and
+# beta = (X - s*sqrt(N))/(2L).
+
+
+def _d1p(X: int, Y: int, L: int) -> bool:
+    N = X * X - 4 * Y * L
+    if N < 0 or X < L:
+        return False  # a real dominant root >= 1 is required
+    # alpha - 1 = (X - 2L + s*sqrt(N))/(2L)
+    return surd_sign(X - 2 * L, dominant_root_sign(X), N) >= 0
+
+
+def _d2p(X: int, Y: int, L: int) -> bool:
+    N = X * X - 4 * Y * L
+    if N < 0:
+        return X * X >= Y * L  # |a| against the conjugate modulus sqrt(b)
+    # |a| >= |beta|: a - beta = (X + s*sqrt(N))/(2L), a + beta = (3X - s*sqrt(N))/(2L)
+    s = dominant_root_sign(X)
+    return surd_sign(X, s, N) * surd_sign(3 * X, -s, N) >= 0
+
+
+def _d3p(X: int, Y: int, L: int) -> bool:
+    N = X * X - 4 * Y * L
+    if N < 0:
+        return Y <= L  # the conjugate modulus sqrt(b) is at most 1
+    # |beta| <= 1: beta -+ 1 = (X -+ 2L - s*sqrt(N))/(2L)
+    s = dominant_root_sign(X)
+    return surd_sign(X - 2 * L, -s, N) * surd_sign(X + 2 * L, -s, N) <= 0
+
+
+def _dp(X: int, Y: int, L: int) -> bool:
+    return X >= L and -X - L <= Y <= X - L
+
+
+def _dp_boundary(X: int, Y: int, L: int) -> bool:
+    if X < L:
+        return False
+    return (X == L and -2 * L <= Y <= 0) or Y == X - L or Y == -X - L
+
+
+_MEMBER = {
+    RegionId.D1: _d1,
+    RegionId.D2: _d2,
+    RegionId.D3: _d3,
+    RegionId.D: _d,
+    RegionId.D1P: _d1p,
+    RegionId.D2P: _d2p,
+    RegionId.D3P: _d3p,
+    RegionId.DP: _dp,
+    RegionId.DP_BOUNDARY: _dp_boundary,
+}
+
+
+def _over_common_denominator(x: RationalLike, y: RationalLike) -> tuple[int, int, int]:
+    """(X, Y, L) with x = X/L, y = Y/L and L > 0."""
+    x, y = Fraction(x), Fraction(y)
+    L = lcm(x.denominator, y.denominator)
+    return x.numerator * (L // x.denominator), y.numerator * (L // y.denominator), L
+
+
 def contains_root_plane(region: RegionId, alpha: RationalLike, beta: RationalLike) -> bool:
     """Membership of the root pair (alpha, beta); rational inputs, exact."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if region is RegionId.D1:
-        return alpha + beta >= 1 and alpha >= 1 and abs(alpha) >= abs(beta)
-    if region is RegionId.D2:
-        return abs(alpha + beta) >= abs(beta) and abs(alpha) >= abs(beta)
-    if region is RegionId.D3:
-        return abs(beta) <= 1 and abs(alpha) >= abs(beta)
-    if region is RegionId.D:
-        # closed form of D1 cap D2 cap D3
-        return alpha + beta >= 1 and alpha >= 1 and abs(beta) <= 1
-    raise ValueError(f"{region.value} is not a root-plane region")
-
-
-@lru_cache(maxsize=1 << 16)
-def _ordered_roots(a: Fraction, b: Fraction) -> tuple[QuadElem, QuadElem]:
-    """(alpha, beta) at a grid point with disc >= 0, a = 0 or b = 0 allowed.
-
-    Cached so that the D1P, D2P and D3P rasters of one bbox build each
-    point's roots once.
-    """
-    return order_by_modulus(quadratic_roots(a, b))
+    if region not in ROOT_PLANE_REGIONS:
+        raise ValueError(f"{region.value} is not a root-plane region")
+    return _MEMBER[region](*_over_common_denominator(alpha, beta))
 
 
 def contains_coeff_plane(region: RegionId, a: RationalLike, b: RationalLike) -> bool:
     """Membership of the coefficient pair (a, b); rational inputs, exact."""
-    a, b = Fraction(a), Fraction(b)
-    if region is RegionId.DP:
-        return a >= 1 and -a - 1 <= b <= a - 1
-    if region is RegionId.DP_BOUNDARY:
-        if a < 1:
-            return False
-        return (a == 1 and -2 <= b <= 0) or b == a - 1 or b == -a - 1
     if region not in COEFF_PLANE_REGIONS:
         raise ValueError(f"{region.value} is not a coefficient-plane region")
-    disc = a * a - 4 * b
-    if region is RegionId.D1P:
-        if disc < 0 or a < 1:
-            return False  # a real dominant root >= 1 is required
-        alpha, _ = _ordered_roots(a, b)
-        return (alpha - 1).sign() >= 0
-    if region is RegionId.D2P:
-        if disc < 0:
-            return a * a >= b  # |a| against the conjugate modulus sqrt(b)
-        _, beta = _ordered_roots(a, b)
-        return cmp_abs(a, beta) >= 0
-    # D3P
-    if disc < 0:
-        return b <= 1
-    _, beta = _ordered_roots(a, b)
-    return cmp_abs(beta, 1) <= 0
+    return _MEMBER[region](*_over_common_denominator(a, b))
+
+
+def _cell_numerators(
+    bbox: tuple[Fraction, Fraction, Fraction, Fraction], resolution: int
+) -> tuple[list[int], list[int], int]:
+    """(Xs by column, Ys by row, L): cell centres as numerators over L.
+
+    The centre x0 + (2*col + 1)*(x1 - x0)/(2*res) is an integer over
+    L = 2*res*lcm of the corner denominators, and so is every y.
+    """
+    L = 2 * resolution * lcm(*(v.denominator for v in bbox))
+    X0, X1, Y0, Y1 = (v.numerator * (L // v.denominator) for v in bbox)
+    step_x = (X1 - X0) // (2 * resolution)
+    step_y = (Y1 - Y0) // (2 * resolution)
+    xs = [X0 + (2 * col + 1) * step_x for col in range(resolution)]
+    ys = [Y1 - (2 * row + 1) * step_y for row in range(resolution)]
+    return xs, ys, L
 
 
 @dataclass(frozen=True)
@@ -125,13 +193,12 @@ class RasterGrid:
 
     def centers(self):
         """Yield (row, col, x, y) for every cell, row-major."""
-        x0, x1, y0, y1 = self.bbox
-        dx = (x1 - x0) / self.resolution
-        dy = (y1 - y0) / self.resolution
-        for row in range(self.resolution):
-            y = y1 - (2 * row + 1) * dy / 2
-            for col in range(self.resolution):
-                yield row, col, x0 + (2 * col + 1) * dx / 2, y
+        xs, ys, L = _cell_numerators(self.bbox, self.resolution)
+        xs = [Fraction(X, L) for X in xs]
+        for row, Y in enumerate(ys):
+            y = Fraction(Y, L)
+            for col, x in enumerate(xs):
+                yield row, col, x, y
 
 
 def rasterize(
@@ -140,22 +207,15 @@ def rasterize(
     resolution: int,
 ) -> RasterGrid:
     """Sample region membership on a resolution x resolution center grid."""
-    x0, x1, y0, y1 = (Fraction(v) for v in bbox)
+    x0, x1, y0, y1 = box = tuple(Fraction(v) for v in bbox)
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if x0 >= x1 or y0 >= y1:
         raise ValueError("bbox must have positive area")
-    member = (
-        contains_root_plane if region in ROOT_PLANE_REGIONS else contains_coeff_plane
-    )
-    dx = (x1 - x0) / resolution
-    dy = (y1 - y0) / resolution
-    xs = [x0 + (2 * col + 1) * dx / 2 for col in range(resolution)]
-    rows = []
-    for row in range(resolution):
-        y = y1 - (2 * row + 1) * dy / 2
-        rows.append(tuple(member(region, x, y) for x in xs))
-    return RasterGrid(region, (x0, x1, y0, y1), resolution, tuple(rows))
+    member = _MEMBER[region]
+    xs, ys, L = _cell_numerators(box, resolution)
+    cells = tuple(tuple(member(X, Y, L) for X in xs) for Y in ys)
+    return RasterGrid(region, box, resolution, cells)
 
 
 def write_pgm(grid: RasterGrid, path: str) -> None:

@@ -5,8 +5,9 @@ its stdout with tests/golden/<name>.out and, for cases that write a file
 through `--out`, that file with tests/golden/<name>.file.  The corpus
 covers all six subcommands and the README examples, and leans on the
 root ordering: negative `a` with distinct, square-discriminant and
-repeated roots, complex pairs, h-type starts, `--from-k`, and
-coefficient-plane rasters whose cell centres land on a = 0 and b = 0.
+repeated roots, complex pairs, h-type starts, `--from-k`,
+coefficient-plane rasters whose cell centres land on a = 0 and b = 0,
+and rasters on an asymmetric bbox with unlike corner denominators.
 
 After an intended output change, regenerate the files and review the
 diff:
@@ -93,6 +94,19 @@ CASES = {
                                  "--res", "21", "--out", OUT + ".csv"]),
     "regions_d2_csv": (0, ["regions", "--region", "D2", "--bbox=-2,2,-2,2",
                            "--res", "9", "--out", OUT + ".csv"]),
+    # an asymmetric bbox with unlike corner denominators at even
+    # resolution: no centre sits on an axis, and the cell centres need a
+    # common denominator other than any one corner's
+    "regions_d1p_asym_pgm": (0, ["regions", "--region", "D1P", "--bbox=-7/3,11/5,-13/4,9/7",
+                                 "--res", "40", "--out", OUT + ".pgm"]),
+    "regions_d2p_asym_pgm": (0, ["regions", "--region", "D2P", "--bbox=-7/3,11/5,-13/4,9/7",
+                                 "--res", "40", "--out", OUT + ".pgm"]),
+    "regions_d3p_asym_pgm": (0, ["regions", "--region", "D3P", "--bbox=-7/3,11/5,-13/4,9/7",
+                                 "--res", "40", "--out", OUT + ".pgm"]),
+    "regions_d2_asym_pgm": (0, ["regions", "--region", "D2", "--bbox=-7/3,11/5,-13/4,9/7",
+                                "--res", "40", "--out", OUT + ".pgm"]),
+    "regions_d3p_asym_csv": (0, ["regions", "--region", "D3P", "--bbox=-7/3,11/5,-13/4,9/7",
+                                 "--res", "40", "--out", OUT + ".csv"]),
 }
 
 

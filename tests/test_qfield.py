@@ -25,6 +25,7 @@ from recmono import (
     rational_sqrt,
     to_decimal,
 )
+from recmono.qfield import dominant_root_sign, surd_sign
 
 fractions_st = st.fractions(
     min_value=-50, max_value=50, max_denominator=30
@@ -178,6 +179,47 @@ class TestSignAndCompare:
             assert cmp_abs(x, y) == (1 if gap > 0 else -1)
         else:
             assert cmp_abs(x, y) == 0
+
+    @given(
+        x=st.integers(-10**6, 10**6), y=st.integers(-10**6, 10**6),
+        n=st.integers(0, 10**6),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_surd_sign_matches_decimal(self, x, y, n):
+        m = math.isqrt(n)
+        if m * m == n:
+            # sqrt(n) is the integer m: an exact rational sign
+            value = Fraction(x) + y * m
+            assert surd_sign(x, y, n) == (value > 0) - (value < 0)
+            return
+        with localcontext() as ctx:
+            ctx.prec = 80
+            value = x + y * Decimal(n).sqrt()
+        # sqrt(n) irrational: x + y*sqrt(n) is zero only for x = y = 0,
+        # and otherwise at least 1/(|x| + |y|*sqrt(n)) away from it
+        assert surd_sign(x, y, n) == (value > 0) - (value < 0)
+
+    def test_surd_sign_ties_on_square_radicands(self):
+        for m in (0, 1, 2, 3, 12, 10**9 + 7):
+            for y in (-5, -1, 1, 7):
+                assert surd_sign(-y * m, y, m * m) == 0
+                assert surd_sign(-y * m + 1, y, m * m) == 1
+                assert surd_sign(-y * m - 1, y, m * m) == -1
+        assert surd_sign(0, 0, 0) == 0
+        assert surd_sign(0, 3, 0) == 0  # y*sqrt(0) vanishes
+        assert surd_sign(-4, 3, 0) == -1
+
+    def test_dominant_root_sign_orders_roots(self):
+        for a in (Fraction(-7, 3), -1, 0, Fraction(1, 9), 4):
+            for b in (Fraction(-5, 2), -1, Fraction(1, 3)):
+                roots = characteristic_roots(a, b) if a != 0 else None
+                s = dominant_root_sign(a)
+                # the same sign read off integer numerators over a positive L
+                assert dominant_root_sign(Fraction(a).numerator) == s
+                if roots is not None and roots.discriminant_sign > 0:
+                    alpha, _ = order_by_modulus(roots)
+                    assert alpha == (roots.alpha_plus if s > 0 else roots.alpha_minus)
+        assert dominant_root_sign(0) == 1
 
     def test_total_ordering(self):
         r2 = QuadElem(Fraction(0), Fraction(1), Fraction(2))

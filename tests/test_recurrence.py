@@ -119,6 +119,15 @@ class TestClosedForm:
                 assert closed_form_term(spec, n) == terms[n], (spec, n)
             done += 1
 
+    def test_square_discriminant_matches_iteration(self):
+        # both roots rational, so r- is not the conjugate of r+:
+        # a = -9/2, b = 5 has roots -2 and -5/2
+        for a, b in ((Fraction(-9, 2), 5), (5, 6), (-3, 2), (Fraction(7, 3), Fraction(-2, 9))):
+            spec = RecurrenceSpec(a, b, Fraction(3, 2), Fraction(-1, 3))
+            terms = iterate(spec, 30).terms
+            for n in range(31):
+                assert closed_form_term(spec, n) == terms[n], (spec, n)
+
     def test_repeated_root_matches_iteration(self):
         for a, b in ((2, 1), (-2, 1), (1, Fraction(1, 4)), (3, Fraction(9, 4))):
             spec = RecurrenceSpec(a, b, Fraction(3, 2), Fraction(-1, 3))

@@ -174,12 +174,61 @@ class TestDecisionConsistency:
             got = weighted_monotone(RecurrenceSpec(a, b, 1, a)).holds
             assert got == want, (a, b)
 
+    @staticmethod
+    def _boundary_points():
+        """Points on the curves where membership flips.
+
+        b = a - 1 (a root at 1), b = -a - 1 (a root at -1), b = a^2/4 (a
+        repeated root), square discriminants (rational roots) and a near
+        0, where the dominant root changes sides.
+        """
+        near_zero = [Fraction(s, n) for s in (-1, 1) for n in (97, 1000, 10**6)]
+        a_values = [Fraction(n, d) for d in (1, 2, 3, 5, 7) for n in range(-4 * d, 4 * d + 1)]
+        for a in a_values + near_zero:
+            if a == 0:
+                continue
+            curves = [a - 1, -a - 1, a * a / 4]
+            curves += [(a * a - r * r) / 4 for r in (Fraction(1, 2), 1, Fraction(2, 3), 3)]
+            for b in curves:
+                if b != 0:
+                    yield a, b
+
+    def test_boundary_points_match_decisions(self):
+        # the decisions order and compare the roots as QuadElems, a path
+        # independent of the integer surd signs the regions use
+        checked = 0
+        for a, b in self._boundary_points():
+            assert contains_coeff_plane(RegionId.D1P, a, b) == (
+                positive_monotone_h(make_h_spec(a, b, 1)).holds), (a, b)
+            assert contains_coeff_plane(RegionId.D3P, a, b) == (
+                weighted_monotone(RecurrenceSpec(a, b, 1, a)).holds), (a, b)
+            if a * a - 4 * b >= 0:
+                assert contains_coeff_plane(RegionId.D2P, a, b) == (
+                    ratio_monotone_h(make_h_spec(a, b, 1)).holds), (a, b)
+            checked += 1
+        assert checked > 1000
+
 
 class TestRasterGrid:
+    # unlike corner denominators 3, 5 and 7, so the cells' common
+    # denominator is none of the corners'; the last bbox is symmetric,
+    # so at odd resolution its centre row and column sit on the axes
+    BBOXES = (
+        (Fraction(-7, 3), Fraction(11, 5), Fraction(-13, 7), Fraction(9, 7)),
+        (Fraction(-1, 5), Fraction(17, 3), Fraction(-22, 3), Fraction(26, 5)),
+        (Fraction(-9, 7), Fraction(9, 7), Fraction(-12, 5), Fraction(12, 5)),
+    )
+
     def test_cells_match_pointwise_membership(self):
-        grid = rasterize(RegionId.DP, COEFF_BBOX, 8)
-        for row, col, x, y in grid.centers():
-            assert grid.cells[row][col] == contains_coeff_plane(RegionId.DP, x, y)
+        for region in RegionId:
+            member = (contains_root_plane if region in ROOT_PLANE_REGIONS
+                      else contains_coeff_plane)
+            for bbox in self.BBOXES:
+                for res in (8, 11):
+                    grid = rasterize(region, bbox, res)
+                    for row, col, x, y in grid.centers():
+                        assert grid.cells[row][col] == member(region, x, y), (
+                            region, bbox, res, row, col)
 
     def test_centers_are_exact_rationals(self):
         grid = rasterize(RegionId.D, ROOT_BBOX, 8)
