@@ -11,6 +11,7 @@ between a decision procedure and its oracle window.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -285,9 +286,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused: building it costs about
+    ten times what parsing one command line does."""
+    return _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InternalInconsistency as exc:

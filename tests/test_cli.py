@@ -302,6 +302,28 @@ class TestCharacterize:
         assert payload == {"pairs": [[1, -1]], "scan_bound": 50, "schema": 1}
 
 
+class TestParserReuse:
+    def test_parser_built_once_across_calls(self, capsys, monkeypatch):
+        calls = []
+        build = cli._build_parser
+
+        def counting_build():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_build_parser", counting_build)
+        cli._parser.cache_clear()
+        code, out, _ = run_cli(capsys, "characterize", "--scan-bound", "5")
+        assert code == 0 and json.loads(out)["scan_bound"] == 5
+        code, out, _ = run_cli(capsys, "enumerate", "--a-max", "1", "--format", "csv")
+        assert code == 0 and out == "1,-1,1\n"
+        # the reused parser still rejects bad input with exit 2
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--a-max", "0"])
+        assert exc.value.code == 2
+        assert len(calls) == 1
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

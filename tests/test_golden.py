@@ -5,7 +5,8 @@ its stdout with tests/golden/<name>.out and, for cases that write a file
 through `--out`, that file with tests/golden/<name>.file.  The corpus
 covers all six subcommands and the README examples, and leans on the
 root ordering: negative `a` with distinct, square-discriminant and
-repeated roots, complex pairs, h-type starts, `--from-k`,
+repeated roots, complex pairs, h-type starts, `--from-k`, two
+report-deep-shaped calls whose oracle scans run on long operands,
 coefficient-plane rasters whose cell centres land on a = 0 and b = 0,
 and rasters on an asymmetric bbox with unlike corner denominators.
 
@@ -69,6 +70,12 @@ CASES = {
                                  "--window", "100", "--from-k", "3"]),
     "analyze_zero_coefficient_exit2": (2, ["analyze", "--a", "0", "--b", "1", "--v0", "1",
                                            "--v1", "1"]),
+    # the report-deep shape: q = 13 h-specs inside DP at window 1000 and
+    # from-k 1000, so the P2/P3 scans compare operands of ~2,000 bits
+    "analyze_deep_q13_neg_b": (0, ["analyze", "--a=28/13", "--b=-3/13", "--h-init=2/5",
+                                   "--window=1000", "--from-k=1000"]),
+    "analyze_deep_q13_pos_b": (0, ["analyze", "--a=30/13", "--b=12/13", "--h-init=1",
+                                   "--window=1000", "--from-k=1000"]),
     # sequence and enumerate, both formats
     "sequence_neg_a_json": (0, ["sequence", "--a=-2", "--b=1", "--v0=1", "--v1=3",
                                 "--n", "8", "--format", "json"]),

@@ -259,11 +259,14 @@ class TestReferenceEquivalence:
 
 class TestDegreeReducedScans:
     """P2 and P3 compare |R[n]*M[n+1]| with |R[n+1]*M[n]| and q*|R[n]|
-    with |R[n+1]| through carried residual signs; pinned here against
-    the naive scans over a long window, on specs that run the whole
-    window or reach both the equal-sign and the opposite-sign case."""
+    with |R[n+1]|, deciding each index on 64-bit brackets of the moduli
+    and falling back to the exact test when the brackets overlap; pinned
+    here against the naive scans over a long window, on specs that run
+    the whole window, reach both the equal-sign and the opposite-sign
+    case, tie at every index, or carry operands of ~2,000 bits."""
 
     WINDOW = 150
+    LONG_WINDOW = 400
 
     SPECS = (
         # DP h-specs, q = 13; b < 0 flips the residual sign each step,
@@ -279,23 +282,44 @@ class TestDegreeReducedScans:
         RecurrenceSpec(4, 4, 1, 2),  # start on the eigen-solution 2^n
         RecurrenceSpec(3, 2, -31, -30),  # a[5] = 0
         RecurrenceSpec(3, 2, -16, 0),  # a[1] = 0, the scan goes on past it
+        # |beta| = 1, so every P3 comparison ties: roots 2 and 1, then
+        # roots 2 and -1 with products of opposite sign
+        make_h_spec(3, 2, 1),
+        RecurrenceSpec(1, -2, 1, 3),
+        # the same two scaled by 2**700: the ties fall on operands long
+        # enough for the brackets, which overlap and defer to the exact test
+        make_h_spec(3, 2, 2**700),
+        RecurrenceSpec(1, -2, 2**700, 3 * 2**700),
+        # near ties on long operands, violated at n = 0 by a relative
+        # 2**-700 (P2: a[1] = a[0] - 1, roots 2 and 1) and 2**-80 (P3:
+        # roots 2 and 1 + 2**-80); the brackets overlap for many indices
+        # and only the exact test sees the violation
+        RecurrenceSpec(3, 2, 2**700, 2**700 - 1),
+        RecurrenceSpec(3 + Fraction(1, 2**80), 2 + Fraction(1, 2**79), 2**700, 2**700 + 1),
     )
 
+    def _cases(self):
+        # a second pass on the two q = 13 DP specs with b < 0 and b > 0
+        # reaches carrier terms of ~2,000 bits
+        return [(spec, self.WINDOW) for spec in self.SPECS] + [
+            (spec, self.LONG_WINDOW) for spec in self.SPECS[:2]
+        ]
+
     def test_p2_matches_reference(self):
-        for spec in self.SPECS:
-            rep = check_p2_window(spec, self.WINDOW)
+        for spec, window in self._cases():
+            rep = check_p2_window(spec, window)
             assert (
                 rep.holds_on_window,
                 rep.first_violation,
                 rep.skipped_indices,
-            ) == ref_p2(spec, self.WINDOW), spec
+            ) == ref_p2(spec, window), (spec, window)
 
     def test_p3_matches_reference(self):
-        for spec in self.SPECS:
-            rep = check_p3_window(spec, self.WINDOW)
+        for spec, window in self._cases():
+            rep = check_p3_window(spec, window)
             assert (rep.holds_on_window, rep.first_violation) == ref_p3(
-                spec, self.WINDOW
-            ), spec
+                spec, window
+            ), (spec, window)
 
     def test_carrier_terms_equal_iterated_terms(self):
         for spec in build_corpus(777, 90):
