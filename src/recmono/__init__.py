@@ -31,9 +31,8 @@ from .oracle import (
     PropertyId,
     WindowReport,
     check_p1_window,
-    check_p2_window,
-    check_p3_window,
     find_n0,
+    residual_windows,
 )
 from .qfield import (
     QuadElem,
@@ -99,8 +98,6 @@ __all__ = [
     "build_report",
     "characteristic_roots",
     "check_p1_window",
-    "check_p2_window",
-    "check_p3_window",
     "closed_form_term",
     "cmp_abs",
     "contains_coeff_plane",
@@ -124,6 +121,7 @@ __all__ = [
     "ratio_monotone_h",
     "rational_sqrt",
     "rasterize",
+    "residual_windows",
     "riccati_orbit",
     "term_minus_one",
     "terms_between",

@@ -16,15 +16,20 @@ by positive constants only, so every verdict equals the one computed on
 raw terms; the test suite checks that equivalence against a direct
 rational-arithmetic reference.
 
-The P2 and P3 scans compare moduli of the residual R = u + y*sqrt(d),
-which cancels heavily once the sequence follows its dominant root.
-Each modulus is therefore taken over the conjugate, where nothing
-cancels: |R| = S := |u| + |y|*sqrt(d) when u and y*sqrt(d) agree in
-sign, else |R| = |N|/S with N = u**2 - y**2*d the exact integer norm.
-S is bracketed from r = isqrt(d << 128) to about 2**-63, so every
-modulus lies between two 64-bit integers scaled by one power of two,
-and a comparison is decided by exact integer inequalities between such
-brackets.  Where the
+P2 and P3 are statements about the residual R = u + y*sqrt(d), and
+residual_windows decides both on one walk of the carrier.  The residual
+cancels heavily once the sequence follows its dominant root, so each
+modulus is taken over the conjugate, where nothing cancels:
+|R| = S := |u| + |y|*sqrt(d) when u and y*sqrt(d) agree in sign, else
+|R| = |N|/S with N = u**2 - y**2*d the exact integer norm.  That norm is
+the Casoratian of the carrier, so N[n+1] = B*q*N[n] exactly (the
+generalized Cassini identity): the walk computes it directly at the
+first index, carries it with one small-times-big product per index,
+and at the last index walked computes it directly again and raises
+InternalInconsistency if the two differ.  S is bracketed from
+r = isqrt(d << 128) to about 2**-63, so every modulus lies between two
+64-bit integers scaled by one power of two, and a comparison is decided
+by exact integer inequalities between such brackets.  Where the
 brackets overlap (a tie such as |beta| = 1, a residual that is
 identically 0, or a near tie) the index falls back to the exact sign
 test of x + y*sqrt(d).  No float enters: every verdict comes from an
@@ -37,18 +42,23 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from math import isqrt
-from typing import Optional
+from typing import Iterator, Optional
 
 from .recurrence import RecurrenceSpec, integer_carrier
 
 __all__ = [
+    "InternalInconsistency",
     "PropertyId",
     "WindowReport",
     "check_p1_window",
-    "check_p2_window",
-    "check_p3_window",
     "find_n0",
+    "residual_windows",
 ]
+
+
+class InternalInconsistency(RuntimeError):
+    """The program contradicts itself: a decision verdict and its oracle
+    window disagree, or the oracle's exact self-check fails."""
 
 
 class PropertyId(Enum):
@@ -117,11 +127,11 @@ def check_p1_window(spec: RecurrenceSpec, k: int, n_max: int) -> WindowReport:
 
 
 # Below this bit length of the carrier term the exact test is cheaper
-# than building the brackets, so short operands go to it directly.  The
-# per-index crossover, measured on CPython 3.11, lies between about 450
-# bits (P2 with opposite-sign products) and 900 bits (P2 with like
-# signs, and P3).
-_BRACKET_MIN_BITS = 640
+# than building the brackets, so short operands go to it directly.  With
+# the norm carried rather than squared, the per-index crossover measured
+# on CPython 3.11 lies between about 320 and 576 bits, depending on the
+# spec.
+_BRACKET_MIN_BITS = 512
 
 
 def _top(x: int) -> tuple[int, int]:
@@ -132,34 +142,36 @@ def _top(x: int) -> tuple[int, int]:
 
 
 def _residual(
-    u: int, y: int, d: int, r: int, slack: int
+    u: int, y: int, n: int, d: int, r: int, slack: int
 ) -> tuple[int, Optional[tuple[int, int, int]]]:
-    """Sign of R = u + y*sqrt(d) and a bracket (lo, hi, e) of |R|, with
-    lo*2**e <= |R| <= hi*2**e and lo, hi of about 64 bits; no bracket
-    for y shorter than _BRACKET_MIN_BITS.
+    """Sign of R = u + y*sqrt(d), given its exact integer norm
+    n = u**2 - y**2*d = R*conjugate(R), and a bracket (lo, hi, e) of |R|
+    with lo*2**e <= |R| <= hi*2**e and lo, hi of about 64 bits; no
+    bracket for y shorter than _BRACKET_MIN_BITS.
 
-    r = isqrt(d << 128) gives r*2**-64 <= sqrt(d) < (r + 1)*2**-64, so
-    the conjugate modulus S = |u| + |y|*sqrt(d), a sum with no
-    cancellation, lies in [t, t + slack)*2**(e - 64) with (t, e) the top
-    64 bits of |u|*2**64 + |y|*r: slack 1 when sqrt(d) = r*2**-64
-    exactly, else 2, since |y| <= (|u|*2**64 + |y|*r)/r < 2**e.  When u
-    and y*sqrt(d) share a sign, or one of them is 0, |R| = S; otherwise
-    |R| = |N|/S with N = u**2 - y**2*d = R*conjugate(R) the exact
-    integer norm, and sign(R) = sign(u)*sign(N).
+    When u and y*sqrt(d) share a sign, or one of them is 0, sign(R) is
+    that sign and |R| = S := |u| + |y|*sqrt(d), a sum with no
+    cancellation; otherwise sign(R) = sign(u)*sign(n) and
+    |R| = |n|/S.  r = isqrt(d << 128) gives
+    r*2**-64 <= sqrt(d) < (r + 1)*2**-64, so S lies in
+    [t, t + slack)*2**(e - 64) with (t, e) the top 64 bits of
+    |u|*2**64 + |y|*r: slack 1 when sqrt(d) = r*2**-64 exactly, else 2,
+    since |y| <= (|u|*2**64 + |y|*r)/r < 2**e.
     """
-    if y.bit_length() < _BRACKET_MIN_BITS:
-        return _quad_int_sign(u, y, d), None
     su = _int_sign(u)
     sy = _int_sign(y) if d else 0
+    like = su * sy >= 0
+    g = (su or sy) if like else su * _int_sign(n)
+    if y.bit_length() < _BRACKET_MIN_BITS:
+        return g, None
     t, e = _top((abs(u) << 64) + abs(y) * r)
-    if su * sy >= 0:
-        return su or sy, (t, t + slack, e - 64)
-    n = u * u - y * y * d
+    if like:
+        return g, (t, t + slack, e - 64)
     tn, en = _top(abs(n))
-    # |N| = tn exactly when it fits in 64 bits, as it does for |B*q| = 1;
+    # |n| = tn exactly when it fits in 64 bits, as it does for |B*q| = 1;
     # t >= 2**63 here, since u != 0
     hn = tn + (en > 0)
-    return su * _int_sign(n), ((tn << 64) // (t + slack), -((-hn << 64) // t), en - e)
+    return g, ((tn << 64) // (t + slack), -((-hn << 64) // t), en - e)
 
 
 def _order(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
@@ -181,113 +193,110 @@ def _sqrt_bracket(d: int) -> tuple[int, int]:
     return r, 1 if r * r == d << 128 else 2
 
 
-def check_p2_window(spec: RecurrenceSpec, n_max: int) -> WindowReport:
-    """Scan |alpha - a[n+1]/a[n]| >= |alpha - a[n+2]/a[n+1]| for n in [0, n_max].
+def _residual_terms(
+    A: int, Bq: int, d: int, M: Iterator[int]
+) -> Iterator[tuple[int, int, int]]:
+    """(M[n], u[n], N[n]) for n = 0, 1, ... without end, with
+    u[n] = A*M[n] - 2*M[n+1] and N[n] = u[n]**2 - M[n]**2*d.
 
-    alpha is the dominant root; a negative discriminant is an error since
-    the compared distances are not real then.  Comparisons where a[n] or
-    a[n+1] vanishes are skipped and recorded.
+    N[n] is computed directly only at n = 0 and then carried by the
+    Casoratian identity N[n+1] = B*q*N[n]: N[n] is 4*(M[n+1]**2 -
+    A*M[n]*M[n+1] + B*q*M[n]**2), which any solution of
+    M[n+2] = A*M[n+1] - B*q*M[n] multiplies by B*q per step.
+    """
+    m0, m1 = next(M), next(M)
+    u = A * m0 - 2 * m1
+    norm = u * u - m0 * m0 * d
+    while True:
+        yield m0, u, norm
+        m0, m1 = m1, next(M)
+        u = A * m0 - 2 * m1
+        norm *= Bq
 
-    On the carrier the residual becomes
+
+def residual_windows(
+    spec: RecurrenceSpec, n_max: int
+) -> tuple[Optional[WindowReport], WindowReport]:
+    """(P2, P3) scans for n in [0, n_max], on one walk of the carrier.
+
+    P2 scans |alpha - a[n+1]/a[n]| >= |alpha - a[n+2]/a[n+1]|, with alpha
+    the dominant root; it is None for complex roots, where the compared
+    distances are not real.  Comparisons where a[n] or a[n+1] vanishes
+    are skipped and recorded.  P3 scans
+    |a[n]*alpha - a[n+1]| >= |a[n+1]*alpha - a[n+2]|.  The walk goes on
+    while either scan is still clean and stops once both have a
+    violation or the window ends.
+
+    Real roots: on the carrier both are statements about the residual
     R[n] := 2*q**(n+1)*D * (a[n]*alpha - a[n+1]) = u[n] + s*M[n]*sqrt(d)
     with u[n] = A*M[n] - 2*M[n+1] and s = +1 when A > 0, -1 otherwise.
     That s picks alpha without a comparison: |(a + sqrt(disc))/2|^2 -
     |(a - sqrt(disc))/2|^2 = a*sqrt(disc), and a spec has a != 0 (for a
-    repeated root d = 0 and s drops out).  The scan compares
-    |R[n]*M[n+1]| against |R[n+1]*M[n]|, which carry the same positive
-    factor.
+    repeated root d = 0 and s drops out).  Each index's sign g[n] of
+    R[n] and 64-bit bracket of |R[n]| (see _residual) are computed once
+    and feed both scans.  The exact norm
+    N[n] = R[n]*conjugate(R[n]) = u[n]**2 - M[n]**2*d is computed
+    directly at n = 0 only and carried by the Casoratian identity
+    N[n+1] = B*q*N[n], the generalized Cassini identity of the
+    recurrence: one small-times-big product per index.  At the last
+    index walked the norm is computed directly once more, and a
+    difference from the carried one raises InternalInconsistency.  The
+    identity is a fact about the recurrence, not about the properties:
+    the scans never use R[n+1] = q*beta*R[n], which is the P3 theorem.
 
-    Each |R[n]| is taken over its conjugate, with no cancellation: it
-    is S[n] = |u[n]| + |M[n]|*sqrt(d) when u[n] and s*M[n] agree in
-    sign, else |N[n]|/S[n] with N[n] = u[n]**2 - M[n]**2*d the exact
-    integer norm (see _residual).  Both moduli are bracketed to 64-bit
-    integers with about 2**-61 relative width, and the two products are
-    compared as integer brackets.  Only when the brackets overlap (a
-    tie, or a near one) does the index fall back to the exact test: with
-    sigma and tau the signs of the two products, the difference of their
-    moduli is
+    P2 compares |R[n]*M[n+1]| against |R[n+1]*M[n]|, which carry the
+    same positive factor; P3 compares q*|R[n]| with |R[n+1]|.  The
+    brackets decide an index unless they overlap (a tie, or a near one);
+    then it falls back to the exact test.  For P2, with sigma and tau
+    the signs of the two products, the difference of their moduli is
     (sigma*u[n]*M[n+1] - tau*u[n+1]*M[n]) + s*M[n]*M[n+1]*(sigma - tau)*sqrt(d),
-    a plain integer sign whenever sigma = tau.  Sign and bracket of each
-    R[n] cost at most one exact norm; they are computed when first
-    needed and carried to the next index.
+    a plain integer sign whenever sigma = tau.  For P3 it is
+    (g[n]*q*u[n] - g[n+1]*u[n+1]) + s*(g[n]*q*M[n] - g[n+1]*M[n+1])*sqrt(d).
+
+    Complex pair: the squared residual modulus is
+    (v1^2 - a*v0*v1 + b*v0^2) * b^n exactly, and P3 compares consecutive
+    values index by index.
     """
     if n_max < 0:
         raise ValueError("window length must be non-negative")
     q, A, B, _, M = integer_carrier(spec)
     d = A * A - 4 * B * q
+    checked = (0, n_max)
     if d < 0:
-        raise ValueError("ratio distances are undefined for complex roots")
+        first3 = _complex_p3(spec, n_max)
+        return None, WindowReport(PropertyId.P3, checked, first3 is None, first3, ())
     s = 1 if A > 0 else -1
     r, slack = _sqrt_bracket(d)
     skipped: list[int] = []
-    first: Optional[int] = None
-    m0, m1 = next(M), next(M)
-    u0 = A * m0 - 2 * m1
-    g0: Optional[int] = None  # sign(R[n]), once computed
-    b0: Optional[tuple[int, int, int]] = None  # and the bracket of |R[n]|
-    for n in range(n_max + 1):
-        m2 = next(M)
-        u1 = A * m1 - 2 * m2
-        if m0 == 0 or m1 == 0:
-            skipped.append(n)
-            g0 = None
-        else:
-            if g0 is None:
-                g0, b0 = _residual(u0, s * m0, d, r, slack)
-            g1, b1 = _residual(u1, s * m1, d, r, slack)
-            diff = 0
-            if b0 is not None and b1 is not None:
-                (lo0, hi0, e0), (lo1, hi1, e1) = b0, b1
-                (t0, f0), (t1, f1) = _top(abs(m0)), _top(abs(m1))
-                diff = _order((lo0 * t1, hi0 * (t1 + 1), e0 + f1),
-                              (lo1 * t0, hi1 * (t0 + 1), e1 + f0))
-            if diff == 0:
-                sigma = g0 if m1 > 0 else -g0
-                tau = g1 if m0 > 0 else -g1
-                if sigma == tau:
-                    diff = sigma * _int_sign(u0 * m1 - u1 * m0)
-                else:
-                    diff = _quad_int_sign(
-                        sigma * u0 * m1 - tau * u1 * m0, s * m0 * m1 * (sigma - tau), d
-                    )
-            if diff < 0:
-                first = n
-                break
-            g0, b0 = g1, b1
-        m0, m1, u0 = m1, m2, u1
-    return WindowReport(PropertyId.P2, (0, n_max), first is None, first, tuple(skipped))
-
-
-def check_p3_window(spec: RecurrenceSpec, n_max: int) -> WindowReport:
-    """Scan |a[n]*alpha - a[n+1]| >= |a[n+1]*alpha - a[n+2]| for n in [0, n_max].
-
-    Real roots: with the carrier residual R[n] = u[n] + s*M[n]*sqrt(d)
-    of check_p2_window, the scan compares q*|R[n]| with |R[n+1]|.  Each
-    modulus is bracketed over its conjugate as in check_p2_window, at
-    most one exact norm per index, and the two brackets decide the
-    index unless they overlap.  Then, with g[n] = sign(R[n]), the exact
-    test takes the sign of q*|R[n]| - |R[n+1]| =
-    (g[n]*q*u[n] - g[n+1]*u[n+1]) + s*(g[n]*q*M[n] - g[n+1]*M[n+1])*sqrt(d).
-    Sign and bracket are computed once per index and carried to the
-    next.  Complex pair: the squared residual modulus is
-    (v1^2 - a*v0*v1 + b*v0^2) * b^n exactly, and consecutive values are
-    compared index by index.
-    """
-    if n_max < 0:
-        raise ValueError("window length must be non-negative")
-    q, A, B, _, M = integer_carrier(spec)
-    d = A * A - 4 * B * q
-    first: Optional[int] = None
-    if d >= 0:
-        s = 1 if A > 0 else -1
-        r, slack = _sqrt_bracket(d)
-        m0, m1 = next(M), next(M)
-        u0 = A * m0 - 2 * m1
-        g0, b0 = _residual(u0, s * m0, d, r, slack)
-        for n in range(n_max + 1):
-            m2 = next(M)
-            u1 = A * m1 - 2 * m2
-            g1, b1 = _residual(u1, s * m1, d, r, slack)
+    first2: Optional[int] = None
+    first3 = None
+    walk = _residual_terms(A, B * q, d, M)
+    m0, u0, norm = next(walk)
+    g0, b0 = _residual(u0, s * m0, norm, d, r, slack)
+    for n, (m1, u1, norm) in zip(range(n_max + 1), walk):
+        g1, b1 = _residual(u1, s * m1, norm, d, r, slack)
+        if first2 is None:
+            if m0 == 0 or m1 == 0:
+                skipped.append(n)
+            else:
+                diff = 0
+                if b0 is not None and b1 is not None:
+                    (lo0, hi0, e0), (lo1, hi1, e1) = b0, b1
+                    (t0, f0), (t1, f1) = _top(abs(m0)), _top(abs(m1))
+                    diff = _order((lo0 * t1, hi0 * (t1 + 1), e0 + f1),
+                                  (lo1 * t0, hi1 * (t0 + 1), e1 + f0))
+                if diff == 0:
+                    sigma = g0 if m1 > 0 else -g0
+                    tau = g1 if m0 > 0 else -g1
+                    if sigma == tau:
+                        diff = sigma * _int_sign(u0 * m1 - u1 * m0)
+                    else:
+                        diff = _quad_int_sign(
+                            sigma * u0 * m1 - tau * u1 * m0, s * m0 * m1 * (sigma - tau), d
+                        )
+                if diff < 0:
+                    first2 = n
+        if first3 is None:
             diff = 0
             if b0 is not None and b1 is not None:
                 lo0, hi0, e0 = b0
@@ -296,22 +305,34 @@ def check_p3_window(spec: RecurrenceSpec, n_max: int) -> WindowReport:
                 gq = g0 * q
                 diff = _quad_int_sign(gq * u0 - g1 * u1, s * (gq * m0 - g1 * m1), d)
             if diff < 0:
-                first = n
-                break
-            m0, m1, u0, g0, b0 = m1, m2, u1, g1, b1
-    else:
-        # squared modulus sequence m * b^n tracked as an exact integer
-        # pair (num, den); consecutive values compared cross-multiplied
-        m = spec.v1**2 - spec.a * spec.v0 * spec.v1 + spec.b * spec.v0**2
-        bn, bd = spec.b.numerator, spec.b.denominator
-        num, den = m.numerator, m.denominator
-        for n in range(n_max + 1):
-            num_next, den_next = num * bn, den * bd
-            if num * den_next < num_next * den:
-                first = n
-                break
-            num, den = num_next, den_next
-    return WindowReport(PropertyId.P3, (0, n_max), first is None, first, ())
+                first3 = n
+        m0, u0, g0, b0 = m1, u1, g1, b1
+        if first2 is not None and first3 is not None:
+            break
+    if norm != u0 * u0 - m0 * m0 * d:
+        raise InternalInconsistency(
+            "oracle self-check: the residual norm carried by N[n+1] = B*q*N[n] "
+            f"differs from the one computed directly at index {n + 1}"
+        )
+    return (
+        WindowReport(PropertyId.P2, checked, first2 is None, first2, tuple(skipped)),
+        WindowReport(PropertyId.P3, checked, first3 is None, first3, ()),
+    )
+
+
+def _complex_p3(spec: RecurrenceSpec, n_max: int) -> Optional[int]:
+    """First violation of the P3 scan for a complex root pair: the
+    squared modulus sequence m * b^n, tracked as an exact integer pair
+    (num, den), with consecutive values compared cross-multiplied."""
+    m = spec.v1**2 - spec.a * spec.v0 * spec.v1 + spec.b * spec.v0**2
+    bn, bd = spec.b.numerator, spec.b.denominator
+    num, den = m.numerator, m.denominator
+    for n in range(n_max + 1):
+        num_next, den_next = num * bn, den * bd
+        if num * den_next < num_next * den:
+            return n
+        num, den = num_next, den_next
+    return None
 
 
 def find_n0(spec: RecurrenceSpec, n_cap: int) -> Optional[int]:

@@ -4,7 +4,8 @@ The report carries every decision verdict next to the oracle window it
 must agree with on the scanned range.  Agreements that are theorems are
 enforced here: a holding verdict with a dirty window, or a failing
 verdict whose guaranteed early violation is missing, raises
-InternalInconsistency (the CLI maps it to exit code 1).  The one known
+InternalInconsistency (the CLI maps it to exit code 1), as does a failed
+self-check inside the oracle's residual walk.  The one known
 benign exception is a starting pair lying exactly on the dominant
 eigen-solution: the weighted residuals are then identically zero, every
 window comparison ties, and the report flags degenerate_geometric
@@ -18,7 +19,7 @@ from typing import Optional
 
 from . import decisions, oracle
 from .decisions import Branch, Verdict
-from .oracle import WindowReport
+from .oracle import InternalInconsistency, WindowReport
 from .qfield import QuadElem, decimal_str, order_by_modulus
 from .recurrence import (
     LimitKind,
@@ -33,10 +34,6 @@ __all__ = ["InternalInconsistency", "build_report", "spec_json"]
 
 RICCATI_PREFIX_LEN = 8
 TERMS_PREVIEW_LEN = 9
-
-
-class InternalInconsistency(RuntimeError):
-    """A decision verdict contradicts its oracle window."""
 
 
 def spec_json(spec: RecurrenceSpec) -> dict:
@@ -107,8 +104,7 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
     w1_from_k = (
         w1_immediate if from_k == 0 else oracle.check_p1_window(spec, from_k, from_k + window)
     )
-    w2 = oracle.check_p2_window(spec, window) if real else None
-    w3 = oracle.check_p3_window(spec, window)
+    w2, w3 = oracle.residual_windows(spec, window)
     n0 = oracle.find_n0(spec, window)
 
     # degenerate start: coefficient of the dominant root vanishes, the

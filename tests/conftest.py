@@ -17,8 +17,6 @@ from recmono import (
     Branch,
     RecurrenceSpec,
     check_p1_window,
-    check_p2_window,
-    check_p3_window,
     eventually_nondecreasing,
     eventually_ratio_monotone,
     find_n0,
@@ -28,6 +26,7 @@ from recmono import (
     nondecreasing_from,
     positive_monotone_h,
     ratio_monotone_h,
+    residual_windows,
     weighted_monotone,
 )
 
@@ -172,7 +171,7 @@ def check_from_k_agreement(spec: RecurrenceSpec, k: int) -> None:
 
 def check_weighted_agreement(spec: RecurrenceSpec) -> None:
     v = weighted_monotone(spec)
-    w = check_p3_window(spec, AGREE_WINDOW)
+    w = residual_windows(spec, AGREE_WINDOW)[1]
     if v.holds:
         assert w.holds_on_window, (
             f"weighted verdict holds but window violates at "
@@ -195,13 +194,13 @@ def check_ratio_eventual_agreement(spec: RecurrenceSpec) -> None:
         assert not v.holds
         return
     assert v.holds
-    w = check_p2_window(spec, AGREE_WINDOW)
+    w = residual_windows(spec, AGREE_WINDOW)[0]
     if not w.holds_on_window:
         tail = shift_spec(spec, SCAN)
-        w = check_p2_window(tail, AGREE_WINDOW)
+        w = residual_windows(tail, AGREE_WINDOW)[0]
         if not w.holds_on_window:
             tail = shift_spec(spec, DEEP_SCAN)
-            w = check_p2_window(tail, 600)
+            w = residual_windows(tail, 600)[0]
     assert w.holds_on_window, (
         f"ratio-eventual verdict holds but violations persist: {spec}"
     )
@@ -225,7 +224,7 @@ def check_h_agreements(spec: RecurrenceSpec) -> None:
     vr = ratio_monotone_h(spec)
     vw = weighted_monotone(spec)
     if spec.roots().discriminant_sign >= 0:
-        w2 = check_p2_window(spec, AGREE_WINDOW)
+        w2 = residual_windows(spec, AGREE_WINDOW)[0]
         if vr.holds:
             assert w2.holds_on_window, (
                 f"h-ratio verdict holds but window violates at "

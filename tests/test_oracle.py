@@ -1,5 +1,6 @@
 """Brute-force window scanner: pinned windows, reference equivalence,
-and the telescoping residual identity.
+the telescoping residual identity, and the Casoratian norm the residual
+walk carries.
 
 The production scanner runs on a rescaled integer carrier; the
 reference implementations here redo every comparison naively on
@@ -10,22 +11,26 @@ is the main correctness argument for the rescaling.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, islice
 
 import pytest
 
+from recmono import cli, oracle
 from recmono import (
+    InternalInconsistency,
+    PropertyId,
     RecurrenceSpec,
     characteristic_roots,
     check_p1_window,
-    check_p2_window,
-    check_p3_window,
     find_n0,
     iterate,
     make_h_spec,
     order_by_modulus,
+    residual_windows,
     term_minus_one,
     terms_between,
 )
+from recmono.recurrence import integer_carrier
 
 from conftest import build_corpus
 
@@ -112,37 +117,39 @@ def ref_n0(spec, n_cap):
 class TestPinnedWindows:
     def test_fibonacci_all_clean(self):
         assert check_p1_window(FIB, 0, 300).holds_on_window
-        assert check_p2_window(FIB, 300).holds_on_window
-        assert check_p3_window(FIB, 300).holds_on_window
+        p2, p3 = residual_windows(FIB, 300)
+        assert p2.holds_on_window
+        assert p3.holds_on_window
 
     def test_lucas_first_descent_at_zero(self):
         rep = check_p1_window(LUCAS, 0, 300)
         assert not rep.holds_on_window and rep.first_violation == 0
 
     def test_lucas_ratio_distance_violated_at_zero(self):
-        rep = check_p2_window(LUCAS, 300)
+        rep = residual_windows(LUCAS, 300)[0]
         assert not rep.holds_on_window and rep.first_violation == 0
 
     def test_lucas_weighted_clean_and_n0(self):
-        assert check_p3_window(LUCAS, 300).holds_on_window
+        assert residual_windows(LUCAS, 300)[1].holds_on_window
         assert find_n0(LUCAS, 500) == 1
 
     def test_spread_h_violations_at_zero(self):
         # coefficients (1, -3): ratio distances and weighted residuals
         # both grow from the start
-        assert check_p2_window(SPREAD_H, 120).first_violation == 0
-        assert check_p3_window(SPREAD_H, 120).first_violation == 0
+        p2, p3 = residual_windows(SPREAD_H, 120)
+        assert p2.first_violation == 0
+        assert p3.first_violation == 0
 
     def test_zero_terms_are_skipped_not_compared(self):
         # terms 1, 0, -1, ... : the ratio scan cannot use indices 0 and 1
         spec = RecurrenceSpec(Fraction(5, 2), 1, 1, 0)
-        rep = check_p2_window(spec, 40)
+        rep = residual_windows(spec, 40)[0]
         assert rep.skipped_indices == (0, 1)
         assert rep.holds_on_window
 
     def test_mixed_denominator_violation_at_one(self):
         spec = RecurrenceSpec(Fraction(1, 10), Fraction(-21, 5), 1, 3)
-        rep = check_p2_window(spec, 40)
+        rep = residual_windows(spec, 40)[0]
         assert not rep.holds_on_window and rep.first_violation == 1
 
     def test_backward_pair_violation_positive_b(self):
@@ -171,14 +178,13 @@ class TestValidation:
             check_p1_window(FIB, 5, 4)
 
     def test_p2_rejects_complex_roots(self):
-        with pytest.raises(ValueError):
-            check_p2_window(RecurrenceSpec(1, 1, 1, 1), 10)
+        # the ratio distances are not real: no P2 window, only P3
+        p2, p3 = residual_windows(RecurrenceSpec(1, 1, 1, 1), 10)
+        assert p2 is None and p3.property is PropertyId.P3
 
     def test_negative_windows_rejected(self):
         with pytest.raises(ValueError):
-            check_p2_window(FIB, -1)
-        with pytest.raises(ValueError):
-            check_p3_window(FIB, -1)
+            residual_windows(FIB, -1)
         with pytest.raises(ValueError):
             find_n0(FIB, -1)
 
@@ -235,7 +241,7 @@ class TestReferenceEquivalence:
         for spec in self._specs():
             if characteristic_roots(spec.a, spec.b).discriminant_sign < 0:
                 continue
-            rep = check_p2_window(spec, self.WINDOW)
+            rep = residual_windows(spec, self.WINDOW)[0]
             holds, first, skipped = ref_p2(spec, self.WINDOW)
             assert (
                 rep.holds_on_window,
@@ -245,7 +251,7 @@ class TestReferenceEquivalence:
 
     def test_p3_matches_reference(self):
         for spec in self._specs():
-            rep = check_p3_window(spec, self.WINDOW)
+            rep = residual_windows(spec, self.WINDOW)[1]
             holds, first = ref_p3(spec, self.WINDOW)
             assert (rep.holds_on_window, rep.first_violation) == (
                 holds,
@@ -307,7 +313,7 @@ class TestDegreeReducedScans:
 
     def test_p2_matches_reference(self):
         for spec, window in self._cases():
-            rep = check_p2_window(spec, window)
+            rep = residual_windows(spec, window)[0]
             assert (
                 rep.holds_on_window,
                 rep.first_violation,
@@ -316,7 +322,7 @@ class TestDegreeReducedScans:
 
     def test_p3_matches_reference(self):
         for spec, window in self._cases():
-            rep = check_p3_window(spec, window)
+            rep = residual_windows(spec, window)[1]
             assert (rep.holds_on_window, rep.first_violation) == ref_p3(
                 spec, window
             ), (spec, window)
@@ -332,3 +338,96 @@ class TestDegreeReducedScans:
             terms_between(FIB, -1, 2)
         with pytest.raises(ValueError):
             terms_between(FIB, 3, 2)
+
+
+class TestIndependentStops:
+    """P2 and P3 share one walk of the carrier, but each stops at its own
+    first violation: the walk goes on while either is still clean."""
+
+    SPECS = (
+        # P2 violated at 0, P3 clean on the whole window
+        LUCAS,
+        # P3 violated at 0, P2 clean on the whole window
+        RecurrenceSpec(Fraction(-5, 3), -3, Fraction(-1, 2), 1),
+        # P3 violated at 0, P2 at 1
+        RecurrenceSpec(2, -6, 1, -4),
+        # P3 violated at 0; P2 skips the zero terms a[2] and a[3]
+        # afterwards and stays clean
+        RecurrenceSpec(3, -5, Fraction(3, 2), Fraction(-5, 2)),
+        # P3 violated at 0; P2 skips indices 1 and 2, then fails at 3
+        RecurrenceSpec(Fraction(2, 3), -2, -1, 3),
+        # P2 skips index 0 (a[0] = 0) and fails at 1, P3 clean
+        RecurrenceSpec(Fraction(-1, 3), -1, 0, Fraction(1, 2)),
+    )
+
+    def test_each_scan_matches_its_reference(self):
+        for spec in self.SPECS:
+            for window in (0, 1, 2, 3, 5, 60):
+                p2, p3 = residual_windows(spec, window)
+                assert p2.checked_range == p3.checked_range == (0, window)
+                assert (
+                    p2.holds_on_window,
+                    p2.first_violation,
+                    p2.skipped_indices,
+                ) == ref_p2(spec, window), (spec, window)
+                assert (p3.holds_on_window, p3.first_violation) == ref_p3(
+                    spec, window
+                ), (spec, window)
+
+    def test_the_two_scans_stop_at_different_indices(self):
+        for spec in self.SPECS:
+            p2, p3 = residual_windows(spec, 60)
+            assert p2.first_violation != p3.first_violation, spec
+
+
+def _broken_carrier(spec):
+    """The spec's integer carrier with the recurrence broken once: the
+    term after M[11] is off by 1, and the walk goes on from there."""
+    q, A, B, D, M = integer_carrier(spec)
+
+    def terms():
+        m0, m1 = next(M), next(M)
+        for n in count():
+            yield m0
+            m0, m1 = m1, A * m1 - B * q * m0 + (n == 10)
+
+    return q, A, B, D, terms()
+
+
+class TestCasoratianNorm:
+    """The residual walk computes the norm N[n] = u[n]**2 - M[n]**2*d
+    directly at n = 0 only and carries it by N[n+1] = B*q*N[n]."""
+
+    def test_carried_norm_equals_direct_norm(self):
+        specs = [FIB, LUCAS, *build_corpus(777, 90)]
+        cases = set()
+        for spec in specs:
+            q, A, B, _, M = integer_carrier(spec)
+            d = A * A - 4 * B * q
+            if B * q < 0:
+                cases.add("B*q < 0")
+            if d == 0:
+                cases.add("d = 0")
+            if abs(B * q) == 1:
+                cases.add("|B*q| = 1")
+            walk = oracle._residual_terms(A, B * q, d, M)
+            for n, (m, u, norm) in enumerate(islice(walk, 301)):
+                assert norm == u * u - m * m * d, (spec, n)
+        assert cases == {"B*q < 0", "d = 0", "|B*q| = 1"}
+
+    def test_self_check_raises_on_a_broken_recurrence(self, monkeypatch):
+        monkeypatch.setattr(oracle, "integer_carrier", _broken_carrier)
+        with pytest.raises(InternalInconsistency, match="self-check"):
+            residual_windows(FIB, 50)
+
+    def test_self_check_reaches_the_cli_as_exit_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "integer_carrier", _broken_carrier)
+        code = cli.main(["analyze", "--a", "1", "--b", "-1", "--h-init", "1",
+                         "--window", "50"])
+        out, err = capsys.readouterr()
+        message, reproducer = err.splitlines()
+        assert code == 1 and out == ""
+        assert "self-check" in message
+        assert reproducer == (
+            "recmono analyze --a=1 --b=-1 --h-init=1 --window=50 --from-k=0"
+        )
