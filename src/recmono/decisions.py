@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from .qfield import RationalLike, characteristic_roots, cmp_abs, order_by_modulus
-from .recurrence import RecurrenceSpec, term_minus_one, terms_between
+from .recurrence import RecurrenceSpec, integer_carrier, term_minus_one
 
 __all__ = [
     "Branch",
@@ -70,29 +71,26 @@ def _require_h(spec: RecurrenceSpec, what: str) -> None:
         raise ValueError(f"{what} is stated only for h-type specs")
 
 
-def _triple_at(spec: RecurrenceSpec, k: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(a[k-1], a[k], a[k+1]); k = 0 uses the backward extension."""
-    if k == 0:
-        return term_minus_one(spec), spec.v0, spec.v1
-    return terms_between(spec, k - 1, k + 1)
-
-
 def _p1_verdict(spec: RecurrenceSpec, k: Optional[int]) -> Verdict:
     """The clause chain shared by both P1 tests; k = None is the eventual one.
 
     The eventual test reads the triple a[0], a[1], a[2] and consults it
     only when r+ = 1; the from-k test reads a[k-1], a[k], a[k+1], after
-    the discriminant check since that costs O(k), and requires it on
+    the discriminant check since that costs O(log k), and requires it on
     every branch.
     """
     roots = characteristic_roots(spec.a, spec.b)
     if roots.discriminant_sign < 0:
         return Verdict(False, Branch.DISCRIMINANT_NEGATIVE)
     if k is None:
-        lo, mid, hi = spec.v0, spec.v1, spec.a * spec.v1 - spec.b * spec.v0
+        ordered = spec.v0 <= spec.v1 <= spec.a * spec.v1 - spec.b * spec.v0
+    elif k == 0:
+        ordered = term_minus_one(spec) <= spec.v0 <= spec.v1
     else:
-        lo, mid, hi = _triple_at(spec, k)
-    ordered = lo <= mid <= hi
+        # a[n] = M[n] / (q**n * D) with q, D > 0: a[n] <= a[n+1] iff q*M[n] <= M[n+1]
+        q, _, _, _, M = integer_carrier(spec, k - 1)
+        m0, m1, m2 = islice(M, 3)
+        ordered = q * m0 <= m1 and q * m1 <= m2
     ap, am = roots.alpha_plus, roots.alpha_minus
     if ap == 1 or (k is not None and not ordered):
         if ordered:

@@ -2,7 +2,9 @@
 
 These scans work directly on iterated terms and know nothing about the
 decision criteria; they are the second route every verdict is held
-against.  All comparisons are exact.
+against.  They walk the carrier from index 0 and never jump: decisions
+and closed_form_term reach far terms by Lucas fast doubling, so the two
+routes reach a far index independently.  All comparisons are exact.
 
 For speed the scans run on a rescaled integer copy of the sequence,
 recurrence.integer_carrier: with a = A/q, b = B/q over a common
@@ -109,21 +111,30 @@ def check_p1_window(spec: RecurrenceSpec, k: int, n_max: int) -> WindowReport:
         raise ValueError("start index must be non-negative")
     if n_max < k:
         raise ValueError("window must reach the start index")
-    q, A, B, _, M = integer_carrier(spec)
-    M = list(islice(M, n_max + 2))
     first: Optional[int] = None
     if k == 0:
+        _, A, B, _, M = integer_carrier(spec)
+        m0, m1 = next(M), next(M)
         # a[-1] = (A*M[0] - M[1]) / (B*D) against a[0] = M[0]/D
-        lhs, rhs = A * M[0] - M[1], B * M[0]
+        lhs, rhs = A * m0 - m1, B * m0
         if (lhs > rhs) if B > 0 else (lhs < rhs):
             first = -1
-    lo = 0 if k == 0 else k - 1
     if first is None:
-        for n in range(lo, n_max + 1):
-            if q * M[n] > M[n + 1]:
-                first = n
-                break
+        first = next(_p1_violations(spec, max(k - 1, 0), n_max), None)
     return WindowReport(PropertyId.P1, (k - 1, n_max), first is None, first, ())
+
+
+def _p1_violations(spec: RecurrenceSpec, lo: int, hi: int) -> Iterator[int]:
+    """The indices n in [lo, hi] with a[n] > a[n+1], that is
+    q*M[n] > M[n+1], in ascending order, streamed off the carrier walked
+    from index 0: a caller that stops at one walks no further."""
+    q, _, _, _, M = integer_carrier(spec)
+    M = islice(M, lo, hi + 2)
+    m0 = next(M)
+    for n, m1 in enumerate(M, lo):
+        if q * m0 > m1:
+            yield n
+        m0 = m1
 
 
 # Below this bit length of the carrier term the exact test is cheaper
@@ -343,10 +354,5 @@ def find_n0(spec: RecurrenceSpec, n_cap: int) -> Optional[int]:
     """
     if n_cap < 0:
         raise ValueError("cap must be non-negative")
-    q, _, _, _, M = integer_carrier(spec)
-    M = list(islice(M, n_cap + 2))
-    n0 = 0
-    for n in range(n_cap + 1):
-        if q * M[n] > M[n + 1]:
-            n0 = n + 1
+    n0 = max((n + 1 for n in _p1_violations(spec, 0, n_cap)), default=0)
     return n0 if n0 <= n_cap else None

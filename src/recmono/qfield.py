@@ -209,9 +209,6 @@ class QuadElem:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QuadElem":
-        return QuadElem._closed(self.p, -self.q, self.d)
-
     def __truediv__(self, other: object) -> "QuadElem":
         o = self._coerce(other)
         if o is None:
@@ -230,21 +227,6 @@ class QuadElem:
         if o is None:
             return NotImplemented
         return o / self
-
-    def __pow__(self, exponent: int) -> "QuadElem":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return (QuadElem(1) / self) ** (-exponent)
-        result = QuadElem._closed(Fraction(1), _ZERO, _ZERO)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     # -- order and identity --------------------------------------------------
 

@@ -12,6 +12,13 @@ h-type specs are the one-parameter family started from (c, a*c).  They
 are exactly the solutions with a[-1] = 0, a scaled copy of the divided
 difference h[n] = (alpha^(n+1) - beta^(n+1)) / (alpha - beta); several
 decision procedures are stated only for this family.
+
+integer_carrier rescales the sequence to integers M[n] and is the one
+kernel that reads terms at far indices.  For the carrier's roots h[n-1]
+is the Lucas sequence U[n] of x^2 - A*x + B*q, so
+M[n] = M[1]*U[n] - B*q*M[0]*U[n-1], and U reaches any index in O(log n)
+products by fast doubling:
+U[2k] = U[k]*(2*U[k+1] - A*U[k]) and U[2k+1] = U[k+1]^2 - B*q*U[k]^2.
 """
 
 from __future__ import annotations
@@ -97,17 +104,38 @@ def iterate(spec: RecurrenceSpec, n_max: int) -> SequenceWindow:
     return SequenceWindow(0, tuple(terms[: n_max + 1]))
 
 
-def integer_carrier(spec: RecurrenceSpec) -> tuple[int, int, int, int, Iterator[int]]:
+def integer_carrier(
+    spec: RecurrenceSpec, start: int = 0
+) -> tuple[int, int, int, int, Iterator[int]]:
     """(q, A, B, D, M): the sequence rescaled to integers.
 
     With a = A/q, b = B/q over their common denominator q and D clearing
-    the starting pair, M yields M[0], M[1], ... without end, where
-    M[n] = a[n] * q**n * D obeys M[n+2] = A*M[n+1] - B*q*M[n].
+    the starting pair, M yields M[start], M[start+1], ... without end,
+    where M[n] = a[n] * q**n * D obeys M[n+2] = A*M[n+1] - B*q*M[n].
+    M[start] = M[1]*U[start] - B*q*M[0]*U[start-1] is reached by fast
+    doubling (U[2k] = U[k]*(2*U[k+1] - A*U[k]),
+    U[2k+1] = U[k+1]^2 - B*q*U[k]^2), without walking the prefix.
     """
+    if start < 0:
+        raise ValueError("start index must be non-negative")
     q = lcm(spec.a.denominator, spec.b.denominator)
     A, B = int(spec.a * q), int(spec.b * q)
     D = lcm(spec.v0.denominator, spec.v1.denominator)
-    return q, A, B, D, _carrier_terms(A, B * q, int(spec.v0 * D), int(spec.v1 * q * D))
+    m0, m1 = _carrier_jump(A, B * q, int(spec.v0 * D), int(spec.v1 * q * D), start)
+    return q, A, B, D, _carrier_terms(A, B * q, m0, m1)
+
+
+def _carrier_jump(A: int, Bq: int, m0: int, m1: int, n: int) -> tuple[int, int]:
+    """(M[n], M[n+1]) from (M[0], M[1]) = (m0, m1), doubling (U[k], U[k+1])
+    high bit of n first; n = 0 gives (m0, m1) back.  B*q*U[n-1] =
+    A*U[n] - U[n+1] turns M[n] into (M[1] - A*M[0])*U[n] + M[0]*U[n+1],
+    which needs no division."""
+    u0, u1 = 0, 1
+    for bit in bin(n)[2:]:
+        u0, u1 = u0 * (2 * u1 - A * u0), u1 * u1 - Bq * u0 * u0
+        if bit == "1":
+            u0, u1 = u1, A * u1 - Bq * u0
+    return (m1 - A * m0) * u0 + m0 * u1, m1 * u1 - Bq * m0 * u0
 
 
 def _carrier_terms(A: int, Bq: int, m0: int, m1: int) -> Iterator[int]:
@@ -117,13 +145,13 @@ def _carrier_terms(A: int, Bq: int, m0: int, m1: int) -> Iterator[int]:
 
 
 def terms_between(spec: RecurrenceSpec, lo: int, hi: int) -> tuple[Fraction, ...]:
-    """Exact terms a[lo] .. a[hi], read off the integer carrier."""
+    """Exact terms a[lo] .. a[hi], read off the integer carrier started at lo."""
     if not 0 <= lo <= hi:
         raise ValueError("need 0 <= lo <= hi")
-    q, _, _, D, M = integer_carrier(spec)
+    q, _, _, D, M = integer_carrier(spec, lo)
     scale = q**lo * D
     out = []
-    for m in islice(M, lo, hi + 1):
+    for m in islice(M, hi - lo + 1):
         out.append(Fraction(m, scale))
         scale *= q
     return tuple(out)
@@ -137,32 +165,15 @@ def term_minus_one(spec: RecurrenceSpec) -> Fraction:
 def closed_form_term(spec: RecurrenceSpec, n: int) -> Fraction:
     """a[n] evaluated through the characteristic roots, exactly.
 
-    Distinct roots r+ and r-:
-        a[n] = ((v1 - v0*r-) * r+^n - (v1 - v0*r+) * r-^n) / (r+ - r-)
-    Repeated root r:
-        a[n] = v0*(n+1)*r^n + (v1 - a*v0)*n*r^(n-1)
-    Requires a real discriminant.
+    a[n] = M[n] / (q**n * D) on the integer carrier, with
+    M[n] = M[1]*U[n] - B*q*M[0]*U[n-1] and U[n] = (r+^n - r-^n)/(r+ - r-)
+    (n*r^(n-1) for a repeated root r) the divided difference of the
+    carrier's roots, by fast doubling U[2k] = U[k]*(2*U[k+1] - A*U[k]),
+    U[2k+1] = U[k+1]^2 - B*q*U[k]^2.  Requires a real discriminant.
     """
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    roots = spec.roots()
-    if roots.discriminant_sign < 0:
+    if spec.a * spec.a < 4 * spec.b:
         raise ValueError("closed form requires a non-negative discriminant")
-    c0, c1 = spec.v0, spec.v1
-    if roots.discriminant_sign == 0:
-        if n == 0:
-            return c0
-        root = roots.alpha_plus.p  # rational by normal form
-        return c0 * (n + 1) * root**n + (c1 - spec.a * c0) * n * root ** (n - 1)
-    ap, am = roots.alpha_plus, roots.alpha_minus
-    surd = QuadElem(0, 1, roots.discriminant)  # r+ - r-
-    ap_n = ap**n
-    # r- is the conjugate of r+ only while sqrt(disc) is irrational; with
-    # a square discriminant both roots are rational and am**n is needed
-    am_n = ap_n.conjugate() if ap.q != 0 else am**n
-    value = ((c1 - c0 * am) * ap_n - (c1 - c0 * ap) * am_n) / surd
-    assert value.q == 0  # the irrational parts must cancel exactly
-    return value.p
+    return terms_between(spec, n, n)[0]
 
 
 class LimitKind(Enum):

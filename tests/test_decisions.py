@@ -17,6 +17,7 @@ from recmono import (
     eventually_nondecreasing,
     eventually_ratio_monotone,
     hartman_aurel_sufficient,
+    iterate,
     make_h_spec,
     nondecreasing_from,
     positive_monotone_h,
@@ -87,6 +88,23 @@ class TestNondecreasingFrom:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             nondecreasing_from(FIB, -1)
+
+    def test_far_triple_fails_exactly_when_unordered(self):
+        # the from-k triple is compared on the integer carrier started at
+        # k-1; the reference is the triple of iterated Fractions.  At k = 1
+        # the Fibonacci triple is 1, 1, 2 and that of tie_right is 1, 2, 2:
+        # ties the comparisons must admit
+        ks = (1, 2, 63, 64, 65, 1000)
+        tie_right = RecurrenceSpec(Fraction(15, 2), 13, 1, 2)
+        assert nondecreasing_from(FIB, 1).holds
+        for spec in (FIB, tie_right, *build_corpus(3141, 45)):
+            if spec.roots().discriminant_sign < 0:
+                continue
+            terms = iterate(spec, max(ks) + 1).terms
+            for k in ks:
+                lo, mid, hi = terms[k - 1 : k + 2]
+                failed = nondecreasing_from(spec, k).branch is Branch.FAIL_INITIAL_TRIPLE
+                assert failed == (not lo <= mid <= hi), (spec, k)
 
     def test_holding_from_k_implies_eventual(self):
         for spec in build_corpus(2718, 60):

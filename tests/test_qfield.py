@@ -100,12 +100,6 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             x / QuadElem(Fraction(0), Fraction(0), Fraction(0))
 
-    def test_integer_powers(self):
-        x = QuadElem(Fraction(1), Fraction(1), Fraction(2))
-        assert x**0 == 1
-        assert x**3 == x * x * x
-        assert x**-2 == 1 / (x * x)
-
     def test_mixed_radicands_rejected(self):
         x = QuadElem(Fraction(0), Fraction(1), Fraction(2))
         y = QuadElem(Fraction(0), Fraction(1), Fraction(3))

@@ -1,14 +1,18 @@
 """Term generation, closed forms, ratio limits, zero location.
 
 Closed-form evaluation is cross-checked against plain iteration (two
-independent routes to the same exact rational), and the h-type family
-identity reconstructs arbitrary starts from the canonical one.
+independent routes to the same exact rational), the integer carrier
+started at a far index by fast doubling against its walk from index 0,
+and the h-type family identity reconstructs arbitrary starts from the
+canonical one.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
+from math import isqrt
 
 import pytest
 
@@ -23,6 +27,7 @@ from recmono import (
     ratio_limit,
     term_minus_one,
 )
+from recmono.recurrence import integer_carrier
 
 from conftest import build_corpus, random_fraction
 
@@ -98,6 +103,44 @@ class TestBackwardExtension:
         t_m1 = term_minus_one(spec)
         # a[1] = a*a[0] - b*a[-1]
         assert spec.v1 == spec.a * spec.v0 - spec.b * t_m1
+
+
+class TestCarrierJump:
+    """integer_carrier(spec, s) reaches M[s] by Lucas fast doubling; the
+    plain walk from index 0 is the reference."""
+
+    STARTS = (0, 1, 2, 3, 63, 64, 65, 499, 1000, 4096, 5000)
+    EXPLICIT = {
+        "|B*q| = 1": make_h_spec(1, -1, 1),  # Fibonacci
+        "A < 0": RecurrenceSpec(Fraction(-7, 3), Fraction(5, 4), 2, -1),
+        "square discriminant": RecurrenceSpec(5, 6, Fraction(3, 2), Fraction(-1, 3)),
+        "repeated root": RecurrenceSpec(3, Fraction(9, 4), 1, Fraction(-2, 5)),
+        "complex roots": RecurrenceSpec(Fraction(1, 2), Fraction(3, 2), -1, 2),
+    }
+
+    def test_jump_equals_walk(self):
+        for spec in (*build_corpus(777, 90), *self.EXPLICIT.values()):
+            walk = list(islice(integer_carrier(spec)[4], max(self.STARTS) + 3))
+            for s in self.STARTS:
+                jump = integer_carrier(spec, s)[4]
+                assert list(islice(jump, 3)) == walk[s : s + 3], (spec, s)
+
+    def test_explicit_cases_are_of_their_kind(self):
+        for kind, spec in self.EXPLICIT.items():
+            q, A, B, _, _ = integer_carrier(spec)
+            d = A * A - 4 * B * q
+            holds = {
+                "|B*q| = 1": abs(B * q) == 1,
+                "A < 0": A < 0,
+                "square discriminant": d > 0 and isqrt(d) ** 2 == d,
+                "repeated root": d == 0,
+                "complex roots": d < 0,
+            }
+            assert holds[kind], (kind, spec)
+
+    def test_negative_start_rejected(self):
+        with pytest.raises(ValueError):
+            integer_carrier(make_h_spec(1, -1, 1), -1)
 
 
 class TestClosedForm:
