@@ -3,9 +3,10 @@
 Each case runs `recmono.cli.main` in-process and compares its exit code,
 its stdout with tests/golden/<name>.out and, for cases that write a file
 through `--out`, that file with tests/golden/<name>.file.  The corpus
-covers all six subcommands and the README examples, and leans on the
-root ordering: negative `a` with distinct, square-discriminant and
-repeated roots, complex pairs, h-type starts, `--from-k`, two
+of 47 cases covers all six subcommands and the README examples, and
+leans on the root ordering: negative `a` with distinct,
+square-discriminant and repeated roots, complex pairs, h-type starts,
+`--from-k` (three of them past the window's end), two
 report-deep-shaped calls whose oracle scans run on long operands,
 coefficient-plane rasters whose cell centres land on a = 0 and b = 0,
 and rasters on an asymmetric bbox with unlike corner denominators.
@@ -68,6 +69,16 @@ CASES = {
                                  "--from-k", "5"]),
     "analyze_from_k_neg_a": (0, ["analyze", "--a=-3", "--b=-4", "--v0=1", "--v1=1",
                                  "--window", "100", "--from-k", "3"]),
+    # from-k windows lying past the window's end, so only the P1 from-k
+    # comparisons reach those indices: a violation inside the from-k
+    # window (at 36 of [29, 40]), a clean one, and one at k - 1 itself
+    "analyze_from_k_far_violation": (0, ["analyze", "--a=7/2", "--b=3", "--v0=1000000",
+                                         "--v1=1499990", "--window=10", "--from-k=30"]),
+    "analyze_from_k_far_clean": (0, ["analyze", "--a", "1", "--b", "-1", "--h-init", "1",
+                                     "--window", "20", "--from-k", "100"]),
+    "analyze_from_k_far_start_violation": (0, ["analyze", "--a=7/3", "--b=-5/7", "--v0=3/4",
+                                               "--v1=-2/5", "--window=40",
+                                               "--from-k=200"]),
     "analyze_zero_coefficient_exit2": (2, ["analyze", "--a", "0", "--b", "1", "--v0", "1",
                                            "--v1", "1"]),
     # the report-deep shape: q = 13 h-specs inside DP at window 1000 and
