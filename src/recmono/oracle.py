@@ -2,9 +2,16 @@
 
 These scans work directly on iterated terms and know nothing about the
 decision criteria; they are the second route every verdict is held
-against.  They walk the carrier from index 0 and never jump: decisions
-and closed_form_term reach far terms by Lucas fast doubling, so the two
-routes reach a far index independently.  All comparisons are exact.
+against.  scan decides every window of one report -- both P1 windows,
+the n0 witness, P2 and P3 -- on a single walk of the carrier from
+index 0, which never jumps: decisions and closed_form_term reach far
+terms by Lucas fast doubling, so the two routes reach a far index
+independently.  The walk tests P1 through the whole window (n0 needs
+its last violation) and goes past it only for the from-k P1 window,
+and only while that window is still clean; the P2/P3 part stops once
+both have a violation or the window ends.  check_p1_window, find_n0 and
+residual_windows are views of one field of scan each.  All comparisons
+are exact.
 
 For speed the scans run on a rescaled integer copy of the sequence,
 recurrence.integer_carrier: with a = A/q, b = B/q over a common
@@ -18,10 +25,10 @@ by positive constants only, so every verdict equals the one computed on
 raw terms; the test suite checks that equivalence against a direct
 rational-arithmetic reference.
 
-P2 and P3 are statements about the residual R = u + y*sqrt(d), and
-residual_windows decides both on one walk of the carrier.  The residual
-cancels heavily once the sequence follows its dominant root, so each
-modulus is taken over the conjugate, where nothing cancels:
+P2 and P3 are statements about the residual R = u + y*sqrt(d), decided
+on the same walk from each index's sign and bracket, built once.  The
+residual cancels heavily once the sequence follows its dominant root,
+so each modulus is taken over the conjugate, where nothing cancels:
 |R| = S := |u| + |y|*sqrt(d) when u and y*sqrt(d) agree in sign, else
 |R| = |N|/S with N = u**2 - y**2*d the exact integer norm.  That norm is
 the Casoratian of the carrier, so N[n+1] = B*q*N[n] exactly (the
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 from math import isqrt
 from typing import Iterator, Optional
 
@@ -51,10 +58,12 @@ from .recurrence import RecurrenceSpec, integer_carrier
 __all__ = [
     "InternalInconsistency",
     "PropertyId",
+    "OracleWindows",
     "WindowReport",
     "check_p1_window",
     "find_n0",
     "residual_windows",
+    "scan",
 ]
 
 
@@ -85,6 +94,18 @@ class WindowReport:
     skipped_indices: tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class OracleWindows:
+    """Every oracle window of one report, from one walk of the carrier
+    (see scan); p2 is None for complex roots."""
+
+    p1_immediate: WindowReport
+    p1_from_k: WindowReport
+    p2: Optional[WindowReport]
+    p3: WindowReport
+    n0_witness: Optional[int]
+
+
 def _int_sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
@@ -101,88 +122,12 @@ def _quad_int_sign(x: int, y: int, d: int) -> int:
     return sx * _int_sign(x * x - y * y * d)
 
 
-def check_p1_window(spec: RecurrenceSpec, k: int, n_max: int) -> WindowReport:
-    """Scan a[n] <= a[n+1] for n in [k-1, n_max].
-
-    For k = 0 the first compared pair is (a[-1], a[0]) with a[-1] the
-    backward extension.
-    """
-    if k < 0:
-        raise ValueError("start index must be non-negative")
-    if n_max < k:
-        raise ValueError("window must reach the start index")
-    first: Optional[int] = None
-    if k == 0:
-        _, A, B, _, M = integer_carrier(spec)
-        m0, m1 = next(M), next(M)
-        # a[-1] = (A*M[0] - M[1]) / (B*D) against a[0] = M[0]/D
-        lhs, rhs = A * m0 - m1, B * m0
-        if (lhs > rhs) if B > 0 else (lhs < rhs):
-            first = -1
-    if first is None:
-        first = next(_p1_violations(spec, max(k - 1, 0), n_max), None)
-    return WindowReport(PropertyId.P1, (k - 1, n_max), first is None, first, ())
-
-
-def _p1_violations(spec: RecurrenceSpec, lo: int, hi: int) -> Iterator[int]:
-    """The indices n in [lo, hi] with a[n] > a[n+1], that is
-    q*M[n] > M[n+1], in ascending order, streamed off the carrier walked
-    from index 0: a caller that stops at one walks no further."""
-    q, _, _, _, M = integer_carrier(spec)
-    M = islice(M, lo, hi + 2)
-    m0 = next(M)
-    for n, m1 in enumerate(M, lo):
-        if q * m0 > m1:
-            yield n
-        m0 = m1
-
-
 # Below this bit length of the carrier term the exact test is cheaper
 # than building the brackets, so short operands go to it directly.  With
 # the norm carried rather than squared, the per-index crossover measured
 # on CPython 3.11 lies between about 320 and 576 bits, depending on the
 # spec.
 _BRACKET_MIN_BITS = 512
-
-
-def _top(x: int) -> tuple[int, int]:
-    """(t, e) with t*2**e <= x < (t + 1)*2**e and t < 2**64, for x >= 0;
-    e = 0 means t = x."""
-    e = max(x.bit_length() - 64, 0)
-    return x >> e, e
-
-
-def _residual(
-    u: int, y: int, n: int, d: int, r: int, slack: int
-) -> tuple[int, Optional[tuple[int, int, int]]]:
-    """Sign of R = u + y*sqrt(d), given its exact integer norm
-    n = u**2 - y**2*d = R*conjugate(R), and a bracket (lo, hi, e) of |R|
-    with lo*2**e <= |R| <= hi*2**e and lo, hi of about 64 bits; no
-    bracket for y shorter than _BRACKET_MIN_BITS.
-
-    When u and y*sqrt(d) share a sign, or one of them is 0, sign(R) is
-    that sign and |R| = S := |u| + |y|*sqrt(d), a sum with no
-    cancellation; otherwise sign(R) = sign(u)*sign(n) and
-    |R| = |n|/S.  r = isqrt(d << 128) gives
-    r*2**-64 <= sqrt(d) < (r + 1)*2**-64, so S lies in
-    [t, t + slack)*2**(e - 64) with (t, e) the top 64 bits of
-    |u|*2**64 + |y|*r: slack 1 when sqrt(d) = r*2**-64 exactly, else 2,
-    since |y| <= (|u|*2**64 + |y|*r)/r < 2**e.
-    """
-    su = _int_sign(u)
-    sy = _int_sign(y) if d else 0
-    like = su * sy >= 0
-    g = (su or sy) if like else su * _int_sign(n)
-    if y.bit_length() < _BRACKET_MIN_BITS:
-        return g, None
-    t, e = _top((abs(u) << 64) + abs(y) * r)
-    if like:
-        return g, (t, t + slack, e - 64)
-    tn, en = _top(abs(n))
-    # |n| = tn exactly when it fits in 64 bits, as it does for |B*q| = 1;
-    # t >= 2**63 here, since u != 0
-    hn = tn + (en > 0)
-    return g, ((tn << 64) // (t + slack), -((-hn << 64) // t), en - e)
 
 
 def _order(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
@@ -198,8 +143,8 @@ def _order(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
 
 
 def _sqrt_bracket(d: int) -> tuple[int, int]:
-    """(r, slack) for _residual: r = isqrt(d << 128), slack 1 when r is
-    exact (d a perfect square, d = 0 included), else 2."""
+    """(r, slack) for the brackets in scan: r = isqrt(d << 128), slack 1
+    when r is exact (d a perfect square, d = 0 included), else 2."""
     r = isqrt(d << 128)
     return r, 1 if r * r == d << 128 else 2
 
@@ -225,18 +170,26 @@ def _residual_terms(
         norm *= Bq
 
 
-def residual_windows(
-    spec: RecurrenceSpec, n_max: int
-) -> tuple[Optional[WindowReport], WindowReport]:
-    """(P2, P3) scans for n in [0, n_max], on one walk of the carrier.
+def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
+    """Every oracle window of one report, on one walk of the carrier.
+
+    The walk starts at index 0 and tests P1 once per index n, as
+    q*M[n] > M[n+1], that is a[n] > a[n+1].  That one test feeds the
+    immediate window n in [-1, window] (n = -1 compares the backward
+    extension a[-1] with a[0]), the witness n0_witness (the smallest n0
+    <= window with no violation in [n0, window], None when the last
+    pair violates) and, from n = from_k - 1 on, the from-k window
+    n in [from_k - 1, from_k + window]; for from_k = 0 that is the
+    immediate window.  P1 walks the whole window, for n0, and past it
+    only while the from-k window is still clean.
 
     P2 scans |alpha - a[n+1]/a[n]| >= |alpha - a[n+2]/a[n+1]|, with alpha
     the dominant root; it is None for complex roots, where the compared
     distances are not real.  Comparisons where a[n] or a[n+1] vanishes
     are skipped and recorded.  P3 scans
-    |a[n]*alpha - a[n+1]| >= |a[n+1]*alpha - a[n+2]|.  The walk goes on
-    while either scan is still clean and stops once both have a
-    violation or the window ends.
+    |a[n]*alpha - a[n+1]| >= |a[n+1]*alpha - a[n+2]|.  Both run on
+    n in [0, window], on the same walk while either is still clean, and
+    stop once both have a violation or the window ends.
 
     Real roots: on the carrier both are statements about the residual
     R[n] := 2*q**(n+1)*D * (a[n]*alpha - a[n+1]) = u[n] + s*M[n]*sqrt(d)
@@ -244,16 +197,26 @@ def residual_windows(
     That s picks alpha without a comparison: |(a + sqrt(disc))/2|^2 -
     |(a - sqrt(disc))/2|^2 = a*sqrt(disc), and a spec has a != 0 (for a
     repeated root d = 0 and s drops out).  Each index's sign g[n] of
-    R[n] and 64-bit bracket of |R[n]| (see _residual) are computed once
-    and feed both scans.  The exact norm
-    N[n] = R[n]*conjugate(R[n]) = u[n]**2 - M[n]**2*d is computed
-    directly at n = 0 only and carried by the Casoratian identity
-    N[n+1] = B*q*N[n], the generalized Cassini identity of the
-    recurrence: one small-times-big product per index.  At the last
-    index walked the norm is computed directly once more, and a
-    difference from the carried one raises InternalInconsistency.  The
-    identity is a fact about the recurrence, not about the properties:
-    the scans never use R[n+1] = q*beta*R[n], which is the P3 theorem.
+    R[n] and 64-bit bracket of |R[n]| are computed once and feed both
+    scans.  The exact norm N[n] = R[n]*conjugate(R[n]) =
+    u[n]**2 - M[n]**2*d comes from _residual_terms, which computes it
+    directly at n = 0 only and carries it by the Casoratian identity
+    N[n+1] = B*q*N[n].  At the last index walked the norm is computed
+    directly once more, and a difference from the carried one raises
+    InternalInconsistency.  The identity is a fact about the recurrence,
+    not about the properties: the scans never use R[n+1] = q*beta*R[n],
+    which is the P3 theorem.
+
+    The bracket: when u and s*M*sqrt(d) share a sign, or one of them is
+    0, sign(R) is that sign and |R| = S := |u| + |M|*sqrt(d), a sum with
+    no cancellation; otherwise sign(R) = sign(u)*sign(N) and
+    |R| = |N|/S.  r = isqrt(d << 128) gives
+    r*2**-64 <= sqrt(d) < (r + 1)*2**-64, so S lies in
+    [t, t + slack)*2**(e - 64) with (t, e) the top 64 bits of
+    |u|*2**64 + |M|*r: slack 1 when sqrt(d) = r*2**-64 exactly, else 2,
+    since |M| <= (|u|*2**64 + |M|*r)/r < 2**e.  So every modulus lies
+    between two 64-bit integers scaled by one power of two.  Carrier
+    terms shorter than _BRACKET_MIN_BITS get no bracket.
 
     P2 compares |R[n]*M[n+1]| against |R[n+1]*M[n]|, which carry the
     same positive factor; P3 compares q*|R[n]| with |R[n+1]|.  The
@@ -266,69 +229,129 @@ def residual_windows(
 
     Complex pair: the squared residual modulus is
     (v1^2 - a*v0*v1 + b*v0^2) * b^n exactly, and P3 compares consecutive
-    values index by index.
+    values index by index, off the carrier.
     """
-    if n_max < 0:
+    if from_k < 0:
+        raise ValueError("start index must be non-negative")
+    if window < 0:
         raise ValueError("window length must be non-negative")
     q, A, B, _, M = integer_carrier(spec)
     d = A * A - 4 * B * q
-    checked = (0, n_max)
+    m0, m1 = next(M), next(M)
+    # a[-1] = (A*M[0] - M[1]) / (B*D) against a[0] = M[0]/D
+    lhs, rhs = A * m0 - m1, B * m0
+    backward = (lhs > rhs) if B > 0 else (lhs < rhs)
+    p1: list[int] = []  # the indices n with a[n] > a[n+1], ascending
+    checked = (0, window)
+    n = 0
     if d < 0:
-        first3 = _complex_p3(spec, n_max)
-        return None, WindowReport(PropertyId.P3, checked, first3 is None, first3, ())
-    s = 1 if A > 0 else -1
-    r, slack = _sqrt_bracket(d)
-    skipped: list[int] = []
-    first2: Optional[int] = None
-    first3 = None
-    walk = _residual_terms(A, B * q, d, M)
-    m0, u0, norm = next(walk)
-    g0, b0 = _residual(u0, s * m0, norm, d, r, slack)
-    for n, (m1, u1, norm) in zip(range(n_max + 1), walk):
-        g1, b1 = _residual(u1, s * m1, norm, d, r, slack)
-        if first2 is None:
-            if m0 == 0 or m1 == 0:
-                skipped.append(n)
-            else:
-                diff = 0
-                if b0 is not None and b1 is not None:
-                    (lo0, hi0, e0), (lo1, hi1, e1) = b0, b1
-                    (t0, f0), (t1, f1) = _top(abs(m0)), _top(abs(m1))
-                    diff = _order((lo0 * t1, hi0 * (t1 + 1), e0 + f1),
-                                  (lo1 * t0, hi1 * (t0 + 1), e1 + f0))
-                if diff == 0:
-                    sigma = g0 if m1 > 0 else -g0
-                    tau = g1 if m0 > 0 else -g1
-                    if sigma == tau:
-                        diff = sigma * _int_sign(u0 * m1 - u1 * m0)
+        p2 = None
+        first3 = _complex_p3(spec, window)
+        p3 = WindowReport(PropertyId.P3, checked, first3 is None, first3, ())
+    else:
+        s = 1 if A > 0 else -1
+        sd = s if d else 0
+        r, slack = _sqrt_bracket(d)
+        skipped: list[int] = []
+        first2: Optional[int] = None
+        first3 = None
+        walk = _residual_terms(A, B * q, d, chain((m0, m1), M))
+        t1 = f1 = None  # set with each bracket
+        # item n + 1 of the walk is read at index n: n = -1 reads item 0
+        for n, (m1, u1, norm) in enumerate(islice(walk, window + 2), -1):
+            # sign g1 and bracket b1 of R[n+1]; t1*2**f1 <= |M[n+1]| <
+            # (t1 + 1)*2**f1, carried to the next index as t0, f0
+            su = (u1 > 0) - (u1 < 0)
+            sy = sd * ((m1 > 0) - (m1 < 0))
+            like = su * sy >= 0
+            g1 = (su or sy) if like else su * ((norm > 0) - (norm < 0))
+            b1 = None
+            if m1.bit_length() >= _BRACKET_MIN_BITS:
+                am = abs(m1)
+                x = (abs(u1) << 64) + am * r
+                e = max(x.bit_length() - 64, 0)
+                t = x >> e
+                if like:
+                    b1 = (t, t + slack, e - 64)
+                else:
+                    an = abs(norm)
+                    en = max(an.bit_length() - 64, 0)
+                    tn = an >> en
+                    # |N| = tn exactly when it fits in 64 bits, as it does
+                    # for |B*q| = 1; t >= 2**63 here, since u != 0
+                    hn = tn + (en > 0)
+                    b1 = ((tn << 64) // (t + slack), -((-hn << 64) // t), en - e)
+                f1 = am.bit_length() - 64
+                t1 = am >> f1
+            if n >= 0:
+                if q * m0 > m1:
+                    p1.append(n)
+                if first2 is None:
+                    if m0 == 0 or m1 == 0:
+                        skipped.append(n)
                     else:
-                        diff = _quad_int_sign(
-                            sigma * u0 * m1 - tau * u1 * m0, s * m0 * m1 * (sigma - tau), d
-                        )
-                if diff < 0:
-                    first2 = n
-        if first3 is None:
-            diff = 0
-            if b0 is not None and b1 is not None:
-                lo0, hi0, e0 = b0
-                diff = _order((q * lo0, q * hi0, e0), b1)
-            if diff == 0:
-                gq = g0 * q
-                diff = _quad_int_sign(gq * u0 - g1 * u1, s * (gq * m0 - g1 * m1), d)
-            if diff < 0:
-                first3 = n
-        m0, u0, g0, b0 = m1, u1, g1, b1
-        if first2 is not None and first3 is not None:
-            break
-    if norm != u0 * u0 - m0 * m0 * d:
-        raise InternalInconsistency(
-            "oracle self-check: the residual norm carried by N[n+1] = B*q*N[n] "
-            f"differs from the one computed directly at index {n + 1}"
+                        diff = 0
+                        if b0 is not None and b1 is not None:
+                            (lo0, hi0, e0), (lo1, hi1, e1) = b0, b1
+                            diff = _order((lo0 * t1, hi0 * (t1 + 1), e0 + f1),
+                                          (lo1 * t0, hi1 * (t0 + 1), e1 + f0))
+                        if diff == 0:
+                            sigma = g0 if m1 > 0 else -g0
+                            tau = g1 if m0 > 0 else -g1
+                            if sigma == tau:
+                                c = u0 * m1 - u1 * m0
+                                diff = sigma * ((c > 0) - (c < 0))
+                            else:
+                                diff = _quad_int_sign(
+                                    sigma * u0 * m1 - tau * u1 * m0,
+                                    s * m0 * m1 * (sigma - tau), d,
+                                )
+                        if diff < 0:
+                            first2 = n
+                if first3 is None:
+                    diff = 0
+                    if b0 is not None and b1 is not None:
+                        lo0, hi0, e0 = b0
+                        diff = _order((q * lo0, q * hi0, e0), b1)
+                    if diff == 0:
+                        gq = g0 * q
+                        diff = _quad_int_sign(gq * u0 - g1 * u1, s * (gq * m0 - g1 * m1), d)
+                    if diff < 0:
+                        first3 = n
+                if first2 is not None and first3 is not None:
+                    break
+            m0, u0, g0, b0, t0, f0 = m1, u1, g1, b1, t1, f1
+        if norm != u1 * u1 - m1 * m1 * d:
+            raise InternalInconsistency(
+                "oracle self-check: the residual norm carried by N[n+1] = B*q*N[n] "
+                f"differs from the one computed directly at index {n + 1}"
+            )
+        p2 = WindowReport(PropertyId.P2, checked, first2 is None, first2, tuple(skipped))
+        p3 = WindowReport(PropertyId.P3, checked, first3 is None, first3, ())
+        # the walk reads one term ahead and holds M[n+2]; recover it as
+        # (A*M[n+1] - u[n+1])/2, exact since u[n+1] = A*M[n+1] - 2*M[n+2]
+        n += 1
+        m0, m1 = m1, (A * m1 - u1) >> 1
+    # P1 alone from here, with (m0, m1) = (M[n], M[n+1]): to the end of
+    # the window, then on only while the from-k window is still clean
+    last = from_k + window
+    while n <= window or (n <= last and not (p1 and p1[-1] >= from_k - 1)):
+        if q * m0 > m1:
+            p1.append(n)
+        n += 1
+        m0, m1 = m1, next(M)
+    in_window = [i for i in p1 if i <= window]
+    first1 = -1 if backward else (in_window[0] if in_window else None)
+    immediate = WindowReport(PropertyId.P1, (-1, window), first1 is None, first1, ())
+    if from_k == 0:
+        from_k_window = immediate
+    else:
+        first_k = next((i for i in p1 if i >= from_k - 1), None)
+        from_k_window = WindowReport(
+            PropertyId.P1, (from_k - 1, last), first_k is None, first_k, ()
         )
-    return (
-        WindowReport(PropertyId.P2, checked, first2 is None, first2, tuple(skipped)),
-        WindowReport(PropertyId.P3, checked, first3 is None, first3, ()),
-    )
+    n0 = in_window[-1] + 1 if in_window else 0
+    return OracleWindows(immediate, from_k_window, p2, p3, n0 if n0 <= window else None)
 
 
 def _complex_p3(spec: RecurrenceSpec, n_max: int) -> Optional[int]:
@@ -346,13 +369,21 @@ def _complex_p3(spec: RecurrenceSpec, n_max: int) -> Optional[int]:
     return None
 
 
-def find_n0(spec: RecurrenceSpec, n_cap: int) -> Optional[int]:
-    """Smallest n0 <= n_cap with a[n] <= a[n+1] for all n in [n0, n_cap].
+def check_p1_window(spec: RecurrenceSpec, k: int, n_max: int) -> WindowReport:
+    """Scan a[n] <= a[n+1] for n in [k-1, n_max]; for k = 0 the first
+    compared pair is (a[-1], a[0]) with a[-1] the backward extension."""
+    return scan(spec, n_max - k, k).p1_from_k
 
-    Returns None when even the final compared pair violates.  This is a
-    witness for the eventual property, not a proof.
-    """
-    if n_cap < 0:
-        raise ValueError("cap must be non-negative")
-    n0 = max((n + 1 for n in _p1_violations(spec, 0, n_cap)), default=0)
-    return n0 if n0 <= n_cap else None
+
+def find_n0(spec: RecurrenceSpec, n_cap: int) -> Optional[int]:
+    """Smallest n0 <= n_cap with a[n] <= a[n+1] for all n in [n0, n_cap],
+    or None when even the final compared pair violates.  This is a
+    witness for the eventual property, not a proof."""
+    return scan(spec, n_cap, 0).n0_witness
+
+
+def residual_windows(
+    spec: RecurrenceSpec, n_max: int
+) -> tuple[Optional[WindowReport], WindowReport]:
+    """(P2, P3) scans for n in [0, n_max]; P2 is None for complex roots."""
+    return (w := scan(spec, n_max, 0)).p2, w.p3

@@ -5,7 +5,10 @@ must agree with on the scanned range.  Agreements that are theorems are
 enforced here: a holding verdict with a dirty window, or a failing
 verdict whose guaranteed early violation is missing, raises
 InternalInconsistency (the CLI maps it to exit code 1), as does a failed
-self-check inside the oracle's residual walk.  The one known
+self-check inside the oracle's residual walk.  All oracle windows come
+from one oracle.scan call: one walk of the integer carrier from index 0
+through the window, past it only while the from-k P1 window is still
+clean.  The one known
 benign exception is a starting pair lying exactly on the dominant
 eigen-solution: the weighted residuals are then identically zero, every
 window comparison ties, and the report flags degenerate_geometric
@@ -100,12 +103,9 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
     v_weighted = decisions.weighted_monotone(spec)
 
     # ---- oracle windows ---------------------------------------------------
-    w1_immediate = oracle.check_p1_window(spec, 0, window)
-    w1_from_k = (
-        w1_immediate if from_k == 0 else oracle.check_p1_window(spec, from_k, from_k + window)
-    )
-    w2, w3 = oracle.residual_windows(spec, window)
-    n0 = oracle.find_n0(spec, window)
+    windows = oracle.scan(spec, window, from_k)
+    w1_immediate, w1_from_k = windows.p1_immediate, windows.p1_from_k
+    w2, w3, n0 = windows.p2, windows.p3, windows.n0_witness
 
     # degenerate start: coefficient of the dominant root vanishes, the
     # weighted residual is identically zero

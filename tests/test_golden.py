@@ -154,6 +154,12 @@ def test_golden(name, tmp_path):
     assert written == (file_path.read_bytes() if file_path.exists() else None)
 
 
+def test_no_orphaned_golden_files():
+    # a file left behind by a deleted or renamed case would pin nothing
+    owned = {f"{name}{suffix}" for name in CASES for suffix in (".out", ".file")}
+    assert sorted(p.name for p in GOLDEN.iterdir() if p.name not in owned) == []
+
+
 def regenerate() -> None:
     import tempfile
 

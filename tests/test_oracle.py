@@ -31,6 +31,7 @@ from recmono import (
     terms_between,
 )
 from recmono.recurrence import integer_carrier
+from recmono.report import build_report
 
 from conftest import build_corpus
 
@@ -388,6 +389,93 @@ class TestIndependentStops:
         for spec in self.SPECS:
             p2, p3 = residual_windows(spec, 60)
             assert p2.first_violation != p3.first_violation, spec
+
+
+class TestScan:
+    """scan decides every window of a report on one walk of the carrier:
+    each field must equal its naive reference, with from-k windows that
+    start before, across and past the end of the window, and the walk
+    goes past the window only while the from-k window is still clean."""
+
+    WINDOWS = (1, 2, 5, 60)
+
+    def _specs(self):
+        # FIB keeps every from-k window clean; the second spec first
+        # descends at n = 36, past the window of 5 and before 3*60
+        return [FIB, RecurrenceSpec(Fraction(7, 2), 3, 1000000, 1499990),
+                *TestIndependentStops.SPECS, *build_corpus(2718, 30)]
+
+    @staticmethod
+    def _from_ks(w):
+        return sorted({0, 1, 2, w - 1, w, w + 1, w + 2, 3 * w})
+
+    def test_fields_match_references(self):
+        for spec in self._specs():
+            real = characteristic_roots(spec.a, spec.b).discriminant_sign >= 0
+            for w in self.WINDOWS:
+                immediate = ref_p1(spec, 0, w)
+                p2 = ref_p2(spec, w) if real else None
+                p3, n0 = ref_p3(spec, w), ref_n0(spec, w)
+                for k in self._from_ks(w):
+                    got = oracle.scan(spec, w, k)
+                    case = (spec, w, k)
+                    assert got.p1_immediate.checked_range == (-1, w), case
+                    assert (got.p1_immediate.holds_on_window,
+                            got.p1_immediate.first_violation) == immediate, case
+                    assert got.p1_from_k.checked_range == (k - 1, k + w), case
+                    assert (got.p1_from_k.holds_on_window,
+                            got.p1_from_k.first_violation) == ref_p1(spec, k, k + w), case
+                    if real:
+                        assert (got.p2.holds_on_window, got.p2.first_violation,
+                                got.p2.skipped_indices) == p2, case
+                    else:
+                        assert got.p2 is None, case
+                    assert (got.p3.holds_on_window, got.p3.first_violation) == p3, case
+                    assert got.n0_witness == n0, case
+
+    def test_walk_goes_past_the_window_only_while_from_k_is_clean(self, monkeypatch):
+        read = [0]
+
+        def counted_carrier(spec):
+            q, A, B, D, M = integer_carrier(spec)
+
+            def terms():
+                for m in M:
+                    read[0] += 1
+                    yield m
+
+            return q, A, B, D, terms()
+
+        monkeypatch.setattr(oracle, "integer_carrier", counted_carrier)
+        # (spec, window, from_k, last term a window compares): the clean
+        # from-k window [99, 120] of FIB compares up to M[121]; the
+        # other stops at its violation at 36, comparing M[37]
+        for spec, w, k, last in (
+            (FIB, 20, 100, 121),
+            (RecurrenceSpec(Fraction(7, 2), 3, 1000000, 1499990), 10, 30, 37),
+        ):
+            read[0] = 0
+            oracle.scan(spec, w, k)
+            assert last < read[0] <= last + 3, (spec, read[0])
+
+    def test_build_report_walks_the_carrier_once(self, monkeypatch):
+        calls = []
+
+        def counted_carrier(spec):
+            calls.append(spec)
+            return integer_carrier(spec)
+
+        monkeypatch.setattr(oracle, "integer_carrier", counted_carrier)
+        for spec, w, k in ((FIB, 300, 0), (LUCAS, 50, 500), (RecurrenceSpec(1, 1, 1, 2), 30, 3)):
+            calls.clear()
+            build_report(spec, w, k)
+            assert len(calls) == 1, spec
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            oracle.scan(FIB, 10, -1)
+        with pytest.raises(ValueError):
+            oracle.scan(FIB, -1, 0)
 
 
 def _broken_carrier(spec):
