@@ -27,16 +27,9 @@ from .numtheory import (
     is_irreducible,
     is_quadratic_pisot,
 )
-from .oracle import (
-    PropertyId,
-    WindowReport,
-    check_p1_window,
-    find_n0,
-    residual_windows,
-)
+from .oracle import PropertyId, WindowReport
 from .qfield import (
     QuadElem,
-    Rational,
     RootPair,
     characteristic_roots,
     cmp_abs,
@@ -51,7 +44,6 @@ from .recurrence import (
     RatioLimit,
     RecurrenceSpec,
     SequenceWindow,
-    closed_form_term,
     exceptional_zero,
     iterate,
     make_h_spec,
@@ -84,7 +76,6 @@ __all__ = [
     "PropertyId",
     "QuadElem",
     "RasterGrid",
-    "Rational",
     "RatioLimit",
     "ROOT_PLANE_REGIONS",
     "RecurrenceSpec",
@@ -97,8 +88,6 @@ __all__ = [
     "boundary_characterization",
     "build_report",
     "characteristic_roots",
-    "check_p1_window",
-    "closed_form_term",
     "cmp_abs",
     "contains_coeff_plane",
     "contains_root_plane",
@@ -107,7 +96,6 @@ __all__ = [
     "eventually_nondecreasing",
     "eventually_ratio_monotone",
     "exceptional_zero",
-    "find_n0",
     "hartman_aurel_sufficient",
     "is_irreducible",
     "is_quadratic_pisot",
@@ -121,7 +109,6 @@ __all__ = [
     "ratio_monotone_h",
     "rational_sqrt",
     "rasterize",
-    "residual_windows",
     "riccati_orbit",
     "term_minus_one",
     "terms_between",

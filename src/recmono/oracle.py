@@ -4,14 +4,12 @@ These scans work directly on iterated terms and know nothing about the
 decision criteria; they are the second route every verdict is held
 against.  scan decides every window of one report -- both P1 windows,
 the n0 witness, P2 and P3 -- on a single walk of the carrier from
-index 0, which never jumps: decisions and closed_form_term reach far
-terms by Lucas fast doubling, so the two routes reach a far index
+index 0, which never jumps: decisions and terms_between reach far terms
+by Lucas fast doubling, so the two routes reach a far index
 independently.  The walk tests P1 through the whole window (n0 needs
 its last violation) and goes past it only for the from-k P1 window,
 and only while that window is still clean; the P2/P3 part stops once
-both have a violation or the window ends.  check_p1_window, find_n0 and
-residual_windows are views of one field of scan each.  All comparisons
-are exact.
+both have a violation or the window ends.  All comparisons are exact.
 
 For speed the scans run on a rescaled integer copy of the sequence,
 recurrence.integer_carrier: with a = A/q, b = B/q over a common
@@ -41,8 +39,8 @@ r = isqrt(d << 128) to about 2**-63, so every modulus lies between two
 by exact integer inequalities between such brackets.  Where the
 brackets overlap (a tie such as |beta| = 1, a residual that is
 identically 0, or a near tie) the index falls back to the exact sign
-test of x + y*sqrt(d).  No float enters: every verdict comes from an
-exact integer inequality.
+test of x + y*sqrt(d), qfield.surd_sign.  No float enters: every
+verdict comes from an exact integer inequality.
 """
 
 from __future__ import annotations
@@ -53,6 +51,7 @@ from itertools import chain, islice
 from math import isqrt
 from typing import Iterator, Optional
 
+from .qfield import dominant_root_sign, surd_sign
 from .recurrence import RecurrenceSpec, integer_carrier
 
 __all__ = [
@@ -60,9 +59,6 @@ __all__ = [
     "PropertyId",
     "OracleWindows",
     "WindowReport",
-    "check_p1_window",
-    "find_n0",
-    "residual_windows",
     "scan",
 ]
 
@@ -104,22 +100,6 @@ class OracleWindows:
     p2: Optional[WindowReport]
     p3: WindowReport
     n0_witness: Optional[int]
-
-
-def _int_sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _quad_int_sign(x: int, y: int, d: int) -> int:
-    """Sign of x + y*sqrt(d) for integers with d >= 0."""
-    if y == 0 or d == 0:
-        return _int_sign(x)
-    if x == 0:
-        return _int_sign(y)
-    sx, sy = _int_sign(x), _int_sign(y)
-    if sx == sy:
-        return sx
-    return sx * _int_sign(x * x - y * y * d)
 
 
 # Below this bit length of the carrier term the exact test is cheaper
@@ -193,19 +173,17 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
 
     Real roots: on the carrier both are statements about the residual
     R[n] := 2*q**(n+1)*D * (a[n]*alpha - a[n+1]) = u[n] + s*M[n]*sqrt(d)
-    with u[n] = A*M[n] - 2*M[n+1] and s = +1 when A > 0, -1 otherwise.
-    That s picks alpha without a comparison: |(a + sqrt(disc))/2|^2 -
-    |(a - sqrt(disc))/2|^2 = a*sqrt(disc), and a spec has a != 0 (for a
-    repeated root d = 0 and s drops out).  Each index's sign g[n] of
-    R[n] and 64-bit bracket of |R[n]| are computed once and feed both
-    scans.  The exact norm N[n] = R[n]*conjugate(R[n]) =
-    u[n]**2 - M[n]**2*d comes from _residual_terms, which computes it
-    directly at n = 0 only and carries it by the Casoratian identity
-    N[n+1] = B*q*N[n].  At the last index walked the norm is computed
-    directly once more, and a difference from the carried one raises
-    InternalInconsistency.  The identity is a fact about the recurrence,
-    not about the properties: the scans never use R[n+1] = q*beta*R[n],
-    which is the P3 theorem.
+    with u[n] = A*M[n] - 2*M[n+1] and s = qfield.dominant_root_sign(A),
+    the sign that picks alpha (for a repeated root d = 0 and s drops
+    out).  Each index's sign g[n] of R[n] and 64-bit bracket of |R[n]|
+    are computed once and feed both scans.  The exact norm
+    N[n] = R[n]*conjugate(R[n]) = u[n]**2 - M[n]**2*d comes from
+    _residual_terms, which computes it directly at n = 0 only and
+    carries it by the Casoratian identity N[n+1] = B*q*N[n].  At the
+    last index walked the norm is computed directly once more, and a
+    difference from the carried one raises InternalInconsistency.  The
+    identity is a fact about the recurrence, not about the properties:
+    the scans never use R[n+1] = q*beta*R[n], which is the P3 theorem.
 
     The bracket: when u and s*M*sqrt(d) share a sign, or one of them is
     0, sign(R) is that sign and |R| = S := |u| + |M|*sqrt(d), a sum with
@@ -249,7 +227,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
         first3 = _complex_p3(spec, window)
         p3 = WindowReport(PropertyId.P3, checked, first3 is None, first3, ())
     else:
-        s = 1 if A > 0 else -1
+        s = dominant_root_sign(A)
         sd = s if d else 0
         r, slack = _sqrt_bracket(d)
         skipped: list[int] = []
@@ -302,7 +280,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
                                 c = u0 * m1 - u1 * m0
                                 diff = sigma * ((c > 0) - (c < 0))
                             else:
-                                diff = _quad_int_sign(
+                                diff = surd_sign(
                                     sigma * u0 * m1 - tau * u1 * m0,
                                     s * m0 * m1 * (sigma - tau), d,
                                 )
@@ -315,7 +293,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
                         diff = _order((q * lo0, q * hi0, e0), b1)
                     if diff == 0:
                         gq = g0 * q
-                        diff = _quad_int_sign(gq * u0 - g1 * u1, s * (gq * m0 - g1 * m1), d)
+                        diff = surd_sign(gq * u0 - g1 * u1, s * (gq * m0 - g1 * m1), d)
                     if diff < 0:
                         first3 = n
                 if first2 is not None and first3 is not None:
@@ -368,22 +346,3 @@ def _complex_p3(spec: RecurrenceSpec, n_max: int) -> Optional[int]:
         num, den = num_next, den_next
     return None
 
-
-def check_p1_window(spec: RecurrenceSpec, k: int, n_max: int) -> WindowReport:
-    """Scan a[n] <= a[n+1] for n in [k-1, n_max]; for k = 0 the first
-    compared pair is (a[-1], a[0]) with a[-1] the backward extension."""
-    return scan(spec, n_max - k, k).p1_from_k
-
-
-def find_n0(spec: RecurrenceSpec, n_cap: int) -> Optional[int]:
-    """Smallest n0 <= n_cap with a[n] <= a[n+1] for all n in [n0, n_cap],
-    or None when even the final compared pair violates.  This is a
-    witness for the eventual property, not a proof."""
-    return scan(spec, n_cap, 0).n0_witness
-
-
-def residual_windows(
-    spec: RecurrenceSpec, n_max: int
-) -> tuple[Optional[WindowReport], WindowReport]:
-    """(P2, P3) scans for n in [0, n_max]; P2 is None for complex roots."""
-    return (w := scan(spec, n_max, 0)).p2, w.p3

@@ -13,13 +13,15 @@ sign of x + y*sqrt(n) for integers x, y and n >= 0.  It is exact for
 any n, a perfect square included, because its only comparison is
 x^2 against y^2*n.  `QuadElem.sign` clears its denominators and calls
 it; the raster cells of `regions`, whose centres sit on integer
-numerators over one common denominator, call it directly.
+numerators over one common denominator, and the exact fallback of the
+oracle's carrier walk call it directly.
 
 Which real root is the dominant one, alpha, needs no comparison: with
 alpha+- = (a +- sqrt(disc))/2, |alpha+|^2 - |alpha-|^2 = a*sqrt(disc),
 so alpha is the plus root when a >= 0 and the minus root otherwise.
 `dominant_root_sign` is the one place that states this rule;
-`order_by_modulus` and the raster cells of `regions` apply it.
+`order_by_modulus`, the raster cells of `regions` and the oracle's
+residual walk apply it.
 
 The radicand is kept exactly as constructed (for roots: a^2 - 4*b) and
 is not reduced to squarefree form.  Elements built over different
@@ -46,11 +48,9 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Optional, Union
 
-Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 __all__ = [
-    "Rational",
     "QuadElem",
     "RootPair",
     "rational_sqrt",
@@ -114,7 +114,7 @@ class QuadElem:
 
     Immutable after construction.  Arithmetic is closed over a fixed
     radicand; combining two elements with distinct irrational radicands
-    raises ValueError.  Rational elements (q == 0) combine with anything.
+    raises ValueError.  Elements with q == 0 combine with anything.
     """
 
     __slots__ = ("p", "q", "d")

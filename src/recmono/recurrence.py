@@ -49,7 +49,6 @@ __all__ = [
     "integer_carrier",
     "terms_between",
     "term_minus_one",
-    "closed_form_term",
     "ratio_limit",
     "exceptional_zero",
 ]
@@ -160,20 +159,6 @@ def terms_between(spec: RecurrenceSpec, lo: int, hi: int) -> tuple[Fraction, ...
 def term_minus_one(spec: RecurrenceSpec) -> Fraction:
     """The unique backward extension a[-1] = (a*a[0] - a[1]) / b."""
     return (spec.a * spec.v0 - spec.v1) / spec.b
-
-
-def closed_form_term(spec: RecurrenceSpec, n: int) -> Fraction:
-    """a[n] evaluated through the characteristic roots, exactly.
-
-    a[n] = M[n] / (q**n * D) on the integer carrier, with
-    M[n] = M[1]*U[n] - B*q*M[0]*U[n-1] and U[n] = (r+^n - r-^n)/(r+ - r-)
-    (n*r^(n-1) for a repeated root r) the divided difference of the
-    carrier's roots, by fast doubling U[2k] = U[k]*(2*U[k+1] - A*U[k]),
-    U[2k+1] = U[k+1]^2 - B*q*U[k]^2.  Requires a real discriminant.
-    """
-    if spec.a * spec.a < 4 * spec.b:
-        raise ValueError("closed form requires a non-negative discriminant")
-    return terms_between(spec, n, n)[0]
 
 
 class LimitKind(Enum):

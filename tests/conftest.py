@@ -16,19 +16,18 @@ from fractions import Fraction
 from recmono import (
     Branch,
     RecurrenceSpec,
-    check_p1_window,
+    WindowReport,
     eventually_nondecreasing,
     eventually_ratio_monotone,
-    find_n0,
     hartman_aurel_sufficient,
-    iterate,
     make_h_spec,
     nondecreasing_from,
     positive_monotone_h,
     ratio_monotone_h,
-    residual_windows,
+    terms_between,
     weighted_monotone,
 )
+from recmono.oracle import OracleWindows, scan
 
 MAX_NUM = 20
 MAX_DEN = 20
@@ -119,18 +118,18 @@ def build_h_corpus(seed: int, count: int) -> list[RecurrenceSpec]:
 def shift_spec(spec: RecurrenceSpec, m: int) -> RecurrenceSpec:
     """The same sequence re-anchored at index m (never (0,0): at most one
     term of a valid spec vanishes)."""
-    t = iterate(spec, m + 1).terms
-    return RecurrenceSpec(spec.a, spec.b, t[m], t[m + 1])
+    return RecurrenceSpec(spec.a, spec.b, *terms_between(spec, m, m + 1))
 
 
 # ---------------------------------------------------------------------------
-# agreement checks: one assertion family per decision procedure
+# agreement checks: one assertion family per decision procedure, each
+# handed its field of one shared oracle scan
 # ---------------------------------------------------------------------------
 
 
 def check_eventual_agreement(spec: RecurrenceSpec) -> None:
     v = eventually_nondecreasing(spec)
-    n0 = find_n0(spec, SCAN)
+    n0 = scan(spec, SCAN, 0).n0_witness
     if v.holds:
         assert n0 is not None and n0 <= N0_CAP, (
             f"eventual verdict holds but oracle n0={n0}: {spec}"
@@ -138,17 +137,17 @@ def check_eventual_agreement(spec: RecurrenceSpec) -> None:
     else:
         # some violation at or beyond N0_CAP must exist; widen until seen
         if n0 is not None and n0 <= N0_CAP:
-            n0 = find_n0(spec, DEEP_SCAN)
+            n0 = scan(spec, DEEP_SCAN, 0).n0_witness
             if n0 is not None and n0 <= N0_CAP:
-                n0 = find_n0(spec, DEEPEST)
+                n0 = scan(spec, DEEPEST, 0).n0_witness
         assert n0 is None or n0 > N0_CAP, (
             f"eventual verdict fails but the tail is clean: {spec}"
         )
 
 
-def check_from_k_agreement(spec: RecurrenceSpec, k: int) -> None:
+def check_from_k_agreement(spec: RecurrenceSpec, k: int, w: WindowReport) -> None:
+    """w is the P1 window [k - 1, k + AGREE_WINDOW]."""
     v = nondecreasing_from(spec, k)
-    w = check_p1_window(spec, k, k + AGREE_WINDOW)
     if v.holds:
         assert w.holds_on_window, (
             f"from-{k} verdict holds but window violates at "
@@ -163,15 +162,15 @@ def check_from_k_agreement(spec: RecurrenceSpec, k: int) -> None:
         return
     # failing for asymptotic reasons: the ordering must break somewhere
     if w.holds_on_window:
-        w = check_p1_window(spec, k, k + DEEPEST)
+        w = scan(spec, DEEPEST, k).p1_from_k
     assert not w.holds_on_window, (
         f"from-{k} verdict fails but no violation found: {spec}"
     )
 
 
-def check_weighted_agreement(spec: RecurrenceSpec) -> None:
+def check_weighted_agreement(spec: RecurrenceSpec, w: WindowReport) -> None:
+    """w is the P3 window [0, AGREE_WINDOW]."""
     v = weighted_monotone(spec)
-    w = residual_windows(spec, AGREE_WINDOW)[1]
     if v.holds:
         assert w.holds_on_window, (
             f"weighted verdict holds but window violates at "
@@ -186,7 +185,8 @@ def check_weighted_agreement(spec: RecurrenceSpec) -> None:
         )
 
 
-def check_ratio_eventual_agreement(spec: RecurrenceSpec) -> None:
+def check_ratio_eventual_agreement(spec: RecurrenceSpec, w: WindowReport | None) -> None:
+    """w is the P2 window [0, AGREE_WINDOW], None for complex roots."""
     if spec.v0 * spec.v1 == 0:
         return
     v = eventually_ratio_monotone(spec)
@@ -194,22 +194,22 @@ def check_ratio_eventual_agreement(spec: RecurrenceSpec) -> None:
         assert not v.holds
         return
     assert v.holds
-    w = residual_windows(spec, AGREE_WINDOW)[0]
     if not w.holds_on_window:
         tail = shift_spec(spec, SCAN)
-        w = residual_windows(tail, AGREE_WINDOW)[0]
+        w = scan(tail, AGREE_WINDOW, 0).p2
         if not w.holds_on_window:
             tail = shift_spec(spec, DEEP_SCAN)
-            w = residual_windows(tail, 600)[0]
+            w = scan(tail, 600, 0).p2
     assert w.holds_on_window, (
         f"ratio-eventual verdict holds but violations persist: {spec}"
     )
 
 
-def check_h_agreements(spec: RecurrenceSpec) -> None:
+def check_h_agreements(spec: RecurrenceSpec, windows: OracleWindows) -> None:
+    """windows is the oracle scan at AGREE_WINDOW."""
     assert spec.h_type
     vp = positive_monotone_h(spec)
-    w1 = check_p1_window(spec, 0, AGREE_WINDOW)
+    w1 = windows.p1_immediate
     if vp.holds:
         assert spec.v0 > 0 and w1.holds_on_window, (
             f"h-monotone verdict holds but oracle disagrees: {spec}"
@@ -217,14 +217,14 @@ def check_h_agreements(spec: RecurrenceSpec) -> None:
     elif spec.v0 > 0:
         # positive start, failing verdict: ordering must break eventually
         if w1.holds_on_window:
-            w1 = check_p1_window(spec, 0, DEEP_SCAN)
+            w1 = scan(spec, DEEP_SCAN, 0).p1_from_k
         assert not w1.holds_on_window, (
             f"h-monotone verdict fails but no violation found: {spec}"
         )
     vr = ratio_monotone_h(spec)
     vw = weighted_monotone(spec)
     if spec.roots().discriminant_sign >= 0:
-        w2 = residual_windows(spec, AGREE_WINDOW)[0]
+        w2 = windows.p2
         if vr.holds:
             assert w2.holds_on_window, (
                 f"h-ratio verdict holds but window violates at "
@@ -244,7 +244,7 @@ def check_h_agreements(spec: RecurrenceSpec) -> None:
 
 def check_hartman_soundness(spec: RecurrenceSpec) -> None:
     if hartman_aurel_sufficient(spec.a, spec.b) and 0 < spec.v0 <= spec.v1:
-        w = check_p1_window(spec, 1, 1 + AGREE_WINDOW)
+        w = scan(spec, AGREE_WINDOW, 1).p1_from_k
         assert w.holds_on_window, (
             f"sufficient test passed but ordering breaks at "
             f"{w.first_violation}: {spec}"
@@ -253,11 +253,12 @@ def check_hartman_soundness(spec: RecurrenceSpec) -> None:
 
 def check_all_agreements(spec: RecurrenceSpec) -> None:
     """Every applicable agreement family for one spec."""
+    windows = scan(spec, AGREE_WINDOW, 3)
     check_eventual_agreement(spec)
-    check_from_k_agreement(spec, 0)
-    check_from_k_agreement(spec, 3)
-    check_weighted_agreement(spec)
-    check_ratio_eventual_agreement(spec)
+    check_from_k_agreement(spec, 0, windows.p1_immediate)
+    check_from_k_agreement(spec, 3, windows.p1_from_k)
+    check_weighted_agreement(spec, windows.p3)
+    check_ratio_eventual_agreement(spec, windows.p2)
     check_hartman_soundness(spec)
     if spec.h_type:
-        check_h_agreements(spec)
+        check_h_agreements(spec, windows)

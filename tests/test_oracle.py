@@ -21,12 +21,9 @@ from recmono import (
     PropertyId,
     RecurrenceSpec,
     characteristic_roots,
-    check_p1_window,
-    find_n0,
     iterate,
     make_h_spec,
     order_by_modulus,
-    residual_windows,
     term_minus_one,
     terms_between,
 )
@@ -117,77 +114,77 @@ def ref_n0(spec, n_cap):
 
 class TestPinnedWindows:
     def test_fibonacci_all_clean(self):
-        assert check_p1_window(FIB, 0, 300).holds_on_window
-        p2, p3 = residual_windows(FIB, 300)
-        assert p2.holds_on_window
-        assert p3.holds_on_window
+        w = oracle.scan(FIB, 300, 0)
+        assert w.p1_from_k.holds_on_window
+        assert w.p2.holds_on_window
+        assert w.p3.holds_on_window
 
     def test_lucas_first_descent_at_zero(self):
-        rep = check_p1_window(LUCAS, 0, 300)
+        rep = oracle.scan(LUCAS, 300, 0).p1_from_k
         assert not rep.holds_on_window and rep.first_violation == 0
 
     def test_lucas_ratio_distance_violated_at_zero(self):
-        rep = residual_windows(LUCAS, 300)[0]
+        rep = oracle.scan(LUCAS, 300, 0).p2
         assert not rep.holds_on_window and rep.first_violation == 0
 
     def test_lucas_weighted_clean_and_n0(self):
-        assert residual_windows(LUCAS, 300)[1].holds_on_window
-        assert find_n0(LUCAS, 500) == 1
+        assert oracle.scan(LUCAS, 300, 0).p3.holds_on_window
+        assert oracle.scan(LUCAS, 500, 0).n0_witness == 1
 
     def test_spread_h_violations_at_zero(self):
         # coefficients (1, -3): ratio distances and weighted residuals
         # both grow from the start
-        p2, p3 = residual_windows(SPREAD_H, 120)
-        assert p2.first_violation == 0
-        assert p3.first_violation == 0
+        w = oracle.scan(SPREAD_H, 120, 0)
+        assert w.p2.first_violation == 0
+        assert w.p3.first_violation == 0
 
     def test_zero_terms_are_skipped_not_compared(self):
         # terms 1, 0, -1, ... : the ratio scan cannot use indices 0 and 1
         spec = RecurrenceSpec(Fraction(5, 2), 1, 1, 0)
-        rep = residual_windows(spec, 40)[0]
+        rep = oracle.scan(spec, 40, 0).p2
         assert rep.skipped_indices == (0, 1)
         assert rep.holds_on_window
 
     def test_mixed_denominator_violation_at_one(self):
         spec = RecurrenceSpec(Fraction(1, 10), Fraction(-21, 5), 1, 3)
-        rep = residual_windows(spec, 40)[0]
+        rep = oracle.scan(spec, 40, 0).p2
         assert not rep.holds_on_window and rep.first_violation == 1
 
     def test_backward_pair_violation_positive_b(self):
         # a[-1] = (3*1 - 0)/2 = 3/2 > a[0] = 1
-        rep = check_p1_window(RecurrenceSpec(3, 2, 1, 0), 0, 10)
+        rep = oracle.scan(RecurrenceSpec(3, 2, 1, 0), 10, 0).p1_from_k
         assert rep.first_violation == -1
 
     def test_backward_pair_violation_negative_b(self):
         # a[-1] = (1*1 - 4)/(-2) = 3/2 > a[0] = 1
-        rep = check_p1_window(RecurrenceSpec(1, -2, 1, 4), 0, 10)
+        rep = oracle.scan(RecurrenceSpec(1, -2, 1, 4), 10, 0).p1_from_k
         assert rep.first_violation == -1
 
     def test_n0_witnesses(self):
-        assert find_n0(FIB, 500) == 0
+        assert oracle.scan(FIB, 500, 0).n0_witness == 0
         # alternating rotation: the last compared pair still violates
-        assert find_n0(RecurrenceSpec(1, 1, 1, 1), 20) is None
+        assert oracle.scan(RecurrenceSpec(1, 1, 1, 1), 20, 0).n0_witness is None
         # strictly decreasing tail: no clean suffix at all
-        assert find_n0(make_h_spec(1, Fraction(1, 4), 1), 200) is None
+        assert oracle.scan(make_h_spec(1, Fraction(1, 4), 1), 200, 0).n0_witness is None
 
 
 class TestValidation:
     def test_p1_rejects_bad_indices(self):
         with pytest.raises(ValueError):
-            check_p1_window(FIB, -1, 10)
+            oracle.scan(FIB, 11, -1)
         with pytest.raises(ValueError):
-            check_p1_window(FIB, 5, 4)
+            oracle.scan(FIB, -1, 5)
 
     def test_p2_rejects_complex_roots(self):
         # the ratio distances are not real: no P2 window, only P3
-        p2, p3 = residual_windows(RecurrenceSpec(1, 1, 1, 1), 10)
-        assert p2 is None and p3.property is PropertyId.P3
+        w = oracle.scan(RecurrenceSpec(1, 1, 1, 1), 10, 0)
+        assert w.p2 is None and w.p3.property is PropertyId.P3
 
     def test_negative_windows_rejected(self):
         with pytest.raises(ValueError):
-            residual_windows(FIB, -1)
+            oracle.scan(FIB, -1, 0)
         with pytest.raises(ValueError):
-            find_n0(FIB, -1)
+            oracle.scan(FIB, -1, 3)
 
 
 class TestResidualTelescoping:
@@ -231,7 +228,7 @@ class TestReferenceEquivalence:
     def test_p1_matches_reference(self):
         for spec in self._specs():
             for k in (0, 2):
-                rep = check_p1_window(spec, k, self.WINDOW)
+                rep = oracle.scan(spec, self.WINDOW - k, k).p1_from_k
                 holds, first = ref_p1(spec, k, self.WINDOW)
                 assert (rep.holds_on_window, rep.first_violation) == (
                     holds,
@@ -242,7 +239,7 @@ class TestReferenceEquivalence:
         for spec in self._specs():
             if characteristic_roots(spec.a, spec.b).discriminant_sign < 0:
                 continue
-            rep = residual_windows(spec, self.WINDOW)[0]
+            rep = oracle.scan(spec, self.WINDOW, 0).p2
             holds, first, skipped = ref_p2(spec, self.WINDOW)
             assert (
                 rep.holds_on_window,
@@ -252,7 +249,7 @@ class TestReferenceEquivalence:
 
     def test_p3_matches_reference(self):
         for spec in self._specs():
-            rep = residual_windows(spec, self.WINDOW)[1]
+            rep = oracle.scan(spec, self.WINDOW, 0).p3
             holds, first = ref_p3(spec, self.WINDOW)
             assert (rep.holds_on_window, rep.first_violation) == (
                 holds,
@@ -261,7 +258,7 @@ class TestReferenceEquivalence:
 
     def test_n0_matches_reference(self):
         for spec in self._specs():
-            assert find_n0(spec, 60) == ref_n0(spec, 60), spec
+            assert oracle.scan(spec, 60, 0).n0_witness == ref_n0(spec, 60), spec
 
 
 class TestDegreeReducedScans:
@@ -314,7 +311,7 @@ class TestDegreeReducedScans:
 
     def test_p2_matches_reference(self):
         for spec, window in self._cases():
-            rep = residual_windows(spec, window)[0]
+            rep = oracle.scan(spec, window, 0).p2
             assert (
                 rep.holds_on_window,
                 rep.first_violation,
@@ -323,7 +320,7 @@ class TestDegreeReducedScans:
 
     def test_p3_matches_reference(self):
         for spec, window in self._cases():
-            rep = residual_windows(spec, window)[1]
+            rep = oracle.scan(spec, window, 0).p3
             assert (rep.holds_on_window, rep.first_violation) == ref_p3(
                 spec, window
             ), (spec, window)
@@ -374,7 +371,8 @@ class TestIndependentStops:
     def test_each_scan_matches_its_reference(self):
         for spec in self.SPECS:
             for window in (0, 1, 2, 3, 5, 60):
-                p2, p3 = residual_windows(spec, window)
+                w = oracle.scan(spec, window, 0)
+                p2, p3 = w.p2, w.p3
                 assert p2.checked_range == p3.checked_range == (0, window)
                 assert (
                     p2.holds_on_window,
@@ -387,8 +385,8 @@ class TestIndependentStops:
 
     def test_the_two_scans_stop_at_different_indices(self):
         for spec in self.SPECS:
-            p2, p3 = residual_windows(spec, 60)
-            assert p2.first_violation != p3.first_violation, spec
+            w = oracle.scan(spec, 60, 0)
+            assert w.p2.first_violation != w.p3.first_violation, spec
 
 
 class TestScan:
@@ -516,7 +514,7 @@ class TestCasoratianNorm:
     def test_self_check_raises_on_a_broken_recurrence(self, monkeypatch):
         monkeypatch.setattr(oracle, "integer_carrier", _broken_carrier)
         with pytest.raises(InternalInconsistency, match="self-check"):
-            residual_windows(FIB, 50)
+            oracle.scan(FIB, 50, 0)
 
     def test_self_check_reaches_the_cli_as_exit_one(self, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "integer_carrier", _broken_carrier)

@@ -20,12 +20,12 @@ from recmono import (
     LimitKind,
     QuadElem,
     RecurrenceSpec,
-    closed_form_term,
     exceptional_zero,
     iterate,
     make_h_spec,
     ratio_limit,
     term_minus_one,
+    terms_between,
 )
 from recmono.recurrence import integer_carrier
 
@@ -159,7 +159,7 @@ class TestClosedForm:
             spec = RecurrenceSpec(a, b, v0, v1)
             terms = iterate(spec, 40).terms
             for n in range(41):
-                assert closed_form_term(spec, n) == terms[n], (spec, n)
+                assert terms_between(spec, n, n)[0] == terms[n], (spec, n)
             done += 1
 
     def test_square_discriminant_matches_iteration(self):
@@ -169,18 +169,14 @@ class TestClosedForm:
             spec = RecurrenceSpec(a, b, Fraction(3, 2), Fraction(-1, 3))
             terms = iterate(spec, 30).terms
             for n in range(31):
-                assert closed_form_term(spec, n) == terms[n], (spec, n)
+                assert terms_between(spec, n, n)[0] == terms[n], (spec, n)
 
     def test_repeated_root_matches_iteration(self):
         for a, b in ((2, 1), (-2, 1), (1, Fraction(1, 4)), (3, Fraction(9, 4))):
             spec = RecurrenceSpec(a, b, Fraction(3, 2), Fraction(-1, 3))
             terms = iterate(spec, 30).terms
             for n in range(31):
-                assert closed_form_term(spec, n) == terms[n], (spec, n)
-
-    def test_complex_discriminant_rejected(self):
-        with pytest.raises(ValueError):
-            closed_form_term(RecurrenceSpec(1, 1, 1, 1), 3)
+                assert terms_between(spec, n, n)[0] == terms[n], (spec, n)
 
     def test_h_family_reconstructs_any_start(self):
         # a[n] = v0*h[n] + (v1 - a*v0)*h[n-1] where h is the canonical
