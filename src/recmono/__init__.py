@@ -28,17 +28,7 @@ from .numtheory import (
     is_quadratic_pisot,
 )
 from .oracle import PropertyId, WindowReport
-from .qfield import (
-    QuadElem,
-    RootPair,
-    characteristic_roots,
-    cmp_abs,
-    decimal_str,
-    order_by_modulus,
-    quadratic_roots,
-    rational_sqrt,
-    to_decimal,
-)
+from .qfield import QuadElem, RootPair, cmp_abs, decimal_str, quadratic_roots
 from .recurrence import (
     LimitKind,
     RatioLimit,
@@ -87,7 +77,6 @@ __all__ = [
     "WindowReport",
     "boundary_characterization",
     "build_report",
-    "characteristic_roots",
     "cmp_abs",
     "contains_coeff_plane",
     "contains_root_plane",
@@ -102,17 +91,14 @@ __all__ = [
     "iterate",
     "make_h_spec",
     "nondecreasing_from",
-    "order_by_modulus",
     "positive_monotone_h",
     "quadratic_roots",
     "ratio_limit",
     "ratio_monotone_h",
-    "rational_sqrt",
     "rasterize",
     "riccati_orbit",
     "term_minus_one",
     "terms_between",
-    "to_decimal",
     "weighted_monotone",
     "write_csv",
     "write_pgm",

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .numtheory import boundary_characterization, enumerate_generalized_fibonacci
-from .qfield import characteristic_roots
+from .qfield import quadratic_roots
 from .recurrence import RecurrenceSpec, iterate, make_h_spec
 from .regions import RegionId, rasterize, write_csv, write_pgm
 from .report import InternalInconsistency, build_report, spec_json
@@ -186,7 +186,7 @@ def _cmd_regions(args: argparse.Namespace) -> int:
 
 def _cmd_riccati(args: argparse.Namespace) -> int:
     orbit = riccati_orbit(args.a, args.b, args.b0, args.n)
-    roots = characteristic_roots(args.a, args.b)
+    roots = quadratic_roots(args.a, args.b)
     if roots.discriminant_sign >= 0:
         fixed_points = [str(roots.alpha_plus), str(roots.alpha_minus)]
     else:

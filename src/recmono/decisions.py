@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
-from .qfield import RationalLike, characteristic_roots, cmp_abs, order_by_modulus
+from .qfield import RationalLike, cmp_abs
 from .recurrence import RecurrenceSpec, integer_carrier, term_minus_one
 
 __all__ = [
@@ -79,7 +79,7 @@ def _p1_verdict(spec: RecurrenceSpec, k: Optional[int]) -> Verdict:
     the discriminant check since that costs O(log k), and requires it on
     every branch.
     """
-    roots = characteristic_roots(spec.a, spec.b)
+    roots = spec.roots()
     if roots.discriminant_sign < 0:
         return Verdict(False, Branch.DISCRIMINANT_NEGATIVE)
     if k is None:
@@ -135,7 +135,7 @@ def positive_monotone_h(spec: RecurrenceSpec) -> Verdict:
     larger root is at least 1.
     """
     _require_h(spec, "positive_monotone_h")
-    roots = characteristic_roots(spec.a, spec.b)
+    roots = spec.roots()
     if roots.discriminant_sign < 0:
         return Verdict(False, Branch.DISCRIMINANT_NEGATIVE)
     if spec.v0 <= 0:
@@ -153,11 +153,10 @@ def ratio_monotone_h(spec: RecurrenceSpec) -> Verdict:
     Holds iff the discriminant is non-negative and |a| >= |beta|.
     """
     _require_h(spec, "ratio_monotone_h")
-    roots = characteristic_roots(spec.a, spec.b)
+    roots = spec.roots()
     if roots.discriminant_sign < 0:
         return Verdict(False, Branch.DISCRIMINANT_NEGATIVE)
-    _, beta = order_by_modulus(roots)
-    if cmp_abs(spec.a, beta) >= 0:
+    if cmp_abs(spec.a, roots.beta) >= 0:
         return Verdict(True, Branch.COND_RATIO_CONTRACTION)
     return Verdict(False, Branch.COND2_FAIL_MODULUS)
 
@@ -169,13 +168,12 @@ def weighted_monotone(spec: RecurrenceSpec) -> Verdict:
     |beta| <= 1.  With a negative discriminant the same comparison runs
     on the shared squared modulus of the conjugate pair, which is b.
     """
-    roots = characteristic_roots(spec.a, spec.b)
+    roots = spec.roots()
     if roots.discriminant_sign < 0:
         if spec.b <= 1:
             return Verdict(True, Branch.COMPLEX_MODULUS)
         return Verdict(False, Branch.COND3_FAIL_MODULUS)
-    _, beta = order_by_modulus(roots)
-    if cmp_abs(beta, 1) <= 0:
+    if cmp_abs(roots.beta, 1) <= 0:
         return Verdict(True, Branch.COND_MODULUS_AT_MOST_ONE)
     return Verdict(False, Branch.COND3_FAIL_MODULUS)
 
@@ -187,7 +185,7 @@ def eventually_ratio_monotone(spec: RecurrenceSpec) -> Verdict:
     """
     if spec.v0 * spec.v1 == 0:
         raise ValueError("ratio property needs a nonzero starting pair")
-    roots = characteristic_roots(spec.a, spec.b)
+    roots = spec.roots()
     if roots.discriminant_sign >= 0:
         return Verdict(True, Branch.DISCRIMINANT_NONNEGATIVE)
     return Verdict(False, Branch.DISCRIMINANT_NEGATIVE)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .qfield import cmp_abs, order_by_modulus, quadratic_roots
+from .qfield import cmp_abs, quadratic_roots
 
 __all__ = [
     "IntCoeffPair",
@@ -53,8 +53,7 @@ def is_quadratic_pisot(pair: IntCoeffPair) -> bool:
     roots = quadratic_roots(*pair)
     if roots.discriminant_sign < 0:
         return False
-    alpha, beta = order_by_modulus(roots)
-    return (alpha - 1).sign() > 0 and cmp_abs(beta, 1) < 0
+    return (roots.alpha - 1).sign() > 0 and cmp_abs(roots.beta, 1) < 0
 
 
 def enumerate_generalized_fibonacci(a_max: int) -> list[IntCoeffPair]:

@@ -18,7 +18,9 @@ is an integer sequence obeying M[n+2] = A*M[n+1] - B*q*M[n].  Each
 compared inequality, cleared of its (shared, positive) denominator,
 becomes a sign test on X + Y*sqrt(d) with integers X, Y and
 d = A**2 - 4*B*q = q**2 * (a**2 - 4b) >= 0 -- no rational
-normalization ever runs.  The rescaling multiplies compared quantities
+normalization ever runs.  The roots are (A +- sqrt(d))/(2q), the form
+in which qfield.quadratic_roots builds them (there N = d, L = q) and
+the regions decide on.  The rescaling multiplies compared quantities
 by positive constants only, so every verdict equals the one computed on
 raw terms; the test suite checks that equivalence against a direct
 rational-arithmetic reference.

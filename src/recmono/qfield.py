@@ -1,39 +1,39 @@
 """Exact arithmetic in real quadratic extensions of the rationals.
 
 Every inequality this package decides reduces to the sign of a number
-p + q*sqrt(d) with rational p, q and rational d >= 0.  This module
-provides that number type together with exact sign and absolute-value
-comparisons, and builds the characteristic roots of x^2 - a*x + b on
-top of it.  Nothing here touches floating point; approximate rendering
-for display lives in `to_decimal` and is only used at the edges
-(reports, CLI output).
+(x + y*sqrt(n))/den with integers x, y, n >= 0 and den > 0.  This
+module provides that number type, `QuadElem`, together with exact sign
+and absolute-value comparisons, and builds the characteristic roots of
+x^2 - a*x + b on top of it.  Nothing here touches floating point;
+decimal rendering for display lives in `decimal_str` and is only used
+at the edges (reports, CLI output).
 
 Every sign is decided on integers, once: `surd_sign(x, y, n)` is the
 sign of x + y*sqrt(n) for integers x, y and n >= 0.  It is exact for
 any n, a perfect square included, because its only comparison is
-x^2 against y^2*n.  `QuadElem.sign` clears its denominators and calls
-it; the raster cells of `regions`, whose centres sit on integer
-numerators over one common denominator, and the exact fallback of the
-oracle's carrier walk call it directly.
+x^2 against y^2*n.  `QuadElem.sign` is one call of it, since den > 0;
+the raster cells of `regions`, whose centres sit on integer numerators
+over one common denominator, and the exact fallback of the oracle's
+carrier walk call it directly.
 
-Which real root is the dominant one, alpha, needs no comparison: with
-alpha+- = (a +- sqrt(disc))/2, |alpha+|^2 - |alpha-|^2 = a*sqrt(disc),
-so alpha is the plus root when a >= 0 and the minus root otherwise.
-`dominant_root_sign` is the one place that states this rule;
-`order_by_modulus`, the raster cells of `regions` and the oracle's
-residual walk apply it.
+A root is (A +- sqrt(N))/(2L) here, in the oracle and in the regions
+alike: a = A/L and b = B/L over their common denominator L, and
+N = A^2 - 4*B*L, so the discriminant a^2 - 4*b is N/L^2.  Which real
+root is the dominant one, alpha, needs no comparison: |alpha+|^2 -
+|alpha-|^2 = a*sqrt(a^2 - 4*b), so alpha is the plus root when a >= 0
+and the minus root otherwise.  `dominant_root_sign` is the one place
+that states this rule; `quadratic_roots`, the raster cells of `regions`
+and the oracle's residual walk apply it.
 
-The radicand is kept exactly as constructed (for roots: a^2 - 4*b) and
-is not reduced to squarefree form.  Elements built over different
-radicands never mix in practice, one recurrence fixes one discriminant,
-and the arithmetic raises if they do.  The one normalization performed
-is collapsing a perfect-square radicand into the rational part, which
-guarantees: q != 0 implies sqrt(d) is irrational.  Only the public
-constructor decides squareness (two `isqrt`s); the ring operations
-combine elements over one radicand, which by the invariant is either 0
-or not a square, so their results keep it without a re-check.  Normal
-form makes equality and hashing structural and the norm of a nonzero
-element nonzero.
+The radicand is kept exactly as constructed (for roots: N) and is not
+reduced to squarefree form, nor is den reduced against x and y.
+Elements built over different radicands never mix in practice, one
+recurrence fixes one discriminant, and the arithmetic raises if they
+do; an element with y = 0 is rational and combines with anything.
+`quadratic_roots` is the one place that decides squareness (one
+`isqrt`): a perfect-square N gives rational roots, so a root with
+y != 0 has sqrt(N) irrational.  Equality is decided by value, as the
+sign of the difference.
 
 `surd_sign` and `dominant_root_sign` are the package's integer kernel,
 not part of its exported API, and are left out of `__all__`.
@@ -41,11 +41,10 @@ not part of its exported API, and are left out of `__all__`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import total_ordering
+from math import isqrt, lcm
 from typing import Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -53,21 +52,13 @@ RationalLike = Union[int, Fraction]
 __all__ = [
     "QuadElem",
     "RootPair",
-    "rational_sqrt",
     "cmp_abs",
-    "characteristic_roots",
     "quadratic_roots",
-    "order_by_modulus",
-    "to_decimal",
     "decimal_str",
 ]
 
-
-_ZERO = Fraction(0)
-
-
-def _rat_sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+# significant digits of every rendered decimal
+_DIGITS = 12
 
 
 def surd_sign(x: int, y: int, n: int) -> int:
@@ -97,92 +88,51 @@ def dominant_root_sign(a: Union[int, Fraction]) -> int:
     return 1 if a >= 0 else -1
 
 
-def rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    """Exact square root of a non-negative rational, None if irrational."""
-    if x < 0:
-        raise ValueError("negative radicand has no real square root")
-    n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-@total_ordering
 class QuadElem:
-    """The real number p + q*sqrt(d), held exactly.
+    """The real number (x + y*sqrt(n))/den, held as integers.
 
-    Immutable after construction.  Arithmetic is closed over a fixed
-    radicand; combining two elements with distinct irrational radicands
-    raises ValueError.  Elements with q == 0 combine with anything.
+    Immutable after construction, with n >= 0 and den > 0.  Arithmetic
+    is closed over a fixed radicand; combining two elements with y != 0
+    and distinct radicands raises ValueError.  Elements with y == 0
+    combine with anything.
     """
 
-    __slots__ = ("p", "q", "d")
+    __slots__ = ("x", "y", "n", "den")
 
-    def __init__(self, p: RationalLike, q: RationalLike = 0, d: RationalLike = 0):
-        p, q, d = Fraction(p), Fraction(q), Fraction(d)
-        if d < 0:
-            raise ValueError("radicand must be non-negative")
-        if q == 0:
-            d = _ZERO
-        else:
-            r = rational_sqrt(d)
-            if r is not None:
-                p, q, d = p + q * r, _ZERO, _ZERO
-        self.p = p
-        self.q = q
-        self.d = d
-
-    @classmethod
-    def _closed(cls, p: Fraction, q: Fraction, d: Fraction) -> "QuadElem":
-        """p + q*sqrt(d) where d is 0 or a radicand already in normal form.
-
-        Ring operations build their results here: their radicand is one
-        an operand already carries, so it is not re-checked for squareness.
-        """
-        x = object.__new__(cls)
-        x.p = p
-        if q == 0:
-            x.q = x.d = _ZERO
-        else:
-            x.q = q
-            x.d = d
-        return x
-
-    # -- coercion helpers -------------------------------------------------
+    def __init__(self, x: int, y: int = 0, n: int = 0, den: int = 1):
+        if n < 0 or den <= 0:
+            raise ValueError("need a radicand n >= 0 and a denominator den > 0")
+        self.x = x
+        self.y = y
+        self.n = n
+        self.den = den
 
     @staticmethod
     def _coerce(value: object) -> Optional["QuadElem"]:
         if isinstance(value, QuadElem):
             return value
         if isinstance(value, (int, Fraction)):
-            return QuadElem(value)
+            return QuadElem(value.numerator, 0, 0, value.denominator)
         return None
 
-    def _common_radicand(self, other: "QuadElem") -> Fraction:
-        if self.q == 0:
-            return other.d
-        if other.q == 0:
-            return self.d
-        if self.d != other.d:
-            raise ValueError(
-                f"mixed radicands: sqrt({self.d}) versus sqrt({other.d})"
-            )
-        return self.d
-
-    # -- ring operations ---------------------------------------------------
+    def _common_radicand(self, other: "QuadElem") -> int:
+        if self.y == 0:
+            return other.n
+        if other.y == 0 or self.n == other.n:
+            return self.n
+        raise ValueError(f"mixed radicands: sqrt({self.n}) versus sqrt({other.n})")
 
     def __add__(self, other: object) -> "QuadElem":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self._common_radicand(o)
-        return QuadElem._closed(self.p + o.p, self.q + o.q, d)
+        return QuadElem(self.x * o.den + o.x * self.den, self.y * o.den + o.y * self.den,
+                        self._common_radicand(o), self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadElem":
-        return QuadElem._closed(-self.p, -self.q, self.d)
+        return QuadElem(-self.x, -self.y, self.n, self.den)
 
     def __sub__(self, other: object) -> "QuadElem":
         o = self._coerce(other)
@@ -200,85 +150,33 @@ class QuadElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self._common_radicand(o)
-        return QuadElem._closed(
-            self.p * o.p + self.q * o.q * d,
-            self.p * o.q + self.q * o.p,
-            d,
-        )
+        n = self._common_radicand(o)
+        return QuadElem(self.x * o.x + self.y * o.y * n, self.x * o.y + self.y * o.x,
+                        n, self.den * o.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: object) -> "QuadElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._common_radicand(o)
-        # norm is zero only for the zero element: q != 0 forces sqrt(d)
-        # irrational, so p^2 = q^2 d is impossible
-        norm = o.p * o.p - o.q * o.q * d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero element")
-        num = self * QuadElem._closed(o.p, -o.q, d)
-        return QuadElem._closed(num.p / norm, num.q / norm, d)
-
-    def __rtruediv__(self, other: object) -> "QuadElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    # -- order and identity --------------------------------------------------
-
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}.
-
-        p + q*sqrt(f/g) times the positive P*Q*g, where P and Q are the
-        denominators of p and q, is the integer surd
-        p_num*Q*g + q_num*P*sqrt(f*g), whose sign `surd_sign` decides.
-        """
-        p, q = self.p, self.q
-        if q == 0:
-            return _rat_sign(p)
-        g = self.d.denominator
-        return surd_sign(
-            p.numerator * q.denominator * g, q.numerator * p.denominator, self.d.numerator * g
-        )
-
-    def __bool__(self) -> bool:
-        return not (self.p == 0 and self.q == 0)
+        """Exact sign in {-1, 0, +1}; den > 0 drops out."""
+        return surd_sign(self.x, self.y, self.n)
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.p == o.p and self.q == o.q and self.d == o.d
-
-    def __hash__(self) -> int:
-        if self.q == 0:
-            return hash(self.p)
-        return hash((self.p, self.q, self.d))
-
-    def __lt__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    # -- rendering -----------------------------------------------------------
-
-    def __float__(self) -> float:
-        return float(self.p) + float(self.q) * math.sqrt(float(self.d))
+        return (self - o).sign() == 0
 
     def __str__(self) -> str:
-        if self.q == 0:
-            return str(self.p)
-        if self.q > 0:
-            return f"{self.p} + {self.q}*sqrt({self.d})"
-        return f"{self.p} - {-self.q}*sqrt({self.d})"
+        """p + q*sqrt(d) with rational p = x/den, q = |y|/2 and d = 4*n/den^2,
+        so a root (A +- sqrt(N))/(2L) prints as A/(2L) +- 1/2*sqrt(N/L^2)."""
+        p = Fraction(self.x, self.den)
+        if self.y == 0:
+            return str(p)
+        sign = "+" if self.y > 0 else "-"
+        return f"{p} {sign} {Fraction(abs(self.y), 2)}*sqrt({Fraction(4 * self.n, self.den**2)})"
 
     def __repr__(self) -> str:
-        return f"QuadElem({self.p!r}, {self.q!r}, {self.d!r})"
+        return f"QuadElem({self.x!r}, {self.y!r}, {self.n!r}, {self.den!r})"
 
 
 def cmp_abs(x: Union[QuadElem, RationalLike], y: Union[QuadElem, RationalLike]) -> int:
@@ -295,6 +193,9 @@ class RootPair:
 
     discriminant_sign > 0: two distinct real roots alpha_plus > alpha_minus.
     discriminant_sign = 0: alpha_plus == alpha_minus, both rational.
+    In both, alpha is the root of largest modulus and beta the other;
+    alpha is alpha_plus exactly when `dominant_root_sign(a)` is +1, so
+    for a repeated root it is alpha_plus.
     discriminant_sign < 0: no real roots; only the shared squared modulus
     of the conjugate pair is stored (it equals b).
     """
@@ -303,69 +204,82 @@ class RootPair:
     discriminant_sign: int
     alpha_plus: Optional[QuadElem]
     alpha_minus: Optional[QuadElem]
+    alpha: Optional[QuadElem]
+    beta: Optional[QuadElem]
     modulus_squared: Optional[Fraction]
 
 
-def characteristic_roots(a: RationalLike, b: RationalLike) -> RootPair:
-    """Exact roots of x^2 - a*x + b for nonzero rational a, b."""
-    if a == 0 or b == 0:
-        raise ValueError("both coefficients must be nonzero")
-    return quadratic_roots(a, b)
-
-
 def quadratic_roots(a: RationalLike, b: RationalLike) -> RootPair:
-    """Exact roots of x^2 - a*x + b for any rational a, b.
-
-    Unlike characteristic_roots this admits a = 0 or b = 0, which occur
-    as grid points of the coefficient plane.
-    """
+    """Exact roots (A +- sqrt(N))/(2L) of x^2 - a*x + b for any rational a, b,
+    with a = A/L, b = B/L over their common denominator L and
+    N = A^2 - 4*B*L; a perfect-square N gives rational roots."""
     a, b = Fraction(a), Fraction(b)
-    disc = a * a - 4 * b
-    if disc < 0:
-        return RootPair(disc, -1, None, None, b)
-    half = Fraction(1, 2)
-    return RootPair(
-        disc,
-        1 if disc > 0 else 0,
-        QuadElem(a * half, half, disc),
-        QuadElem(a * half, -half, disc),
-        None,
-    )
+    L = lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (L // a.denominator), b.numerator * (L // b.denominator)
+    N = A * A - 4 * B * L
+    disc = Fraction(N, L * L)
+    if N < 0:
+        return RootPair(disc, -1, None, None, None, None, b)
+    r = isqrt(N)
+    if r * r == N:
+        plus, minus = QuadElem(A + r, 0, 0, 2 * L), QuadElem(A - r, 0, 0, 2 * L)
+    else:
+        plus, minus = QuadElem(A, 1, N, 2 * L), QuadElem(A, -1, N, 2 * L)
+    alpha, beta = (plus, minus) if dominant_root_sign(A) > 0 else (minus, plus)
+    return RootPair(disc, 1 if N else 0, plus, minus, alpha, beta, None)
 
 
-def order_by_modulus(roots: RootPair) -> tuple[QuadElem, QuadElem]:
-    """(alpha, beta) with |alpha| >= |beta|; raises for complex roots.
+def decimal_str(x: Union[QuadElem, RationalLike]) -> str:
+    """x rounded half-even to 12 significant digits, printed as a Decimal.
 
-    alpha is the plus root exactly when `dominant_root_sign(a)` is +1;
-    for a = 0 or a repeated root the moduli tie and alpha is the plus
-    root.
+    A rational x is divided in Decimal with 20 guard digits, so a
+    terminating value keeps its short form ("0.5").  Otherwise the work
+    is on integers.  With v = (x + y*sqrt(n))/den, a lower bound on |v|
+    picks the exponent k: |v| itself when x and y agree in sign, else
+    the conjugate form |x^2 - y^2*n| / (den*(|x| + |y|*sqrt(n))), where
+    nothing cancels.  The significand c = floor(|v|/10**k) comes from one
+    isqrt, since floor((a + sqrt(m))/D) = (a + isqrt(m)) // D and
+    floor((a - sqrt(m))/D) = (a - ceil(sqrt(m))) // D for integers a,
+    m >= 0 and D > 0, whatever the cancellation between a and sqrt(m).
+    Rounding is the exact sign of |v| - (c + 1/2)*10**k, by `surd_sign`.
     """
-    if roots.discriminant_sign < 0:
-        raise ValueError("complex roots cannot be ordered by real modulus")
-    ap, am = roots.alpha_plus, roots.alpha_minus
-    # the rational parts of the roots sum to a
-    if dominant_root_sign(ap.p + am.p) > 0:
-        return ap, am
-    return am, ap
-
-
-def to_decimal(x: Union[QuadElem, RationalLike], digits: int = 12) -> Decimal:
-    """x rounded to `digits` significant digits, computed with guard digits."""
     q = QuadElem._coerce(x)
     if q is None:
         raise TypeError(f"cannot render {type(x).__name__}")
-    if digits < 1:
-        raise ValueError("need at least one significant digit")
-    with localcontext() as ctx:
-        ctx.prec = digits + 20
-        value = Decimal(q.p.numerator) / Decimal(q.p.denominator)
-        if q.q != 0:
-            root = (Decimal(q.d.numerator) / Decimal(q.d.denominator)).sqrt()
-            value += (Decimal(q.q.numerator) / Decimal(q.q.denominator)) * root
-        ctx.prec = digits
-        value = +value
-    return value
+    if q.y == 0:
+        with localcontext() as ctx:
+            ctx.prec = _DIGITS + 20
+            value = Decimal(q.x) / Decimal(q.den)
+            ctx.prec = _DIGITS
+            return str(+value)
+    s = q.sign()
+    if s == 0:
+        return "0"
+    # |v| = (x + y*sqrt(n))/den > 0 from here on
+    x, y, n, den = s * q.x, s * q.y, q.n, q.den
+    low = abs(x) + isqrt(y * y * n)  # low <= |x| + |y|*sqrt(n) < low + 1
+    if x >= 0 and y >= 0:
+        num, dd = low, den
+    else:
+        num, dd = abs(x * x - y * y * n), den * (low + 1)
+    # num/dd <= |v| <= 2*num/dd, so c has 12 to 14 digits at this k
+    k = len(str(num)) - len(str(dd)) - _DIGITS
 
+    def scaled(k: int) -> tuple[int, int]:
+        """(P, D): |v|/10**k = (x*P + y*P*sqrt(n))/D."""
+        return (10**-k, den) if k < 0 else (1, den * 10**k)
 
-def decimal_str(x: Union[QuadElem, RationalLike], digits: int = 12) -> str:
-    return str(to_decimal(x, digits))
+    P, D = scaled(k)
+    m = y * y * P * P * n
+    r = isqrt(m)
+    c = (x * P + r) // D if y >= 0 else (x * P - r - (r * r != m)) // D
+    extra = len(str(c)) - _DIGITS
+    c //= 10**extra
+    k += extra
+    P, D = scaled(k)
+    half = surd_sign(2 * x * P - (2 * c + 1) * D, 2 * y * P, n)
+    if half > 0 or (half == 0 and c & 1):
+        c += 1
+    if c == 10**_DIGITS:
+        c, k = c // 10, k + 1
+    return str(Decimal(f"{'-' if s < 0 else ''}{c}E{k}"))

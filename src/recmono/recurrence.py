@@ -30,14 +30,7 @@ from itertools import islice
 from math import lcm
 from typing import Iterator, Optional
 
-from .qfield import (
-    QuadElem,
-    RationalLike,
-    RootPair,
-    characteristic_roots,
-    cmp_abs,
-    order_by_modulus,
-)
+from .qfield import QuadElem, RationalLike, RootPair, cmp_abs, quadratic_roots
 
 __all__ = [
     "RecurrenceSpec",
@@ -75,7 +68,12 @@ class RecurrenceSpec:
             raise ValueError("h-type requires v0 != 0 and v1 = a*v0")
 
     def roots(self) -> RootPair:
-        return characteristic_roots(self.a, self.b)
+        """The roots of x^2 - a*x + b, built on first use and kept on the spec."""
+        roots = self.__dict__.get("_roots")
+        if roots is None:
+            roots = quadratic_roots(self.a, self.b)
+            object.__setattr__(self, "_roots", roots)
+        return roots
 
 
 def make_h_spec(a: RationalLike, b: RationalLike, c: RationalLike = 1) -> RecurrenceSpec:
@@ -188,10 +186,9 @@ def ratio_limit(spec: RecurrenceSpec) -> RatioLimit:
     roots = spec.roots()
     if roots.discriminant_sign < 0:
         return RatioLimit(LimitKind.DIVERGES, None, None)
-    alpha, beta = order_by_modulus(roots)
-    if (spec.v1 - spec.v0 * beta).sign() != 0:
-        return RatioLimit(LimitKind.CONVERGES, alpha, "alpha")
-    return RatioLimit(LimitKind.CONVERGES, beta, "beta")
+    if (spec.v1 - spec.v0 * roots.beta).sign() != 0:
+        return RatioLimit(LimitKind.CONVERGES, roots.alpha, "alpha")
+    return RatioLimit(LimitKind.CONVERGES, roots.beta, "beta")
 
 
 def exceptional_zero(spec: RecurrenceSpec, horizon: int = 10_000) -> Optional[int]:
@@ -212,7 +209,7 @@ def exceptional_zero(spec: RecurrenceSpec, horizon: int = 10_000) -> Optional[in
         raise ValueError("horizon must be non-negative")
     c0, c1 = spec.v0, spec.v1
     if roots.discriminant_sign == 0:
-        root = roots.alpha_plus.p
+        root = spec.a / 2
         denom = c0 * root - c1
         if denom == 0:
             return None  # orbit is c0 * root^n, never zero
@@ -220,7 +217,7 @@ def exceptional_zero(spec: RecurrenceSpec, horizon: int = 10_000) -> Optional[in
         if candidate.denominator == 1 and candidate >= 0:
             return int(candidate)
         return None
-    alpha, beta = order_by_modulus(roots)
+    alpha, beta = roots.alpha, roots.beta
     lead = c1 - c0 * beta  # coefficient on alpha^n
     trail = c1 - c0 * alpha  # coefficient on beta^n
     if lead.sign() == 0 or trail.sign() == 0:

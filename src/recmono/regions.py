@@ -13,13 +13,14 @@ puts every cell centre of its bbox over one common L, built from the
 corner denominators and 2*res, so its cells never touch a Fraction.
 Root-plane regions are then integer comparisons.  In the coefficient
 plane the roots of x^2 - (X/L)*x + Y/L are (X +- sqrt(N))/(2L) with
-N = X^2 - 4*Y*L, and each test is the sign of an integer surd
-u + v*sqrt(N), decided by `qfield.surd_sign`; alpha is the plus root iff
-`qfield.dominant_root_sign(X)` is +1.  No squareness check is made: the
-integer sign is exact whether or not N is a square.  `rasterize`,
-`contains_coeff_plane` and `contains_root_plane` all call the same
-per-region predicates.  The only approximation anywhere is the
-6-significant-digit rendering in CSV output.
+N = X^2 - 4*Y*L, the form in which `qfield.quadratic_roots` builds a
+spec's roots and the oracle walks its residual.  Each test is the sign
+of an integer surd u + v*sqrt(N), decided by `qfield.surd_sign`; alpha
+is the plus root iff `qfield.dominant_root_sign(X)` is +1.  No
+squareness check is made: the integer sign is exact whether or not N is
+a square.  `rasterize`, `contains_coeff_plane` and `contains_root_plane`
+all call the same per-region predicates.  The only approximation
+anywhere is the 6-significant-digit rendering in CSV output.
 """
 
 from __future__ import annotations

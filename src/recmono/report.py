@@ -23,7 +23,7 @@ from typing import Optional
 from . import decisions, oracle
 from .decisions import Branch, Verdict
 from .oracle import InternalInconsistency, WindowReport
-from .qfield import QuadElem, decimal_str, order_by_modulus
+from .qfield import QuadElem, decimal_str
 from .recurrence import (
     LimitKind,
     RecurrenceSpec,
@@ -109,12 +109,8 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
 
     # degenerate start: coefficient of the dominant root vanishes, the
     # weighted residual is identically zero
-    if real:
-        alpha, beta = order_by_modulus(roots)
-        degenerate = (spec.v1 - spec.v0 * alpha).sign() == 0
-    else:
-        alpha = beta = None
-        degenerate = False
+    alpha = roots.alpha
+    degenerate = real and (spec.v1 - spec.v0 * alpha).sign() == 0
 
     # ---- consistency: holding verdicts need clean windows -----------------
     def _mismatch(msg: str) -> None:
@@ -176,7 +172,7 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
             "alpha_plus": _quad_json(roots.alpha_plus),
             "alpha_minus": _quad_json(roots.alpha_minus),
             "alpha": _quad_json(alpha),
-            "beta": _quad_json(beta),
+            "beta": _quad_json(roots.beta),
             "modulus_squared": None,
         }
     else:

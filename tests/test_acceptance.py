@@ -20,12 +20,10 @@ from recmono import (
     RegionId,
     boundary_characterization,
     build_report,
-    characteristic_roots,
     enumerate_generalized_fibonacci,
     is_quadratic_pisot,
     iterate,
     make_h_spec,
-    order_by_modulus,
     rasterize,
     terms_between,
 )
@@ -123,8 +121,7 @@ def test_criterion_05_growing_distance_counterexample():
     spec = RecurrenceSpec(Fraction(1, 10), Fraction(-21, 5), 1, 3)
     terms = iterate(spec, 2).terms
     assert terms[2] == Fraction(9, 2)
-    _, beta = order_by_modulus(characteristic_roots(spec.a, spec.b))
-    scaled = beta * terms[1] / terms[2]
+    scaled = spec.roots().beta * (terms[1] / terms[2])
     assert scaled == Fraction(-4, 3)
     report = build_report(spec, window=40)
     assert report["oracle_windows"]["p2"]["first_violation"] == 1
@@ -204,7 +201,7 @@ def test_criterion_09_randomized_decision_oracle_agreement():
     h_only = build_h_corpus(20260823, 150)
     specs = general + h_only
     assert len(specs) == 500
-    disc_signs = [characteristic_roots(s.a, s.b).discriminant_sign for s in specs]
+    disc_signs = [s.roots().discriminant_sign for s in specs]
     assert any(sign >= 0 for sign in disc_signs)
     assert any(sign < 0 for sign in disc_signs), "corpus needs complex roots"
     for spec in specs:
@@ -216,7 +213,7 @@ def test_criterion_09_randomized_decision_oracle_agreement():
 def test_criterion_10_closed_form_matches_iteration():
     specs = []
     for spec in build_corpus(987654, 500):
-        if characteristic_roots(spec.a, spec.b).discriminant_sign >= 0:
+        if spec.roots().discriminant_sign >= 0:
             specs.append(spec)
         if len(specs) == 200:
             break

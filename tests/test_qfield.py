@@ -1,9 +1,10 @@
-"""Quadratic-field arithmetic: normal form, ring laws, exact sign and
-modulus comparison, root construction, decimal rendering.
+"""Quadratic-field arithmetic on the integer form (x + y*sqrt(n))/den:
+ring laws, exact sign and modulus comparison, root construction,
+decimal rendering.
 
 High-precision Decimal evaluation serves as the independent oracle for
-sign and comparison results; exact-zero cases are asserted directly
-since no float can witness them.
+sign, comparison and rendering results; exact-zero cases are asserted
+directly since no float can witness them.
 """
 
 from __future__ import annotations
@@ -16,111 +17,84 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recmono import (
-    QuadElem,
-    characteristic_roots,
-    cmp_abs,
-    decimal_str,
-    order_by_modulus,
-    rational_sqrt,
-    to_decimal,
-)
+from recmono import QuadElem, RecurrenceSpec, cmp_abs, decimal_str, quadratic_roots, riccati_orbit
 from recmono.qfield import dominant_root_sign, surd_sign
 
-fractions_st = st.fractions(
-    min_value=-50, max_value=50, max_denominator=30
-)
-nonneg_fractions_st = st.fractions(min_value=0, max_value=50, max_denominator=30)
+numerators_st = st.integers(-1500, 1500)
+denominators_st = st.integers(1, 30)
+radicands_st = st.sampled_from([2, 3, 5, 7, 11, 13, 20, 45])
 
 
-def approx(x: QuadElem) -> Decimal:
+def approx(v: QuadElem, prec: int = 80) -> Decimal:
     with localcontext() as ctx:
-        ctx.prec = 80
-        return Decimal(x.p.numerator) / x.p.denominator + (
-            Decimal(x.q.numerator) / x.q.denominator
-        ) * (Decimal(x.d.numerator) / x.d.denominator).sqrt()
-
-
-class TestRationalSqrt:
-    def test_perfect_squares(self):
-        assert rational_sqrt(Fraction(4)) == 2
-        assert rational_sqrt(Fraction(9, 16)) == Fraction(3, 4)
-        assert rational_sqrt(Fraction(0)) == 0
-        assert rational_sqrt(Fraction(1)) == 1
-
-    def test_non_squares(self):
-        assert rational_sqrt(Fraction(2)) is None
-        assert rational_sqrt(Fraction(5)) is None
-        assert rational_sqrt(Fraction(4, 7)) is None
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            rational_sqrt(Fraction(-4))
+        ctx.prec = prec
+        return (Decimal(v.x) + Decimal(v.y) * Decimal(v.n).sqrt()) / Decimal(v.den)
 
 
 class TestNormalForm:
     def test_perfect_square_radicand_collapses(self):
-        x = QuadElem(Fraction(1), Fraction(3), Fraction(4))
-        assert (x.p, x.q, x.d) == (7, 0, 0)
+        # the one squareness decision is quadratic_roots': roots 2 and 1
+        roots = quadratic_roots(3, 2)
+        assert (str(roots.alpha), str(roots.beta)) == ("2", "1")
+        assert roots.alpha.y == roots.beta.y == 0
+        roots = quadratic_roots(Fraction(-5, 6), Fraction(1, 6))  # roots -1/2 and -1/3
+        assert (str(roots.alpha), str(roots.beta)) == ("-1/2", "-1/3")
 
     def test_zero_coefficient_clears_radicand(self):
-        x = QuadElem(Fraction(5), Fraction(0), Fraction(7))
-        assert (x.p, x.q, x.d) == (5, 0, 0)
+        # y = 0 is rational: it prints without a root and meets any radicand
+        x = QuadElem(5, 0, 7)
+        assert str(x) == "5" and decimal_str(x) == "5"
+        assert (x + QuadElem(0, 1, 2)).n == 2
 
     def test_irrational_radicand_kept_unreduced(self):
-        x = QuadElem(Fraction(0), Fraction(1), Fraction(8))
-        assert x.d == 8  # not normalized to 2*sqrt(2)
+        x = QuadElem(0, 1, 8)
+        assert x.n == 8  # not normalized to 2*sqrt(2)
 
     def test_negative_radicand_rejected(self):
         with pytest.raises(ValueError):
-            QuadElem(Fraction(0), Fraction(1), Fraction(-1))
+            QuadElem(0, 1, -1)
+        with pytest.raises(ValueError):
+            QuadElem(1, 1, 2, 0)
 
     def test_q_nonzero_implies_irrational(self):
-        x = QuadElem(Fraction(1, 2), Fraction(1, 2), Fraction(5))
-        assert x.q != 0 and rational_sqrt(x.d) is None
+        # a root keeps its sqrt(N) term only when N is not a square
+        for a, b in ((1, -1), (Fraction(-7, 3), Fraction(-5, 7)), (3, 1), (0, -2)):
+            for root in (quadratic_roots(a, b).alpha_plus, quadratic_roots(a, b).alpha_minus):
+                assert root.y != 0 and math.isqrt(root.n) ** 2 != root.n, (a, b)
 
 
 class TestArithmetic:
     def test_golden_ratio_identity(self):
-        phi = QuadElem(Fraction(1, 2), Fraction(1, 2), Fraction(5))
+        phi = QuadElem(1, 1, 5, 2)
         assert phi * phi == phi + 1
 
     def test_conjugate_product_is_norm(self):
-        x = QuadElem(Fraction(3), Fraction(2), Fraction(7))
-        conj = QuadElem(Fraction(3), Fraction(-2), Fraction(7))
-        assert x * conj == QuadElem(Fraction(9 - 4 * 7), Fraction(0), Fraction(0))
-
-    def test_division_roundtrip(self):
-        x = QuadElem(Fraction(3, 2), Fraction(-1, 3), Fraction(13))
-        y = QuadElem(Fraction(-2), Fraction(5, 7), Fraction(13))
-        assert (x / y) * y == x
-
-    def test_division_by_zero(self):
-        x = QuadElem(Fraction(1), Fraction(1), Fraction(5))
-        with pytest.raises(ZeroDivisionError):
-            x / QuadElem(Fraction(0), Fraction(0), Fraction(0))
+        x = QuadElem(3, 2, 7)
+        conj = QuadElem(3, -2, 7)
+        assert x * conj == QuadElem(9 - 4 * 7)
 
     def test_mixed_radicands_rejected(self):
-        x = QuadElem(Fraction(0), Fraction(1), Fraction(2))
-        y = QuadElem(Fraction(0), Fraction(1), Fraction(3))
+        x = QuadElem(0, 1, 2)
+        y = QuadElem(0, 1, 3)
         with pytest.raises(ValueError):
             x + y
 
     def test_rational_coerces_into_any_radicand(self):
-        x = QuadElem(Fraction(0), Fraction(1), Fraction(2))
-        three = QuadElem(Fraction(3), Fraction(0), Fraction(0))
-        assert (x + three).d == 2
+        x = QuadElem(0, 1, 2)
+        three = QuadElem(3)
+        assert (x + three).n == 2
         assert x + 3 == x + three
         assert 3 - x == -(x - 3)
+        assert Fraction(1, 3) * x == QuadElem(0, 1, 2, 3)
 
     @given(
-        p1=fractions_st, q1=fractions_st, p2=fractions_st, q2=fractions_st,
-        d=st.sampled_from([2, 3, 5, 7, 13, Fraction(5, 4), Fraction(2, 9)]),
+        x1=numerators_st, y1=numerators_st, d1=denominators_st,
+        x2=numerators_st, y2=numerators_st, d2=denominators_st, n=radicands_st,
     )
     @settings(max_examples=200, deadline=None)
-    def test_ring_laws_match_decimal(self, p1, q1, p2, q2, d):
-        x = QuadElem(p1, q1, Fraction(d))
-        y = QuadElem(p2, q2, Fraction(d))
+    def test_ring_laws_match_decimal(self, x1, y1, d1, x2, y2, d2, n):
+        x = QuadElem(x1, y1, n, d1)
+        y = QuadElem(x2, y2, n, d2)
         for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
             exact = approx(op(x, y))
             with localcontext() as ctx:
@@ -132,42 +106,40 @@ class TestArithmetic:
 
 class TestSignAndCompare:
     def test_exact_zero_sign(self):
-        # 3 - sqrt(9) = 0 collapses in normal form
-        assert QuadElem(Fraction(3), Fraction(-1), Fraction(9)).sign() == 0
+        # 3 - sqrt(9) = 0 on a square radicand
+        assert QuadElem(3, -1, 9).sign() == 0
         # sqrt(5) - sqrt(5) = 0 via subtraction
-        r5 = QuadElem(Fraction(0), Fraction(1), Fraction(5))
+        r5 = QuadElem(0, 1, 5)
         assert (r5 - r5).sign() == 0
 
     def test_mixed_sign_cases(self):
         # 3 - sqrt(5) > 0 but 2 - sqrt(5) < 0
-        assert QuadElem(Fraction(3), Fraction(-1), Fraction(5)).sign() == 1
-        assert QuadElem(Fraction(2), Fraction(-1), Fraction(5)).sign() == -1
-        assert QuadElem(Fraction(-3), Fraction(1), Fraction(5)).sign() == -1
-        assert QuadElem(Fraction(-2), Fraction(1), Fraction(5)).sign() == 1
+        assert QuadElem(3, -1, 5).sign() == 1
+        assert QuadElem(2, -1, 5).sign() == -1
+        assert QuadElem(-3, 1, 5).sign() == -1
+        assert QuadElem(-2, 1, 5).sign() == 1
 
-    @given(
-        p=fractions_st, q=fractions_st,
-        d=st.sampled_from([2, 3, 5, 7, 11, 13, Fraction(5, 4)]),
-    )
+    @given(x=numerators_st, y=numerators_st, den=denominators_st, n=radicands_st)
     @settings(max_examples=300, deadline=None)
-    def test_sign_matches_decimal(self, p, q, d):
-        x = QuadElem(p, q, Fraction(d))
-        val = approx(x)
+    def test_sign_matches_decimal(self, x, y, den, n):
+        v = QuadElem(x, y, n, den)
+        val = approx(v)
         if abs(val) > Decimal("1e-40"):
-            assert x.sign() == (1 if val > 0 else -1)
+            assert v.sign() == (1 if val > 0 else -1)
         else:
-            # numerically tiny: must be the exact zero p = -q*sqrt(d),
-            # impossible for irrational sqrt(d) unless p = q = 0
-            assert x.sign() == 0 and x.p == 0 and x.q == 0
+            # numerically tiny: must be the exact zero x = -y*sqrt(n),
+            # impossible for irrational sqrt(n) unless x = y = 0
+            assert v.sign() == 0 and v.x == 0 and v.y == 0
 
     @given(
-        p1=fractions_st, q1=fractions_st, p2=fractions_st, q2=fractions_st,
-        d=st.sampled_from([2, 3, 5, 13]),
+        x1=numerators_st, y1=numerators_st, d1=denominators_st,
+        x2=numerators_st, y2=numerators_st, d2=denominators_st,
+        n=st.sampled_from([2, 3, 5, 13]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_cmp_abs_matches_decimal(self, p1, q1, p2, q2, d):
-        x = QuadElem(p1, q1, Fraction(d))
-        y = QuadElem(p2, q2, Fraction(d))
+    def test_cmp_abs_matches_decimal(self, x1, y1, d1, x2, y2, d2, n):
+        x = QuadElem(x1, y1, n, d1)
+        y = QuadElem(x2, y2, n, d2)
         gap = abs(approx(x)) - abs(approx(y))
         if abs(gap) > Decimal("1e-40"):
             assert cmp_abs(x, y) == (1 if gap > 0 else -1)
@@ -206,54 +178,51 @@ class TestSignAndCompare:
     def test_dominant_root_sign_orders_roots(self):
         for a in (Fraction(-7, 3), -1, 0, Fraction(1, 9), 4):
             for b in (Fraction(-5, 2), -1, Fraction(1, 3)):
-                roots = characteristic_roots(a, b) if a != 0 else None
+                roots = quadratic_roots(a, b)
                 s = dominant_root_sign(a)
                 # the same sign read off integer numerators over a positive L
                 assert dominant_root_sign(Fraction(a).numerator) == s
-                if roots is not None and roots.discriminant_sign > 0:
-                    alpha, _ = order_by_modulus(roots)
-                    assert alpha == (roots.alpha_plus if s > 0 else roots.alpha_minus)
+                if roots.discriminant_sign > 0:
+                    plus, minus = roots.alpha_plus, roots.alpha_minus
+                    assert (roots.alpha, roots.beta) == ((plus, minus) if s > 0 else (minus, plus))
         assert dominant_root_sign(0) == 1
-
-    def test_total_ordering(self):
-        r2 = QuadElem(Fraction(0), Fraction(1), Fraction(2))
-        assert 1 < r2 < Fraction(3, 2)
-        assert r2 <= r2
-        phi = QuadElem(Fraction(1, 2), Fraction(1, 2), Fraction(5))
-        assert 1 < phi < 2 and phi > Fraction(8, 5)
-
-    def test_ordering_across_radicands_rejected(self):
-        r2 = QuadElem(Fraction(0), Fraction(1), Fraction(2))
-        phi = QuadElem(Fraction(1, 2), Fraction(1, 2), Fraction(5))
-        with pytest.raises(ValueError):
-            r2 < phi  # noqa: B015 -- the comparison itself must raise
 
 
 class TestCharacteristicRoots:
     def test_fibonacci_roots(self):
-        roots = characteristic_roots(Fraction(1), Fraction(-1))
+        roots = quadratic_roots(1, -1)
         assert roots.discriminant == 5
         assert roots.discriminant_sign == 1
-        assert roots.alpha_plus == QuadElem(Fraction(1, 2), Fraction(1, 2), Fraction(5))
+        assert roots.alpha_plus == QuadElem(1, 1, 5, 2)
+        assert roots.alpha is roots.alpha_plus and roots.beta is roots.alpha_minus
         assert roots.alpha_plus + roots.alpha_minus == 1
         assert roots.alpha_plus * roots.alpha_minus == -1
 
     def test_repeated_root(self):
-        roots = characteristic_roots(Fraction(2), Fraction(1))
+        roots = quadratic_roots(2, 1)
         assert roots.discriminant_sign == 0
         assert roots.alpha_plus == roots.alpha_minus == 1
+        assert roots.alpha == roots.beta == 1
 
     def test_complex_pair(self):
-        roots = characteristic_roots(Fraction(1), Fraction(1))
+        roots = quadratic_roots(1, 1)
         assert roots.discriminant_sign == -1
         assert roots.alpha_plus is None and roots.alpha_minus is None
+        assert roots.alpha is None and roots.beta is None
         assert roots.modulus_squared == 1
 
     def test_zero_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            characteristic_roots(Fraction(0), Fraction(1))
-        with pytest.raises(ValueError):
-            characteristic_roots(Fraction(1), Fraction(0))
+        # refused where input enters, so the one root constructor needs no
+        # flag: it admits the zero coefficients of coefficient-plane points
+        for a, b in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError):
+                RecurrenceSpec(a, b, 1, 1)
+            with pytest.raises(ValueError):
+                riccati_orbit(a, b, 1, 5)
+        roots = quadratic_roots(0, Fraction(-1, 4))
+        assert (str(roots.alpha), str(roots.beta)) == ("1/2", "-1/2")
+        roots = quadratic_roots(-3, 0)
+        assert (str(roots.alpha), str(roots.beta)) == ("-3", "0")
 
     @given(
         a=st.fractions(min_value=-20, max_value=20, max_denominator=12),
@@ -261,27 +230,25 @@ class TestCharacteristicRoots:
     )
     @settings(max_examples=300, deadline=None)
     def test_vieta_and_ordering(self, a, b):
-        if a == 0 or b == 0:
-            return
-        roots = characteristic_roots(a, b)
+        roots = quadratic_roots(a, b)
         if roots.discriminant_sign < 0:
             assert roots.modulus_squared == b > 0
             return
-        assert roots.alpha_plus + roots.alpha_minus == a
-        assert roots.alpha_plus * roots.alpha_minus == b
-        alpha, beta = order_by_modulus(roots)
-        assert cmp_abs(alpha, beta) >= 0
-        assert {alpha, beta} == {roots.alpha_plus, roots.alpha_minus}
+        plus, minus = roots.alpha_plus, roots.alpha_minus
+        assert plus + minus == a
+        assert plus * minus == b
+        assert cmp_abs(roots.alpha, roots.beta) >= 0
+        assert (roots.alpha, roots.beta) in ((plus, minus), (minus, plus))
 
 
 class TestDecimalRendering:
     def test_twelve_digit_strings(self):
-        phi = QuadElem(Fraction(1, 2), Fraction(1, 2), Fraction(5))
+        phi = QuadElem(1, 1, 5, 2)
         assert decimal_str(phi) == "1.61803398875"
-        assert decimal_str(QuadElem(Fraction(1, 2), Fraction(0), Fraction(0))) == "0.5"
+        assert decimal_str(QuadElem(1, 0, 0, 2)) == "0.5"
 
     def test_rendering_within_one_ulp(self):
-        x = QuadElem(Fraction(2, 3), Fraction(-1, 7), Fraction(13))
+        x = QuadElem(14, -3, 13, 21)  # 2/3 - sqrt(13)/7
         rendered = Decimal(decimal_str(x))
         with localcontext() as ctx:
             ctx.prec = 60
@@ -290,16 +257,28 @@ class TestDecimalRendering:
             )
         assert abs(rendered - true) <= Decimal("1e-12")
 
-    def test_to_decimal_matches_float(self):
-        x = QuadElem(Fraction(1), Fraction(2), Fraction(3))
-        assert math.isclose(float(to_decimal(x)), 1 + 2 * math.sqrt(3), rel_tol=1e-12)
-        assert math.isclose(float(x), 1 + 2 * math.sqrt(3), rel_tol=1e-12)
+    @given(
+        y=st.integers(1, 10**60), flip=st.booleans(), e=st.integers(-3, 3),
+        den=st.integers(1, 10**20), n=radicands_st,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_near_cancelling_matches_decimal(self, y, flip, e, den, n):
+        # x = -y*sqrt(n) to within 4, so x + y*sqrt(n) cancels about as
+        # many digits as y has; 3000 digits of Decimal leave ~2900 exact
+        if flip:
+            y = -y
+        x = -math.isqrt(n * y * y) if y > 0 else math.isqrt(n * y * y)
+        v = QuadElem(x + e, y, n, den)
+        with localcontext() as ctx:
+            ctx.prec = 12
+            want = str(+approx(v, 3000))
+        assert decimal_str(v) == want
 
     def test_str_format(self):
-        assert str(QuadElem(Fraction(1, 2), Fraction(1, 2), Fraction(5))) == (
-            "1/2 + 1/2*sqrt(5)"
+        assert str(QuadElem(1, 1, 5, 2)) == "1/2 + 1/2*sqrt(5)"
+        assert str(QuadElem(-11, -1, 229, 12)) == "-11/12 - 1/2*sqrt(229/36)"
+        assert str(QuadElem(3)) == "3"
+        # a golden root: a = -7/3, b = -5/7 give A = -49, L = 21, N = 3661 = 7*523
+        assert str(quadratic_roots(Fraction(-7, 3), Fraction(-5, 7)).alpha_plus) == (
+            "-7/6 + 1/2*sqrt(523/63)"
         )
-        assert str(QuadElem(Fraction(-11, 12), Fraction(-1, 2), Fraction(229, 36))) == (
-            "-11/12 - 1/2*sqrt(229/36)"
-        )
-        assert str(QuadElem(Fraction(3), Fraction(0), Fraction(0))) == "3"

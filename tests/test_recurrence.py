@@ -20,6 +20,7 @@ from recmono import (
     LimitKind,
     QuadElem,
     RecurrenceSpec,
+    decimal_str,
     exceptional_zero,
     iterate,
     make_h_spec,
@@ -107,9 +108,12 @@ class TestBackwardExtension:
 
 class TestCarrierJump:
     """integer_carrier(spec, s) reaches M[s] by Lucas fast doubling; the
-    plain walk from index 0 is the reference."""
+    plain walk from index 0 is the reference, for the jump and for the
+    far terms terms_between reads through it (its near terms are checked
+    against Fraction iteration in test_oracle)."""
 
     STARTS = (0, 1, 2, 3, 63, 64, 65, 499, 1000, 4096, 5000)
+    FAR_TERMS = ((4095, 4097), (5000, 5002))
     EXPLICIT = {
         "|B*q| = 1": make_h_spec(1, -1, 1),  # Fibonacci
         "A < 0": RecurrenceSpec(Fraction(-7, 3), Fraction(5, 4), 2, -1),
@@ -120,10 +124,15 @@ class TestCarrierJump:
 
     def test_jump_equals_walk(self):
         for spec in (*build_corpus(777, 90), *self.EXPLICIT.values()):
-            walk = list(islice(integer_carrier(spec)[4], max(self.STARTS) + 3))
+            q, _, _, D, M = integer_carrier(spec)
+            walk = list(islice(M, max(self.STARTS) + 3))
             for s in self.STARTS:
                 jump = integer_carrier(spec, s)[4]
                 assert list(islice(jump, 3)) == walk[s : s + 3], (spec, s)
+            for lo, hi in self.FAR_TERMS:
+                # a[n] = M[n] / (q**n * D), compared cross-multiplied
+                for n, t in enumerate(terms_between(spec, lo, hi), lo):
+                    assert t.numerator * q**n * D == walk[n] * t.denominator, (spec, n)
 
     def test_explicit_cases_are_of_their_kind(self):
         for kind, spec in self.EXPLICIT.items():
@@ -203,7 +212,7 @@ class TestRatioLimit:
         lim = ratio_limit(make_h_spec(1, -1, 1))
         assert lim.kind is LimitKind.CONVERGES
         assert lim.which_root == "alpha"
-        assert lim.limit == QuadElem(Fraction(1, 2), Fraction(1, 2), Fraction(5))
+        assert lim.limit == QuadElem(1, 1, 5, 2)
 
     def test_degenerate_start_sits_at_beta(self):
         # roots 2 and 1; the start (1, 1) has no alpha component
@@ -228,7 +237,7 @@ class TestRatioLimit:
                      make_h_spec(3, 1, 2)):
             lim = ratio_limit(spec)
             t = iterate(spec, 61).terms
-            assert abs(float(t[60]) / float(t[59]) - float(lim.limit)) < 1e-9
+            assert abs(float(t[60]) / float(t[59]) - float(decimal_str(lim.limit))) < 1e-9
 
 
 class TestExceptionalZero:

@@ -89,7 +89,7 @@ class TestCoeffPlaneMembership:
         assert not contains_coeff_plane(RegionId.D2P, 1, -3)
         assert contains_coeff_plane(RegionId.D2P, 1, 1)  # complex, a*a >= b
         assert not contains_coeff_plane(RegionId.D2P, 1, 2)
-        # grid points on the axes, which characteristic_roots refuses
+        # grid points on the axes, which RecurrenceSpec refuses
         assert not contains_coeff_plane(RegionId.D2P, 0, Fraction(-1, 4))  # roots +-1/2
         assert contains_coeff_plane(RegionId.D2P, 3, 0)  # roots 3 and 0
         assert contains_coeff_plane(RegionId.D2P, -3, 0)  # roots -3 and 0
@@ -101,7 +101,7 @@ class TestCoeffPlaneMembership:
         assert not contains_coeff_plane(RegionId.D3P, 1, -3)
         assert contains_coeff_plane(RegionId.D3P, 1, 1)  # complex, b <= 1
         assert not contains_coeff_plane(RegionId.D3P, 2, 2)
-        # grid points on the axes, which characteristic_roots refuses
+        # grid points on the axes, which RecurrenceSpec refuses
         assert not contains_coeff_plane(RegionId.D3P, 0, -4)  # roots +-2
         assert contains_coeff_plane(RegionId.D3P, 0, -1)  # roots +-1
         assert contains_coeff_plane(RegionId.D3P, -3, 0)  # beta = 0, alpha = -3

@@ -4,6 +4,7 @@ cross-check behavior, and determinism.
 
 from __future__ import annotations
 
+import importlib
 import json
 from fractions import Fraction
 
@@ -13,8 +14,11 @@ from recmono import (
     InternalInconsistency,
     RecurrenceSpec,
     build_report,
+    decisions,
     make_h_spec,
+    ratio_limit,
 )
+from recmono.qfield import quadratic_roots
 
 from conftest import build_corpus
 
@@ -117,3 +121,63 @@ class TestCrossChecks:
             build_report(make_h_spec(1, -1, 1), window=0)
         with pytest.raises(ValueError):
             build_report(make_h_spec(1, -1, 1), from_k=-1)
+
+
+class TestRootsBuiltOnce:
+    """spec.roots() builds the roots on first use and keeps them, and every
+    reader of one spec's roots gets that one RootPair."""
+
+    @staticmethod
+    def _specs():
+        # fresh specs each time, since a spec keeps the roots it built
+        return [make_h_spec(1, -1, 1), RecurrenceSpec(Fraction(-7, 3), Fraction(-5, 7),
+                                                      Fraction(3, 4), Fraction(-2, 5)),
+                make_h_spec(3, 2, 1), RecurrenceSpec(2, 1, 1, 3), RecurrenceSpec(1, 1, 1, 2)]
+
+    @staticmethod
+    def _count_root_builds(monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return quadratic_roots(a, b)
+
+        for name in ("cli", "decisions", "numtheory", "oracle", "qfield", "recurrence",
+                     "regions", "report", "riccati"):
+            module = importlib.import_module(f"recmono.{name}")
+            if "quadratic_roots" in vars(module):
+                monkeypatch.setattr(module, "quadratic_roots", counted)
+        return calls
+
+    def test_build_report_builds_the_roots_once(self, monkeypatch):
+        calls = self._count_root_builds(monkeypatch)
+        for spec in self._specs():
+            calls.clear()
+            build_report(spec, 40, 3)
+            assert len(calls) == 1, spec
+
+    def test_every_decision_sees_one_root_pair(self, monkeypatch):
+        calls = self._count_root_builds(monkeypatch)
+        seen = []
+        roots = RecurrenceSpec.roots
+
+        def recorded(spec):
+            seen.append(roots(spec))
+            return seen[-1]
+
+        monkeypatch.setattr(RecurrenceSpec, "roots", recorded)
+        for spec in self._specs():
+            calls.clear()
+            seen.clear()
+            decisions.eventually_nondecreasing(spec)
+            decisions.nondecreasing_from(spec, 0)
+            decisions.nondecreasing_from(spec, 5)
+            decisions.weighted_monotone(spec)
+            decisions.eventually_ratio_monotone(spec)
+            if spec.h_type:
+                decisions.positive_monotone_h(spec)
+                decisions.ratio_monotone_h(spec)
+            ratio_limit(spec)
+            build_report(spec, 40, 3)
+            assert len(calls) == 1, spec
+            assert len(seen) >= 8 and all(r is seen[0] for r in seen), spec

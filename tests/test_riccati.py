@@ -10,8 +10,8 @@ import pytest
 
 from recmono import (
     RecurrenceSpec,
-    characteristic_roots,
     iterate,
+    quadratic_roots,
     riccati_orbit,
 )
 
@@ -64,7 +64,7 @@ class TestOrbits:
     def test_fixed_points_are_characteristic_roots(self):
         # s = (a*s - b)/s  <=>  s^2 - a*s + b = 0
         for a, b in ((1, -1), (3, 2), (2, -1), (Fraction(1, 2), Fraction(-3, 4))):
-            roots = characteristic_roots(a, b)
+            roots = quadratic_roots(a, b)
             for root in (roots.alpha_plus, roots.alpha_minus):
                 a_f, b_f = Fraction(a), Fraction(b)
                 lhs = root * root
