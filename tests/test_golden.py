@@ -3,11 +3,12 @@
 Each case runs `recmono.cli.main` in-process and compares its exit code,
 its stdout with tests/golden/<name>.out and, for cases that write a file
 through `--out`, that file with tests/golden/<name>.file.  The corpus
-of 47 cases covers all six subcommands and the README examples, and
+of 48 cases covers all six subcommands and the README examples, and
 leans on the root ordering: negative `a` with distinct,
 square-discriminant and repeated roots, complex pairs, h-type starts,
 `--from-k` (three of them past the window's end), two
-report-deep-shaped calls whose oracle scans run on long operands,
+report-deep-shaped calls whose oracle scans run on long operands, a
+start whose residual decimals cancel about 60 digits,
 coefficient-plane rasters whose cell centres land on a = 0 and b = 0,
 and rasters on an asymmetric bbox with unlike corner denominators.
 
@@ -79,6 +80,14 @@ CASES = {
     "analyze_from_k_far_start_violation": (0, ["analyze", "--a=7/3", "--b=-5/7", "--v0=3/4",
                                                "--v1=-2/5", "--window=40",
                                                "--from-k=200"]),
+    # v1 is the golden ratio to 60 decimals, so the start lies within
+    # 1e-61 of the dominant eigen-solution and each residual a[n]*alpha -
+    # a[n+1] cancels about 60 digits: 6.22705260463E-61, 3.84853015939E-61,
+    # 2.37852244523E-61
+    "analyze_golden_ratio_start_decimals": (0, [
+        "analyze", "--a", "1", "--b", "-1", "--v0", "1", "--v1",
+        "1618033988749894848204586834365638117720309179805762862135448/"
+        "1000000000000000000000000000000000000000000000000000000000000"]),
     "analyze_zero_coefficient_exit2": (2, ["analyze", "--a", "0", "--b", "1", "--v0", "1",
                                            "--v1", "1"]),
     # the report-deep shape: q = 13 h-specs inside DP at window 1000 and
