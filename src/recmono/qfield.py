@@ -175,9 +175,6 @@ class QuadElem:
         sign = "+" if self.y > 0 else "-"
         return f"{p} {sign} {Fraction(abs(self.y), 2)}*sqrt({Fraction(4 * self.n, self.den**2)})"
 
-    def __repr__(self) -> str:
-        return f"QuadElem({self.x!r}, {self.y!r}, {self.n!r}, {self.den!r})"
-
 
 def cmp_abs(x: Union[QuadElem, RationalLike], y: Union[QuadElem, RationalLike]) -> int:
     """Compare |x| with |y| exactly: sign of x^2 - y^2 = (x - y)*(x + y)."""
@@ -262,8 +259,9 @@ def decimal_str(x: Union[QuadElem, RationalLike]) -> str:
         num, dd = low, den
     else:
         num, dd = abs(x * x - y * y * n), den * (low + 1)
-    # num/dd <= |v| <= 2*num/dd, so c has 12 to 14 digits at this k
-    k = len(str(num)) - len(str(dd)) - _DIGITS
+    # num/dd <= |v| <= 2*num/dd, so c has 12 to 14 digits at this k;
+    # adjusted() counts digits where str() refuses ints past 4300 digits
+    k = Decimal(num).adjusted() - Decimal(dd).adjusted() - _DIGITS
 
     def scaled(k: int) -> tuple[int, int]:
         """(P, D): |v|/10**k = (x*P + y*P*sqrt(n))/D."""

@@ -209,7 +209,7 @@ def exceptional_zero(spec: RecurrenceSpec, horizon: int = 10_000) -> Optional[in
         raise ValueError("horizon must be non-negative")
     c0, c1 = spec.v0, spec.v1
     if roots.discriminant_sign == 0:
-        root = spec.a / 2
+        root = spec.a / 2  # the repeated root
         denom = c0 * root - c1
         if denom == 0:
             return None  # orbit is c0 * root^n, never zero

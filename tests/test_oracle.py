@@ -78,7 +78,7 @@ def ref_p3(spec, n_max):
     roots = spec.roots()
     if roots.discriminant_sign >= 0:
         terms = iterate(spec, n_max + 2).terms
-        alpha = spec.roots().alpha
+        alpha = roots.alpha
         res = [alpha * terms[n] - terms[n + 1] for n in range(n_max + 2)]
         for n in range(n_max + 1):
             if (res[n] * res[n] - res[n + 1] * res[n + 1]).sign() < 0:

@@ -246,6 +246,9 @@ class TestDecimalRendering:
         phi = QuadElem(1, 1, 5, 2)
         assert decimal_str(phi) == "1.61803398875"
         assert decimal_str(QuadElem(1, 0, 0, 2)) == "0.5"
+        # exact ties, on a square radicand, round half to even
+        assert decimal_str(QuadElem(10**12 + 3, 1, 4, 10**12)) == "1.00000000000"
+        assert decimal_str(QuadElem(10**12 + 13, 1, 4, 10**12)) == "1.00000000002"
 
     def test_rendering_within_one_ulp(self):
         x = QuadElem(14, -3, 13, 21)  # 2/3 - sqrt(13)/7
@@ -273,6 +276,16 @@ class TestDecimalRendering:
             ctx.prec = 12
             want = str(+approx(v, 3000))
         assert decimal_str(v) == want
+
+    def test_operands_past_the_str_digit_limit(self):
+        # ints over 4300 digits have no str() by default, so the
+        # rendering must not count digits through it
+        for v in (QuadElem(math.isqrt(2 * 10**10000), -(10**5000), 2),
+                  QuadElem(-math.isqrt(3 * 7**12000), 7**6000, 3, 13**2000)):
+            with localcontext() as ctx:
+                ctx.prec = 12
+                want = str(+approx(v, 25000))
+            assert decimal_str(v) == want
 
     def test_str_format(self):
         assert str(QuadElem(1, 1, 5, 2)) == "1/2 + 1/2*sqrt(5)"
