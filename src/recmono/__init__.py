@@ -33,8 +33,6 @@ from .recurrence import (
     LimitKind,
     RatioLimit,
     RecurrenceSpec,
-    SequenceWindow,
-    exceptional_zero,
     iterate,
     make_h_spec,
     ratio_limit,
@@ -72,7 +70,6 @@ __all__ = [
     "RegionId",
     "RiccatiOrbit",
     "RootPair",
-    "SequenceWindow",
     "Verdict",
     "WindowReport",
     "boundary_characterization",
@@ -84,7 +81,6 @@ __all__ = [
     "enumerate_generalized_fibonacci",
     "eventually_nondecreasing",
     "eventually_ratio_monotone",
-    "exceptional_zero",
     "hartman_aurel_sufficient",
     "is_irreducible",
     "is_quadratic_pisot",

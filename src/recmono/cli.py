@@ -124,9 +124,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_sequence(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    window = iterate(spec, args.n)
+    terms = iterate(spec, args.n)
     if args.format == "csv":
-        lines = [f"{i},{t}" for i, t in enumerate(window.terms)]
+        lines = [f"{i},{t}" for i, t in enumerate(terms)]
         sys.stdout.write("\n".join(lines) + "\n")
     else:
         _emit_json(
@@ -134,8 +134,8 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
                 "schema": 1,
                 "spec": spec_json(spec),
                 "n": args.n,
-                "start_index": window.start_index,
-                "terms": [str(t) for t in window.terms],
+                "start_index": 0,
+                "terms": [str(t) for t in terms],
             },
             None,
         )
@@ -178,6 +178,14 @@ def _cmd_regions(args: argparse.Namespace) -> int:
         write = write_pgm
     elif path.endswith(".csv"):
         write = write_csv
+        # the CSV prints cell centres as floats; each lies inside the
+        # bbox, so corners that fit a float bound them all
+        try:
+            for corner in args.bbox:
+                float(corner)
+        except OverflowError:
+            raise ValueError("--bbox corners too large for a float, which .csv "
+                             "output prints; write a .pgm instead") from None
     else:
         raise ValueError(f"--out must end in .pgm or .csv, got {path!r}")
     write(rasterize(RegionId[args.region], args.bbox, args.res), path)

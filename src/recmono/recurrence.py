@@ -30,11 +30,10 @@ from itertools import islice
 from math import lcm
 from typing import Iterator, Optional
 
-from .qfield import QuadElem, RationalLike, RootPair, cmp_abs, quadratic_roots
+from .qfield import QuadElem, RationalLike, RootPair, quadratic_roots
 
 __all__ = [
     "RecurrenceSpec",
-    "SequenceWindow",
     "LimitKind",
     "RatioLimit",
     "make_h_spec",
@@ -43,7 +42,6 @@ __all__ = [
     "terms_between",
     "term_minus_one",
     "ratio_limit",
-    "exceptional_zero",
 ]
 
 
@@ -85,20 +83,14 @@ def make_h_spec(a: RationalLike, b: RationalLike, c: RationalLike = 1) -> Recurr
     return RecurrenceSpec(a, Fraction(b), c, a * c, h_type=True)
 
 
-@dataclass(frozen=True)
-class SequenceWindow:
-    start_index: int
-    terms: tuple[Fraction, ...]
-
-
-def iterate(spec: RecurrenceSpec, n_max: int) -> SequenceWindow:
+def iterate(spec: RecurrenceSpec, n_max: int) -> tuple[Fraction, ...]:
     """Exact terms a[0] .. a[n_max] by running the recurrence."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     terms = [spec.v0, spec.v1]
     for _ in range(n_max - 1):
         terms.append(spec.a * terms[-1] - spec.b * terms[-2])
-    return SequenceWindow(0, tuple(terms[: n_max + 1]))
+    return tuple(terms[: n_max + 1])
 
 
 def integer_carrier(
@@ -189,47 +181,3 @@ def ratio_limit(spec: RecurrenceSpec) -> RatioLimit:
     if (spec.v1 - spec.v0 * roots.beta).sign() != 0:
         return RatioLimit(LimitKind.CONVERGES, roots.alpha, "alpha")
     return RatioLimit(LimitKind.CONVERGES, roots.beta, "beta")
-
-
-def exceptional_zero(spec: RecurrenceSpec, horizon: int = 10_000) -> Optional[int]:
-    """Index of the unique zero term if one exists, else None.
-
-    Requires v0*v1 != 0 and a non-negative discriminant; under those
-    hypotheses at most one term can vanish.  Repeated root: the candidate
-    index solves a linear equation.  Distinct roots: scan terms, stopping
-    as soon as the dominant-root part strictly outweighs the other part
-    in absolute value (from that index on no term can vanish).
-    """
-    if spec.v0 * spec.v1 == 0:
-        raise ValueError("zero search needs a nonzero starting pair")
-    roots = spec.roots()
-    if roots.discriminant_sign < 0:
-        raise ValueError("zero search requires a non-negative discriminant")
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    c0, c1 = spec.v0, spec.v1
-    if roots.discriminant_sign == 0:
-        root = spec.a / 2  # the repeated root
-        denom = c0 * root - c1
-        if denom == 0:
-            return None  # orbit is c0 * root^n, never zero
-        candidate = c0 * root / denom
-        if candidate.denominator == 1 and candidate >= 0:
-            return int(candidate)
-        return None
-    alpha, beta = roots.alpha, roots.beta
-    lead = c1 - c0 * beta  # coefficient on alpha^n
-    trail = c1 - c0 * alpha  # coefficient on beta^n
-    if lead.sign() == 0 or trail.sign() == 0:
-        return None  # single-root orbit, never zero
-    x, y = lead, trail
-    s, t = spec.v0, spec.v1
-    for n in range(horizon + 1):
-        if s == 0:
-            return n
-        if cmp_abs(x, y) > 0:
-            return None  # |lead*alpha^m| > |trail*beta^m| for all m >= n
-        x = x * alpha
-        y = y * beta
-        s, t = t, spec.a * t - spec.b * s
-    return None

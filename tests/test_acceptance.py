@@ -94,7 +94,7 @@ def test_criterion_03_halving_example():
     assert report["verdicts"]["p3_weighted"]["holds"] is True
     assert report["oracle_windows"]["p2"]["holds_on_window"] is True
     assert report["oracle_windows"]["p3"]["holds_on_window"] is True
-    terms = iterate(spec, 64).terms
+    terms = iterate(spec, 64)
     for n in range(65):
         assert terms[n] == Fraction(n + 1, 2**n), n
     print("PASS 3: (n+1)/2^n example: never nondecreasing, both ratio "
@@ -119,7 +119,7 @@ def test_criterion_04_spread_example_decimals():
 
 def test_criterion_05_growing_distance_counterexample():
     spec = RecurrenceSpec(Fraction(1, 10), Fraction(-21, 5), 1, 3)
-    terms = iterate(spec, 2).terms
+    terms = iterate(spec, 2)
     assert terms[2] == Fraction(9, 2)
     scaled = spec.roots().beta * (terms[1] / terms[2])
     assert scaled == Fraction(-4, 3)
@@ -219,7 +219,7 @@ def test_criterion_10_closed_form_matches_iteration():
             break
     assert len(specs) == 200
     for spec in specs:
-        terms = iterate(spec, 200).terms
+        terms = iterate(spec, 200)
         for n in range(201):
             assert terms_between(spec, n, n)[0] == terms[n], (spec, n)
     print("PASS 10: closed form reproduces iteration exactly for 200 "
@@ -240,7 +240,7 @@ def test_criterion_11_pisot_classification():
 
 
 def test_criterion_12_ratio_limit_decimal():
-    terms = iterate(FIB, 61).terms
+    terms = iterate(FIB, 61)
     ratio = terms[61] / terms[60]
     assert abs(float(ratio) - 1.618033988749) < 1e-9
     report = build_report(FIB)

@@ -25,7 +25,6 @@ UNREAD_EXPORTS = {
     "contains_coeff_plane": "ROADMAP item 5",
     "contains_root_plane": "ROADMAP item 5",
     "is_quadratic_pisot": "ROADMAP item 5",
-    "exceptional_zero": "ROADMAP item 4",
 }
 
 

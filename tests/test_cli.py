@@ -249,6 +249,22 @@ class TestRegions:
         )
         assert code == 2 and ".pgm or .csv" in err
 
+    def test_csv_bbox_past_float_range_rejected(self, capsys, tmp_path, monkeypatch):
+        def no_raster(*args):
+            raise AssertionError("rasterized before checking --bbox")
+
+        monkeypatch.setattr(cli, "rasterize", no_raster)
+        big = 10**400
+        path = tmp_path / "d.csv"
+        code, out, err = run_cli(
+            capsys,
+            "regions", "--region", "D", f"--bbox=-{big},{big},-{big},{big}",
+            "--res", "3", "--out", str(path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "float" in err
+        assert not path.exists()
+
     def test_malformed_bbox_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["regions", "--region", "DP", "--bbox", "1,2,3",

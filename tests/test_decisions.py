@@ -100,7 +100,7 @@ class TestNondecreasingFrom:
         for spec in (FIB, tie_right, *build_corpus(3141, 45)):
             if spec.roots().discriminant_sign < 0:
                 continue
-            terms = iterate(spec, max(ks) + 1).terms
+            terms = iterate(spec, max(ks) + 1)
             for k in ks:
                 lo, mid, hi = terms[k - 1 : k + 2]
                 failed = nondecreasing_from(spec, k).branch is Branch.FAIL_INITIAL_TRIPLE

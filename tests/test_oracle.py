@@ -1,6 +1,6 @@
 """Brute-force window scanner: pinned windows, reference equivalence,
 the telescoping residual identity, and the Casoratian norm the residual
-walk carries.
+walk carries for real roots and computes for a complex pair.
 
 The production scanner runs on a rescaled integer carrier; the
 reference implementations here redo every comparison naively on
@@ -41,7 +41,7 @@ SPREAD_H = make_h_spec(1, -3, 1)
 
 def ref_p1(spec, k, n_max):
     """(holds, first_violation) for a[n] <= a[n+1] on n in [k-1, n_max]."""
-    terms = iterate(spec, n_max + 1).terms
+    terms = iterate(spec, n_max + 1)
     pairs = []
     if k == 0:
         pairs.append((-1, term_minus_one(spec), terms[0]))
@@ -57,7 +57,7 @@ def ref_p1(spec, k, n_max):
 
 def ref_p2(spec, n_max):
     """(holds, first_violation, skipped) for the ratio-distance scan."""
-    terms = iterate(spec, n_max + 2).terms
+    terms = iterate(spec, n_max + 2)
     alpha = spec.roots().alpha
     skipped = []
     for n in range(n_max + 1):
@@ -77,7 +77,7 @@ def ref_p3(spec, n_max):
     """(holds, first_violation) for the weighted-residual scan."""
     roots = spec.roots()
     if roots.discriminant_sign >= 0:
-        terms = iterate(spec, n_max + 2).terms
+        terms = iterate(spec, n_max + 2)
         alpha = roots.alpha
         res = [alpha * terms[n] - terms[n + 1] for n in range(n_max + 2)]
         for n in range(n_max + 1):
@@ -93,7 +93,7 @@ def ref_p3(spec, n_max):
 
 
 def ref_n0(spec, n_cap):
-    terms = iterate(spec, n_cap + 1).terms
+    terms = iterate(spec, n_cap + 1)
     n0 = 0
     for n in range(n_cap + 1):
         if terms[n] > terms[n + 1]:
@@ -191,7 +191,7 @@ class TestResidualTelescoping:
             make_h_spec(2, Fraction(3, 4), 1),
         ):
             alpha, beta = spec.roots().alpha, spec.roots().beta
-            terms = iterate(spec, 31).terms
+            terms = iterate(spec, 31)
             res = [alpha * terms[n] - terms[n + 1] for n in range(31)]
             for n in range(30):
                 assert res[n + 1] == beta * res[n], (spec, n)
@@ -326,7 +326,7 @@ class TestDegreeReducedScans:
         # corpus to 5002 anyway: iterating Fractions that far takes about
         # two minutes (CPython 3.11, 2 cores)
         for spec in build_corpus(777, 90):
-            terms = iterate(spec, 501).terms
+            terms = iterate(spec, 501)
             for lo, hi in ((0, 8), (0, 2), (1, 3), (499, 501)):
                 assert terms_between(spec, lo, hi) == terms[lo : hi + 1], (spec, lo)
 
@@ -480,10 +480,13 @@ def _broken_carrier(spec):
 
 
 class TestCasoratianNorm:
-    """The residual walk computes the norm N[n] = u[n]**2 - M[n]**2*d
-    directly at n = 0 only and carries it by N[n+1] = B*q*N[n]."""
+    """For real roots the walk computes the norm N[n] = u[n]**2 - M[n]**2*d
+    directly at n = 0 only and carries it by N[n+1] = B*q*N[n]; for a
+    complex pair it computes N[n] = |R[n]|**2 directly at every index."""
 
     def test_carried_norm_equals_direct_norm(self):
+        # the identity the real-root walk relies on, checked on norms
+        # computed directly from the carrier's terms
         specs = [FIB, LUCAS, *build_corpus(777, 90)]
         cases = set()
         for spec in specs:
@@ -495,10 +498,18 @@ class TestCasoratianNorm:
                 cases.add("d = 0")
             if abs(B * q) == 1:
                 cases.add("|B*q| = 1")
-            walk = oracle._residual_terms(A, B * q, d, M)
-            for n, (m, u, norm) in enumerate(islice(walk, 301)):
-                assert norm == u * u - m * m * d, (spec, n)
+            terms = list(islice(M, 303))
+            norms = [(A * m0 - 2 * m1) ** 2 - m0 * m0 * d
+                     for m0, m1 in zip(terms, terms[1:])]
+            for n in range(301):
+                assert norms[n + 1] == B * q * norms[n], (spec, n)
         assert cases == {"B*q < 0", "d = 0", "|B*q| = 1"}
+
+    def test_complex_p3_reads_the_carrier(self, monkeypatch):
+        # b = 1: |beta| = 1 and every P3 comparison is a tie, until the
+        # broken step makes M[12] one too large and N[11] exceed N[10]
+        monkeypatch.setattr(oracle, "integer_carrier", _broken_carrier)
+        assert oracle.scan(RecurrenceSpec(1, 1, 1, 2), 50, 0).p3.first_violation == 10
 
     def test_self_check_raises_on_a_broken_recurrence(self, monkeypatch):
         monkeypatch.setattr(oracle, "integer_carrier", _broken_carrier)

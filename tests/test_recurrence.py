@@ -1,4 +1,4 @@
-"""Term generation, closed forms, ratio limits, zero location.
+"""Term generation, closed forms, ratio limits, the exceptional zero.
 
 Closed-form evaluation is cross-checked against plain iteration (two
 independent routes to the same exact rational), the integer carrier
@@ -21,7 +21,6 @@ from recmono import (
     QuadElem,
     RecurrenceSpec,
     decimal_str,
-    exceptional_zero,
     iterate,
     make_h_spec,
     ratio_limit,
@@ -66,30 +65,29 @@ class TestSpecValidation:
 class TestIterate:
     def test_fibonacci_h_terms(self):
         spec = make_h_spec(1, -1, 1)
-        assert iterate(spec, 8).terms == (1, 1, 2, 3, 5, 8, 13, 21, 34)
+        assert iterate(spec, 8) == (1, 1, 2, 3, 5, 8, 13, 21, 34)
 
     def test_lucas_terms(self):
         spec = RecurrenceSpec(1, -1, 2, 1)
-        assert iterate(spec, 6).terms == (2, 1, 3, 4, 7, 11, 18)
+        assert iterate(spec, 6) == (2, 1, 3, 4, 7, 11, 18)
 
     def test_halving_family_closed_form(self):
         # a = 1, b = 1/4 from the canonical start: terms (n+1) * 2^-n
         spec = make_h_spec(1, Fraction(1, 4), 1)
-        terms = iterate(spec, 64).terms
+        terms = iterate(spec, 64)
         for n, t in enumerate(terms):
             assert t == Fraction(n + 1, 2**n)
 
     def test_recurrence_identity_holds(self):
         spec = RecurrenceSpec(Fraction(5, 3), Fraction(-7, 2), 1, Fraction(2, 5))
-        t = iterate(spec, 30).terms
+        t = iterate(spec, 30)
         for n in range(29):
             assert t[n + 2] == spec.a * t[n + 1] - spec.b * t[n]
 
     def test_window_shape(self):
         # terms run from index 0 through n_max inclusive
-        w = iterate(RecurrenceSpec(1, -1, 2, 1), 0)
-        assert w.start_index == 0 and w.terms == (2,)
-        assert iterate(RecurrenceSpec(1, -1, 2, 1), 1).terms == (2, 1)
+        assert iterate(RecurrenceSpec(1, -1, 2, 1), 0) == (2,)
+        assert iterate(RecurrenceSpec(1, -1, 2, 1), 1) == (2, 1)
 
 
 class TestBackwardExtension:
@@ -166,7 +164,7 @@ class TestClosedForm:
             if (v0, v1) == (0, 0):
                 continue
             spec = RecurrenceSpec(a, b, v0, v1)
-            terms = iterate(spec, 40).terms
+            terms = iterate(spec, 40)
             for n in range(41):
                 assert terms_between(spec, n, n)[0] == terms[n], (spec, n)
             done += 1
@@ -176,14 +174,14 @@ class TestClosedForm:
         # a = -9/2, b = 5 has roots -2 and -5/2
         for a, b in ((Fraction(-9, 2), 5), (5, 6), (-3, 2), (Fraction(7, 3), Fraction(-2, 9))):
             spec = RecurrenceSpec(a, b, Fraction(3, 2), Fraction(-1, 3))
-            terms = iterate(spec, 30).terms
+            terms = iterate(spec, 30)
             for n in range(31):
                 assert terms_between(spec, n, n)[0] == terms[n], (spec, n)
 
     def test_repeated_root_matches_iteration(self):
         for a, b in ((2, 1), (-2, 1), (1, Fraction(1, 4)), (3, Fraction(9, 4))):
             spec = RecurrenceSpec(a, b, Fraction(3, 2), Fraction(-1, 3))
-            terms = iterate(spec, 30).terms
+            terms = iterate(spec, 30)
             for n in range(31):
                 assert terms_between(spec, n, n)[0] == terms[n], (spec, n)
 
@@ -199,8 +197,8 @@ class TestClosedForm:
             if (v0, v1) == (0, 0):
                 continue
             spec = RecurrenceSpec(a, b, v0, v1)
-            h = iterate(make_h_spec(a, b, 1), 25).terms
-            t = iterate(spec, 25).terms
+            h = iterate(make_h_spec(a, b, 1), 25)
+            t = iterate(spec, 25)
             # h[-1] = 0, so the n = 0 case is just v0*h[0]
             assert t[0] == v0 * h[0]
             for n in range(1, 26):
@@ -236,50 +234,42 @@ class TestRatioLimit:
         for spec in (make_h_spec(1, -1, 1), RecurrenceSpec(1, -1, 2, 1),
                      make_h_spec(3, 1, 2)):
             lim = ratio_limit(spec)
-            t = iterate(spec, 61).terms
+            t = iterate(spec, 61)
             assert abs(float(t[60]) / float(t[59]) - float(decimal_str(lim.limit))) < 1e-9
 
 
 class TestExceptionalZero:
+    """Under v0*v1 != 0 and real roots at most one term vanishes; the
+    worked examples vanish exactly once, at the index each one names."""
+
+    @staticmethod
+    def _zeros(spec, n_max=200):
+        return [n for n, t in enumerate(iterate(spec, n_max)) if t == 0]
+
     def test_distinct_roots_zero_found(self):
         # roots 2 and 1; start chosen so 2^n part cancels at n = 5
-        spec = RecurrenceSpec(3, 2, -31, -30)
-        assert iterate(spec, 6).terms[5] == 0
-        assert exceptional_zero(spec) == 5
+        assert self._zeros(RecurrenceSpec(3, 2, -31, -30)) == [5]
 
     def test_distinct_roots_no_zero(self):
-        assert exceptional_zero(RecurrenceSpec(1, -1, 2, 1)) is None
-        assert exceptional_zero(make_h_spec(1, -1, 1)) is None
+        assert self._zeros(RecurrenceSpec(1, -1, 2, 1)) == []
+        assert self._zeros(make_h_spec(1, -1, 1)) == []
 
     def test_repeated_root_zero_found(self):
         # root 1 twice: terms 5, 4, 3, 2, 1, 0, -1, ...
-        spec = RecurrenceSpec(2, 1, 5, 4)
-        assert exceptional_zero(spec) == 5
+        assert self._zeros(RecurrenceSpec(2, 1, 5, 4)) == [5]
 
     def test_repeated_root_non_integer_candidate(self):
-        assert exceptional_zero(RecurrenceSpec(2, 1, 5, 3)) is None
+        # terms 5 - 2n never vanish on the integers
+        assert self._zeros(RecurrenceSpec(2, 1, 5, 3)) == []
 
     def test_geometric_start_never_zero(self):
         # start on the eigen-solution: terms are exactly 2^n
-        assert exceptional_zero(RecurrenceSpec(4, 4, 1, 2)) is None
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            exceptional_zero(RecurrenceSpec(1, -1, 1, 0))
-        with pytest.raises(ValueError):
-            exceptional_zero(RecurrenceSpec(1, 1, 1, 1))
+        assert iterate(RecurrenceSpec(4, 4, 1, 2), 60) == tuple(2**n for n in range(61))
 
     def test_at_most_one_zero_on_corpus(self):
         # real-discriminant specs with nonzero start pair: at most one
-        # vanishing term, and exceptional_zero finds exactly it
+        # vanishing term
         for spec in build_corpus(4242, 60):
             if spec.roots().discriminant_sign < 0 or spec.v0 * spec.v1 == 0:
                 continue
-            terms = iterate(spec, 200).terms
-            zero_indices = [n for n, t in enumerate(terms) if t == 0]
-            assert len(zero_indices) <= 1, spec
-            found = exceptional_zero(spec)
-            if zero_indices:
-                assert found == zero_indices[0], spec
-            elif found is not None:
-                assert found > 200
+            assert len(self._zeros(spec)) <= 1, spec

@@ -47,7 +47,7 @@ class TestOrbits:
             RecurrenceSpec(Fraction(1, 2), Fraction(-3, 4), 1, 5),
             RecurrenceSpec(3, 1, 2, 1),
         ):
-            terms = iterate(spec, 13).terms
+            terms = iterate(spec, 13)
             orbit = riccati_orbit(spec.a, spec.b, spec.v1 / spec.v0, 12)
             assert orbit.terminated_early is None
             for n, state in enumerate(orbit.states):
