@@ -239,8 +239,8 @@ class TestRatioLimit:
 
 
 class TestExceptionalZero:
-    """Under v0*v1 != 0 and real roots at most one term vanishes; the
-    worked examples vanish exactly once, at the index each one names."""
+    """Under v0*v1 != 0 and real roots at most one term vanishes; each
+    worked example vanishes once, at the index it names, or never."""
 
     @staticmethod
     def _zeros(spec, n_max=200):
