@@ -25,7 +25,6 @@ from .numtheory import (
     boundary_characterization,
     enumerate_generalized_fibonacci,
     is_irreducible,
-    is_quadratic_pisot,
 )
 from .oracle import PropertyId, WindowReport
 from .qfield import QuadElem, RootPair, cmp_abs, decimal_str, quadratic_roots
@@ -45,7 +44,6 @@ from .regions import (
     RegionId,
     ROOT_PLANE_REGIONS,
     contains_coeff_plane,
-    contains_root_plane,
     rasterize,
     write_csv,
     write_pgm,
@@ -76,14 +74,12 @@ __all__ = [
     "build_report",
     "cmp_abs",
     "contains_coeff_plane",
-    "contains_root_plane",
     "decimal_str",
     "enumerate_generalized_fibonacci",
     "eventually_nondecreasing",
     "eventually_ratio_monotone",
     "hartman_aurel_sufficient",
     "is_irreducible",
-    "is_quadratic_pisot",
     "iterate",
     "make_h_spec",
     "nondecreasing_from",

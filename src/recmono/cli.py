@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .numtheory import boundary_characterization, enumerate_generalized_fibonacci
 from .qfield import quadratic_roots
 from .recurrence import RecurrenceSpec, iterate, make_h_spec
-from .regions import RegionId, rasterize, write_csv, write_pgm
+from .regions import RegionId, check_csv_range, rasterize, write_csv, write_pgm
 from .report import InternalInconsistency, build_report, spec_json
 from .riccati import riccati_orbit
 
@@ -178,14 +178,7 @@ def _cmd_regions(args: argparse.Namespace) -> int:
         write = write_pgm
     elif path.endswith(".csv"):
         write = write_csv
-        # the CSV prints cell centres as floats; each lies inside the
-        # bbox, so corners that fit a float bound them all
-        try:
-            for corner in args.bbox:
-                float(corner)
-        except OverflowError:
-            raise ValueError("--bbox corners too large for a float, which .csv "
-                             "output prints; write a .pgm instead") from None
+        check_csv_range(args.bbox, args.res)
     else:
         raise ValueError(f"--out must end in .pgm or .csv, got {path!r}")
     write(rasterize(RegionId[args.region], args.bbox, args.res), path)

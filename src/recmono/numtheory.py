@@ -14,11 +14,11 @@ import math
 from typing import NamedTuple
 
 from .qfield import cmp_abs, quadratic_roots
+from .regions import RegionId, contains_coeff_plane
 
 __all__ = [
     "IntCoeffPair",
     "is_irreducible",
-    "is_quadratic_pisot",
     "enumerate_generalized_fibonacci",
     "boundary_characterization",
 ]
@@ -29,17 +29,11 @@ class IntCoeffPair(NamedTuple):
     b: int
 
 
-def _is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    root = math.isqrt(n)
-    return root * root == n
-
-
 def is_irreducible(pair: IntCoeffPair) -> bool:
     """True iff x^2 - a*x + b has no integer root."""
     a, b = pair
-    return not _is_perfect_square(a * a - 4 * b)
+    disc = a * a - 4 * b
+    return disc < 0 or math.isqrt(disc) ** 2 != disc
 
 
 def is_quadratic_pisot(pair: IntCoeffPair) -> bool:
@@ -76,24 +70,15 @@ def enumerate_generalized_fibonacci(a_max: int) -> list[IntCoeffPair]:
 def boundary_characterization(scan_bound: int = 1000) -> list[IntCoeffPair]:
     """Irreducible integer pairs on the coefficient-region boundary.
 
-    The boundary is the segment a = 1, -2 <= b <= 0 plus the rays
-    b = a - 1 and b = -a - 1 for a >= 1.  Points on the rays are
-    reducible by construction (1 respectively -1 is a root), so only the
-    finite segment can contribute and the scan bound cannot change the
-    outcome; it is exposed so that stability is checkable.  Candidates
-    must both avoid the reducible b values and pass is_irreducible.
+    The boundary of DP is the segment a = 1, -2 <= b <= 0 plus the rays
+    b = a - 1 and b = -a - 1 for a >= 1.  No ray point is irreducible:
+    with p(x) = x^2 - a*x + b, p(1) = 1 - a + b = 0 on b = a - 1 and
+    p(-1) = 1 + a + b = 0 on b = -a - 1.  So only DP's column at a = 1
+    can contribute, and it is decided directly; the answer is the same
+    for every scan_bound >= 1, the range of a the claim covers.
     """
     if scan_bound < 1:
         raise ValueError("scan bound must be at least 1")
-    found = []
-    for a in range(1, scan_bound + 1):
-        candidates = [(a, a - 1), (a, -a - 1)]
-        if a == 1:
-            candidates.extend((1, b) for b in (-2, -1, 0))
-        for ca, cb in candidates:
-            if cb in (-ca - 1, 0, ca - 1):
-                continue
-            pair = IntCoeffPair(ca, cb)
-            if is_irreducible(pair):
-                found.append(pair)
-    return sorted(found)
+    column = (IntCoeffPair(1, b) for b in (-2, -1, 0))
+    return [p for p in column
+            if contains_coeff_plane(RegionId.DP_BOUNDARY, *p) and is_irreducible(p)]

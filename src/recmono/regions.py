@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from sys import float_info
 
 from .qfield import RationalLike, dominant_root_sign, surd_sign
 
@@ -37,10 +38,10 @@ __all__ = [
     "RasterGrid",
     "ROOT_PLANE_REGIONS",
     "COEFF_PLANE_REGIONS",
-    "contains_root_plane",
     "contains_coeff_plane",
     "rasterize",
     "write_pgm",
+    "check_csv_range",
     "write_csv",
 ]
 
@@ -189,9 +190,6 @@ class RasterGrid:
     resolution: int
     cells: tuple[tuple[bool, ...], ...]
 
-    def member_count(self) -> int:
-        return sum(sum(row) for row in self.cells)
-
     def centers(self):
         """Yield (row, col, x, y) for every cell, row-major."""
         xs, ys, L = _cell_numerators(self.bbox, self.resolution)
@@ -225,6 +223,29 @@ def write_pgm(grid: RasterGrid, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{res} {res}\n255\n".encode("ascii"))
         fh.write(bytes(255 if cell else 0 for row in grid.cells for cell in row))
+
+
+def check_csv_range(
+    bbox: tuple[Fraction, Fraction, Fraction, Fraction], resolution: int
+) -> None:
+    """Raise ValueError unless every cell centre prints as a normal float.
+
+    `write_csv` prints centres through `float`.  Corners that fit a float
+    bound every centre, which lies inside the bbox.  A nonzero centre X/L
+    under the smallest normal float, 2^(min_exp - 1), would print as a
+    signed zero or a subnormal of a few bits; |X| * 2^(1 - min_exp) < L
+    decides that on integers.
+    """
+    try:
+        for corner in bbox:
+            float(corner)
+    except OverflowError:
+        raise ValueError("bbox corners too large for a float, which CSV output "
+                         "prints; write a PGM instead") from None
+    xs, ys, L = _cell_numerators(bbox, resolution)
+    if any(V and abs(V) << (1 - float_info.min_exp) < L for V in (*xs, *ys)):
+        raise ValueError("bbox cell centres too close to zero for a float, which "
+                         "CSV output prints; write a PGM instead")
 
 
 def _sig6(value: Fraction) -> str:

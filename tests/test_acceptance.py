@@ -21,13 +21,13 @@ from recmono import (
     boundary_characterization,
     build_report,
     enumerate_generalized_fibonacci,
-    is_quadratic_pisot,
     iterate,
     make_h_spec,
     rasterize,
     terms_between,
 )
 from recmono.cli import main
+from recmono.numtheory import is_quadratic_pisot
 
 from conftest import (
     build_corpus,

@@ -3,8 +3,7 @@ README's library example runs as printed.
 
 An export that only tests read is a second entry point to keep in step
 with the first; the scan below finds them by parsing the package's own
-modules.  The few still owed a consumer are listed with the ROADMAP
-item that settles each, and the list may only shrink.
+modules, and it allows no exceptions.
 """
 
 from __future__ import annotations
@@ -19,13 +18,6 @@ import recmono
 
 PACKAGE = Path(recmono.__file__).resolve().parent
 README = Path(__file__).resolve().parent.parent / "README.md"
-
-# exported, but not yet read by any module of the package
-UNREAD_EXPORTS = {
-    "contains_coeff_plane": "ROADMAP item 5",
-    "contains_root_plane": "ROADMAP item 5",
-    "is_quadratic_pisot": "ROADMAP item 5",
-}
 
 
 def _names_read_by_package() -> set[str]:
@@ -44,12 +36,9 @@ def _names_read_by_package() -> set[str]:
 
 def test_every_export_has_a_reader_in_the_package():
     unread = set(recmono.__all__) - _names_read_by_package()
-    assert unread - set(UNREAD_EXPORTS) == set(), (
+    assert unread == set(), (
         "exported names that only tests read: give them a consumer or "
         "drop them from the exports"
-    )
-    assert set(UNREAD_EXPORTS) - unread == set(), (
-        "these names now have a reader: remove them from UNREAD_EXPORTS"
     )
 
 

@@ -265,6 +265,23 @@ class TestRegions:
         assert err.startswith("error: ") and "float" in err
         assert not path.exists()
 
+    def test_csv_bbox_below_float_range_rejected(self, capsys, tmp_path, monkeypatch):
+        # float() would print every centre as a zero, some of them signed
+        def no_raster(*args):
+            raise AssertionError("rasterized before checking --bbox")
+
+        monkeypatch.setattr(cli, "rasterize", no_raster)
+        tiny = f"1/{10**400}"
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys,
+            "regions", "--region", "D3P", f"--bbox=-{tiny},{tiny},-{tiny},{tiny}",
+            "--res", "4", "--out", str(path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "float" in err
+        assert not path.exists()
+
     def test_malformed_bbox_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["regions", "--region", "DP", "--bbox", "1,2,3",
@@ -312,10 +329,12 @@ class TestRiccati:
 
 class TestCharacterize:
     def test_boundary_pairs(self, capsys):
-        code, out, _ = run_cli(capsys, "characterize", "--scan-bound", "50")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload == {"pairs": [[1, -1]], "scan_bound": 50, "schema": 1}
+        # the segment a = 1 is decided directly, so a huge bound costs nothing
+        for bound in (50, 10**12):
+            code, out, _ = run_cli(capsys, "characterize", "--scan-bound", str(bound))
+            assert code == 0
+            payload = json.loads(out)
+            assert payload == {"pairs": [[1, -1]], "scan_bound": bound, "schema": 1}
 
 
 class TestParserReuse:

@@ -1,36 +1,40 @@
 """Integer coefficient pairs: irreducibility against an independent
-computer-algebra oracle, quadratic Pisot classification, the region
+divisor-search oracle, quadratic Pisot classification, the region
 enumeration, and the boundary characterization.
 """
 
 from __future__ import annotations
 
 import pytest
-import sympy
 
 from recmono import (
     IntCoeffPair,
     boundary_characterization,
     enumerate_generalized_fibonacci,
     is_irreducible,
-    is_quadratic_pisot,
 )
+from recmono.numtheory import is_quadratic_pisot
 
-X = sympy.Symbol("x")
 
+def divisor_irreducible(a: int, b: int) -> bool:
+    """No integer root of x^2 - a*x + b, found by search without isqrt.
 
-def sympy_irreducible(a: int, b: int) -> bool:
-    poly = sympy.Poly(X**2 - a * X + b, X, domain="ZZ")
-    factors = poly.factor_list()[1]
-    return len(factors) == 1 and factors[0][1] == 1
+    A monic quadratic over the integers factors exactly when it has an
+    integer root r; then r*(a - r) = b, so r divides b, and r = 0 is a
+    root when b = 0.
+    """
+    if b == 0:
+        return False
+    divisors = [d for d in range(1, abs(b) + 1) if b % d == 0]
+    return all(r * r - a * r + b != 0 for d in divisors for r in (d, -d))
 
 
 class TestIrreducibility:
-    def test_matches_sympy_on_square_grid(self):
+    def test_matches_divisor_oracle_on_square_grid(self):
         for a in range(-12, 13):
             for b in range(-12, 13):
                 pair = IntCoeffPair(a, b)
-                assert is_irreducible(pair) == sympy_irreducible(a, b), pair
+                assert is_irreducible(pair) == divisor_irreducible(a, b), pair
 
     def test_reducible_values_inside_region(self):
         # inside -a-1 <= b <= a-1 the reducible b are exactly -a-1, 0, a-1
@@ -108,7 +112,7 @@ class TestEnumeration:
 
 class TestBoundaryCharacterization:
     def test_single_pair_at_every_bound(self):
-        for bound in (10, 100, 1000):
+        for bound in (1, 10, 100, 1000, 10**18):
             assert boundary_characterization(bound) == [IntCoeffPair(1, -1)]
 
     def test_default_bound(self):

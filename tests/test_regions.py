@@ -15,7 +15,6 @@ from recmono import (
     RecurrenceSpec,
     ROOT_PLANE_REGIONS,
     contains_coeff_plane,
-    contains_root_plane,
     make_h_spec,
     positive_monotone_h,
     rasterize,
@@ -24,6 +23,7 @@ from recmono import (
     write_csv,
     write_pgm,
 )
+from recmono.regions import contains_root_plane
 
 ROOT_BBOX = (-3, 3, -3, 3)
 COEFF_BBOX = (-1, 5, -7, 5)
@@ -194,8 +194,9 @@ class TestDecisionConsistency:
                     yield a, b
 
     def test_boundary_points_match_decisions(self):
-        # the decisions order and compare the roots as QuadElems, a path
-        # independent of the integer surd signs the regions use
+        # both sides sign through qfield.surd_sign, but each forms its
+        # surds its own way: the decisions by QuadElem arithmetic on the
+        # spec's roots, the regions by integer coefficients over L
         checked = 0
         for a, b in self._boundary_points():
             assert contains_coeff_plane(RegionId.D1P, a, b) == (
@@ -276,7 +277,7 @@ class TestOutputFormats:
         path = tmp_path / "dp.csv"
         write_csv(grid, str(path))
         lines = path.read_text(encoding="ascii").splitlines()
-        assert len(lines) == grid.member_count()
+        assert len(lines) == sum(map(sum, grid.cells))
         members = [
             (x, y) for row, col, x, y in grid.centers() if grid.cells[row][col]
         ]
