@@ -28,22 +28,13 @@ rational-arithmetic reference.
 P2 and P3 are statements about the residual R = u + y*sqrt(d) and its
 exact integer norm N = u**2 - y**2*d.  For a complex pair N = |R|**2,
 and P3 compares norms computed directly from the terms at every index.
-For real roots both are decided from each index's sign and bracket of
-R, built once.  The residual cancels heavily once the sequence follows
-its dominant root, so each modulus is taken over the conjugate, where
-nothing cancels: |R| = S := |u| + |y|*sqrt(d) when u and y*sqrt(d)
-agree in sign, else |R| = |N|/S.  That norm is the Casoratian of the
-carrier, so N[n+1] = B*q*N[n] exactly (the generalized Cassini
-identity): the walk computes it directly at the first index, carries it
-with one small-times-big product per index, and at the last index the
-P2/P3 part reaches computes it directly again and raises
-InternalInconsistency if the two differ.  S is bracketed from
-r = isqrt(d << 128) to about 2**-63, so every modulus lies between two
-64-bit integers scaled by one power of two, and a comparison is decided
-by exact integer inequalities between such brackets.  Where the
-brackets overlap (a tie such as |beta| = 1, a residual that is
-identically 0, or a near tie) the index falls back to the exact sign
-test of x + y*sqrt(d), qfield.surd_sign.  No float enters: every
+For real roots R cancels once the sequence follows its dominant root,
+but its conjugate R' = u - y*sqrt(d) does not, and N, carried by the
+Casoratian identity N[n+1] = B*q*N[n], divides out of both comparisons
+(see scan).  Each index then compares conjugate moduli on brackets built
+from top words at one shift, one comparison usually implying the other,
+and falls back to the exact sign test of x + y*sqrt(d),
+qfield.surd_sign, where the brackets overlap.  No float enters: every
 verdict comes from an exact integer inequality.
 """
 
@@ -105,69 +96,28 @@ class OracleWindows:
     n0_witness: Optional[int]
 
 
-# Below this bit length of the carrier term the exact test is cheaper
-# than building the brackets, so short operands go to it directly.  With
-# the norm carried rather than squared, the per-index crossover measured
-# on CPython 3.11 lies between about 320 and 576 bits, depending on the
-# spec.
-_BRACKET_MIN_BITS = 512
+# Brackets are built only where the exact test would take operands of at
+# least this many bits: u[n+1] for P3, products twice as long for P2.
+# Measured on CPython 3.11 (scan at windows 300 and 1000), the best value
+# is about 512 for a q = 10 spec with decaying terms, where P2 leads, and
+# 768 or more for Fibonacci and the q = 13 report-deep pool, where P3
+# leads; at 640 each is within 3% of its best.
+_BRACKET_MIN_BITS = 640
 
 
-def _order(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
-    """1 if every value of bracket a exceeds every value of bracket b,
-    -1 for the reverse, 0 when the two brackets overlap."""
-    alo, ahi, ae = a
-    blo, bhi, be = b
-    if ae > be:
-        alo, ahi = alo << (ae - be), ahi << (ae - be)
-    else:
-        blo, bhi = blo << (be - ae), bhi << (be - ae)
-    return (alo > bhi) - (ahi < blo)
-
-
-def _sqrt_bracket(d: int) -> tuple[int, int]:
-    """(r, slack) for the brackets in scan: r = isqrt(d << 128), slack 1
-    when r is exact (d a perfect square, d = 0 included), else 2."""
-    r = isqrt(d << 128)
-    return r, 1 if r * r == d << 128 else 2
-
-
-def _residual(
-    u: int, m: int, norm: int, sd: int, r: int, slack: int
-) -> tuple[int, Optional[tuple[int, int, int]], int, int]:
-    """(g, b, t, f) for the residual R = u + sd*m*sqrt(d) of norm
-    N = u**2 - m**2*d, with (r, slack) from _sqrt_bracket(d): the sign g
-    of R, the bracket b of |R| (see scan; None when m is shorter than
-    _BRACKET_MIN_BITS, and then t = f = 0) and t*2**f <= |m| <
-    (t + 1)*2**f."""
+def _residual_sign(u: int, m: int, sd: int, ns: int) -> int:
+    """Sign of R = u + sd*m*sqrt(d), given the sign ns of its norm
+    u**2 - m**2*d: the common sign when u and sd*m agree or one of them
+    is 0, else the sign of u times ns."""
     su = (u > 0) - (u < 0)
     sy = sd * ((m > 0) - (m < 0))
-    like = su * sy >= 0
-    g = (su or sy) if like else su * ((norm > 0) - (norm < 0))
-    if m.bit_length() < _BRACKET_MIN_BITS:
-        return g, None, 0, 0
-    am = abs(m)
-    x = (abs(u) << 64) + am * r
-    e = max(x.bit_length() - 64, 0)
-    t = x >> e
-    if like:
-        b = (t, t + slack, e - 64)
-    else:
-        an = abs(norm)
-        en = max(an.bit_length() - 64, 0)
-        tn = an >> en
-        # |N| = tn exactly when it fits in 64 bits, as it does for
-        # |B*q| = 1; t >= 2**63 here, since u != 0
-        hn = tn + (en > 0)
-        b = ((tn << 64) // (t + slack), -((-hn << 64) // t), en - e)
-    f = am.bit_length() - 64
-    return g, b, am >> f, f
+    return (su or sy) if su * sy >= 0 else su * ns
 
 
 def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     """Every oracle window of one report, on one walk of the carrier.
 
-    The walk is one loop over integer_carrier(spec) from index 0.  It
+    The walk is one pass over integer_carrier(spec) from index 0.  It
     tests P1 once per index n, as q*M[n] > M[n+1], that is
     a[n] > a[n+1].  That one test feeds the immediate window
     n in [-1, window] (n = -1 compares the backward extension a[-1] with
@@ -191,7 +141,9 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     with u[n] = A*M[n] - 2*M[n+1] and s = qfield.dominant_root_sign(A),
     the sign that picks alpha (for a repeated root d = 0 and s drops
     out), and about its exact norm
-    N[n] = R[n]*conjugate(R[n]) = u[n]**2 - M[n]**2*d.
+    N[n] = R[n]*R'[n] = u[n]**2 - M[n]**2*d, R'[n] = u[n] - s*M[n]*sqrt(d).
+    P2 compares |R[n]*M[n+1]| with |R[n+1]*M[n]|, which carry the same
+    positive factor; P3 compares q*|R[n]| with |R[n+1]|.
 
     Complex pair: N[n] = |R[n]|**2, and P3 compares q*q*N[n] with
     N[n+1], each computed directly from the terms at every index.
@@ -199,36 +151,38 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     criterion for a conjugate pair, so the window could never disagree
     with it.
 
-    Real roots: each index's sign g[n] of R[n] and 64-bit bracket of
-    |R[n]| are computed once, by _residual, and feed both scans.  N[n]
-    is computed directly at n = 0 and carried by the Casoratian identity
-    N[n+1] = B*q*N[n]: N[n] is 4*(M[n+1]**2 - A*M[n]*M[n+1] +
-    B*q*M[n]**2), which any solution of M[n+2] = A*M[n+1] - B*q*M[n]
-    multiplies by B*q per step.  At the last index the P2/P3 part
-    reaches the norm is computed directly once more, and a difference
-    from the carried one raises InternalInconsistency.  The identity is
-    a fact about the recurrence, not about the properties: the scans
-    never use R[n+1] = q*beta*R[n], which is the P3 theorem.
+    Real roots: N[n] is 4*(M[n+1]**2 - A*M[n]*M[n+1] + B*q*M[n]**2),
+    which any solution of M[n+2] = A*M[n+1] - B*q*M[n] multiplies by B*q
+    per step, so N[n] = N[0]*(B*q)**n.  Where N != 0, |R| = |N|/|R'| turns
+    P3 at n into |R'[n+1]| >= |B|*|R'[n]| and P2 at n into
+    |M[n+1]|*|R'[n+1]| >= |B*q|*|M[n]|*|R'[n]|.  The walk reads the
+    identity only there and in the sign of N[n]; at the last index the
+    P2/P3 part reaches it computes the norm directly and raises
+    InternalInconsistency if it differs from N[0]*(B*q)**n, so dividing
+    the norm out depends on nothing that check does not guard.  The
+    identity is a fact about the recurrence, not about the properties:
+    the scans never use R[n+1] = q*beta*R[n], which is the P3 theorem.
 
-    The bracket: when u and s*M*sqrt(d) share a sign, or one of them is
-    0, sign(R) is that sign and |R| = S := |u| + |M|*sqrt(d), a sum with
-    no cancellation; otherwise sign(R) = sign(u)*sign(N) and
-    |R| = |N|/S.  r = isqrt(d << 128) gives
-    r*2**-64 <= sqrt(d) < (r + 1)*2**-64, so S lies in
-    [t, t + slack)*2**(e - 64) with (t, e) the top 64 bits of
-    |u|*2**64 + |M|*r: slack 1 when sqrt(d) = r*2**-64 exactly, else 2,
-    since |M| <= (|u|*2**64 + |M|*r)/r < 2**e.  So every modulus lies
-    between two 64-bit integers scaled by one power of two.  Carrier
-    terms shorter than _BRACKET_MIN_BITS get no bracket.
+    Where u and s*M*sqrt(d) differ in sign (or one is 0) at n and n+1,
+    |R'| = |u| + |M|*sqrt(d) at both.  With k = bits(M[n]) - 64, x_v the
+    top word v >> k of each v in |u[n]|, |M[n]|, |u[n+1]|, |M[n+1]|, and
+    r = isqrt(d << 128), so that r*2**-64 <= sqrt(d) < (r + 1)*2**-64,
+    2**(64 - k)*|R'| lies in [lo, lo + 2**64 + x_M + r + 1) with
+    lo = x_u*2**64 + x_M*r.  A comparison is decided on these brackets
+    unless its two sides overlap (a tie, or a near one), or the exact
+    test's operands are shorter than _BRACKET_MIN_BITS; then the exact
+    sign of the difference of the two sides, X + Y*sqrt(d), decides.
+    Where R' cancels or N = 0 that test runs on R: with g, sigma and tau
+    the signs of R, R[n]*M[n+1] and R[n+1]*M[n], the difference is
+    (g[n]*q*u[n] - g[n+1]*u[n+1]) + s*(g[n]*q*M[n] - g[n+1]*M[n+1])*sqrt(d)
+    for P3 and
+    (sigma*u[n]*M[n+1] - tau*u[n+1]*M[n]) + s*M[n]*M[n+1]*(sigma - tau)*sqrt(d)
+    for P2.
 
-    P2 compares |R[n]*M[n+1]| against |R[n+1]*M[n]|, which carry the
-    same positive factor; P3 compares q*|R[n]| with |R[n+1]|.  The
-    brackets decide an index unless they overlap (a tie, or a near one);
-    then it falls back to the exact test.  For P2, with sigma and tau
-    the signs of the two products, the difference of their moduli is
-    (sigma*u[n]*M[n+1] - tau*u[n+1]*M[n]) + s*M[n]*M[n+1]*(sigma - tau)*sqrt(d),
-    a plain integer sign whenever sigma = tau.  For P3 it is
-    (g[n]*q*u[n] - g[n+1]*u[n+1]) + s*(g[n]*q*M[n] - g[n+1]*M[n+1])*sqrt(d).
+    One comparison implies the other, exactly: P3 at n gives P2 at n if
+    |a[n+1]| >= |a[n]|, and P2 gives P3 if |a[n+1]| <= |a[n]|.  While both
+    are open, the walk decides the premise first and the other only when
+    it fails.
     """
     if from_k < 0:
         raise ValueError("start index must be non-negative")
@@ -247,71 +201,119 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     if real:
         s = dominant_root_sign(A)
         sd = s if d else 0
-        r, slack = _sqrt_bracket(d)
-        g0, b0, t0, f0 = _residual(u0, m0, norm, sd, r, slack)
+        ns = (norm > 0) - (norm < 0)  # the sign of N[0]
+        r = isqrt(d << 128)
+        span = (1 << 64) + r + 1  # hi - lo, less the top word of |M|
+        aB, aBq = abs(B), abs(Bq)
+        # the conjugate form holds at n: N != 0 and R' does not cancel,
+        # u and s*M*sqrt(d) differing in sign or d = 0
+        conj0 = ns != 0 and (not sd or ((u0 < 0) != (m0 < 0)) != (sd < 0))
+
+        # the two comparisons at the walk's index n, on the loop's variables
+        def signs() -> tuple[int, int]:
+            """The signs of R[n] and R[n+1]."""
+            ns0 = -ns if Bq < 0 and n & 1 else ns
+            return (_residual_sign(u0, m0, sd, ns0),
+                    _residual_sign(u1, m1, sd, ns0 if Bq > 0 else -ns0))
+
+        def p3_holds() -> bool:
+            if conj0 and conj1:
+                if br:
+                    if lo1 >= aB * hi0:
+                        return True
+                    if hi1 <= aB * lo0:
+                        return False
+                return surd_sign(abs(u1) - aB * abs(u0), abs(m1) - aB * abs(m0), d) >= 0
+            g0, g1 = signs()
+            gq = g0 * q
+            return surd_sign(gq * u0 - g1 * u1, s * (gq * m0 - g1 * m1), d) >= 0
+
+        def p2_holds() -> bool:
+            if conj0 and conj1:
+                if br:
+                    if y1 * lo1 >= aBq * (y0 + 1) * hi0:
+                        return True
+                    if (y1 + 1) * hi1 <= aBq * y0 * lo0:
+                        return False
+                am0, am1 = abs(m0), abs(m1)
+                return surd_sign(am1 * abs(u1) - aBq * am0 * abs(u0),
+                                 am1 * am1 - aBq * am0 * am0, d) >= 0
+            g0, g1 = signs()
+            sigma = g0 if m1 > 0 else -g0
+            tau = g1 if m0 > 0 else -g1
+            return surd_sign(sigma * u0 * m1 - tau * u1 * m0,
+                             (sigma - tau) * s * m0 * m1, d) >= 0
+
     p1: list[int] = []  # the indices n with a[n] > a[n+1], ascending
     skipped: list[int] = []
     first2: Optional[int] = None
     first3: Optional[int] = None
-    last = from_k + window
     n = 0
-    while n <= window or (n <= last and not (p1 and p1[-1] >= from_k - 1)):
+    while n <= window and (first3 is None or (real and first2 is None)):
         m2 = next(M)
         # (m0, m1, m2) = (M[n], M[n+1], M[n+2])
+        qm0 = q * m0
+        if qm0 > m1:
+            p1.append(n)
+        u1 = A * m1 - 2 * m2
+        if not real:
+            norm1 = u1 * u1 - m1 * m1 * d
+            if q * q * norm < norm1:
+                first3 = n
+            norm = norm1
+        else:
+            need2 = first2 is None
+            if need2 and not (m0 and m1):
+                skipped.append(n)
+                need2 = False
+            need3 = first3 is None
+            conj1 = ns != 0 and (not sd or ((u1 < 0) != (m1 < 0)) != (sd < 0))
+            # |a[n+1]| >= |a[n]| is |M[n+1]| >= q*|M[n]|
+            lead3 = need3 and (not need2 or abs(m1) >= abs(qm0))
+            k = m0.bit_length() - 64
+            # the exact test's operands: about u[n+1] for P3, twice that for P2
+            ex_bits = u1.bit_length() << (not lead3)
+            br = conj0 and conj1 and k >= 0 and ex_bits >= _BRACKET_MIN_BITS
+            if br:
+                y0, y1 = abs(m0) >> k, abs(m1) >> k
+                lo0 = ((abs(u0) >> k) << 64) + y0 * r
+                lo1 = ((abs(u1) >> k) << 64) + y1 * r
+                hi0, hi1 = lo0 + span + y0, lo1 + span + y1
+            if lead3:
+                # the common case first, without a call
+                h3 = (br and lo1 >= aB * hi0) or p3_holds()
+                h2 = not need2 or h3 or p2_holds()
+            else:
+                h2 = not need2 or p2_holds()
+                h3 = not need3 or h2 or p3_holds()
+            if not h3:
+                first3 = n
+            if not h2:
+                first2 = n
+            conj0 = conj1
+        n += 1
+        u0, m0, m1 = u1, m1, m2
+    if real and norm * Bq**n != u0 * u0 - m0 * m0 * d:
+        raise InternalInconsistency(
+            "oracle self-check: the residual norm carried by "
+            "N[n+1] = B*q*N[n] differs from the one computed "
+            f"directly at index {n}"
+        )
+    # P1 alone: the rest of the window, then past it up to the from-k
+    # window's first violation
+    while n <= window:
         if q * m0 > m1:
             p1.append(n)
-        if n <= window and (first3 is None or (real and first2 is None)):
-            u1 = A * m1 - 2 * m2
-            if not real:
-                norm1 = u1 * u1 - m1 * m1 * d
-                if q * q * norm < norm1:
-                    first3 = n
-                norm = norm1
-            else:
-                norm *= Bq
-                g1, b1, t1, f1 = _residual(u1, m1, norm, sd, r, slack)
-                if first2 is None:
-                    if m0 == 0 or m1 == 0:
-                        skipped.append(n)
-                    else:
-                        diff = 0
-                        if b0 is not None and b1 is not None:
-                            (lo0, hi0, e0), (lo1, hi1, e1) = b0, b1
-                            diff = _order((lo0 * t1, hi0 * (t1 + 1), e0 + f1),
-                                          (lo1 * t0, hi1 * (t0 + 1), e1 + f0))
-                        if diff == 0:
-                            sigma = g0 if m1 > 0 else -g0
-                            tau = g1 if m0 > 0 else -g1
-                            if sigma == tau:
-                                c = u0 * m1 - u1 * m0
-                                diff = sigma * ((c > 0) - (c < 0))
-                            else:
-                                diff = surd_sign(
-                                    sigma * u0 * m1 - tau * u1 * m0,
-                                    s * m0 * m1 * (sigma - tau), d,
-                                )
-                        if diff < 0:
-                            first2 = n
-                if first3 is None:
-                    diff = 0
-                    if b0 is not None and b1 is not None:
-                        lo0, hi0, e0 = b0
-                        diff = _order((q * lo0, q * hi0, e0), b1)
-                    if diff == 0:
-                        gq = g0 * q
-                        diff = surd_sign(gq * u0 - g1 * u1, s * (gq * m0 - g1 * m1), d)
-                    if diff < 0:
-                        first3 = n
-                done = n == window or (first2 is not None and first3 is not None)
-                if done and norm != u1 * u1 - m1 * m1 * d:
-                    raise InternalInconsistency(
-                        "oracle self-check: the residual norm carried by "
-                        "N[n+1] = B*q*N[n] differs from the one computed "
-                        f"directly at index {n + 1}"
-                    )
-                u0, g0, b0, t0, f0 = u1, g1, b1, t1, f1
         n += 1
-        m0, m1 = m1, m2
+        m0, m1 = m1, next(M)
+    last, k1 = from_k + window, from_k - 1
+    if not (p1 and p1[-1] >= k1):
+        while n <= last:
+            if n >= k1 and q * m0 > m1:
+                p1.append(n)
+                break
+            n += 1
+            m0, m1 = m1, next(M)
     checked = (0, window)
     p2 = None
     if real:
@@ -323,9 +325,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     if from_k == 0:
         from_k_window = immediate
     else:
-        first_k = next((i for i in p1 if i >= from_k - 1), None)
-        from_k_window = WindowReport(
-            PropertyId.P1, (from_k - 1, last), first_k is None, first_k, ()
-        )
+        first_k = next((i for i in p1 if i >= k1), None)
+        from_k_window = WindowReport(PropertyId.P1, (k1, last), first_k is None, first_k, ())
     n0 = in_window[-1] + 1 if in_window else 0
     return OracleWindows(immediate, from_k_window, p2, p3, n0 if n0 <= window else None)

@@ -25,6 +25,7 @@ from recmono import (
     term_minus_one,
     terms_between,
 )
+from recmono.qfield import surd_sign
 from recmono.recurrence import integer_carrier
 from recmono.report import build_report
 
@@ -256,14 +257,18 @@ class TestReferenceEquivalence:
 
 class TestDegreeReducedScans:
     """P2 and P3 compare |R[n]*M[n+1]| with |R[n+1]*M[n]| and q*|R[n]|
-    with |R[n+1]|, deciding each index on 64-bit brackets of the moduli
-    and falling back to the exact test when the brackets overlap; pinned
-    here against the naive scans over a long window, on specs that run
-    the whole window, reach both the equal-sign and the opposite-sign
-    case, tie at every index, or carry operands of ~2,000 bits."""
+    with |R[n+1]|.  With the norm N = R*R' divided out, each index is
+    decided on brackets of the conjugate moduli |R'| taken at one shift,
+    one comparison implying the other where the terms grow or decay, and
+    falls back to the exact test where the brackets overlap, R' cancels
+    or N = 0; pinned here against the naive scans over a long window, on
+    specs that run the whole window, reach both the equal-sign and the
+    opposite-sign case, tie at every index, start on an eigen-solution,
+    have decaying terms, or carry operands of ~2,000 bits."""
 
     WINDOW = 150
     LONG_WINDOW = 400
+    DECAYING = make_h_spec(Fraction(11, 10), Fraction(1, 5))
 
     SPECS = (
         # DP h-specs, q = 13; b < 0 flips the residual sign each step,
@@ -293,13 +298,27 @@ class TestDegreeReducedScans:
         # and only the exact test sees the violation
         RecurrenceSpec(3, 2, 2**700, 2**700 - 1),
         RecurrenceSpec(3 + Fraction(1, 2**80), 2 + Fraction(1, 2**79), 2**700, 2**700 + 1),
+        # starts on the eigen-solutions 2^n (R' = 0) and 3^n (R = 0), so
+        # N = 0; then the same scaled by 2**700, where only the N != 0
+        # test keeps the R = 0 start off the brackets, and a start 2**-700
+        # off 2^n, whose R' cancels on the whole window
+        RecurrenceSpec(5, 6, 1, 2),
+        RecurrenceSpec(5, 6, 1, 3),
+        RecurrenceSpec(5, 6, 2**700, 2**701),
+        RecurrenceSpec(5, 6, 2**700, 3 * 2**700),
+        RecurrenceSpec(5, 6, 2**700, 2**701 + 1),
+        # repeated root 1/2 on long operands: d = 0, so R' = R = u
+        make_h_spec(1, Fraction(1, 4), 2**700),
+        # roots 0.87 and 0.23: the terms decay, so only P2 => P3 applies
+        DECAYING,
     )
 
     def _cases(self):
         # a second pass on the two q = 13 DP specs with b < 0 and b > 0
-        # reaches carrier terms of ~2,000 bits
+        # reaches carrier terms of ~2,000 bits, and on the decaying spec
+        # terms long enough for the brackets
         return [(spec, self.WINDOW) for spec in self.SPECS] + [
-            (spec, self.LONG_WINDOW) for spec in self.SPECS[:2]
+            (spec, self.LONG_WINDOW) for spec in (*self.SPECS[:2], self.DECAYING)
         ]
 
     def test_p2_matches_reference(self):
@@ -317,6 +336,26 @@ class TestDegreeReducedScans:
             assert (rep.holds_on_window, rep.first_violation) == ref_p3(
                 spec, window
             ), (spec, window)
+
+    def test_long_operands_rarely_reach_the_exact_test(self, monkeypatch):
+        # exact tests on operands of _BRACKET_MIN_BITS bits or more at
+        # window 1000: on the three q = 13 DP specs P3 leads and implies
+        # P2, on the decaying spec P2 leads; the bounds are the counts of
+        # the real-root step this one replaced, which bracketed each
+        # modulus on its own, at the same threshold (640 bits)
+        calls = []
+
+        def counted(x, y, n):
+            calls.append(max(x.bit_length(), y.bit_length()))
+            return surd_sign(x, y, n)
+
+        monkeypatch.setattr(oracle, "surd_sign", counted)
+        for spec, bound in zip((*self.SPECS[:3], self.DECAYING), (40, 0, 0, 0)):
+            calls.clear()
+            w = oracle.scan(spec, 1000, 0)
+            assert w.p2.holds_on_window and w.p3.holds_on_window, spec
+            long_calls = sum(bits >= oracle._BRACKET_MIN_BITS for bits in calls)
+            assert long_calls <= bound, (spec, long_calls)
 
     def test_carrier_terms_equal_iterated_terms(self):
         # terms_between starts the carrier at lo by fast doubling; up to
