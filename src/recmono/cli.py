@@ -47,24 +47,21 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_at_least(lower: int):
+    """argparse type: an integer of at least lower."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < lower:
+            raise argparse.ArgumentTypeError(
+                "must be non-negative" if lower == 0 else f"must be at least {lower}"
+            )
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
-    return value
+    return parse
 
 
 def _bbox(text: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -235,15 +232,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "analyze", help="full decision + oracle report for one recurrence"
     )
     _add_spec_args(p_analyze)
-    p_analyze.add_argument("--window", type=_positive_int, default=300, metavar="N")
-    p_analyze.add_argument("--from-k", type=_nonnegative_int, default=0, metavar="K")
+    p_analyze.add_argument("--window", type=_int_at_least(1), default=300, metavar="N")
+    p_analyze.add_argument("--from-k", type=_int_at_least(0), default=0, metavar="K")
     p_analyze.add_argument("--out", metavar="PATH",
                            help="write the JSON report here instead of stdout")
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_sequence = subs.add_parser("sequence", help="print exact terms a[0..n]")
     _add_spec_args(p_sequence)
-    p_sequence.add_argument("--n", type=_nonnegative_int, required=True, metavar="N")
+    p_sequence.add_argument("--n", type=_int_at_least(0), required=True, metavar="N")
     p_sequence.add_argument("--format", choices=("json", "csv"), default="json")
     p_sequence.set_defaults(func=_cmd_sequence)
 
@@ -252,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="integer pairs (a, b) with 0 < |b| <= a and both roots real, "
         "the dominant one at least 1",
     )
-    p_enum.add_argument("--a-max", type=_positive_int, required=True, metavar="N")
+    p_enum.add_argument("--a-max", type=_int_at_least(1), required=True, metavar="N")
     p_enum.add_argument("--format", choices=("json", "csv"), default="json")
     p_enum.set_defaults(func=_cmd_enumerate)
 
@@ -264,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--bbox", type=_bbox, required=True, metavar="x0,x1,y0,y1",
         help="rational corners; write --bbox=-3,3,-3,3 when x0 is negative",
     )
-    p_regions.add_argument("--res", type=_positive_int, required=True, metavar="N")
+    p_regions.add_argument("--res", type=_int_at_least(1), required=True, metavar="N")
     p_regions.add_argument("--out", required=True, metavar="PATH")
     p_regions.set_defaults(func=_cmd_regions)
 
@@ -274,14 +271,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_riccati.add_argument("--a", type=parse_rational, required=True, metavar="R")
     p_riccati.add_argument("--b", type=parse_rational, required=True, metavar="R")
     p_riccati.add_argument("--b0", type=parse_rational, required=True, metavar="R")
-    p_riccati.add_argument("--n", type=_positive_int, required=True, metavar="N")
+    p_riccati.add_argument("--n", type=_int_at_least(1), required=True, metavar="N")
     p_riccati.set_defaults(func=_cmd_riccati)
 
     p_char = subs.add_parser(
         "characterize",
         help="integer boundary pairs whose polynomial is irreducible",
     )
-    p_char.add_argument("--scan-bound", type=_positive_int, default=1000, metavar="N")
+    p_char.add_argument("--scan-bound", type=_int_at_least(1), default=1000, metavar="N")
     p_char.set_defaults(func=_cmd_characterize)
 
     return parser
@@ -295,7 +292,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # inputs are parsed under the interpreter's limit on int-to-str digits;
+    # terms and orbit states grow past it and are rendered without one
     args = _parser().parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except InternalInconsistency as exc:
@@ -308,6 +309,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

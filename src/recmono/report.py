@@ -101,6 +101,7 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
         decisions.eventually_ratio_monotone(spec) if spec.v0 * spec.v1 != 0 else None
     )
     v_weighted = decisions.weighted_monotone(spec)
+    hartman = decisions.hartman_aurel_sufficient(spec.a, spec.b)
 
     # ---- oracle windows ---------------------------------------------------
     windows = oracle.scan(spec, window, from_k)
@@ -112,57 +113,47 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
     alpha = roots.alpha
     degenerate = real and (spec.v1 - spec.v0 * alpha).sign() == 0
 
-    # ---- consistency: holding verdicts need clean windows -----------------
+    # ---- consistency: the decision/oracle contract -------------------------
+    # One row per verdict an oracle window can contradict: its name, the
+    # verdict, the window, the failing branch that forces a violation and
+    # the index it forces one by.  A holding verdict needs a clean window;
+    # one failing on its forcing branch needs a violation by that index.
     def _mismatch(msg: str) -> None:
         raise InternalInconsistency(f"decision/oracle mismatch: {msg}")
 
-    for verdict, wind, k in ((v_from_k, w1_from_k, from_k), (v_immediate, w1_immediate, 0)):
-        if verdict.holds and not wind.holds_on_window:
+    contract = (
+        (f"nondecreasing_from({from_k})", v_from_k, w1_from_k,
+         Branch.FAIL_INITIAL_TRIPLE, from_k),
+        ("nondecreasing_from(0)", v_immediate, w1_immediate, Branch.FAIL_INITIAL_TRIPLE, 0),
+        ("positive_monotone_h", v_h_monotone, w1_immediate, None, 0),
+        ("ratio_monotone_h", v_h_ratio, w2, Branch.COND2_FAIL_MODULUS, 0),
+        # a zero residual (degenerate start) ties at every index
+        ("weighted_monotone", v_weighted, w3,
+         None if degenerate else Branch.COND3_FAIL_MODULUS, 0),
+    )
+    for name, verdict, wind, forcing, by in contract:
+        if verdict is None or wind is None:
+            continue
+        first = wind.first_violation
+        if verdict.holds and first is not None:
+            _mismatch(f"{name} holds but the window finds a violation at {first}")
+        if verdict.branch is forcing and (first is None or first > by):
             _mismatch(
-                f"nondecreasing_from({k}) holds but the window finds a "
-                f"violation at {wind.first_violation}"
+                f"{name} fails on {forcing.value}, which forces a violation by "
+                f"index {by}, but the window's first violation is {first}"
             )
-        if (
-            not verdict.holds
-            and verdict.branch is Branch.FAIL_INITIAL_TRIPLE
-            and (wind.first_violation is None or wind.first_violation > k)
-        ):
-            _mismatch(
-                f"nondecreasing_from({k}) fails its starting triple but the "
-                f"window shows no violation by index {k}"
-            )
-    if v_h_monotone is not None and v_h_monotone.holds:
-        if spec.v0 <= 0 or not w1_immediate.holds_on_window:
-            _mismatch("positive_monotone_h holds but the window disagrees")
-    if v_h_ratio is not None and w2 is not None:
-        if v_h_ratio.holds and not w2.holds_on_window:
-            _mismatch(
-                f"ratio_monotone_h holds but the window finds a violation "
-                f"at {w2.first_violation}"
-            )
-        if (
-            not v_h_ratio.holds
-            and v_h_ratio.branch is Branch.COND2_FAIL_MODULUS
-            and w2.first_violation != 0
-        ):
-            _mismatch(
-                "ratio_monotone_h fails on |a| < |beta|, which forces a "
-                "violation at index 0, but the window shows none there"
-            )
-    if v_weighted.holds and not w3.holds_on_window:
-        _mismatch(
-            f"weighted_monotone holds but the window finds a violation "
-            f"at {w3.first_violation}"
-        )
-    if not v_weighted.holds and not degenerate and w3.first_violation != 0:
-        _mismatch(
-            "weighted_monotone fails on |beta| > 1 with a nonzero residual, "
-            "which forces a violation at index 0, but the window shows none"
-        )
+    if v_h_monotone is not None and v_h_monotone.holds and spec.v0 <= 0:
+        _mismatch(f"positive_monotone_h holds but v0 = {spec.v0} is not positive")
     if v_eventual.holds and n0 is None:
         _mismatch(
             "eventually_nondecreasing holds but no clean tail starts within "
             "the window; rerun with a larger --window"
+        )
+    # under the hypothesis a positive nondecreasing start telescopes upward
+    if hartman and 0 < spec.v0 <= spec.v1 and n0 != 0:
+        _mismatch(
+            f"hartman_aurel_sufficient holds and 0 < v0 <= v1, but the last "
+            f"violation of the window is at {window if n0 is None else n0 - 1}"
         )
 
     # ---- assembled blocks --------------------------------------------------
@@ -244,9 +235,7 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
             "p2_h_ratio_monotone": _verdict_json(v_h_ratio),
             "p2_eventual_ratio_monotone": _verdict_json(v_ratio_eventual),
             "p3_weighted": _verdict_json(v_weighted),
-            "hartman_aurel_sufficient": decisions.hartman_aurel_sufficient(
-                spec.a, spec.b
-            ),
+            "hartman_aurel_sufficient": hartman,
         },
         "oracle_windows": {
             "p1_immediate": _window_json(w1_immediate),

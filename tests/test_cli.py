@@ -14,6 +14,7 @@ import pytest
 
 import recmono.cli as cli
 from recmono.cli import main, parse_rational
+from recmono.recurrence import RecurrenceSpec, iterate
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +156,65 @@ class TestAnalyze:
         code, rerun, _ = run_cli(capsys, *line.split()[1:])
         code_direct, direct, _ = run_cli(capsys, "analyze", *argv)
         assert code == code_direct == 0 and rerun == direct
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["analyze", "--a", "1", "--b", "-1", "--h-init", "1", "--window", "0"],
+             "argument --window: must be at least 1"),
+            (["analyze", "--a", "1", "--b", "-1", "--h-init", "1", "--from-k=-1"],
+             "argument --from-k: must be non-negative"),
+            (["regions", "--region", "D", "--bbox=-1,1,-1,1", "--res", "x", "--out", "x.pgm"],
+             "argument --res: not an integer: 'x'"),
+        ],
+    )
+    def test_out_of_range_or_malformed_exits_two(self, capsys, argv, text):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert text in capsys.readouterr().err
+
+    def test_inputs_keep_the_digit_limit(self, capsys):
+        # outputs are rendered without the limit, inputs are parsed under it
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--a", "1" * 4301, "--b", "1", "--h-init", "1"])
+        assert exc.value.code == 2
+        assert "argument --a" in capsys.readouterr().err
+
+
+class TestLongOutputs:
+    """Outputs past the interpreter's 4300-digit int-to-str limit render;
+    the limit in force before the call is in force after it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["riccati", "--a", "10", "--b", "1", "--b0", "1/3", "--n", "5000"],
+            ["analyze", "--a", str(10**700), "--b", "1", "--h-init", "1", "--window", "5"],
+        ],
+    )
+    def test_exit_zero(self, capsys, argv):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and json.loads(out)["schema"] == 1
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_sequence_last_term_matches_iterate(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(
+            capsys, "sequence", "--a", "10", "--b", "1", "--v0", "1", "--v1", "10",
+            "--n", "5000",
+        )
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit
+        last = iterate(RecurrenceSpec(10, 1, 1, 10), 5000)[-1]
+        sys.set_int_max_str_digits(0)
+        try:
+            assert json.loads(out)["terms"][-1] == str(last)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestSequence:

@@ -4,8 +4,10 @@ cross-check behavior, and determinism.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,10 @@ from recmono import (
     build_report,
     decisions,
     make_h_spec,
+    oracle,
     ratio_limit,
 )
+from recmono.decisions import Branch, Verdict
 from recmono.qfield import quadratic_roots
 
 from conftest import build_corpus
@@ -121,6 +125,121 @@ class TestCrossChecks:
             build_report(make_h_spec(1, -1, 1), window=0)
         with pytest.raises(ValueError):
             build_report(make_h_spec(1, -1, 1), from_k=-1)
+
+
+def _fake_verdict(monkeypatch, name, verdict, only_k=None):
+    """decisions.<name> returns verdict; for nondecreasing_from, only at k = only_k."""
+    real = getattr(decisions, name)
+
+    def fake(*args):
+        return verdict if only_k is None or args[1:] == (only_k,) else real(*args)
+
+    monkeypatch.setattr(decisions, name, fake)
+
+
+def _fake_windows(monkeypatch, **firsts):
+    """oracle.scan hands back each named window with the given first violation."""
+    real = oracle.scan
+
+    def fake(spec, window, from_k):
+        windows = real(spec, window, from_k)
+        changed = {
+            field: dataclasses.replace(
+                getattr(windows, field), holds_on_window=first is None, first_violation=first
+            )
+            for field, first in firsts.items()
+        }
+        return dataclasses.replace(windows, **changed)
+
+    monkeypatch.setattr(oracle, "scan", fake)
+
+
+# (verdict name, spec, from_k, faked verdicts as (decision, verdict, only_k),
+#  faked windows as {field: first violation}); each case makes one verdict
+#  and its oracle window contradict each other and nothing else
+CONTRADICTIONS = {
+    "from_k_holds_dirty_window": (
+        "nondecreasing_from(3)", RecurrenceSpec(1, 1, 1, 1), 3,
+        [("nondecreasing_from", Verdict(True, Branch.COND_MONOTONIC_1), 3)], {},
+    ),
+    "from_k_initial_triple_clean_window": (
+        "nondecreasing_from(3)", make_h_spec(Fraction(1, 10), -2, 1), 3,
+        [], {"p1_from_k": None},
+    ),
+    "from_k_initial_triple_late_violation": (
+        "nondecreasing_from(3)", make_h_spec(Fraction(1, 10), -2, 1), 3,
+        [], {"p1_from_k": 4},
+    ),
+    "immediate_holds_dirty_window": (
+        "nondecreasing_from(0)", RecurrenceSpec(1, 1, 1, 1), 3,
+        [("nondecreasing_from", Verdict(True, Branch.COND_MONOTONIC_1), 0)], {},
+    ),
+    "immediate_initial_triple_clean_window": (
+        "nondecreasing_from(0)", make_h_spec(Fraction(1, 10), -2, 1), 3,
+        [], {"p1_immediate": None},
+    ),
+    "immediate_initial_triple_late_violation": (
+        "nondecreasing_from(0)", make_h_spec(Fraction(1, 10), -2, 1), 3,
+        [], {"p1_immediate": 1},
+    ),
+    "positive_monotone_h_dirty_window": (
+        "positive_monotone_h", make_h_spec(1, 1, 1), 0,
+        [("positive_monotone_h", Verdict(True, Branch.COND_H_MONOTONE), None)], {},
+    ),
+    # the single-line check: a clean window, but a[0] is not positive
+    "positive_monotone_h_nonpositive_v0": (
+        "positive_monotone_h", make_h_spec(1, -1, -1), 0,
+        [("positive_monotone_h", Verdict(True, Branch.COND_H_MONOTONE), None),
+         ("nondecreasing_from", Verdict(False, Branch.FAIL_GROWTH_PRODUCT), None)],
+        {"p1_immediate": None},
+    ),
+    "ratio_monotone_h_dirty_window": (
+        "ratio_monotone_h", make_h_spec(Fraction(1, 2), Fraction(-3, 4), 1), 0,
+        [("ratio_monotone_h", Verdict(True, Branch.COND_RATIO_CONTRACTION), None)], {},
+    ),
+    "ratio_monotone_h_modulus_clean_window": (
+        "ratio_monotone_h", make_h_spec(Fraction(1, 2), Fraction(-3, 4), 1), 0,
+        [], {"p2": None},
+    ),
+    "weighted_monotone_dirty_window": (
+        "weighted_monotone", make_h_spec(Fraction(1, 10), -2, 1), 0,
+        [("weighted_monotone", Verdict(True, Branch.COND_MODULUS_AT_MOST_ONE), None)], {},
+    ),
+    "weighted_monotone_modulus_clean_window": (
+        "weighted_monotone", make_h_spec(Fraction(1, 10), -2, 1), 0,
+        [], {"p3": None},
+    ),
+    # the single-line check: the last pair of the window violates
+    "eventually_nondecreasing_no_clean_tail": (
+        "eventually_nondecreasing", make_h_spec(1, -1, -1), 0,
+        [("eventually_nondecreasing", Verdict(True, Branch.COND_MONOTONIC_1), None)], {},
+    ),
+    "hartman_aurel_ordered_start_dirty_window": (
+        "hartman_aurel_sufficient", RecurrenceSpec(1, 1, 1, 2), 0,
+        [("hartman_aurel_sufficient", True, None)], {},
+    ),
+}
+
+
+class TestContractFires:
+    """Each row of build_report's decision/oracle contract, and each of its
+    single-line checks, raises once its verdict and its window disagree."""
+
+    @pytest.mark.parametrize("case", sorted(CONTRADICTIONS))
+    def test_contradiction_raises_naming_the_verdict(self, monkeypatch, case):
+        name, spec, from_k, verdicts, windows = CONTRADICTIONS[case]
+        build_report(spec, 40, from_k)  # consistent before the fakes
+        for decision, verdict, only_k in verdicts:
+            _fake_verdict(monkeypatch, decision, verdict, only_k)
+        _fake_windows(monkeypatch, **windows)
+        with pytest.raises(InternalInconsistency, match=re.escape(name)):
+            build_report(spec, 40, from_k)
+
+    @pytest.mark.parametrize("v0, v1", [(1, 2), (2, 2), (Fraction(1, 3), 7)])
+    def test_hartman_aurel_ordered_start_has_clean_tail(self, v0, v1):
+        spec = RecurrenceSpec(Fraction(7, 2), Fraction(1, 2), v0, v1)
+        assert decisions.hartman_aurel_sufficient(spec.a, spec.b)
+        assert build_report(spec, 60)["oracle_windows"]["n0_witness"] == 0
 
 
 class TestRootsBuiltOnce:
