@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .numtheory import boundary_characterization, enumerate_generalized_fibonacci
 from .qfield import quadratic_roots
 from .recurrence import RecurrenceSpec, iterate, make_h_spec
-from .regions import RegionId, check_csv_range, rasterize, write_csv, write_pgm
+from .regions import RegionId, rasterize, write_csv, write_pgm
 from .report import InternalInconsistency, build_report, spec_json
 from .riccati import riccati_orbit
 
@@ -32,6 +32,15 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 CLI_REGIONS = ("D1", "D2", "D3", "D", "D1P", "D2P", "D3P", "DP")
 
 
+def _check_digit_limit(text: str) -> None:
+    """Refuse a run of digits longer than the interpreter parses into an
+    int, naming the limit and echoing only the start of text."""
+    limit = sys.get_int_max_str_digits()
+    if limit and max(map(len, re.findall(r"\d+", text)), default=0) > limit:
+        raise argparse.ArgumentTypeError(f"more than the interpreter's limit of {limit} "
+                                         f"digits: {text[:20]!r}... ({len(text)} characters)")
+
+
 def parse_rational(text: str) -> Fraction:
     """Exact rational from 'p/q' or an integer literal; nothing else."""
     if not _RATIONAL_RE.match(text):
@@ -39,6 +48,7 @@ def parse_rational(text: str) -> Fraction:
             f"not a rational: {text!r} (write p/q or an integer; "
             "decimal literals are not accepted)"
         )
+    _check_digit_limit(text)
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:
@@ -51,6 +61,7 @@ def _int_at_least(lower: int):
     """argparse type: an integer of at least lower."""
 
     def parse(text: str) -> int:
+        _check_digit_limit(text)
         try:
             value = int(text)
         except ValueError:
@@ -175,7 +186,6 @@ def _cmd_regions(args: argparse.Namespace) -> int:
         write = write_pgm
     elif path.endswith(".csv"):
         write = write_csv
-        check_csv_range(args.bbox, args.res)
     else:
         raise ValueError(f"--out must end in .pgm or .csv, got {path!r}")
     write(rasterize(RegionId[args.region], args.bbox, args.res), path)

@@ -4,9 +4,11 @@ Every inequality this package decides reduces to the sign of a number
 (x + y*sqrt(n))/den with integers x, y, n >= 0 and den > 0.  This
 module provides that number type, `QuadElem`, together with exact sign
 and absolute-value comparisons, and builds the characteristic roots of
-x^2 - a*x + b on top of it.  Nothing here touches floating point;
-decimal rendering for display lives in `decimal_str` and is only used
-at the edges (reports, CLI output).
+x^2 - a*x + b on top of it.  Nothing here touches floating point.
+Decimals are for display only.  One core, `_rounded`, rounds an element
+half-even to a number of significant digits, on integers, and two
+layouts print its result: `decimal_str` at 12 digits for reports and
+`g6_str` at 6 digits, in C's %g layout, for CSV rasters.
 
 Every sign is decided on integers, once: `surd_sign(x, y, n)` is the
 sign of x + y*sqrt(n) for integers x, y and n >= 0.  It is exact for
@@ -36,13 +38,14 @@ y != 0 has sqrt(N) irrational.  Equality is decided by value, as the
 sign of the difference.
 
 `surd_sign` and `dominant_root_sign` are the package's integer kernel,
-not part of its exported API, and are left out of `__all__`.
+and `g6_str` is the CSV layout; none is part of the exported API, and
+all are left out of `__all__`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Optional, Union
@@ -56,10 +59,6 @@ __all__ = [
     "quadratic_roots",
     "decimal_str",
 ]
-
-# significant digits of every rendered decimal
-_DIGITS = 12
-
 
 def surd_sign(x: int, y: int, n: int) -> int:
     """Sign of x + y*sqrt(n) for integers x, y and n >= 0, exactly.
@@ -226,32 +225,27 @@ def quadratic_roots(a: RationalLike, b: RationalLike) -> RootPair:
     return RootPair(disc, 1 if N else 0, plus, minus, alpha, beta, None)
 
 
-def decimal_str(x: Union[QuadElem, RationalLike]) -> str:
-    """x rounded half-even to 12 significant digits, printed as a Decimal.
+def _rounded(x: Union[QuadElem, RationalLike], digits: int) -> tuple[int, int, int, bool]:
+    """(sign, c, k, exact): |x| rounded half-even to c*10**k, c of `digits` digits.
 
-    A rational x is divided in Decimal with 20 guard digits, so a
-    terminating value keeps its short form ("0.5").  Otherwise the work
-    is on integers.  With v = (x + y*sqrt(n))/den, a lower bound on |v|
-    picks the exponent k: |v| itself when x and y agree in sign, else
-    the conjugate form |x^2 - y^2*n| / (den*(|x| + |y|*sqrt(n))), where
+    The work is on integers, for a surd and a rational (y = 0) alike.
+    With v = (x + y*sqrt(n))/den, a lower bound on |v| picks the
+    exponent k: |v| itself when x and y agree in sign, else the
+    conjugate form |x^2 - y^2*n| / (den*(|x| + |y|*sqrt(n))), where
     nothing cancels.  The significand c = floor(|v|/10**k) comes from one
     isqrt, since floor((a + sqrt(m))/D) = (a + isqrt(m)) // D and
     floor((a - sqrt(m))/D) = (a - ceil(sqrt(m))) // D for integers a,
     m >= 0 and D > 0, whatever the cancellation between a and sqrt(m).
     Rounding is the exact sign of |v| - (c + 1/2)*10**k, by `surd_sign`.
+    `exact` says that c*10**k is |v| itself; it is decided for rationals
+    only, and a surd reports False.  Zero gives (0, 0, 0, True).
     """
     q = QuadElem._coerce(x)
     if q is None:
         raise TypeError(f"cannot render {type(x).__name__}")
-    if q.y == 0:
-        with localcontext() as ctx:
-            ctx.prec = _DIGITS + 20
-            value = Decimal(q.x) / Decimal(q.den)
-            ctx.prec = _DIGITS
-            return str(+value)
     s = q.sign()
     if s == 0:
-        return "0"
+        return 0, 0, 0, True
     # |v| = (x + y*sqrt(n))/den > 0 from here on
     x, y, n, den = s * q.x, s * q.y, q.n, q.den
     low = abs(x) + isqrt(y * y * n)  # low <= |x| + |y|*sqrt(n) < low + 1
@@ -259,25 +253,53 @@ def decimal_str(x: Union[QuadElem, RationalLike]) -> str:
         num, dd = low, den
     else:
         num, dd = abs(x * x - y * y * n), den * (low + 1)
-    # num/dd <= |v| <= 2*num/dd, so c has 12 to 14 digits at this k;
-    # adjusted() counts digits where str() refuses ints past 4300 digits
-    k = Decimal(num).adjusted() - Decimal(dd).adjusted() - _DIGITS
-
-    def scaled(k: int) -> tuple[int, int]:
-        """(P, D): |v|/10**k = (x*P + y*P*sqrt(n))/D."""
-        return (10**-k, den) if k < 0 else (1, den * 10**k)
-
-    P, D = scaled(k)
+    # num/dd <= |v| <= 2*num/dd, so c has digits to digits + 2 digits at
+    # this k; adjusted() counts digits where str() refuses ints past 4300
+    k = Decimal(num).adjusted() - Decimal(dd).adjusted() - digits
+    # |v|/10**k = (x*P + y*P*sqrt(n))/D
+    P, D = (10**-k, den) if k < 0 else (1, den * 10**k)
     m = y * y * P * P * n
     r = isqrt(m)
     c = (x * P + r) // D if y >= 0 else (x * P - r - (r * r != m)) // D
-    extra = len(str(c)) - _DIGITS
+    extra = len(str(c)) - digits
     c //= 10**extra
     k += extra
-    P, D = scaled(k)
+    P, D = (10**-k, den) if k < 0 else (1, den * 10**k)
+    exact = y == 0 and x * P == c * D
     half = surd_sign(2 * x * P - (2 * c + 1) * D, 2 * y * P, n)
     if half > 0 or (half == 0 and c & 1):
         c += 1
-    if c == 10**_DIGITS:
+    if c == 10**digits:
+        c, k = c // 10, k + 1
+    return s, c, k, exact
+
+
+def decimal_str(x: Union[QuadElem, RationalLike]) -> str:
+    """x rounded half-even to 12 significant digits, printed as a Decimal.
+
+    An exact rational drops the trailing zeros of its fraction, so a
+    terminating value keeps its short form ("0.5", "1000"); every other
+    value prints all 12 digits ("1.00000000000E+15").
+    """
+    s, c, k, exact = _rounded(x, 12)
+    while exact and k < 0 and c % 10 == 0:
         c, k = c // 10, k + 1
     return str(Decimal(f"{'-' if s < 0 else ''}{c}E{k}"))
+
+
+def g6_str(x: Union[QuadElem, RationalLike]) -> str:
+    """x rounded half-even to 6 significant digits, in the layout of C's %g.
+
+    Trailing zeros are dropped.  A decimal exponent e from -4 to 5
+    prints in fixed notation, any other as d.ddddde+XX, with at least
+    two exponent digits.  Zero is "0".
+    """
+    s, c, k, _ = _rounded(x, 6)
+    if s == 0:
+        return "0"
+    e, digits = k + 5, str(c).rstrip("0")  # |x| rounds to d.dddd*10**e
+    if -4 <= e <= 5:  # zeros padded in, the point after the units digit
+        digits, point, suffix = ("0" * -e + digits).ljust(e + 1, "0"), max(e, 0) + 1, ""
+    else:
+        point, suffix = 1, f"e{e:+03d}"
+    return f"{'-' if s < 0 else ''}{digits[:point]}.{digits[point:]}".rstrip(".") + suffix

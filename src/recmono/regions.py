@@ -19,8 +19,9 @@ of an integer surd u + v*sqrt(N), decided by `qfield.surd_sign`; alpha
 is the plus root iff `qfield.dominant_root_sign(X)` is +1.  No
 squareness check is made: the integer sign is exact whether or not N is
 a square.  `rasterize`, `contains_coeff_plane` and `contains_root_plane`
-all call the same per-region predicates.  The only approximation
-anywhere is the 6-significant-digit rendering in CSV output.
+all call the same per-region predicates.  CSV output prints each centre
+rounded half-even to 6 significant digits by `qfield.g6_str`, exactly,
+at any magnitude.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from sys import float_info
 
-from .qfield import RationalLike, dominant_root_sign, surd_sign
+from .qfield import RationalLike, dominant_root_sign, g6_str, surd_sign
 
 __all__ = [
     "RegionId",
@@ -41,7 +41,6 @@ __all__ = [
     "contains_coeff_plane",
     "rasterize",
     "write_pgm",
-    "check_csv_range",
     "write_csv",
 ]
 
@@ -190,15 +189,6 @@ class RasterGrid:
     resolution: int
     cells: tuple[tuple[bool, ...], ...]
 
-    def centers(self):
-        """Yield (row, col, x, y) for every cell, row-major."""
-        xs, ys, L = _cell_numerators(self.bbox, self.resolution)
-        xs = [Fraction(X, L) for X in xs]
-        for row, Y in enumerate(ys):
-            y = Fraction(Y, L)
-            for col, x in enumerate(xs):
-                yield row, col, x, y
-
 
 def rasterize(
     region: RegionId,
@@ -225,36 +215,11 @@ def write_pgm(grid: RasterGrid, path: str) -> None:
         fh.write(bytes(255 if cell else 0 for row in grid.cells for cell in row))
 
 
-def check_csv_range(
-    bbox: tuple[Fraction, Fraction, Fraction, Fraction], resolution: int
-) -> None:
-    """Raise ValueError unless every cell centre prints as a normal float.
-
-    `write_csv` prints centres through `float`.  Corners that fit a float
-    bound every centre, which lies inside the bbox.  A nonzero centre X/L
-    under the smallest normal float, 2^(min_exp - 1), would print as a
-    signed zero or a subnormal of a few bits; |X| * 2^(1 - min_exp) < L
-    decides that on integers.
-    """
-    try:
-        for corner in bbox:
-            float(corner)
-    except OverflowError:
-        raise ValueError("bbox corners too large for a float, which CSV output "
-                         "prints; write a PGM instead") from None
-    xs, ys, L = _cell_numerators(bbox, resolution)
-    if any(V and abs(V) << (1 - float_info.min_exp) < L for V in (*xs, *ys)):
-        raise ValueError("bbox cell centres too close to zero for a float, which "
-                         "CSV output prints; write a PGM instead")
-
-
-def _sig6(value: Fraction) -> str:
-    return format(float(value), ".6g")
-
-
 def write_csv(grid: RasterGrid, path: str) -> None:
     """One `x,y` line per member cell center, row-major, 6 significant digits."""
+    xs, ys, L = _cell_numerators(grid.bbox, grid.resolution)
+    columns = [g6_str(Fraction(X, L)) for X in xs]
     with open(path, "w", encoding="ascii") as fh:
-        for row, col, x, y in grid.centers():
-            if grid.cells[row][col]:
-                fh.write(f"{_sig6(x)},{_sig6(y)}\n")
+        for Y, row in zip(ys, grid.cells):
+            y = g6_str(Fraction(Y, L))
+            fh.writelines(f"{x},{y}\n" for x, cell in zip(columns, row) if cell)

@@ -105,6 +105,17 @@ class TestAnalyze:
             main(["analyze", "--a", "0.5", "--b", "-1", "--h-init", "1"])
         assert exc.value.code == 2
 
+    def test_root_decimal_rounds_once(self, capsys):
+        # beta lies 10^-41 above a 12-digit tie, so it rounds up; a
+        # 32-digit division rounded again to 12 digits lands on the tie
+        # and rounds down to ...012
+        x = Fraction(12345678901250000000000000000000000000001, 10**41)
+        code, out, err = run_cli(
+            capsys, "analyze", f"--a={1 + x}", f"--b={x}", "--h-init=1", "--window=5"
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["roots"]["beta"] == {"exact": str(x), "decimal": "0.123456789013"}
+
     def test_zero_coefficient_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "analyze", "--a", "0", "--b", "-1", "--h-init", "1"
@@ -175,6 +186,25 @@ class TestIntegerArguments:
             main(argv)
         assert exc.value.code == 2
         assert text in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["analyze", "--a", "1" * 4301, "--b", "1", "--h-init", "1"], "--a"),
+            (["analyze", "--a", "1", "--b", "1", "--h-init", "1", "--window", "1" * 4301],
+             "--window"),
+        ],
+    )
+    def test_long_argument_names_the_limit(self, capsys, argv, flag):
+        # the message names the interpreter's limit and echoes a cut value
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        limit = sys.get_int_max_str_digits()
+        assert f"argument {flag}: more than the interpreter's limit of {limit} digits" in err
+        assert "(4301 characters)" in err and "not an integer" not in err
+        assert len(err.encode()) < 300
 
     def test_inputs_keep_the_digit_limit(self, capsys):
         # outputs are rendered without the limit, inputs are parsed under it
@@ -309,11 +339,8 @@ class TestRegions:
         )
         assert code == 2 and ".pgm or .csv" in err
 
-    def test_csv_bbox_past_float_range_rejected(self, capsys, tmp_path, monkeypatch):
-        def no_raster(*args):
-            raise AssertionError("rasterized before checking --bbox")
-
-        monkeypatch.setattr(cli, "rasterize", no_raster)
+    def test_csv_bbox_past_float_range(self, capsys, tmp_path):
+        # centres are rounded on integers, so no magnitude overflows
         big = 10**400
         path = tmp_path / "d.csv"
         code, out, err = run_cli(
@@ -321,16 +348,11 @@ class TestRegions:
             "regions", "--region", "D", f"--bbox=-{big},{big},-{big},{big}",
             "--res", "3", "--out", str(path),
         )
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "float" in err
-        assert not path.exists()
+        assert code == 0 and out == "" and err == ""
+        assert path.read_text(encoding="ascii") == "6.66667e+399,0\n"
 
-    def test_csv_bbox_below_float_range_rejected(self, capsys, tmp_path, monkeypatch):
-        # float() would print every centre as a zero, some of them signed
-        def no_raster(*args):
-            raise AssertionError("rasterized before checking --bbox")
-
-        monkeypatch.setattr(cli, "rasterize", no_raster)
+    def test_csv_bbox_below_float_range(self, capsys, tmp_path):
+        # nor underflows: no centre prints as a zero, signed or not
         tiny = f"1/{10**400}"
         path = tmp_path / "x.csv"
         code, out, err = run_cli(
@@ -338,9 +360,12 @@ class TestRegions:
             "regions", "--region", "D3P", f"--bbox=-{tiny},{tiny},-{tiny},{tiny}",
             "--res", "4", "--out", str(path),
         )
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "float" in err
-        assert not path.exists()
+        assert code == 0 and out == "" and err == ""
+        lines = path.read_text(encoding="ascii").splitlines()
+        assert lines[0] == "-7.5e-401,7.5e-401"
+        assert len(lines) == 16 and len(set(lines)) == 16
+        values = {v for line in lines for v in line.split(",")}
+        assert values == {"-7.5e-401", "-2.5e-401", "2.5e-401", "7.5e-401"}
 
     def test_malformed_bbox_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recmono import QuadElem, RecurrenceSpec, cmp_abs, decimal_str, quadratic_roots, riccati_orbit
-from recmono.qfield import dominant_root_sign, surd_sign
+from recmono.qfield import dominant_root_sign, g6_str, surd_sign
 
 numerators_st = st.integers(-1500, 1500)
 denominators_st = st.integers(1, 30)
@@ -29,6 +29,40 @@ def approx(v: QuadElem, prec: int = 80) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = prec
         return (Decimal(v.x) + Decimal(v.y) * Decimal(v.n).sqrt()) / Decimal(v.den)
+
+
+def half_even(v: Fraction, digits: int) -> tuple[int, int]:
+    """(c, k): |v| > 0 rounded half-even to c*10**k with `digits` digits in c."""
+    v = abs(v)
+    k = len(str(v.numerator)) - len(str(v.denominator)) - digits
+    while v >= Fraction(10) ** (k + digits):
+        k += 1
+    while v < Fraction(10) ** (k + digits - 1):
+        k -= 1
+    c = round(v / Fraction(10) ** k)  # Fraction's round() is half-even
+    return (c // 10, k + 1) if c == 10**digits else (c, k)
+
+
+def decimal_reference(v: Fraction) -> str:
+    """12 digits half-even in Decimal's layout; a terminating value that
+    fits them keeps its short form, the Decimal quotient's."""
+    if v == 0:
+        return "0"
+    c, k = half_even(v, 12)
+    if c * Fraction(10) ** k == abs(v):
+        with localcontext() as ctx:
+            ctx.prec = 12
+            return str(Decimal(v.numerator) / Decimal(v.denominator))
+    return str(Decimal(f"{'-' if v < 0 else ''}{c}E{k}"))
+
+
+def g6_reference(v: Fraction) -> str:
+    """6 digits half-even in %g layout: a 6-digit decimal in a float's
+    range is the float nearest it, which '.6g' prints as itself."""
+    if v == 0:
+        return "0"
+    c, k = half_even(v, 6)
+    return format(float((c if v > 0 else -c) * Fraction(10) ** k), ".6g")
 
 
 class TestNormalForm:
@@ -249,6 +283,45 @@ class TestDecimalRendering:
         # exact ties, on a square radicand, round half to even
         assert decimal_str(QuadElem(10**12 + 3, 1, 4, 10**12)) == "1.00000000000"
         assert decimal_str(QuadElem(10**12 + 13, 1, 4, 10**12)) == "1.00000000002"
+
+    def test_rational_rounds_once(self):
+        # 10^-41 above a 12-digit tie: rounding 32 digits of a Decimal
+        # division again to 12 would land on the tie and round down
+        x = Fraction(12345678901250000000000000000000000000001, 10**41)
+        assert decimal_str(x) == "0.123456789013"
+        assert decimal_str(-x) == "-0.123456789013"
+
+    def test_short_forms_of_exact_values(self):
+        assert decimal_str(Fraction(1000)) == "1000"
+        assert decimal_str(Fraction(-3, 8)) == "-0.375"
+        assert decimal_str(10**15) == "1.00000000000E+15"
+        assert decimal_str(Fraction(1, 10**7)) == "1E-7"
+        assert decimal_str(0) == "0"
+        assert g6_str(Fraction(357, 320)) == "1.11562"  # 1.115625, a tie
+        assert g6_str(100000) == "100000" and g6_str(10**6) == "1e+06"
+        assert g6_str(Fraction(-1, 10**4)) == "-0.0001" and g6_str(Fraction(1, 10**5)) == "1e-05"
+        assert g6_str(0) == "0"
+
+    @given(
+        c=st.integers(10**11, 10**12 - 1), e=st.integers(-40, 40), negative=st.booleans(),
+        kind=st.sampled_from(["tie", "near_tie", "terminating"]),
+        j=st.integers(-1000, 1000), den=st.integers(1000, 10**6),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_rounding_matches_fraction_half_even(self, c, e, negative, kind, j, den):
+        # each layout gets a value on a tie between two of its decimals,
+        # within 10^-30 units in the last place of one, or terminating
+        for digits, render, reference in ((12, decimal_str, decimal_reference),
+                                          (6, g6_str, g6_reference)):
+            m = c // 10 ** (12 - digits)  # `digits` digits
+            if kind == "tie":
+                v = Fraction(2 * m + 1, 2)
+            elif kind == "near_tie":
+                v = Fraction(2 * m + 1, 2) + Fraction(j or 1, den * 10**30)
+            else:
+                v = Fraction(m, 2 ** (j % 40) * 5 ** (den % 40))
+            v *= Fraction(-1 if negative else 1) * Fraction(10) ** e
+            assert render(v) == reference(v), v
 
     def test_rendering_within_one_ulp(self):
         x = QuadElem(14, -3, 13, 21)  # 2/3 - sqrt(13)/7

@@ -23,10 +23,22 @@ from recmono import (
     write_csv,
     write_pgm,
 )
-from recmono.regions import contains_root_plane
+from recmono.regions import _cell_numerators, contains_root_plane
 
 ROOT_BBOX = (-3, 3, -3, 3)
 COEFF_BBOX = (-1, 5, -7, 5)
+
+
+def centers(grid):
+    """(row, col, x, y) for every cell, row-major, by the formula
+    x0 + (2*col + 1)*(x1 - x0)/(2*res) in Fractions, y counted down from y1."""
+    x0, x1, y0, y1 = grid.bbox
+    res = grid.resolution
+    xs = [x0 + (2 * col + 1) * (x1 - x0) / (2 * res) for col in range(res)]
+    for row in range(res):
+        y = y1 - (2 * row + 1) * (y1 - y0) / (2 * res)
+        for col, x in enumerate(xs):
+            yield row, col, x, y
 
 
 class TestRootPlaneMembership:
@@ -150,7 +162,7 @@ class TestDecisionConsistency:
 
     def _centers(self):
         grid = rasterize(RegionId.DP, COEFF_BBOX, 25)
-        for _, _, a, b in grid.centers():
+        for _, _, a, b in centers(grid):
             if a != 0 and b != 0:
                 yield a, b
 
@@ -227,16 +239,22 @@ class TestRasterGrid:
             for bbox in self.BBOXES:
                 for res in (8, 11):
                     grid = rasterize(region, bbox, res)
-                    for row, col, x, y in grid.centers():
+                    for row, col, x, y in centers(grid):
                         assert grid.cells[row][col] == member(region, x, y), (
                             region, bbox, res, row, col)
 
     def test_centers_are_exact_rationals(self):
-        grid = rasterize(RegionId.D, ROOT_BBOX, 8)
-        _, _, x, y = next(iter(grid.centers()))
-        assert isinstance(x, Fraction) and isinstance(y, Fraction)
-        assert x == Fraction(-3) + Fraction(6, 8) / 2
-        assert y == Fraction(3) - Fraction(6, 8) / 2
+        # the raster's integer numerators over L are the formula's centres
+        xs, ys, L = _cell_numerators(ROOT_BBOX, 8)
+        assert Fraction(xs[0], L) == Fraction(-3) + Fraction(6, 8) / 2
+        assert Fraction(ys[0], L) == Fraction(3) - Fraction(6, 8) / 2
+        for bbox in self.BBOXES:
+            for res in (8, 11):
+                grid = rasterize(RegionId.D, bbox, res)
+                xs, ys, L = _cell_numerators(grid.bbox, res)
+                assert all(isinstance(V, int) for V in (*xs, *ys, L))
+                assert [(Fraction(Y, L), Fraction(X, L)) for Y in ys for X in xs] == [
+                    (y, x) for _, _, x, y in centers(grid)], (bbox, res)
 
     def test_determinism(self):
         one = rasterize(RegionId.DP, COEFF_BBOX, 16)
@@ -278,10 +296,19 @@ class TestOutputFormats:
         write_csv(grid, str(path))
         lines = path.read_text(encoding="ascii").splitlines()
         assert len(lines) == sum(map(sum, grid.cells))
-        members = [
-            (x, y) for row, col, x, y in grid.centers() if grid.cells[row][col]
-        ]
+        members = [(x, y) for row, col, x, y in centers(grid) if grid.cells[row][col]]
         for line, (x, y) in zip(lines, members):
             sx, sy = line.split(",")
             assert abs(float(sx) - float(x)) < 1e-9
             assert abs(float(sy) - float(y)) < 1e-9
+
+    def test_csv_rounds_a_tie_half_even(self, tmp_path):
+        # the middle row's centre is 357/320 = 1.115625, a 6-digit tie,
+        # which rounds to the even 1.11562
+        mid = Fraction(357, 320)
+        grid = rasterize(RegionId.D2, (1, 3, mid - 1, mid + 1), 3)
+        path = tmp_path / "d2.csv"
+        write_csv(grid, str(path))
+        lines = path.read_text(encoding="ascii").splitlines()
+        assert [line for line in lines if ",1.1156" in line] == [
+            "1.33333,1.11562", "2,1.11562", "2.66667,1.11562"]
