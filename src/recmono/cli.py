@@ -32,27 +32,35 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 CLI_REGIONS = ("D1", "D2", "D3", "D", "D1P", "D2P", "D3P", "DP")
 
 
+def _echo(text: str) -> str:
+    """An argument value as an error message quotes it: whole up to 20
+    characters, else its first 20 and its length."""
+    if len(text) <= 20:
+        return repr(text)
+    return f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def _check_digit_limit(text: str) -> None:
     """Refuse a run of digits longer than the interpreter parses into an
     int, naming the limit and echoing only the start of text."""
     limit = sys.get_int_max_str_digits()
     if limit and max(map(len, re.findall(r"\d+", text)), default=0) > limit:
-        raise argparse.ArgumentTypeError(f"more than the interpreter's limit of {limit} "
-                                         f"digits: {text[:20]!r}... ({len(text)} characters)")
+        raise argparse.ArgumentTypeError(
+            f"more than the interpreter's limit of {limit} digits: {_echo(text)}")
 
 
 def parse_rational(text: str) -> Fraction:
     """Exact rational from 'p/q' or an integer literal; nothing else."""
     if not _RATIONAL_RE.match(text):
         raise argparse.ArgumentTypeError(
-            f"not a rational: {text!r} (write p/q or an integer; "
+            f"not a rational: {_echo(text)} (write p/q or an integer; "
             "decimal literals are not accepted)"
         )
     _check_digit_limit(text)
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:
-            raise argparse.ArgumentTypeError(f"zero denominator: {text!r}")
+            raise argparse.ArgumentTypeError(f"zero denominator: {_echo(text)}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 
@@ -65,7 +73,7 @@ def _int_at_least(lower: int):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+            raise argparse.ArgumentTypeError(f"not an integer: {_echo(text)}")
         if value < lower:
             raise argparse.ArgumentTypeError(
                 "must be non-negative" if lower == 0 else f"must be at least {lower}"

@@ -3,13 +3,16 @@
 These scans work directly on the terms and know nothing about the
 decision criteria; they are the second route every verdict is held
 against.  scan decides every window of one report -- both P1 windows,
-the n0 witness, P2 and P3 -- in one loop over the carrier from index 0,
+the n0 witness, P2 and P3 -- in one walk of the carrier from index 0,
 which never jumps: decisions and terms_between reach far terms by Lucas
 fast doubling, so the two routes reach a far index independently.  The
-loop tests P1 through the whole window (n0 needs its last violation)
+walk tests P1 through the whole window (n0 needs its last violation)
 and goes past it only for the from-k P1 window, and only while that
 window is still clean; P2 and P3 ride on the same indices until both
-have a violation or the window ends.  All comparisons are exact.
+have a violation or the window ends.  From there P1 walks on its own, on
+the difference sequence E[n] = M[n+1] - q*M[n] of the carrier below,
+which obeys the carrier's recurrence and is negative exactly where
+a[n] > a[n+1].  All comparisons are exact.
 
 For speed the scans run on a rescaled integer copy of the sequence,
 recurrence.integer_carrier: with a = A/q, b = B/q over a common
@@ -31,11 +34,13 @@ and P3 compares norms computed directly from the terms at every index.
 For real roots R cancels once the sequence follows its dominant root,
 but its conjugate R' = u - y*sqrt(d) does not, and N, carried by the
 Casoratian identity N[n+1] = B*q*N[n], divides out of both comparisons
-(see scan).  Each index then compares conjugate moduli on brackets built
-from top words at one shift, one comparison usually implying the other,
-and falls back to the exact sign test of x + y*sqrt(d),
-qfield.surd_sign, where the brackets overlap.  No float enters: every
-verdict comes from an exact integer inequality.
+(see scan), which then compare conjugate moduli, one usually implying
+the other.  Each index is decided in three steps, each only where the
+one before leaves it open: the signs of P3's two integer parts, which
+decide almost every index where the terms grow; brackets of the moduli
+built from top words at one shift; and the exact sign test of
+x + y*sqrt(d), qfield.surd_sign.  No float enters: every verdict comes
+from an exact integer inequality.
 """
 
 from __future__ import annotations
@@ -101,7 +106,9 @@ class OracleWindows:
 # Measured on CPython 3.11 (scan at windows 300 and 1000), the best value
 # is about 512 for a q = 10 spec with decaying terms, where P2 leads, and
 # 768 or more for Fibonacci and the q = 13 report-deep pool, where P3
-# leads; at 640 each is within 3% of its best.
+# leads; at 640 each is within 3% of its best.  Now that the part signs
+# decide most indices first, 512, 768 and 1024 are each within 2% of 640
+# on the inputs of both analyze benchmark workloads (BENCH_17.json).
 _BRACKET_MIN_BITS = 640
 
 
@@ -117,13 +124,17 @@ def _residual_sign(u: int, m: int, sd: int, ns: int) -> int:
 def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     """Every oracle window of one report, on one walk of the carrier.
 
-    The walk is one pass over integer_carrier(spec) from index 0.  It
-    tests P1 once per index n, as q*M[n] > M[n+1], that is
-    a[n] > a[n+1].  That one test feeds the immediate window
-    n in [-1, window] (n = -1 compares the backward extension a[-1] with
-    a[0]), the witness n0_witness (the smallest n0 <= window with no
-    violation in [n0, window], None when the last pair violates) and,
-    from n = from_k - 1 on, the from-k window
+    The walk is one pass from index 0, reading integer_carrier(spec)
+    while P2 or P3 is open.  It tests P1 once per index n, as
+    q*M[n] > M[n+1], that is a[n] > a[n+1]; once P2 and P3 are done, as
+    E[n] < 0 on E[n] = M[n+1] - q*M[n], carried by
+    E[n+2] = A*E[n+1] - B*q*E[n] from the last two terms read, which
+    spares per index the product q*M[n], a comparison of two long terms
+    and a step of the carrier's generator.  That one test feeds the
+    immediate window n in [-1, window] (n = -1 compares the backward
+    extension a[-1] with a[0]), the witness n0_witness (the smallest
+    n0 <= window with no violation in [n0, window], None when the last
+    pair violates) and, from n = from_k - 1 on, the from-k window
     n in [from_k - 1, from_k + window]; for from_k = 0 that is the
     immediate window.  P1 walks the whole window, for n0, and past it
     only while the from-k window is still clean.
@@ -164,8 +175,17 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     the scans never use R[n+1] = q*beta*R[n], which is the P3 theorem.
 
     Where u and s*M*sqrt(d) differ in sign (or one is 0) at n and n+1,
-    |R'| = |u| + |M|*sqrt(d) at both.  With k = bits(M[n]) - 64, x_v the
-    top word v >> k of each v in |u[n]|, |M[n]|, |u[n+1]|, |M[n+1]|, and
+    |R'| = |u| + |M|*sqrt(d) at both, and P3 at n is the sign of
+    x3 + y3*sqrt(d) with the integer parts x3 = |u[n+1]| - |B|*|u[n]| and
+    y3 = |M[n+1]| - |B|*|M[n]|.  Where both are >= 0, P3 holds with no
+    further test, and P2 with it where |a[n+1]| >= |a[n]| (below).  Each
+    part's sign, and |M[n+1]| >= q*|M[n]|, is read off bit lengths where
+    bits(v[n+1]) > bits(v[n]) + bits(c) makes |v[n+1]| >= c*|v[n]|
+    certain, else off that comparison.  Only an index whose parts differ
+    in sign, or where P2 is open and P3 does not imply it, goes on to the
+    brackets, which each of the two tests builds where it needs them.
+    With k = bits(M[n]) - 64, x_v the top word v >> k of each v in
+    |u[n]|, |M[n]|, |u[n+1]|, |M[n+1]|, and
     r = isqrt(d << 128), so that r*2**-64 <= sqrt(d) < (r + 1)*2**-64,
     2**(64 - k)*|R'| lies in [lo, lo + 2**64 + x_M + r + 1) with
     lo = x_u*2**64 + x_M*r.  A comparison is decided on these brackets
@@ -205,6 +225,8 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
         r = isqrt(d << 128)
         span = (1 << 64) + r + 1  # hi - lo, less the top word of |M|
         aB, aBq = abs(B), abs(Bq)
+        bbits, qbits = aB.bit_length(), q.bit_length()
+        lu0, lm0, lm1 = u0.bit_length(), m0.bit_length(), m1.bit_length()
         # the conjugate form holds at n: N != 0 and R' does not cancel,
         # u and s*M*sqrt(d) differing in sign or d = 0
         conj0 = ns != 0 and (not sd or ((u0 < 0) != (m0 < 0)) != (sd < 0))
@@ -217,11 +239,18 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
                     _residual_sign(u1, m1, sd, ns0 if Bq > 0 else -ns0))
 
         def p3_holds() -> bool:
-            if conj0 and conj1:
-                if br:
-                    if lo1 >= aB * hi0:
+            if conj:
+                if lm0 >= 64 and lu1 >= _BRACKET_MIN_BITS:
+                    # brackets [lo, hi) of 2**(64 - k)*|R'| at n and n+1,
+                    # built here and in p2_holds: a shared call costs both
+                    # tests about 10% on indices the part signs leave open
+                    k = lm0 - 64
+                    y0, y1 = abs(m0) >> k, abs(m1) >> k
+                    lo0 = ((abs(u0) >> k) << 64) + y0 * r
+                    lo1 = ((abs(u1) >> k) << 64) + y1 * r
+                    if lo1 >= aB * (lo0 + span + y0):
                         return True
-                    if hi1 <= aB * lo0:
+                    if lo1 + span + y1 <= aB * lo0:
                         return False
                 return surd_sign(abs(u1) - aB * abs(u0), abs(m1) - aB * abs(m0), d) >= 0
             g0, g1 = signs()
@@ -229,11 +258,16 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
             return surd_sign(gq * u0 - g1 * u1, s * (gq * m0 - g1 * m1), d) >= 0
 
         def p2_holds() -> bool:
-            if conj0 and conj1:
-                if br:
-                    if y1 * lo1 >= aBq * (y0 + 1) * hi0:
+            if conj:
+                # the exact test's operands are twice as long as u[n+1]
+                if lm0 >= 64 and lu1 << 1 >= _BRACKET_MIN_BITS:
+                    k = lm0 - 64
+                    y0, y1 = abs(m0) >> k, abs(m1) >> k
+                    lo0 = ((abs(u0) >> k) << 64) + y0 * r
+                    lo1 = ((abs(u1) >> k) << 64) + y1 * r
+                    if y1 * lo1 >= aBq * (y0 + 1) * (lo0 + span + y0):
                         return True
-                    if (y1 + 1) * hi1 <= aBq * y0 * lo0:
+                    if (y1 + 1) * (lo1 + span + y1) <= aBq * y0 * lo0:
                         return False
                 am0, am1 = abs(m0), abs(m1)
                 return surd_sign(am1 * abs(u1) - aBq * am0 * abs(u0),
@@ -268,20 +302,15 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
                 need2 = False
             need3 = first3 is None
             conj1 = ns != 0 and (not sd or ((u1 < 0) != (m1 < 0)) != (sd < 0))
+            conj = conj0 and conj1
+            # |v1| >= c*|v0| is certain where bits(v1) > bits(v0) + bits(c)
+            lu1, lm2 = u1.bit_length(), m2.bit_length()
             # |a[n+1]| >= |a[n]| is |M[n+1]| >= q*|M[n]|
-            lead3 = need3 and (not need2 or abs(m1) >= abs(qm0))
-            k = m0.bit_length() - 64
-            # the exact test's operands: about u[n+1] for P3, twice that for P2
-            ex_bits = u1.bit_length() << (not lead3)
-            br = conj0 and conj1 and k >= 0 and ex_bits >= _BRACKET_MIN_BITS
-            if br:
-                y0, y1 = abs(m0) >> k, abs(m1) >> k
-                lo0 = ((abs(u0) >> k) << 64) + y0 * r
-                lo1 = ((abs(u1) >> k) << 64) + y1 * r
-                hi0, hi1 = lo0 + span + y0, lo1 + span + y1
-            if lead3:
-                # the common case first, without a call
-                h3 = (br and lo1 >= aB * hi0) or p3_holds()
+            if need3 and (not need2 or lm1 > lm0 + qbits or abs(m1) >= abs(qm0)):
+                # P3 in the conjugate form, decided on the signs of its
+                # parts alone where both are >= 0: no bracket, no exact test
+                h3 = (conj and (lu1 > lu0 + bbits or abs(u1) >= aB * abs(u0))
+                      and (lm1 > lm0 + bbits or abs(m1) >= aB * abs(m0))) or p3_holds()
                 h2 = not need2 or h3 or p2_holds()
             else:
                 h2 = not need2 or p2_holds()
@@ -291,6 +320,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
             if not h2:
                 first2 = n
             conj0 = conj1
+            lu0, lm0, lm1 = lu1, lm1, lm2
         n += 1
         u0, m0, m1 = u1, m1, m2
     if real and norm * Bq**n != u0 * u0 - m0 * m0 * d:
@@ -300,20 +330,22 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
             f"directly at index {n}"
         )
     # P1 alone: the rest of the window, then past it up to the from-k
-    # window's first violation
+    # window's first violation, on E[n] = M[n+1] - q*M[n], which obeys the
+    # carrier's recurrence and is negative exactly where a[n] > a[n+1]
+    e0, e1 = m1 - q * m0, (A - q) * m1 - Bq * m0
     while n <= window:
-        if q * m0 > m1:
+        if e0 < 0:
             p1.append(n)
         n += 1
-        m0, m1 = m1, next(M)
+        e0, e1 = e1, A * e1 - Bq * e0
     last, k1 = from_k + window, from_k - 1
     if not (p1 and p1[-1] >= k1):
         while n <= last:
-            if n >= k1 and q * m0 > m1:
+            if n >= k1 and e0 < 0:
                 p1.append(n)
                 break
             n += 1
-            m0, m1 = m1, next(M)
+            e0, e1 = e1, A * e1 - Bq * e0
     checked = (0, window)
     p2 = None
     if real:

@@ -206,6 +206,33 @@ class TestIntegerArguments:
         assert "(4301 characters)" in err and "not an integer" not in err
         assert len(err.encode()) < 300
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["analyze", "--a", "1." + "5" * 5000, "--b", "1", "--h-init", "1"],
+             "argument --a: not a rational: '1.555555555555555555'... (5002 characters)"),
+            (["analyze", "--a", "1", "--b", "1/" + "0" * 3000, "--h-init", "1"],
+             "argument --b: zero denominator: '1/000000000000000000'... (3002 characters)"),
+            (["analyze", "--a", "1", "--b", "1", "--h-init", "1", "--window", "x" * 5000],
+             "argument --window: not an integer: 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+            # 20 characters are echoed whole, 21 are cut
+            (["analyze", "--a", "1", "--b", "1", "--h-init", "1", "--window", "x" * 20],
+             "argument --window: not an integer: 'xxxxxxxxxxxxxxxxxxxx'\n"),
+            (["analyze", "--a", "1", "--b", "1", "--h-init", "1", "--window", "x" * 21],
+             "argument --window: not an integer: 'xxxxxxxxxxxxxxxxxxxx'... (21 characters)"),
+        ],
+    )
+    def test_malformed_argument_echo_is_cut(self, capsys, argv, text):
+        # a long malformed value is echoed by its start and its length,
+        # so the message, usage lines included, stays short whatever the
+        # value's length (the whole value made it 5,253 bytes for --a)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert text in err
+        assert len(err.encode()) < 400
+
     def test_inputs_keep_the_digit_limit(self, capsys):
         # outputs are rendered without the limit, inputs are parsed under it
         with pytest.raises(SystemExit) as exc:

@@ -10,10 +10,14 @@ is the main correctness argument for the rescaling.
 
 from __future__ import annotations
 
+import inspect
+import sys
 from fractions import Fraction
 from itertools import count, islice
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from recmono import cli, oracle
 from recmono import (
@@ -357,6 +361,27 @@ class TestDegreeReducedScans:
             long_calls = sum(bits >= oracle._BRACKET_MIN_BITS for bits in calls)
             assert long_calls <= bound, (spec, long_calls)
 
+    def test_growing_specs_run_no_exact_test(self, monkeypatch):
+        # where both parts of P3's conjugate form are >= 0 and the terms
+        # grow, their signs decide P3 and P2 at every index: the three
+        # q = 13 DP specs, the repeated root 1, whose u part ties at every
+        # index (|u[n+1]| = |u[n]|, u = -4 on 1, 3, 5, ... and u = 4 on
+        # -1, -3, -5, ...), and FIB, whose M part ties at n = 0
+        # (|M[1]| = |B|*|M[0]|), run no exact test at all
+        calls = []
+
+        def counted(x, y, n):
+            calls.append((x, y, n))
+            return surd_sign(x, y, n)
+
+        monkeypatch.setattr(oracle, "surd_sign", counted)
+        rising = (RecurrenceSpec(2, 1, 1, 3), RecurrenceSpec(2, 1, -1, -3), FIB)
+        for spec in (*self.SPECS[:3], *rising):
+            calls.clear()
+            w = oracle.scan(spec, 1000, 0)
+            assert w.p2.holds_on_window and w.p3.holds_on_window, spec
+            assert len(calls) == 0, (spec, len(calls))
+
     def test_carrier_terms_equal_iterated_terms(self):
         # terms_between starts the carrier at lo by fast doubling; up to
         # index 501 the reference is Fraction iteration.  The far ranges
@@ -459,30 +484,43 @@ class TestScan:
                     assert (got.p3.holds_on_window, got.p3.first_violation) == p3, case
                     assert got.n0_witness == n0, case
 
-    def test_walk_goes_past_the_window_only_while_from_k_is_clean(self, monkeypatch):
-        read = [0]
+    def test_walk_goes_past_the_window_only_while_from_k_is_clean(self):
+        # the walk's steps are its P1 tests, one per index it compares;
+        # past the P2/P3 stretch they run on the difference sequence, not
+        # on the carrier, so a line tracer counts them: each test is the
+        # line just before a p1.append(n) in scan
+        lines, first = inspect.getsourcelines(oracle.scan)
+        p1_tests = {first + i - 1 for i, line in enumerate(lines)
+                    if line.strip() == "p1.append(n)"}
+        assert p1_tests
+        steps = [0]
 
-        def counted_carrier(spec):
-            q, A, B, D, M = integer_carrier(spec)
+        def local(frame, event, arg):
+            if event == "line" and frame.f_lineno in p1_tests:
+                steps[0] += 1
+            return local
 
-            def terms():
-                for m in M:
-                    read[0] += 1
-                    yield m
+        def tracer(frame, event, arg):
+            return local if frame.f_code is oracle.scan.__code__ else None
 
-            return q, A, B, D, terms()
-
-        monkeypatch.setattr(oracle, "integer_carrier", counted_carrier)
-        # (spec, window, from_k, last term a window compares): the clean
-        # from-k window [99, 120] of FIB compares up to M[121]; the
-        # other stops at its violation at 36, comparing M[37]
+        # (spec, window, from_k, last index a window compares): the clean
+        # from-k window [99, 120] of FIB compares up to index 120; the
+        # second stops at its violation at 36, short of its end at 40; the
+        # third, 2**n + 2**(30 - n), descends up to index 14, inside the
+        # window, so its from-k window [9, 30] needs no step past index 20
         for spec, w, k, last in (
-            (FIB, 20, 100, 121),
-            (RecurrenceSpec(Fraction(7, 2), 3, 1000000, 1499990), 10, 30, 37),
+            (FIB, 20, 100, 120),
+            (RecurrenceSpec(Fraction(7, 2), 3, 1000000, 1499990), 10, 30, 36),
+            (RecurrenceSpec(Fraction(5, 2), 1, 2**30 + 1, 2**29 + 2), 20, 10, 20),
         ):
-            read[0] = 0
-            oracle.scan(spec, w, k)
-            assert last < read[0] <= last + 3, (spec, read[0])
+            steps[0] = 0
+            previous = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                oracle.scan(spec, w, k)
+            finally:
+                sys.settrace(previous)
+            assert last < steps[0] <= last + 3, (spec, steps[0])
 
     def test_build_report_walks_the_carrier_once(self, monkeypatch):
         calls = []
@@ -502,6 +540,104 @@ class TestScan:
             oracle.scan(FIB, 10, -1)
         with pytest.raises(ValueError):
             oracle.scan(FIB, -1, 0)
+
+
+def _split_part_signs(spec, window):
+    """The signs of x3 >= 0 at the indices n <= window where P3's
+    conjugate-form parts x3 = |u[n+1]| - |B|*|u[n]| and
+    y3 = |M[n+1]| - |B|*|M[n]| differ in sign, computed from the carrier."""
+    q, A, B, _, M = integer_carrier(spec)
+    d = A * A - 4 * B * q
+    s = 1 if A >= 0 else -1
+    m = list(islice(M, window + 3))
+    u = [A * m0 - 2 * m1 for m0, m1 in zip(m, m[1:])]
+    if u[0] ** 2 == m[0] ** 2 * d:
+        return set()
+    # R' = u - s*M*sqrt(d) does not cancel: u and s*M differ in sign
+    conj = [d == 0 or (u0 < 0) != (s * m0 < 0) or u0 == 0 or m0 == 0
+            for u0, m0 in zip(u, m)]
+    found = set()
+    for n in range(window + 1):
+        if conj[n] and conj[n + 1]:
+            x3 = abs(u[n + 1]) - abs(B) * abs(u[n])
+            y3 = abs(m[n + 1]) - abs(B) * abs(m[n])
+            if (x3 >= 0) != (y3 >= 0):
+                found.add(x3 >= 0)
+    return found
+
+
+coeffs_st = st.builds(lambda sign, p, q: Fraction(sign * p, q),
+                      st.sampled_from((-1, 1)), st.integers(1, 12), st.integers(1, 6))
+starts_st = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+# B*q < 0, with indices where x3 >= 0 > y3 and where y3 >= 0 > x3
+SPLIT_NEGATIVE_B = RecurrenceSpec(1, Fraction(-7, 4), 2, -3)
+# B*q > 0, with indices where y3 >= 0 > x3
+SPLIT_POSITIVE_B = RecurrenceSpec(-8, 8, 2, 0)
+# first descends at n = 36, past a window of 10 and inside [29, 40]
+LATE_DESCENT = RecurrenceSpec(Fraction(7, 2), 3, 1000000, 1499990)
+# P3 fails at 0, where one of its parts is < 0 and the bit lengths of
+# that part's terms meet bits(v[1]) = bits(v[0]) + bits(|B|), so they
+# alone do not decide |v[1]| >= |B|*|v[0]|: the part on u, then on M
+CERTIFICATE_EDGES = (RecurrenceSpec(-13, -15, Fraction(-1, 2), 9),
+                     RecurrenceSpec(Fraction(-17, 3), 5, Fraction(7, 3), -9))
+
+
+@st.composite
+def scan_cases(draw):
+    """(spec, window, from_k): either sign of b, starts scaled by 1 or
+    2**700 (long enough for the brackets), from-k windows before, across
+    and past the end of the window."""
+    a, b = draw(coeffs_st), draw(coeffs_st)
+    v0, v1 = draw(starts_st), draw(starts_st)
+    assume(v0 or v1)
+    scale = draw(st.sampled_from((1, 2**700)))
+    window = draw(st.integers(0, 30))
+    from_k = draw(st.integers(0, 3 * window + 10))
+    return RecurrenceSpec(a, b, v0 * scale, v1 * scale), window, from_k
+
+
+class TestPartSignsAndDifferenceWalk:
+    """scan decides P3 on the signs of its two integer parts where both
+    are >= 0, leaves split-sign indices to the brackets and the exact
+    test, and walks P1 past the P2/P3 stretch on E[n] = M[n+1] - q*M[n];
+    every field is held against the naive references."""
+
+    @given(scan_cases())
+    @example((SPLIT_NEGATIVE_B, 30, 0))
+    @example((SPLIT_POSITIVE_B, 30, 45))
+    @example((LATE_DESCENT, 10, 30))
+    @example((FIB, 20, 100))
+    @example((CERTIFICATE_EDGES[0], 7, 0))
+    @example((CERTIFICATE_EDGES[1], 15, 0))
+    @settings(max_examples=400, deadline=None)
+    def test_scan_matches_references(self, case):
+        spec, w, k = case
+        got = oracle.scan(spec, w, k)
+        assert (got.p1_immediate.holds_on_window,
+                got.p1_immediate.first_violation) == ref_p1(spec, 0, w)
+        assert (got.p1_from_k.holds_on_window,
+                got.p1_from_k.first_violation) == ref_p1(spec, k, k + w)
+        assert got.n0_witness == ref_n0(spec, w)
+        assert (got.p3.holds_on_window, got.p3.first_violation) == ref_p3(spec, w)
+        if spec.roots().discriminant_sign >= 0:
+            assert (got.p2.holds_on_window, got.p2.first_violation,
+                    got.p2.skipped_indices) == ref_p2(spec, w)
+        else:
+            assert got.p2 is None
+
+    def test_examples_reach_what_they_pin(self):
+        assert _split_part_signs(SPLIT_NEGATIVE_B, 30) == {True, False}
+        assert _split_part_signs(SPLIT_POSITIVE_B, 30) == {False}
+        assert oracle.scan(LATE_DESCENT, 10, 30).p1_from_k.first_violation == 36
+        assert oracle.scan(FIB, 20, 100).p1_from_k.holds_on_window
+        for spec, part in zip(CERTIFICATE_EDGES, (0, 1)):
+            q, A, B, _, M = integer_carrier(spec)
+            m0, m1, m2 = islice(M, 3)
+            v0, v1 = ((A * m0 - 2 * m1, A * m1 - 2 * m2), (m0, m1))[part]
+            assert v1.bit_length() == v0.bit_length() + abs(B).bit_length(), spec
+            assert abs(v1) < abs(B) * abs(v0), spec
+            assert oracle.scan(spec, 15, 0).p3.first_violation == 0, spec
 
 
 def _broken_carrier(spec):
