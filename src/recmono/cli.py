@@ -321,10 +321,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         print(_analyze_reproducer(args), file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

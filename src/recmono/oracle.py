@@ -23,24 +23,27 @@ becomes a sign test on X + Y*sqrt(d) with integers X, Y and
 d = A**2 - 4*B*q = q**2 * (a**2 - 4b), or for a complex pair (d < 0)
 a comparison of integers -- no rational normalization ever runs.  The
 roots are (A +- sqrt(d))/(2q), the form in which qfield.quadratic_roots
-builds them (there N = d, L = q) and the regions decide on.  The rescaling multiplies compared quantities
-by positive constants only, so every verdict equals the one computed on
-raw terms; the test suite checks that equivalence against a direct
-rational-arithmetic reference.
+builds them (there N = d, L = q) and the regions decide on.  The
+rescaling multiplies compared quantities by positive constants only, so
+every verdict equals the one computed on raw terms; the test suite
+checks that equivalence against a direct rational-arithmetic reference.
 
 P2 and P3 are statements about the residual R = u + y*sqrt(d) and its
-exact integer norm N = u**2 - y**2*d.  For a complex pair N = |R|**2,
-and P3 compares norms computed directly from the terms at every index.
-For real roots R cancels once the sequence follows its dominant root,
-but its conjugate R' = u - y*sqrt(d) does not, and N, carried by the
-Casoratian identity N[n+1] = B*q*N[n], divides out of both comparisons
-(see scan), which then compare conjugate moduli, one usually implying
-the other.  Each index is decided in three steps, each only where the
-one before leaves it open: the signs of P3's two integer parts, which
-decide almost every index where the terms grow; brackets of the moduli
-built from top words at one shift; and the exact sign test of
-x + y*sqrt(d), qfield.surd_sign.  No float enters: every verdict comes
-from an exact integer inequality.
+exact integer norm N = u**2 - y**2*d.  P2's distance |alpha - a[n+1]/a[n]|
+is P3's residual |a[n]*alpha - a[n+1]| over |a[n]|, so both compare one
+residual modulus at n and n+1 and differ only in its weights.  For a
+complex pair N = |R|**2, and P3 compares norms computed directly from
+the terms at every index.  For real roots R cancels once the sequence
+follows its dominant root, but its conjugate R' = u - y*sqrt(d) does
+not, and N, carried by the Casoratian identity N[n+1] = B*q*N[n],
+divides out (see scan): each property is then one weighted comparison
+w1*|R'[n+1]| >= c*w0*|R'[n]|, one usually implying the other.  Each
+index is decided in three steps, each only where the one before leaves
+it open: the signs of P3's two integer parts, which decide almost every
+index where the terms grow; brackets of the weighted moduli built from
+top words at one shift; and the exact sign test of x + y*sqrt(d),
+qfield.surd_sign.  No float enters: every verdict comes from an exact
+integer inequality.
 """
 
 from __future__ import annotations
@@ -101,17 +104,6 @@ class OracleWindows:
     n0_witness: Optional[int]
 
 
-# Brackets are built only where the exact test would take operands of at
-# least this many bits: u[n+1] for P3, products twice as long for P2.
-# Measured on CPython 3.11 (scan at windows 300 and 1000), the best value
-# is about 512 for a q = 10 spec with decaying terms, where P2 leads, and
-# 768 or more for Fibonacci and the q = 13 report-deep pool, where P3
-# leads; at 640 each is within 3% of its best.  Now that the part signs
-# decide most indices first, 512, 768 and 1024 are each within 2% of 640
-# on the inputs of both analyze benchmark workloads (BENCH_17.json).
-_BRACKET_MIN_BITS = 640
-
-
 def _residual_sign(u: int, m: int, sd: int, ns: int) -> int:
     """Sign of R = u + sd*m*sqrt(d), given the sign ns of its norm
     u**2 - m**2*d: the common sign when u and sd*m agree or one of them
@@ -153,8 +145,9 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     the sign that picks alpha (for a repeated root d = 0 and s drops
     out), and about its exact norm
     N[n] = R[n]*R'[n] = u[n]**2 - M[n]**2*d, R'[n] = u[n] - s*M[n]*sqrt(d).
-    P2 compares |R[n]*M[n+1]| with |R[n+1]*M[n]|, which carry the same
-    positive factor; P3 compares q*|R[n]| with |R[n+1]|.
+    P2's distance is P3's residual over |a[n]|, so the two compare the
+    same modulus under different weights: P3 is q*|R[n]| >= |R[n+1]| and
+    P2 is |M[n+1]|*|R[n]| >= |M[n]|*|R[n+1]|.
 
     Complex pair: N[n] = |R[n]|**2, and P3 compares q*q*N[n] with
     N[n+1], each computed directly from the terms at every index.
@@ -165,8 +158,8 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     Real roots: N[n] is 4*(M[n+1]**2 - A*M[n]*M[n+1] + B*q*M[n]**2),
     which any solution of M[n+2] = A*M[n+1] - B*q*M[n] multiplies by B*q
     per step, so N[n] = N[0]*(B*q)**n.  Where N != 0, |R| = |N|/|R'| turns
-    P3 at n into |R'[n+1]| >= |B|*|R'[n]| and P2 at n into
-    |M[n+1]|*|R'[n+1]| >= |B*q|*|M[n]|*|R'[n]|.  The walk reads the
+    both into w1*|R'[n+1]| >= c*w0*|R'[n]|, with (w0, w1, c) = (1, 1, |B|)
+    for P3 and (|M[n]|, |M[n+1]|, |B*q|) for P2.  The walk reads the
     identity only there and in the sign of N[n]; at the last index the
     P2/P3 part reaches it computes the norm directly and raises
     InternalInconsistency if it differs from N[0]*(B*q)**n, so dividing
@@ -183,21 +176,19 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     bits(v[n+1]) > bits(v[n]) + bits(c) makes |v[n+1]| >= c*|v[n]|
     certain, else off that comparison.  Only an index whose parts differ
     in sign, or where P2 is open and P3 does not imply it, goes on to the
-    brackets, which each of the two tests builds where it needs them.
+    weighted comparison, which tries brackets wherever bits(M[n]) >= 64.
     With k = bits(M[n]) - 64, x_v the top word v >> k of each v in
     |u[n]|, |M[n]|, |u[n+1]|, |M[n+1]|, and
     r = isqrt(d << 128), so that r*2**-64 <= sqrt(d) < (r + 1)*2**-64,
     2**(64 - k)*|R'| lies in [lo, lo + 2**64 + x_M + r + 1) with
-    lo = x_u*2**64 + x_M*r.  A comparison is decided on these brackets
-    unless its two sides overlap (a tie, or a near one), or the exact
-    test's operands are shorter than _BRACKET_MIN_BITS; then the exact
-    sign of the difference of the two sides, X + Y*sqrt(d), decides.
-    Where R' cancels or N = 0 that test runs on R: with g, sigma and tau
-    the signs of R, R[n]*M[n+1] and R[n+1]*M[n], the difference is
-    (g[n]*q*u[n] - g[n+1]*u[n+1]) + s*(g[n]*q*M[n] - g[n+1]*M[n+1])*sqrt(d)
-    for P3 and
-    (sigma*u[n]*M[n+1] - tau*u[n+1]*M[n]) + s*M[n]*M[n+1]*(sigma - tau)*sqrt(d)
-    for P2.
+    lo = x_u*2**64 + x_M*r, and 2**-k*|M| in [x_M, x_M + 1), which
+    brackets P2's weights.  A comparison is decided on these brackets
+    unless its two sides overlap (a tie, or a near one); then the exact
+    sign of w1*|R'[n+1]| - c*w0*|R'[n]|, an X + Y*sqrt(d), decides.
+    Where R' cancels or N = 0 that test runs on R, with g[n] the sign of
+    R[n]: the sign of
+    (g[n]*w0*u[n] - g[n+1]*w1*u[n+1]) + s*(g[n]*w0*M[n] - g[n+1]*w1*M[n+1])*sqrt(d)
+    with (w0, w1) = (q, 1) for P3 and (|M[n+1]|, |M[n]|) for P2.
 
     One comparison implies the other, exactly: P3 at n gives P2 at n if
     |a[n+1]| >= |a[n]|, and P2 gives P3 if |a[n+1]| <= |a[n]|.  While both
@@ -231,52 +222,34 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
         # u and s*M*sqrt(d) differing in sign or d = 0
         conj0 = ns != 0 and (not sd or ((u0 < 0) != (m0 < 0)) != (sd < 0))
 
-        # the two comparisons at the walk's index n, on the loop's variables
-        def signs() -> tuple[int, int]:
-            """The signs of R[n] and R[n+1]."""
-            ns0 = -ns if Bq < 0 and n & 1 else ns
-            return (_residual_sign(u0, m0, sd, ns0),
-                    _residual_sign(u1, m1, sd, ns0 if Bq > 0 else -ns0))
-
-        def p3_holds() -> bool:
+        def holds(p2: bool) -> bool:
+            """P2 at the walk's index n if p2, else P3, on the loop's
+            variables: w1*|X[n+1]| >= c*w0*|X[n]| on X = R' or on X = R."""
+            am0, am1 = abs(m0), abs(m1)
             if conj:
-                if lm0 >= 64 and lu1 >= _BRACKET_MIN_BITS:
+                au0, au1 = abs(u0), abs(u1)
+                w0, w1, c = (am0, am1, aBq) if p2 else (1, 1, aB)
+                if lm0 >= 64:
                     # brackets [lo, hi) of 2**(64 - k)*|R'| at n and n+1,
-                    # built here and in p2_holds: a shared call costs both
-                    # tests about 10% on indices the part signs leave open
+                    # weighed by [y, y + 1) for P2
                     k = lm0 - 64
-                    y0, y1 = abs(m0) >> k, abs(m1) >> k
-                    lo0 = ((abs(u0) >> k) << 64) + y0 * r
-                    lo1 = ((abs(u1) >> k) << 64) + y1 * r
-                    if lo1 >= aB * (lo0 + span + y0):
+                    y0, y1 = am0 >> k, am1 >> k
+                    lo0 = ((au0 >> k) << 64) + y0 * r
+                    lo1 = ((au1 >> k) << 64) + y1 * r
+                    v0, v1, e = (y0, y1, 1) if p2 else (1, 1, 0)
+                    if v1 * lo1 >= c * (v0 + e) * (lo0 + span + y0):
                         return True
-                    if lo1 + span + y1 <= aB * lo0:
+                    if (v1 + e) * (lo1 + span + y1) <= c * v0 * lo0:
                         return False
-                return surd_sign(abs(u1) - aB * abs(u0), abs(m1) - aB * abs(m0), d) >= 0
-            g0, g1 = signs()
-            gq = g0 * q
-            return surd_sign(gq * u0 - g1 * u1, s * (gq * m0 - g1 * m1), d) >= 0
-
-        def p2_holds() -> bool:
-            if conj:
-                # the exact test's operands are twice as long as u[n+1]
-                if lm0 >= 64 and lu1 << 1 >= _BRACKET_MIN_BITS:
-                    k = lm0 - 64
-                    y0, y1 = abs(m0) >> k, abs(m1) >> k
-                    lo0 = ((abs(u0) >> k) << 64) + y0 * r
-                    lo1 = ((abs(u1) >> k) << 64) + y1 * r
-                    if y1 * lo1 >= aBq * (y0 + 1) * (lo0 + span + y0):
-                        return True
-                    if (y1 + 1) * (lo1 + span + y1) <= aBq * y0 * lo0:
-                        return False
-                am0, am1 = abs(m0), abs(m1)
-                return surd_sign(am1 * abs(u1) - aBq * am0 * abs(u0),
-                                 am1 * am1 - aBq * am0 * am0, d) >= 0
-            g0, g1 = signs()
-            sigma = g0 if m1 > 0 else -g0
-            tau = g1 if m0 > 0 else -g1
-            return surd_sign(sigma * u0 * m1 - tau * u1 * m0,
-                             (sigma - tau) * s * m0 * m1, d) >= 0
+                cw0 = c * w0
+                return surd_sign(w1 * au1 - cw0 * au0, w1 * am1 - cw0 * am0, d) >= 0
+            # the signs of R[n] and R[n+1], from that of N[n]
+            ns0 = -ns if Bq < 0 and n & 1 else ns
+            g0 = _residual_sign(u0, m0, sd, ns0)
+            g1 = _residual_sign(u1, m1, sd, ns0 if Bq > 0 else -ns0)
+            w0, w1 = (am1, am0) if p2 else (q, 1)
+            x, y = g0 * w0 * u0 - g1 * w1 * u1, g0 * w0 * m0 - g1 * w1 * m1
+            return surd_sign(x, s * y, d) >= 0
 
     p1: list[int] = []  # the indices n with a[n] > a[n+1], ascending
     skipped: list[int] = []
@@ -310,11 +283,11 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
                 # P3 in the conjugate form, decided on the signs of its
                 # parts alone where both are >= 0: no bracket, no exact test
                 h3 = (conj and (lu1 > lu0 + bbits or abs(u1) >= aB * abs(u0))
-                      and (lm1 > lm0 + bbits or abs(m1) >= aB * abs(m0))) or p3_holds()
-                h2 = not need2 or h3 or p2_holds()
+                      and (lm1 > lm0 + bbits or abs(m1) >= aB * abs(m0))) or holds(False)
+                h2 = not need2 or h3 or holds(True)
             else:
-                h2 = not need2 or p2_holds()
-                h3 = not need3 or h2 or p3_holds()
+                h2 = not need2 or holds(True)
+                h3 = not need3 or h2 or holds(False)
             if not h3:
                 first3 = n
             if not h2:

@@ -39,13 +39,8 @@ def riccati_orbit(
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     states = [b0]
-    terminated: Optional[int] = None
-    for _ in range(n_max):
+    while states[-1] and len(states) <= n_max:
         current = states[-1]
-        if current == 0:
-            terminated = len(states) - 1
-            break
         states.append((a * current - b) / current)
-    if terminated is None and states[-1] == 0:
-        terminated = len(states) - 1
+    terminated = len(states) - 1 if states[-1] == 0 else None
     return RiccatiOrbit(a, b, tuple(states), terminated)

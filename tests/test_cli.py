@@ -84,6 +84,18 @@ class TestAnalyze:
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["schema"] == 1
 
+    def test_out_to_a_missing_directory_exits_two(self, capsys, tmp_path):
+        # an OSError from writing the report is an input error, not a crash
+        path = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(
+            capsys,
+            "analyze", "--a", "1", "--b", "-1", "--h-init", "1",
+            "--out", str(path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:"), err
+        assert not path.parent.exists()
+
     def test_start_pair_flags_are_mutually_exclusive(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -302,6 +302,18 @@ class TestDegreeReducedScans:
         # and only the exact test sees the violation
         RecurrenceSpec(3, 2, 2**700, 2**700 - 1),
         RecurrenceSpec(3 + Fraction(1, 2**80), 2 + Fraction(1, 2**79), 2**700, 2**700 + 1),
+        # the same near ties and the start off 2^n at 2**100, on operands
+        # of 100-250 bits, long enough for the brackets
+        RecurrenceSpec(3, 2, 2**100, 2**100 - 1),
+        RecurrenceSpec(3 + Fraction(1, 2**80), 2 + Fraction(1, 2**79), 2**100, 2**100 + 1),
+        RecurrenceSpec(5, 6, 2**100, 2**101 + 1),
+        # a[1] the integer nearest a[0]/phi on the Fibonacci recurrence, so
+        # P2 at 0 is violated (first) or holds (second) by a relative
+        # ~2**-66, within the error of the 64-bit top words that weigh
+        # the brackets: only the + 1 on their upper side keeps the
+        # brackets from deciding index 0 wrongly
+        RecurrenceSpec(1, -1, 79362487277773912127, 49048714569395395024),
+        RecurrenceSpec(1, -1, 77499692273815774608, 47897443942875771133),
         # starts on the eigen-solutions 2^n (R' = 0) and 3^n (R = 0), so
         # N = 0; then the same scaled by 2**700, where only the N != 0
         # test keeps the R = 0 start off the brackets, and a start 2**-700
@@ -342,11 +354,11 @@ class TestDegreeReducedScans:
             ), (spec, window)
 
     def test_long_operands_rarely_reach_the_exact_test(self, monkeypatch):
-        # exact tests on operands of _BRACKET_MIN_BITS bits or more at
-        # window 1000: on the three q = 13 DP specs P3 leads and implies
-        # P2, on the decaying spec P2 leads; the bounds are the counts of
-        # the real-root step this one replaced, which bracketed each
-        # modulus on its own, at the same threshold (640 bits)
+        # exact tests on operands of 640 bits or more at window 1000: on
+        # the three q = 13 DP specs P3 leads and implies P2, on the
+        # decaying spec P2 leads; brackets built from the top words of
+        # the terms decide every index of these four whose operands are
+        # that long
         calls = []
 
         def counted(x, y, n):
@@ -354,12 +366,12 @@ class TestDegreeReducedScans:
             return surd_sign(x, y, n)
 
         monkeypatch.setattr(oracle, "surd_sign", counted)
-        for spec, bound in zip((*self.SPECS[:3], self.DECAYING), (40, 0, 0, 0)):
+        for spec in (*self.SPECS[:3], self.DECAYING):
             calls.clear()
             w = oracle.scan(spec, 1000, 0)
             assert w.p2.holds_on_window and w.p3.holds_on_window, spec
-            long_calls = sum(bits >= oracle._BRACKET_MIN_BITS for bits in calls)
-            assert long_calls <= bound, (spec, long_calls)
+            long_calls = sum(bits >= 640 for bits in calls)
+            assert long_calls == 0, (spec, long_calls)
 
     def test_growing_specs_run_no_exact_test(self, monkeypatch):
         # where both parts of P3's conjugate form are >= 0 and the terms
