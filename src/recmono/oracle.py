@@ -42,7 +42,10 @@ index is decided in three steps, each only where the one before leaves
 it open: the signs of P3's two integer parts, which decide almost every
 index where the terms grow; brackets of the weighted moduli built from
 top words at one shift; and the exact sign test of x + y*sqrt(d),
-qfield.surd_sign.  No float enters: every verdict comes from an exact
+qfield.surd_sign.  Where d = t**2 is a square (rational roots) that sign
+is the one of the integer x + y*t, and P3 skips the brackets: |R'| is an
+integer there, and at |beta| = 1 P3 ties at every index, which no
+bracket decides.  No float enters: every verdict comes from an exact
 integer inequality.
 """
 
@@ -185,6 +188,9 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     brackets P2's weights.  A comparison is decided on these brackets
     unless its two sides overlap (a tie, or a near one); then the exact
     sign of w1*|R'[n+1]| - c*w0*|R'[n]|, an X + Y*sqrt(d), decides.
+    Where d = t**2, X + Y*sqrt(d) is the integer X + Y*t, and P3, whose
+    weights are 1, is that exact test alone, with no bracket before it;
+    P2 keeps its brackets, which spare it the products of long weights.
     Where R' cancels or N = 0 that test runs on R, with g[n] the sign of
     R[n]: the sign of
     (g[n]*w0*u[n] - g[n+1]*w1*u[n+1]) + s*(g[n]*w0*M[n] - g[n+1]*w1*M[n+1])*sqrt(d)
@@ -213,7 +219,8 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
         s = dominant_root_sign(A)
         sd = s if d else 0
         ns = (norm > 0) - (norm < 0)  # the sign of N[0]
-        r = isqrt(d << 128)
+        r, t = isqrt(d << 128), isqrt(d)
+        square = t * t == d  # rational roots: sqrt(d) = t
         span = (1 << 64) + r + 1  # hi - lo, less the top word of |M|
         aB, aBq = abs(B), abs(Bq)
         bbits, qbits = aB.bit_length(), q.bit_length()
@@ -228,7 +235,11 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
             am0, am1 = abs(m0), abs(m1)
             if conj:
                 au0, au1 = abs(u0), abs(u1)
-                w0, w1, c = (am0, am1, aBq) if p2 else (1, 1, aB)
+                c = aBq if p2 else aB
+                if square and not p2:
+                    # |R'| = |u| + |M|*t: one comparison of integers,
+                    # cheaper than brackets, which overlap on P3's ties
+                    return au1 + am1 * t >= c * (au0 + am0 * t)
                 if lm0 >= 64:
                     # brackets [lo, hi) of 2**(64 - k)*|R'| at n and n+1,
                     # weighed by [y, y + 1) for P2
@@ -241,15 +252,17 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
                         return True
                     if (v1 + e) * (lo1 + span + y1) <= c * v0 * lo0:
                         return False
-                cw0 = c * w0
-                return surd_sign(w1 * au1 - cw0 * au0, w1 * am1 - cw0 * am0, d) >= 0
-            # the signs of R[n] and R[n+1], from that of N[n]
-            ns0 = -ns if Bq < 0 and n & 1 else ns
-            g0 = _residual_sign(u0, m0, sd, ns0)
-            g1 = _residual_sign(u1, m1, sd, ns0 if Bq > 0 else -ns0)
-            w0, w1 = (am1, am0) if p2 else (q, 1)
-            x, y = g0 * w0 * u0 - g1 * w1 * u1, g0 * w0 * m0 - g1 * w1 * m1
-            return surd_sign(x, s * y, d) >= 0
+                cw0, w1 = (c * am0, am1) if p2 else (c, 1)
+                x, y = w1 * au1 - cw0 * au0, w1 * am1 - cw0 * am0
+            else:
+                # the signs of R[n] and R[n+1], from that of N[n]
+                ns0 = -ns if Bq < 0 and n & 1 else ns
+                g0 = _residual_sign(u0, m0, sd, ns0)
+                g1 = _residual_sign(u1, m1, sd, ns0 if Bq > 0 else -ns0)
+                w0, w1 = (am1, am0) if p2 else (q, 1)
+                x, y = g0 * w0 * u0 - g1 * w1 * u1, s * (g0 * w0 * m0 - g1 * w1 * m1)
+            # the sign of x + y*sqrt(d), on integers alone where d = t**2
+            return (x + y * t if square else surd_sign(x, y, d)) >= 0
 
     p1: list[int] = []  # the indices n with a[n] > a[n+1], ascending
     skipped: list[int] = []

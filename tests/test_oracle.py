@@ -14,6 +14,7 @@ import inspect
 import sys
 from fractions import Fraction
 from itertools import count, islice
+from math import isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -393,6 +394,28 @@ class TestDegreeReducedScans:
             w = oracle.scan(spec, 1000, 0)
             assert w.p2.holds_on_window and w.p3.holds_on_window, spec
             assert len(calls) == 0, (spec, len(calls))
+
+    def test_rational_roots_run_no_surd_test(self, monkeypatch):
+        # with a square discriminant d = t**2 every exact test is the sign
+        # of an integer x + y*t, and P3 is decided on |R'| = |u| + |M|*t
+        # with no bracket, so P3's ties at |beta| = 1 cost one integer
+        # comparison per index, long operands or not
+        calls = []
+
+        def counted(x, y, n):
+            calls.append((x, y, n))
+            return surd_sign(x, y, n)
+
+        monkeypatch.setattr(oracle, "surd_sign", counted)
+        rational = [
+            spec for spec in self.SPECS
+            if (disc := spec.a * spec.a - 4 * spec.b) >= 0
+            and isqrt(disc.numerator) ** 2 == disc.numerator
+            and isqrt(disc.denominator) ** 2 == disc.denominator
+        ]
+        for spec in rational:
+            oracle.scan(spec, self.WINDOW, 0)
+        assert calls == []
 
     def test_carrier_terms_equal_iterated_terms(self):
         # terms_between starts the carrier at lo by fast doubling; up to
