@@ -22,10 +22,28 @@ a square.  `rasterize`, `contains_coeff_plane` and `contains_root_plane`
 all call the same per-region predicates.  CSV output prints each centre
 rounded half-even to 6 significant digits by `qfield.g6_str`, exactly,
 at any magnitude.
+
+The row lemma.  Along a row (y = b or beta fixed), membership in each
+CLI region is non-increasing in x for x < 0 and non-decreasing for
+x >= 0, where x is a or alpha:
+
+- DP, D, D1 and D1P are suffixes of the row; for D1P, once a >= 1 both
+  a and sqrt(a^2 - 4b) grow with a, and so does alpha;
+- D2 and D3 are conditions |x| >= c, with c fixed by y and the sign of x;
+- D2P is |a| >= sqrt(b) for b > 0; for b < 0 it is |alpha| >= 2|beta|,
+  and |alpha|/|beta| grows with |a|; for b = 0 it holds everywhere;
+- D3P: |beta| shrinks as |a| grows, and the region is symmetric under
+  a -> -a.
+
+So `rasterize` splits the columns once at x = 0 and bisects each half
+with the exact predicate, at most 2*res.bit_length() calls per row: it
+decides O(res*log(res)) cells exactly and the lemma gives the rest.
+DP_BOUNDARY, whose rows are isolated points, is decided cell by cell.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -203,8 +221,24 @@ def rasterize(
         raise ValueError("bbox must have positive area")
     member = _MEMBER[region]
     xs, ys, L = _cell_numerators(box, resolution)
-    cells = tuple(tuple(member(X, Y, L) for X in xs) for Y in ys)
+    if region is RegionId.DP_BOUNDARY:
+        # its rows are isolated points, which the row lemma does not cover
+        cells = tuple(tuple(member(X, Y, L) for X in xs) for Y in ys)
+    else:
+        split = bisect_left(xs, 0)
+        cells = tuple(_bisected_row(member, xs, split, Y, L) for Y in ys)
     return RasterGrid(region, box, resolution, cells)
+
+
+def _bisected_row(member, xs: list[int], split: int, Y: int, L: int) -> tuple[bool, ...]:
+    """Row Y of a region that obeys the row lemma: members are a prefix
+    of xs[:split] (x < 0) and a suffix of xs[split:] (x >= 0)."""
+    left = bisect_left(xs, True, 0, split, key=lambda X: not member(X, Y, L))
+    right = bisect_left(xs, True, split, len(xs), key=lambda X: member(X, Y, L))
+    return (True,) * left + (False,) * (right - left) + (True,) * (len(xs) - right)
+
+
+_PGM_LEVELS = bytes.maketrans(b"\x01", b"\xff")  # member 1 -> 255, others 0 -> 0
 
 
 def write_pgm(grid: RasterGrid, path: str) -> None:
@@ -212,7 +246,7 @@ def write_pgm(grid: RasterGrid, path: str) -> None:
     res = grid.resolution
     with open(path, "wb") as fh:
         fh.write(f"P5\n{res} {res}\n255\n".encode("ascii"))
-        fh.write(bytes(255 if cell else 0 for row in grid.cells for cell in row))
+        fh.write(b"".join(map(bytes, grid.cells)).translate(_PGM_LEVELS))
 
 
 def write_csv(grid: RasterGrid, path: str) -> None:

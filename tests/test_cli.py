@@ -191,6 +191,11 @@ class TestIntegerArguments:
              "argument --from-k: must be non-negative"),
             (["regions", "--region", "D", "--bbox=-1,1,-1,1", "--res", "x", "--out", "x.pgm"],
              "argument --res: not an integer: 'x'"),
+            (["regions", "--region", "D", "--bbox=-1,1,-1,1", "--res", "1", "--out", "x.pgm"],
+             "argument --res: must be at least 2"),
+            (["regions", "--region", "D", "--bbox=-1,1,-1,1", "--res", str(cli.MAX_RES + 1),
+              "--out", "x.pgm"],
+             f"argument --res: must be at most {cli.MAX_RES}"),
         ],
     )
     def test_out_of_range_or_malformed_exits_two(self, capsys, argv, text):
@@ -198,6 +203,14 @@ class TestIntegerArguments:
             main(argv)
         assert exc.value.code == 2
         assert text in capsys.readouterr().err
+
+    def test_res_bounds_are_inclusive(self):
+        # the parser alone: a raster at the cap is not run
+        for res in (2, cli.MAX_RES):
+            args = cli._parser().parse_args(
+                ["regions", "--region", "D", "--bbox=-1,1,-1,1", "--res", str(res),
+                 "--out", "x.pgm"])
+            assert args.res == res
 
     @pytest.mark.parametrize(
         "argv, flag",

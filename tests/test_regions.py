@@ -5,10 +5,14 @@ decision procedures.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import recmono.regions as regions
 from recmono import (
     COEFF_PLANE_REGIONS,
     RegionId,
@@ -27,6 +31,7 @@ from recmono.regions import _cell_numerators, contains_root_plane
 
 ROOT_BBOX = (-3, 3, -3, 3)
 COEFF_BBOX = (-1, 5, -7, 5)
+CLI_REGIONS = [r for r in RegionId if r is not RegionId.DP_BOUNDARY]
 
 
 def centers(grid):
@@ -222,20 +227,27 @@ class TestDecisionConsistency:
         assert checked > 1000
 
 
+def member_at(region):
+    return contains_root_plane if region in ROOT_PLANE_REGIONS else contains_coeff_plane
+
+
 class TestRasterGrid:
     # unlike corner denominators 3, 5 and 7, so the cells' common
-    # denominator is none of the corners'; the last bbox is symmetric,
-    # so at odd resolution its centre row and column sit on the axes
+    # denominator is none of the corners'; the third bbox is symmetric,
+    # so at odd resolution its centre row and column sit on the axes;
+    # the last two lie wholly left and wholly right of x = 0, so each
+    # row is one monotone half
     BBOXES = (
         (Fraction(-7, 3), Fraction(11, 5), Fraction(-13, 7), Fraction(9, 7)),
         (Fraction(-1, 5), Fraction(17, 3), Fraction(-22, 3), Fraction(26, 5)),
         (Fraction(-9, 7), Fraction(9, 7), Fraction(-12, 5), Fraction(12, 5)),
+        (Fraction(-23, 5), Fraction(-1, 3), Fraction(-17, 7), Fraction(13, 3)),
+        (Fraction(1, 7), Fraction(21, 5), Fraction(-19, 3), Fraction(11, 7)),
     )
 
     def test_cells_match_pointwise_membership(self):
         for region in RegionId:
-            member = (contains_root_plane if region in ROOT_PLANE_REGIONS
-                      else contains_coeff_plane)
+            member = member_at(region)
             for bbox in self.BBOXES:
                 for res in (8, 11):
                     grid = rasterize(region, bbox, res)
@@ -266,6 +278,64 @@ class TestRasterGrid:
             rasterize(RegionId.DP, COEFF_BBOX, 1)
         with pytest.raises(ValueError):
             rasterize(RegionId.DP, (0, 0, -1, 1), 8)
+
+
+@st.composite
+def raster_boxes(draw):
+    """(bbox, res) with rational corners wholly left of x = 0, wholly
+    right of it, across it, or with a column centre exactly on it; half
+    of them put a row centre exactly on y = 0, 1 or -1."""
+    res = draw(st.integers(2, 12))
+    offset = st.fractions(0, 6, max_denominator=9)
+    size = st.fractions(Fraction(1, 9), 8, max_denominator=9)
+    w, h = draw(size), draw(size)
+    side = draw(st.sampled_from(["left", "right", "across", "on axis"]))
+    if side == "left":
+        x0 = -draw(offset) - w
+    elif side == "right":
+        x0 = draw(offset)
+    elif side == "across":
+        x0 = -draw(size)
+        w += -x0
+    else:
+        x0 = -(2 * draw(st.integers(0, res - 1)) + 1) * w / (2 * res)
+    if draw(st.booleans()):
+        row = draw(st.integers(0, res - 1))
+        y1 = draw(st.sampled_from([0, 1, -1])) + (2 * row + 1) * h / (2 * res)
+    else:
+        y1 = draw(st.fractions(-6, 8, max_denominator=9))
+    return (x0, x0 + w, y1 - h, y1), res
+
+
+class TestRowLemma:
+    """Along a row, members form a prefix of the cells with x < 0 and a
+    suffix of those with x >= 0, so rasterize bisects each half."""
+
+    @given(case=raster_boxes())
+    @settings(max_examples=150, deadline=None)
+    def test_bisected_rows_match_pointwise_membership(self, case):
+        bbox, res = case
+        for region in CLI_REGIONS:
+            grid = rasterize(region, bbox, res)
+            member = member_at(region)
+            for row, col, x, y in centers(grid):
+                assert grid.cells[row][col] == member(region, x, y), (region, row, col)
+
+    @pytest.mark.parametrize("res", [33, 64, 201])
+    def test_each_row_makes_logarithmically_many_predicate_calls(self, monkeypatch, res):
+        for region in CLI_REGIONS:
+            predicate = regions._MEMBER[region]
+            calls = Counter()
+
+            def counted(X, Y, L, predicate=predicate, calls=calls):
+                calls[Y] += 1
+                return predicate(X, Y, L)
+
+            monkeypatch.setitem(regions._MEMBER, region, counted)
+            bbox = ROOT_BBOX if region in ROOT_PLANE_REGIONS else COEFF_BBOX
+            rasterize(region, bbox, res)
+            assert len(calls) == res
+            assert max(calls.values()) <= 2 * res.bit_length(), region
 
 
 class TestOutputFormats:
