@@ -4,15 +4,17 @@ These scans work directly on the terms and know nothing about the
 decision criteria; they are the second route every verdict is held
 against.  scan decides every window of one report -- both P1 windows,
 the n0 witness, P2 and P3 -- in one walk of the carrier from index 0,
-which never jumps: decisions and terms_between reach far terms by Lucas
-fast doubling, so the two routes reach a far index independently.  The
-walk tests P1 through the whole window (n0 needs its last violation)
+which never doubles: decisions and terms_between reach far terms by
+Lucas fast doubling, so the two routes reach a far index independently.
+The walk tests P1 through the whole window (n0 needs its last violation)
 and goes past it only for the from-k P1 window, and only while that
 window is still clean; P2 and P3 ride on the same indices until both
 have a violation or the window ends.  From there P1 walks on its own, on
 the difference sequence E[n] = M[n+1] - q*M[n] of the carrier below,
 which obeys the carrier's recurrence and is negative exactly where
-a[n] > a[n+1].  All comparisons are exact.
+a[n] > a[n+1]: one step per index to the end of the window, then blocks
+of _BLOCK indices, each reached from the one before by coefficient
+tables walked once per scan.  All comparisons are exact.
 
 For speed the scans run on a rescaled integer copy of the sequence,
 recurrence.integer_carrier: with a = A/q, b = B/q over a common
@@ -66,6 +68,9 @@ __all__ = [
     "WindowReport",
     "scan",
 ]
+
+# indices per block of the P1 walk past the window (see scan)
+_BLOCK = 32
 
 
 class InternalInconsistency(RuntimeError):
@@ -121,18 +126,36 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
 
     The walk is one pass from index 0, reading integer_carrier(spec)
     while P2 or P3 is open.  It tests P1 once per index n, as
-    q*M[n] > M[n+1], that is a[n] > a[n+1]; once P2 and P3 are done, as
-    E[n] < 0 on E[n] = M[n+1] - q*M[n], carried by
-    E[n+2] = A*E[n+1] - B*q*E[n] from the last two terms read, which
-    spares per index the product q*M[n], a comparison of two long terms
-    and a step of the carrier's generator.  That one test feeds the
-    immediate window n in [-1, window] (n = -1 compares the backward
-    extension a[-1] with a[0]), the witness n0_witness (the smallest
-    n0 <= window with no violation in [n0, window], None when the last
-    pair violates) and, from n = from_k - 1 on, the from-k window
+    q*M[n] > M[n+1], that is a[n] > a[n+1], which is M[n+1] < 0 where
+    bits(M[n+1]) > bits(M[n]) + bits(q) makes |M[n+1]| > q*|M[n]|
+    certain; once P2 and P3 are done, as E[n] < 0 on
+    E[n] = M[n+1] - q*M[n], carried by E[n+2] = A*E[n+1] - B*q*E[n]
+    from the last two terms read, which spares per index the product
+    q*M[n], a comparison of two long terms and a step of the carrier's
+    generator.  That one test feeds the immediate window n in
+    [-1, window] (n = -1 compares the backward extension a[-1] with
+    a[0]), the witness n0_witness (the smallest n0 <= window with no
+    violation in [n0, window], None when the last pair violates) and,
+    from n = from_k - 1 on, the from-k window
     n in [from_k - 1, from_k + window]; for from_k = 0 that is the
     immediate window.  P1 walks the whole window, for n0, and past it
     only while the from-k window is still clean.
+
+    Past the window only the from-k window's first violation counts, at
+    or after k1 = from_k - 1, so P1 walks E there in blocks of _BLOCK
+    indices.  Two tables U, V of _BLOCK + 2 integers, walked once per
+    scan by X[j+1] = A*X[j] - B*q*X[j-1] from (U[0], U[1]) = (0, 1) and
+    (V[0], V[1]) = (1, 0), give E[n+j] = U[j]*E[n+1] + V[j]*E[n].  In a
+    block at n, with k = max(0, b - 64) for b the larger bit length of
+    E[n] and E[n+1], and the top words xh = E[n+1] >> k, yh = E[n] >> k,
+    est = U[j]*xh + V[j]*yh puts E[n+j]/2**k in
+    [est + lo[j], est + hi[j]], lo[j] = min(U[j], 0) + min(V[j], 0) and
+    hi[j] = max(U[j], 0) + max(V[j], 0): est + hi[j] < 0 is a violation,
+    est + lo[j] >= 0 a clean index, and anything else gets the exact
+    sign of U[j]*E[n+1] + V[j]*E[n].  Indices below k1 are not read.
+    Each block ends on the exact pair (E[n+c], E[n+c+1]), and the walk
+    stops at the first violation or at from_k + window.  Inside the
+    window P1 keeps stepping: there blocks cost more than they save.
 
     P2 scans |alpha - a[n+1]/a[n]| >= |alpha - a[n+2]/a[n+1]|, with alpha
     the dominant root; it is None for complex roots, where the compared
@@ -144,7 +167,9 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
 
     On the carrier both are statements about the residual
     R[n] := 2*q**(n+1)*D * (a[n]*alpha - a[n+1]) = u[n] + s*M[n]*sqrt(d)
-    with u[n] = A*M[n] - 2*M[n+1] and s = qfield.dominant_root_sign(A),
+    with u[n] = A*M[n] - 2*M[n+1], which the walk reads as
+    u[n+1] = B*q*M[n] - M[n+2], one product instead of two on the
+    carrier's recurrence, and s = qfield.dominant_root_sign(A),
     the sign that picks alpha (for a repeated root d = 0 and s drops
     out), and about its exact norm
     N[n] = R[n]*R'[n] = u[n]**2 - M[n]**2*d, R'[n] = u[n] - s*M[n]*sqrt(d).
@@ -164,7 +189,8 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     both into w1*|R'[n+1]| >= c*w0*|R'[n]|, with (w0, w1, c) = (1, 1, |B|)
     for P3 and (|M[n]|, |M[n+1]|, |B*q|) for P2.  The walk reads the
     identity only there and in the sign of N[n]; at the last index the
-    P2/P3 part reaches it computes the norm directly and raises
+    P2/P3 part reaches it computes the norm directly, on
+    u[n] = A*M[n] - 2*M[n+1] as defined, and raises
     InternalInconsistency if it differs from N[0]*(B*q)**n, so dividing
     the norm out depends on nothing that check does not guard.  The
     identity is a fact about the recurrence, not about the properties:
@@ -215,6 +241,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     backward = (lhs > rhs) if B > 0 else (lhs < rhs)
     u0 = A * m0 - 2 * m1
     norm = u0 * u0 - m0 * m0 * d
+    qbits, lm0, lm1 = q.bit_length(), m0.bit_length(), m1.bit_length()
     if real:
         s = dominant_root_sign(A)
         sd = s if d else 0
@@ -223,8 +250,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
         square = t * t == d  # rational roots: sqrt(d) = t
         span = (1 << 64) + r + 1  # hi - lo, less the top word of |M|
         aB, aBq = abs(B), abs(Bq)
-        bbits, qbits = aB.bit_length(), q.bit_length()
-        lu0, lm0, lm1 = u0.bit_length(), m0.bit_length(), m1.bit_length()
+        bbits, lu0 = aB.bit_length(), u0.bit_length()
         # the conjugate form holds at n: N != 0 and R' does not cancel,
         # u and s*M*sqrt(d) differing in sign or d = 0
         conj0 = ns != 0 and (not sd or ((u0 < 0) != (m0 < 0)) != (sd < 0))
@@ -271,11 +297,15 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     n = 0
     while n <= window and (first3 is None or (real and first2 is None)):
         m2 = next(M)
-        # (m0, m1, m2) = (M[n], M[n+1], M[n+2])
-        qm0 = q * m0
-        if qm0 > m1:
+        lm2 = m2.bit_length()
+        # (m0, m1, m2) = (M[n], M[n+1], M[n+2]); P1 is q*M[n] > M[n+1],
+        # which is M[n+1] < 0 where the bits make |M[n+1]| > q*|M[n]| certain
+        grows = lm1 > lm0 + qbits
+        qm0 = 0 if grows else q * m0
+        if (m1 < 0) if grows else qm0 > m1:
             p1.append(n)
-        u1 = A * m1 - 2 * m2
+        # u[n+1] = A*M[n+1] - 2*M[n+2] on the carrier's recurrence, one product shorter
+        u1 = Bq * m0 - m2
         if not real:
             norm1 = u1 * u1 - m1 * m1 * d
             if q * q * norm < norm1:
@@ -290,9 +320,9 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
             conj1 = ns != 0 and (not sd or ((u1 < 0) != (m1 < 0)) != (sd < 0))
             conj = conj0 and conj1
             # |v1| >= c*|v0| is certain where bits(v1) > bits(v0) + bits(c)
-            lu1, lm2 = u1.bit_length(), m2.bit_length()
+            lu1 = u1.bit_length()
             # |a[n+1]| >= |a[n]| is |M[n+1]| >= q*|M[n]|
-            if need3 and (not need2 or lm1 > lm0 + qbits or abs(m1) >= abs(qm0)):
+            if need3 and (not need2 or grows or abs(m1) >= abs(qm0)):
                 # P3 in the conjugate form, decided on the signs of its
                 # parts alone where both are >= 0: no bracket, no exact test
                 h3 = (conj and (lu1 > lu0 + bbits or abs(u1) >= aB * abs(u0))
@@ -305,11 +335,12 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
                 first3 = n
             if not h2:
                 first2 = n
-            conj0 = conj1
-            lu0, lm0, lm1 = lu1, lm1, lm2
+            conj0, lu0 = conj1, lu1
         n += 1
         u0, m0, m1 = u1, m1, m2
-    if real and norm * Bq**n != u0 * u0 - m0 * m0 * d:
+        lm0, lm1 = lm1, lm2
+    # the direct norm at n, on u[n] = A*M[n] - 2*M[n+1] as defined
+    if real and norm * Bq**n != (A * m0 - 2 * m1) ** 2 - m0 * m0 * d:
         raise InternalInconsistency(
             "oracle self-check: the residual norm carried by "
             "N[n+1] = B*q*N[n] differs from the one computed "
@@ -324,14 +355,30 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
             p1.append(n)
         n += 1
         e0, e1 = e1, A * e1 - Bq * e0
+    # past the window only the first violation at or after k1 counts:
+    # blocks of _BLOCK indices, E[n+j] = U[j]*E[n+1] + V[j]*E[n], each
+    # sign read off the top words of E[n] and E[n+1] where they decide it
     last, k1 = from_k + window, from_k - 1
-    if not (p1 and p1[-1] >= k1):
-        while n <= last:
-            if n >= k1 and e0 < 0:
-                p1.append(n)
-                break
-            n += 1
-            e0, e1 = e1, A * e1 - Bq * e0
+    if n <= last and not (p1 and p1[-1] >= k1):
+        U, V = [0, 1], [1, 0]
+        for X in (U, V):
+            for _ in range(_BLOCK):
+                X.append(A * X[-1] - Bq * X[-2])
+        lo = [min(x, 0) + min(y, 0) for x, y in zip(U, V)]
+        hi = [max(x, 0) + max(y, 0) for x, y in zip(U, V)]
+        while n <= last and not (p1 and p1[-1] >= k1):
+            c = min(_BLOCK, last + 1 - n)
+            if k1 < n + c:
+                k = max(max(e0.bit_length(), e1.bit_length()) - 64, 0)
+                xh, yh = e1 >> k, e0 >> k
+                for j in range(max(k1 - n, 0), c):
+                    # E[n+j] / 2**k lies in [est + lo[j], est + hi[j]]
+                    est = U[j] * xh + V[j] * yh
+                    if est + hi[j] < 0 or est + lo[j] < 0 and U[j] * e1 + V[j] * e0 < 0:
+                        p1.append(n + j)
+                        break
+            e0, e1 = U[c] * e1 + V[c] * e0, U[c + 1] * e1 + V[c + 1] * e0
+            n += c
     checked = (0, window)
     p2 = None
     if real:

@@ -196,16 +196,17 @@ def _cell_numerators(
 
 @dataclass(frozen=True)
 class RasterGrid:
-    """Boolean membership sampled at cell centers.
+    """Membership sampled at cell centers, 1 for a member and 0 otherwise.
 
-    cells[row][col] with row 0 along the top edge (largest y); cell
-    centers sit at x0 + (col + 1/2)*dx and y1 - (row + 1/2)*dy.
+    cells[row][col] with row 0 along the top edge (largest y); each row
+    is a bytes object, one byte per cell.  Cell centers sit at
+    x0 + (col + 1/2)*dx and y1 - (row + 1/2)*dy.
     """
 
     region: RegionId
     bbox: tuple[Fraction, Fraction, Fraction, Fraction]  # x0, x1, y0, y1
     resolution: int
-    cells: tuple[tuple[bool, ...], ...]
+    cells: tuple[bytes, ...]
 
 
 def rasterize(
@@ -223,19 +224,19 @@ def rasterize(
     xs, ys, L = _cell_numerators(box, resolution)
     if region is RegionId.DP_BOUNDARY:
         # its rows are isolated points, which the row lemma does not cover
-        cells = tuple(tuple(member(X, Y, L) for X in xs) for Y in ys)
+        cells = tuple(bytes(member(X, Y, L) for X in xs) for Y in ys)
     else:
         split = bisect_left(xs, 0)
         cells = tuple(_bisected_row(member, xs, split, Y, L) for Y in ys)
     return RasterGrid(region, box, resolution, cells)
 
 
-def _bisected_row(member, xs: list[int], split: int, Y: int, L: int) -> tuple[bool, ...]:
+def _bisected_row(member, xs: list[int], split: int, Y: int, L: int) -> bytes:
     """Row Y of a region that obeys the row lemma: members are a prefix
     of xs[:split] (x < 0) and a suffix of xs[split:] (x >= 0)."""
     left = bisect_left(xs, True, 0, split, key=lambda X: not member(X, Y, L))
     right = bisect_left(xs, True, split, len(xs), key=lambda X: member(X, Y, L))
-    return (True,) * left + (False,) * (right - left) + (True,) * (len(xs) - right)
+    return b"\x01" * left + b"\x00" * (right - left) + b"\x01" * (len(xs) - right)
 
 
 _PGM_LEVELS = bytes.maketrans(b"\x01", b"\xff")  # member 1 -> 255, others 0 -> 0
@@ -246,7 +247,7 @@ def write_pgm(grid: RasterGrid, path: str) -> None:
     res = grid.resolution
     with open(path, "wb") as fh:
         fh.write(f"P5\n{res} {res}\n255\n".encode("ascii"))
-        fh.write(b"".join(map(bytes, grid.cells)).translate(_PGM_LEVELS))
+        fh.write(b"".join(grid.cells).translate(_PGM_LEVELS))
 
 
 def write_csv(grid: RasterGrid, path: str) -> None:

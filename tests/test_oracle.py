@@ -477,6 +477,43 @@ class TestIndependentStops:
             assert w.p2.first_violation != w.p3.first_violation, spec
 
 
+def _scan_lines(select):
+    """{line number: compiled expression} for the lines of oracle.scan that
+    select(text, next_text) picks by returning an expression (on the
+    stripped text of the line and of the one after it), else None."""
+    lines, first = inspect.getsourcelines(oracle.scan)
+    texts = [line.strip() for line in lines] + [""]
+    picked = {}
+    for i, text in enumerate(texts[:-1]):
+        expr = select(text, texts[i + 1])
+        if expr is not None:
+            picked[first + i] = compile(expr, "<scan line>", "eval")
+    return picked
+
+
+def _traced_scan(spec, window, from_k, lines):
+    """scan(spec, window, from_k) under a line tracer, and the value of
+    each listed line's expression on scan's locals as the line is reached,
+    in order."""
+    seen = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in lines:
+            seen.append(eval(lines[frame.f_lineno], {}, frame.f_locals))
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is oracle.scan.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        got = oracle.scan(spec, window, from_k)
+    finally:
+        sys.settrace(previous)
+    return got, seen
+
+
 class TestScan:
     """scan decides every window of a report on one walk of the carrier:
     each field must equal its naive reference, with from-k windows that
@@ -520,42 +557,26 @@ class TestScan:
                     assert got.n0_witness == n0, case
 
     def test_walk_goes_past_the_window_only_while_from_k_is_clean(self):
-        # the walk's steps are its P1 tests, one per index it compares;
-        # past the P2/P3 stretch they run on the difference sequence, not
-        # on the carrier, so a line tracer counts them: each test is the
-        # line just before a p1.append(n) in scan
-        lines, first = inspect.getsourcelines(oracle.scan)
-        p1_tests = {first + i - 1 for i, line in enumerate(lines)
-                    if line.strip() == "p1.append(n)"}
-        assert p1_tests
-        steps = [0]
-
-        def local(frame, event, arg):
-            if event == "line" and frame.f_lineno in p1_tests:
-                steps[0] += 1
-            return local
-
-        def tracer(frame, event, arg):
-            return local if frame.f_code is oracle.scan.__code__ else None
-
+        # each P1 sign the walk reads is the line just before a
+        # p1.append(index) in scan, and index names the position it reads
+        reads = _scan_lines(lambda text, after: after[len("p1.append("):-1]
+                            if after.startswith("p1.append(") else None)
+        assert len(reads) == 3  # P2/P3 stretch, P1 alone, blocks past the window
         # (spec, window, from_k, last index a window compares): the clean
         # from-k window [99, 120] of FIB compares up to index 120; the
         # second stops at its violation at 36, short of its end at 40; the
         # third, 2**n + 2**(30 - n), descends up to index 14, inside the
-        # window, so its from-k window [9, 30] needs no step past index 20
+        # window, so its from-k window [9, 30] needs no index past 20
         for spec, w, k, last in (
             (FIB, 20, 100, 120),
             (RecurrenceSpec(Fraction(7, 2), 3, 1000000, 1499990), 10, 30, 36),
             (RecurrenceSpec(Fraction(5, 2), 1, 2**30 + 1, 2**29 + 2), 20, 10, 20),
         ):
-            steps[0] = 0
-            previous = sys.gettrace()
-            sys.settrace(tracer)
-            try:
-                oracle.scan(spec, w, k)
-            finally:
-                sys.settrace(previous)
-            assert last < steps[0] <= last + 3, (spec, steps[0])
+            _, seen = _traced_scan(spec, w, k, reads)
+            case = (spec, w, k, seen)
+            assert max(seen) == last, case
+            assert sorted(i for i in seen if i <= w) == list(range(w + 1)), case
+            assert [i for i in seen if i > w] == list(range(max(k - 1, w + 1), last + 1)), case
 
     def test_build_report_walks_the_carrier_once(self, monkeypatch):
         calls = []
@@ -673,6 +694,95 @@ class TestPartSignsAndDifferenceWalk:
             assert v1.bit_length() == v0.bit_length() + abs(B).bit_length(), spec
             assert abs(v1) < abs(B) * abs(v0), spec
             assert oracle.scan(spec, 15, 0).p3.first_violation == 0, spec
+
+
+# descends from index 36 on; starts scaled by 2**700 descend there too
+LATE_DESCENT_LONG = RecurrenceSpec(LATE_DESCENT.a, LATE_DESCENT.b,
+                                   LATE_DESCENT.v0 * 2**700, LATE_DESCENT.v1 * 2**700)
+# a[n] = 1, 1, -2 with period 3: E[n] = 0 at n = 6, where U[2] = V[2] = -1,
+# so the top words' upper end is est + 0 = 0 on a clean index; then the
+# violation at 7
+PERIOD_THREE = RecurrenceSpec(-1, 1, 1, 1)
+# within 2**-80 of the beta = 1/2 eigen-solution (carrier roots 8 and 1):
+# M[n] = c1*8**n + c2 with c1 = -2**620 and c2 = -2**700, so
+# E[n] = 6*c1*8**n - c2 is clean up to 25 and descends from 26 on, where
+# the alpha part overtakes, too close to 0 for the top words of a block
+NEAR_BETA_EIGEN = RecurrenceSpec(Fraction(9, 2), 2, -2**620 - 2**700,
+                                 Fraction(-8 * 2**620 - 2**700, 2))
+
+
+@st.composite
+def block_cases(draw):
+    """(spec, window, from_k) whose from-k window starts on a block edge
+    past the window (k1 - window - 1 = 0 or +-1 mod the block length), or
+    ends on one (from_k = 0 or +-1 mod the block length: the last block
+    reads 1, all or all but one of its indices)."""
+    a, b = draw(coeffs_st), draw(coeffs_st)
+    v0, v1 = draw(starts_st), draw(starts_st)
+    assume(v0 or v1)
+    scale = draw(st.sampled_from((1, 2**700)))
+    window = draw(st.integers(0, 40))
+    edge = oracle._BLOCK * draw(st.integers(0, 3)) + draw(st.sampled_from((-1, 0, 1)))
+    from_k = edge + window + 2 if draw(st.booleans()) else edge
+    assume(from_k >= 0)
+    return RecurrenceSpec(a, b, v0 * scale, v1 * scale), window, from_k
+
+
+class TestBlockWalk:
+    """Past the window, the from-k P1 walk reads blocks of _BLOCK indices,
+    E[n+j] = U[j]*E[n+1] + V[j]*E[n], each sign off the top words of
+    E[n] and E[n+1] where they decide it and exactly where they do not;
+    the first violation is held against the naive reference."""
+
+    @given(block_cases())
+    # the violation at 36 at j = 0 (of the first block, 36 = window + 1,
+    # and of the second, 4 + 32), and at j = c - 1 of a full block
+    # (5 + 31) and of a partial last block (11 + 25), on long starts
+    @example((LATE_DESCENT, 35, 30))
+    @example((LATE_DESCENT_LONG, 3, 36))
+    @example((LATE_DESCENT_LONG, 4, 33))
+    @example((LATE_DESCENT_LONG, 10, 26))
+    @example((PERIOD_THREE, 3, 6))
+    @example((NEAR_BETA_EIGEN, 2, 24))
+    @settings(max_examples=300, deadline=None)
+    def test_from_k_matches_reference(self, case):
+        spec, w, k = case
+        got = oracle.scan(spec, w, k).p1_from_k
+        assert (got.holds_on_window, got.first_violation) == ref_p1(spec, k, k + w)
+
+    def test_examples_reach_what_they_pin(self):
+        assert oracle.scan(LATE_DESCENT_LONG, 4, 33).p1_from_k.first_violation == 36
+        assert oracle.scan(LATE_DESCENT_LONG, 10, 26).p1_from_k.first_violation == 36
+        assert oracle.scan(PERIOD_THREE, 3, 6).p1_from_k.first_violation == 7
+        assert oracle.scan(NEAR_BETA_EIGEN, 2, 24).p1_from_k.first_violation == 26
+
+    def test_near_eigen_start_reaches_the_exact_sign(self):
+        # each read past the window is the line where scan's est and the
+        # tables lo, hi are in scope; there the top words leave E[n+j]'s
+        # sign open where est + lo[j] < 0 <= est + hi[j]
+        reads = _scan_lines(lambda text, after: "(n + j, est + lo[j] < 0 <= est + hi[j])"
+                            if after == "p1.append(n + j)" else None)
+        assert len(reads) == 1
+        _, seen = _traced_scan(NEAR_BETA_EIGEN, 2, 24, reads)
+        assert [i for i, _ in seen] == [23, 24, 25, 26]
+        assert seen[-1] == (26, True)
+
+    def test_block_steps_equal_the_stepped_difference_sequence(self):
+        # (n, E[n], E[n+1]) at the start of each block, against
+        # E[n] = M[n+1] - q*M[n] on the carrier's terms, to index 5000
+        starts = _scan_lines(lambda text, after: "(n, e0, e1)"
+                             if text.startswith("c = min(_BLOCK") else None)
+        assert len(starts) == 1
+        table = RecurrenceSpec(Fraction(7, 3), Fraction(-5, 7), Fraction(3, 4), Fraction(-2, 5))
+        for spec, w, k in ((FIB, 0, 5000), (FIB, 33, 4000), (table, 300, 5000),
+                           (RecurrenceSpec(1, 1, 1, 2), 7, 2000), (LATE_DESCENT_LONG, 3, 30)):
+            _, seen = _traced_scan(spec, w, k, starts)
+            assert seen, spec
+            q, _, _, _, M = integer_carrier(spec)
+            m = list(islice(M, seen[-1][0] + 3))
+            for n, e0, e1 in seen:
+                assert (e0, e1) == (m[n + 1] - q * m[n], m[n + 2] - q * m[n + 1]), (spec, n)
+            assert seen[-1][0] > k - 1 - oracle._BLOCK, spec  # the blocks reach k - 1
 
 
 def _broken_carrier(spec):
