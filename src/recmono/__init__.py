@@ -4,9 +4,9 @@ Everything runs on exact rational and quadratic-field arithmetic: term
 generation, closed forms, three monotonicity decision procedures with
 certifying branches, brute-force oracle windows that cross-check every
 verdict, membership regions in the root and coefficient planes, the
-integer-coefficient classification (irreducibility, quadratic Pisot
-test, enumeration, boundary characterization), and the Riccati ratio
-map.  The ``recmono`` console script exposes all of it.
+integer-coefficient classification (irreducibility, enumeration,
+boundary characterization), and the Riccati ratio map.  The
+``recmono`` console script exposes all of it.
 """
 
 from .decisions import (
@@ -42,7 +42,6 @@ from .regions import (
     COEFF_PLANE_REGIONS,
     RasterGrid,
     RegionId,
-    ROOT_PLANE_REGIONS,
     contains_coeff_plane,
     rasterize,
     write_csv,
@@ -63,7 +62,6 @@ __all__ = [
     "QuadElem",
     "RasterGrid",
     "RatioLimit",
-    "ROOT_PLANE_REGIONS",
     "RecurrenceSpec",
     "RegionId",
     "RiccatiOrbit",

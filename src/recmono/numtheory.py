@@ -1,11 +1,10 @@
-"""Integer coefficient pairs: irreducibility, Pisot roots, enumeration.
+"""Integer coefficient pairs: irreducibility, enumeration, the boundary.
 
 For integer (a, b) the polynomial x^2 - a*x + b is reducible over the
 integers exactly when its discriminant is a perfect square (a rational
 root of a monic integer polynomial is an integer, and the parities of a
 and isqrt(disc) agree automatically).  Inside the closed coefficient
-region the reducible integer pairs are exactly b in {-a-1, 0, a-1}, and
-every remaining interior pair has a quadratic Pisot dominant root.
+region the reducible integer pairs are exactly b in {-a-1, 0, a-1}.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .qfield import cmp_abs, quadratic_roots
 from .regions import RegionId, contains_coeff_plane
 
 __all__ = [
@@ -34,20 +32,6 @@ def is_irreducible(pair: IntCoeffPair) -> bool:
     a, b = pair
     disc = a * a - 4 * b
     return disc < 0 or math.isqrt(disc) ** 2 != disc
-
-
-def is_quadratic_pisot(pair: IntCoeffPair) -> bool:
-    """True iff the dominant root is a quadratic Pisot number.
-
-    Requires irreducibility over the integers, a dominant root > 1 and a
-    conjugate of absolute value < 1; all comparisons exact.
-    """
-    if not is_irreducible(pair):
-        return False
-    roots = quadratic_roots(*pair)
-    if roots.discriminant_sign < 0:
-        return False
-    return (roots.alpha - 1).sign() > 0 and cmp_abs(roots.beta, 1) < 0
 
 
 def enumerate_generalized_fibonacci(a_max: int) -> list[IntCoeffPair]:

@@ -32,14 +32,18 @@ reduced to squarefree form, nor is den reduced against x and y.
 Elements built over different radicands never mix in practice, one
 recurrence fixes one discriminant, and the arithmetic raises if they
 do; an element with y = 0 is rational and combines with anything.
-`quadratic_roots` is the one place that decides squareness (one
+`quadratic_roots` decides squareness for the roots it builds (one
 `isqrt`): a perfect-square N gives rational roots, so a root with
-y != 0 has sqrt(N) irrational.  Equality is decided by value, as the
-sign of the difference.
+y != 0 has sqrt(N) irrational.  The oracle decides squareness on its
+own, which keeps its route independent of this one.  Equality is
+decided by value, as the sign of the difference.
 
-`surd_sign` and `dominant_root_sign` are the package's integer kernel,
-and `g6_str` is the CSV layout; none is part of the exported API, and
-all are left out of `__all__`.
+`over_common_denominator` writes a rational pair as integer numerators
+over one denominator, the first step of every integer route: the roots
+here, the integer carrier and `regions.contains_coeff_plane`.  With
+`surd_sign` and `dominant_root_sign` it is the package's integer
+kernel, and `g6_str` is the CSV layout; none is part of the exported
+API, and all are left out of `__all__`.
 """
 
 from __future__ import annotations
@@ -59,6 +63,13 @@ __all__ = [
     "quadratic_roots",
     "decimal_str",
 ]
+
+
+def over_common_denominator(x: RationalLike, y: RationalLike) -> tuple[int, int, int]:
+    """(X, Y, L) with x = X/L and y = Y/L over their least common denominator L > 0."""
+    L = lcm(x.denominator, y.denominator)
+    return x.numerator * (L // x.denominator), y.numerator * (L // y.denominator), L
+
 
 def surd_sign(x: int, y: int, n: int) -> int:
     """Sign of x + y*sqrt(n) for integers x, y and n >= 0, exactly.
@@ -210,8 +221,7 @@ def quadratic_roots(a: RationalLike, b: RationalLike) -> RootPair:
     with a = A/L, b = B/L over their common denominator L and
     N = A^2 - 4*B*L; a perfect-square N gives rational roots."""
     a, b = Fraction(a), Fraction(b)
-    L = lcm(a.denominator, b.denominator)
-    A, B = a.numerator * (L // a.denominator), b.numerator * (L // b.denominator)
+    A, B, L = over_common_denominator(a, b)
     N = A * A - 4 * B * L
     disc = Fraction(N, L * L)
     if N < 0:

@@ -8,20 +8,21 @@ intersection of the three primed regions; rasters make that visible and
 the test suite checks it pointwise.
 
 Membership is decided exactly, on integers.  A point (x, y) is written
-as integer numerators X, Y over one positive denominator L; a raster
-puts every cell centre of its bbox over one common L, built from the
-corner denominators and 2*res, so its cells never touch a Fraction.
-Root-plane regions are then integer comparisons.  In the coefficient
-plane the roots of x^2 - (X/L)*x + Y/L are (X +- sqrt(N))/(2L) with
-N = X^2 - 4*Y*L, the form in which `qfield.quadratic_roots` builds a
-spec's roots and the oracle walks its residual.  Each test is the sign
-of an integer surd u + v*sqrt(N), decided by `qfield.surd_sign`; alpha
-is the plus root iff `qfield.dominant_root_sign(X)` is +1.  No
-squareness check is made: the integer sign is exact whether or not N is
-a square.  `rasterize`, `contains_coeff_plane` and `contains_root_plane`
-all call the same per-region predicates.  CSV output prints each centre
-rounded half-even to 6 significant digits by `qfield.g6_str`, exactly,
-at any magnitude.
+as integer numerators X, Y over one positive denominator L:
+`contains_coeff_plane` puts its pair over their least common
+denominator by `qfield.over_common_denominator`, and a raster puts
+every cell centre of its bbox over one common L, built from the corner
+denominators and 2*res, so its cells never touch a Fraction.  Root-plane regions are
+then integer comparisons.  In the coefficient plane the roots of
+x^2 - (X/L)*x + Y/L are (X +- sqrt(N))/(2L) with N = X^2 - 4*Y*L, the
+form in which `qfield.quadratic_roots` builds a spec's roots and the
+oracle walks its residual.  Each test is the sign of an integer surd
+u + v*sqrt(N), decided by `qfield.surd_sign`; alpha is the plus root
+iff `qfield.dominant_root_sign(X)` is +1.  No squareness check is made:
+the integer sign is exact whether or not N is a square.  `rasterize`
+and `contains_coeff_plane` call the same per-region predicates.  CSV
+output prints each centre rounded half-even to 6 significant digits by
+`qfield.g6_str`, exactly, at any magnitude.
 
 The row lemma.  Along a row (y = b or beta fixed), membership in each
 CLI region is non-increasing in x for x < 0 and non-decreasing for
@@ -38,7 +39,9 @@ x >= 0, where x is a or alpha:
 So `rasterize` splits the columns once at x = 0 and bisects each half
 with the exact predicate, at most 2*res.bit_length() calls per row: it
 decides O(res*log(res)) cells exactly and the lemma gives the rest.
-DP_BOUNDARY, whose rows are isolated points, is decided cell by cell.
+It rasterizes only regions that obey the lemma, and refuses
+DP_BOUNDARY, whose rows are isolated points; `contains_coeff_plane`
+decides that region point by point.
 """
 
 from __future__ import annotations
@@ -49,12 +52,11 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .qfield import RationalLike, dominant_root_sign, g6_str, surd_sign
+from .qfield import RationalLike, dominant_root_sign, g6_str, over_common_denominator, surd_sign
 
 __all__ = [
     "RegionId",
     "RasterGrid",
-    "ROOT_PLANE_REGIONS",
     "COEFF_PLANE_REGIONS",
     "contains_coeff_plane",
     "rasterize",
@@ -75,7 +77,6 @@ class RegionId(Enum):
     DP_BOUNDARY = "DP_BOUNDARY"
 
 
-ROOT_PLANE_REGIONS = frozenset({RegionId.D1, RegionId.D2, RegionId.D3, RegionId.D})
 COEFF_PLANE_REGIONS = frozenset(
     {RegionId.D1P, RegionId.D2P, RegionId.D3P, RegionId.DP, RegionId.DP_BOUNDARY}
 )
@@ -156,25 +157,11 @@ _MEMBER = {
 }
 
 
-def _over_common_denominator(x: RationalLike, y: RationalLike) -> tuple[int, int, int]:
-    """(X, Y, L) with x = X/L, y = Y/L and L > 0."""
-    x, y = Fraction(x), Fraction(y)
-    L = lcm(x.denominator, y.denominator)
-    return x.numerator * (L // x.denominator), y.numerator * (L // y.denominator), L
-
-
-def contains_root_plane(region: RegionId, alpha: RationalLike, beta: RationalLike) -> bool:
-    """Membership of the root pair (alpha, beta); rational inputs, exact."""
-    if region not in ROOT_PLANE_REGIONS:
-        raise ValueError(f"{region.value} is not a root-plane region")
-    return _MEMBER[region](*_over_common_denominator(alpha, beta))
-
-
 def contains_coeff_plane(region: RegionId, a: RationalLike, b: RationalLike) -> bool:
     """Membership of the coefficient pair (a, b); rational inputs, exact."""
     if region not in COEFF_PLANE_REGIONS:
         raise ValueError(f"{region.value} is not a coefficient-plane region")
-    return _MEMBER[region](*_over_common_denominator(a, b))
+    return _MEMBER[region](*over_common_denominator(a, b))
 
 
 def _cell_numerators(
@@ -214,20 +201,22 @@ def rasterize(
     bbox: tuple[RationalLike, RationalLike, RationalLike, RationalLike],
     resolution: int,
 ) -> RasterGrid:
-    """Sample region membership on a resolution x resolution center grid."""
+    """Sample region membership on a resolution x resolution center grid.
+
+    Every row is bisected by the row lemma, so DP_BOUNDARY, whose rows
+    are isolated points, is refused.
+    """
     x0, x1, y0, y1 = box = tuple(Fraction(v) for v in bbox)
+    if region is RegionId.DP_BOUNDARY:
+        raise ValueError("DP_BOUNDARY does not obey the row lemma and is not rasterized")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if x0 >= x1 or y0 >= y1:
         raise ValueError("bbox must have positive area")
     member = _MEMBER[region]
     xs, ys, L = _cell_numerators(box, resolution)
-    if region is RegionId.DP_BOUNDARY:
-        # its rows are isolated points, which the row lemma does not cover
-        cells = tuple(bytes(member(X, Y, L) for X in xs) for Y in ys)
-    else:
-        split = bisect_left(xs, 0)
-        cells = tuple(_bisected_row(member, xs, split, Y, L) for Y in ys)
+    split = bisect_left(xs, 0)
+    cells = tuple(_bisected_row(member, xs, split, Y, L) for Y in ys)
     return RasterGrid(region, box, resolution, cells)
 
 

@@ -27,12 +27,12 @@ from recmono import (
     terms_between,
 )
 from recmono.cli import main
-from recmono.numtheory import is_quadratic_pisot
 
 from conftest import (
     build_corpus,
     build_h_corpus,
     check_all_agreements,
+    is_quadratic_pisot,
 )
 
 FIB = make_h_spec(1, -1, 1)

@@ -1,9 +1,10 @@
-"""The public surface: every export has a reader in the package, and the
-README's library example runs as printed.
+"""The public surface: every export and every public module-level name
+has a reader in the package, and the README's library example runs as
+printed.
 
-An export that only tests read is a second entry point to keep in step
-with the first; the scan below finds them by parsing the package's own
-modules, and it allows no exceptions.
+A public name that only tests read is a second entry point to keep in
+step with the first; the scan below finds them by parsing the package's
+own modules, and it allows no exceptions.
 """
 
 from __future__ import annotations
@@ -34,11 +35,24 @@ def _names_read_by_package() -> set[str]:
     return read
 
 
+def _public_module_names() -> set[str]:
+    """Every public def, class or assignment at module level in the package."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
+
+
 def test_every_export_has_a_reader_in_the_package():
-    unread = set(recmono.__all__) - _names_read_by_package()
+    unread = (set(recmono.__all__) | _public_module_names()) - _names_read_by_package()
     assert unread == set(), (
-        "exported names that only tests read: give them a consumer or "
-        "drop them from the exports"
+        "public names that only tests read: give them a consumer in the "
+        "package or move them into the tests"
     )
 
 

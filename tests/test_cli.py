@@ -284,19 +284,25 @@ class TestLongOutputs:
         assert sys.get_int_max_str_digits() == limit
 
     def test_sequence_last_term_matches_iterate(self, capsys):
-        limit = sys.get_int_max_str_digits()
-        code, out, err = run_cli(
-            capsys, "sequence", "--a", "10", "--b", "1", "--v0", "1", "--v1", "10",
-            "--n", "5000",
-        )
-        assert code == 0 and err == ""
-        assert sys.get_int_max_str_digits() == limit
-        last = iterate(RecurrenceSpec(10, 1, 1, 10), 5000)[-1]
-        sys.set_int_max_str_digits(0)
-        try:
-            assert json.loads(out)["terms"][-1] == str(last)
-        finally:
-            sys.set_int_max_str_digits(limit)
+        # integer terms past the limit, and fractional coefficients, whose
+        # terms are reduced fractions of about 2,600 over 1,800 digits
+        for (a, b, v0, v1), n in (
+            (("10", "1", "1", "10"), 5000),
+            (("7/3", "-5/7", "3/4", "-2/5"), 2000),
+        ):
+            limit = sys.get_int_max_str_digits()
+            code, out, err = run_cli(
+                capsys, "sequence", f"--a={a}", f"--b={b}", f"--v0={v0}", f"--v1={v1}",
+                "--n", str(n),
+            )
+            assert code == 0 and err == ""
+            assert sys.get_int_max_str_digits() == limit
+            last = iterate(RecurrenceSpec(*map(Fraction, (a, b, v0, v1))), n)[-1]
+            sys.set_int_max_str_digits(0)
+            try:
+                assert json.loads(out)["terms"][-1] == str(last), (a, b, v0, v1)
+            finally:
+                sys.set_int_max_str_digits(limit)
 
 
 class TestSequence:

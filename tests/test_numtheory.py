@@ -13,7 +13,8 @@ from recmono import (
     enumerate_generalized_fibonacci,
     is_irreducible,
 )
-from recmono.numtheory import is_quadratic_pisot
+
+from conftest import is_quadratic_pisot
 
 
 def divisor_irreducible(a: int, b: int) -> bool:

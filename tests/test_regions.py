@@ -17,7 +17,6 @@ from recmono import (
     COEFF_PLANE_REGIONS,
     RegionId,
     RecurrenceSpec,
-    ROOT_PLANE_REGIONS,
     contains_coeff_plane,
     make_h_spec,
     positive_monotone_h,
@@ -27,11 +26,21 @@ from recmono import (
     write_csv,
     write_pgm,
 )
-from recmono.regions import _cell_numerators, contains_root_plane
+from recmono.qfield import over_common_denominator
+from recmono.regions import _cell_numerators
 
 ROOT_BBOX = (-3, 3, -3, 3)
 COEFF_BBOX = (-1, 5, -7, 5)
 CLI_REGIONS = [r for r in RegionId if r is not RegionId.DP_BOUNDARY]
+ROOT_PLANE_REGIONS = frozenset(RegionId) - COEFF_PLANE_REGIONS
+
+
+def contains_root_plane(region, alpha, beta):
+    """Membership of the root pair (alpha, beta) through the predicate
+    that `rasterize` calls; rational inputs, exact."""
+    if region not in ROOT_PLANE_REGIONS:
+        raise ValueError(f"{region.value} is not a root-plane region")
+    return regions._MEMBER[region](*over_common_denominator(alpha, beta))
 
 
 def centers(grid):
@@ -124,7 +133,7 @@ class TestCoeffPlaneMembership:
         assert contains_coeff_plane(RegionId.D3P, -3, 0)  # beta = 0, alpha = -3
 
     def test_region_sets(self):
-        assert RegionId.D in ROOT_PLANE_REGIONS
+        assert ROOT_PLANE_REGIONS == {RegionId.D1, RegionId.D2, RegionId.D3, RegionId.D}
         assert RegionId.DP in COEFF_PLANE_REGIONS
         assert RegionId.DP_BOUNDARY in COEFF_PLANE_REGIONS
 
@@ -246,7 +255,7 @@ class TestRasterGrid:
     )
 
     def test_cells_match_pointwise_membership(self):
-        for region in RegionId:
+        for region in CLI_REGIONS:
             member = member_at(region)
             for bbox in self.BBOXES:
                 for res in (8, 11):
@@ -278,6 +287,8 @@ class TestRasterGrid:
             rasterize(RegionId.DP, COEFF_BBOX, 1)
         with pytest.raises(ValueError):
             rasterize(RegionId.DP, (0, 0, -1, 1), 8)
+        with pytest.raises(ValueError):
+            rasterize(RegionId.DP_BOUNDARY, COEFF_BBOX, 8)  # rows of isolated points
 
 
 @st.composite
