@@ -42,6 +42,7 @@ class Branch(Enum):
     # holding branches
     COND_MONOTONIC_1 = "COND_MONOTONIC_1"  # dominant growth pushes upward
     COND_ALPHA_ONE = "COND_ALPHA_ONE"  # unit root, ordered start decides
+    COND_GEOMETRIC = "COND_GEOMETRIC"  # geometric start, ordered start decides
     COND_H_MONOTONE = "COND_H_MONOTONE"  # h-type positive monotone clause
     COND_RATIO_CONTRACTION = "COND_RATIO_CONTRACTION"  # |a| >= |beta|
     COND_MODULUS_AT_MOST_ONE = "COND_MODULUS_AT_MOST_ONE"  # |beta| <= 1
@@ -75,9 +76,9 @@ def _p1_verdict(spec: RecurrenceSpec, k: Optional[int]) -> Verdict:
     """The clause chain shared by both P1 tests; k = None is the eventual one.
 
     The eventual test reads the triple a[0], a[1], a[2] and consults it
-    only when r+ = 1; the from-k test reads a[k-1], a[k], a[k+1], after
-    the discriminant check since that costs O(log k), and requires it on
-    every branch.
+    only when r+ = 1 or the start is geometric; the from-k test reads
+    a[k-1], a[k], a[k+1], after the discriminant check since that costs
+    O(log k), and requires it on every branch.
     """
     roots = spec.roots()
     if roots.discriminant_sign < 0:
@@ -98,12 +99,20 @@ def _p1_verdict(spec: RecurrenceSpec, k: Optional[int]) -> Verdict:
         return Verdict(False, Branch.FAIL_INITIAL_TRIPLE)
     if ap.sign() <= 0:
         return Verdict(False, Branch.FAIL_ALPHA_PLUS_NOT_POSITIVE)
-    if spec.a <= 0:
+    if spec.a > 0:
+        growth = ((ap - 1) * (spec.v1 - spec.v0 * am)).sign()
+        if growth > 0:
+            return Verdict(True, Branch.COND_MONOTONIC_1)
+        if growth < 0:
+            return Verdict(False, Branch.FAIL_GROWTH_PRODUCT)
+    elif (spec.v1 - spec.v0 * ap).sign():
         return Verdict(False, Branch.FAIL_A_NOT_POSITIVE)
-    growth = (ap - 1) * (spec.v1 - spec.v0 * am)
-    if growth.sign() > 0:
-        return Verdict(True, Branch.COND_MONOTONIC_1)
-    return Verdict(False, Branch.FAIL_GROWTH_PRODUCT)
+    # v1 = v0*r, r = r- where a > 0 and r+ where a <= 0: the geometric
+    # sequence v0*r**n, whose differences v0*r**n*(r - 1) all share one
+    # sign if r > 0 and alternate if r < 0, so its triple decides it
+    if ordered:
+        return Verdict(True, Branch.COND_GEOMETRIC)
+    return Verdict(False, Branch.FAIL_INITIAL_TRIPLE)
 
 
 def eventually_nondecreasing(spec: RecurrenceSpec) -> Verdict:
@@ -111,7 +120,10 @@ def eventually_nondecreasing(spec: RecurrenceSpec) -> Verdict:
 
     Holds iff the discriminant is non-negative and either the dominant
     growth clause fires (1 != r+ > 0, a > 0, (r+ - 1)(v1 - v0*r-) > 0) or
-    r+ = 1 and the first three terms are already ordered.
+    the first three terms are already ordered and either r+ = 1 or r+ > 0
+    and the start is geometric: v1 = v0*r- where a > 0, v1 = v0*r+ where
+    a <= 0.  The eigen start on the non-dominant root is such a start,
+    and so is a repeated root's.
     """
     return _p1_verdict(spec, None)
 

@@ -39,16 +39,14 @@ the terms at every index.  For real roots R cancels once the sequence
 follows its dominant root, but its conjugate R' = u - y*sqrt(d) does
 not, and N, carried by the Casoratian identity N[n+1] = B*q*N[n],
 divides out (see scan): each property is then one weighted comparison
-w1*|R'[n+1]| >= c*w0*|R'[n]|, one usually implying the other.  Each
-index is decided in three steps, each only where the one before leaves
-it open: the signs of P3's two integer parts, which decide almost every
-index where the terms grow; brackets of the weighted moduli built from
-top words at one shift; and the exact sign test of x + y*sqrt(d),
-qfield.surd_sign.  Where d = t**2 is a square (rational roots) that sign
-is the one of the integer x + y*t, and P3 skips the brackets: |R'| is an
-integer there, and at |beta| = 1 P3 ties at every index, which no
-bracket decides.  No float enters: every verdict comes from an exact
-integer inequality.
+P*|R'[n+1]| >= Q*|R'[n]|, one usually implying the other.  Each index is
+decided in three steps, each only where the one before leaves it open:
+the signs of P3's two integer parts, which decide almost every index
+where the terms grow; brackets of the weighted moduli built from top
+words at one shift; and one exact step on R' (on R where N = 0): a
+comparison of integers where d is a square (rational roots), where P3
+skips the brackets, else two exact signs from qfield.surd_sign.  No
+float enters: every verdict comes from an exact integer inequality.
 """
 
 from __future__ import annotations
@@ -110,15 +108,6 @@ class OracleWindows:
     p2: Optional[WindowReport]
     p3: WindowReport
     n0_witness: Optional[int]
-
-
-def _residual_sign(u: int, m: int, sd: int, ns: int) -> int:
-    """Sign of R = u + sd*m*sqrt(d), given the sign ns of its norm
-    u**2 - m**2*d: the common sign when u and sd*m agree or one of them
-    is 0, else the sign of u times ns."""
-    su = (u > 0) - (u < 0)
-    sy = sd * ((m > 0) - (m < 0))
-    return (su or sy) if su * sy >= 0 else su * ns
 
 
 def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
@@ -186,8 +175,8 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     Real roots: N[n] is 4*(M[n+1]**2 - A*M[n]*M[n+1] + B*q*M[n]**2),
     which any solution of M[n+2] = A*M[n+1] - B*q*M[n] multiplies by B*q
     per step, so N[n] = N[0]*(B*q)**n.  Where N != 0, |R| = |N|/|R'| turns
-    both into w1*|R'[n+1]| >= c*w0*|R'[n]|, with (w0, w1, c) = (1, 1, |B|)
-    for P3 and (|M[n]|, |M[n+1]|, |B*q|) for P2.  The walk reads the
+    both into P*|R'[n+1]| >= Q*|R'[n]|, with (P, Q) = (1, |B|) for P3 and
+    (|M[n+1]|, |B*q|*|M[n]|) for P2.  The walk reads the
     identity only there and in the sign of N[n]; at the last index the
     P2/P3 part reaches it computes the norm directly, on
     u[n] = A*M[n] - 2*M[n+1] as defined, and raises
@@ -212,15 +201,21 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     2**(64 - k)*|R'| lies in [lo, lo + 2**64 + x_M + r + 1) with
     lo = x_u*2**64 + x_M*r, and 2**-k*|M| in [x_M, x_M + 1), which
     brackets P2's weights.  A comparison is decided on these brackets
-    unless its two sides overlap (a tie, or a near one); then the exact
-    sign of w1*|R'[n+1]| - c*w0*|R'[n]|, an X + Y*sqrt(d), decides.
-    Where d = t**2, X + Y*sqrt(d) is the integer X + Y*t, and P3, whose
-    weights are 1, is that exact test alone, with no bracket before it;
+    unless its two sides overlap (a tie, or a near one).
+
+    What the part signs and brackets leave open, including every index
+    where R' cancels, goes to one exact step on X = R', or on X = R where
+    N = 0.  N = u[0]**2 - M[0]**2*d = 0 forces d to be a square, since
+    M[0] = 0 would make the start (0, 0).  Where d = t**2, X is the
+    integer u + gt*M with gt = -s*t where N != 0 and gt = s*t where
+    N = 0, so the step compares integers: on R', P*|X[n+1]| >= Q*|X[n]|;
+    on R, q*|X[n]| >= |X[n+1]| for P3 and |M[n+1]|*|X[n]| >= |M[n]|*|X[n+1]|
+    for P2.  P3 there is that step alone, with no bracket before it;
     P2 keeps its brackets, which spare it the products of long weights.
-    Where R' cancels or N = 0 that test runs on R, with g[n] the sign of
-    R[n]: the sign of
-    (g[n]*w0*u[n] - g[n+1]*w1*u[n+1]) + s*(g[n]*w0*M[n] - g[n+1]*w1*M[n+1])*sqrt(d)
-    with (w0, w1) = (q, 1) for P3 and (|M[n+1]|, |M[n]|) for P2.
+    Otherwise N != 0, X = R' = u - s*M*sqrt(d), and
+    |P*X[n+1]| >= |Q*X[n]| is the sign of
+    (P*X[n+1] - Q*X[n])*(P*X[n+1] + Q*X[n]) >= 0, the product of two
+    exact signs of x + y*sqrt(d), qfield.surd_sign.
 
     One comparison implies the other, exactly: P3 at n gives P2 at n if
     |a[n+1]| >= |a[n]|, and P2 gives P3 if |a[n+1]| <= |a[n]|.  While both
@@ -255,40 +250,38 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
         # u and s*M*sqrt(d) differing in sign or d = 0
         conj0 = ns != 0 and (not sd or ((u0 < 0) != (m0 < 0)) != (sd < 0))
 
+        # where d = t**2, X = u + gt*M is the integer R', or R where N = 0
+        gt = (-sd if ns else sd) * t
+
         def holds(p2: bool) -> bool:
             """P2 at the walk's index n if p2, else P3, on the loop's
-            variables: w1*|X[n+1]| >= c*w0*|X[n]| on X = R' or on X = R."""
-            am0, am1 = abs(m0), abs(m1)
-            if conj:
-                au0, au1 = abs(u0), abs(u1)
-                c = aBq if p2 else aB
-                if square and not p2:
-                    # |R'| = |u| + |M|*t: one comparison of integers,
-                    # cheaper than brackets, which overlap on P3's ties
-                    return au1 + am1 * t >= c * (au0 + am0 * t)
-                if lm0 >= 64:
-                    # brackets [lo, hi) of 2**(64 - k)*|R'| at n and n+1,
-                    # weighed by [y, y + 1) for P2
-                    k = lm0 - 64
-                    y0, y1 = am0 >> k, am1 >> k
-                    lo0 = ((au0 >> k) << 64) + y0 * r
-                    lo1 = ((au1 >> k) << 64) + y1 * r
-                    v0, v1, e = (y0, y1, 1) if p2 else (1, 1, 0)
-                    if v1 * lo1 >= c * (v0 + e) * (lo0 + span + y0):
-                        return True
-                    if (v1 + e) * (lo1 + span + y1) <= c * v0 * lo0:
-                        return False
-                cw0, w1 = (c * am0, am1) if p2 else (c, 1)
-                x, y = w1 * au1 - cw0 * au0, w1 * am1 - cw0 * am0
-            else:
-                # the signs of R[n] and R[n+1], from that of N[n]
-                ns0 = -ns if Bq < 0 and n & 1 else ns
-                g0 = _residual_sign(u0, m0, sd, ns0)
-                g1 = _residual_sign(u1, m1, sd, ns0 if Bq > 0 else -ns0)
-                w0, w1 = (am1, am0) if p2 else (q, 1)
-                x, y = g0 * w0 * u0 - g1 * w1 * u1, s * (g0 * w0 * m0 - g1 * w1 * m1)
-            # the sign of x + y*sqrt(d), on integers alone where d = t**2
-            return (x + y * t if square else surd_sign(x, y, d)) >= 0
+            variables: the brackets where they decide, else the exact step
+            on X = R', or on X = R where N = 0."""
+            c = aBq if p2 else aB
+            if conj and lm0 >= 64 and (p2 or not square):
+                # brackets [lo, hi) of 2**(64 - k)*|R'| at n and n+1,
+                # weighed by [y, y + 1) for P2; not for P3 on rational
+                # roots, whose ties at |beta| = 1 no bracket decides
+                k = lm0 - 64
+                y0, y1 = abs(m0) >> k, abs(m1) >> k
+                lo0 = ((abs(u0) >> k) << 64) + y0 * r
+                lo1 = ((abs(u1) >> k) << 64) + y1 * r
+                v0, v1, e = (y0, y1, 1) if p2 else (1, 1, 0)
+                if v1 * lo1 >= c * (v0 + e) * (lo0 + span + y0):
+                    return True
+                if (v1 + e) * (lo1 + span + y1) <= c * v0 * lo0:
+                    return False
+            if square:
+                x0, x1 = abs(u0 + gt * m0), abs(u1 + gt * m1)
+                if ns:
+                    return abs(m1) * x1 >= c * abs(m0) * x0 if p2 else x1 >= c * x0
+                return abs(m1) * x0 >= abs(m0) * x1 if p2 else q * x0 >= x1
+            # N != 0: |P*X[n+1]| >= |Q*X[n]| on X = R' = u - s*M*sqrt(d) is
+            # (P*X[n+1] - Q*X[n])*(P*X[n+1] + Q*X[n]) >= 0
+            P, Q = (abs(m1), c * abs(m0)) if p2 else (1, c)
+            pu, qu, pm, qm = P * u1, Q * u0, P * m1, Q * m0
+            return (surd_sign(pu - qu, sd * (qm - pm), d)
+                    * surd_sign(pu + qu, -sd * (pm + qm), d)) >= 0
 
     p1: list[int] = []  # the indices n with a[n] > a[n+1], ascending
     skipped: list[int] = []

@@ -2,11 +2,14 @@
 and the quadratic Pisot test.
 
 Corpora are seeded and therefore deterministic.  Starting pairs lying on
-an eigen-solution (v1 - v0*root = 0 for either root) are excluded: such
-sequences are exactly geometric, the failing branches of the decision
-theorems lose their necessity direction there, and no finite-window
-disagreement is guaranteed.  The report layer flags these instead
-(degenerate_geometric); see the window checks in recmono.report.
+an eigen-solution (v1 - v0*root = 0 for either root) are excluded.  Only
+the dominant one needs it: there the weighted residual is identically
+zero, so P3 ties at every index and its failing branch forces no
+violation; the report layer flags that start (degenerate_geometric, see
+the window checks in recmono.report).  The other eigen start is a
+geometric sequence too, and P1's verdicts decide it on the ordered
+triple; test_decisions holds them against a term scan on a grid of such
+starts.  Excluding both keeps the corpora as they were.
 """
 
 from __future__ import annotations

@@ -2,12 +2,14 @@
 randomized decision-vs-oracle agreement on seeded corpora.
 
 The corpora exclude starting pairs that sit exactly on an
-eigen-solution; see conftest for why.
+eigen-solution; see conftest for why.  TestGeometricStarts checks P1 on
+such starts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -22,6 +24,7 @@ from recmono import (
     nondecreasing_from,
     positive_monotone_h,
     ratio_monotone_h,
+    term_minus_one,
     weighted_monotone,
 )
 
@@ -111,6 +114,53 @@ class TestNondecreasingFrom:
             for k in (0, 2):
                 if nondecreasing_from(spec, k).holds:
                     assert eventually_nondecreasing(spec).holds, (spec, k)
+
+
+# roots for the eigen-start grid: both signs, moduli below, at and above 1
+GRID_ROOTS = tuple(sign * Fraction(m) for sign in (1, -1)
+                   for m in (Fraction(1, 3), Fraction(1, 2), 1, 2, 3))
+
+
+class TestGeometricStarts:
+    """A start v1 = v0*r on a root r is the geometric sequence v0*r**n:
+    P1's verdicts on it, for every root pair of GRID_ROOTS with a != 0,
+    either eigen start and v0 = +-1, +-2/3, equal a naive term scan."""
+
+    TAIL = 40  # geometric differences keep one sign or alternate
+
+    def test_every_eigen_start_matches_a_term_scan(self):
+        checked, mismatches = 0, []
+        for r1, r2, v0 in product(GRID_ROOTS, GRID_ROOTS,
+                                  (1, -1, Fraction(2, 3), Fraction(-2, 3))):
+            if r1 + r2 == 0:
+                continue
+            for r in {r1, r2}:
+                spec = RecurrenceSpec(r1 + r2, r1 * r2, v0, v0 * r)
+                terms = [term_minus_one(spec), *iterate(spec, self.TAIL + 1)]
+                # ordered[n + 1] is a[n] <= a[n+1], from n = -1
+                ordered = [x <= y for x, y in zip(terms, terms[1:])]
+                expected = {None: all(ordered[self.TAIL // 2:])}
+                expected.update((k, all(ordered[k:])) for k in (0, 1, 2, 7))
+                for k, want in expected.items():
+                    v = (eventually_nondecreasing(spec) if k is None
+                         else nondecreasing_from(spec, k))
+                    checked += 1
+                    if v.holds != want:
+                        mismatches.append((spec, k, v.branch))
+        assert checked == 3400
+        assert mismatches == [], (len(mismatches), mismatches[:5])
+
+    def test_the_examples_hold_on_the_geometric_clause(self):
+        # terms 1, 2, 4, 8 on roots 2 and 3, on 2 and -3 and on the
+        # repeated root 2, and 1, 1, 1 on roots 1 and 2
+        for spec in (RecurrenceSpec(5, 6, 1, 2), RecurrenceSpec(-1, -6, 1, 2),
+                     RecurrenceSpec(4, 4, 1, 2), RecurrenceSpec(3, 2, 1, 1)):
+            for v in (eventually_nondecreasing(spec), nondecreasing_from(spec, 0),
+                      nondecreasing_from(spec, 5)):
+                assert v.holds and v.branch is Branch.COND_GEOMETRIC, (spec, v)
+        # roots 3 and -2, start on -2: the terms alternate
+        v = eventually_nondecreasing(RecurrenceSpec(1, -6, 1, -2))
+        assert not v.holds and v.branch is Branch.FAIL_INITIAL_TRIPLE
 
 
 class TestPositiveMonotoneH:

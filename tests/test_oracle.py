@@ -396,10 +396,11 @@ class TestDegreeReducedScans:
             assert len(calls) == 0, (spec, len(calls))
 
     def test_rational_roots_run_no_surd_test(self, monkeypatch):
-        # with a square discriminant d = t**2 every exact test is the sign
-        # of an integer x + y*t, and P3 is decided on |R'| = |u| + |M|*t
-        # with no bracket, so P3's ties at |beta| = 1 cost one integer
-        # comparison per index, long operands or not
+        # with a square discriminant d = t**2 the residual X = u + gt*M
+        # (R' where N != 0, else R) is an integer, so every exact test
+        # compares weighted integers |X[n+1]| and |X[n]| and takes no surd
+        # sign; P3 skips the brackets, so its ties at |beta| = 1 cost one
+        # integer comparison per index, long operands or not
         calls = []
 
         def counted(x, y, n):
@@ -596,6 +597,71 @@ class TestScan:
             oracle.scan(FIB, 10, -1)
         with pytest.raises(ValueError):
             oracle.scan(FIB, -1, 0)
+
+
+def _near_beta_eigen(a, b, k):
+    """The two starts (1, v1) with v1 a multiple of 2**-k next to beta,
+    the non-dominant root: R' cancels on a long prefix of their walks."""
+    beta = RecurrenceSpec(a, b, 1, 1).roots().beta
+    lo, hi = -(2 ** (k + 8)), 2 ** (k + 8)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (beta * 2**k - mid).sign() >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return [RecurrenceSpec(a, b, 1, Fraction(x, 2**k)) for x in (lo, hi)]
+
+
+class TestNearCornerExactStep:
+    """Where the part signs and brackets leave an index open on an
+    irrational d, scan compares |P*R'[n+1]| with |Q*R'[n]| as the product
+    of the signs of P*R'[n+1] - Q*R'[n] and P*R'[n+1] + Q*R'[n].  Pinned
+    against the naive scans at window 300 on report-corpus slot-0-shaped
+    specs (a = 2 +- u/10**i, b = a - 1 - 10**-j, a start just below its
+    successor) and on starts within 2**-k of an irrational beta
+    eigen-solution."""
+
+    WINDOW = 300
+    CORNER = RecurrenceSpec(Fraction(101, 50), Fraction(1019999, 1000000), 1, Fraction(72, 73))
+
+    @classmethod
+    def corner_specs(cls):
+        specs = [cls.CORNER]
+        for side in (1, -1):
+            for i, u, j, v0, m in ((1, 3, 4, Fraction(5, 3), 10), (2, 7, 6, 2, 200)):
+                a = 2 + side * Fraction(u, 10**i)
+                specs.append(RecurrenceSpec(a, a - 1 - Fraction(1, 10**j), v0, v0 * m / (m + 1)))
+        return specs
+
+    @staticmethod
+    def near_eigen_specs():
+        return [spec for a, b in ((1, -1), (3, 1), (Fraction(7, 3), Fraction(-5, 7)),
+                                  (Fraction(-7, 3), Fraction(5, 7)))
+                for k in (40, 120) for spec in _near_beta_eigen(a, b, k)]
+
+    def test_p2_p3_match_references(self):
+        for spec in self.corner_specs() + self.near_eigen_specs():
+            w = oracle.scan(spec, self.WINDOW, 0)
+            assert (w.p2.holds_on_window, w.p2.first_violation,
+                    w.p2.skipped_indices) == ref_p2(spec, self.WINDOW), spec
+            assert (w.p3.holds_on_window, w.p3.first_violation) == ref_p3(
+                spec, self.WINDOW), spec
+
+    def test_the_product_step_runs(self, monkeypatch):
+        # the step is the only caller of surd_sign, two calls each time;
+        # on CORNER that is 94 calls, on operands of up to 941 bits
+        calls = []
+
+        def counted(x, y, n):
+            calls.append((x, y, n))
+            return surd_sign(x, y, n)
+
+        monkeypatch.setattr(oracle, "surd_sign", counted)
+        for spec in [self.CORNER] + self.near_eigen_specs():
+            calls.clear()
+            oracle.scan(spec, self.WINDOW, 0)
+            assert calls and len(calls) % 2 == 0, spec
 
 
 def _split_part_signs(spec, window):
