@@ -75,55 +75,46 @@ def _require_h(spec: RecurrenceSpec, what: str) -> None:
 def _p1_verdict(spec: RecurrenceSpec, k: Optional[int]) -> Verdict:
     """The clause chain shared by both P1 tests; k = None is the eventual one.
 
-    The eventual test reads the triple a[0], a[1], a[2] and consults it
-    only when r+ = 1 or the start is geometric; the from-k test reads
-    a[k-1], a[k], a[k+1], after the discriminant check since that costs
-    O(log k), and requires it on every branch.
+    With real roots, c = sign(v1 - v0*beta) is 0 exactly on a geometric
+    start and is the sign of the dominant root's coefficient where a > 0.
+    The triple is one carrier read at k - 1, or at 0 for the eventual test
+    (which consults it only when r+ = 1 or c = 0), taken after the
+    discriminant check since it costs O(log k); a[-1] is term_minus_one.
     """
     roots = spec.roots()
     if roots.discriminant_sign < 0:
         return Verdict(False, Branch.DISCRIMINANT_NEGATIVE)
-    if k is None:
-        ordered = spec.v0 <= spec.v1 <= spec.a * spec.v1 - spec.b * spec.v0
-    elif k == 0:
+    if k == 0:
         ordered = term_minus_one(spec) <= spec.v0 <= spec.v1
     else:
         # a[n] = M[n] / (q**n * D) with q, D > 0: a[n] <= a[n+1] iff q*M[n] <= M[n+1]
-        q, _, _, _, M = integer_carrier(spec, k - 1)
+        q, _, _, _, M = integer_carrier(spec, 0 if k is None else k - 1)
         m0, m1, m2 = islice(M, 3)
         ordered = q * m0 <= m1 and q * m1 <= m2
-    ap, am = roots.alpha_plus, roots.alpha_minus
+    ap = roots.alpha_plus
     if ap == 1 or (k is not None and not ordered):
-        if ordered:
-            return Verdict(True, Branch.COND_ALPHA_ONE)
-        return Verdict(False, Branch.FAIL_INITIAL_TRIPLE)
+        return Verdict(ordered, Branch.COND_ALPHA_ONE if ordered else Branch.FAIL_INITIAL_TRIPLE)
     if ap.sign() <= 0:
         return Verdict(False, Branch.FAIL_ALPHA_PLUS_NOT_POSITIVE)
-    if spec.a > 0:
-        growth = ((ap - 1) * (spec.v1 - spec.v0 * am)).sign()
-        if growth > 0:
-            return Verdict(True, Branch.COND_MONOTONIC_1)
-        if growth < 0:
-            return Verdict(False, Branch.FAIL_GROWTH_PRODUCT)
-    elif (spec.v1 - spec.v0 * ap).sign():
-        return Verdict(False, Branch.FAIL_A_NOT_POSITIVE)
-    # v1 = v0*r, r = r- where a > 0 and r+ where a <= 0: the geometric
-    # sequence v0*r**n, whose differences v0*r**n*(r - 1) all share one
-    # sign if r > 0 and alternate if r < 0, so its triple decides it
-    if ordered:
-        return Verdict(True, Branch.COND_GEOMETRIC)
-    return Verdict(False, Branch.FAIL_INITIAL_TRIPLE)
+    c = (spec.v1 - spec.v0 * roots.beta).sign()  # beta = r+ if a < 0, else r-
+    if c:
+        if spec.a < 0:
+            return Verdict(False, Branch.FAIL_A_NOT_POSITIVE)
+        up = c == (ap - 1).sign()
+        return Verdict(up, Branch.COND_MONOTONIC_1 if up else Branch.FAIL_GROWTH_PRODUCT)
+    # the geometric sequence v0*beta**n, whose differences v0*beta**n*(beta - 1)
+    # share one sign if beta > 0 and alternate if not, so its triple decides it
+    return Verdict(ordered, Branch.COND_GEOMETRIC if ordered else Branch.FAIL_INITIAL_TRIPLE)
 
 
 def eventually_nondecreasing(spec: RecurrenceSpec) -> Verdict:
     """Is a[n] <= a[n+1] for all large n?
 
-    Holds iff the discriminant is non-negative and either the dominant
-    growth clause fires (1 != r+ > 0, a > 0, (r+ - 1)(v1 - v0*r-) > 0) or
-    the first three terms are already ordered and either r+ = 1 or r+ > 0
-    and the start is geometric: v1 = v0*r- where a > 0, v1 = v0*r+ where
-    a <= 0.  The eigen start on the non-dominant root is such a start,
-    and so is a repeated root's.
+    Holds iff the discriminant is non-negative, r+ > 0 and either the
+    dominant root's coefficient, of sign c = sign(v1 - v0*beta), pushes
+    upward (c != 0, a > 0 and c = sign(r+ - 1)) or the carrier's triple
+    a[0], a[1], a[2] is ordered and r+ = 1 or the start is geometric
+    (c = 0), as the non-dominant eigen start and a repeated root's are.
     """
     return _p1_verdict(spec, None)
 

@@ -43,7 +43,8 @@ P*|R'[n+1]| >= Q*|R'[n]|, one usually implying the other.  Each index is
 decided in three steps, each only where the one before leaves it open:
 the signs of P3's two integer parts, which decide almost every index
 where the terms grow; brackets of the weighted moduli built from top
-words at one shift; and one exact step on R' (on R where N = 0): a
+words at one shift, which only confirm a comparison that holds; and one
+exact step on R' (on R where N = 0), which decides every violation: a
 comparison of integers where d is a square (rational roots), where P3
 skips the brackets, else two exact signs from qfield.surd_sign.  No
 float enters: every verdict comes from an exact integer inequality.
@@ -200,20 +201,21 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     r = isqrt(d << 128), so that r*2**-64 <= sqrt(d) < (r + 1)*2**-64,
     2**(64 - k)*|R'| lies in [lo, lo + 2**64 + x_M + r + 1) with
     lo = x_u*2**64 + x_M*r, and 2**-k*|M| in [x_M, x_M + 1), which
-    brackets P2's weights.  A comparison is decided on these brackets
-    unless its two sides overlap (a tie, or a near one).
+    brackets P2's weights.  The brackets only confirm: a comparison
+    holds where the lower bracket of its left side reaches the upper one
+    of its right side, and every other index goes to the exact step.
 
-    What the part signs and brackets leave open, including every index
-    where R' cancels, goes to one exact step on X = R', or on X = R where
-    N = 0.  N = u[0]**2 - M[0]**2*d = 0 forces d to be a square, since
-    M[0] = 0 would make the start (0, 0).  Where d = t**2, X is the
-    integer u + gt*M with gt = -s*t where N != 0 and gt = s*t where
-    N = 0, so the step compares integers: on R', P*|X[n+1]| >= Q*|X[n]|;
-    on R, q*|X[n]| >= |X[n+1]| for P3 and |M[n+1]|*|X[n]| >= |M[n]|*|X[n+1]|
-    for P2.  P3 there is that step alone, with no bracket before it;
-    P2 keeps its brackets, which spare it the products of long weights.
-    Otherwise N != 0, X = R' = u - s*M*sqrt(d), and
-    |P*X[n+1]| >= |Q*X[n]| is the sign of
+    What the part signs and brackets leave open, including every
+    violation and every index where R' cancels, goes to one exact step
+    on X = R', or on X = R where N = 0.  N = u[0]**2 - M[0]**2*d = 0
+    forces d to be a square, since M[0] = 0 would make the start (0, 0).
+    Where d = t**2, X is the integer u + gt*M with gt = -s*t where N != 0
+    and gt = s*t where N = 0, so the step compares integers: on R',
+    P*|X[n+1]| >= Q*|X[n]|; on R, q*|X[n]| >= |X[n+1]| for P3 and
+    |M[n+1]|*|X[n]| >= |M[n]|*|X[n+1]| for P2.  P3 there is that step
+    alone, with no bracket before it; P2 keeps its brackets, which spare
+    it the products of long weights.  Otherwise N != 0,
+    X = R' = u - s*M*sqrt(d), and |P*X[n+1]| >= |Q*X[n]| is the sign of
     (P*X[n+1] - Q*X[n])*(P*X[n+1] + Q*X[n]) >= 0, the product of two
     exact signs of x + y*sqrt(d), qfield.surd_sign.
 
@@ -255,13 +257,13 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
 
         def holds(p2: bool) -> bool:
             """P2 at the walk's index n if p2, else P3, on the loop's
-            variables: the brackets where they decide, else the exact step
+            variables: the brackets where they confirm it, else the exact step
             on X = R', or on X = R where N = 0."""
             c = aBq if p2 else aB
             if conj and lm0 >= 64 and (p2 or not square):
                 # brackets [lo, hi) of 2**(64 - k)*|R'| at n and n+1,
                 # weighed by [y, y + 1) for P2; not for P3 on rational
-                # roots, whose ties at |beta| = 1 no bracket decides
+                # roots, whose ties at |beta| = 1 no bracket confirms
                 k = lm0 - 64
                 y0, y1 = abs(m0) >> k, abs(m1) >> k
                 lo0 = ((abs(u0) >> k) << 64) + y0 * r
@@ -269,8 +271,6 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
                 v0, v1, e = (y0, y1, 1) if p2 else (1, 1, 0)
                 if v1 * lo1 >= c * (v0 + e) * (lo0 + span + y0):
                     return True
-                if (v1 + e) * (lo1 + span + y1) <= c * v0 * lo0:
-                    return False
             if square:
                 x0, x1 = abs(u0 + gt * m0), abs(u1 + gt * m1)
                 if ns:

@@ -17,7 +17,6 @@ instead of failing.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from . import decisions, oracle

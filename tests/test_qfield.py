@@ -121,6 +121,16 @@ class TestArithmetic:
         assert 3 - x == -(x - 3)
         assert Fraction(1, 3) * x == QuadElem(0, 1, 2, 3)
 
+    def test_inexact_values_are_refused(self):
+        # a float is no exact rational: the operators return NotImplemented, so
+        # Python raises TypeError, as cmp_abs and decimal_str do, and == is identity
+        x = QuadElem(1)
+        for op in (lambda: x + 1.5, lambda: x - 1.5, lambda: 1.5 - x, lambda: x * 1.5,
+                   lambda: cmp_abs(x, 1.5), lambda: decimal_str(1.5)):
+            with pytest.raises(TypeError):
+                op()
+        assert (x == "x") is False
+
     @given(
         x1=numerators_st, y1=numerators_st, d1=denominators_st,
         x2=numerators_st, y2=numerators_st, d2=denominators_st, n=radicands_st,

@@ -89,6 +89,10 @@ class TestIterate:
         assert iterate(RecurrenceSpec(1, -1, 2, 1), 0) == (2,)
         assert iterate(RecurrenceSpec(1, -1, 2, 1), 1) == (2, 1)
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            iterate(RecurrenceSpec(1, -1, 2, 1), -1)
+
 
 class TestBackwardExtension:
     def test_h_type_gives_zero(self):
