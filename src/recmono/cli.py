@@ -29,7 +29,6 @@ __all__ = ["main", "parse_rational"]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
-CLI_REGIONS = ("D1", "D2", "D3", "D", "D1P", "D2P", "D3P", "DP")
 # a raster holds and writes res^2 one-byte cells; at 4096 a PGM took
 # under 0.2 s and 70 MB, and a CSV 2.9 s (CPython 3.11, x86-64)
 MAX_RES = 4096
@@ -280,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_regions = subs.add_parser(
         "regions", help="rasterize a membership region to PGM or CSV"
     )
-    p_regions.add_argument("--region", choices=CLI_REGIONS, required=True)
+    p_regions.add_argument("--region", choices=[r.value for r in RegionId], required=True)
     p_regions.add_argument(
         "--bbox", type=_bbox, required=True, metavar="x0,x1,y0,y1",
         help="rational corners; write --bbox=-3,3,-3,3 when x0 is negative",

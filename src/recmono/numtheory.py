@@ -5,6 +5,8 @@ integers exactly when its discriminant is a perfect square (a rational
 root of a monic integer polynomial is an integer, and the parities of a
 and isqrt(disc) agree automatically).  Inside the closed coefficient
 region the reducible integer pairs are exactly b in {-a-1, 0, a-1}.
+The boundary characterization reads membership off DP's one closed
+form, `regions.contains_coeff_plane(RegionId.DP, a, b)`.
 """
 
 from __future__ import annotations
@@ -58,11 +60,12 @@ def boundary_characterization(scan_bound: int = 1000) -> list[IntCoeffPair]:
     b = a - 1 and b = -a - 1 for a >= 1.  No ray point is irreducible:
     with p(x) = x^2 - a*x + b, p(1) = 1 - a + b = 0 on b = a - 1 and
     p(-1) = 1 + a + b = 0 on b = -a - 1.  So only DP's column at a = 1
-    can contribute, and it is decided directly; the answer is the same
-    for every scan_bound >= 1, the range of a the claim covers.
+    can contribute.  DP's predicate confirms each point of that column,
+    and each lies on DP's boundary because DP lies in a >= 1; the
+    answer is the same for every scan_bound >= 1, the range of a the
+    claim covers.
     """
     if scan_bound < 1:
         raise ValueError("scan bound must be at least 1")
     column = (IntCoeffPair(1, b) for b in (-2, -1, 0))
-    return [p for p in column
-            if contains_coeff_plane(RegionId.DP_BOUNDARY, *p) and is_irreducible(p)]
+    return [p for p in column if contains_coeff_plane(RegionId.DP, *p) and is_irreducible(p)]

@@ -122,14 +122,14 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     E[n] = M[n+1] - q*M[n], carried by E[n+2] = A*E[n+1] - B*q*E[n]
     from the last two terms read, which spares per index the product
     q*M[n], a comparison of two long terms and a step of the carrier's
-    generator.  That one test feeds the immediate window n in
-    [-1, window] (n = -1 compares the backward extension a[-1] with
-    a[0]), the witness n0_witness (the smallest n0 <= window with no
-    violation in [n0, window], None when the last pair violates) and,
-    from n = from_k - 1 on, the from-k window
-    n in [from_k - 1, from_k + window]; for from_k = 0 that is the
-    immediate window.  P1 walks the whole window, for n0, and past it
-    only while the from-k window is still clean.
+    generator.  That one test records each violation in one ascending
+    list, led by n = -1 where the backward extension a[-1] exceeds a[0],
+    and each P1 field reads it: the immediate window takes its first
+    entry in [-1, window], the from-k window its first in
+    [from_k - 1, from_k + window], and n0_witness is one past its last
+    entry at most window (the smallest n0 <= window with no violation in
+    [n0, window], None when the last pair violates).  P1 walks the whole
+    window, for n0, and past it only while the from-k window is clean.
 
     Past the window only the from-k window's first violation counts, at
     or after k1 = from_k - 1, so P1 walks E there in blocks of _BLOCK
@@ -235,7 +235,8 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     m0, m1 = next(M), next(M)
     # a[-1] = (A*M[0] - M[1]) / (B*D) against a[0] = M[0]/D
     lhs, rhs = A * m0 - m1, B * m0
-    backward = (lhs > rhs) if B > 0 else (lhs < rhs)
+    # the indices n >= -1 with a[n] > a[n+1], ascending
+    p1 = [-1] if ((lhs > rhs) if B > 0 else (lhs < rhs)) else []
     u0 = A * m0 - 2 * m1
     norm = u0 * u0 - m0 * m0 * d
     qbits, lm0, lm1 = q.bit_length(), m0.bit_length(), m1.bit_length()
@@ -283,7 +284,6 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
             return (surd_sign(pu - qu, sd * (qm - pm), d)
                     * surd_sign(pu + qu, -sd * (pm + qm), d)) >= 0
 
-    p1: list[int] = []  # the indices n with a[n] > a[n+1], ascending
     skipped: list[int] = []
     first2: Optional[int] = None
     first3: Optional[int] = None
@@ -377,13 +377,9 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     if real:
         p2 = WindowReport(PropertyId.P2, checked, first2 is None, first2, tuple(skipped))
     p3 = WindowReport(PropertyId.P3, checked, first3 is None, first3, ())
-    in_window = [i for i in p1 if i <= window]
-    first1 = -1 if backward else (in_window[0] if in_window else None)
+    first1 = next((i for i in p1 if i <= window), None)
+    first_k = next((i for i in p1 if k1 <= i <= last), None)
+    n0 = next((i for i in reversed(p1) if i <= window), -1) + 1
     immediate = WindowReport(PropertyId.P1, (-1, window), first1 is None, first1, ())
-    if from_k == 0:
-        from_k_window = immediate
-    else:
-        first_k = next((i for i in p1 if i >= k1), None)
-        from_k_window = WindowReport(PropertyId.P1, (k1, last), first_k is None, first_k, ())
-    n0 = in_window[-1] + 1 if in_window else 0
+    from_k_window = WindowReport(PropertyId.P1, (k1, last), first_k is None, first_k, ())
     return OracleWindows(immediate, from_k_window, p2, p3, n0 if n0 <= window else None)

@@ -5,7 +5,9 @@ Two planes appear.  Root-plane regions constrain a pair of real roots
 P suffix) constrain (a, b) through the roots of x^2 - a*x + b.  The
 closed coefficient region DP = {a >= 1, -a - 1 <= b <= a - 1} equals the
 intersection of the three primed regions; rasters make that visible and
-the test suite checks it pointwise.
+the test suite checks it pointwise.  That closed form is DP's one
+predicate: `numtheory.boundary_characterization` reads its boundary off
+it too.
 
 Membership is decided exactly, on integers.  A point (x, y) is written
 as integer numerators X, Y over one positive denominator L:
@@ -25,7 +27,7 @@ output prints each centre rounded half-even to 6 significant digits by
 `qfield.g6_str`, exactly, at any magnitude.
 
 The row lemma.  Along a row (y = b or beta fixed), membership in each
-CLI region is non-increasing in x for x < 0 and non-decreasing for
+region is non-increasing in x for x < 0 and non-decreasing for
 x >= 0, where x is a or alpha:
 
 - DP, D, D1 and D1P are suffixes of the row; for D1P, once a >= 1 both
@@ -39,9 +41,6 @@ x >= 0, where x is a or alpha:
 So `rasterize` splits the columns once at x = 0 and bisects each half
 with the exact predicate, at most 2*res.bit_length() calls per row: it
 decides O(res*log(res)) cells exactly and the lemma gives the rest.
-It rasterizes only regions that obey the lemma, and refuses
-DP_BOUNDARY, whose rows are isolated points; `contains_coeff_plane`
-decides that region point by point.
 """
 
 from __future__ import annotations
@@ -74,12 +73,9 @@ class RegionId(Enum):
     D2P = "D2P"
     D3P = "D3P"
     DP = "DP"
-    DP_BOUNDARY = "DP_BOUNDARY"
 
 
-COEFF_PLANE_REGIONS = frozenset(
-    {RegionId.D1P, RegionId.D2P, RegionId.D3P, RegionId.DP, RegionId.DP_BOUNDARY}
-)
+COEFF_PLANE_REGIONS = frozenset({RegionId.D1P, RegionId.D2P, RegionId.D3P, RegionId.DP})
 
 
 # Each predicate decides membership of the point (X/L, Y/L), L > 0.
@@ -138,12 +134,6 @@ def _dp(X: int, Y: int, L: int) -> bool:
     return X >= L and -X - L <= Y <= X - L
 
 
-def _dp_boundary(X: int, Y: int, L: int) -> bool:
-    if X < L:
-        return False
-    return (X == L and -2 * L <= Y <= 0) or Y == X - L or Y == -X - L
-
-
 _MEMBER = {
     RegionId.D1: _d1,
     RegionId.D2: _d2,
@@ -153,7 +143,6 @@ _MEMBER = {
     RegionId.D2P: _d2p,
     RegionId.D3P: _d3p,
     RegionId.DP: _dp,
-    RegionId.DP_BOUNDARY: _dp_boundary,
 }
 
 
@@ -201,14 +190,9 @@ def rasterize(
     bbox: tuple[RationalLike, RationalLike, RationalLike, RationalLike],
     resolution: int,
 ) -> RasterGrid:
-    """Sample region membership on a resolution x resolution center grid.
-
-    Every row is bisected by the row lemma, so DP_BOUNDARY, whose rows
-    are isolated points, is refused.
-    """
+    """Sample region membership on a resolution x resolution center grid;
+    every row is bisected by the row lemma."""
     x0, x1, y0, y1 = box = tuple(Fraction(v) for v in bbox)
-    if region is RegionId.DP_BOUNDARY:
-        raise ValueError("DP_BOUNDARY does not obey the row lemma and is not rasterized")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if x0 >= x1 or y0 >= y1:

@@ -23,13 +23,7 @@ from . import decisions, oracle
 from .decisions import Branch, Verdict
 from .oracle import InternalInconsistency, WindowReport
 from .qfield import QuadElem, decimal_str
-from .recurrence import (
-    LimitKind,
-    RecurrenceSpec,
-    ratio_limit,
-    term_minus_one,
-    terms_between,
-)
+from .recurrence import RecurrenceSpec, ratio_limit, term_minus_one, terms_between
 from .riccati import riccati_orbit
 
 __all__ = ["InternalInconsistency", "build_report", "spec_json"]
@@ -194,16 +188,11 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
         p3_extra["residual_decimal_prefix"] = prefix
 
     limit = ratio_limit(spec) if spec.v0 * spec.v1 != 0 else None
-    if limit is None:
-        limit_block = None
-    elif limit.kind is LimitKind.CONVERGES:
-        limit_block = {
-            "kind": limit.kind.value,
-            "which_root": limit.which_root,
-            "limit": _quad_json(limit.limit),
-        }
-    else:
-        limit_block = {"kind": limit.kind.value, "which_root": None, "limit": None}
+    limit_block = None if limit is None else {
+        "kind": limit.kind.value,
+        "which_root": limit.which_root,
+        "limit": None if limit.limit is None else _quad_json(limit.limit),
+    }
 
     if spec.v0 != 0 and spec.v1 != 0:
         orbit = riccati_orbit(spec.a, spec.b, spec.v1 / spec.v0, RICCATI_PREFIX_LEN)

@@ -9,7 +9,9 @@ import pytest
 
 from recmono import (
     IntCoeffPair,
+    RegionId,
     boundary_characterization,
+    contains_coeff_plane,
     enumerate_generalized_fibonacci,
     is_irreducible,
 )
@@ -124,6 +126,24 @@ class TestBoundaryCharacterization:
         for a in range(1, 50):
             assert not is_irreducible(IntCoeffPair(a, a - 1))
             assert not is_irreducible(IntCoeffPair(a, -a - 1))
+
+    def test_irreducible_boundary_points_of_dp_in_a_box(self):
+        # DP's slice 1 <= a <= 60, -a - 1 <= b <= a - 1, with a margin around
+        # it, so a predicate that grows past DP's edges shows too; a point of
+        # DP is on its boundary when a 4-neighbour lies outside DP
+        def in_dp(a, b):
+            return contains_coeff_plane(RegionId.DP, a, b)
+
+        found = [
+            (a, b)
+            for a in range(-2, 61)
+            for b in range(-63, 62)
+            if in_dp(a, b)
+            and is_irreducible(IntCoeffPair(a, b))
+            and not all(in_dp(a + da, b + db)
+                        for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)))
+        ]
+        assert found == [(1, -1)]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -31,7 +31,6 @@ from recmono.regions import _cell_numerators
 
 ROOT_BBOX = (-3, 3, -3, 3)
 COEFF_BBOX = (-1, 5, -7, 5)
-CLI_REGIONS = [r for r in RegionId if r is not RegionId.DP_BOUNDARY]
 ROOT_PLANE_REGIONS = frozenset(RegionId) - COEFF_PLANE_REGIONS
 
 
@@ -95,13 +94,6 @@ class TestCoeffPlaneMembership:
         assert not contains_coeff_plane(RegionId.DP, 3, 3)
         assert not contains_coeff_plane(RegionId.DP, Fraction(1, 2), 0)
 
-    def test_dp_boundary(self):
-        assert contains_coeff_plane(RegionId.DP_BOUNDARY, 1, -1)
-        assert contains_coeff_plane(RegionId.DP_BOUNDARY, 2, 1)
-        assert contains_coeff_plane(RegionId.DP_BOUNDARY, 2, -3)
-        assert not contains_coeff_plane(RegionId.DP_BOUNDARY, 2, 0)
-        assert not contains_coeff_plane(RegionId.DP_BOUNDARY, Fraction(1, 2), 0)
-
     def test_d1p(self):
         assert contains_coeff_plane(RegionId.D1P, 1, -1)
         assert contains_coeff_plane(RegionId.D1P, 3, 1)
@@ -135,7 +127,6 @@ class TestCoeffPlaneMembership:
     def test_region_sets(self):
         assert ROOT_PLANE_REGIONS == {RegionId.D1, RegionId.D2, RegionId.D3, RegionId.D}
         assert RegionId.DP in COEFF_PLANE_REGIONS
-        assert RegionId.DP_BOUNDARY in COEFF_PLANE_REGIONS
 
 
 class TestIntersectionIdentities:
@@ -255,7 +246,7 @@ class TestRasterGrid:
     )
 
     def test_cells_match_pointwise_membership(self):
-        for region in CLI_REGIONS:
+        for region in RegionId:
             member = member_at(region)
             for bbox in self.BBOXES:
                 for res in (8, 11):
@@ -287,8 +278,6 @@ class TestRasterGrid:
             rasterize(RegionId.DP, COEFF_BBOX, 1)
         with pytest.raises(ValueError):
             rasterize(RegionId.DP, (0, 0, -1, 1), 8)
-        with pytest.raises(ValueError):
-            rasterize(RegionId.DP_BOUNDARY, COEFF_BBOX, 8)  # rows of isolated points
 
 
 @st.composite
@@ -326,7 +315,7 @@ class TestRowLemma:
     @settings(max_examples=150, deadline=None)
     def test_bisected_rows_match_pointwise_membership(self, case):
         bbox, res = case
-        for region in CLI_REGIONS:
+        for region in RegionId:
             grid = rasterize(region, bbox, res)
             member = member_at(region)
             for row, col, x, y in centers(grid):
@@ -334,7 +323,7 @@ class TestRowLemma:
 
     @pytest.mark.parametrize("res", [33, 64, 201])
     def test_each_row_makes_logarithmically_many_predicate_calls(self, monkeypatch, res):
-        for region in CLI_REGIONS:
+        for region in RegionId:
             predicate = regions._MEMBER[region]
             calls = Counter()
 
