@@ -16,6 +16,16 @@ a[n] > a[n+1]: one step per index to the end of the window, then blocks
 of _BLOCK indices, each reached from the one before by coefficient
 tables walked once per scan.  All comparisons are exact.
 
+Where the terms grow, a whole block of _BLOCK indices is decided at once
+by an exact certificate.  Every solution w of the carrier's recurrence
+obeys w[n+j] = U[j]*w[n+1] + V[j]*w[n] on those tables, so with w[n]
+made positive the ratios w[n+1]/w[n] that pass a clean test at every
+index of a block form one interval, whose two ends are integer pairs:
+a cross-multiplication against each end decides the block.  In the P2/P3
+stretch that certifies growth of the carrier and of P3's residual part,
+which decides all three properties on the block (see scan); past the
+window it certifies E >= 0, a clean block of P1.
+
 For speed the scans run on a rescaled integer copy of the sequence,
 recurrence.integer_carrier: with a = A/q, b = B/q over a common
 denominator q and D clearing the starting pair, M[n] := a[n] * q**n * D
@@ -54,11 +64,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from math import isqrt
 from typing import Optional
 
 from .qfield import dominant_root_sign, surd_sign
-from .recurrence import RecurrenceSpec, integer_carrier
+from .recurrence import RecurrenceSpec, _carrier_terms, integer_carrier
 
 __all__ = [
     "InternalInconsistency",
@@ -115,12 +126,13 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     """Every oracle window of one report, on one walk of the carrier.
 
     The walk is one pass from index 0, reading integer_carrier(spec)
-    while P2 or P3 is open.  It tests P1 once per index n, as
-    q*M[n] > M[n+1], that is a[n] > a[n+1], which is M[n+1] < 0 where
+    while P2 or P3 is open, up to the first certified block (below).
+    It tests P1 once per index n, as q*M[n] > M[n+1], that is
+    a[n] > a[n+1], which is M[n+1] < 0 where
     bits(M[n+1]) > bits(M[n]) + bits(q) makes |M[n+1]| > q*|M[n]|
-    certain; once P2 and P3 are done, as E[n] < 0 on
-    E[n] = M[n+1] - q*M[n], carried by E[n+2] = A*E[n+1] - B*q*E[n]
-    from the last two terms read, which spares per index the product
+    certain, or on a whole certified block; once P2 and P3 are done, as
+    E[n] < 0 on E[n] = M[n+1] - q*M[n], carried by
+    E[n+2] = A*E[n+1] - B*q*E[n] from the last two terms read, which spares per index the product
     q*M[n], a comparison of two long terms and a step of the carrier's
     generator.  That one test records each violation in one ascending
     list, led by n = -1 where the backward extension a[-1] exceeds a[0],
@@ -133,19 +145,57 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
 
     Past the window only the from-k window's first violation counts, at
     or after k1 = from_k - 1, so P1 walks E there in blocks of _BLOCK
-    indices.  Two tables U, V of _BLOCK + 2 integers, walked once per
-    scan by X[j+1] = A*X[j] - B*q*X[j-1] from (U[0], U[1]) = (0, 1) and
-    (V[0], V[1]) = (1, 0), give E[n+j] = U[j]*E[n+1] + V[j]*E[n].  In a
-    block at n, with k = max(0, b - 64) for b the larger bit length of
-    E[n] and E[n+1], and the top words xh = E[n+1] >> k, yh = E[n] >> k,
-    est = U[j]*xh + V[j]*yh puts E[n+j]/2**k in
+    indices.  Two tables U, V of _BLOCK + 2 integers, walked on first
+    need and once per scan by X[j+1] = A*X[j] - B*q*X[j-1] from
+    (U[0], U[1]) = (0, 1) and (V[0], V[1]) = (1, 0), give
+    w[n+j] = U[j]*w[n+1] + V[j]*w[n] on every solution w of the
+    carrier's recurrence, E among them.  A block at n where E[n] > 0 is
+    clean where E[n+j] >= 0 for j = 1, ..., _BLOCK, one ratio test
+    (below).  Otherwise, with k = max(0, b - 64) for b the larger bit
+    length of E[n] and E[n+1], and the top words xh = E[n+1] >> k,
+    yh = E[n] >> k, est = U[j]*xh + V[j]*yh puts E[n+j]/2**k in
     [est + lo[j], est + hi[j]], lo[j] = min(U[j], 0) + min(V[j], 0) and
     hi[j] = max(U[j], 0) + max(V[j], 0): est + hi[j] < 0 is a violation,
     est + lo[j] >= 0 a clean index, and anything else gets the exact
     sign of U[j]*E[n+1] + V[j]*E[n].  Indices below k1 are not read.
     Each block ends on the exact pair (E[n+c], E[n+c+1]), and the walk
     stops at the first violation or at from_k + window.  Inside the
-    window P1 keeps stepping: there blocks cost more than they save.
+    window P1 keeps stepping on E: there blocks cost more than they save.
+
+    Ratio tests.  For a solution w with w[n] > 0 and rho = w[n+1]/w[n],
+    w[n+j+1] >= c*w[n+j] is (U[j+1] - c*U[j])*rho + V[j+1] - c*V[j] >= 0,
+    a half-line in rho.  The rho that pass it at every j < _BLOCK form
+    one interval, whose ends _ratio_tests writes as integer pairs (x, y)
+    with x*rho + y >= 0, once per scan and c; the strict test, every
+    w[n+j+1] > c*w[n+j], is the open interval, x*rho + y > 0.  A block
+    then costs a cross-multiplication of w[n], w[n+1] against each end
+    (most intervals have one), and four products advance its pair.
+    Past the window E takes c = 0.
+
+    Certified blocks in the real-root P2/P3 stretch.  A block of indices
+    [n, n + _BLOCK) inside the window is certified where M and u each
+    keep one sign and |u[i+1]| >= |B|*|u[i]| and
+    |M[i+1]| >= max(|B|, q)*|M[i]| at each index i of it: the ratio
+    tests with c = max(|B|, q) on M and c = |B| on u, each made positive
+    at n.  Since |B| and q are integers of at least 1, growth alone gives
+    positivity: w[i+1] >= c*w[i] >= w[i] > 0 from w[n] > 0 on, so the
+    signs need no test of their own, and the conjugate form (below: u
+    and s*M*sqrt(d) differ in sign or d = 0, and N != 0), which reads
+    only those signs, holds at every index where it holds at n.  P3 then
+    holds at every index by its part signs, and P2 follows from P3 since
+    |a[i+1]| >= |a[i]|.  The test on u reads P3 off the block's own
+    terms; P3 at the indices before the block would give it only through
+    the theorem.  P1 holds where M > 0; where M < 0 the test on M
+    is strict, so |M[i+1]| > q*|M[i]| and every index is a violation.
+    The walk tries a block only after _BLOCK indices in a row whose P3
+    the part signs decided, which leaves P3 open, the conjugate form true
+    at n and M[n], u[n] != 0, and after a refused block only after
+    another such run: a spec whose blocks fail (terms of alternating
+    sign, say) pays one try per _BLOCK indices, and a complex pair or a
+    stretch where only P2 is open never reaches one.  From the first
+    certified block on, the walk reads M off the recurrence from the
+    advanced pair instead of integer_carrier's iterator, and the
+    self-check below guards that pair.
 
     P2 scans |alpha - a[n+1]/a[n]| >= |alpha - a[n+2]/a[n+1]|, with alpha
     the dominant root; it is None for complex roots, where the compared
@@ -182,7 +232,8 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     P2/P3 part reaches it computes the norm directly, on
     u[n] = A*M[n] - 2*M[n+1] as defined, and raises
     InternalInconsistency if it differs from N[0]*(B*q)**n, so dividing
-    the norm out depends on nothing that check does not guard.  The
+    the norm out, and the pair the certified blocks advanced, depend on
+    nothing that check does not guard.  The
     identity is a fact about the recurrence, not about the properties:
     the scans never use R[n+1] = q*beta*R[n], which is the P3 theorem.
 
@@ -287,9 +338,30 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     skipped: list[int] = []
     first2: Optional[int] = None
     first3: Optional[int] = None
+    run = 0  # indices in a row whose P3 the part signs decided
+    U = None  # the block tables, walked on first need
     n = 0
     while n <= window and (first3 is None or (real and first2 is None)):
         m2 = next(M)
+        # u[n+1] = A*M[n+1] - 2*M[n+2] on the carrier's recurrence, one product shorter
+        u1 = Bq * m0 - m2
+        if run >= _BLOCK and n + _BLOCK <= window + 1:
+            # the run leaves P3 open, conj true at n and M[n], u[n] != 0
+            if U is None:
+                U, V = _block_tables(A, Bq)
+                grow_m, grow_u = _ratio_tests(U, V, max(aB, q)), _ratio_tests(U, V, aB)
+            # M grows by max(|B|, q), strictly where M < 0, and u by |B|
+            if _ratio_in(grow_m, m0, m1, m0 < 0) and _ratio_in(grow_u, u0, u1):
+                if m0 < 0:
+                    p1.extend(range(n, n + _BLOCK))
+                m0, m1 = U[_BLOCK] * m1 + V[_BLOCK] * m0, U[_BLOCK + 1] * m1 + V[_BLOCK + 1] * m0
+                u0 = A * m0 - 2 * m1
+                lm0, lm1, lu0 = m0.bit_length(), m1.bit_length(), u0.bit_length()
+                n += _BLOCK
+                # M[n+2], M[n+3], ... from the advanced pair on
+                M = islice(_carrier_terms(A, Bq, m0, m1), 2, None)
+                continue
+            run = 0
         lm2 = m2.bit_length()
         # (m0, m1, m2) = (M[n], M[n+1], M[n+2]); P1 is q*M[n] > M[n+1],
         # which is M[n+1] < 0 where the bits make |M[n+1]| > q*|M[n]| certain
@@ -297,8 +369,6 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
         qm0 = 0 if grows else q * m0
         if (m1 < 0) if grows else qm0 > m1:
             p1.append(n)
-        # u[n+1] = A*M[n+1] - 2*M[n+2] on the carrier's recurrence, one product shorter
-        u1 = Bq * m0 - m2
         if not real:
             norm1 = u1 * u1 - m1 * m1 * d
             if q * q * norm < norm1:
@@ -314,16 +384,19 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
             conj = conj0 and conj1
             # |v1| >= c*|v0| is certain where bits(v1) > bits(v0) + bits(c)
             lu1 = u1.bit_length()
+            parts = False
             # |a[n+1]| >= |a[n]| is |M[n+1]| >= q*|M[n]|
             if need3 and (not need2 or grows or abs(m1) >= abs(qm0)):
                 # P3 in the conjugate form, decided on the signs of its
                 # parts alone where both are >= 0: no bracket, no exact test
-                h3 = (conj and (lu1 > lu0 + bbits or abs(u1) >= aB * abs(u0))
-                      and (lm1 > lm0 + bbits or abs(m1) >= aB * abs(m0))) or holds(False)
+                parts = (conj and (lu1 > lu0 + bbits or abs(u1) >= aB * abs(u0))
+                         and (lm1 > lm0 + bbits or abs(m1) >= aB * abs(m0)))
+                h3 = parts or holds(False)
                 h2 = not need2 or h3 or holds(True)
             else:
                 h2 = not need2 or holds(True)
                 h3 = not need3 or h2 or holds(False)
+            run = run + 1 if parts else 0
             if not h3:
                 first3 = n
             if not h2:
@@ -350,21 +423,24 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
         e0, e1 = e1, A * e1 - Bq * e0
     # past the window only the first violation at or after k1 counts:
     # blocks of _BLOCK indices, E[n+j] = U[j]*E[n+1] + V[j]*E[n], each
-    # sign read off the top words of E[n] and E[n+1] where they decide it
+    # cleared by one ratio test where E[n] > 0, else each sign read off
+    # the top words of E[n] and E[n+1] where they decide it
     last, k1 = from_k + window, from_k - 1
     if n <= last and not (p1 and p1[-1] >= k1):
-        U, V = [0, 1], [1, 0]
-        for X in (U, V):
-            for _ in range(_BLOCK):
-                X.append(A * X[-1] - Bq * X[-2])
+        if U is None:
+            U, V = _block_tables(A, Bq)
+        clean = _ratio_tests(U, V, 0)
         lo = [min(x, 0) + min(y, 0) for x, y in zip(U, V)]
         hi = [max(x, 0) + max(y, 0) for x, y in zip(U, V)]
         while n <= last and not (p1 and p1[-1] >= k1):
             c = min(_BLOCK, last + 1 - n)
-            if k1 < n + c:
+            j = max(k1 - n, 0)  # the block's first index read
+            if j < c and e0 > 0 and _ratio_in(clean, e0, e1):
+                j = c  # E[n] > 0 and E[n+1], ..., E[n+_BLOCK] >= 0
+            if j < c:
                 k = max(max(e0.bit_length(), e1.bit_length()) - 64, 0)
                 xh, yh = e1 >> k, e0 >> k
-                for j in range(max(k1 - n, 0), c):
+                for j in range(j, c):
                     # E[n+j] / 2**k lies in [est + lo[j], est + hi[j]]
                     est = U[j] * xh + V[j] * yh
                     if est + hi[j] < 0 or est + lo[j] < 0 and U[j] * e1 + V[j] * e0 < 0:
@@ -383,3 +459,49 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     immediate = WindowReport(PropertyId.P1, (-1, window), first1 is None, first1, ())
     from_k_window = WindowReport(PropertyId.P1, (k1, last), first_k is None, first_k, ())
     return OracleWindows(immediate, from_k_window, p2, p3, n0 if n0 <= window else None)
+
+
+def _block_tables(A: int, Bq: int) -> tuple[list[int], list[int]]:
+    """U, V with w[n+j] = U[j]*w[n+1] + V[j]*w[n] for j <= _BLOCK + 1 on
+    every solution w of w[n+2] = A*w[n+1] - Bq*w[n]: both walk that
+    recurrence, from (U[0], U[1]) = (0, 1) and (V[0], V[1]) = (1, 0)."""
+    U, V = [0, 1], [1, 0]
+    for X in (U, V):
+        for _ in range(_BLOCK):
+            X.append(A * X[-1] - Bq * X[-2])
+    return U, V
+
+
+def _ratio_tests(U: list[int], V: list[int], c: int) -> list[tuple[int, int]]:
+    """Integer pairs (x, y) such that a solution w with w[n] > 0 has
+    w[n+j+1] >= c*w[n+j] for every j < _BLOCK exactly where
+    x*w[n+1] + y*w[n] >= 0 for every pair, and > c*w[n+j] for every j
+    exactly where each is > 0.  On rho = w[n+1]/w[n], step j asks
+    (U[j+1] - c*U[j])*rho + V[j+1] - c*V[j] >= 0: a half-line, or all or
+    nothing where the slope is 0 (the offset then is not 0, since the
+    map from (w[n], w[n+1]) to (w[n+j], w[n+j+1]) is invertible).  The
+    half-lines meet in one interval, and its two ends are the pairs."""
+    below = above = None
+    for j in range(_BLOCK):
+        x, y = U[j + 1] - c * U[j], V[j + 1] - c * V[j]
+        if x > 0:
+            # rho >= -y/x, tighter than the end so far
+            if below is None or y * below[0] < below[1] * x:
+                below = (x, y)
+        elif x < 0:
+            # rho <= -y/x
+            if above is None or y * above[0] > above[1] * x:
+                above = (x, y)
+        elif y < 0:
+            return [(0, -1)]
+    return [end for end in (below, above) if end]
+
+
+def _ratio_in(tests: list[tuple[int, int]], w0: int, w1: int, strict: bool = False) -> bool:
+    """Whether w1/w0 passes every pair of _ratio_tests, strictly if
+    strict; w0 != 0, and a negative w0 flips the solution's sign."""
+    for x, y in tests:
+        v = x * w1 + y * w0
+        if (v if w0 > 0 else -v) < strict:
+            return False
+    return True

@@ -39,6 +39,11 @@ from conftest import build_corpus
 FIB = make_h_spec(1, -1, 1)
 LUCAS = RecurrenceSpec(1, -1, 2, 1)
 SPREAD_H = make_h_spec(1, -3, 1)
+# roots 2.26 and -0.10 over q = 13: the carrier grows by 29.3 per index,
+# past max(|B|, q) = 13, so the walk certifies whole blocks inside the
+# window; with h = -2/5 every term is negative and every index violates P1
+DEEP = make_h_spec(Fraction(28, 13), Fraction(-3, 13), Fraction(2, 5))
+DEEP_NEGATIVE = make_h_spec(Fraction(28, 13), Fraction(-3, 13), Fraction(-2, 5))
 
 
 # ----------------------------------------------------------------------
@@ -494,13 +499,13 @@ def _scan_lines(select):
 
 def _traced_scan(spec, window, from_k, lines):
     """scan(spec, window, from_k) under a line tracer, and the value of
-    each listed line's expression on scan's locals as the line is reached,
-    in order."""
+    each listed line's expression on scan's locals (and the oracle
+    module's names) as the line is reached, in order."""
     seen = []
 
     def local(frame, event, arg):
         if event == "line" and frame.f_lineno in lines:
-            seen.append(eval(lines[frame.f_lineno], {}, frame.f_locals))
+            seen.append(eval(lines[frame.f_lineno], frame.f_globals, frame.f_locals))
         return local
 
     def tracer(frame, event, arg):
@@ -557,23 +562,43 @@ class TestScan:
                     assert (got.p3.holds_on_window, got.p3.first_violation) == p3, case
                     assert got.n0_witness == n0, case
 
+    @staticmethod
+    def _decided(text, after):
+        """Each P1 sign the walk reads is the line just before a
+        p1.append(index) in scan, and index names the position it reads;
+        a certified block decides a range of indices at once, named on the
+        line only a certified block reaches: the table step of M inside
+        the window, j = c past it."""
+        if after.startswith("p1.append("):
+            return after[len("p1.append("):-1]
+        if text.startswith("m0, m1 = U[_BLOCK]"):
+            return "range(n, n + _BLOCK)"
+        if text.startswith("j = c "):
+            return "range(n + j, n + c)"
+        return None
+
     def test_walk_goes_past_the_window_only_while_from_k_is_clean(self):
-        # each P1 sign the walk reads is the line just before a
-        # p1.append(index) in scan, and index names the position it reads
-        reads = _scan_lines(lambda text, after: after[len("p1.append("):-1]
-                            if after.startswith("p1.append(") else None)
-        assert len(reads) == 3  # P2/P3 stretch, P1 alone, blocks past the window
+        reads = _scan_lines(self._decided)
+        # one index read in the P2/P3 stretch, P1 alone and the blocks past
+        # the window; a certified range inside and past the window
+        assert len(reads) == 5
         # (spec, window, from_k, last index a window compares): the clean
         # from-k window [99, 120] of FIB compares up to index 120; the
         # second stops at its violation at 36, short of its end at 40; the
         # third, 2**n + 2**(30 - n), descends up to index 14, inside the
-        # window, so its from-k window [9, 30] needs no index past 20
+        # window, so its from-k window [9, 30] needs no index past 20; at
+        # window 100 FIB certifies [32, 96) inside the window and its clean
+        # from-k window [149, 250] past it, and DEEP_NEGATIVE certifies
+        # [32, 96) as violations and stops at the window's end
         for spec, w, k, last in (
             (FIB, 20, 100, 120),
             (RecurrenceSpec(Fraction(7, 2), 3, 1000000, 1499990), 10, 30, 36),
             (RecurrenceSpec(Fraction(5, 2), 1, 2**30 + 1, 2**29 + 2), 20, 10, 20),
+            (FIB, 100, 150, 250),
+            (DEEP_NEGATIVE, 100, 50, 100),
         ):
-            _, seen = _traced_scan(spec, w, k, reads)
+            _, decided = _traced_scan(spec, w, k, reads)
+            seen = [i for x in decided for i in (x if isinstance(x, range) else (x,))]
             case = (spec, w, k, seen)
             assert max(seen) == last, case
             assert sorted(i for i in seen if i <= w) == list(range(w + 1)), case
@@ -688,6 +713,21 @@ def _split_part_signs(spec, window):
     return found
 
 
+def _assert_fields_match_references(spec, w, k):
+    got = oracle.scan(spec, w, k)
+    assert (got.p1_immediate.holds_on_window,
+            got.p1_immediate.first_violation) == ref_p1(spec, 0, w)
+    assert (got.p1_from_k.holds_on_window,
+            got.p1_from_k.first_violation) == ref_p1(spec, k, k + w)
+    assert got.n0_witness == ref_n0(spec, w)
+    assert (got.p3.holds_on_window, got.p3.first_violation) == ref_p3(spec, w)
+    if spec.roots().discriminant_sign >= 0:
+        assert (got.p2.holds_on_window, got.p2.first_violation,
+                got.p2.skipped_indices) == ref_p2(spec, w)
+    else:
+        assert got.p2 is None
+
+
 coeffs_st = st.builds(lambda sign, p, q: Fraction(sign * p, q),
                       st.sampled_from((-1, 1)), st.integers(1, 12), st.integers(1, 6))
 starts_st = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
@@ -734,19 +774,7 @@ class TestPartSignsAndDifferenceWalk:
     @example((CERTIFICATE_EDGES[1], 15, 0))
     @settings(max_examples=400, deadline=None)
     def test_scan_matches_references(self, case):
-        spec, w, k = case
-        got = oracle.scan(spec, w, k)
-        assert (got.p1_immediate.holds_on_window,
-                got.p1_immediate.first_violation) == ref_p1(spec, 0, w)
-        assert (got.p1_from_k.holds_on_window,
-                got.p1_from_k.first_violation) == ref_p1(spec, k, k + w)
-        assert got.n0_witness == ref_n0(spec, w)
-        assert (got.p3.holds_on_window, got.p3.first_violation) == ref_p3(spec, w)
-        if spec.roots().discriminant_sign >= 0:
-            assert (got.p2.holds_on_window, got.p2.first_violation,
-                    got.p2.skipped_indices) == ref_p2(spec, w)
-        else:
-            assert got.p2 is None
+        _assert_fields_match_references(*case)
 
     def test_examples_reach_what_they_pin(self):
         assert _split_part_signs(SPLIT_NEGATIVE_B, 30) == {True, False}
@@ -851,6 +879,165 @@ class TestBlockWalk:
             assert seen[-1][0] > k - 1 - oracle._BLOCK, spec  # the blocks reach k - 1
 
 
+roots_st = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 4))
+# the dominant root -1.62 alternates the terms' signs: P3's parts decide
+# every index, so the walk tries a block after each run of _BLOCK of them,
+# and the ratio test refuses every try
+ALTERNATING = RecurrenceSpec(-1, -1, 1, -1)
+# roots 3/4 and 1/2 and a start whose ratio 1/8 fails P2 at 0: the terms
+# turn negative and |a| shrinks by about 3/4 per index, enough for P3's
+# parts, which ask |a[n+1]| >= |b|*|a[n]| with |b| = 3/8, but not for
+# |a[n+1]| >= |a[n]|, which the test on M asks, so every try is refused
+SHRINKING = RecurrenceSpec(Fraction(5, 4), Fraction(3, 8), 1, Fraction(1, 8))
+
+
+def _ratio_tie(t):
+    """Roots 1 - 2**-70 and 1/2, and a negative start whose ratio
+    a[n+1]/a[n] falls toward the dominant root from above and meets 1
+    exactly at n = t: |a| grows up to t, a[t+1] = a[t], and |a| shrinks
+    after it."""
+    a, b = Fraction(3, 2) - Fraction(1, 2**70), (1 - Fraction(1, 2**70)) / 2
+    rho = Fraction(1)
+    for _ in range(t):
+        rho = b / (a - rho)  # the ratio one index back
+    return RecurrenceSpec(a, b, -rho.denominator, -rho.numerator)
+
+
+# the tie a[64] = a[63] falls on the last index of the first try [32, 64),
+# where every term is negative: only the strict test on M refuses the
+# block, and P1 holds at 63 (n0 = 63)
+TIE_AT_BLOCK_END = _ratio_tie(63)
+
+
+@st.composite
+def deep_cases(draw):
+    """(spec, window, from_k) with windows of 64-200, long enough for a
+    certified block inside the window (the first try comes at index
+    _BLOCK and needs _BLOCK more), and from-k windows past it: coefficients
+    of either sign (|B| > q and q > |B| alike), two rational roots (a
+    square discriminant) or one repeated root (a zero one), starts of
+    either sign, scaled by 1 or 2**700."""
+    shape = draw(st.sampled_from(("coefficients", "rational roots", "repeated root")))
+    if shape == "coefficients":
+        a, b = draw(coeffs_st), draw(coeffs_st)
+    else:
+        r = draw(roots_st)
+        t = r if shape == "repeated root" else draw(roots_st)
+        a, b = r + t, r * t
+        assume(a != 0)
+    v0, v1 = draw(starts_st), draw(starts_st)
+    assume(v0 or v1)
+    scale = draw(st.sampled_from((1, 2**700)))
+    window = draw(st.integers(2 * oracle._BLOCK, 200))
+    from_k = draw(st.integers(window + 2, 2 * window + 2 * oracle._BLOCK))
+    return RecurrenceSpec(a, b, v0 * scale, v1 * scale), window, from_k
+
+
+def _block_events(spec, window, from_k):
+    """scan's windows and, in walk order, each block the walk certifies
+    inside the window (certified, n), each try the ratio test refuses
+    there (refused, n), and each block past the window that one ratio
+    test clears from its first index read on (clean, n + j)."""
+    lines = _scan_lines(lambda text, after:
+                        "('certified', n)" if text.startswith("m0, m1 = U[_BLOCK]")
+                        else "('refused', n)" if text == "run = 0"
+                        else "('clean', n + j)" if text.startswith("j = c ")
+                        else None)
+    assert len(lines) == 3
+    return _traced_scan(spec, window, from_k, lines)
+
+
+class TestCertifiedBlocks:
+    """Inside the window a real-root walk decides a block of _BLOCK
+    indices at once where one ratio test each certifies that M and u
+    grow; past it one ratio test clears a block of P1 where E > 0.  Each
+    pinned case reaches the path it names, and every field is held
+    against the naive references."""
+
+    @given(deep_cases())
+    @example((DEEP, 100, 150))
+    @example((DEEP_NEGATIVE, 100, 150))
+    @example((ALTERNATING, 100, 150))
+    @example((RecurrenceSpec(5, 6, 1, 2), 64, 66))  # on the eigen-solution 2^n
+    @example((RecurrenceSpec(2, 1, -2**700, -3 * 2**700), 64, 66))  # repeated root 1
+    @example((SHRINKING, 100, 102))
+    @example((TIE_AT_BLOCK_END, 70, 64))
+    @settings(max_examples=150, deadline=None)
+    def test_scan_matches_references(self, case):
+        _assert_fields_match_references(*case)
+
+    def test_clean_blocks(self):
+        # P1, P2 and P3 hold on [32, 96) by two certificates, and past the
+        # window the from-k window [149, 250] is cleared block by block
+        got, events = _block_events(DEEP, 100, 150)
+        assert events == [("certified", 32), ("certified", 64), ("clean", 149),
+                          ("clean", 165), ("clean", 197), ("clean", 229)]
+        assert got.p2.holds_on_window and got.p3.holds_on_window
+        assert got.p1_from_k.holds_on_window and got.n0_witness == 0
+        _assert_fields_match_references(DEEP, 100, 150)
+
+    def test_all_violation_blocks(self):
+        # every term is negative and falls faster than q: each index of
+        # the two certified blocks is a violation of P1
+        got, events = _block_events(DEEP_NEGATIVE, 100, 150)
+        assert events == [("certified", 32), ("certified", 64)]
+        assert got.p2.holds_on_window and got.p3.holds_on_window
+        assert got.n0_witness is None and got.p1_from_k.first_violation == 149
+        _assert_fields_match_references(DEEP_NEGATIVE, 100, 150)
+
+    def test_refused_blocks_fall_back(self):
+        # inside the window: each run of _BLOCK indices decided on part
+        # signs ends in a try the alternating signs refuse, and the walk
+        # steps on per index
+        got, events = _block_events(ALTERNATING, 100, 150)
+        assert events == [("refused", 32), ("refused", 64)]
+        _assert_fields_match_references(ALTERNATING, 100, 150)
+        # past the window: E[5] > 0, but E descends at 36 inside the block
+        # [5, 37), so the ratio test refuses it and the top words find 36
+        tried = _scan_lines(lambda text, after: "(n, j < c and e0 > 0)"
+                            if text.startswith("if j < c and e0 > 0") else None)
+        got, seen = _traced_scan(LATE_DESCENT_LONG, 4, 33, tried)
+        assert seen == [(5, True)]
+        assert _block_events(LATE_DESCENT_LONG, 4, 33)[1] == []
+        assert got.p1_from_k.first_violation == 36
+
+    def test_growth_by_q_decides_p1(self):
+        # P3's parts hold where the terms shrink by less than |b| per
+        # index, but P1 needs growth by q: the tries are refused
+        got, events = _block_events(SHRINKING, 100, 102)
+        assert events[:2] == [("refused", 34), ("refused", 66)]
+        assert got.p2.first_violation == 0 and got.p3.holds_on_window
+        _assert_fields_match_references(SHRINKING, 100, 102)
+        # where the terms are negative a tie |M[n+1]| = q*|M[n]| is no
+        # violation, so the test on M is strict there
+        got, events = _block_events(TIE_AT_BLOCK_END, 70, 64)
+        assert events[0] == ("refused", 32)
+        assert got.n0_witness == 63
+        _assert_fields_match_references(TIE_AT_BLOCK_END, 70, 64)
+
+    @given(st.integers(-30, 30), st.integers(-30, 30).filter(bool),
+           st.sampled_from((0, 1, 2, 3, 13)), st.integers(-20, 20).filter(bool),
+           st.integers(-600, 600), st.booleans())
+    # on the eigen-solutions 3^n and 2^n of roots 2 and 3 every step ties
+    # w[j+1] = c*w[j]: the plain test passes, the strict one fails
+    @example(5, 6, 3, 1, 3, False)
+    @example(5, 6, 3, 1, 3, True)
+    @example(5, 6, 2, -2, -4, True)
+    # w = 1, 0, -1, 0, ...: step 1 has slope 0 and fails for every rho
+    @example(0, 1, 0, 1, 0, False)
+    @settings(max_examples=300, deadline=None)
+    def test_ratio_tests_decide_every_step(self, A, Bq, c, w0, w1, strict):
+        # w[j+1] >= c*w[j] at every j < _BLOCK, w made positive at 0,
+        # against the walked solution
+        w = [w0, w1]
+        for _ in range(oracle._BLOCK - 1):
+            w.append(A * w[-1] - Bq * w[-2])
+        sign = 1 if w0 > 0 else -1
+        want = all(sign * (y - c * x) >= strict for x, y in zip(w, w[1:]))
+        tests = oracle._ratio_tests(*oracle._block_tables(A, Bq), c)
+        assert oracle._ratio_in(tests, w0, w1, strict) == want
+
+
 def _broken_carrier(spec):
     """The spec's integer carrier with the recurrence broken once: the
     term after M[11] is off by 1, and the walk goes on from there."""
@@ -901,6 +1088,19 @@ class TestCasoratianNorm:
         monkeypatch.setattr(oracle, "integer_carrier", _broken_carrier)
         with pytest.raises(InternalInconsistency, match="self-check"):
             oracle.scan(FIB, 50, 0)
+
+    def test_self_check_guards_the_block_advanced_pair(self, monkeypatch):
+        # a block table off by one advances M off its solution at the
+        # first certified block, and the norm at the walk's end shows it
+        def broken(A, Bq):
+            U, V = block_tables(A, Bq)
+            U[oracle._BLOCK] += 1
+            return U, V
+
+        block_tables = oracle._block_tables
+        monkeypatch.setattr(oracle, "_block_tables", broken)
+        with pytest.raises(InternalInconsistency, match="self-check"):
+            oracle.scan(DEEP, 100, 0)
 
     def test_self_check_reaches_the_cli_as_exit_one(self, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "integer_carrier", _broken_carrier)
