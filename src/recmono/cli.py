@@ -229,7 +229,7 @@ def _cmd_riccati(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    pairs = boundary_characterization(scan_bound=args.scan_bound)
+    pairs = boundary_characterization()
     _emit_json(
         {
             "schema": 1,

@@ -53,7 +53,7 @@ def enumerate_generalized_fibonacci(a_max: int) -> list[IntCoeffPair]:
     return pairs
 
 
-def boundary_characterization(scan_bound: int = 1000) -> list[IntCoeffPair]:
+def boundary_characterization() -> list[IntCoeffPair]:
     """Irreducible integer pairs on the coefficient-region boundary.
 
     The boundary of DP is the segment a = 1, -2 <= b <= 0 plus the rays
@@ -61,11 +61,7 @@ def boundary_characterization(scan_bound: int = 1000) -> list[IntCoeffPair]:
     with p(x) = x^2 - a*x + b, p(1) = 1 - a + b = 0 on b = a - 1 and
     p(-1) = 1 + a + b = 0 on b = -a - 1.  So only DP's column at a = 1
     can contribute.  DP's predicate confirms each point of that column,
-    and each lies on DP's boundary because DP lies in a >= 1; the
-    answer is the same for every scan_bound >= 1, the range of a the
-    claim covers.
+    and each lies on DP's boundary because DP lies in a >= 1.
     """
-    if scan_bound < 1:
-        raise ValueError("scan bound must be at least 1")
     column = (IntCoeffPair(1, b) for b in (-2, -1, 0))
     return [p for p in column if contains_coeff_plane(RegionId.DP, *p) and is_irreducible(p)]

@@ -9,12 +9,12 @@ Lucas fast doubling, so the two routes reach a far index independently.
 The walk tests P1 through the whole window (n0 needs its last violation)
 and goes past it only for the from-k P1 window, and only while that
 window is still clean; P2 and P3 ride on the same indices until both
-have a violation or the window ends.  From there P1 walks on its own, on
-the difference sequence E[n] = M[n+1] - q*M[n] of the carrier below,
-which obeys the carrier's recurrence and is negative exactly where
-a[n] > a[n+1]: one step per index to the end of the window, then blocks
-of _BLOCK indices, each reached from the one before by coefficient
-tables walked once per scan.  All comparisons are exact.
+have a violation or the window ends.  From there P1 walks on its own
+(_p1_alone), on the difference sequence E[n] = M[n+1] - q*M[n] of the
+carrier below, which obeys the carrier's recurrence and is negative
+exactly where a[n] > a[n+1]: one step per index to the end of the
+window, then blocks of _BLOCK indices, each reached from the one before
+by coefficient tables walked once per scan.  All comparisons are exact.
 
 Where the terms grow, a whole block of _BLOCK indices is decided at once
 by an exact certificate.  Every solution w of the carrier's recurrence
@@ -24,7 +24,8 @@ index of a block form one interval, whose two ends are integer pairs:
 a cross-multiplication against each end decides the block.  In the P2/P3
 stretch that certifies growth of the carrier and of P3's residual part,
 which decides all three properties on the block (see scan); past the
-window it certifies E >= 0, a clean block of P1.
+window it certifies E >= 0, a clean block of P1, and a block it does
+not clear reads the exact sign of E at each index it needs.
 
 For speed the scans run on a rescaled integer copy of the sequence,
 recurrence.integer_carrier: with a = A/q, b = B/q over a common
@@ -130,47 +131,29 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     It tests P1 once per index n, as q*M[n] > M[n+1], that is
     a[n] > a[n+1], which is M[n+1] < 0 where
     bits(M[n+1]) > bits(M[n]) + bits(q) makes |M[n+1]| > q*|M[n]|
-    certain, or on a whole certified block; once P2 and P3 are done, as
-    E[n] < 0 on E[n] = M[n+1] - q*M[n], carried by
-    E[n+2] = A*E[n+1] - B*q*E[n] from the last two terms read, which spares per index the product
-    q*M[n], a comparison of two long terms and a step of the carrier's
-    generator.  That one test records each violation in one ascending
-    list, led by n = -1 where the backward extension a[-1] exceeds a[0],
-    and each P1 field reads it: the immediate window takes its first
-    entry in [-1, window], the from-k window its first in
-    [from_k - 1, from_k + window], and n0_witness is one past its last
-    entry at most window (the smallest n0 <= window with no violation in
-    [n0, window], None when the last pair violates).  P1 walks the whole
-    window, for n0, and past it only while the from-k window is clean.
+    certain, or on a whole certified block; once P2 and P3 are done,
+    _p1_alone takes P1 on from the last two terms read.  Each violation
+    goes into one ascending list, led by n = -1 where the backward
+    extension a[-1] exceeds a[0], and each P1 field reads it: the
+    immediate window takes its first entry in [-1, window], the from-k
+    window its first in [from_k - 1, from_k + window], and n0_witness is
+    one past its last entry at most window (the smallest n0 <= window
+    with no violation in [n0, window], None when the last pair violates).
+    P1 walks the whole window, for n0, and past it only while the from-k
+    window is clean.
 
-    Past the window only the from-k window's first violation counts, at
-    or after k1 = from_k - 1, so P1 walks E there in blocks of _BLOCK
-    indices.  Two tables U, V of _BLOCK + 2 integers, walked on first
-    need and once per scan by X[j+1] = A*X[j] - B*q*X[j-1] from
-    (U[0], U[1]) = (0, 1) and (V[0], V[1]) = (1, 0), give
+    Ratio tests.  Two tables U, V of _BLOCK + 2 integers, walked on first
+    need and once per scan (_block_tables), give
     w[n+j] = U[j]*w[n+1] + V[j]*w[n] on every solution w of the
-    carrier's recurrence, E among them.  A block at n where E[n] > 0 is
-    clean where E[n+j] >= 0 for j = 1, ..., _BLOCK, one ratio test
-    (below).  Otherwise, with k = max(0, b - 64) for b the larger bit
-    length of E[n] and E[n+1], and the top words xh = E[n+1] >> k,
-    yh = E[n] >> k, est = U[j]*xh + V[j]*yh puts E[n+j]/2**k in
-    [est + lo[j], est + hi[j]], lo[j] = min(U[j], 0) + min(V[j], 0) and
-    hi[j] = max(U[j], 0) + max(V[j], 0): est + hi[j] < 0 is a violation,
-    est + lo[j] >= 0 a clean index, and anything else gets the exact
-    sign of U[j]*E[n+1] + V[j]*E[n].  Indices below k1 are not read.
-    Each block ends on the exact pair (E[n+c], E[n+c+1]), and the walk
-    stops at the first violation or at from_k + window.  Inside the
-    window P1 keeps stepping on E: there blocks cost more than they save.
-
-    Ratio tests.  For a solution w with w[n] > 0 and rho = w[n+1]/w[n],
-    w[n+j+1] >= c*w[n+j] is (U[j+1] - c*U[j])*rho + V[j+1] - c*V[j] >= 0,
-    a half-line in rho.  The rho that pass it at every j < _BLOCK form
-    one interval, whose ends _ratio_tests writes as integer pairs (x, y)
-    with x*rho + y >= 0, once per scan and c; the strict test, every
-    w[n+j+1] > c*w[n+j], is the open interval, x*rho + y > 0.  A block
-    then costs a cross-multiplication of w[n], w[n+1] against each end
-    (most intervals have one), and four products advance its pair.
-    Past the window E takes c = 0.
+    carrier's recurrence.  For such a w with w[n] > 0 and
+    rho = w[n+1]/w[n], w[n+j+1] >= c*w[n+j] is
+    (U[j+1] - c*U[j])*rho + V[j+1] - c*V[j] >= 0, a half-line in rho.
+    The rho that pass it at every j < _BLOCK form one interval, whose
+    ends _ratio_tests writes as integer pairs (x, y) with x*rho + y >= 0,
+    once per scan and c; the strict test, every w[n+j+1] > c*w[n+j], is
+    the open interval, x*rho + y > 0.  A block then costs a
+    cross-multiplication of w[n], w[n+1] against each end (most
+    intervals have one), and four products advance its pair.
 
     Certified blocks in the real-root P2/P3 stretch.  A block of indices
     [n, n + _BLOCK) inside the window is certified where M and u each
@@ -339,7 +322,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     first2: Optional[int] = None
     first3: Optional[int] = None
     run = 0  # indices in a row whose P3 the part signs decided
-    U = None  # the block tables, walked on first need
+    U = V = None  # the block tables, walked on first need
     n = 0
     while n <= window and (first3 is None or (real and first2 is None)):
         m2 = next(M)
@@ -412,42 +395,8 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
             "N[n+1] = B*q*N[n] differs from the one computed "
             f"directly at index {n}"
         )
-    # P1 alone: the rest of the window, then past it up to the from-k
-    # window's first violation, on E[n] = M[n+1] - q*M[n], which obeys the
-    # carrier's recurrence and is negative exactly where a[n] > a[n+1]
-    e0, e1 = m1 - q * m0, (A - q) * m1 - Bq * m0
-    while n <= window:
-        if e0 < 0:
-            p1.append(n)
-        n += 1
-        e0, e1 = e1, A * e1 - Bq * e0
-    # past the window only the first violation at or after k1 counts:
-    # blocks of _BLOCK indices, E[n+j] = U[j]*E[n+1] + V[j]*E[n], each
-    # cleared by one ratio test where E[n] > 0, else each sign read off
-    # the top words of E[n] and E[n+1] where they decide it
+    _p1_alone(q, A, Bq, m0, m1, n, window, from_k, p1, U, V)
     last, k1 = from_k + window, from_k - 1
-    if n <= last and not (p1 and p1[-1] >= k1):
-        if U is None:
-            U, V = _block_tables(A, Bq)
-        clean = _ratio_tests(U, V, 0)
-        lo = [min(x, 0) + min(y, 0) for x, y in zip(U, V)]
-        hi = [max(x, 0) + max(y, 0) for x, y in zip(U, V)]
-        while n <= last and not (p1 and p1[-1] >= k1):
-            c = min(_BLOCK, last + 1 - n)
-            j = max(k1 - n, 0)  # the block's first index read
-            if j < c and e0 > 0 and _ratio_in(clean, e0, e1):
-                j = c  # E[n] > 0 and E[n+1], ..., E[n+_BLOCK] >= 0
-            if j < c:
-                k = max(max(e0.bit_length(), e1.bit_length()) - 64, 0)
-                xh, yh = e1 >> k, e0 >> k
-                for j in range(j, c):
-                    # E[n+j] / 2**k lies in [est + lo[j], est + hi[j]]
-                    est = U[j] * xh + V[j] * yh
-                    if est + hi[j] < 0 or est + lo[j] < 0 and U[j] * e1 + V[j] * e0 < 0:
-                        p1.append(n + j)
-                        break
-            e0, e1 = U[c] * e1 + V[c] * e0, U[c + 1] * e1 + V[c + 1] * e0
-            n += c
     checked = (0, window)
     p2 = None
     if real:
@@ -459,6 +408,54 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     immediate = WindowReport(PropertyId.P1, (-1, window), first1 is None, first1, ())
     from_k_window = WindowReport(PropertyId.P1, (k1, last), first_k is None, first_k, ())
     return OracleWindows(immediate, from_k_window, p2, p3, n0 if n0 <= window else None)
+
+
+def _p1_alone(q: int, A: int, Bq: int, m0: int, m1: int, n: int, window: int,
+              from_k: int, p1: list[int], U: Optional[list[int]],
+              V: Optional[list[int]]) -> None:
+    """P1 from index n on, once scan's walk is done with P2 and P3:
+    appends each violation it reads to p1, from (m0, m1) = (M[n], M[n+1])
+    and scan's block tables U, V (None where scan has not walked them).
+
+    P1 walks the difference sequence E[n] = M[n+1] - q*M[n], which obeys
+    the carrier's recurrence E[n+2] = A*E[n+1] - B*q*E[n] and is negative
+    exactly where a[n] > a[n+1]: that spares per index the product
+    q*M[n], a comparison of two long terms and a step of the carrier's
+    generator.  Inside the window it steps on E once per index, for n0:
+    there blocks cost more than they save.
+
+    Past the window only the from-k window's first violation counts, at
+    or after k1 = from_k - 1, so P1 walks E there in blocks of _BLOCK
+    indices, E[n+j] = U[j]*E[n+1] + V[j]*E[n].  A block at n where
+    E[n] > 0 is clean where E[n+j] >= 0 for j = 1, ..., _BLOCK, one ratio
+    test with c = 0 (see scan).  Any other block reads, from its first
+    index at or after k1 on, the exact sign of U[j]*E[n+1] + V[j]*E[n].
+    Each block ends on the exact pair (E[n+c], E[n+c+1]), and the walk
+    stops at the first violation or at from_k + window.
+    """
+    e0, e1 = m1 - q * m0, (A - q) * m1 - Bq * m0
+    while n <= window:
+        if e0 < 0:
+            p1.append(n)
+        n += 1
+        e0, e1 = e1, A * e1 - Bq * e0
+    last, k1 = from_k + window, from_k - 1
+    if n > last or p1 and p1[-1] >= k1:
+        return
+    if U is None:
+        U, V = _block_tables(A, Bq)
+    clean = _ratio_tests(U, V, 0)
+    while n <= last and not (p1 and p1[-1] >= k1):
+        c = min(_BLOCK, last + 1 - n)
+        j = max(k1 - n, 0)  # the block's first index read
+        if j < c and e0 > 0 and _ratio_in(clean, e0, e1):
+            j = c  # E[n] > 0 and E[n+1], ..., E[n+_BLOCK] >= 0
+        for j in range(j, c):
+            if U[j] * e1 + V[j] * e0 < 0:
+                p1.append(n + j)
+                break
+        e0, e1 = U[c] * e1 + V[c] * e0, U[c + 1] * e1 + V[c + 1] * e0
+        n += c
 
 
 def _block_tables(A: int, Bq: int) -> tuple[list[int], list[int]]:

@@ -151,8 +151,11 @@ def test_criterion_06_enumeration_list(capsys):
 
 
 def test_criterion_07_boundary_characterization(capsys):
+    assert boundary_characterization() == [IntCoeffPair(1, -1)]
     for bound in (10, 100, 1000):
-        assert boundary_characterization(bound) == [IntCoeffPair(1, -1)]
+        assert main(["characterize", "--scan-bound", str(bound)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pairs"] == [[1, -1]] and payload["scan_bound"] == bound
     code = main(["characterize"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0

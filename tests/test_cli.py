@@ -479,6 +479,12 @@ class TestCharacterize:
             payload = json.loads(out)
             assert payload == {"pairs": [[1, -1]], "scan_bound": bound, "schema": 1}
 
+    def test_zero_scan_bound_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["characterize", "--scan-bound", "0"])
+        assert exc.value.code == 2
+        assert "argument --scan-bound: must be at least 1" in capsys.readouterr().err
+
 
 class TestParserReuse:
     def test_parser_built_once_across_calls(self, capsys, monkeypatch):

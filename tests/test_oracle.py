@@ -483,25 +483,32 @@ class TestIndependentStops:
             assert w.p2.first_violation != w.p3.first_violation, spec
 
 
+# the functions of one scan's walk: scan and the P1-alone stretch it calls
+_WALK = (oracle.scan, oracle._p1_alone)
+
+
 def _scan_lines(select):
-    """{line number: compiled expression} for the lines of oracle.scan that
-    select(text, next_text) picks by returning an expression (on the
-    stripped text of the line and of the one after it), else None."""
-    lines, first = inspect.getsourcelines(oracle.scan)
-    texts = [line.strip() for line in lines] + [""]
+    """{line number: compiled expression} for the lines of the walk's
+    functions that select(text, next_text) picks by returning an
+    expression (on the stripped text of the line and of the one after it),
+    else None; line numbers are unique within the oracle module."""
     picked = {}
-    for i, text in enumerate(texts[:-1]):
-        expr = select(text, texts[i + 1])
-        if expr is not None:
-            picked[first + i] = compile(expr, "<scan line>", "eval")
+    for function in _WALK:
+        lines, first = inspect.getsourcelines(function)
+        texts = [line.strip() for line in lines] + [""]
+        for i, text in enumerate(texts[:-1]):
+            expr = select(text, texts[i + 1])
+            if expr is not None:
+                picked[first + i] = compile(expr, "<scan line>", "eval")
     return picked
 
 
 def _traced_scan(spec, window, from_k, lines):
     """scan(spec, window, from_k) under a line tracer, and the value of
-    each listed line's expression on scan's locals (and the oracle
+    each listed line's expression on the walk's locals (and the oracle
     module's names) as the line is reached, in order."""
     seen = []
+    codes = {function.__code__ for function in _WALK}
 
     def local(frame, event, arg):
         if event == "line" and frame.f_lineno in lines:
@@ -509,7 +516,7 @@ def _traced_scan(spec, window, from_k, lines):
         return local
 
     def tracer(frame, event, arg):
-        return local if frame.f_code is oracle.scan.__code__ else None
+        return local if frame.f_code in codes else None
 
     previous = sys.gettrace()
     sys.settrace(tracer)
@@ -794,13 +801,13 @@ class TestPartSignsAndDifferenceWalk:
 LATE_DESCENT_LONG = RecurrenceSpec(LATE_DESCENT.a, LATE_DESCENT.b,
                                    LATE_DESCENT.v0 * 2**700, LATE_DESCENT.v1 * 2**700)
 # a[n] = 1, 1, -2 with period 3: E[n] = 0 at n = 6, where U[2] = V[2] = -1,
-# so the top words' upper end is est + 0 = 0 on a clean index; then the
-# violation at 7
+# a zero the exact sign must read as a clean index; then the violation
+# at 7
 PERIOD_THREE = RecurrenceSpec(-1, 1, 1, 1)
 # within 2**-80 of the beta = 1/2 eigen-solution (carrier roots 8 and 1):
 # M[n] = c1*8**n + c2 with c1 = -2**620 and c2 = -2**700, so
 # E[n] = 6*c1*8**n - c2 is clean up to 25 and descends from 26 on, where
-# the alpha part overtakes, too close to 0 for the top words of a block
+# the alpha part overtakes: the block that holds 26 is read index by index
 NEAR_BETA_EIGEN = RecurrenceSpec(Fraction(9, 2), 2, -2**620 - 2**700,
                                  Fraction(-8 * 2**620 - 2**700, 2))
 
@@ -824,8 +831,8 @@ def block_cases(draw):
 
 class TestBlockWalk:
     """Past the window, the from-k P1 walk reads blocks of _BLOCK indices,
-    E[n+j] = U[j]*E[n+1] + V[j]*E[n], each sign off the top words of
-    E[n] and E[n+1] where they decide it and exactly where they do not;
+    E[n+j] = U[j]*E[n+1] + V[j]*E[n]; a block the ratio test does not
+    clear reads the exact sign at each index from its first one read;
     the first violation is held against the naive reference."""
 
     @given(block_cases())
@@ -851,10 +858,10 @@ class TestBlockWalk:
         assert oracle.scan(NEAR_BETA_EIGEN, 2, 24).p1_from_k.first_violation == 26
 
     def test_near_eigen_start_reaches_the_exact_sign(self):
-        # each read past the window is the line where scan's est and the
-        # tables lo, hi are in scope; there the top words leave E[n+j]'s
-        # sign open where est + lo[j] < 0 <= est + hi[j]
-        reads = _scan_lines(lambda text, after: "(n + j, est + lo[j] < 0 <= est + hi[j])"
+        # each read past the window is the exact sign of E[n+j] on the line
+        # before p1.append(n + j); the ratio test refuses the block, so the
+        # walk reads from k1 = 23 up to the violation at 26
+        reads = _scan_lines(lambda text, after: "(n + j, U[j] * e1 + V[j] * e0 < 0)"
                             if after == "p1.append(n + j)" else None)
         assert len(reads) == 1
         _, seen = _traced_scan(NEAR_BETA_EIGEN, 2, 24, reads)
@@ -993,7 +1000,7 @@ class TestCertifiedBlocks:
         assert events == [("refused", 32), ("refused", 64)]
         _assert_fields_match_references(ALTERNATING, 100, 150)
         # past the window: E[5] > 0, but E descends at 36 inside the block
-        # [5, 37), so the ratio test refuses it and the top words find 36
+        # [5, 37), so the ratio test refuses it and the exact signs find 36
         tried = _scan_lines(lambda text, after: "(n, j < c and e0 > 0)"
                             if text.startswith("if j < c and e0 > 0") else None)
         got, seen = _traced_scan(LATE_DESCENT_LONG, 4, 33, tried)
