@@ -33,6 +33,13 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 # under 0.2 s and 70 MB, and a CSV 2.9 s (CPython 3.11, x86-64)
 MAX_RES = 4096
 
+# sequence prints a[0..n] and riccati n orbit states of O(n) digits each,
+# so the output grows as n**2 and, with int-to-str quadratic in the
+# digits, the time faster; on (a, b, v0, v1) = (7/3, -5/7, 3/4, -2/5) at
+# --n 5000 they took 3.1 s (28 MB) and 4.2 s (33 MB), at 10000 23-33 s
+# (111-132 MB) (CPython 3.11, x86-64)
+MAX_N = 5000
+
 
 def _echo(text: str) -> str:
     """An argument value as an error message quotes it: whole up to 20
@@ -263,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sequence = subs.add_parser("sequence", help="print exact terms a[0..n]")
     _add_spec_args(p_sequence)
-    p_sequence.add_argument("--n", type=_bounded_int(0), required=True, metavar="N")
+    p_sequence.add_argument("--n", type=_bounded_int(0, MAX_N), required=True, metavar="N")
     p_sequence.add_argument("--format", choices=("json", "csv"), default="json")
     p_sequence.set_defaults(func=_cmd_sequence)
 
@@ -294,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_riccati.add_argument("--a", type=parse_rational, required=True, metavar="R")
     p_riccati.add_argument("--b", type=parse_rational, required=True, metavar="R")
     p_riccati.add_argument("--b0", type=parse_rational, required=True, metavar="R")
-    p_riccati.add_argument("--n", type=_bounded_int(1), required=True, metavar="N")
+    p_riccati.add_argument("--n", type=_bounded_int(1, MAX_N), required=True, metavar="N")
     p_riccati.set_defaults(func=_cmd_riccati)
 
     p_char = subs.add_parser(

@@ -14,7 +14,7 @@ import pytest
 
 import recmono.cli as cli
 from recmono.cli import main, parse_rational
-from recmono.recurrence import RecurrenceSpec, iterate
+from recmono.recurrence import RecurrenceSpec, terms_between
 
 
 def run_cli(capsys, *argv):
@@ -196,6 +196,10 @@ class TestIntegerArguments:
             (["regions", "--region", "D", "--bbox=-1,1,-1,1", "--res", str(cli.MAX_RES + 1),
               "--out", "x.pgm"],
              f"argument --res: must be at most {cli.MAX_RES}"),
+            (["sequence", "--a", "1", "--b", "-1", "--h-init", "1", "--n", str(cli.MAX_N + 1)],
+             "argument --n: must be at most 5000"),
+            (["riccati", "--a", "1", "--b", "-1", "--b0", "1/2", "--n", str(cli.MAX_N + 1)],
+             "argument --n: must be at most 5000"),
         ],
     )
     def test_out_of_range_or_malformed_exits_two(self, capsys, argv, text):
@@ -211,6 +215,12 @@ class TestIntegerArguments:
                 ["regions", "--region", "D", "--bbox=-1,1,-1,1", "--res", str(res),
                  "--out", "x.pgm"])
             assert args.res == res
+
+    def test_n_cap_is_inclusive(self):
+        # the parser alone: terms and orbit states at the cap are not made
+        for argv in (["sequence", "--a", "1", "--b", "-1", "--h-init", "1"],
+                     ["riccati", "--a", "1", "--b", "-1", "--b0", "1/2"]):
+            assert cli._parser().parse_args([*argv, "--n", "5000"]).n == cli.MAX_N == 5000
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -283,9 +293,11 @@ class TestLongOutputs:
         assert code == 0 and err == "" and json.loads(out)["schema"] == 1
         assert sys.get_int_max_str_digits() == limit
 
-    def test_sequence_last_term_matches_iterate(self, capsys):
+    def test_sequence_last_term_matches_terms_between(self, capsys):
         # integer terms past the limit, and fractional coefficients, whose
-        # terms are reduced fractions of about 2,600 over 1,800 digits
+        # terms are reduced fractions of about 2,600 over 1,800 digits;
+        # sequence prints iterate's terms, and the reference reaches index
+        # n on the integer carrier by fast doubling instead
         for (a, b, v0, v1), n in (
             (("10", "1", "1", "10"), 5000),
             (("7/3", "-5/7", "3/4", "-2/5"), 2000),
@@ -297,7 +309,7 @@ class TestLongOutputs:
             )
             assert code == 0 and err == ""
             assert sys.get_int_max_str_digits() == limit
-            last = iterate(RecurrenceSpec(*map(Fraction, (a, b, v0, v1))), n)[-1]
+            last = terms_between(RecurrenceSpec(*map(Fraction, (a, b, v0, v1))), n, n)[0]
             sys.set_int_max_str_digits(0)
             try:
                 assert json.loads(out)["terms"][-1] == str(last), (a, b, v0, v1)

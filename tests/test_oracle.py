@@ -2,10 +2,13 @@
 the telescoping residual identity, and the Casoratian norm the residual
 walk carries for real roots and computes for a complex pair.
 
-The production scanner runs on a rescaled integer carrier; the
-reference implementations here redo every comparison naively on
-Fractions and field elements.  Equality of the two on a random corpus
-is the main correctness argument for the rescaling.
+The production scanner runs on a rescaled integer carrier; the reference
+implementations here redo every comparison naively on Fractions and field
+elements, and reference_windows assembles them into the whole OracleWindows
+that scan must return, checked ranges and skipped indices included.  Each
+reference check is the one equality scan(spec, window, from_k) ==
+reference_windows(spec, window, from_k); held on a random corpus, it is
+the main correctness argument for the rescaling.
 """
 
 from __future__ import annotations
@@ -25,11 +28,13 @@ from recmono import (
     InternalInconsistency,
     PropertyId,
     RecurrenceSpec,
+    WindowReport,
     iterate,
     make_h_spec,
     term_minus_one,
     terms_between,
 )
+from recmono.oracle import OracleWindows
 from recmono.qfield import surd_sign
 from recmono.recurrence import integer_carrier
 from recmono.report import build_report
@@ -50,9 +55,9 @@ DEEP_NEGATIVE = make_h_spec(Fraction(28, 13), Fraction(-3, 13), Fraction(-2, 5))
 # naive references: every comparison done directly on exact values
 # ----------------------------------------------------------------------
 
-def ref_p1(spec, k, n_max):
+def ref_p1(spec, k, n_max, terms=None):
     """(holds, first_violation) for a[n] <= a[n+1] on n in [k-1, n_max]."""
-    terms = iterate(spec, n_max + 1)
+    terms = iterate(spec, n_max + 1) if terms is None else terms
     pairs = []
     if k == 0:
         pairs.append((-1, term_minus_one(spec), terms[0]))
@@ -66,9 +71,9 @@ def ref_p1(spec, k, n_max):
     return True, None
 
 
-def ref_p2(spec, n_max):
+def ref_p2(spec, n_max, terms=None):
     """(holds, first_violation, skipped) for the ratio-distance scan."""
-    terms = iterate(spec, n_max + 2)
+    terms = iterate(spec, n_max + 2) if terms is None else terms
     alpha = spec.roots().alpha
     skipped = []
     for n in range(n_max + 1):
@@ -84,11 +89,11 @@ def ref_p2(spec, n_max):
     return True, None, tuple(skipped)
 
 
-def ref_p3(spec, n_max):
+def ref_p3(spec, n_max, terms=None):
     """(holds, first_violation) for the weighted-residual scan."""
     roots = spec.roots()
     if roots.discriminant_sign >= 0:
-        terms = iterate(spec, n_max + 2)
+        terms = iterate(spec, n_max + 2) if terms is None else terms
         alpha = roots.alpha
         res = [alpha * terms[n] - terms[n + 1] for n in range(n_max + 2)]
         for n in range(n_max + 1):
@@ -103,13 +108,35 @@ def ref_p3(spec, n_max):
     return True, None
 
 
-def ref_n0(spec, n_cap):
-    terms = iterate(spec, n_cap + 1)
+def ref_n0(spec, n_cap, terms=None):
+    terms = iterate(spec, n_cap + 1) if terms is None else terms
     n0 = 0
     for n in range(n_cap + 1):
         if terms[n] > terms[n + 1]:
             n0 = n + 1
     return n0 if n0 <= n_cap else None
+
+
+def reference_windows(spec, window, from_k):
+    """The OracleWindows that oracle.scan(spec, window, from_k) must
+    return, every field from the naive references on one iterate walk."""
+    last = from_k + window
+    terms = iterate(spec, max(last, window + 1) + 1)
+    real = spec.roots().discriminant_sign >= 0
+    return OracleWindows(
+        WindowReport(PropertyId.P1, (-1, window), *ref_p1(spec, 0, window, terms), ()),
+        WindowReport(PropertyId.P1, (from_k - 1, last),
+                     *ref_p1(spec, from_k, last, terms), ()),
+        WindowReport(PropertyId.P2, (0, window), *ref_p2(spec, window, terms))
+        if real else None,
+        WindowReport(PropertyId.P3, (0, window), *ref_p3(spec, window, terms), ()),
+        ref_n0(spec, window, terms),
+    )
+
+
+def _assert_matches_references(cases):
+    for case in cases:
+        assert oracle.scan(*case) == reference_windows(*case), case
 
 
 # ----------------------------------------------------------------------
@@ -209,16 +236,12 @@ class TestResidualTelescoping:
 
 
 class TestReferenceEquivalence:
-    """The rescaled integer scanner must equal the naive scanner exactly."""
-
-    WINDOW = 40
+    """The rescaled integer scanner must equal the naive scanner exactly,
+    held whole on (40, 0), (38, 2) and (60, 0), each case in one method."""
 
     def _specs(self):
-        edge = [
-            FIB,
-            LUCAS,
-            SPREAD_H,
-            make_h_spec(1, Fraction(1, 4), 1),
+        return [
+            FIB, LUCAS, SPREAD_H, make_h_spec(1, Fraction(1, 4), 1),
             RecurrenceSpec(Fraction(5, 2), 1, 1, 0),
             RecurrenceSpec(Fraction(1, 10), Fraction(-21, 5), 1, 3),
             RecurrenceSpec(3, 2, -31, -30),  # hits an exceptional zero
@@ -226,43 +249,22 @@ class TestReferenceEquivalence:
             RecurrenceSpec(2, 1, 1, 1),  # repeated unit root
             RecurrenceSpec(4, 4, 1, 2),  # start on an eigen-solution
             RecurrenceSpec(1, 1, 1, 1),  # complex rotation through zero
-        ]
-        return edge + build_corpus(777, 90)
+        ] + build_corpus(777, 90)
 
     def test_p1_matches_reference(self):
-        for spec in self._specs():
-            for k in (0, 2):
-                rep = oracle.scan(spec, self.WINDOW - k, k).p1_from_k
-                holds, first = ref_p1(spec, k, self.WINDOW)
-                assert (rep.holds_on_window, rep.first_violation) == (
-                    holds,
-                    first,
-                ), (spec, k)
+        _assert_matches_references((spec, 38, 2) for spec in self._specs())
 
     def test_p2_matches_reference(self):
-        for spec in self._specs():
-            if spec.roots().discriminant_sign < 0:
-                continue
-            rep = oracle.scan(spec, self.WINDOW, 0).p2
-            holds, first, skipped = ref_p2(spec, self.WINDOW)
-            assert (
-                rep.holds_on_window,
-                rep.first_violation,
-                rep.skipped_indices,
-            ) == (holds, first, skipped), spec
+        _assert_matches_references((spec, 40, 0) for spec in self._specs()
+                                   if spec.roots().discriminant_sign >= 0)
 
     def test_p3_matches_reference(self):
-        for spec in self._specs():
-            rep = oracle.scan(spec, self.WINDOW, 0).p3
-            holds, first = ref_p3(spec, self.WINDOW)
-            assert (rep.holds_on_window, rep.first_violation) == (
-                holds,
-                first,
-            ), spec
+        # P2 is None on the complex specs: P3 is the field they test
+        _assert_matches_references((spec, 40, 0) for spec in self._specs()
+                                   if spec.roots().discriminant_sign < 0)
 
     def test_n0_matches_reference(self):
-        for spec in self._specs():
-            assert oracle.scan(spec, 60, 0).n0_witness == ref_n0(spec, 60), spec
+        _assert_matches_references((spec, 60, 0) for spec in self._specs())
 
 
 class TestDegreeReducedScans:
@@ -335,29 +337,14 @@ class TestDegreeReducedScans:
         DECAYING,
     )
 
-    def _cases(self):
-        # a second pass on the two q = 13 DP specs with b < 0 and b > 0
-        # reaches carrier terms of ~2,000 bits, and on the decaying spec
-        # terms long enough for the brackets
-        return [(spec, self.WINDOW) for spec in self.SPECS] + [
-            (spec, self.LONG_WINDOW) for spec in (*self.SPECS[:2], self.DECAYING)
-        ]
-
     def test_p2_matches_reference(self):
-        for spec, window in self._cases():
-            rep = oracle.scan(spec, window, 0).p2
-            assert (
-                rep.holds_on_window,
-                rep.first_violation,
-                rep.skipped_indices,
-            ) == ref_p2(spec, window), (spec, window)
+        _assert_matches_references((spec, self.WINDOW, 0) for spec in self.SPECS)
 
     def test_p3_matches_reference(self):
-        for spec, window in self._cases():
-            rep = oracle.scan(spec, window, 0).p3
-            assert (rep.holds_on_window, rep.first_violation) == ref_p3(
-                spec, window
-            ), (spec, window)
+        # a second pass reaches carrier terms of ~2,000 bits on the two q = 13
+        # DP specs, b < 0 and b > 0, and brackets on the decaying spec
+        _assert_matches_references((spec, self.LONG_WINDOW, 0)
+                                   for spec in (*self.SPECS[:2], self.DECAYING))
 
     def test_long_operands_rarely_reach_the_exact_test(self, monkeypatch):
         # exact tests on operands of 640 bits or more at window 1000: on
@@ -463,19 +450,8 @@ class TestIndependentStops:
     )
 
     def test_each_scan_matches_its_reference(self):
-        for spec in self.SPECS:
-            for window in (0, 1, 2, 3, 5, 60):
-                w = oracle.scan(spec, window, 0)
-                p2, p3 = w.p2, w.p3
-                assert p2.checked_range == p3.checked_range == (0, window)
-                assert (
-                    p2.holds_on_window,
-                    p2.first_violation,
-                    p2.skipped_indices,
-                ) == ref_p2(spec, window), (spec, window)
-                assert (p3.holds_on_window, p3.first_violation) == ref_p3(
-                    spec, window
-                ), (spec, window)
+        _assert_matches_references((spec, w, 0) for spec in self.SPECS
+                                   for w in (0, 1, 2, 3, 5, 60))
 
     def test_the_two_scans_stop_at_different_indices(self):
         for spec in self.SPECS:
@@ -546,28 +522,8 @@ class TestScan:
         return sorted({0, 1, 2, w - 1, w, w + 1, w + 2, 3 * w})
 
     def test_fields_match_references(self):
-        for spec in self._specs():
-            real = spec.roots().discriminant_sign >= 0
-            for w in self.WINDOWS:
-                immediate = ref_p1(spec, 0, w)
-                p2 = ref_p2(spec, w) if real else None
-                p3, n0 = ref_p3(spec, w), ref_n0(spec, w)
-                for k in self._from_ks(w):
-                    got = oracle.scan(spec, w, k)
-                    case = (spec, w, k)
-                    assert got.p1_immediate.checked_range == (-1, w), case
-                    assert (got.p1_immediate.holds_on_window,
-                            got.p1_immediate.first_violation) == immediate, case
-                    assert got.p1_from_k.checked_range == (k - 1, k + w), case
-                    assert (got.p1_from_k.holds_on_window,
-                            got.p1_from_k.first_violation) == ref_p1(spec, k, k + w), case
-                    if real:
-                        assert (got.p2.holds_on_window, got.p2.first_violation,
-                                got.p2.skipped_indices) == p2, case
-                    else:
-                        assert got.p2 is None, case
-                    assert (got.p3.holds_on_window, got.p3.first_violation) == p3, case
-                    assert got.n0_witness == n0, case
+        _assert_matches_references((spec, w, k) for spec in self._specs()
+                                   for w in self.WINDOWS for k in self._from_ks(w))
 
     @staticmethod
     def _decided(text, after):
@@ -673,12 +629,8 @@ class TestNearCornerExactStep:
                 for k in (40, 120) for spec in _near_beta_eigen(a, b, k)]
 
     def test_p2_p3_match_references(self):
-        for spec in self.corner_specs() + self.near_eigen_specs():
-            w = oracle.scan(spec, self.WINDOW, 0)
-            assert (w.p2.holds_on_window, w.p2.first_violation,
-                    w.p2.skipped_indices) == ref_p2(spec, self.WINDOW), spec
-            assert (w.p3.holds_on_window, w.p3.first_violation) == ref_p3(
-                spec, self.WINDOW), spec
+        _assert_matches_references((spec, self.WINDOW, 0) for spec
+                                   in self.corner_specs() + self.near_eigen_specs())
 
     def test_the_product_step_runs(self, monkeypatch):
         # the step is the only caller of surd_sign, two calls each time;
@@ -718,21 +670,6 @@ def _split_part_signs(spec, window):
             if (x3 >= 0) != (y3 >= 0):
                 found.add(x3 >= 0)
     return found
-
-
-def _assert_fields_match_references(spec, w, k):
-    got = oracle.scan(spec, w, k)
-    assert (got.p1_immediate.holds_on_window,
-            got.p1_immediate.first_violation) == ref_p1(spec, 0, w)
-    assert (got.p1_from_k.holds_on_window,
-            got.p1_from_k.first_violation) == ref_p1(spec, k, k + w)
-    assert got.n0_witness == ref_n0(spec, w)
-    assert (got.p3.holds_on_window, got.p3.first_violation) == ref_p3(spec, w)
-    if spec.roots().discriminant_sign >= 0:
-        assert (got.p2.holds_on_window, got.p2.first_violation,
-                got.p2.skipped_indices) == ref_p2(spec, w)
-    else:
-        assert got.p2 is None
 
 
 coeffs_st = st.builds(lambda sign, p, q: Fraction(sign * p, q),
@@ -781,7 +718,7 @@ class TestPartSignsAndDifferenceWalk:
     @example((CERTIFICATE_EDGES[1], 15, 0))
     @settings(max_examples=400, deadline=None)
     def test_scan_matches_references(self, case):
-        _assert_fields_match_references(*case)
+        assert oracle.scan(*case) == reference_windows(*case), case
 
     def test_examples_reach_what_they_pin(self):
         assert _split_part_signs(SPLIT_NEGATIVE_B, 30) == {True, False}
@@ -833,7 +770,7 @@ class TestBlockWalk:
     """Past the window, the from-k P1 walk reads blocks of _BLOCK indices,
     E[n+j] = U[j]*E[n+1] + V[j]*E[n]; a block the ratio test does not
     clear reads the exact sign at each index from its first one read;
-    the first violation is held against the naive reference."""
+    every field is held against the naive references."""
 
     @given(block_cases())
     # the violation at 36 at j = 0 (of the first block, 36 = window + 1,
@@ -847,9 +784,7 @@ class TestBlockWalk:
     @example((NEAR_BETA_EIGEN, 2, 24))
     @settings(max_examples=300, deadline=None)
     def test_from_k_matches_reference(self, case):
-        spec, w, k = case
-        got = oracle.scan(spec, w, k).p1_from_k
-        assert (got.holds_on_window, got.first_violation) == ref_p1(spec, k, k + w)
+        assert oracle.scan(*case) == reference_windows(*case), case
 
     def test_examples_reach_what_they_pin(self):
         assert oracle.scan(LATE_DESCENT_LONG, 4, 33).p1_from_k.first_violation == 36
@@ -971,7 +906,7 @@ class TestCertifiedBlocks:
     @example((TIE_AT_BLOCK_END, 70, 64))
     @settings(max_examples=150, deadline=None)
     def test_scan_matches_references(self, case):
-        _assert_fields_match_references(*case)
+        assert oracle.scan(*case) == reference_windows(*case), case
 
     def test_clean_blocks(self):
         # P1, P2 and P3 hold on [32, 96) by two certificates, and past the
@@ -981,7 +916,22 @@ class TestCertifiedBlocks:
                           ("clean", 165), ("clean", 197), ("clean", 229)]
         assert got.p2.holds_on_window and got.p3.holds_on_window
         assert got.p1_from_k.holds_on_window and got.n0_witness == 0
-        _assert_fields_match_references(DEEP, 100, 150)
+        assert got == reference_windows(DEEP, 100, 150)
+        # within 2**-40 of -beta**n on roots 2.62 and 0.38, E > 0 shrinks up
+        # to index 14: the test past the window is E[n+j] >= 0 (c = 0), not
+        # growth, so it clears the block [3, 13)
+        near = _near_beta_eigen(3, 1, 40)[0]
+        case = (RecurrenceSpec(3, 1, -1, -near.v1), 2, 10)
+        got, events = _block_events(*case)
+        assert events == [("clean", 9)]
+        assert got == reference_windows(*case)
+        # repeated root 1, a[n] = 1 + 2*n: the u part ties at every index,
+        # |u[n+1]| = |B|*|u[n]|, which the part signs take as holding, so
+        # the walk reaches and certifies blocks
+        case = (RecurrenceSpec(2, 1, 1, 3), 100, 0)
+        got, events = _block_events(*case)
+        assert events == [("certified", 32), ("certified", 64)]
+        assert got == reference_windows(*case)
 
     def test_all_violation_blocks(self):
         # every term is negative and falls faster than q: each index of
@@ -990,7 +940,7 @@ class TestCertifiedBlocks:
         assert events == [("certified", 32), ("certified", 64)]
         assert got.p2.holds_on_window and got.p3.holds_on_window
         assert got.n0_witness is None and got.p1_from_k.first_violation == 149
-        _assert_fields_match_references(DEEP_NEGATIVE, 100, 150)
+        assert got == reference_windows(DEEP_NEGATIVE, 100, 150)
 
     def test_refused_blocks_fall_back(self):
         # inside the window: each run of _BLOCK indices decided on part
@@ -998,7 +948,7 @@ class TestCertifiedBlocks:
         # steps on per index
         got, events = _block_events(ALTERNATING, 100, 150)
         assert events == [("refused", 32), ("refused", 64)]
-        _assert_fields_match_references(ALTERNATING, 100, 150)
+        assert got == reference_windows(ALTERNATING, 100, 150)
         # past the window: E[5] > 0, but E descends at 36 inside the block
         # [5, 37), so the ratio test refuses it and the exact signs find 36
         tried = _scan_lines(lambda text, after: "(n, j < c and e0 > 0)"
@@ -1014,13 +964,13 @@ class TestCertifiedBlocks:
         got, events = _block_events(SHRINKING, 100, 102)
         assert events[:2] == [("refused", 34), ("refused", 66)]
         assert got.p2.first_violation == 0 and got.p3.holds_on_window
-        _assert_fields_match_references(SHRINKING, 100, 102)
+        assert got == reference_windows(SHRINKING, 100, 102)
         # where the terms are negative a tie |M[n+1]| = q*|M[n]| is no
         # violation, so the test on M is strict there
         got, events = _block_events(TIE_AT_BLOCK_END, 70, 64)
         assert events[0] == ("refused", 32)
         assert got.n0_witness == 63
-        _assert_fields_match_references(TIE_AT_BLOCK_END, 70, 64)
+        assert got == reference_windows(TIE_AT_BLOCK_END, 70, 64)
 
     @given(st.integers(-30, 30), st.integers(-30, 30).filter(bool),
            st.sampled_from((0, 1, 2, 3, 13)), st.integers(-20, 20).filter(bool),
