@@ -40,6 +40,19 @@ MAX_RES = 4096
 # (111-132 MB) (CPython 3.11, x86-64)
 MAX_N = 5000
 
+# analyze walks its window index by index wherever no certificate covers
+# it: on a complex pair whose P3 holds, (a, b, v0, v1) = (1/2, 1/3, 1, 1),
+# build_report took 1.2 s at --window 10000 and 22 s at 30000 (CPython
+# 3.11, x86-64); a block certificate makes growing terms cheap at any size
+MAX_WINDOW = 10000
+
+# the oracle walks from index 0 to the from-k window wherever no invariant
+# certificate stops it: on the near-unit corner (101/50, 1019999/1000000,
+# 1, 72/73) build_report took 1.4 s at --from-k 30000, 4.0 s at 50000 and
+# 14 s at 100000, and the decisions' jump to k alone 3.2 s at 10**6
+# (CPython 3.11, x86-64)
+MAX_FROM_K = 50000
+
 
 def _echo(text: str) -> str:
     """An argument value as an error message quotes it: whole up to 20
@@ -262,8 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "analyze", help="full decision + oracle report for one recurrence"
     )
     _add_spec_args(p_analyze)
-    p_analyze.add_argument("--window", type=_bounded_int(1), default=300, metavar="N")
-    p_analyze.add_argument("--from-k", type=_bounded_int(0), default=0, metavar="K")
+    p_analyze.add_argument("--window", type=_bounded_int(1, MAX_WINDOW), default=300, metavar="N")
+    p_analyze.add_argument("--from-k", type=_bounded_int(0, MAX_FROM_K), default=0, metavar="K")
     p_analyze.add_argument("--out", metavar="PATH",
                            help="write the JSON report here instead of stdout")
     p_analyze.set_defaults(func=_cmd_analyze)

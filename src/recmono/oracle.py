@@ -22,10 +22,13 @@ obeys w[n+j] = U[j]*w[n+1] + V[j]*w[n] on those tables, so with w[n]
 made positive the ratios w[n+1]/w[n] that pass a clean test at every
 index of a block form one interval, whose two ends are integer pairs:
 a cross-multiplication against each end decides the block.  In the P2/P3
-stretch that certifies growth of the carrier and of P3's residual part,
-which decides all three properties on the block (see scan); past the
-window it certifies E >= 0, a clean block of P1, and a block it does
-not clear reads the exact sign of E at each index it needs.
+stretch that certifies growth of the carrier, which decides all three
+properties on the block (see scan); past the window it certifies E >= 0,
+a clean block of P1, and a block it does not clear reads the exact sign
+of E at each index it needs.  Where one block maps that interval into
+itself (_invariant), the block after a certified one is certified too,
+and so by induction is every later block: the first certificate then
+decides every index after it, and the walk stops there.
 
 For speed the scans run on a rescaled integer copy of the sequence,
 recurrence.integer_carrier: with a = A/q, b = B/q over a common
@@ -155,27 +158,53 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     cross-multiplication of w[n], w[n+1] against each end (most
     intervals have one), and four products advance its pair.
 
-    Certified blocks in the real-root P2/P3 stretch.  A block of indices
-    [n, n + _BLOCK) inside the window is certified where M and u each
-    keep one sign and |u[i+1]| >= |B|*|u[i]| and
-    |M[i+1]| >= max(|B|, q)*|M[i]| at each index i of it: the ratio
-    tests with c = max(|B|, q) on M and c = |B| on u, each made positive
-    at n.  Since |B| and q are integers of at least 1, growth alone gives
-    positivity: w[i+1] >= c*w[i] >= w[i] > 0 from w[n] > 0 on, so the
-    signs need no test of their own, and the conjugate form (below: u
-    and s*M*sqrt(d) differ in sign or d = 0, and N != 0), which reads
-    only those signs, holds at every index where it holds at n.  P3 then
-    holds at every index by its part signs, and P2 follows from P3 since
-    |a[i+1]| >= |a[i]|.  The test on u reads P3 off the block's own
-    terms; P3 at the indices before the block would give it only through
-    the theorem.  P1 holds where M > 0; where M < 0 the test on M
-    is strict, so |M[i+1]| > q*|M[i]| and every index is a violation.
-    The walk tries a block only after _BLOCK indices in a row whose P3
-    the part signs decided, which leaves P3 open, the conjugate form true
-    at n and M[n], u[n] != 0, and after a refused block only after
-    another such run: a spec whose blocks fail (terms of alternating
-    sign, say) pays one try per _BLOCK indices, and a complex pair or a
-    stretch where only P2 is open never reaches one.  From the first
+    Certified blocks in the real-root P2/P3 stretch.  The walk tries a
+    block of indices [n, n + _BLOCK) inside the window only after _BLOCK
+    indices in a row whose P3 the part signs decided, which leaves P3
+    open, the conjugate form (below: u and s*M*sqrt(d) differ in sign or
+    d = 0, and N != 0) true at n and M[n], u[n] != 0, and after a
+    refused block only after another such run: a spec whose blocks fail
+    (terms of alternating sign, say) pays one try per _BLOCK indices,
+    and a complex pair or a stretch where only P2 is open never reaches
+    one.  The block is certified where M keeps one sign and
+    |M[i+1]| >= max(|B|, q)*|M[i]| at each index i of it: the ratio test
+    with c = max(|B|, q), made positive at n.  Since |B| and q are
+    integers of at least 1, growth alone gives positivity:
+    w[i+1] >= c*w[i] >= w[i] > 0 from w[n] > 0 on.  P1 holds where
+    M > 0; where M < 0 the test is strict, so |M[i+1]| > q*|M[i]| and
+    every index is a violation.  P3 holds at every index by its part
+    signs, since u too keeps one sign and grows by |B| (next), and P2
+    follows from P3 since |a[i+1]| >= |a[i]|.
+
+    That u grows needs no test of its own: M's test and the run before
+    the block imply it.  On the carrier's roots alpha' = q*alpha and
+    beta' = q*beta, write M[i] = P[i] + Q[i] with P[i] = c1*alpha'**i and
+    Q[i] = c2*beta'**i; then u = s*sqrt(d)*(Q - P), the conjugate form
+    at i gives |Q[i]| <= |P[i]| and P, Q != 0, and with x = Q[i]/P[i]
+    and r = beta'/alpha' (|r| <= 1), M[i+1]/M[i] = alpha'*(1 + r*x)/(1 + x)
+    and u[i+1]/u[i] = alpha'*(1 - r*x)/(1 - x).  At n, M[n], u[n] != 0
+    rule out x = -1 and 1, and x[i] = x[n]*r**(i-n), so |x| < 1 from n
+    on: M has P's sign, M keeping its sign makes alpha' > 0, and u keeps
+    its sign too.  Where x >= 0, u[i+1]/u[i] >= alpha' >= M[i+1]/M[i],
+    which is >= |B|.  Where x < 0, u[i+1]/u[i] equals
+    alpha'*(1 + r*|x|)/(1 + |x|), which falls as |x| grows; at j = n - 1
+    or n - 2, x[j] has x[i]'s sign and |x[j]| >= |x[i]|, and the run
+    (the conjugate form and the part on u), or the certified block
+    before, gives u[j+1]/u[j] >= |B|.  On a repeated root (d = 0),
+    M[i] = (c1 + c2*i)*alpha'**i keeps its sign only where alpha' > 0,
+    and u[i] = -2*c2*alpha'**(i+1) grows by alpha', the ratio the run
+    read.  The roots enter this argument only; the walk reads none.
+
+    Lasting certificates.  Where the test on M (strict where M < 0) is
+    invariant, one block mapping its ratio interval into itself
+    (_invariant), the pair a certified block advances to passes it again,
+    with the conjugate form true and M, u != 0 by growth, and so by
+    induction does every later block: P2 and P3 hold through the window,
+    and P1 holds at every index from n on where M > 0, while where M < 0
+    every index is a violation, the from-k window's first at
+    max(n, from_k - 1).  The walk then stops after that block, runs the
+    self-check on the pair it advanced to, and skips _p1_alone.  Where
+    the test is not invariant, blocks run on as above.  From the first
     certified block on, the walk reads M off the recurrence from the
     advanced pair instead of integer_carrier's iterator, and the
     self-check below guards that pair.
@@ -323,6 +352,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     first3: Optional[int] = None
     run = 0  # indices in a row whose P3 the part signs decided
     U = V = None  # the block tables, walked on first need
+    lasting = False  # every block from n on is certified too
     n = 0
     while n <= window and (first3 is None or (real and first2 is None)):
         m2 = next(M)
@@ -332,15 +362,19 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
             # the run leaves P3 open, conj true at n and M[n], u[n] != 0
             if U is None:
                 U, V = _block_tables(A, Bq)
-                grow_m, grow_u = _ratio_tests(U, V, max(aB, q)), _ratio_tests(U, V, aB)
-            # M grows by max(|B|, q), strictly where M < 0, and u by |B|
-            if _ratio_in(grow_m, m0, m1, m0 < 0) and _ratio_in(grow_u, u0, u1):
+                grow = _ratio_tests(U, V, max(aB, q))
+                invariant = (_invariant(U, V, grow), _invariant(U, V, grow, True))
+            # M grows by max(|B|, q), strictly where M < 0 (u then grows by |B|)
+            if _ratio_in(grow, m0, m1, m0 < 0):
                 if m0 < 0:
                     p1.extend(range(n, n + _BLOCK))
                 m0, m1 = U[_BLOCK] * m1 + V[_BLOCK] * m0, U[_BLOCK + 1] * m1 + V[_BLOCK + 1] * m0
                 u0 = A * m0 - 2 * m1
                 lm0, lm1, lu0 = m0.bit_length(), m1.bit_length(), u0.bit_length()
                 n += _BLOCK
+                lasting = invariant[m0 < 0]
+                if lasting:
+                    break  # every later block is certified too (see above)
                 # M[n+2], M[n+3], ... from the advanced pair on
                 M = islice(_carrier_terms(A, Bq, m0, m1), 2, None)
                 continue
@@ -395,8 +429,15 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
             "N[n+1] = B*q*N[n] differs from the one computed "
             f"directly at index {n}"
         )
-    _p1_alone(q, A, Bq, m0, m1, n, window, from_k, p1, U, V)
     last, k1 = from_k + window, from_k - 1
+    if not lasting:
+        _p1_alone(q, A, Bq, m0, m1, n, window, from_k, p1, U, V)
+    elif m0 < 0:
+        # every index from n on violates P1: the rest of the window, and
+        # the from-k window's first where that starts past it
+        p1.extend(range(n, window + 1))
+        if k1 > window:
+            p1.append(k1)
     checked = (0, window)
     p2 = None
     if real:
@@ -431,7 +472,10 @@ def _p1_alone(q: int, A: int, Bq: int, m0: int, m1: int, n: int, window: int,
     test with c = 0 (see scan).  Any other block reads, from its first
     index at or after k1 on, the exact sign of U[j]*E[n+1] + V[j]*E[n].
     Each block ends on the exact pair (E[n+c], E[n+c+1]), and the walk
-    stops at the first violation or at from_k + window.
+    stops at the first violation or at from_k + window.  Where the c = 0
+    test is invariant (_invariant), the first block that passes it, before
+    k1 or not, is followed by blocks that all pass: E >= 0 from there on,
+    every index through from_k + window is clean, and the walk stops.
     """
     e0, e1 = m1 - q * m0, (A - q) * m1 - Bq * m0
     while n <= window:
@@ -445,10 +489,13 @@ def _p1_alone(q: int, A: int, Bq: int, m0: int, m1: int, n: int, window: int,
     if U is None:
         U, V = _block_tables(A, Bq)
     clean = _ratio_tests(U, V, 0)
+    lasting = _invariant(U, V, clean)
     while n <= last and not (p1 and p1[-1] >= k1):
         c = min(_BLOCK, last + 1 - n)
         j = max(k1 - n, 0)  # the block's first index read
-        if j < c and e0 > 0 and _ratio_in(clean, e0, e1):
+        if (j < c or lasting) and e0 > 0 and _ratio_in(clean, e0, e1):
+            if lasting:
+                return  # so does every later block: E >= 0 from n on
             j = c  # E[n] > 0 and E[n+1], ..., E[n+_BLOCK] >= 0
         for j in range(j, c):
             if U[j] * e1 + V[j] * e0 < 0:
@@ -492,6 +539,32 @@ def _ratio_tests(U: list[int], V: list[int], c: int) -> list[tuple[int, int]]:
         elif y < 0:
             return [(0, -1)]
     return [end for end in (below, above) if end]
+
+
+def _invariant(U: list[int], V: list[int], tests: list[tuple[int, int]],
+               strict: bool = False) -> bool:
+    """Whether every block after one that passes tests passes them too.
+
+    One block maps rho = w[n+1]/w[n] to
+    T(rho) = (U[_BLOCK+1]*rho + V[_BLOCK+1]) / (U[_BLOCK]*rho + V[_BLOCK]),
+    whose denominator is w[n+_BLOCK]/w[n].  On an interval where that
+    stays positive, T is continuous and monotone, so it maps the interval
+    C of tests onto the interval between the images of C's two ends, and
+    into C where both images pass tests (for the strict test, whose C is
+    open, that is enough).  An end (x, y) is the pair (w0, w1) = (|x|, -y)
+    for x > 0 and (|x|, y) for x < 0; an end unbounded above is (0, 1),
+    whose image is (U[_BLOCK], U[_BLOCK+1]).  An image with w0 <= 0
+    counts as failing: where each end's image has w0 > 0, so does all of
+    C, the denominator being affine in rho.  By induction, a block that
+    passes invariant tests starts a run of passing blocks with no end."""
+    ends = [(abs(x), -y if x > 0 else y) for x, y in tests]
+    if all(x > 0 for x, _ in tests):
+        ends.append((0, 1))
+    for w0, w1 in ends:
+        v0, v1 = U[_BLOCK] * w1 + V[_BLOCK] * w0, U[_BLOCK + 1] * w1 + V[_BLOCK + 1] * w0
+        if v0 <= 0 or not _ratio_in(tests, v0, v1, strict):
+            return False
+    return True
 
 
 def _ratio_in(tests: list[tuple[int, int]], w0: int, w1: int, strict: bool = False) -> bool:

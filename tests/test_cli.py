@@ -200,6 +200,12 @@ class TestIntegerArguments:
              "argument --n: must be at most 5000"),
             (["riccati", "--a", "1", "--b", "-1", "--b0", "1/2", "--n", str(cli.MAX_N + 1)],
              "argument --n: must be at most 5000"),
+            (["analyze", "--a", "1", "--b", "-1", "--h-init", "1",
+              "--window", str(cli.MAX_WINDOW + 1)],
+             "argument --window: must be at most 10000"),
+            (["analyze", "--a", "1", "--b", "-1", "--h-init", "1",
+              f"--from-k={cli.MAX_FROM_K + 1}"],
+             "argument --from-k: must be at most 50000"),
         ],
     )
     def test_out_of_range_or_malformed_exits_two(self, capsys, argv, text):
@@ -221,6 +227,13 @@ class TestIntegerArguments:
         for argv in (["sequence", "--a", "1", "--b", "-1", "--h-init", "1"],
                      ["riccati", "--a", "1", "--b", "-1", "--b0", "1/2"]):
             assert cli._parser().parse_args([*argv, "--n", "5000"]).n == cli.MAX_N == 5000
+
+    def test_window_and_from_k_caps_are_inclusive(self):
+        # the parser alone: no report is built at the caps
+        args = cli._parser().parse_args(
+            ["analyze", "--a", "1", "--b", "-1", "--h-init", "1",
+             "--window", "10000", "--from-k", "50000"])
+        assert (args.window, args.from_k) == (cli.MAX_WINDOW, cli.MAX_FROM_K) == (10000, 50000)
 
     @pytest.mark.parametrize(
         "argv, flag",

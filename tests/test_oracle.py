@@ -49,6 +49,19 @@ SPREAD_H = make_h_spec(1, -3, 1)
 # window; with h = -2/5 every term is negative and every index violates P1
 DEEP = make_h_spec(Fraction(28, 13), Fraction(-3, 13), Fraction(2, 5))
 DEEP_NEGATIVE = make_h_spec(Fraction(28, 13), Fraction(-3, 13), Fraction(-2, 5))
+# roots 3 and 2: the terms and their differences E grow, but the c = 0
+# test past the window is not invariant (the image of its lower end has
+# E = 0), so the walk past the window clears block after block
+RISING = make_h_spec(5, 6, 1)
+# roots 199/200 and 99/100 and a[n] = alpha**n - (1 - 1/1000)*beta**n: the
+# terms grow by more than 1 per index up to about index 130, then shrink
+# toward the dominant root below 1, so the test on M (growth by q) is not
+# invariant and the walk certifies blocks at 32, 64 and 96 and refuses 128
+TRANSIENT = RecurrenceSpec(Fraction(397, 200), Fraction(19701, 20000),
+                           Fraction(1, 1000), Fraction(599, 100000))
+# repeated root 1, a[n] = -1 - 2*n: every index violates P1, and the strict
+# test on M is not invariant (its interval's end is the tie a[n+1] = a[n])
+FALLING_UNIT = RecurrenceSpec(2, 1, -1, -3)
 
 
 # ----------------------------------------------------------------------
@@ -347,15 +360,19 @@ class TestDegreeReducedScans:
                                    for spec in (*self.SPECS[:2], self.DECAYING))
 
     def test_long_operands_rarely_reach_the_exact_test(self, monkeypatch):
-        # exact tests on operands of 640 bits or more at window 1000: on
-        # the three q = 13 DP specs P3 leads and implies P2, on the
-        # decaying spec P2 leads; brackets built from the top words of
-        # the terms decide every index of these four whose operands are
-        # that long
+        # exact tests at indices where bits(M[n]) >= 64, the threshold from
+        # which the brackets run, at window 1000: on the three q = 13 DP
+        # specs P3 leads and implies P2, and the walk stops after its first
+        # certified block; on the decaying spec P2 leads.  The count showed
+        # 36 exact steps, all on the decaying spec and all at its first 18
+        # indices, where M has 7 to 60 bits (two surd signs for P2 at each,
+        # on operands of at most 130 bits): the brackets built from the top
+        # words of the terms decide every index where they run
         calls = []
 
         def counted(x, y, n):
-            calls.append(max(x.bit_length(), y.bit_length()))
+            # the walk's bits(M[n]), read off the exact step's frame
+            calls.append((sys._getframe(1).f_locals["lm0"], max(x.bit_length(), y.bit_length())))
             return surd_sign(x, y, n)
 
         monkeypatch.setattr(oracle, "surd_sign", counted)
@@ -363,8 +380,8 @@ class TestDegreeReducedScans:
             calls.clear()
             w = oracle.scan(spec, 1000, 0)
             assert w.p2.holds_on_window and w.p3.holds_on_window, spec
-            long_calls = sum(bits >= 640 for bits in calls)
-            assert long_calls == 0, (spec, long_calls)
+            assert [bits for bits, _ in calls if bits >= 64] == [], spec
+            assert all(bits < 640 for _, bits in calls), spec
 
     def test_growing_specs_run_no_exact_test(self, monkeypatch):
         # where both parts of P3's conjugate form are >= 0 and the terms
@@ -543,22 +560,27 @@ class TestScan:
     def test_walk_goes_past_the_window_only_while_from_k_is_clean(self):
         reads = _scan_lines(self._decided)
         # one index read in the P2/P3 stretch, P1 alone and the blocks past
-        # the window; a certified range inside and past the window
-        assert len(reads) == 5
-        # (spec, window, from_k, last index a window compares): the clean
-        # from-k window [99, 120] of FIB compares up to index 120; the
-        # second stops at its violation at 36, short of its end at 40; the
-        # third, 2**n + 2**(30 - n), descends up to index 14, inside the
-        # window, so its from-k window [9, 30] needs no index past 20; at
-        # window 100 FIB certifies [32, 96) inside the window and its clean
-        # from-k window [149, 250] past it, and DEEP_NEGATIVE certifies
-        # [32, 96) as violations and stops at the window's end
+        # the window, and the from-k window's first after a lasting
+        # certificate where M < 0 (which these cases do not reach); a
+        # certified range inside and past the window
+        assert len(reads) == 6
+        # (spec, window, from_k, last index a window compares), on specs
+        # whose tests are not invariant, so the walk runs block by block:
+        # the clean from-k window [99, 120] of RISING compares up to index
+        # 120; the second stops at its violation at 36, short of its end at
+        # 40; the third, 2**n + 2**(30 - n), descends up to index 14, inside
+        # the window, so its from-k window [9, 30] needs no index past 20;
+        # at window 100 TRANSIENT certifies [32, 96) inside the window and
+        # RISING clears its from-k window [149, 250] past it, and
+        # FALLING_UNIT certifies [32, 96) as violations and stops at the
+        # window's end
         for spec, w, k, last in (
-            (FIB, 20, 100, 120),
+            (RISING, 20, 100, 120),
             (RecurrenceSpec(Fraction(7, 2), 3, 1000000, 1499990), 10, 30, 36),
             (RecurrenceSpec(Fraction(5, 2), 1, 2**30 + 1, 2**29 + 2), 20, 10, 20),
-            (FIB, 100, 150, 250),
-            (DEEP_NEGATIVE, 100, 50, 100),
+            (TRANSIENT, 100, 0, 100),
+            (RISING, 100, 150, 250),
+            (FALLING_UNIT, 100, 50, 100),
         ):
             _, decided = _traced_scan(spec, w, k, reads)
             seen = [i for x in decided for i in (x if isinstance(x, range) else (x,))]
@@ -809,8 +831,10 @@ class TestBlockWalk:
         starts = _scan_lines(lambda text, after: "(n, e0, e1)"
                              if text.startswith("c = min(_BLOCK") else None)
         assert len(starts) == 1
-        table = RecurrenceSpec(Fraction(7, 3), Fraction(-5, 7), Fraction(3, 4), Fraction(-2, 5))
-        for spec, w, k in ((FIB, 0, 5000), (FIB, 33, 4000), (table, 300, 5000),
+        # on specs whose c = 0 test is not invariant, so that the blocks run
+        # up to k - 1: RISING, and roots 4 and 3/2 over q = 2
+        over_q = make_h_spec(Fraction(11, 2), 6, Fraction(3, 4))
+        for spec, w, k in ((RISING, 0, 5000), (RISING, 33, 4000), (over_q, 300, 5000),
                            (RecurrenceSpec(1, 1, 1, 2), 7, 2000), (LATE_DESCENT_LONG, 3, 30)):
             _, seen = _traced_scan(spec, w, k, starts)
             assert seen, spec
@@ -878,27 +902,34 @@ def deep_cases(draw):
 def _block_events(spec, window, from_k):
     """scan's windows and, in walk order, each block the walk certifies
     inside the window (certified, n), each try the ratio test refuses
-    there (refused, n), and each block past the window that one ratio
-    test clears from its first index read on (clean, n + j)."""
+    there (refused, n), each block past the window that one ratio test
+    clears from its first index read on (clean, n + j), and the index n
+    from which an invariant test decides every later index, where the
+    walk stops (lasting, n): inside the window, after the certified block
+    that ends at n, and past it, at the block that passes at n."""
     lines = _scan_lines(lambda text, after:
                         "('certified', n)" if text.startswith("m0, m1 = U[_BLOCK]")
                         else "('refused', n)" if text == "run = 0"
                         else "('clean', n + j)" if text.startswith("j = c ")
+                        else "('lasting', n)" if text.startswith(("break  # every later",
+                                                                   "return  # so does every"))
                         else None)
-    assert len(lines) == 3
+    assert len(lines) == 5
     return _traced_scan(spec, window, from_k, lines)
 
 
 class TestCertifiedBlocks:
     """Inside the window a real-root walk decides a block of _BLOCK
-    indices at once where one ratio test each certifies that M and u
-    grow; past it one ratio test clears a block of P1 where E > 0.  Each
-    pinned case reaches the path it names, and every field is held
-    against the naive references."""
+    indices at once where one ratio test certifies that M grows; past it
+    one ratio test clears a block of P1 where E > 0.  Each pinned case
+    reaches the path it names, and every field is held against the naive
+    references."""
 
     @given(deep_cases())
     @example((DEEP, 100, 150))
     @example((DEEP_NEGATIVE, 100, 150))
+    @example((TRANSIENT, 100, 150))
+    @example((FALLING_UNIT, 100, 150))
     @example((ALTERNATING, 100, 150))
     @example((RecurrenceSpec(5, 6, 1, 2), 64, 66))  # on the eigen-solution 2^n
     @example((RecurrenceSpec(2, 1, -2**700, -3 * 2**700), 64, 66))  # repeated root 1
@@ -909,14 +940,19 @@ class TestCertifiedBlocks:
         assert oracle.scan(*case) == reference_windows(*case), case
 
     def test_clean_blocks(self):
-        # P1, P2 and P3 hold on [32, 96) by two certificates, and past the
-        # window the from-k window [149, 250] is cleared block by block
-        got, events = _block_events(DEEP, 100, 150)
-        assert events == [("certified", 32), ("certified", 64), ("clean", 149),
-                          ("clean", 165), ("clean", 197), ("clean", 229)]
+        # P1, P2 and P3 hold on [32, 96) by two certificates whose test is
+        # not invariant, so the walk goes on per index after them
+        got, events = _block_events(TRANSIENT, 100, 150)
+        assert events == [("certified", 32), ("certified", 64)]
         assert got.p2.holds_on_window and got.p3.holds_on_window
+        assert got.n0_witness == 0 and got.p1_from_k.first_violation == 149
+        assert got == reference_windows(TRANSIENT, 100, 150)
+        # past the window the from-k window [149, 250] is cleared block by
+        # block, the c = 0 test not being invariant
+        got, events = _block_events(RISING, 100, 150)
+        assert events == [("clean", 149), ("clean", 165), ("clean", 197), ("clean", 229)]
         assert got.p1_from_k.holds_on_window and got.n0_witness == 0
-        assert got == reference_windows(DEEP, 100, 150)
+        assert got == reference_windows(RISING, 100, 150)
         # within 2**-40 of -beta**n on roots 2.62 and 0.38, E > 0 shrinks up
         # to index 14: the test past the window is E[n+j] >= 0 (c = 0), not
         # growth, so it clears the block [3, 13)
@@ -927,20 +963,22 @@ class TestCertifiedBlocks:
         assert got == reference_windows(*case)
         # repeated root 1, a[n] = 1 + 2*n: the u part ties at every index,
         # |u[n+1]| = |B|*|u[n]|, which the part signs take as holding, so
-        # the walk reaches and certifies blocks
+        # the walk reaches and certifies a block; its test (growth by 1) is
+        # invariant, so that block decides the rest
         case = (RecurrenceSpec(2, 1, 1, 3), 100, 0)
         got, events = _block_events(*case)
-        assert events == [("certified", 32), ("certified", 64)]
+        assert events == [("certified", 32), ("lasting", 64)]
         assert got == reference_windows(*case)
 
     def test_all_violation_blocks(self):
-        # every term is negative and falls faster than q: each index of
-        # the two certified blocks is a violation of P1
-        got, events = _block_events(DEEP_NEGATIVE, 100, 150)
+        # every term is negative and falls: each index of the two certified
+        # blocks is a violation of P1, and the strict test, whose interval
+        # ends on the tie a[n+1] = a[n], is not invariant
+        got, events = _block_events(FALLING_UNIT, 100, 150)
         assert events == [("certified", 32), ("certified", 64)]
         assert got.p2.holds_on_window and got.p3.holds_on_window
         assert got.n0_witness is None and got.p1_from_k.first_violation == 149
-        assert got == reference_windows(DEEP_NEGATIVE, 100, 150)
+        assert got == reference_windows(FALLING_UNIT, 100, 150)
 
     def test_refused_blocks_fall_back(self):
         # inside the window: each run of _BLOCK indices decided on part
@@ -952,7 +990,7 @@ class TestCertifiedBlocks:
         # past the window: E[5] > 0, but E descends at 36 inside the block
         # [5, 37), so the ratio test refuses it and the exact signs find 36
         tried = _scan_lines(lambda text, after: "(n, j < c and e0 > 0)"
-                            if text.startswith("if j < c and e0 > 0") else None)
+                            if text.startswith("if (j < c or lasting) and e0 > 0") else None)
         got, seen = _traced_scan(LATE_DESCENT_LONG, 4, 33, tried)
         assert seen == [(5, True)]
         assert _block_events(LATE_DESCENT_LONG, 4, 33)[1] == []
@@ -993,6 +1031,96 @@ class TestCertifiedBlocks:
         want = all(sign * (y - c * x) >= strict for x, y in zip(w, w[1:]))
         tests = oracle._ratio_tests(*oracle._block_tables(A, Bq), c)
         assert oracle._ratio_in(tests, w0, w1, strict) == want
+
+
+TABLE = RecurrenceSpec(Fraction(7, 3), Fraction(-5, 7), Fraction(3, 4), Fraction(-2, 5))
+
+
+class TestLastingCertificates:
+    """Where one block maps a ratio test's interval into itself
+    (oracle._invariant), a block that passes the test decides every later
+    index: inside the window the walk stops after its first certified
+    block, and past it at the first block the c = 0 test clears.  Pinned
+    against the naive references around each exit, and by event traces."""
+
+    CASES = (
+        # the certificate at 32 decides [64, 300], far below the window's
+        # end, and the from-k window [299, 600] with it
+        (DEEP, 300, 0), (DEEP, 300, 300),
+        # windows that are not a multiple of _BLOCK: the certified block
+        # [32, 64) ends on the window's last index (63) or inside it
+        (DEEP, 63, 0), (DEEP, 63, 70), (DEEP_NEGATIVE, 63, 64), (DEEP_NEGATIVE, 63, 70),
+        (DEEP, 77, 0), (DEEP, 95, 3), (DEEP_NEGATIVE, 95, 0),
+        # M < 0: every index from 64 on violates P1; the from-k window's
+        # first is max(64, k - 1), before, at and past the window's end
+        (DEEP_NEGATIVE, 100, 0), (DEEP_NEGATIVE, 100, 50), (DEEP_NEGATIVE, 100, 70),
+        (DEEP_NEGATIVE, 100, 101), (DEEP_NEGATIVE, 100, 102), (DEEP_NEGATIVE, 100, 150),
+        # far from-k windows, decided without a block past the window
+        (DEEP, 100, 2000), (DEEP_NEGATIVE, 100, 2000), (FIB, 20, 3000),
+        # the c = 0 test past the window: invariant on FIB and TABLE,
+        # whose first block past the window clears the from-k window
+        (FIB, 0, 500), (FIB, 20, 100), (TABLE, 50, 600), (TABLE, 64, 1000),
+        # tests that are not invariant: the blocks run on
+        (TRANSIENT, 200, 0), (FALLING_UNIT, 100, 150), (RISING, 100, 150),
+    )
+
+    def test_scan_matches_references(self):
+        _assert_matches_references(self.CASES)
+
+    def test_one_block_decides_the_rest(self):
+        # DEEP: 32 indices on part signs, then one certified block, after
+        # which the walk stops at 64; its from-k window [149, 250] is
+        # clean with no block past the window
+        got, events = _block_events(DEEP, 100, 150)
+        assert events == [("certified", 32), ("lasting", 64)]
+        assert got.p2.holds_on_window and got.p3.holds_on_window
+        assert got.p1_from_k.holds_on_window and got.n0_witness == 0
+        assert got == reference_windows(DEEP, 100, 150)
+        # the same at from-k 10**5: no block runs past the window either
+        far, events = _block_events(DEEP, 100, 10**5)
+        assert events == [("certified", 32), ("lasting", 64)]
+        assert far.p1_from_k == WindowReport(PropertyId.P1, (10**5 - 1, 10**5 + 100), True, None, ())
+        # every term negative: the from-k window's first violation is its
+        # first index, 149, with no block past the window
+        got, events = _block_events(DEEP_NEGATIVE, 100, 150)
+        assert events == [("certified", 32), ("lasting", 64)]
+        assert got.n0_witness is None and got.p1_from_k.first_violation == 149
+        assert got == reference_windows(DEEP_NEGATIVE, 100, 150)
+        # past the window: FIB's first block, at 21, clears [99, 120]
+        got, events = _block_events(FIB, 20, 100)
+        assert events == [("lasting", 21)]
+        assert got == reference_windows(FIB, 20, 100)
+
+    def test_invariant_ratio_tests(self):
+        def tests(spec, c):
+            q, A, B, _, _ = integer_carrier(spec)
+            U, V = oracle._block_tables(A, B * q)
+            return U, V, oracle._ratio_tests(U, V, max(abs(B), q) if c is None else c)
+
+        # growth by max(|B|, q): plain and strict on DEEP; plain only on
+        # FALLING_UNIT, whose strict interval ends on a tie; neither on
+        # TRANSIENT, whose dominant root 199/200 is below the growth of 1
+        assert oracle._invariant(*tests(DEEP, None))
+        assert oracle._invariant(*tests(DEEP, None), True)
+        assert oracle._invariant(*tests(FALLING_UNIT, None))
+        assert not oracle._invariant(*tests(FALLING_UNIT, None), True)
+        assert not oracle._invariant(*tests(TRANSIENT, None))
+        # c = 0: FIB's and TABLE's interval is unbounded above and maps
+        # into itself; RISING's lower end is a solution with E[32] = 0,
+        # whose image has w0 = 0
+        assert oracle._invariant(*tests(FIB, 0)) and oracle._invariant(*tests(TABLE, 0))
+        U, V, clean = tests(RISING, 0)
+        (x, y), = clean
+        assert U[oracle._BLOCK] * -y + V[oracle._BLOCK] * x == 0
+        assert not oracle._invariant(U, V, clean)
+        # rho >= 1 on roots 1 and -6: its end is the eigen-solution 1**n,
+        # which maps to itself, but every larger ratio is drawn toward -6;
+        # only the image of the unbounded end, (U[32], U[33]) with
+        # U[32] < 0, shows it
+        U, V = oracle._block_tables(-5, -6)
+        j = oracle._BLOCK
+        assert (U[j] + V[j], U[j + 1] + V[j + 1]) == (1, 1)
+        assert U[j] < 0 and not oracle._invariant(U, V, [(1, -1)])
 
 
 def _broken_carrier(spec):
