@@ -53,6 +53,12 @@ MAX_WINDOW = 10000
 # (CPython 3.11, x86-64)
 MAX_FROM_K = 50000
 
+# enumerate lists the O(a_max**2) integer pairs up to a_max, each with
+# its roots' decimals in JSON: at --a-max 300 JSON took 1.3 s, 17 MB of
+# output and 170 MB peak RSS, at 600 6.5 s, 68 MB and 635 MB; CSV 0.17
+# and 0.71 s (CPython 3.11, x86-64)
+MAX_A_MAX = 300
+
 
 def _echo(text: str) -> str:
     """An argument value as an error message quotes it: whole up to 20
@@ -292,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="integer pairs (a, b) with 0 < |b| <= a and both roots real, "
         "the dominant one at least 1",
     )
-    p_enum.add_argument("--a-max", type=_bounded_int(1), required=True, metavar="N")
+    p_enum.add_argument("--a-max", type=_bounded_int(1, MAX_A_MAX), required=True, metavar="N")
     p_enum.add_argument("--format", choices=("json", "csv"), default="json")
     p_enum.set_defaults(func=_cmd_enumerate)
 

@@ -21,14 +21,16 @@ by an exact certificate.  Every solution w of the carrier's recurrence
 obeys w[n+j] = U[j]*w[n+1] + V[j]*w[n] on those tables, so with w[n]
 made positive the ratios w[n+1]/w[n] that pass a clean test at every
 index of a block form one interval, whose two ends are integer pairs:
-a cross-multiplication against each end decides the block.  In the P2/P3
-stretch that certifies growth of the carrier, which decides all three
-properties on the block (see scan); past the window it certifies E >= 0,
-a clean block of P1, and a block it does not clear reads the exact sign
-of E at each index it needs.  Where one block maps that interval into
-itself (_invariant), the block after a certified one is certified too,
-and so by induction is every later block: the first certificate then
-decides every index after it, and the walk stops there.
+a cross-multiplication against each end decides the block.  Where one
+block maps that interval into itself (_invariant), the block after a
+passing one passes too, and so by induction does every later block.  In
+the P2/P3 stretch the test certifies growth of the carrier, which
+decides all three properties (see scan); the walk certifies a block
+there only where that test is invariant, so its first certificate
+decides every later index and ends the walk.  Past the window the test
+certifies E >= 0, a clean block of P1, and ends the walk where it is
+invariant; a block it does not clear reads the exact sign of E at each
+index it needs.
 
 For speed the scans run on a rescaled integer copy of the sequence,
 recurrence.integer_carrier: with a = A/q, b = B/q over a common
@@ -68,12 +70,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from math import isqrt
 from typing import Optional
 
 from .qfield import dominant_root_sign, surd_sign
-from .recurrence import RecurrenceSpec, _carrier_terms, integer_carrier
+from .recurrence import RecurrenceSpec, integer_carrier
 
 __all__ = [
     "InternalInconsistency",
@@ -159,17 +160,18 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     intervals have one), and four products advance its pair.
 
     Certified blocks in the real-root P2/P3 stretch.  The walk tries a
-    block of indices [n, n + _BLOCK) inside the window only after _BLOCK
-    indices in a row whose P3 the part signs decided, which leaves P3
-    open, the conjugate form (below: u and s*M*sqrt(d) differ in sign or
-    d = 0, and N != 0) true at n and M[n], u[n] != 0, and after a
-    refused block only after another such run: a spec whose blocks fail
-    (terms of alternating sign, say) pays one try per _BLOCK indices,
-    and a complex pair or a stretch where only P2 is open never reaches
-    one.  The block is certified where M keeps one sign and
-    |M[i+1]| >= max(|B|, q)*|M[i]| at each index i of it: the ratio test
-    with c = max(|B|, q), made positive at n.  Since |B| and q are
-    integers of at least 1, growth alone gives positivity:
+    block of indices [n, n + _BLOCK) at an index n of the window only
+    after _BLOCK indices in a row whose P3 the part signs decided, which
+    leaves P3 open, the conjugate form (below: u and s*M*sqrt(d) differ
+    in sign or d = 0, and N != 0) true at n and M[n], u[n] != 0, and
+    after a refused try only after another such run: a spec whose tries
+    fail (terms of alternating sign, or a test that is not invariant,
+    below) pays one try per _BLOCK indices, and a complex pair or a
+    stretch where only P2 is open never reaches one.  The block is
+    certified where M keeps one sign and |M[i+1]| >= max(|B|, q)*|M[i]|
+    at each index i of it, the ratio test with c = max(|B|, q) made
+    positive at n, and where that test is invariant (below).  Since |B|
+    and q are integers of at least 1, growth alone gives positivity:
     w[i+1] >= c*w[i] >= w[i] > 0 from w[n] > 0 on.  P1 holds where
     M > 0; where M < 0 the test is strict, so |M[i+1]| > q*|M[i]| and
     every index is a violation.  P3 holds at every index by its part
@@ -195,19 +197,21 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     and u[i] = -2*c2*alpha'**(i+1) grows by alpha', the ratio the run
     read.  The roots enter this argument only; the walk reads none.
 
-    Lasting certificates.  Where the test on M (strict where M < 0) is
-    invariant, one block mapping its ratio interval into itself
-    (_invariant), the pair a certified block advances to passes it again,
+    One certificate decides the rest.  One block maps rho to
+    T(rho) = (U[_BLOCK+1]*rho + V[_BLOCK+1]) / (U[_BLOCK]*rho + V[_BLOCK]),
+    whose determinant is (B*q)**_BLOCK != 0, so T is strictly monotone
+    wherever its denominator stays positive: an open interval maps into
+    itself exactly where its closure does, and one check of the plain
+    test on the images of the interval's ends (_invariant) serves the
+    strict test too.  Where the test on M is invariant, the pair a
+    certified block advances to passes it again (strictly where M < 0),
     with the conjugate form true and M, u != 0 by growth, and so by
     induction does every later block: P2 and P3 hold through the window,
     and P1 holds at every index from n on where M > 0, while where M < 0
     every index is a violation, the from-k window's first at
-    max(n, from_k - 1).  The walk then stops after that block, runs the
-    self-check on the pair it advanced to, and skips _p1_alone.  Where
-    the test is not invariant, blocks run on as above.  From the first
-    certified block on, the walk reads M off the recurrence from the
-    advanced pair instead of integer_carrier's iterator, and the
-    self-check below guards that pair.
+    max(n, from_k - 1).  So the first certified block ends the walk, even
+    one that runs past the window's end: the walk advances its pair to
+    n + _BLOCK, runs the self-check below on it, and skips _p1_alone.
 
     P2 scans |alpha - a[n+1]/a[n]| >= |alpha - a[n+2]/a[n+1]|, with alpha
     the dominant root; it is None for complex roots, where the compared
@@ -244,7 +248,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     P2/P3 part reaches it computes the norm directly, on
     u[n] = A*M[n] - 2*M[n+1] as defined, and raises
     InternalInconsistency if it differs from N[0]*(B*q)**n, so dividing
-    the norm out, and the pair the certified blocks advanced, depend on
+    the norm out, and the pair the certified block advanced, depend on
     nothing that check does not guard.  The
     identity is a fact about the recurrence, not about the properties:
     the scans never use R[n+1] = q*beta*R[n], which is the P3 theorem.
@@ -352,32 +356,25 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     first3: Optional[int] = None
     run = 0  # indices in a row whose P3 the part signs decided
     U = V = None  # the block tables, walked on first need
-    lasting = False  # every block from n on is certified too
+    certified: Optional[int] = None  # the first index of the certified block
     n = 0
     while n <= window and (first3 is None or (real and first2 is None)):
         m2 = next(M)
         # u[n+1] = A*M[n+1] - 2*M[n+2] on the carrier's recurrence, one product shorter
         u1 = Bq * m0 - m2
-        if run >= _BLOCK and n + _BLOCK <= window + 1:
+        if run >= _BLOCK:
             # the run leaves P3 open, conj true at n and M[n], u[n] != 0
             if U is None:
                 U, V = _block_tables(A, Bq)
                 grow = _ratio_tests(U, V, max(aB, q))
-                invariant = (_invariant(U, V, grow), _invariant(U, V, grow, True))
-            # M grows by max(|B|, q), strictly where M < 0 (u then grows by |B|)
-            if _ratio_in(grow, m0, m1, m0 < 0):
-                if m0 < 0:
-                    p1.extend(range(n, n + _BLOCK))
+                invariant = _invariant(U, V, grow)
+            # M grows by max(|B|, q), strictly where M < 0 (u then grows by
+            # |B|), on this block and, the test being invariant, on every later one
+            if invariant and _ratio_in(grow, m0, m1, m0 < 0):
+                certified = n
                 m0, m1 = U[_BLOCK] * m1 + V[_BLOCK] * m0, U[_BLOCK + 1] * m1 + V[_BLOCK + 1] * m0
-                u0 = A * m0 - 2 * m1
-                lm0, lm1, lu0 = m0.bit_length(), m1.bit_length(), u0.bit_length()
                 n += _BLOCK
-                lasting = invariant[m0 < 0]
-                if lasting:
-                    break  # every later block is certified too (see above)
-                # M[n+2], M[n+3], ... from the advanced pair on
-                M = islice(_carrier_terms(A, Bq, m0, m1), 2, None)
-                continue
+                break  # every later block is certified too (see above)
             run = 0
         lm2 = m2.bit_length()
         # (m0, m1, m2) = (M[n], M[n+1], M[n+2]); P1 is q*M[n] > M[n+1],
@@ -430,12 +427,12 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
             f"directly at index {n}"
         )
     last, k1 = from_k + window, from_k - 1
-    if not lasting:
+    if certified is None:
         _p1_alone(q, A, Bq, m0, m1, n, window, from_k, p1, U, V)
     elif m0 < 0:
-        # every index from n on violates P1: the rest of the window, and
-        # the from-k window's first where that starts past it
-        p1.extend(range(n, window + 1))
+        # every index from the certified block on violates P1: the rest of
+        # the window, and the from-k window's first where that starts past it
+        p1.extend(range(certified, window + 1))
         if k1 > window:
             p1.append(k1)
     checked = (0, window)
@@ -489,12 +486,12 @@ def _p1_alone(q: int, A: int, Bq: int, m0: int, m1: int, n: int, window: int,
     if U is None:
         U, V = _block_tables(A, Bq)
     clean = _ratio_tests(U, V, 0)
-    lasting = _invariant(U, V, clean)
+    invariant = _invariant(U, V, clean)
     while n <= last and not (p1 and p1[-1] >= k1):
         c = min(_BLOCK, last + 1 - n)
         j = max(k1 - n, 0)  # the block's first index read
-        if (j < c or lasting) and e0 > 0 and _ratio_in(clean, e0, e1):
-            if lasting:
+        if (j < c or invariant) and e0 > 0 and _ratio_in(clean, e0, e1):
+            if invariant:
                 return  # so does every later block: E >= 0 from n on
             j = c  # E[n] > 0 and E[n+1], ..., E[n+_BLOCK] >= 0
         for j in range(j, c):
@@ -541,28 +538,33 @@ def _ratio_tests(U: list[int], V: list[int], c: int) -> list[tuple[int, int]]:
     return [end for end in (below, above) if end]
 
 
-def _invariant(U: list[int], V: list[int], tests: list[tuple[int, int]],
-               strict: bool = False) -> bool:
-    """Whether every block after one that passes tests passes them too.
+def _invariant(U: list[int], V: list[int], tests: list[tuple[int, int]]) -> bool:
+    """Whether every block after one that passes tests passes them too,
+    and strictly after one that passes them strictly.
 
     One block maps rho = w[n+1]/w[n] to
     T(rho) = (U[_BLOCK+1]*rho + V[_BLOCK+1]) / (U[_BLOCK]*rho + V[_BLOCK]),
-    whose denominator is w[n+_BLOCK]/w[n].  On an interval where that
-    stays positive, T is continuous and monotone, so it maps the interval
-    C of tests onto the interval between the images of C's two ends, and
-    into C where both images pass tests (for the strict test, whose C is
-    open, that is enough).  An end (x, y) is the pair (w0, w1) = (|x|, -y)
-    for x > 0 and (|x|, y) for x < 0; an end unbounded above is (0, 1),
-    whose image is (U[_BLOCK], U[_BLOCK+1]).  An image with w0 <= 0
-    counts as failing: where each end's image has w0 > 0, so does all of
-    C, the denominator being affine in rho.  By induction, a block that
-    passes invariant tests starts a run of passing blocks with no end."""
+    whose denominator is w[n+_BLOCK]/w[n] and whose determinant,
+    U[_BLOCK+1]*V[_BLOCK] - V[_BLOCK+1]*U[_BLOCK], is the step's B*q to
+    the power _BLOCK, not 0.  On an interval where the denominator stays
+    positive, T is continuous and strictly monotone, so it maps the
+    closed interval C of tests onto the closed interval between the
+    images of C's two ends, and into C where both images pass tests.  It
+    then maps C's interior, the open interval of the strict test, onto
+    an open interval inside C, which lies inside that interior: one
+    check of the plain test serves both.  An end (x, y) is the pair
+    (w0, w1) = (|x|, -y) for x > 0 and (|x|, y) for x < 0; an end
+    unbounded above is (0, 1), whose image is (U[_BLOCK], U[_BLOCK+1]).
+    An image with w0 <= 0 counts as failing: where each end's image has
+    w0 > 0, so does all of C, the denominator being affine in rho.  By
+    induction, a block that passes invariant tests starts a run of
+    passing blocks with no end."""
     ends = [(abs(x), -y if x > 0 else y) for x, y in tests]
     if all(x > 0 for x, _ in tests):
         ends.append((0, 1))
     for w0, w1 in ends:
         v0, v1 = U[_BLOCK] * w1 + V[_BLOCK] * w0, U[_BLOCK + 1] * w1 + V[_BLOCK + 1] * w0
-        if v0 <= 0 or not _ratio_in(tests, v0, v1, strict):
+        if v0 <= 0 or not _ratio_in(tests, v0, v1):
             return False
     return True
 

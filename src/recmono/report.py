@@ -8,7 +8,8 @@ InternalInconsistency (the CLI maps it to exit code 1), as does a failed
 self-check inside the oracle's residual walk.  All oracle windows come
 from one oracle.scan call: one walk of the integer carrier from index 0
 through the window, past it only while the from-k P1 window is still
-clean.  The one known
+clean, which stops early at the first block whose certificate is
+invariant, since that block decides every later index.  The one known
 benign exception is a starting pair lying exactly on the dominant
 eigen-solution: the weighted residuals are then identically zero, every
 window comparison ties, and the report flags degenerate_geometric

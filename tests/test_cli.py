@@ -206,6 +206,8 @@ class TestIntegerArguments:
             (["analyze", "--a", "1", "--b", "-1", "--h-init", "1",
               f"--from-k={cli.MAX_FROM_K + 1}"],
              "argument --from-k: must be at most 50000"),
+            (["enumerate", "--a-max", str(cli.MAX_A_MAX + 1)],
+             "argument --a-max: must be at most 300"),
         ],
     )
     def test_out_of_range_or_malformed_exits_two(self, capsys, argv, text):
@@ -234,6 +236,11 @@ class TestIntegerArguments:
             ["analyze", "--a", "1", "--b", "-1", "--h-init", "1",
              "--window", "10000", "--from-k", "50000"])
         assert (args.window, args.from_k) == (cli.MAX_WINDOW, cli.MAX_FROM_K) == (10000, 50000)
+
+    def test_a_max_cap_is_inclusive(self):
+        # the parser alone: the pairs at the cap are not listed
+        args = cli._parser().parse_args(["enumerate", "--a-max", "300"])
+        assert args.a_max == cli.MAX_A_MAX == 300
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -56,11 +56,12 @@ RISING = make_h_spec(5, 6, 1)
 # roots 199/200 and 99/100 and a[n] = alpha**n - (1 - 1/1000)*beta**n: the
 # terms grow by more than 1 per index up to about index 130, then shrink
 # toward the dominant root below 1, so the test on M (growth by q) is not
-# invariant and the walk certifies blocks at 32, 64 and 96 and refuses 128
+# invariant and the walk refuses its tries at 32, 64, 96 and 128
 TRANSIENT = RecurrenceSpec(Fraction(397, 200), Fraction(19701, 20000),
                            Fraction(1, 1000), Fraction(599, 100000))
-# repeated root 1, a[n] = -1 - 2*n: every index violates P1, and the strict
-# test on M is not invariant (its interval's end is the tie a[n+1] = a[n])
+# repeated root 1, a[n] = -1 - 2*n: every index violates P1, and the test on
+# M is invariant, strict or not: its interval's end, the tie a[n+1] = a[n],
+# is the fixed point T(1) = 1 of one block's map
 FALLING_UNIT = RecurrenceSpec(2, 1, -1, -3)
 
 
@@ -547,12 +548,17 @@ class TestScan:
         """Each P1 sign the walk reads is the line just before a
         p1.append(index) in scan, and index names the position it reads;
         a certified block decides a range of indices at once, named on the
-        line only a certified block reaches: the table step of M inside
-        the window, j = c past it."""
+        line only a certified block reaches: the rest of the window after
+        the P2/P3 walk's certified block, j = c past the window.  After
+        that certified block, where M < 0, the from-k window's first is
+        its first index k1, which the walk adds where it lies past the
+        window."""
+        if after == "p1.append(k1)":
+            return "range(k1, k1 + 1) if k1 > window else range(0)"
         if after.startswith("p1.append("):
             return after[len("p1.append("):-1]
-        if text.startswith("m0, m1 = U[_BLOCK]"):
-            return "range(n, n + _BLOCK)"
+        if text.startswith("elif m0 < 0"):
+            return "range(certified, window + 1)"
         if text.startswith("j = c "):
             return "range(n + j, n + c)"
         return None
@@ -560,20 +566,19 @@ class TestScan:
     def test_walk_goes_past_the_window_only_while_from_k_is_clean(self):
         reads = _scan_lines(self._decided)
         # one index read in the P2/P3 stretch, P1 alone and the blocks past
-        # the window, and the from-k window's first after a lasting
-        # certificate where M < 0 (which these cases do not reach); a
-        # certified range inside and past the window
+        # the window, and the from-k window's first after a certified block
+        # where M < 0; a certified range inside and past the window
         assert len(reads) == 6
-        # (spec, window, from_k, last index a window compares), on specs
-        # whose tests are not invariant, so the walk runs block by block:
-        # the clean from-k window [99, 120] of RISING compares up to index
-        # 120; the second stops at its violation at 36, short of its end at
-        # 40; the third, 2**n + 2**(30 - n), descends up to index 14, inside
-        # the window, so its from-k window [9, 30] needs no index past 20;
-        # at window 100 TRANSIENT certifies [32, 96) inside the window and
-        # RISING clears its from-k window [149, 250] past it, and
-        # FALLING_UNIT certifies [32, 96) as violations and stops at the
-        # window's end
+        # (spec, window, from_k, last index a window compares): the clean
+        # from-k window [99, 120] of RISING compares up to index 120, its
+        # c = 0 test not being invariant; the second stops at its violation
+        # at 36, short of its end at 40; the third, 2**n + 2**(30 - n),
+        # descends up to index 14, inside the window, so its from-k window
+        # [9, 30] needs no index past 20; at window 100 TRANSIENT's tries
+        # are refused, so it reads every index, and RISING clears its from-k
+        # window [149, 250] past it; FALLING_UNIT's certified block at 32
+        # makes every later index a violation: the rest of the window, and
+        # the first of a from-k window past it, 149
         for spec, w, k, last in (
             (RISING, 20, 100, 120),
             (RecurrenceSpec(Fraction(7, 2), 3, 1000000, 1499990), 10, 30, 36),
@@ -581,6 +586,7 @@ class TestScan:
             (TRANSIENT, 100, 0, 100),
             (RISING, 100, 150, 250),
             (FALLING_UNIT, 100, 50, 100),
+            (FALLING_UNIT, 100, 150, 149),
         ):
             _, decided = _traced_scan(spec, w, k, reads)
             seen = [i for x in decided for i in (x if isinstance(x, range) else (x,))]
@@ -900,13 +906,13 @@ def deep_cases(draw):
 
 
 def _block_events(spec, window, from_k):
-    """scan's windows and, in walk order, each block the walk certifies
-    inside the window (certified, n), each try the ratio test refuses
-    there (refused, n), each block past the window that one ratio test
-    clears from its first index read on (clean, n + j), and the index n
-    from which an invariant test decides every later index, where the
-    walk stops (lasting, n): inside the window, after the certified block
-    that ends at n, and past it, at the block that passes at n."""
+    """scan's windows and, in walk order, the block the P2/P3 walk
+    certifies (certified, n), each try it refuses (refused, n), each
+    block past the window that one ratio test clears from its first index
+    read on (clean, n + j), and the index n from which an invariant test
+    decides every later index, where the walk stops (lasting, n): after
+    the certified block, which ends at n, and past the window, at the
+    block that passes at n."""
     lines = _scan_lines(lambda text, after:
                         "('certified', n)" if text.startswith("m0, m1 = U[_BLOCK]")
                         else "('refused', n)" if text == "run = 0"
@@ -919,11 +925,11 @@ def _block_events(spec, window, from_k):
 
 
 class TestCertifiedBlocks:
-    """Inside the window a real-root walk decides a block of _BLOCK
-    indices at once where one ratio test certifies that M grows; past it
-    one ratio test clears a block of P1 where E > 0.  Each pinned case
-    reaches the path it names, and every field is held against the naive
-    references."""
+    """Inside the window a real-root walk decides every index from a
+    block of _BLOCK indices on where one invariant ratio test certifies
+    that M grows; past it one ratio test clears a block of P1 where
+    E > 0.  Each pinned case reaches the path it names, and every field
+    is held against the naive references."""
 
     @given(deep_cases())
     @example((DEEP, 100, 150))
@@ -940,10 +946,12 @@ class TestCertifiedBlocks:
         assert oracle.scan(*case) == reference_windows(*case), case
 
     def test_clean_blocks(self):
-        # P1, P2 and P3 hold on [32, 96) by two certificates whose test is
-        # not invariant, so the walk goes on per index after them
+        # P1, P2 and P3 hold through the window and the terms grow by more
+        # than 1 up to about index 130, but the test on M is not
+        # invariant: each try, the one at 96 past the window's end
+        # included, is refused, and the walk reads every index
         got, events = _block_events(TRANSIENT, 100, 150)
-        assert events == [("certified", 32), ("certified", 64)]
+        assert events == [("refused", 32), ("refused", 64), ("refused", 96)]
         assert got.p2.holds_on_window and got.p3.holds_on_window
         assert got.n0_witness == 0 and got.p1_from_k.first_violation == 149
         assert got == reference_windows(TRANSIENT, 100, 150)
@@ -971,26 +979,28 @@ class TestCertifiedBlocks:
         assert got == reference_windows(*case)
 
     def test_all_violation_blocks(self):
-        # every term is negative and falls: each index of the two certified
-        # blocks is a violation of P1, and the strict test, whose interval
-        # ends on the tie a[n+1] = a[n], is not invariant
+        # every term is negative and falls: the strict test, whose interval
+        # ends on the fixed point T(1) = 1, is invariant, so the certified
+        # block at 32 ends the walk and every index from 32 on is a
+        # violation of P1, the from-k window's first at its first index
         got, events = _block_events(FALLING_UNIT, 100, 150)
-        assert events == [("certified", 32), ("certified", 64)]
+        assert events == [("certified", 32), ("lasting", 64)]
         assert got.p2.holds_on_window and got.p3.holds_on_window
         assert got.n0_witness is None and got.p1_from_k.first_violation == 149
         assert got == reference_windows(FALLING_UNIT, 100, 150)
 
     def test_refused_blocks_fall_back(self):
         # inside the window: each run of _BLOCK indices decided on part
-        # signs ends in a try the alternating signs refuse, and the walk
-        # steps on per index
+        # signs ends in a try the alternating signs refuse, the one at 96,
+        # whose block would run past the window's end, included, and the
+        # walk steps on per index
         got, events = _block_events(ALTERNATING, 100, 150)
-        assert events == [("refused", 32), ("refused", 64)]
+        assert events == [("refused", 32), ("refused", 64), ("refused", 96)]
         assert got == reference_windows(ALTERNATING, 100, 150)
         # past the window: E[5] > 0, but E descends at 36 inside the block
         # [5, 37), so the ratio test refuses it and the exact signs find 36
         tried = _scan_lines(lambda text, after: "(n, j < c and e0 > 0)"
-                            if text.startswith("if (j < c or lasting) and e0 > 0") else None)
+                            if text.startswith("if (j < c or invariant) and e0 > 0") else None)
         got, seen = _traced_scan(LATE_DESCENT_LONG, 4, 33, tried)
         assert seen == [(5, True)]
         assert _block_events(LATE_DESCENT_LONG, 4, 33)[1] == []
@@ -1004,7 +1014,8 @@ class TestCertifiedBlocks:
         assert got.p2.first_violation == 0 and got.p3.holds_on_window
         assert got == reference_windows(SHRINKING, 100, 102)
         # where the terms are negative a tie |M[n+1]| = q*|M[n]| is no
-        # violation, so the test on M is strict there
+        # violation, so the test on M is strict there; the dominant root
+        # below 1 keeps that test from being invariant too
         got, events = _block_events(TIE_AT_BLOCK_END, 70, 64)
         assert events[0] == ("refused", 32)
         assert got.n0_witness == 63
@@ -1055,13 +1066,21 @@ class TestLastingCertificates:
         # first is max(64, k - 1), before, at and past the window's end
         (DEEP_NEGATIVE, 100, 0), (DEEP_NEGATIVE, 100, 50), (DEEP_NEGATIVE, 100, 70),
         (DEEP_NEGATIVE, 100, 101), (DEEP_NEGATIVE, 100, 102), (DEEP_NEGATIVE, 100, 150),
+        # certified blocks [32, 64) that run past the window's end (40),
+        # with the from-k window's first violation inside it and past it
+        (DEEP, 40, 0), (DEEP_NEGATIVE, 40, 41), (DEEP_NEGATIVE, 40, 60),
+        # the falling unit root, whose strict test is invariant: a wide
+        # window and from-k windows past it, each decided by the block at 32
+        (FALLING_UNIT, 3000, 0), (FALLING_UNIT, 100, 150), (FALLING_UNIT, 100, 5000),
         # far from-k windows, decided without a block past the window
         (DEEP, 100, 2000), (DEEP_NEGATIVE, 100, 2000), (FIB, 20, 3000),
         # the c = 0 test past the window: invariant on FIB and TABLE,
         # whose first block past the window clears the from-k window
         (FIB, 0, 500), (FIB, 20, 100), (TABLE, 50, 600), (TABLE, 64, 1000),
-        # tests that are not invariant: the blocks run on
-        (TRANSIENT, 200, 0), (FALLING_UNIT, 100, 150), (RISING, 100, 150),
+        # tests that are not invariant: the tries are refused and the walk
+        # reads each index, past the terms' growth at window 300, and the
+        # blocks past the window run on
+        (TRANSIENT, 200, 0), (TRANSIENT, 300, 0), (RISING, 100, 150),
     )
 
     def test_scan_matches_references(self):
@@ -1097,13 +1116,16 @@ class TestLastingCertificates:
             U, V = oracle._block_tables(A, B * q)
             return U, V, oracle._ratio_tests(U, V, max(abs(B), q) if c is None else c)
 
-        # growth by max(|B|, q): plain and strict on DEEP; plain only on
-        # FALLING_UNIT, whose strict interval ends on a tie; neither on
-        # TRANSIENT, whose dominant root 199/200 is below the growth of 1
+        # growth by max(|B|, q): invariant on DEEP and on FALLING_UNIT,
+        # whose interval's end, rho = 1, is the fixed point T(1) = 1 (the
+        # eigen-solution 1**n); not on TRANSIENT, whose dominant root
+        # 199/200 is below the growth of 1
         assert oracle._invariant(*tests(DEEP, None))
-        assert oracle._invariant(*tests(DEEP, None), True)
-        assert oracle._invariant(*tests(FALLING_UNIT, None))
-        assert not oracle._invariant(*tests(FALLING_UNIT, None), True)
+        U, V, grow = tests(FALLING_UNIT, None)
+        (x, y), = grow
+        j = oracle._BLOCK
+        assert -y == x > 0 and (U[j] + V[j], U[j + 1] + V[j + 1]) == (1, 1)
+        assert oracle._invariant(U, V, grow)
         assert not oracle._invariant(*tests(TRANSIENT, None))
         # c = 0: FIB's and TABLE's interval is unbounded above and maps
         # into itself; RISING's lower end is a solution with E[32] = 0,
