@@ -87,6 +87,14 @@ __all__ = [
 # indices per block of the P1 walk past the window (see scan)
 _BLOCK = 32
 
+# the walk's event sink (see scan): None, the default, emits nothing
+_events: Optional[list[tuple]] = None
+
+
+def _emit(*events: tuple) -> None:
+    if _events is not None:
+        _events.extend(events)
+
 
 class InternalInconsistency(RuntimeError):
     """The program contradicts itself: a decision verdict and its oracle
@@ -290,6 +298,18 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     |a[n+1]| >= |a[n]|, and P2 gives P3 if |a[n+1]| <= |a[n]|.  While both
     are open, the walk decides the premise first and the other only when
     it fails.
+
+    Events.  Where a list is installed as _events, as only the tests do,
+    the walk appends each decision a test pins to it, in walk order, as a
+    tuple led by its name: ("refused", n) and ("certified", n) for each
+    try at a certified block, ("lasting", n) where a lasting certificate
+    ends the walk at n, ("p1", r) for the range r of indices a stretch
+    decides P1 on, one by one or as a block, and ("exact", bits(M[n])) at
+    each exact step; past the window, ("block", n, E[n], E[n+1]) at each
+    block's start, ("try", n) where its ratio test runs, ("clean", i) for
+    a block it clears from its first index read i on, and
+    ("read", i, E[i] < 0) for each exact sign.  Beyond exact steps and
+    reads, no event is emitted per walked index.
     """
     if from_k < 0:
         raise ValueError("start index must be non-negative")
@@ -339,6 +359,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
                 v0, v1, e = (y0, y1, 1) if p2 else (1, 1, 0)
                 if v1 * lo1 >= c * (v0 + e) * (lo0 + span + y0):
                     return True
+            _emit(("exact", lm0))
             if square:
                 x0, x1 = abs(u0 + gt * m0), abs(u1 + gt * m1)
                 if ns:
@@ -372,9 +393,12 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
             # |B|), on this block and, the test being invariant, on every later one
             if invariant and _ratio_in(grow, m0, m1, m0 < 0):
                 certified = n
+                _emit(("p1", range(n)), ("certified", n), ("lasting", n + _BLOCK),
+                      ("p1", range(n, window + 1)))
                 m0, m1 = U[_BLOCK] * m1 + V[_BLOCK] * m0, U[_BLOCK + 1] * m1 + V[_BLOCK + 1] * m0
                 n += _BLOCK
                 break  # every later block is certified too (see above)
+            _emit(("refused", n))
             run = 0
         lm2 = m2.bit_length()
         # (m0, m1, m2) = (M[n], M[n+1], M[n+2]); P1 is q*M[n] > M[n+1],
@@ -428,6 +452,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
         )
     last, k1 = from_k + window, from_k - 1
     if certified is None:
+        _emit(("p1", range(n)))
         _p1_alone(q, A, Bq, m0, m1, n, window, from_k, p1, U, V)
     elif m0 < 0:
         # every index from the certified block on violates P1: the rest of
@@ -435,6 +460,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
         p1.extend(range(certified, window + 1))
         if k1 > window:
             p1.append(k1)
+            _emit(("p1", range(k1, k1 + 1)))
     checked = (0, window)
     p2 = None
     if real:
@@ -475,6 +501,7 @@ def _p1_alone(q: int, A: int, Bq: int, m0: int, m1: int, n: int, window: int,
     every index through from_k + window is clean, and the walk stops.
     """
     e0, e1 = m1 - q * m0, (A - q) * m1 - Bq * m0
+    _emit(("p1", range(n, window + 1)))
     while n <= window:
         if e0 < 0:
             p1.append(n)
@@ -490,12 +517,19 @@ def _p1_alone(q: int, A: int, Bq: int, m0: int, m1: int, n: int, window: int,
     while n <= last and not (p1 and p1[-1] >= k1):
         c = min(_BLOCK, last + 1 - n)
         j = max(k1 - n, 0)  # the block's first index read
-        if (j < c or invariant) and e0 > 0 and _ratio_in(clean, e0, e1):
-            if invariant:
-                return  # so does every later block: E >= 0 from n on
-            j = c  # E[n] > 0 and E[n+1], ..., E[n+_BLOCK] >= 0
+        _emit(("block", n, e0, e1))
+        if (j < c or invariant) and e0 > 0:
+            _emit(("try", n))
+            if _ratio_in(clean, e0, e1):
+                if invariant:
+                    _emit(("lasting", n))
+                    return  # so does every later block: E >= 0 from n on
+                _emit(("clean", n + j), ("p1", range(n + j, n + c)))
+                j = c  # E[n] > 0 and E[n+1], ..., E[n+_BLOCK] >= 0
         for j in range(j, c):
-            if U[j] * e1 + V[j] * e0 < 0:
+            violated = U[j] * e1 + V[j] * e0 < 0
+            _emit(("read", n + j, violated))
+            if violated:
                 p1.append(n + j)
                 break
         e0, e1 = U[c] * e1 + V[c] * e0, U[c + 1] * e1 + V[c + 1] * e0

@@ -13,8 +13,6 @@ the main correctness argument for the rescaling.
 
 from __future__ import annotations
 
-import inspect
-import sys
 from fractions import Fraction
 from itertools import count, islice
 from math import isqrt
@@ -151,6 +149,21 @@ def reference_windows(spec, window, from_k):
 def _assert_matches_references(cases):
     for case in cases:
         assert oracle.scan(*case) == reference_windows(*case), case
+
+
+def _block_events(spec, window, from_k, names=("certified", "refused", "clean", "lasting")):
+    """scan's windows and, in walk order, the events of its walk (see
+    oracle.scan) whose names are in names: by default the block the P2/P3
+    walk certifies, each try it refuses, each block past the window that
+    a ratio test clears, and the index from which a lasting certificate
+    decides every later one, where the walk stops."""
+    events = []
+    oracle._events = events
+    try:
+        got = oracle.scan(spec, window, from_k)
+    finally:
+        oracle._events = None
+    return got, [event for event in events if event[0] in names]
 
 
 # ----------------------------------------------------------------------
@@ -361,28 +374,27 @@ class TestDegreeReducedScans:
                                    for spec in (*self.SPECS[:2], self.DECAYING))
 
     def test_long_operands_rarely_reach_the_exact_test(self, monkeypatch):
-        # exact tests at indices where bits(M[n]) >= 64, the threshold from
+        # exact steps at indices where bits(M[n]) >= 64, the threshold from
         # which the brackets run, at window 1000: on the three q = 13 DP
         # specs P3 leads and implies P2, and the walk stops after its first
-        # certified block; on the decaying spec P2 leads.  The count showed
-        # 36 exact steps, all on the decaying spec and all at its first 18
+        # certified block; on the decaying spec P2 leads.  The events show
+        # 18 exact steps, all on the decaying spec and at its first 18
         # indices, where M has 7 to 60 bits (two surd signs for P2 at each,
         # on operands of at most 130 bits): the brackets built from the top
         # words of the terms decide every index where they run
         calls = []
 
         def counted(x, y, n):
-            # the walk's bits(M[n]), read off the exact step's frame
-            calls.append((sys._getframe(1).f_locals["lm0"], max(x.bit_length(), y.bit_length())))
+            calls.append(max(x.bit_length(), y.bit_length()))
             return surd_sign(x, y, n)
 
         monkeypatch.setattr(oracle, "surd_sign", counted)
         for spec in (*self.SPECS[:3], self.DECAYING):
             calls.clear()
-            w = oracle.scan(spec, 1000, 0)
+            w, exact = _block_events(spec, 1000, 0, ("exact",))
             assert w.p2.holds_on_window and w.p3.holds_on_window, spec
-            assert [bits for bits, _ in calls if bits >= 64] == [], spec
-            assert all(bits < 640 for _, bits in calls), spec
+            assert [bits for _, bits in exact if bits >= 64] == [], spec
+            assert all(bits < 640 for bits in calls), spec
 
     def test_growing_specs_run_no_exact_test(self, monkeypatch):
         # where both parts of P3's conjugate form are >= 0 and the terms
@@ -477,50 +489,6 @@ class TestIndependentStops:
             assert w.p2.first_violation != w.p3.first_violation, spec
 
 
-# the functions of one scan's walk: scan and the P1-alone stretch it calls
-_WALK = (oracle.scan, oracle._p1_alone)
-
-
-def _scan_lines(select):
-    """{line number: compiled expression} for the lines of the walk's
-    functions that select(text, next_text) picks by returning an
-    expression (on the stripped text of the line and of the one after it),
-    else None; line numbers are unique within the oracle module."""
-    picked = {}
-    for function in _WALK:
-        lines, first = inspect.getsourcelines(function)
-        texts = [line.strip() for line in lines] + [""]
-        for i, text in enumerate(texts[:-1]):
-            expr = select(text, texts[i + 1])
-            if expr is not None:
-                picked[first + i] = compile(expr, "<scan line>", "eval")
-    return picked
-
-
-def _traced_scan(spec, window, from_k, lines):
-    """scan(spec, window, from_k) under a line tracer, and the value of
-    each listed line's expression on the walk's locals (and the oracle
-    module's names) as the line is reached, in order."""
-    seen = []
-    codes = {function.__code__ for function in _WALK}
-
-    def local(frame, event, arg):
-        if event == "line" and frame.f_lineno in lines:
-            seen.append(eval(lines[frame.f_lineno], frame.f_globals, frame.f_locals))
-        return local
-
-    def tracer(frame, event, arg):
-        return local if frame.f_code in codes else None
-
-    previous = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        got = oracle.scan(spec, window, from_k)
-    finally:
-        sys.settrace(previous)
-    return got, seen
-
-
 class TestScan:
     """scan decides every window of a report on one walk of the carrier:
     each field must equal its naive reference, with from-k windows that
@@ -543,32 +511,7 @@ class TestScan:
         _assert_matches_references((spec, w, k) for spec in self._specs()
                                    for w in self.WINDOWS for k in self._from_ks(w))
 
-    @staticmethod
-    def _decided(text, after):
-        """Each P1 sign the walk reads is the line just before a
-        p1.append(index) in scan, and index names the position it reads;
-        a certified block decides a range of indices at once, named on the
-        line only a certified block reaches: the rest of the window after
-        the P2/P3 walk's certified block, j = c past the window.  After
-        that certified block, where M < 0, the from-k window's first is
-        its first index k1, which the walk adds where it lies past the
-        window."""
-        if after == "p1.append(k1)":
-            return "range(k1, k1 + 1) if k1 > window else range(0)"
-        if after.startswith("p1.append("):
-            return after[len("p1.append("):-1]
-        if text.startswith("elif m0 < 0"):
-            return "range(certified, window + 1)"
-        if text.startswith("j = c "):
-            return "range(n + j, n + c)"
-        return None
-
     def test_walk_goes_past_the_window_only_while_from_k_is_clean(self):
-        reads = _scan_lines(self._decided)
-        # one index read in the P2/P3 stretch, P1 alone and the blocks past
-        # the window, and the from-k window's first after a certified block
-        # where M < 0; a certified range inside and past the window
-        assert len(reads) == 6
         # (spec, window, from_k, last index a window compares): the clean
         # from-k window [99, 120] of RISING compares up to index 120, its
         # c = 0 test not being invariant; the second stops at its violation
@@ -588,8 +531,10 @@ class TestScan:
             (FALLING_UNIT, 100, 50, 100),
             (FALLING_UNIT, 100, 150, 149),
         ):
-            _, decided = _traced_scan(spec, w, k, reads)
-            seen = [i for x in decided for i in (x if isinstance(x, range) else (x,))]
+            # the ranges each stretch decides P1 on, and each exact read past
+            # the window
+            _, decided = _block_events(spec, w, k, ("p1", "read"))
+            seen = [i for name, x, *_ in decided for i in (x if name == "p1" else (x,))]
             case = (spec, w, k, seen)
             assert max(seen) == last, case
             assert sorted(i for i in seen if i <= w) == list(range(w + 1)), case
@@ -821,34 +766,28 @@ class TestBlockWalk:
         assert oracle.scan(NEAR_BETA_EIGEN, 2, 24).p1_from_k.first_violation == 26
 
     def test_near_eigen_start_reaches_the_exact_sign(self):
-        # each read past the window is the exact sign of E[n+j] on the line
-        # before p1.append(n + j); the ratio test refuses the block, so the
-        # walk reads from k1 = 23 up to the violation at 26
-        reads = _scan_lines(lambda text, after: "(n + j, U[j] * e1 + V[j] * e0 < 0)"
-                            if after == "p1.append(n + j)" else None)
-        assert len(reads) == 1
-        _, seen = _traced_scan(NEAR_BETA_EIGEN, 2, 24, reads)
-        assert [i for i, _ in seen] == [23, 24, 25, 26]
-        assert seen[-1] == (26, True)
+        # each read past the window is the exact sign of E at one index; the
+        # ratio test refuses the block, so the walk reads from k1 = 23 up to
+        # the violation at 26
+        _, reads = _block_events(NEAR_BETA_EIGEN, 2, 24, ("read",))
+        assert [i for _, i, _ in reads] == [23, 24, 25, 26]
+        assert reads[-1] == ("read", 26, True)
 
     def test_block_steps_equal_the_stepped_difference_sequence(self):
         # (n, E[n], E[n+1]) at the start of each block, against
         # E[n] = M[n+1] - q*M[n] on the carrier's terms, to index 5000
-        starts = _scan_lines(lambda text, after: "(n, e0, e1)"
-                             if text.startswith("c = min(_BLOCK") else None)
-        assert len(starts) == 1
         # on specs whose c = 0 test is not invariant, so that the blocks run
         # up to k - 1: RISING, and roots 4 and 3/2 over q = 2
         over_q = make_h_spec(Fraction(11, 2), 6, Fraction(3, 4))
         for spec, w, k in ((RISING, 0, 5000), (RISING, 33, 4000), (over_q, 300, 5000),
                            (RecurrenceSpec(1, 1, 1, 2), 7, 2000), (LATE_DESCENT_LONG, 3, 30)):
-            _, seen = _traced_scan(spec, w, k, starts)
-            assert seen, spec
+            _, starts = _block_events(spec, w, k, ("block",))
+            assert starts, spec
             q, _, _, _, M = integer_carrier(spec)
-            m = list(islice(M, seen[-1][0] + 3))
-            for n, e0, e1 in seen:
+            m = list(islice(M, starts[-1][1] + 3))
+            for _, n, e0, e1 in starts:
                 assert (e0, e1) == (m[n + 1] - q * m[n], m[n + 2] - q * m[n + 1]), (spec, n)
-            assert seen[-1][0] > k - 1 - oracle._BLOCK, spec  # the blocks reach k - 1
+            assert starts[-1][1] > k - 1 - oracle._BLOCK, spec  # the blocks reach k - 1
 
 
 roots_st = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 4))
@@ -863,12 +802,12 @@ ALTERNATING = RecurrenceSpec(-1, -1, 1, -1)
 SHRINKING = RecurrenceSpec(Fraction(5, 4), Fraction(3, 8), 1, Fraction(1, 8))
 
 
-def _ratio_tie(t):
-    """Roots 1 - 2**-70 and 1/2, and a negative start whose ratio
-    a[n+1]/a[n] falls toward the dominant root from above and meets 1
-    exactly at n = t: |a| grows up to t, a[t+1] = a[t], and |a| shrinks
-    after it."""
-    a, b = Fraction(3, 2) - Fraction(1, 2**70), (1 - Fraction(1, 2**70)) / 2
+def _ratio_tie(t, alpha=1 - Fraction(1, 2**70), beta=Fraction(1, 2)):
+    """Roots alpha and beta, and a negative start whose ratio a[n+1]/a[n]
+    meets 1 exactly at n = t, a[t+1] = a[t].  On the default roots the
+    ratio falls toward the dominant root from above: |a| grows up to t
+    and shrinks after it."""
+    a, b = alpha + beta, alpha * beta
     rho = Fraction(1)
     for _ in range(t):
         rho = b / (a - rho)  # the ratio one index back
@@ -876,9 +815,16 @@ def _ratio_tie(t):
 
 
 # the tie a[64] = a[63] falls on the last index of the first try [32, 64),
-# where every term is negative: only the strict test on M refuses the
-# block, and P1 holds at 63 (n0 = 63)
+# where every term is negative, and P1 holds at 63 (n0 = 63); the dominant
+# root below 1 keeps the test on M from being invariant, so the invariance
+# check refuses every try before the strict test counts: at (70, 64) the
+# walk refuses 32 and 64 and clears 71 and 103 past the window
 TIE_AT_BLOCK_END = _ratio_tie(63)
+# roots 1003/1000 and -9/10: the tie a[35] = a[34] falls on the first index
+# of the try [34, 66), where every term is negative, and the test on M is
+# invariant, so only its strict form refuses that block; the plain form
+# would certify it and make 34 a violation
+TIE_AT_BLOCK_START = _ratio_tie(34, Fraction(1003, 1000), Fraction(-9, 10))
 
 
 @st.composite
@@ -905,25 +851,6 @@ def deep_cases(draw):
     return RecurrenceSpec(a, b, v0 * scale, v1 * scale), window, from_k
 
 
-def _block_events(spec, window, from_k):
-    """scan's windows and, in walk order, the block the P2/P3 walk
-    certifies (certified, n), each try it refuses (refused, n), each
-    block past the window that one ratio test clears from its first index
-    read on (clean, n + j), and the index n from which an invariant test
-    decides every later index, where the walk stops (lasting, n): after
-    the certified block, which ends at n, and past the window, at the
-    block that passes at n."""
-    lines = _scan_lines(lambda text, after:
-                        "('certified', n)" if text.startswith("m0, m1 = U[_BLOCK]")
-                        else "('refused', n)" if text == "run = 0"
-                        else "('clean', n + j)" if text.startswith("j = c ")
-                        else "('lasting', n)" if text.startswith(("break  # every later",
-                                                                   "return  # so does every"))
-                        else None)
-    assert len(lines) == 5
-    return _traced_scan(spec, window, from_k, lines)
-
-
 class TestCertifiedBlocks:
     """Inside the window a real-root walk decides every index from a
     block of _BLOCK indices on where one invariant ratio test certifies
@@ -941,6 +868,7 @@ class TestCertifiedBlocks:
     @example((RecurrenceSpec(2, 1, -2**700, -3 * 2**700), 64, 66))  # repeated root 1
     @example((SHRINKING, 100, 102))
     @example((TIE_AT_BLOCK_END, 70, 64))
+    @example((TIE_AT_BLOCK_START, 100, 35))
     @settings(max_examples=150, deadline=None)
     def test_scan_matches_references(self, case):
         assert oracle.scan(*case) == reference_windows(*case), case
@@ -999,10 +927,8 @@ class TestCertifiedBlocks:
         assert got == reference_windows(ALTERNATING, 100, 150)
         # past the window: E[5] > 0, but E descends at 36 inside the block
         # [5, 37), so the ratio test refuses it and the exact signs find 36
-        tried = _scan_lines(lambda text, after: "(n, j < c and e0 > 0)"
-                            if text.startswith("if (j < c or invariant) and e0 > 0") else None)
-        got, seen = _traced_scan(LATE_DESCENT_LONG, 4, 33, tried)
-        assert seen == [(5, True)]
+        got, events = _block_events(LATE_DESCENT_LONG, 4, 33, ("block", "try"))
+        assert [event[:2] for event in events] == [("block", 5), ("try", 5)]
         assert _block_events(LATE_DESCENT_LONG, 4, 33)[1] == []
         assert got.p1_from_k.first_violation == 36
 
@@ -1020,6 +946,13 @@ class TestCertifiedBlocks:
         assert events[0] == ("refused", 32)
         assert got.n0_witness == 63
         assert got == reference_windows(TIE_AT_BLOCK_END, 70, 64)
+        # on an invariant test, a tie at the try's first index: only the
+        # strict test refuses the block at 34, and the one at 66 decides the
+        # rest, so the from-k window's first violation is 35, not 34
+        got, events = _block_events(TIE_AT_BLOCK_START, 100, 35)
+        assert events == [("refused", 34), ("certified", 66), ("lasting", 98)]
+        assert got.p1_from_k.first_violation == 35
+        assert got == reference_windows(TIE_AT_BLOCK_START, 100, 35)
 
     @given(st.integers(-30, 30), st.integers(-30, 30).filter(bool),
            st.sampled_from((0, 1, 2, 3, 13)), st.integers(-20, 20).filter(bool),
