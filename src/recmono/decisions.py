@@ -7,7 +7,9 @@ Property 3: the root-weighted residual |a[n]*alpha - a[n+1]| nonincreasing.
 
 Each procedure is a finite, exact criterion on (a, b, v0, v1) and returns
 a Verdict carrying the clause that decided it, so reports can say why and
-the oracle module can be pointed at the matching scan window.  The
+the oracle module can be pointed at the matching scan window.  A failing
+clause that forces an early violation also names the index it forces one
+by, so the report checks a window against the verdict alone.  The
 criteria quantify over all n; the oracle scans finite windows; keeping
 both routes separate is the point.
 """
@@ -42,7 +44,8 @@ class Branch(Enum):
     # holding branches
     COND_MONOTONIC_1 = "COND_MONOTONIC_1"  # dominant growth pushes upward
     COND_ALPHA_ONE = "COND_ALPHA_ONE"  # unit root, ordered start decides
-    COND_GEOMETRIC = "COND_GEOMETRIC"  # geometric start, ordered start decides
+    # geometric start: P1's ordered triple decides, P3's residual is zero
+    COND_GEOMETRIC = "COND_GEOMETRIC"
     COND_H_MONOTONE = "COND_H_MONOTONE"  # h-type positive monotone clause
     COND_RATIO_CONTRACTION = "COND_RATIO_CONTRACTION"  # |a| >= |beta|
     COND_MODULUS_AT_MOST_ONE = "COND_MODULUS_AT_MOST_ONE"  # |beta| <= 1
@@ -65,6 +68,7 @@ class Branch(Enum):
 class Verdict:
     holds: bool
     branch: Branch
+    violation_by: Optional[int] = None  # a failing clause forces a violation by it
 
 
 def _require_h(spec: RecurrenceSpec, what: str) -> None:
@@ -92,8 +96,10 @@ def _p1_verdict(spec: RecurrenceSpec, k: Optional[int]) -> Verdict:
         m0, m1, m2 = islice(M, 3)
         ordered = q * m0 <= m1 and q * m1 <= m2
     ap = roots.alpha_plus
+    # an unordered from-k triple holds a violation at k - 1 or k
+    unordered = Verdict(False, Branch.FAIL_INITIAL_TRIPLE, k)
     if ap == 1 or (k is not None and not ordered):
-        return Verdict(ordered, Branch.COND_ALPHA_ONE if ordered else Branch.FAIL_INITIAL_TRIPLE)
+        return Verdict(True, Branch.COND_ALPHA_ONE) if ordered else unordered
     if ap.sign() <= 0:
         return Verdict(False, Branch.FAIL_ALPHA_PLUS_NOT_POSITIVE)
     c = (spec.v1 - spec.v0 * roots.beta).sign()  # beta = r+ if a < 0, else r-
@@ -104,7 +110,7 @@ def _p1_verdict(spec: RecurrenceSpec, k: Optional[int]) -> Verdict:
         return Verdict(up, Branch.COND_MONOTONIC_1 if up else Branch.FAIL_GROWTH_PRODUCT)
     # the geometric sequence v0*beta**n, whose differences v0*beta**n*(beta - 1)
     # share one sign if beta > 0 and alternate if not, so its triple decides it
-    return Verdict(ordered, Branch.COND_GEOMETRIC if ordered else Branch.FAIL_INITIAL_TRIPLE)
+    return Verdict(True, Branch.COND_GEOMETRIC) if ordered else unordered
 
 
 def eventually_nondecreasing(spec: RecurrenceSpec) -> Verdict:
@@ -161,24 +167,28 @@ def ratio_monotone_h(spec: RecurrenceSpec) -> Verdict:
         return Verdict(False, Branch.DISCRIMINANT_NEGATIVE)
     if cmp_abs(spec.a, roots.beta) >= 0:
         return Verdict(True, Branch.COND_RATIO_CONTRACTION)
-    return Verdict(False, Branch.COND2_FAIL_MODULUS)
+    return Verdict(False, Branch.COND2_FAIL_MODULUS, 0)
 
 
 def weighted_monotone(spec: RecurrenceSpec) -> Verdict:
     """Is |a[n]*alpha - a[n+1]| nonincreasing over all n?
 
     The residual equals |v1 - v0*alpha| * |beta|^n, so the criterion is
-    |beta| <= 1.  With a negative discriminant the same comparison runs
-    on the shared squared modulus of the conjugate pair, which is b.
+    |beta| <= 1, or a start on the dominant eigen-solution (v1 = v0*alpha),
+    whose residual is identically zero.  With a negative discriminant the
+    same comparison runs on the shared squared modulus of the conjugate
+    pair, which is b.  Otherwise the residual grows from index 0 on.
     """
     roots = spec.roots()
     if roots.discriminant_sign < 0:
         if spec.b <= 1:
             return Verdict(True, Branch.COMPLEX_MODULUS)
-        return Verdict(False, Branch.COND3_FAIL_MODULUS)
+        return Verdict(False, Branch.COND3_FAIL_MODULUS, 0)
     if cmp_abs(roots.beta, 1) <= 0:
         return Verdict(True, Branch.COND_MODULUS_AT_MOST_ONE)
-    return Verdict(False, Branch.COND3_FAIL_MODULUS)
+    if (spec.v1 - spec.v0 * roots.alpha).sign() == 0:
+        return Verdict(True, Branch.COND_GEOMETRIC)
+    return Verdict(False, Branch.COND3_FAIL_MODULUS, 0)
 
 
 def eventually_ratio_monotone(spec: RecurrenceSpec) -> Verdict:

@@ -3,17 +3,18 @@
 The report carries every decision verdict next to the oracle window it
 must agree with on the scanned range.  Agreements that are theorems are
 enforced here: a holding verdict with a dirty window, or a failing
-verdict whose guaranteed early violation is missing, raises
-InternalInconsistency (the CLI maps it to exit code 1), as does a failed
-self-check inside the oracle's residual walk.  All oracle windows come
-from one oracle.scan call: one walk of the integer carrier from index 0
-through the window, past it only while the from-k P1 window is still
-clean, which stops early at the first block whose certificate is
-invariant, since that block decides every later index.  The one known
-benign exception is a starting pair lying exactly on the dominant
-eigen-solution: the weighted residuals are then identically zero, every
-window comparison ties, and the report flags degenerate_geometric
-instead of failing.
+verdict whose forced violation (the index the verdict names as
+violation_by) is missing, raises InternalInconsistency (the CLI maps it
+to exit code 1), as does a failed self-check inside the oracle's
+residual walk.  All oracle windows come from one oracle.scan call: one
+walk of the integer carrier from index 0 through the window, past it
+only while the from-k P1 window is still clean, which stops early at
+the first block whose certificate is invariant, since that block
+decides every later index.  Which clause
+forces which violation is stated in decisions alone; a start on the
+dominant eigen-solution is decided there too (its weighted residual is
+identically zero, so P3 holds), and the report only prints it as
+degenerate_geometric.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import decisions, oracle
-from .decisions import Branch, Verdict
+from .decisions import Verdict
 from .oracle import InternalInconsistency, WindowReport
 from .qfield import QuadElem, decimal_str
 from .recurrence import RecurrenceSpec, ratio_limit, term_minus_one, terms_between
@@ -109,31 +110,27 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
 
     # ---- consistency: the decision/oracle contract -------------------------
     # One row per verdict an oracle window can contradict: its name, the
-    # verdict, the window, the failing branch that forces a violation and
-    # the index it forces one by.  A holding verdict needs a clean window;
-    # one failing on its forcing branch needs a violation by that index.
+    # verdict and the window.  A holding verdict needs a clean window; a
+    # failing one that names a forced violation needs one by that index.
     def _mismatch(msg: str) -> None:
         raise InternalInconsistency(f"decision/oracle mismatch: {msg}")
 
     contract = (
-        (f"nondecreasing_from({from_k})", v_from_k, w1_from_k,
-         Branch.FAIL_INITIAL_TRIPLE, from_k),
-        ("nondecreasing_from(0)", v_immediate, w1_immediate, Branch.FAIL_INITIAL_TRIPLE, 0),
-        ("positive_monotone_h", v_h_monotone, w1_immediate, None, 0),
-        ("ratio_monotone_h", v_h_ratio, w2, Branch.COND2_FAIL_MODULUS, 0),
-        # a zero residual (degenerate start) ties at every index
-        ("weighted_monotone", v_weighted, w3,
-         None if degenerate else Branch.COND3_FAIL_MODULUS, 0),
+        (f"nondecreasing_from({from_k})", v_from_k, w1_from_k),
+        ("nondecreasing_from(0)", v_immediate, w1_immediate),
+        ("positive_monotone_h", v_h_monotone, w1_immediate),
+        ("ratio_monotone_h", v_h_ratio, w2),
+        ("weighted_monotone", v_weighted, w3),
     )
-    for name, verdict, wind, forcing, by in contract:
+    for name, verdict, wind in contract:
         if verdict is None or wind is None:
             continue
-        first = wind.first_violation
+        first, by = wind.first_violation, verdict.violation_by
         if verdict.holds and first is not None:
             _mismatch(f"{name} holds but the window finds a violation at {first}")
-        if verdict.branch is forcing and (first is None or first > by):
+        if by is not None and (first is None or first > by):
             _mismatch(
-                f"{name} fails on {forcing.value}, which forces a violation by "
+                f"{name} fails on {verdict.branch.value}, which forces a violation by "
                 f"index {by}, but the window's first violation is {first}"
             )
     if v_h_monotone is not None and v_h_monotone.holds and spec.v0 <= 0:

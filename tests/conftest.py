@@ -2,14 +2,12 @@
 and the quadratic Pisot test.
 
 Corpora are seeded and therefore deterministic.  Starting pairs lying on
-an eigen-solution (v1 - v0*root = 0 for either root) are excluded.  Only
-the dominant one needs it: there the weighted residual is identically
-zero, so P3 ties at every index and its failing branch forces no
-violation; the report layer flags that start (degenerate_geometric, see
-the window checks in recmono.report).  The other eigen start is a
-geometric sequence too, and P1's verdicts decide it on the ordered
-triple; test_decisions holds them against a term scan on a grid of such
-starts.  Excluding both keeps the corpora as they were.
+an eigen-solution (v1 - v0*root = 0 for either root) are excluded, which
+keeps the corpora as they were; the decisions need no such exclusion.
+Either eigen start is a geometric sequence: P1's verdicts decide it on
+the ordered triple, and on the dominant root the weighted residual is
+identically zero, so P3 holds (branch COND_GEOMETRIC).  test_decisions
+holds both against a term scan on a grid of such starts.
 """
 
 from __future__ import annotations
@@ -185,7 +183,7 @@ def check_weighted_agreement(spec: RecurrenceSpec, w: WindowReport) -> None:
             f"{w.first_violation}: {spec}"
         )
     else:
-        # |beta| > 1 with a non-degenerate start forces a strict increase
+        # |beta| > 1 off the dominant eigen start forces a strict increase
         # at the very first comparison
         assert w.first_violation == 0, (
             f"weighted verdict fails but first violation is "

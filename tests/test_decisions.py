@@ -2,8 +2,9 @@
 randomized decision-vs-oracle agreement on seeded corpora.
 
 The corpora exclude starting pairs that sit exactly on an
-eigen-solution; see conftest for why.  TestGeometricStarts checks P1 on
-such starts.
+eigen-solution; see conftest for why.  TestGeometricStarts checks P1 and
+P3 on such starts.  A failing verdict names the index by which its
+clause forces a violation (violation_by); the pinned cases check it.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ class TestEventuallyNondecreasing:
     def test_lucas_holds_by_growth(self):
         v = eventually_nondecreasing(LUCAS)
         assert v.holds and v.branch is Branch.COND_MONOTONIC_1
+        assert v.violation_by is None
 
     def test_halving_fails_growth_product(self):
         v = eventually_nondecreasing(RecurrenceSpec(1, Fraction(1, 4), 1, 1))
@@ -56,6 +58,7 @@ class TestEventuallyNondecreasing:
     def test_unit_root_unordered_start_fails(self):
         v = eventually_nondecreasing(RecurrenceSpec(2, 1, 3, 1))
         assert not v.holds and v.branch is Branch.FAIL_INITIAL_TRIPLE
+        assert v.violation_by is None  # no window reads the eventual triple
 
     def test_complex_fails(self):
         v = eventually_nondecreasing(RecurrenceSpec(1, 1, 1, 1))
@@ -79,14 +82,17 @@ class TestNondecreasingFrom:
     def test_lucas_from_zero_fails_triple(self):
         v = nondecreasing_from(LUCAS, 0)
         assert not v.holds and v.branch is Branch.FAIL_INITIAL_TRIPLE
+        assert v.violation_by == 0
 
     def test_lucas_from_one_still_sees_descent(self):
         # the index-1 triple is (2, 1, 3), so the descent is still inside it
         v = nondecreasing_from(LUCAS, 1)
         assert not v.holds and v.branch is Branch.FAIL_INITIAL_TRIPLE
+        assert v.violation_by == 1
 
     def test_lucas_from_two_holds(self):
-        assert nondecreasing_from(LUCAS, 2).holds
+        v = nondecreasing_from(LUCAS, 2)
+        assert v.holds and v.violation_by is None
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
@@ -123,8 +129,9 @@ GRID_ROOTS = tuple(sign * Fraction(m) for sign in (1, -1)
 
 class TestGeometricStarts:
     """A start v1 = v0*r on a root r is the geometric sequence v0*r**n:
-    P1's verdicts on it, for every root pair of GRID_ROOTS with a != 0,
-    either eigen start and v0 = +-1, +-2/3, equal a naive term scan."""
+    P1's and P3's verdicts on it, for every root pair of GRID_ROOTS with
+    a != 0, either eigen start and v0 = +-1, +-2/3, equal a naive term
+    scan.  On the dominant root the weighted residual is identically zero."""
 
     TAIL = 40  # geometric differences keep one sign or alternate
 
@@ -134,6 +141,7 @@ class TestGeometricStarts:
                                   (1, -1, Fraction(2, 3), Fraction(-2, 3))):
             if r1 + r2 == 0:
                 continue
+            alpha = max(r1, r2, key=abs)  # r1 != -r2, so the moduli differ or r1 = r2
             for r in {r1, r2}:
                 spec = RecurrenceSpec(r1 + r2, r1 * r2, v0, v0 * r)
                 terms = [term_minus_one(spec), *iterate(spec, self.TAIL + 1)]
@@ -147,7 +155,13 @@ class TestGeometricStarts:
                     checked += 1
                     if v.holds != want:
                         mismatches.append((spec, k, v.branch))
-        assert checked == 3400
+                residual = [abs(x * alpha - y) for x, y in zip(terms[1:], terms[2:])]
+                want = all(x >= y for x, y in zip(residual, residual[1:]))
+                v = weighted_monotone(spec)
+                checked += 1
+                if v.holds != want:
+                    mismatches.append((spec, "P3", v.branch))
+        assert checked == 4080
         assert mismatches == [], (len(mismatches), mismatches[:5])
 
     def test_the_examples_hold_on_the_geometric_clause(self):
@@ -192,10 +206,12 @@ class TestRatioMonotoneH:
     def test_fibonacci_holds(self):
         v = ratio_monotone_h(FIB)
         assert v.holds and v.branch is Branch.COND_RATIO_CONTRACTION
+        assert v.violation_by is None
 
     def test_spread_fails_modulus(self):
         v = ratio_monotone_h(SPREAD)
         assert not v.holds and v.branch is Branch.COND2_FAIL_MODULUS
+        assert v.violation_by == 0
 
     def test_halving_holds_at_boundary(self):
         assert ratio_monotone_h(HALVING).holds
@@ -209,10 +225,12 @@ class TestWeightedMonotone:
     def test_lucas_holds(self):
         v = weighted_monotone(LUCAS)
         assert v.holds and v.branch is Branch.COND_MODULUS_AT_MOST_ONE
+        assert v.violation_by is None
 
     def test_spread_fails(self):
         v = weighted_monotone(RecurrenceSpec(1, -3, 1, 1))
         assert not v.holds and v.branch is Branch.COND3_FAIL_MODULUS
+        assert v.violation_by == 0
 
     def test_unit_modulus_boundary_holds(self):
         assert weighted_monotone(RecurrenceSpec(2, 1, 1, 1)).holds

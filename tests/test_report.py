@@ -94,6 +94,7 @@ class TestPinnedContent:
         # start lying on the repeated eigen-solution 2^n
         report = build_report(RecurrenceSpec(4, 4, 1, 2))
         assert report["degenerate_geometric"] is True
+        assert report["verdicts"]["p3_weighted"]["holds"] is True
         clean = build_report(RecurrenceSpec(4, 4, 1, 3))
         assert clean["degenerate_geometric"] is False
 
@@ -208,6 +209,11 @@ CONTRADICTIONS = {
     "weighted_monotone_modulus_clean_window": (
         "weighted_monotone", make_h_spec(Fraction(1, 10), -2, 1), 0,
         [], {"p3": None},
+    ),
+    # a[n] = 3**n on roots 2 and 3: the zero residual holds P3
+    "weighted_monotone_eigen_start_dirty_window": (
+        "weighted_monotone", RecurrenceSpec(5, 6, 1, 3), 0,
+        [], {"p3": 0},
     ),
     # the single-line check: the last pair of the window violates
     "eventually_nondecreasing_no_clean_tail": (
