@@ -219,27 +219,26 @@ class TestIntegerArguments:
     def test_res_bounds_are_inclusive(self):
         # the parser alone: a raster at the cap is not run
         for res in (2, cli.MAX_RES):
-            args = cli._parser().parse_args(
-                ["regions", "--region", "D", "--bbox=-1,1,-1,1", "--res", str(res),
-                 "--out", "x.pgm"])
+            args = cli._parser("regions").parse_args(
+                ["--region", "D", "--bbox=-1,1,-1,1", "--res", str(res), "--out", "x.pgm"])
             assert args.res == res
 
     def test_n_cap_is_inclusive(self):
         # the parser alone: terms and orbit states at the cap are not made
         for argv in (["sequence", "--a", "1", "--b", "-1", "--h-init", "1"],
                      ["riccati", "--a", "1", "--b", "-1", "--b0", "1/2"]):
-            assert cli._parser().parse_args([*argv, "--n", "5000"]).n == cli.MAX_N == 5000
+            args = cli._parser(argv[0]).parse_args([*argv[1:], "--n", "5000"])
+            assert args.n == cli.MAX_N == 5000
 
     def test_window_and_from_k_caps_are_inclusive(self):
         # the parser alone: no report is built at the caps
-        args = cli._parser().parse_args(
-            ["analyze", "--a", "1", "--b", "-1", "--h-init", "1",
-             "--window", "10000", "--from-k", "50000"])
+        args = cli._parser("analyze").parse_args(
+            ["--a", "1", "--b", "-1", "--h-init", "1", "--window", "10000", "--from-k", "50000"])
         assert (args.window, args.from_k) == (cli.MAX_WINDOW, cli.MAX_FROM_K) == (10000, 50000)
 
     def test_a_max_cap_is_inclusive(self):
         # the parser alone: the pairs at the cap are not listed
-        args = cli._parser().parse_args(["enumerate", "--a-max", "300"])
+        args = cli._parser("enumerate").parse_args(["--a-max", "300"])
         assert args.a_max == cli.MAX_A_MAX == 300
 
     @pytest.mark.parametrize(
@@ -519,15 +518,7 @@ class TestCharacterize:
 
 
 class TestParserReuse:
-    def test_parser_built_once_across_calls(self, capsys, monkeypatch):
-        calls = []
-        build = cli._build_parser
-
-        def counting_build():
-            calls.append(1)
-            return build()
-
-        monkeypatch.setattr(cli, "_build_parser", counting_build)
+    def test_parser_built_once_across_calls(self, capsys, tmp_path):
         cli._parser.cache_clear()
         code, out, _ = run_cli(capsys, "characterize", "--scan-bound", "5")
         assert code == 0 and json.loads(out)["scan_bound"] == 5
@@ -537,7 +528,66 @@ class TestParserReuse:
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--a-max", "0"])
         assert exc.value.code == 2
-        assert len(calls) == 1
+        assert cli._parser.cache_info().misses == 2
+        # a command builds its own parser and no other
+        cli._parser.cache_clear()
+        out_path = tmp_path / "d.pgm"
+        code, _, _ = run_cli(capsys, "regions", "--region", "D", "--bbox=-1,1,-1,1",
+                             "--res", "4", "--out", str(out_path))
+        assert code == 0 and out_path.exists()
+        assert cli._parser.cache_info().currsize == 1
+        cli._parser("regions")
+        assert cli._parser.cache_info().misses == 1
+
+
+class TestTopLevel:
+    """Help, and the errors for a missing or unknown command."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ([], 2),
+            (["-h"], 0),
+            (["--he", "analyze"], 0),
+            (["analy"], 2),
+            (["--", "analyze", "--a", "1", "--b", "-1", "--h-init", "1"], 2),
+            (["analyze", "--", "--a", "1"], 2),
+        ],
+    )
+    def test_edge_argv_exit_codes(self, capsys, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        words = " ".join(capsys.readouterr().out.split())
+        assert list(cli._COMMANDS) == [
+            "analyze", "sequence", "enumerate", "regions", "riccati", "characterize"]
+        for name, (help_line, _, _) in cli._COMMANDS.items():
+            assert f" {name} {help_line} " in words
+
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv",
+                            ["recmono", "enumerate", "--a-max", "1", "--format", "csv"])
+        assert main(None) == 0
+        assert capsys.readouterr().out == "1,-1,1\n"
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_help_names_the_command(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: recmono {command} ")
+
+    def test_unknown_option_is_reported_under_its_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--a", "1", "--b", "-1", "--h-init", "1", "--bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "recmono analyze: error: unrecognized arguments: --bogus" in err
 
 
 class TestEntryPoint:
