@@ -46,11 +46,12 @@ MAX_N = 5000
 # 3.11, x86-64); a block certificate makes growing terms cheap at any size
 MAX_WINDOW = 10000
 
-# the oracle walks from index 0 to the from-k window wherever no invariant
-# certificate stops it: on the near-unit corner (101/50, 1019999/1000000,
-# 1, 72/73) build_report took 1.4 s at --from-k 30000, 4.0 s at 50000 and
-# 14 s at 100000, and the decisions' jump to k alone 3.2 s at 10**6
-# (CPython 3.11, x86-64)
+# the oracle's jump to the from-k window and the decisions' jumps to k
+# each take O(log k) products of integers of O(k) digits, and the oracle
+# steps through the window on such integers: on the near-unit corner
+# (101/50, 1019999/1000000, 1, 72/73) at --window 300, build_report took
+# 0.22 s at --from-k 30000, 0.36 s at 50000, 0.92 s at 100000 and 29 s at
+# 10**6, split about evenly between the two jumps (CPython 3.11, x86-64)
 MAX_FROM_K = 50000
 
 # enumerate lists the O(a_max**2) integer pairs up to a_max, each with
@@ -354,7 +355,9 @@ def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
             "a[n+2] - a*a[n+1] + b*a[n] = 0 with rational coefficients."
         ),
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    # not required: a missing command is reported by main, after argparse
+    # has named any option the top-level parser does not know
+    subs = parser.add_subparsers(dest="command")
     for name, (help_line, _, _) in _COMMANDS.items():
         subs.add_parser(name, help=help_line)
     return parser
@@ -365,9 +368,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv and argv[0] in _COMMANDS:
         command, command_argv = argv[0], argv[1:]
     else:
-        # exits on help or on a missing or unknown command; a parse that
-        # returns has named a command and passed it no arguments
+        # exits on help or on an unknown command or option; a parse that
+        # returns has named a command and passed it no arguments, or named none
         command, command_argv = _parser().parse_args(argv).command, []
+        if command is None:
+            _parser().error("the following arguments are required: command")
     # inputs are parsed under the interpreter's limit on int-to-str digits;
     # terms and orbit states grow past it and are rendered without one
     args = _parser(command).parse_args(command_argv)

@@ -3,9 +3,7 @@
 These scans work directly on the terms and know nothing about the
 decision criteria; they are the second route every verdict is held
 against.  scan decides every window of one report -- both P1 windows,
-the n0 witness, P2 and P3 -- in one walk of the carrier from index 0,
-which never doubles: decisions and terms_between reach far terms by
-Lucas fast doubling, so the two routes reach a far index independently.
+the n0 witness, P2 and P3 -- in one walk of the carrier from index 0.
 The walk tests P1 through the whole window (n0 needs its last violation)
 and goes past it only for the from-k P1 window, and only while that
 window is still clean; P2 and P3 ride on the same indices until both
@@ -13,8 +11,12 @@ have a violation or the window ends.  From there P1 walks on its own
 (_p1_alone), on the difference sequence E[n] = M[n+1] - q*M[n] of the
 carrier below, which obeys the carrier's recurrence and is negative
 exactly where a[n] > a[n+1]: one step per index to the end of the
-window, then blocks of _BLOCK indices, each reached from the one before
-by coefficient tables walked once per scan.  All comparisons are exact.
+window, then one jump to the from-k window's first index and one step
+per index from there.  The jump (_jump) is the oracle's own
+square-and-multiply of x**s modulo the carrier's characteristic
+polynomial, a different algorithm from the Lucas fast doubling by which
+the decisions and terms_between reach far terms, so the two routes
+reach a far index independently.  All comparisons are exact.
 
 Where the terms grow, a whole block of _BLOCK indices is decided at once
 by an exact certificate.  Every solution w of the carrier's recurrence
@@ -27,10 +29,7 @@ passing one passes too, and so by induction does every later block.  In
 the P2/P3 stretch the test certifies growth of the carrier, which
 decides all three properties (see scan); the walk certifies a block
 there only where that test is invariant, so its first certificate
-decides every later index and ends the walk.  Past the window the test
-certifies E >= 0, a clean block of P1, and ends the walk where it is
-invariant; a block it does not clear reads the exact sign of E at each
-index it needs.
+decides every later index and ends the walk.
 
 For speed the scans run on a rescaled integer copy of the sequence,
 recurrence.integer_carrier: with a = A/q, b = B/q over a common
@@ -84,7 +83,7 @@ __all__ = [
     "scan",
 ]
 
-# indices per block of the P1 walk past the window (see scan)
+# indices per certified block of the P2/P3 walk (see scan)
 _BLOCK = 32
 
 # the walk's event sink (see scan): None, the default, emits nothing
@@ -162,7 +161,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     (U[j+1] - c*U[j])*rho + V[j+1] - c*V[j] >= 0, a half-line in rho.
     The rho that pass it at every j < _BLOCK form one interval, whose
     ends _ratio_tests writes as integer pairs (x, y) with x*rho + y >= 0,
-    once per scan and c; the strict test, every w[n+j+1] > c*w[n+j], is
+    once per scan; the strict test, every w[n+j+1] > c*w[n+j], is
     the open interval, x*rho + y > 0.  A block then costs a
     cross-multiplication of w[n], w[n+1] against each end (most
     intervals have one), and four products advance its pair.
@@ -304,12 +303,10 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     tuple led by its name: ("refused", n) and ("certified", n) for each
     try at a certified block, ("lasting", n) where a lasting certificate
     ends the walk at n, ("p1", r) for the range r of indices a stretch
-    decides P1 on, one by one or as a block, and ("exact", bits(M[n])) at
-    each exact step; past the window, ("block", n, E[n], E[n+1]) at each
-    block's start, ("try", n) where its ratio test runs, ("clean", i) for
-    a block it clears from its first index read i on, and
-    ("read", i, E[i] < 0) for each exact sign.  Beyond exact steps and
-    reads, no event is emitted per walked index.
+    decides P1 on, one by one or as a block, ("jump", n, k1) where P1
+    jumps from n to the from-k window's first index k1, and
+    ("exact", bits(M[n])) at each exact step.  Beyond exact steps, no
+    event is emitted per walked index.
     """
     if from_k < 0:
         raise ValueError("start index must be non-negative")
@@ -453,7 +450,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     last, k1 = from_k + window, from_k - 1
     if certified is None:
         _emit(("p1", range(n)))
-        _p1_alone(q, A, Bq, m0, m1, n, window, from_k, p1, U, V)
+        _p1_alone(q, A, Bq, m0, m1, n, window, from_k, p1)
     elif m0 < 0:
         # every index from the certified block on violates P1: the rest of
         # the window, and the from-k window's first where that starts past it
@@ -475,30 +472,22 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
 
 
 def _p1_alone(q: int, A: int, Bq: int, m0: int, m1: int, n: int, window: int,
-              from_k: int, p1: list[int], U: Optional[list[int]],
-              V: Optional[list[int]]) -> None:
+              from_k: int, p1: list[int]) -> None:
     """P1 from index n on, once scan's walk is done with P2 and P3:
-    appends each violation it reads to p1, from (m0, m1) = (M[n], M[n+1])
-    and scan's block tables U, V (None where scan has not walked them).
+    appends each violation it reads to p1, from (m0, m1) = (M[n], M[n+1]).
 
     P1 walks the difference sequence E[n] = M[n+1] - q*M[n], which obeys
     the carrier's recurrence E[n+2] = A*E[n+1] - B*q*E[n] and is negative
     exactly where a[n] > a[n+1]: that spares per index the product
     q*M[n], a comparison of two long terms and a step of the carrier's
-    generator.  Inside the window it steps on E once per index, for n0:
-    there blocks cost more than they save.
+    generator.  Inside the window it steps on E once per index, for n0.
 
     Past the window only the from-k window's first violation counts, at
-    or after k1 = from_k - 1, so P1 walks E there in blocks of _BLOCK
-    indices, E[n+j] = U[j]*E[n+1] + V[j]*E[n].  A block at n where
-    E[n] > 0 is clean where E[n+j] >= 0 for j = 1, ..., _BLOCK, one ratio
-    test with c = 0 (see scan).  Any other block reads, from its first
-    index at or after k1 on, the exact sign of U[j]*E[n+1] + V[j]*E[n].
-    Each block ends on the exact pair (E[n+c], E[n+c+1]), and the walk
-    stops at the first violation or at from_k + window.  Where the c = 0
-    test is invariant (_invariant), the first block that passes it, before
-    k1 or not, is followed by blocks that all pass: E >= 0 from there on,
-    every index through from_k + window is clean, and the walk stops.
+    or after k1 = from_k - 1, and only while none has been read.  Where
+    k1 > n, P1 jumps the pair (E[n], E[n+1]) to (E[k1], E[k1+1]) in
+    O(log k1) products (_jump), reading nothing in between; from there it
+    steps on E as inside the window, up to the first violation or
+    from_k + window.
     """
     e0, e1 = m1 - q * m0, (A - q) * m1 - Bq * m0
     _emit(("p1", range(n, window + 1)))
@@ -510,30 +499,38 @@ def _p1_alone(q: int, A: int, Bq: int, m0: int, m1: int, n: int, window: int,
     last, k1 = from_k + window, from_k - 1
     if n > last or p1 and p1[-1] >= k1:
         return
-    if U is None:
-        U, V = _block_tables(A, Bq)
-    clean = _ratio_tests(U, V, 0)
-    invariant = _invariant(U, V, clean)
-    while n <= last and not (p1 and p1[-1] >= k1):
-        c = min(_BLOCK, last + 1 - n)
-        j = max(k1 - n, 0)  # the block's first index read
-        _emit(("block", n, e0, e1))
-        if (j < c or invariant) and e0 > 0:
-            _emit(("try", n))
-            if _ratio_in(clean, e0, e1):
-                if invariant:
-                    _emit(("lasting", n))
-                    return  # so does every later block: E >= 0 from n on
-                _emit(("clean", n + j), ("p1", range(n + j, n + c)))
-                j = c  # E[n] > 0 and E[n+1], ..., E[n+_BLOCK] >= 0
-        for j in range(j, c):
-            violated = U[j] * e1 + V[j] * e0 < 0
-            _emit(("read", n + j, violated))
-            if violated:
-                p1.append(n + j)
-                break
-        e0, e1 = U[c] * e1 + V[c] * e0, U[c + 1] * e1 + V[c + 1] * e0
-        n += c
+    if k1 > n:
+        _emit(("jump", n, k1))
+        e0, e1 = _jump(A, Bq, e0, e1, k1 - n)
+        n = k1
+    first = n
+    while e0 >= 0 and n < last:
+        n += 1
+        e0, e1 = e1, A * e1 - Bq * e0
+    if e0 < 0:
+        p1.append(n)
+    _emit(("p1", range(first, n + 1)))
+
+
+def _jump(A: int, Bq: int, w0: int, w1: int, s: int) -> tuple[int, int]:
+    """(w[n+s], w[n+s+1]) from (w[n], w[n+1]) = (w0, w1) on any solution w
+    of w[n+2] = A*w[n+1] - Bq*w[n], in O(log s) products; s = 0 gives
+    (w0, w1) back.
+
+    The shift S, (S w)[n] = w[n+1], obeys S**2 = A*S - Bq on every such
+    w, so a polynomial in S acts as its remainder modulo x**2 - A*x + Bq.
+    Where x**s leaves c1*x + c0, w[n+s] = c1*w[n+1] + c0*w[n]; and
+    x**(s+1) leaves (A*c1 + c0)*x - Bq*c1, which gives w[n+s+1].  The
+    remainder is built by square-and-multiply (Fiduccia 1985), high bit
+    of s first, from x**0 = 1 on: (c1*x + c0)**2 leaves
+    (A*c1 + 2*c0)*c1*x + c0**2 - Bq*c1**2, and x*(c1*x + c0) leaves
+    (A*c1 + c0)*x - Bq*c1."""
+    c1, c0 = 0, 1
+    for bit in bin(s)[2:]:
+        c1, c0 = (A * c1 + 2 * c0) * c1, c0 * c0 - Bq * c1 * c1
+        if bit == "1":
+            c1, c0 = A * c1 + c0, -Bq * c1
+    return c1 * w1 + c0 * w0, (A * c1 + c0) * w1 - Bq * c1 * w0
 
 
 def _block_tables(A: int, Bq: int) -> tuple[list[int], list[int]]:

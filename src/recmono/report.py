@@ -7,10 +7,11 @@ verdict whose forced violation (the index the verdict names as
 violation_by) is missing, raises InternalInconsistency (the CLI maps it
 to exit code 1), as does a failed self-check inside the oracle's
 residual walk.  All oracle windows come from one oracle.scan call: one
-walk of the integer carrier from index 0 through the window, past it
-only while the from-k P1 window is still clean, which stops early at
-the first block whose certificate is invariant, since that block
-decides every later index.  Which clause
+walk of the integer carrier from index 0 through the window, which stops
+early at the first block whose certificate is invariant, since that
+block decides every later index, and goes past the window only while
+the from-k P1 window is still clean, by one jump to that window and one
+step per index through it.  Which clause
 forces which violation is stated in decisions alone; a start on the
 dominant eigen-solution is decided there too (its weighted residual is
 identically zero, so P3 holds), and the report only prints it as

@@ -541,7 +541,8 @@ class TestParserReuse:
 
 
 class TestTopLevel:
-    """Help, and the errors for a missing or unknown command."""
+    """Help, and the errors for a missing or unknown command or for an
+    option given with no command."""
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -589,6 +590,19 @@ class TestTopLevel:
         err = capsys.readouterr().err
         assert "recmono analyze: error: unrecognized arguments: --bogus" in err
 
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--version"], "unrecognized arguments: --version"),
+        (["-x", "--y=1"], "unrecognized arguments: -x --y=1"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_option_without_command_is_named(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: recmono [-h]")
+        assert err.endswith(f"\nrecmono: error: {message}\n")
 
 class TestEntryPoint:
     def test_module_invocation(self):

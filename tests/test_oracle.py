@@ -34,7 +34,7 @@ from recmono import (
 )
 from recmono.oracle import OracleWindows
 from recmono.qfield import surd_sign
-from recmono.recurrence import integer_carrier
+from recmono.recurrence import _carrier_jump, integer_carrier
 from recmono.report import build_report
 
 from conftest import build_corpus
@@ -47,9 +47,9 @@ SPREAD_H = make_h_spec(1, -3, 1)
 # window; with h = -2/5 every term is negative and every index violates P1
 DEEP = make_h_spec(Fraction(28, 13), Fraction(-3, 13), Fraction(2, 5))
 DEEP_NEGATIVE = make_h_spec(Fraction(28, 13), Fraction(-3, 13), Fraction(-2, 5))
-# roots 3 and 2: the terms and their differences E grow, but the c = 0
-# test past the window is not invariant (the image of its lower end has
-# E = 0), so the walk past the window clears block after block
+# roots 3 and 2: the terms and their differences E grow, and every
+# from-k window is clean; a ratio test for E >= 0 over a block (c = 0) is
+# not invariant on it, the image of its lower end having E = 0
 RISING = make_h_spec(5, 6, 1)
 # roots 199/200 and 99/100 and a[n] = alpha**n - (1 - 1/1000)*beta**n: the
 # terms grow by more than 1 per index up to about index 130, then shrink
@@ -151,12 +151,11 @@ def _assert_matches_references(cases):
         assert oracle.scan(*case) == reference_windows(*case), case
 
 
-def _block_events(spec, window, from_k, names=("certified", "refused", "clean", "lasting")):
+def _block_events(spec, window, from_k, names=("certified", "refused", "lasting")):
     """scan's windows and, in walk order, the events of its walk (see
     oracle.scan) whose names are in names: by default the block the P2/P3
-    walk certifies, each try it refuses, each block past the window that
-    a ratio test clears, and the index from which a lasting certificate
-    decides every later one, where the walk stops."""
+    walk certifies, each try it refuses, and the index from which a
+    lasting certificate decides every later one, where the walk stops."""
     events = []
     oracle._events = events
     try:
@@ -513,15 +512,15 @@ class TestScan:
 
     def test_walk_goes_past_the_window_only_while_from_k_is_clean(self):
         # (spec, window, from_k, last index a window compares): the clean
-        # from-k window [99, 120] of RISING compares up to index 120, its
-        # c = 0 test not being invariant; the second stops at its violation
-        # at 36, short of its end at 40; the third, 2**n + 2**(30 - n),
+        # from-k window [99, 120] of RISING is jumped to from 21 and
+        # stepped up to index 120; the second stops at its violation at
+        # 36, short of its end at 40; the third, 2**n + 2**(30 - n),
         # descends up to index 14, inside the window, so its from-k window
         # [9, 30] needs no index past 20; at window 100 TRANSIENT's tries
-        # are refused, so it reads every index, and RISING clears its from-k
-        # window [149, 250] past it; FALLING_UNIT's certified block at 32
-        # makes every later index a violation: the rest of the window, and
-        # the first of a from-k window past it, 149
+        # are refused, so it reads every index, and RISING steps its from-k
+        # window [149, 250] after a jump; FALLING_UNIT's certified block at
+        # 32 makes every later index a violation: the rest of the window,
+        # and the first of a from-k window past it, 149
         for spec, w, k, last in (
             (RISING, 20, 100, 120),
             (RecurrenceSpec(Fraction(7, 2), 3, 1000000, 1499990), 10, 30, 36),
@@ -531,10 +530,10 @@ class TestScan:
             (FALLING_UNIT, 100, 50, 100),
             (FALLING_UNIT, 100, 150, 149),
         ):
-            # the ranges each stretch decides P1 on, and each exact read past
-            # the window
-            _, decided = _block_events(spec, w, k, ("p1", "read"))
-            seen = [i for name, x, *_ in decided for i in (x if name == "p1" else (x,))]
+            # the ranges each stretch decides P1 on, the jump skipping the
+            # indices between the window and the from-k window
+            _, decided = _block_events(spec, w, k, ("p1",))
+            seen = [i for _, stretch in decided for i in stretch]
             case = (spec, w, k, seen)
             assert max(seen) == last, case
             assert sorted(i for i in seen if i <= w) == list(range(w + 1)), case
@@ -710,46 +709,46 @@ class TestPartSignsAndDifferenceWalk:
 # descends from index 36 on; starts scaled by 2**700 descend there too
 LATE_DESCENT_LONG = RecurrenceSpec(LATE_DESCENT.a, LATE_DESCENT.b,
                                    LATE_DESCENT.v0 * 2**700, LATE_DESCENT.v1 * 2**700)
-# a[n] = 1, 1, -2 with period 3: E[n] = 0 at n = 6, where U[2] = V[2] = -1,
-# a zero the exact sign must read as a clean index; then the violation
-# at 7
+# a[n] = 1, 1, -2 with period 3: E[n] = 0 at n = 6, a zero the walk must
+# read as a clean index; then the violation at 7
 PERIOD_THREE = RecurrenceSpec(-1, 1, 1, 1)
 # within 2**-80 of the beta = 1/2 eigen-solution (carrier roots 8 and 1):
 # M[n] = c1*8**n + c2 with c1 = -2**620 and c2 = -2**700, so
 # E[n] = 6*c1*8**n - c2 is clean up to 25 and descends from 26 on, where
-# the alpha part overtakes: the block that holds 26 is read index by index
+# the alpha part overtakes
 NEAR_BETA_EIGEN = RecurrenceSpec(Fraction(9, 2), 2, -2**620 - 2**700,
                                  Fraction(-8 * 2**620 - 2**700, 2))
 
 
+# jumps of 0, 1 and 2 indices and of one more or less than a power of 2
+jump_lengths_st = st.sampled_from((0, 1, 2)) | st.builds(
+    lambda j, e: 2**j + e, st.integers(1, 7), st.sampled_from((-1, 1)))
+
+
 @st.composite
-def block_cases(draw):
-    """(spec, window, from_k) whose from-k window starts on a block edge
-    past the window (k1 - window - 1 = 0 or +-1 mod the block length), or
-    ends on one (from_k = 0 or +-1 mod the block length: the last block
-    reads 1, all or all but one of its indices)."""
+def jump_cases(draw):
+    """(spec, window, from_k) whose from-k window starts past the window,
+    from_k - 1 = window + 1 + the length of the jump to it."""
     a, b = draw(coeffs_st), draw(coeffs_st)
     v0, v1 = draw(starts_st), draw(starts_st)
     assume(v0 or v1)
     scale = draw(st.sampled_from((1, 2**700)))
     window = draw(st.integers(0, 40))
-    edge = oracle._BLOCK * draw(st.integers(0, 3)) + draw(st.sampled_from((-1, 0, 1)))
-    from_k = edge + window + 2 if draw(st.booleans()) else edge
-    assume(from_k >= 0)
+    from_k = window + 2 + draw(jump_lengths_st)
     return RecurrenceSpec(a, b, v0 * scale, v1 * scale), window, from_k
 
 
 class TestBlockWalk:
-    """Past the window, the from-k P1 walk reads blocks of _BLOCK indices,
-    E[n+j] = U[j]*E[n+1] + V[j]*E[n]; a block the ratio test does not
-    clear reads the exact sign at each index from its first one read;
-    every field is held against the naive references."""
+    """Past the window, the from-k P1 walk jumps the difference sequence
+    E to the from-k window's first index and steps on E from there; every
+    field is held against the naive references."""
 
-    @given(block_cases())
-    # the violation at 36 at j = 0 (of the first block, 36 = window + 1,
-    # and of the second, 4 + 32), and at j = c - 1 of a full block
-    # (5 + 31) and of a partial last block (11 + 25), on long starts
+    @given(jump_cases())
+    # the violation at 36 on the first index stepped past the window, with
+    # no jump (window 35, and window 34 at from-k 36), and after jumps of
+    # 31 = 2**5 - 1, 27 and 14 indices on long starts
     @example((LATE_DESCENT, 35, 30))
+    @example((LATE_DESCENT, 34, 36))
     @example((LATE_DESCENT_LONG, 3, 36))
     @example((LATE_DESCENT_LONG, 4, 33))
     @example((LATE_DESCENT_LONG, 10, 26))
@@ -766,28 +765,33 @@ class TestBlockWalk:
         assert oracle.scan(NEAR_BETA_EIGEN, 2, 24).p1_from_k.first_violation == 26
 
     def test_near_eigen_start_reaches_the_exact_sign(self):
-        # each read past the window is the exact sign of E at one index; the
-        # ratio test refuses the block, so the walk reads from k1 = 23 up to
+        # the walk jumps from 3 to k1 = 23 and steps on E from there up to
         # the violation at 26
-        _, reads = _block_events(NEAR_BETA_EIGEN, 2, 24, ("read",))
-        assert [i for _, i, _ in reads] == [23, 24, 25, 26]
-        assert reads[-1] == ("read", 26, True)
+        _, events = _block_events(NEAR_BETA_EIGEN, 2, 24, ("jump", "p1"))
+        assert events[-2:] == [("jump", 3, 23), ("p1", range(23, 27))]
 
-    def test_block_steps_equal_the_stepped_difference_sequence(self):
-        # (n, E[n], E[n+1]) at the start of each block, against
-        # E[n] = M[n+1] - q*M[n] on the carrier's terms, to index 5000
-        # on specs whose c = 0 test is not invariant, so that the blocks run
-        # up to k - 1: RISING, and roots 4 and 3/2 over q = 2
+    def test_block_steps_equal_the_stepped_difference_sequence(self, monkeypatch):
+        # the pair (E[k1], E[k1+1]) the jump lands on, against
+        # E[n] = M[n+1] - q*M[n] on the carrier's terms, to index 5000:
+        # RISING, roots 4 and 3/2 over q = 2, a complex pair and a descent
+        # at 36
+        jumped = []
+
+        def recorded(*args):
+            jumped.append(jump(*args))
+            return jumped[-1]
+
+        jump = oracle._jump
+        monkeypatch.setattr(oracle, "_jump", recorded)
         over_q = make_h_spec(Fraction(11, 2), 6, Fraction(3, 4))
         for spec, w, k in ((RISING, 0, 5000), (RISING, 33, 4000), (over_q, 300, 5000),
                            (RecurrenceSpec(1, 1, 1, 2), 7, 2000), (LATE_DESCENT_LONG, 3, 30)):
-            _, starts = _block_events(spec, w, k, ("block",))
-            assert starts, spec
+            jumped.clear()
+            _, events = _block_events(spec, w, k, ("jump",))
+            assert events == [("jump", w + 1, k - 1)], spec
             q, _, _, _, M = integer_carrier(spec)
-            m = list(islice(M, starts[-1][1] + 3))
-            for _, n, e0, e1 in starts:
-                assert (e0, e1) == (m[n + 1] - q * m[n], m[n + 2] - q * m[n + 1]), (spec, n)
-            assert starts[-1][1] > k - 1 - oracle._BLOCK, spec  # the blocks reach k - 1
+            m = list(islice(M, k + 2))
+            assert jumped == [(m[k] - q * m[k - 1], m[k + 1] - q * m[k])], spec
 
 
 roots_st = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 4))
@@ -818,7 +822,7 @@ def _ratio_tie(t, alpha=1 - Fraction(1, 2**70), beta=Fraction(1, 2)):
 # where every term is negative, and P1 holds at 63 (n0 = 63); the dominant
 # root below 1 keeps the test on M from being invariant, so the invariance
 # check refuses every try before the strict test counts: at (70, 64) the
-# walk refuses 32 and 64 and clears 71 and 103 past the window
+# walk refuses 32 and 64 and steps on past the window
 TIE_AT_BLOCK_END = _ratio_tie(63)
 # roots 1003/1000 and -9/10: the tie a[35] = a[34] falls on the first index
 # of the try [34, 66), where every term is negative, and the test on M is
@@ -854,9 +858,8 @@ def deep_cases(draw):
 class TestCertifiedBlocks:
     """Inside the window a real-root walk decides every index from a
     block of _BLOCK indices on where one invariant ratio test certifies
-    that M grows; past it one ratio test clears a block of P1 where
-    E > 0.  Each pinned case reaches the path it names, and every field
-    is held against the naive references."""
+    that M grows.  Each pinned case reaches the path it names, and every
+    field is held against the naive references."""
 
     @given(deep_cases())
     @example((DEEP, 100, 150))
@@ -883,19 +886,19 @@ class TestCertifiedBlocks:
         assert got.p2.holds_on_window and got.p3.holds_on_window
         assert got.n0_witness == 0 and got.p1_from_k.first_violation == 149
         assert got == reference_windows(TRANSIENT, 100, 150)
-        # past the window the from-k window [149, 250] is cleared block by
-        # block, the c = 0 test not being invariant
-        got, events = _block_events(RISING, 100, 150)
-        assert events == [("clean", 149), ("clean", 165), ("clean", 197), ("clean", 229)]
+        # past the window the walk jumps to the from-k window [149, 250]
+        # and steps through it
+        got, events = _block_events(RISING, 100, 150, ("jump", "p1"))
+        assert events[-2:] == [("jump", 101, 149), ("p1", range(149, 251))]
         assert got.p1_from_k.holds_on_window and got.n0_witness == 0
         assert got == reference_windows(RISING, 100, 150)
         # within 2**-40 of -beta**n on roots 2.62 and 0.38, E > 0 shrinks up
-        # to index 14: the test past the window is E[n+j] >= 0 (c = 0), not
-        # growth, so it clears the block [3, 13)
+        # to index 14: P1 past the window is E >= 0, not growth, so the
+        # from-k window [9, 12] is clean
         near = _near_beta_eigen(3, 1, 40)[0]
         case = (RecurrenceSpec(3, 1, -1, -near.v1), 2, 10)
-        got, events = _block_events(*case)
-        assert events == [("clean", 9)]
+        got, events = _block_events(*case, ("jump", "p1"))
+        assert events[-2:] == [("jump", 3, 9), ("p1", range(9, 13))]
         assert got == reference_windows(*case)
         # repeated root 1, a[n] = 1 + 2*n: the u part ties at every index,
         # |u[n+1]| = |B|*|u[n]|, which the part signs take as holding, so
@@ -925,10 +928,10 @@ class TestCertifiedBlocks:
         got, events = _block_events(ALTERNATING, 100, 150)
         assert events == [("refused", 32), ("refused", 64), ("refused", 96)]
         assert got == reference_windows(ALTERNATING, 100, 150)
-        # past the window: E[5] > 0, but E descends at 36 inside the block
-        # [5, 37), so the ratio test refuses it and the exact signs find 36
-        got, events = _block_events(LATE_DESCENT_LONG, 4, 33, ("block", "try"))
-        assert [event[:2] for event in events] == [("block", 5), ("try", 5)]
+        # past the window: E[5] > 0, and the walk jumps to k1 = 32 and
+        # steps up to E's descent at 36
+        got, events = _block_events(LATE_DESCENT_LONG, 4, 33, ("jump", "p1"))
+        assert events[-2:] == [("jump", 5, 32), ("p1", range(32, 37))]
         assert _block_events(LATE_DESCENT_LONG, 4, 33)[1] == []
         assert got.p1_from_k.first_violation == 36
 
@@ -983,8 +986,7 @@ TABLE = RecurrenceSpec(Fraction(7, 3), Fraction(-5, 7), Fraction(3, 4), Fraction
 class TestLastingCertificates:
     """Where one block maps a ratio test's interval into itself
     (oracle._invariant), a block that passes the test decides every later
-    index: inside the window the walk stops after its first certified
-    block, and past it at the first block the c = 0 test clears.  Pinned
+    index: the walk stops after its first certified block.  Pinned
     against the naive references around each exit, and by event traces."""
 
     CASES = (
@@ -1005,14 +1007,12 @@ class TestLastingCertificates:
         # the falling unit root, whose strict test is invariant: a wide
         # window and from-k windows past it, each decided by the block at 32
         (FALLING_UNIT, 3000, 0), (FALLING_UNIT, 100, 150), (FALLING_UNIT, 100, 5000),
-        # far from-k windows, decided without a block past the window
-        (DEEP, 100, 2000), (DEEP_NEGATIVE, 100, 2000), (FIB, 20, 3000),
-        # the c = 0 test past the window: invariant on FIB and TABLE,
-        # whose first block past the window clears the from-k window
-        (FIB, 0, 500), (FIB, 20, 100), (TABLE, 50, 600), (TABLE, 64, 1000),
+        # far from-k windows, decided by the certified block
+        (DEEP, 100, 2000), (DEEP_NEGATIVE, 100, 2000),
+        # far from-k windows the walk jumps to
+        (FIB, 20, 3000), (FIB, 0, 500), (FIB, 20, 100), (TABLE, 50, 600), (TABLE, 64, 1000),
         # tests that are not invariant: the tries are refused and the walk
-        # reads each index, past the terms' growth at window 300, and the
-        # blocks past the window run on
+        # reads each index, past the terms' growth at window 300
         (TRANSIENT, 200, 0), (TRANSIENT, 300, 0), (RISING, 100, 150),
     )
 
@@ -1022,25 +1022,26 @@ class TestLastingCertificates:
     def test_one_block_decides_the_rest(self):
         # DEEP: 32 indices on part signs, then one certified block, after
         # which the walk stops at 64; its from-k window [149, 250] is
-        # clean with no block past the window
+        # clean with no walk past the window
         got, events = _block_events(DEEP, 100, 150)
         assert events == [("certified", 32), ("lasting", 64)]
         assert got.p2.holds_on_window and got.p3.holds_on_window
         assert got.p1_from_k.holds_on_window and got.n0_witness == 0
         assert got == reference_windows(DEEP, 100, 150)
-        # the same at from-k 10**5: no block runs past the window either
+        # the same at from-k 10**5: no walk past the window either
         far, events = _block_events(DEEP, 100, 10**5)
         assert events == [("certified", 32), ("lasting", 64)]
         assert far.p1_from_k == WindowReport(PropertyId.P1, (10**5 - 1, 10**5 + 100), True, None, ())
         # every term negative: the from-k window's first violation is its
-        # first index, 149, with no block past the window
+        # first index, 149, with no walk past the window
         got, events = _block_events(DEEP_NEGATIVE, 100, 150)
         assert events == [("certified", 32), ("lasting", 64)]
         assert got.n0_witness is None and got.p1_from_k.first_violation == 149
         assert got == reference_windows(DEEP_NEGATIVE, 100, 150)
-        # past the window: FIB's first block, at 21, clears [99, 120]
-        got, events = _block_events(FIB, 20, 100)
-        assert events == [("lasting", 21)]
+        # no certificate past the window: FIB jumps from 21 to 99 and steps
+        # through [99, 120]
+        got, events = _block_events(FIB, 20, 100, ("lasting", "jump", "p1"))
+        assert events[-2:] == [("jump", 21, 99), ("p1", range(99, 121))]
         assert got == reference_windows(FIB, 20, 100)
 
     def test_invariant_ratio_tests(self):
@@ -1060,9 +1061,9 @@ class TestLastingCertificates:
         assert -y == x > 0 and (U[j] + V[j], U[j + 1] + V[j + 1]) == (1, 1)
         assert oracle._invariant(U, V, grow)
         assert not oracle._invariant(*tests(TRANSIENT, None))
-        # c = 0: FIB's and TABLE's interval is unbounded above and maps
-        # into itself; RISING's lower end is a solution with E[32] = 0,
-        # whose image has w0 = 0
+        # c = 0, E >= 0 over a block: FIB's and TABLE's interval is
+        # unbounded above and maps into itself; RISING's lower end is a
+        # solution with E[32] = 0, whose image has w0 = 0
         assert oracle._invariant(*tests(FIB, 0)) and oracle._invariant(*tests(TABLE, 0))
         U, V, clean = tests(RISING, 0)
         (x, y), = clean
@@ -1076,6 +1077,61 @@ class TestLastingCertificates:
         j = oracle._BLOCK
         assert (U[j] + V[j], U[j + 1] + V[j + 1]) == (1, 1)
         assert U[j] < 0 and not oracle._invariant(U, V, [(1, -1)])
+
+
+TABLE_NEGATED = RecurrenceSpec(-TABLE.a, TABLE.b, TABLE.v0, TABLE.v1)
+# the jump lengths every jump test covers: 0 to 64, and 2**j and 2**j +- 1
+# up to 5000
+JUMP_LENGTHS = sorted({*range(65), *(2**j + e for j in range(6, 13) for e in (-1, 0, 1))})
+
+
+class TestDifferenceJump:
+    """oracle._jump, the P1 walk's own square-and-multiply modulo the
+    carrier's characteristic polynomial, held against the stepped
+    difference sequence and against E built from the decisions' Lucas
+    doubling (recurrence._carrier_jump); and far from-k windows, which
+    the walk reaches by one jump, against the naive references."""
+
+    SPECS = (
+        RISING,  # real roots 3 and 2
+        make_h_spec(Fraction(11, 2), 6, Fraction(3, 4)),  # roots 4 and 3/2 over q = 2
+        make_h_spec(3, Fraction(9, 4), Fraction(-2, 3)),  # repeated root 3/2
+        RecurrenceSpec(2, 1, 1, 3),  # repeated root 1
+        RecurrenceSpec(1, 1, 1, 2),  # complex pair of modulus 1
+        RecurrenceSpec(Fraction(1, 2), Fraction(1, 3), 1, 1),  # complex pair, shrinking
+        ALTERNATING,  # dominant root -1.62
+        TABLE_NEGATED,  # dominant root -2.61
+    )
+
+    def test_jump_equals_stepped_and_doubled_pairs(self):
+        n = 5
+        for spec in self.SPECS:
+            q, A, B, _, M = integer_carrier(spec)
+            m = list(islice(M, n + JUMP_LENGTHS[-1] + 3))
+            e = [y - q * x for x, y in zip(m, m[1:])]
+            for s in JUMP_LENGTHS:
+                got = oracle._jump(A, B * q, e[n], e[n + 1], s)
+                assert got == (e[n + s], e[n + s + 1]), (spec, s)
+                m0, m1 = _carrier_jump(A, B * q, m[0], m[1], n + s)
+                m2 = A * m1 - B * q * m0
+                assert got == (m1 - q * m0, m2 - q * m1), (spec, s)
+
+    # far from-k windows with no certificate before them, so the walk
+    # jumps: the near-unit corner, the table spec negated and ALTERNATING,
+    # whose from-k window's first or second index violates, and a clean
+    # from-k window of 1001 indices on RISING
+    FAR_CASES = (
+        (TestNearCornerExactStep.CORNER, 20, 2000),
+        (TABLE_NEGATED, 20, 2000),
+        (ALTERNATING, 30, 3000),
+        (RISING, 1000, 2000),
+    )
+
+    def test_far_from_k_windows_match_references(self):
+        _assert_matches_references(self.FAR_CASES)
+        for case in self.FAR_CASES:
+            _, events = _block_events(*case, ("jump",))
+            assert events == [("jump", case[1] + 1, case[2] - 1)], case
 
 
 def _broken_carrier(spec):
