@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional, Sequence
 
 from .numtheory import boundary_characterization, enumerate_generalized_fibonacci
@@ -36,8 +36,8 @@ MAX_RES = 4096
 # sequence prints a[0..n] and riccati n orbit states of O(n) digits each,
 # so the output grows as n**2 and, with int-to-str quadratic in the
 # digits, the time faster; on (a, b, v0, v1) = (7/3, -5/7, 3/4, -2/5) at
-# --n 5000 they took 3.1 s (28 MB) and 4.2 s (33 MB), at 10000 23-33 s
-# (111-132 MB) (CPython 3.11, x86-64)
+# --n 5000 they took 3.4 s (28 MB) and 4.2 s (33 MB), at 10000 22 s and
+# 30 s (111 and 132 MB) (CPython 3.11.7, x86-64)
 MAX_N = 5000
 
 # analyze walks its window index by index wherever no certificate covers
@@ -54,10 +54,10 @@ MAX_WINDOW = 10000
 # 10**6, split about evenly between the two jumps (CPython 3.11, x86-64)
 MAX_FROM_K = 50000
 
-# enumerate lists the O(a_max**2) integer pairs up to a_max, each with
-# its roots' decimals in JSON: at --a-max 300 JSON took 1.3 s, 17 MB of
-# output and 170 MB peak RSS, at 600 6.5 s, 68 MB and 635 MB; CSV 0.17
-# and 0.71 s (CPython 3.11, x86-64)
+# enumerate lists the O(a_max**2) integer pairs up to a_max, five JSON
+# fields each: at --a-max 300 JSON took 0.7-1.1 s, 17 MB of output and
+# 158 MB peak RSS, at 600 3-4 s, 68 MB and 590 MB; CSV 0.14 and 0.66 s
+# (CPython 3.11.7, x86-64)
 MAX_A_MAX = 300
 
 
@@ -143,8 +143,69 @@ def _spec_from_args(args: argparse.Namespace) -> RecurrenceSpec:
     return RecurrenceSpec(args.a, args.b, args.v0, args.v1)
 
 
+def _write_json(value, append, indent: str) -> None:
+    """Append the JSON text of the dict, list or tuple value, laid out as
+    json.dumps(value, sort_keys=True, indent=2) lays it out, piece by
+    piece through append; indent is the line break and the indentation of
+    the line value starts on.  A leaf is written here, without a call of
+    its own: a str by json's own escaping, an int by int.__repr__ (after
+    bools, which are ints), True, False and None as json writes them.
+    Anything else, and a key that is not a str, raises TypeError."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        keys = sorted(value)
+        heads = [inner + _json_str(key) + ": " for key in keys]
+        items = [value[key] for key in keys]
+        opener, closer = "{", indent + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        heads = [inner] * len(value)
+        items = value
+        opener, closer = "[", indent + "]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    append(opener)
+    separator = ""
+    for head, item in zip(heads, items):
+        append(separator + head)
+        separator = ","
+        if isinstance(item, str):
+            append(_json_str(item))
+        elif item is None:
+            append("null")
+        elif item is True:
+            append("true")
+        elif item is False:
+            append("false")
+        elif isinstance(item, int):
+            append(int.__repr__(item))
+        else:
+            _write_json(item, append, inner)
+    append(closer)
+
+
 def _emit_json(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Write payload as json.dumps(payload, sort_keys=True, indent=2)
+    writes it, and a newline, without calling json.dumps.
+
+    With indent set, json leaves its C encoder for a chain of Python
+    generators, one per container, on every CPython from 3.10 to 3.13.
+    On CPython 3.11.7 (x86-64) json.dumps took 157 microseconds per
+    analyze report of the report-deep benchmark against 87 for
+    _write_json (medians of 5 alternating rounds, each the best of 25
+    passes), and 0.50 s against 0.39 s on enumerate's 17 MB at
+    --a-max 300 (best of 7 interleaved passes).
+    """
+    chunks: list[str] = []
+    _write_json(payload, chunks.append, "\n")
+    chunks.append("\n")
+    text = "".join(chunks)
+    del chunks  # as large as text; freed before writing doubles it again
     if out is None:
         sys.stdout.write(text)
     else:

@@ -76,41 +76,50 @@ def _require_h(spec: RecurrenceSpec, what: str) -> None:
         raise ValueError(f"{what} is stated only for h-type specs")
 
 
+def _ordered_triple(spec: RecurrenceSpec, start: int) -> bool:
+    """Is a[start] <= a[start+1] <= a[start+2]?  start = -1 reads a[-1] as
+    term_minus_one; any other start is one carrier read, which costs
+    O(log start)."""
+    if start < 0:
+        return term_minus_one(spec) <= spec.v0 <= spec.v1
+    # a[n] = M[n] / (q**n * D) with q, D > 0: a[n] <= a[n+1] iff q*M[n] <= M[n+1]
+    q, _, _, _, M = integer_carrier(spec, start)
+    m0, m1, m2 = islice(M, 3)
+    return q * m0 <= m1 and q * m1 <= m2
+
+
 def _p1_verdict(spec: RecurrenceSpec, k: Optional[int]) -> Verdict:
     """The clause chain shared by both P1 tests; k = None is the eventual one.
 
     With real roots, c = sign(v1 - v0*beta) is 0 exactly on a geometric
     start and is the sign of the dominant root's coefficient where a > 0.
-    The triple is one carrier read at k - 1, or at 0 for the eventual test
-    (which consults it only when r+ = 1 or c = 0), taken after the
-    discriminant check since it costs O(log k); a[-1] is term_minus_one.
+    The from-k test reads its triple a[k-1], a[k], a[k+1] first, after
+    the discriminant check; the eventual test reads a[0], a[1], a[2] only
+    on the two clauses that consult it, r+ = 1 and c = 0.
     """
     roots = spec.roots()
     if roots.discriminant_sign < 0:
         return Verdict(False, Branch.DISCRIMINANT_NEGATIVE)
-    if k == 0:
-        ordered = term_minus_one(spec) <= spec.v0 <= spec.v1
-    else:
-        # a[n] = M[n] / (q**n * D) with q, D > 0: a[n] <= a[n+1] iff q*M[n] <= M[n+1]
-        q, _, _, _, M = integer_carrier(spec, 0 if k is None else k - 1)
-        m0, m1, m2 = islice(M, 3)
-        ordered = q * m0 <= m1 and q * m1 <= m2
-    ap = roots.alpha_plus
     # an unordered from-k triple holds a violation at k - 1 or k
     unordered = Verdict(False, Branch.FAIL_INITIAL_TRIPLE, k)
-    if ap == 1 or (k is not None and not ordered):
-        return Verdict(True, Branch.COND_ALPHA_ONE) if ordered else unordered
-    if ap.sign() <= 0:
-        return Verdict(False, Branch.FAIL_ALPHA_PLUS_NOT_POSITIVE)
-    c = (spec.v1 - spec.v0 * roots.beta).sign()  # beta = r+ if a < 0, else r-
-    if c:
-        if spec.a < 0:
-            return Verdict(False, Branch.FAIL_A_NOT_POSITIVE)
-        up = c == (ap - 1).sign()
-        return Verdict(up, Branch.COND_MONOTONIC_1 if up else Branch.FAIL_GROWTH_PRODUCT)
-    # the geometric sequence v0*beta**n, whose differences v0*beta**n*(beta - 1)
-    # share one sign if beta > 0 and alternate if not, so its triple decides it
-    return Verdict(True, Branch.COND_GEOMETRIC) if ordered else unordered
+    if k is not None and not _ordered_triple(spec, k - 1):
+        return unordered
+    unit = spec._alpha_plus_vs_one  # sign(r+ - 1)
+    if unit:
+        if roots.alpha_plus.sign() <= 0:
+            return Verdict(False, Branch.FAIL_ALPHA_PLUS_NOT_POSITIVE)
+        c = spec._beta_residual_sign  # beta = r+ if a < 0, else r-
+        if c:
+            if spec.a < 0:
+                return Verdict(False, Branch.FAIL_A_NOT_POSITIVE)
+            up = c == unit
+            return Verdict(up, Branch.COND_MONOTONIC_1 if up else Branch.FAIL_GROWTH_PRODUCT)
+    # r+ = 1, where the ordered start decides; or the geometric sequence
+    # v0*beta**n, whose differences v0*beta**n*(beta - 1) share one sign if
+    # beta > 0 and alternate if not, so its triple decides it
+    if k is None and not _ordered_triple(spec, 0):
+        return unordered
+    return Verdict(True, Branch.COND_GEOMETRIC if unit else Branch.COND_ALPHA_ONE)
 
 
 def eventually_nondecreasing(spec: RecurrenceSpec) -> Verdict:
@@ -151,7 +160,7 @@ def positive_monotone_h(spec: RecurrenceSpec) -> Verdict:
         return Verdict(False, Branch.FAIL_INITIAL_NOT_POSITIVE)
     if spec.a < 1:
         return Verdict(False, Branch.FAIL_COEFF_BELOW_ONE)
-    if (roots.alpha_plus - 1).sign() < 0:
+    if spec._alpha_plus_vs_one < 0:
         return Verdict(False, Branch.FAIL_ALPHA_PLUS_BELOW_ONE)
     return Verdict(True, Branch.COND_H_MONOTONE)
 
@@ -186,7 +195,7 @@ def weighted_monotone(spec: RecurrenceSpec) -> Verdict:
         return Verdict(False, Branch.COND3_FAIL_MODULUS, 0)
     if cmp_abs(roots.beta, 1) <= 0:
         return Verdict(True, Branch.COND_MODULUS_AT_MOST_ONE)
-    if (spec.v1 - spec.v0 * roots.alpha).sign() == 0:
+    if spec._alpha_residual_sign == 0:
         return Verdict(True, Branch.COND_GEOMETRIC)
     return Verdict(False, Branch.COND3_FAIL_MODULUS, 0)
 

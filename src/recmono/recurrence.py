@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Iterator, Optional
 
@@ -80,6 +81,30 @@ class RecurrenceSpec:
             roots = quadratic_roots(self.a, self.b)
             object.__setattr__(self, "_roots", roots)
         return roots
+
+    # Signs and a[-1] that several decisions, ratio_limit and the report
+    # read, each computed on first use and kept on the spec like its roots
+    # (cached_property writes the instance dict, which frozen allows).
+    # The first three need real roots.
+
+    @cached_property
+    def _beta_residual_sign(self) -> int:
+        """sign(v1 - v0*beta), 0 exactly on a start along beta."""
+        return (self.v1 - self.v0 * self.roots().beta).sign()
+
+    @cached_property
+    def _alpha_residual_sign(self) -> int:
+        """sign(v1 - v0*alpha), 0 exactly on the dominant eigen-solution."""
+        return (self.v1 - self.v0 * self.roots().alpha).sign()
+
+    @cached_property
+    def _alpha_plus_vs_one(self) -> int:
+        """sign(alpha_plus - 1)."""
+        return (self.roots().alpha_plus - 1).sign()
+
+    @cached_property
+    def _term_minus_one(self) -> Fraction:
+        return (self.a * self.v0 - self.v1) / self.b
 
 
 def make_h_spec(a: RationalLike, b: RationalLike, c: RationalLike = 1) -> RecurrenceSpec:
@@ -155,7 +180,7 @@ def terms_between(spec: RecurrenceSpec, lo: int, hi: int) -> tuple[Fraction, ...
 
 def term_minus_one(spec: RecurrenceSpec) -> Fraction:
     """The unique backward extension a[-1] = (a*a[0] - a[1]) / b."""
-    return (spec.a * spec.v0 - spec.v1) / spec.b
+    return spec._term_minus_one
 
 
 class LimitKind(Enum):
@@ -185,6 +210,6 @@ def ratio_limit(spec: RecurrenceSpec) -> RatioLimit:
     roots = spec.roots()
     if roots.discriminant_sign < 0:
         return RatioLimit(LimitKind.DIVERGES, None, None)
-    if (spec.v1 - spec.v0 * roots.beta).sign() != 0:
+    if spec._beta_residual_sign != 0:
         return RatioLimit(LimitKind.CONVERGES, roots.alpha, "alpha")
     return RatioLimit(LimitKind.CONVERGES, roots.beta, "beta")

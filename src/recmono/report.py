@@ -16,6 +16,13 @@ forces which violation is stated in decisions alone; a start on the
 dominant eigen-solution is decided there too (its weighted residual is
 identically zero, so P3 holds), and the report only prints it as
 degenerate_geometric.
+
+Rendering is exact work done once.  alpha, beta and the ratio limit are
+the very root objects alpha_plus and alpha_minus, so the two roots'
+decimals are rendered once and the other blocks copy them.  The signs
+several verdicts and ratio_limit read, sign(v1 - v0*beta),
+sign(v1 - v0*alpha) and sign(alpha_plus - 1), and a[-1], are computed
+once per spec and kept on it, like its roots.
 """
 
 from __future__ import annotations
@@ -107,7 +114,7 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
     # degenerate start: coefficient of the dominant root vanishes, the
     # weighted residual is identically zero
     alpha = roots.alpha
-    degenerate = real and (spec.v1 - spec.v0 * alpha).sign() == 0
+    degenerate = real and spec._alpha_residual_sign == 0
 
     # ---- consistency: the decision/oracle contract -------------------------
     # One row per verdict an oracle window can contradict: its name, the
@@ -149,13 +156,16 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
         )
 
     # ---- assembled blocks --------------------------------------------------
+    # each root's decimal once: alpha, beta and the limit are these objects
+    rendered = {}
     if real:
+        rendered = {id(r): _quad_json(r) for r in (roots.alpha_plus, roots.alpha_minus)}
         roots_block = {
             "kind": "real_distinct" if roots.discriminant_sign > 0 else "real_repeated",
-            "alpha_plus": _quad_json(roots.alpha_plus),
-            "alpha_minus": _quad_json(roots.alpha_minus),
-            "alpha": _quad_json(alpha),
-            "beta": _quad_json(roots.beta),
+            "alpha_plus": rendered[id(roots.alpha_plus)],
+            "alpha_minus": rendered[id(roots.alpha_minus)],
+            "alpha": dict(rendered[id(alpha)]),
+            "beta": dict(rendered[id(roots.beta)]),
             "modulus_squared": None,
         }
     else:
@@ -190,7 +200,7 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
     limit_block = None if limit is None else {
         "kind": limit.kind.value,
         "which_root": limit.which_root,
-        "limit": None if limit.limit is None else _quad_json(limit.limit),
+        "limit": None if limit.limit is None else dict(rendered[id(limit.limit)]),
     }
 
     if spec.v0 != 0 and spec.v1 != 0:

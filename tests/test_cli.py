@@ -5,12 +5,16 @@ deterministic JSON, format goldens, and file output.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recmono.cli as cli
 from recmono.cli import main, parse_rational
@@ -66,12 +70,20 @@ class TestAnalyze:
             assert payload["verdicts"][key]["holds"] is True, key
 
     def test_json_is_sorted_and_stable(self, capsys):
-        argv = ("analyze", "--a", "1", "--b", "-1", "--v0", "2", "--v1", "1")
-        code1, out1, _ = run_cli(capsys, *argv)
-        code2, out2, _ = run_cli(capsys, *argv)
-        assert code1 == code2 == 0
-        assert out1 == out2
-        assert out1 == json.dumps(json.loads(out1), sort_keys=True, indent=2) + "\n"
+        # every command that prints JSON lays it out as json.dumps does
+        for argv in (
+            ("analyze", "--a", "1", "--b", "-1", "--v0", "2", "--v1", "1"),
+            ("sequence", "--a=7/3", "--b=-5/7", "--v0=3/4", "--v1=-2/5", "--n", "12"),
+            ("enumerate", "--a-max", "4"),
+            ("riccati", "--a", "1", "--b", "1", "--b0", "2", "--n", "6"),
+            ("riccati", "--a=7/3", "--b=-5/7", "--b0=-8/15", "--n", "9"),
+            ("characterize", "--scan-bound", "50"),
+        ):
+            code1, out1, _ = run_cli(capsys, *argv)
+            code2, out2, _ = run_cli(capsys, *argv)
+            assert code1 == code2 == 0, argv
+            assert out1 == out2, argv
+            assert out1 == json.dumps(json.loads(out1), sort_keys=True, indent=2) + "\n", argv
 
     def test_out_writes_file_and_keeps_stdout_quiet(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -515,6 +527,59 @@ class TestCharacterize:
             main(["characterize", "--scan-bound", "0"])
         assert exc.value.code == 2
         assert "argument --scan-bound: must be at least 1" in capsys.readouterr().err
+
+
+def _json_values():
+    """Nested dicts with str keys, lists and tuples of what JSON writes:
+    str (non-ASCII, control characters, quotes, backslashes, lone
+    surrogates), int (past the 4300-digit int-to-str limit too), bool and
+    None, with empty containers at every depth."""
+    text = st.text(st.characters(exclude_categories=()), max_size=12) | st.sampled_from(
+        ["", '"', "\\", "\x00\x1f\x7f", "\u2028", "\ud800", "\u00e9", "\U0001f600", 'a"b\\c'])
+    big = st.integers(4300, 4400).flatmap(
+        lambda d: st.sampled_from([10**d, -(10**d) + 1, 7 * 10**d + 3]))
+    leaves = text | st.integers() | big | st.booleans() | st.none()
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(text, inner, max_size=4),
+        max_leaves=24,
+    )
+
+
+class TestJsonWriter:
+    """_emit_json writes what json.dumps(x, sort_keys=True, indent=2) writes."""
+
+    @staticmethod
+    def _emitted(payload) -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit_json(payload, None)
+        return out.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_json_values().filter(lambda v: isinstance(v, (dict, list, tuple))))
+    def test_matches_json_dumps(self, payload):
+        # main renders without the int-to-str digit limit, as here
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            assert self._emitted(payload) == expected
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("bad", [{1, 2}, b"x", Fraction(1, 2)])
+    def test_other_values_raise_type_error(self, bad):
+        for payload in ([bad], {"k": bad}, {"k": [1, {"j": bad}]}):
+            with pytest.raises(TypeError):
+                self._emitted(payload)
+
+    @pytest.mark.parametrize("key", [1, None, True, (1, 2)])
+    def test_non_str_key_raises_type_error(self, key):
+        for payload in ({key: 1}, [{key: "v"}]):
+            with pytest.raises(TypeError):
+                self._emitted(payload)
 
 
 class TestParserReuse:

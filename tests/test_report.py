@@ -108,6 +108,27 @@ class TestPinnedContent:
         assert report["term_minus_one"] == "0"
         assert report["terms_preview"][:5] == ["1", "1", "2", "3", "5"]
 
+    @pytest.mark.parametrize(
+        "spec, alpha_key, limit_key",
+        [
+            (make_h_spec(1, -1, 1), "alpha_plus", "alpha"),
+            # a < 0: the dominant root is the negative one
+            (RecurrenceSpec(Fraction(-7, 3), Fraction(-5, 7), Fraction(3, 4), Fraction(-2, 5)),
+             "alpha_minus", "alpha"),
+            # roots 2 and 1, started on 1**n: the ratio sits at beta
+            (RecurrenceSpec(3, 2, 1, 1), "alpha_plus", "beta"),
+        ],
+    )
+    def test_root_blocks_repeat_the_root_they_name(self, spec, alpha_key, limit_key):
+        report = build_report(spec, window=40)
+        roots = report["roots"]
+        beta_key = "alpha_minus" if alpha_key == "alpha_plus" else "alpha_plus"
+        assert roots["alpha"] == roots[alpha_key]
+        assert roots["beta"] == roots[beta_key]
+        assert report["ratio_limit"]["which_root"] == limit_key
+        assert report["ratio_limit"]["limit"] == roots[limit_key]
+        assert roots["alpha_plus"] != roots["alpha_minus"]
+
     def test_residual_prefix_lists_three_decimals(self):
         report = build_report(make_h_spec(1, -3, 1), window=40)
         prefix = report["oracle_windows"]["p3"]["residual_decimal_prefix"]

@@ -7,6 +7,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from recmono import (
     RecurrenceSpec,
@@ -14,6 +16,38 @@ from recmono import (
     quadratic_roots,
     riccati_orbit,
 )
+
+
+def _reference_orbit(a: Fraction, b: Fraction, b0: Fraction, n_max: int) -> list[Fraction]:
+    """s -> (a*s - b)/s in Fractions, from b0 until n_max steps or a zero state."""
+    states = [b0]
+    while states[-1] != 0 and len(states) <= n_max:
+        s = states[-1]
+        states.append((a * s - b) / s)
+    return states
+
+
+_nonzero = st.builds(
+    Fraction,
+    st.integers(-60, 60).filter(bool) | st.integers(-(10**30), 10**30).filter(bool),
+    st.integers(1, 60) | st.integers(1, 10**30),
+)
+
+
+@st.composite
+def _orbit_inputs(draw):
+    """(a, b, b0, n_max); b0 is often a preimage of 0 under the map (s = b/a,
+    then b/(a - s) steps further back), so that orbits end early."""
+    a, b = draw(_nonzero), draw(_nonzero)
+    b0 = draw(_nonzero)
+    if draw(st.booleans()):
+        s = Fraction(0)
+        for _ in range(draw(st.integers(1, 4))):
+            if s == a:
+                break
+            s = b / (a - s)
+        b0 = s
+    return a, b, b0, draw(st.integers(1, 30))
 
 
 class TestOrbits:
@@ -70,6 +104,25 @@ class TestOrbits:
                 lhs = root * root
                 rhs = root * a_f - b_f
                 assert lhs == rhs, (a, b)
+
+
+class TestAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_orbit_inputs())
+    # -1 -> (1*(-1) + 1)/(-1) = 0: a zero state through a negative denominator
+    @example((Fraction(1), Fraction(-1), Fraction(-1), 5))
+    @example((Fraction(-3, 2), Fraction(5, 7), Fraction(-10, 21), 3))
+    @example((Fraction(7, 3), Fraction(-5, 7), Fraction(-8, 15), 30))
+    def test_states_match_the_fraction_map(self, inputs):
+        a, b, b0, n_max = inputs
+        expected = _reference_orbit(a, b, b0, n_max)
+        orbit = riccati_orbit(a, b, b0, n_max)
+        assert (orbit.a, orbit.b) == (a, b)
+        assert len(orbit.states) == len(expected)
+        for n, (state, want) in enumerate(zip(orbit.states, expected)):
+            assert type(state) is Fraction and state == want, n
+        zero = len(expected) - 1 if expected[-1] == 0 else None
+        assert orbit.terminated_early == zero
 
 
 class TestValidation:
