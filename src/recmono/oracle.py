@@ -40,7 +40,7 @@ becomes a sign test on X + Y*sqrt(d) with integers X, Y and
 d = A**2 - 4*B*q = q**2 * (a**2 - 4b), or for a complex pair (d < 0)
 a comparison of integers -- no rational normalization ever runs.  The
 roots are (A +- sqrt(d))/(2q), the form in which qfield.quadratic_roots
-builds them (there N = d, L = q) and the regions decide on.  The
+builds them (there N = d, L = q).  The
 rescaling multiplies compared quantities by positive constants only, so
 every verdict equals the one computed on raw terms; the test suite
 checks that equivalence against a direct rational-arithmetic reference.

@@ -14,18 +14,15 @@ Every sign is decided on integers, once: `surd_sign(x, y, n)` is the
 sign of x + y*sqrt(n) for integers x, y and n >= 0.  It is exact for
 any n, a perfect square included, because its only comparison is
 x^2 against y^2*n.  `QuadElem.sign` is one call of it, since den > 0;
-the raster cells of `regions`, whose centres sit on integer numerators
-over one common denominator, and the exact fallback of the oracle's
-carrier walk call it directly.
+the exact fallback of the oracle's carrier walk calls it directly.
 
-A root is (A +- sqrt(N))/(2L) here, in the oracle and in the regions
-alike: a = A/L and b = B/L over their common denominator L, and
-N = A^2 - 4*B*L, so the discriminant a^2 - 4*b is N/L^2.  Which real
-root is the dominant one, alpha, needs no comparison: |alpha+|^2 -
-|alpha-|^2 = a*sqrt(a^2 - 4*b), so alpha is the plus root when a >= 0
-and the minus root otherwise.  `dominant_root_sign` is the one place
-that states this rule; `quadratic_roots`, the raster cells of `regions`
-and the oracle's residual walk apply it.
+A root is (A +- sqrt(N))/(2L) here and in the oracle alike: a = A/L
+and b = B/L over their common denominator L, and N = A^2 - 4*B*L, so
+the discriminant a^2 - 4*b is N/L^2.  Which real root is the dominant
+one, alpha, needs no comparison: |alpha+|^2 - |alpha-|^2 =
+a*sqrt(a^2 - 4*b), so alpha is the plus root when a >= 0 and the minus
+root otherwise.  `dominant_root_sign` is the one place that states
+this rule; `quadratic_roots` and the oracle's residual walk apply it.
 
 The radicand is kept exactly as constructed (for roots: N) and is not
 reduced to squarefree form, nor is den reduced against x and y.

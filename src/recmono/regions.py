@@ -5,53 +5,83 @@ Two planes appear.  Root-plane regions constrain a pair of real roots
 P suffix) constrain (a, b) through the roots of x^2 - a*x + b.  The
 closed coefficient region DP = {a >= 1, -a - 1 <= b <= a - 1} equals the
 intersection of the three primed regions; rasters make that visible and
-the test suite checks it pointwise.  That closed form is DP's one
-predicate: `numtheory.boundary_characterization` reads its boundary off
-it too.
+the test suite checks it pointwise.  That closed form, as DP's row
+bounds, is its one definition: `numtheory.boundary_characterization`
+reads its boundary off it too.
 
 Membership is decided exactly, on integers.  A point (x, y) is written
 as integer numerators X, Y over one positive denominator L:
 `contains_coeff_plane` puts its pair over their least common
 denominator by `qfield.over_common_denominator`, and a raster puts
 every cell centre of its bbox over one common L, built from the corner
-denominators and 2*res, so its cells never touch a Fraction.  Root-plane regions are
-then integer comparisons.  In the coefficient plane the roots of
-x^2 - (X/L)*x + Y/L are (X +- sqrt(N))/(2L) with N = X^2 - 4*Y*L, the
-form in which `qfield.quadratic_roots` builds a spec's roots and the
-oracle walks its residual.  Each test is the sign of an integer surd
-u + v*sqrt(N), decided by `qfield.surd_sign`; alpha is the plus root
-iff `qfield.dominant_root_sign(X)` is +1.  No squareness check is made:
-the integer sign is exact whether or not N is a square.  `rasterize`
-and `contains_coeff_plane` call the same per-region predicates.  CSV
+denominators and 2*res, so its cells never touch a Fraction.  CSV
 output prints each centre rounded half-even to 6 significant digits by
 `qfield.g6_str`, exactly, at any magnitude.
 
-The row lemma.  Along a row (y = b or beta fixed), membership in each
-region is non-increasing in x for x < 0 and non-decreasing for
-x >= 0, where x is a or alpha:
+Row bounds.  Each region is one function of its row, (Y, L) -> (lo, hi):
+the point (X/L, Y/L) is a member iff X <= lo where X < 0, or X >= hi
+where X >= 0, and a bound of None means that side of the row holds no
+member.  So along a row (y = b or beta fixed) the members are a prefix
+of the cells with x < 0 and a suffix of those with x >= 0, by
+construction: `rasterize` finds both ends of a row by bisection on its
+integer numerators, and `contains_coeff_plane` makes one comparison.
+Write c(m) for the least X >= 0 with X^2 >= m, 0 for m <= 0 and
+isqrt(m - 1) + 1 otherwise; each bound is read off the region's
+definition as follows.
 
-- DP, D, D1 and D1P are suffixes of the row; for D1P, once a >= 1 both
-  a and sqrt(a^2 - 4b) grow with a, and so does alpha;
-- D2 and D3 are conditions |x| >= c, with c fixed by y and the sign of x;
-- D2P is |a| >= sqrt(b) for b > 0; for b < 0 it is |alpha| >= 2|beta|,
-  and |alpha|/|beta| grows with |a|; for b = 0 it holds everywhere;
-- D3P: |beta| shrinks as |a| grows, and the region is symmetric under
-  a -> -a.
+Root plane, (x, y) = (alpha, beta):
 
-So `rasterize` splits the columns once at x = 0 and bisects each half
-with the exact predicate, at most 2*res.bit_length() calls per row: it
-decides O(res*log(res)) cells exactly and the lemma gives the rest.
+- D1 = {alpha + beta >= 1, alpha >= 1, |alpha| >= |beta|}: alpha >= 1
+  leaves no member with x < 0, and hi = max(L - Y, L, |Y|).
+- D2 = {|alpha + beta| >= |beta|, |alpha| >= |beta|}: for X >= 0 and
+  Y >= 0 both read X >= Y; for Y < 0 they read X >= -Y and
+  (X >= -2Y or X <= 0), so X >= -2Y.  The side x < 0 mirrors it:
+  lo = Y for Y <= 0 and -2Y for Y > 0.
+- D3 = {|beta| <= 1, |alpha| >= |beta|}: |X| >= |Y| where |Y| <= L.
+- D = D1 & D2 & D3, whose closed form is {alpha + beta >= 1,
+  alpha >= 1, |beta| <= 1}: hi = max(L - Y, L) where |Y| <= L.
+
+Coefficient plane, (x, y) = (a, b): the roots of x^2 - a*x + b are
+(X +- sqrt(N))/(2L) with N = X^2 - 4*Y*L, and alpha, the one of larger
+modulus, is the plus root for X >= 0.  Each condition on a root squares
+into one of degree at most 2 in X, Y and L:
+
+- D1P = {a >= 1, real roots, alpha >= 1}: real roots are N >= 0, that
+  is X >= c(4YL).  Given X >= L, alpha = (X + sqrt(N))/(2L) >= 1 holds
+  outright for X >= 2L, and otherwise iff N >= (2L - X)^2, that is
+  X >= L + Y: hi = max(L, min(2L, L + Y), c(4YL)).
+- D2P = {|a| >= |beta|}, read |a| >= sqrt(b) for complex roots: for
+  Y > 0 both read X^2 >= YL, since real roots then share a's sign and
+  N >= 0 gives X^2 >= 4YL: hi = c(YL).  For Y = 0 the roots are a and
+  0 and every point is a member.  For Y < 0 the real roots have
+  opposite signs, |beta| = (sqrt(N) - |X|)/(2L), and |a| >= |beta| iff
+  3|X| >= sqrt(N) iff 2X^2 >= -YL: hi = c(ceil(-YL/2)).
+- D3P = {|beta| <= 1}, read b <= 1 for complex roots: for |Y| <= L
+  every point is a member, as real roots have |beta|^2 <= |b|.  For
+  Y > L complex roots have b > 1, and real roots share a's sign with a
+  product above 1, so for X >= 0 one lies in [-1, 1] iff
+  p(1) = (L - X + Y)/L <= 0: hi = Y + L, where N >= (Y - L)^2 holds.
+  For Y < -L the roots have opposite signs and one lies in [-1, 1] iff
+  p(1) >= 0 or p(-1) >= 0, for X >= 0 iff X >= -Y - L.
+- DP: hi = max(L, L + Y, -L - Y), its closed form on the row.
+
+D2P and D3P are symmetric under a -> -a, so their lo is -hi.  Only
+`isqrt` touches a square, and its result is exact.  The decision
+procedures reach the coefficient-plane regions through `QuadElem`
+signs on a spec's own roots instead; the two routes share no code, and
+the tests check them against each other.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
+from typing import Optional
 
-from .qfield import RationalLike, dominant_root_sign, g6_str, over_common_denominator, surd_sign
+from .qfield import RationalLike, g6_str, over_common_denominator
 
 __all__ = [
     "RegionId",
@@ -78,63 +108,56 @@ class RegionId(Enum):
 COEFF_PLANE_REGIONS = frozenset({RegionId.D1P, RegionId.D2P, RegionId.D3P, RegionId.DP})
 
 
-# Each predicate decides membership of the point (X/L, Y/L), L > 0.
-# Root plane: the point is (alpha, beta).
+_Bounds = tuple[Optional[int], Optional[int]]
 
 
-def _d1(X: int, Y: int, L: int) -> bool:
-    return X + Y >= L and X >= L and abs(X) >= abs(Y)
+def _ceil_sqrt(m: int) -> int:
+    """c(m), the least X >= 0 with X*X >= m."""
+    return isqrt(m - 1) + 1 if m > 0 else 0
 
 
-def _d2(X: int, Y: int, L: int) -> bool:
-    return abs(X + Y) >= abs(Y) and abs(X) >= abs(Y)
+# Each function gives row Y's bounds (lo, hi) over L > 0, as the module
+# docstring derives them.  Root plane: the point is (alpha, beta).
 
 
-def _d3(X: int, Y: int, L: int) -> bool:
-    return abs(Y) <= L and abs(X) >= abs(Y)
+def _d1(Y: int, L: int) -> _Bounds:
+    return None, max(L - Y, L, abs(Y))
 
 
-def _d(X: int, Y: int, L: int) -> bool:
-    # closed form of D1 cap D2 cap D3
-    return X + Y >= L and X >= L and abs(Y) <= L
+def _d2(Y: int, L: int) -> _Bounds:
+    return (Y, -2 * Y) if Y <= 0 else (-2 * Y, Y)
 
 
-# Coefficient plane: the point is (a, b); with N = X^2 - 4*Y*L and
-# s = dominant_root_sign(X), alpha = (X + s*sqrt(N))/(2L) and
-# beta = (X - s*sqrt(N))/(2L).
+def _d3(Y: int, L: int) -> _Bounds:
+    return (-abs(Y), abs(Y)) if abs(Y) <= L else (None, None)
 
 
-def _d1p(X: int, Y: int, L: int) -> bool:
-    N = X * X - 4 * Y * L
-    if N < 0 or X < L:
-        return False  # a real dominant root >= 1 is required
-    # alpha - 1 = (X - 2L + s*sqrt(N))/(2L)
-    return surd_sign(X - 2 * L, dominant_root_sign(X), N) >= 0
+def _d(Y: int, L: int) -> _Bounds:
+    return None, (max(L - Y, L) if abs(Y) <= L else None)
 
 
-def _d2p(X: int, Y: int, L: int) -> bool:
-    N = X * X - 4 * Y * L
-    if N < 0:
-        return X * X >= Y * L  # |a| against the conjugate modulus sqrt(b)
-    # |a| >= |beta|: a - beta = (X + s*sqrt(N))/(2L), a + beta = (3X - s*sqrt(N))/(2L)
-    s = dominant_root_sign(X)
-    return surd_sign(X, s, N) * surd_sign(3 * X, -s, N) >= 0
+# Coefficient plane: the point is (a, b).
 
 
-def _d3p(X: int, Y: int, L: int) -> bool:
-    N = X * X - 4 * Y * L
-    if N < 0:
-        return Y <= L  # the conjugate modulus sqrt(b) is at most 1
-    # |beta| <= 1: beta -+ 1 = (X -+ 2L - s*sqrt(N))/(2L)
-    s = dominant_root_sign(X)
-    return surd_sign(X - 2 * L, -s, N) * surd_sign(X + 2 * L, -s, N) <= 0
+def _d1p(Y: int, L: int) -> _Bounds:
+    return None, max(L, min(2 * L, L + Y), _ceil_sqrt(4 * Y * L))
 
 
-def _dp(X: int, Y: int, L: int) -> bool:
-    return X >= L and -X - L <= Y <= X - L
+def _d2p(Y: int, L: int) -> _Bounds:
+    hi = _ceil_sqrt(Y * L if Y > 0 else -(Y * L // 2))
+    return -hi, hi
 
 
-_MEMBER = {
+def _d3p(Y: int, L: int) -> _Bounds:
+    hi = Y + L if Y > L else max(0, -Y - L)
+    return -hi, hi
+
+
+def _dp(Y: int, L: int) -> _Bounds:
+    return None, max(L, L + Y, -L - Y)
+
+
+_BOUNDS = {
     RegionId.D1: _d1,
     RegionId.D2: _d2,
     RegionId.D3: _d3,
@@ -146,11 +169,19 @@ _MEMBER = {
 }
 
 
+def _contains(region: RegionId, X: int, Y: int, L: int) -> bool:
+    """Membership of the point (X/L, Y/L), L > 0, by its row's bounds."""
+    lo, hi = _BOUNDS[region](Y, L)
+    if X < 0:
+        return lo is not None and X <= lo
+    return hi is not None and X >= hi
+
+
 def contains_coeff_plane(region: RegionId, a: RationalLike, b: RationalLike) -> bool:
     """Membership of the coefficient pair (a, b); rational inputs, exact."""
     if region not in COEFF_PLANE_REGIONS:
         raise ValueError(f"{region.value} is not a coefficient-plane region")
-    return _MEMBER[region](*over_common_denominator(a, b))
+    return _contains(region, *over_common_denominator(a, b))
 
 
 def _cell_numerators(
@@ -191,24 +222,24 @@ def rasterize(
     resolution: int,
 ) -> RasterGrid:
     """Sample region membership on a resolution x resolution center grid;
-    every row is bisected by the row lemma."""
+    each row is cut at its two bounds."""
     x0, x1, y0, y1 = box = tuple(Fraction(v) for v in bbox)
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if x0 >= x1 or y0 >= y1:
         raise ValueError("bbox must have positive area")
-    member = _MEMBER[region]
+    bounds = _BOUNDS[region]
     xs, ys, L = _cell_numerators(box, resolution)
     split = bisect_left(xs, 0)
-    cells = tuple(_bisected_row(member, xs, split, Y, L) for Y in ys)
+    cells = tuple(_row(xs, split, *bounds(Y, L)) for Y in ys)
     return RasterGrid(region, box, resolution, cells)
 
 
-def _bisected_row(member, xs: list[int], split: int, Y: int, L: int) -> bytes:
-    """Row Y of a region that obeys the row lemma: members are a prefix
-    of xs[:split] (x < 0) and a suffix of xs[split:] (x >= 0)."""
-    left = bisect_left(xs, True, 0, split, key=lambda X: not member(X, Y, L))
-    right = bisect_left(xs, True, split, len(xs), key=lambda X: member(X, Y, L))
+def _row(xs: list[int], split: int, lo: Optional[int], hi: Optional[int]) -> bytes:
+    """One row's cells: members are the X <= lo of xs[:split] (x < 0)
+    and the X >= hi of xs[split:] (x >= 0)."""
+    left = 0 if lo is None else bisect_right(xs, lo, 0, split)
+    right = len(xs) if hi is None else bisect_left(xs, hi, split)
     return b"\x01" * left + b"\x00" * (right - left) + b"\x01" * (len(xs) - right)
 
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from recmono import (
     write_csv,
     write_pgm,
 )
-from recmono.qfield import over_common_denominator
+from recmono.qfield import dominant_root_sign, over_common_denominator, surd_sign
 from recmono.regions import _cell_numerators
 
 ROOT_BBOX = (-3, 3, -3, 3)
@@ -35,11 +37,82 @@ ROOT_PLANE_REGIONS = frozenset(RegionId) - COEFF_PLANE_REGIONS
 
 
 def contains_root_plane(region, alpha, beta):
-    """Membership of the root pair (alpha, beta) through the predicate
-    that `rasterize` calls; rational inputs, exact."""
+    """Membership of the root pair (alpha, beta) through the row bounds
+    that `rasterize` reads; rational inputs, exact."""
     if region not in ROOT_PLANE_REGIONS:
         raise ValueError(f"{region.value} is not a root-plane region")
-    return regions._MEMBER[region](*over_common_denominator(alpha, beta))
+    return regions._contains(region, *over_common_denominator(alpha, beta))
+
+
+# The reference: each region's membership of the point (X/L, Y/L), L > 0,
+# decided cell by cell from its definition, with the roots of
+# x^2 - (X/L)*x + Y/L in the coefficient plane written as surds
+# (X +- sqrt(N))/(2L), N = X^2 - 4*Y*L, and alpha the plus root iff
+# dominant_root_sign(X) is +1.  The package's row bounds must agree with
+# it at every point.
+
+
+def _ref_d1(X, Y, L):
+    return X + Y >= L and X >= L and abs(X) >= abs(Y)
+
+
+def _ref_d2(X, Y, L):
+    return abs(X + Y) >= abs(Y) and abs(X) >= abs(Y)
+
+
+def _ref_d3(X, Y, L):
+    return abs(Y) <= L and abs(X) >= abs(Y)
+
+
+def _ref_d(X, Y, L):
+    return X + Y >= L and X >= L and abs(Y) <= L
+
+
+def _ref_d1p(X, Y, L):
+    N = X * X - 4 * Y * L
+    if N < 0 or X < L:
+        return False  # a real dominant root >= 1 is required
+    # alpha - 1 = (X - 2L + s*sqrt(N))/(2L)
+    return surd_sign(X - 2 * L, dominant_root_sign(X), N) >= 0
+
+
+def _ref_d2p(X, Y, L):
+    N = X * X - 4 * Y * L
+    if N < 0:
+        return X * X >= Y * L  # |a| against the conjugate modulus sqrt(b)
+    # |a| >= |beta|: a - beta = (X + s*sqrt(N))/(2L), a + beta = (3X - s*sqrt(N))/(2L)
+    s = dominant_root_sign(X)
+    return surd_sign(X, s, N) * surd_sign(3 * X, -s, N) >= 0
+
+
+def _ref_d3p(X, Y, L):
+    N = X * X - 4 * Y * L
+    if N < 0:
+        return Y <= L  # the conjugate modulus sqrt(b) is at most 1
+    # |beta| <= 1: beta -+ 1 = (X -+ 2L - s*sqrt(N))/(2L)
+    s = dominant_root_sign(X)
+    return surd_sign(X - 2 * L, -s, N) * surd_sign(X + 2 * L, -s, N) <= 0
+
+
+def _ref_dp(X, Y, L):
+    return X >= L and -X - L <= Y <= X - L
+
+
+REFERENCE = {
+    RegionId.D1: _ref_d1,
+    RegionId.D2: _ref_d2,
+    RegionId.D3: _ref_d3,
+    RegionId.D: _ref_d,
+    RegionId.D1P: _ref_d1p,
+    RegionId.D2P: _ref_d2p,
+    RegionId.D3P: _ref_d3p,
+    RegionId.DP: _ref_dp,
+}
+
+
+def reference(region, x, y):
+    """The reference membership of the rational point (x, y)."""
+    return REFERENCE[region](*over_common_denominator(x, y))
 
 
 def centers(grid):
@@ -211,9 +284,9 @@ class TestDecisionConsistency:
                     yield a, b
 
     def test_boundary_points_match_decisions(self):
-        # both sides sign through qfield.surd_sign, but each forms its
-        # surds its own way: the decisions by QuadElem arithmetic on the
-        # spec's roots, the regions by integer coefficients over L
+        # two routes that share no code: the decisions sign QuadElem
+        # surds built from the spec's roots, the regions compare X with
+        # their row's closed-form integer bounds over L
         checked = 0
         for a, b in self._boundary_points():
             assert contains_coeff_plane(RegionId.D1P, a, b) == (
@@ -225,10 +298,6 @@ class TestDecisionConsistency:
                     ratio_monotone_h(make_h_spec(a, b, 1)).holds), (a, b)
             checked += 1
         assert checked > 1000
-
-
-def member_at(region):
-    return contains_root_plane if region in ROOT_PLANE_REGIONS else contains_coeff_plane
 
 
 class TestRasterGrid:
@@ -247,12 +316,11 @@ class TestRasterGrid:
 
     def test_cells_match_pointwise_membership(self):
         for region in RegionId:
-            member = member_at(region)
             for bbox in self.BBOXES:
                 for res in (8, 11):
                     grid = rasterize(region, bbox, res)
                     for row, col, x, y in centers(grid):
-                        assert grid.cells[row][col] == member(region, x, y), (
+                        assert grid.cells[row][col] == reference(region, x, y), (
                             region, bbox, res, row, col)
 
     def test_centers_are_exact_rationals(self):
@@ -309,7 +377,7 @@ def raster_boxes(draw):
 
 class TestRowLemma:
     """Along a row, members form a prefix of the cells with x < 0 and a
-    suffix of those with x >= 0, so rasterize bisects each half."""
+    suffix of those with x >= 0, cut where the row's bounds fall."""
 
     @given(case=raster_boxes())
     @settings(max_examples=150, deadline=None)
@@ -317,25 +385,61 @@ class TestRowLemma:
         bbox, res = case
         for region in RegionId:
             grid = rasterize(region, bbox, res)
-            member = member_at(region)
             for row, col, x, y in centers(grid):
-                assert grid.cells[row][col] == member(region, x, y), (region, row, col)
+                assert grid.cells[row][col] == reference(region, x, y), (region, row, col)
 
     @pytest.mark.parametrize("res", [33, 64, 201])
-    def test_each_row_makes_logarithmically_many_predicate_calls(self, monkeypatch, res):
+    def test_each_row_evaluates_its_bounds_once(self, monkeypatch, res):
         for region in RegionId:
-            predicate = regions._MEMBER[region]
+            bounds = regions._BOUNDS[region]
             calls = Counter()
 
-            def counted(X, Y, L, predicate=predicate, calls=calls):
+            def counted(Y, L, bounds=bounds, calls=calls):
                 calls[Y] += 1
-                return predicate(X, Y, L)
+                return bounds(Y, L)
 
-            monkeypatch.setitem(regions._MEMBER, region, counted)
+            monkeypatch.setitem(regions._BOUNDS, region, counted)
             bbox = ROOT_BBOX if region in ROOT_PLANE_REGIONS else COEFF_BBOX
             rasterize(region, bbox, res)
             assert len(calls) == res
-            assert max(calls.values()) <= 2 * res.bit_length(), region
+            assert set(calls.values()) == {1}, region
+
+
+@st.composite
+def points_near_a_bound(draw):
+    """(X, Y, L) with X within 2 of a curve where some region's membership
+    flips on the row Y, or anywhere; Y and L up to 10^30."""
+    big = 10**30
+    Y, L = draw(st.integers(-big, big)), draw(st.integers(1, big))
+    m = abs(Y * L)
+    curves = [0, L, 2 * L, L - Y, L + Y, -L - Y, Y, 2 * Y, isqrt(4 * m), isqrt(m), isqrt(m // 2),
+              draw(st.integers(-big, big))]
+    X = draw(st.sampled_from(curves)) + draw(st.integers(-2, 2))
+    return X * draw(st.sampled_from([1, -1])), Y, L
+
+
+class TestBoundsAgainstReference:
+    """Every region's row bounds agree with the reference's cell-by-cell
+    surd test at every point tried."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 6, 7, 12, 66])
+    def test_every_point_of_a_square(self, L):
+        # the square |X|, |Y| <= 9L crosses every curve where membership
+        # flips, and holds the axes and the lines |x|, |y| = 1 and x = 2
+        # with margin on both sides
+        R = 9 * L
+        xs = list(range(-R, R + 1))
+        for region in RegionId:
+            bounds, member = regions._BOUNDS[region], REFERENCE[region]
+            for Y in range(-R, R + 1):
+                want = bytes(map(member, xs, repeat(Y), repeat(L)))
+                assert regions._row(xs, R, *bounds(Y, L)) == want, (region, Y, L)
+
+    @given(point=points_near_a_bound())
+    @settings(max_examples=400, deadline=None)
+    def test_large_points(self, point):
+        for region in RegionId:
+            assert regions._contains(region, *point) == REFERENCE[region](*point), region
 
 
 class TestOutputFormats:
