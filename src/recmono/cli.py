@@ -378,8 +378,8 @@ _COMMANDS = {
     "analyze": ("full decision + oracle report for one recurrence",
                 _add_analyze_args, _cmd_analyze),
     "sequence": ("print exact terms a[0..n]", _add_sequence_args, _cmd_sequence),
-    "enumerate": ("integer pairs (a, b) with 0 < |b| <= a and both roots real, "
-                  "the dominant one at least 1", _add_enumerate_args, _cmd_enumerate),
+    "enumerate": ("irreducible integer pairs in DP (a >= 1, |b + 1| <= a)",
+                  _add_enumerate_args, _cmd_enumerate),
     "regions": ("rasterize a membership region to PGM or CSV",
                 _add_regions_args, _cmd_regions),
     "riccati": ("orbit of the ratio map s -> (a*s - b)/s", _add_riccati_args, _cmd_riccati),

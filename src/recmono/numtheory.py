@@ -37,11 +37,12 @@ def is_irreducible(pair: IntCoeffPair) -> bool:
 
 
 def enumerate_generalized_fibonacci(a_max: int) -> list[IntCoeffPair]:
-    """Integer pairs strictly inside the coefficient region, reducibles removed.
+    """The irreducible integer pairs of the closed coefficient region
+    DP = {a >= 1, -a-1 <= b <= a-1} with a <= a_max, ordered by a then b.
 
     For each a in [1, a_max] that is b in [-a, a-2] with b = 0 dropped
-    (the values -a-1, 0, a-1 are exactly the reducible ones), ordered by
-    a then b.
+    (the values -a-1, 0, a-1 are exactly the reducible ones).  The pair
+    (1, -1), DP's one irreducible pair at a = 1, lies on its edge.
     """
     if a_max < 1:
         raise ValueError("a_max must be at least 1")

@@ -19,17 +19,19 @@ the decisions and terms_between reach far terms, so the two routes
 reach a far index independently.  All comparisons are exact.
 
 Where the terms grow, a whole block of _BLOCK indices is decided at once
-by an exact certificate.  Every solution w of the carrier's recurrence
-obeys w[n+j] = U[j]*w[n+1] + V[j]*w[n] on those tables, so with w[n]
-made positive the ratios w[n+1]/w[n] that pass a clean test at every
-index of a block form one interval, whose two ends are integer pairs:
-a cross-multiplication against each end decides the block.  Where one
-block maps that interval into itself (_invariant), the block after a
-passing one passes too, and so by induction does every later block.  In
-the P2/P3 stretch the test certifies growth of the carrier, which
-decides all three properties (see scan); the walk certifies a block
-there only where that test is invariant, so its first certificate
-decides every later index and ends the walk.
+by an exact certificate.  On every solution w of the carrier's
+recurrence, w[n+j] is an integer combination of w[n] and w[n+1], so with
+w[n] made positive the ratios w[n+1]/w[n] that pass a clean test at
+every index of a block form one interval, whose two ends are integer
+pairs: a cross-multiplication against each end decides the block.  One
+block is the jump by the remainder of x**_BLOCK (_jump), the same kernel
+P1 reaches the from-k window by.  Where it maps that interval into
+itself (_invariant), the block after a passing one passes too, and so by
+induction does every later block.  In the P2/P3 stretch the test
+certifies growth of the carrier, which decides all three properties (see
+scan); the walk certifies a block there only where that test is
+invariant, so its first certificate decides every later index and ends
+the walk.
 
 For speed the scans run on a rescaled integer copy of the sequence,
 recurrence.integer_carrier: with a = A/q, b = B/q over a common
@@ -153,18 +155,17 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     P1 walks the whole window, for n0, and past it only while the from-k
     window is clean.
 
-    Ratio tests.  Two tables U, V of _BLOCK + 2 integers, walked on first
-    need and once per scan (_block_tables), give
-    w[n+j] = U[j]*w[n+1] + V[j]*w[n] on every solution w of the
-    carrier's recurrence.  For such a w with w[n] > 0 and
-    rho = w[n+1]/w[n], w[n+j+1] >= c*w[n+j] is
-    (U[j+1] - c*U[j])*rho + V[j+1] - c*V[j] >= 0, a half-line in rho.
-    The rho that pass it at every j < _BLOCK form one interval, whose
-    ends _ratio_tests writes as integer pairs (x, y) with x*rho + y >= 0,
-    once per scan; the strict test, every w[n+j+1] > c*w[n+j], is
-    the open interval, x*rho + y > 0.  A block then costs a
-    cross-multiplication of w[n], w[n+1] against each end (most
-    intervals have one), and four products advance its pair.
+    Ratio tests.  On every solution w of the carrier's recurrence,
+    w[n+j+1] - c*w[n+j] = x[j]*w[n+1] + y[j]*w[n] with integer
+    coefficients that walk the same recurrence in j.  For such a w with
+    w[n] > 0 and rho = w[n+1]/w[n], w[n+j+1] >= c*w[n+j] is
+    x[j]*rho + y[j] >= 0, a half-line in rho.  The rho that pass it at
+    every j < _BLOCK form one interval, whose ends _ratio_tests writes as
+    integer pairs (x, y) with x*rho + y >= 0, on first need and once per
+    scan; the strict test, every w[n+j+1] > c*w[n+j], is the open
+    interval, x*rho + y > 0.  A block then costs a cross-multiplication
+    of w[n], w[n+1] against each end (most intervals have one), and one
+    jump by _BLOCK indices (_jump) advances its pair.
 
     Certified blocks in the real-root P2/P3 stretch.  The walk tries a
     block of indices [n, n + _BLOCK) at an index n of the window only
@@ -204,9 +205,10 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     and u[i] = -2*c2*alpha'**(i+1) grows by alpha', the ratio the run
     read.  The roots enter this argument only; the walk reads none.
 
-    One certificate decides the rest.  One block maps rho to
-    T(rho) = (U[_BLOCK+1]*rho + V[_BLOCK+1]) / (U[_BLOCK]*rho + V[_BLOCK]),
-    whose determinant is (B*q)**_BLOCK != 0, so T is strictly monotone
+    One certificate decides the rest.  Where x**_BLOCK leaves c1*x + c0
+    modulo the carrier's characteristic polynomial, one block maps rho to
+    T(rho) = ((A*c1 + c0)*rho - B*q*c1) / (c1*rho + c0), whose
+    determinant is (B*q)**_BLOCK != 0, so T is strictly monotone
     wherever its denominator stays positive: an open interval maps into
     itself exactly where its closure does, and one check of the plain
     test on the images of the interval's ends (_invariant) serves the
@@ -373,7 +375,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     first2: Optional[int] = None
     first3: Optional[int] = None
     run = 0  # indices in a row whose P3 the part signs decided
-    U = V = None  # the block tables, walked on first need
+    grow = None  # the ratio tests, built on first need
     certified: Optional[int] = None  # the first index of the certified block
     n = 0
     while n <= window and (first3 is None or (real and first2 is None)):
@@ -382,17 +384,16 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
         u1 = Bq * m0 - m2
         if run >= _BLOCK:
             # the run leaves P3 open, conj true at n and M[n], u[n] != 0
-            if U is None:
-                U, V = _block_tables(A, Bq)
-                grow = _ratio_tests(U, V, max(aB, q))
-                invariant = _invariant(U, V, grow)
+            if grow is None:
+                grow = _ratio_tests(A, Bq, max(aB, q))
+                invariant = _invariant(A, Bq, grow)
             # M grows by max(|B|, q), strictly where M < 0 (u then grows by
             # |B|), on this block and, the test being invariant, on every later one
             if invariant and _ratio_in(grow, m0, m1, m0 < 0):
                 certified = n
                 _emit(("p1", range(n)), ("certified", n), ("lasting", n + _BLOCK),
                       ("p1", range(n, window + 1)))
-                m0, m1 = U[_BLOCK] * m1 + V[_BLOCK] * m0, U[_BLOCK + 1] * m1 + V[_BLOCK + 1] * m0
+                m0, m1 = _jump(A, Bq, m0, m1, _BLOCK)
                 n += _BLOCK
                 break  # every later block is certified too (see above)
             _emit(("refused", n))
@@ -533,29 +534,21 @@ def _jump(A: int, Bq: int, w0: int, w1: int, s: int) -> tuple[int, int]:
     return c1 * w1 + c0 * w0, (A * c1 + c0) * w1 - Bq * c1 * w0
 
 
-def _block_tables(A: int, Bq: int) -> tuple[list[int], list[int]]:
-    """U, V with w[n+j] = U[j]*w[n+1] + V[j]*w[n] for j <= _BLOCK + 1 on
-    every solution w of w[n+2] = A*w[n+1] - Bq*w[n]: both walk that
-    recurrence, from (U[0], U[1]) = (0, 1) and (V[0], V[1]) = (1, 0)."""
-    U, V = [0, 1], [1, 0]
-    for X in (U, V):
-        for _ in range(_BLOCK):
-            X.append(A * X[-1] - Bq * X[-2])
-    return U, V
-
-
-def _ratio_tests(U: list[int], V: list[int], c: int) -> list[tuple[int, int]]:
-    """Integer pairs (x, y) such that a solution w with w[n] > 0 has
-    w[n+j+1] >= c*w[n+j] for every j < _BLOCK exactly where
-    x*w[n+1] + y*w[n] >= 0 for every pair, and > c*w[n+j] for every j
-    exactly where each is > 0.  On rho = w[n+1]/w[n], step j asks
-    (U[j+1] - c*U[j])*rho + V[j+1] - c*V[j] >= 0: a half-line, or all or
-    nothing where the slope is 0 (the offset then is not 0, since the
-    map from (w[n], w[n+1]) to (w[n+j], w[n+j+1]) is invertible).  The
-    half-lines meet in one interval, and its two ends are the pairs."""
+def _ratio_tests(A: int, Bq: int, c: int) -> list[tuple[int, int]]:
+    """Integer pairs (x, y) such that a solution w of
+    w[n+2] = A*w[n+1] - Bq*w[n] with w[n] > 0 has w[n+j+1] >= c*w[n+j]
+    for every j < _BLOCK exactly where x*w[n+1] + y*w[n] >= 0 for every
+    pair, and > c*w[n+j] for every j exactly where each is > 0.  Step j
+    is w[n+j+1] - c*w[n+j] = x[j]*w[n+1] + y[j]*w[n], whose coefficients
+    walk the same recurrence in j, from (x[0], x[1]) = (1, A - c) and
+    (y[0], y[1]) = (-c, -Bq).  On rho = w[n+1]/w[n] it asks
+    x[j]*rho + y[j] >= 0: a half-line, or all or nothing where the slope
+    is 0 (the offset then is not 0, since the map from (w[n], w[n+1]) to
+    (w[n+j], w[n+j+1]) is invertible).  The half-lines meet in one
+    interval, and its two ends are the pairs."""
     below = above = None
-    for j in range(_BLOCK):
-        x, y = U[j + 1] - c * U[j], V[j + 1] - c * V[j]
+    x, x1, y, y1 = 1, A - c, -c, -Bq
+    for _ in range(_BLOCK):
         if x > 0:
             # rho >= -y/x, tighter than the end so far
             if below is None or y * below[0] < below[1] * x:
@@ -566,35 +559,36 @@ def _ratio_tests(U: list[int], V: list[int], c: int) -> list[tuple[int, int]]:
                 above = (x, y)
         elif y < 0:
             return [(0, -1)]
+        x, x1, y, y1 = x1, A * x1 - Bq * x, y1, A * y1 - Bq * y
     return [end for end in (below, above) if end]
 
 
-def _invariant(U: list[int], V: list[int], tests: list[tuple[int, int]]) -> bool:
+def _invariant(A: int, Bq: int, tests: list[tuple[int, int]]) -> bool:
     """Whether every block after one that passes tests passes them too,
     and strictly after one that passes them strictly.
 
-    One block maps rho = w[n+1]/w[n] to
-    T(rho) = (U[_BLOCK+1]*rho + V[_BLOCK+1]) / (U[_BLOCK]*rho + V[_BLOCK]),
-    whose denominator is w[n+_BLOCK]/w[n] and whose determinant,
-    U[_BLOCK+1]*V[_BLOCK] - V[_BLOCK+1]*U[_BLOCK], is the step's B*q to
-    the power _BLOCK, not 0.  On an interval where the denominator stays
-    positive, T is continuous and strictly monotone, so it maps the
-    closed interval C of tests onto the closed interval between the
-    images of C's two ends, and into C where both images pass tests.  It
-    then maps C's interior, the open interval of the strict test, onto
-    an open interval inside C, which lies inside that interior: one
-    check of the plain test serves both.  An end (x, y) is the pair
-    (w0, w1) = (|x|, -y) for x > 0 and (|x|, y) for x < 0; an end
-    unbounded above is (0, 1), whose image is (U[_BLOCK], U[_BLOCK+1]).
-    An image with w0 <= 0 counts as failing: where each end's image has
-    w0 > 0, so does all of C, the denominator being affine in rho.  By
-    induction, a block that passes invariant tests starts a run of
-    passing blocks with no end."""
+    Where x**_BLOCK leaves c1*x + c0 modulo x**2 - A*x + Bq (_jump), one
+    block maps rho = w[n+1]/w[n] to
+    T(rho) = ((A*c1 + c0)*rho - Bq*c1) / (c1*rho + c0), whose denominator
+    is w[n+_BLOCK]/w[n] and whose determinant, c0**2 + A*c1*c0 + Bq*c1**2,
+    the norm of c1*x + c0, is Bq**_BLOCK, not 0.  On an interval where the
+    denominator stays positive, T is continuous and strictly monotone, so
+    it maps the closed interval C of tests onto the closed interval
+    between the images of C's two ends, and into C where both images pass
+    tests.  It then maps C's interior, the open interval of the strict
+    test, onto an open interval inside C, which lies inside that
+    interior: one check of the plain test serves both.  An end (x, y) is
+    the pair (w0, w1) = (|x|, -y) for x > 0 and (|x|, y) for x < 0; an
+    end unbounded above is (0, 1), whose image is (c1, A*c1 + c0).  Each
+    image is _jump's over _BLOCK indices.  An image with w0 <= 0 counts as
+    failing: where each end's image has w0 > 0, so does all of C, the
+    denominator being affine in rho.  By induction, a block that passes
+    invariant tests starts a run of passing blocks with no end."""
     ends = [(abs(x), -y if x > 0 else y) for x, y in tests]
     if all(x > 0 for x, _ in tests):
         ends.append((0, 1))
     for w0, w1 in ends:
-        v0, v1 = U[_BLOCK] * w1 + V[_BLOCK] * w0, U[_BLOCK + 1] * w1 + V[_BLOCK + 1] * w0
+        v0, v1 = _jump(A, Bq, w0, w1, _BLOCK)
         if v0 <= 0 or not _ratio_in(tests, v0, v1):
             return False
     return True

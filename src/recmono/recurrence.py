@@ -76,16 +76,16 @@ class RecurrenceSpec:
 
     def roots(self) -> RootPair:
         """The roots of x^2 - a*x + b, built on first use and kept on the spec."""
-        roots = self.__dict__.get("_roots")
-        if roots is None:
-            roots = quadratic_roots(self.a, self.b)
-            object.__setattr__(self, "_roots", roots)
-        return roots
+        return self._roots
 
-    # Signs and a[-1] that several decisions, ratio_limit and the report
-    # read, each computed on first use and kept on the spec like its roots
+    # The roots, and signs and a[-1] that several decisions, ratio_limit
+    # and the report read, each computed on first use and kept on the spec
     # (cached_property writes the instance dict, which frozen allows).
-    # The first three need real roots.
+    # The three signs need real roots.
+
+    @cached_property
+    def _roots(self) -> RootPair:
+        return quadratic_roots(self.a, self.b)
 
     @cached_property
     def _beta_residual_sign(self) -> int:

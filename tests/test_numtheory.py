@@ -108,6 +108,18 @@ class TestEnumeration:
         pairs = enumerate_generalized_fibonacci(9)
         assert pairs == sorted(pairs)
 
+    def test_equals_the_irreducible_pairs_of_dp(self):
+        # DP's one closed form decides each pair, b scanned with a margin
+        # of 3 beyond DP's column -a-1 <= b <= a-1
+        want = [
+            (a, b)
+            for a in range(1, 41)
+            for b in range(-a - 4, a + 3)
+            if contains_coeff_plane(RegionId.DP, a, b) and is_irreducible(IntCoeffPair(a, b))
+        ]
+        assert enumerate_generalized_fibonacci(40) == want
+        assert len(want) == 1561
+
     def test_validation(self):
         with pytest.raises(ValueError):
             enumerate_generalized_fibonacci(0)

@@ -976,7 +976,7 @@ class TestCertifiedBlocks:
             w.append(A * w[-1] - Bq * w[-2])
         sign = 1 if w0 > 0 else -1
         want = all(sign * (y - c * x) >= strict for x, y in zip(w, w[1:]))
-        tests = oracle._ratio_tests(*oracle._block_tables(A, Bq), c)
+        tests = oracle._ratio_tests(A, Bq, c)
         assert oracle._ratio_in(tests, w0, w1, strict) == want
 
 
@@ -1047,36 +1047,33 @@ class TestLastingCertificates:
     def test_invariant_ratio_tests(self):
         def tests(spec, c):
             q, A, B, _, _ = integer_carrier(spec)
-            U, V = oracle._block_tables(A, B * q)
-            return U, V, oracle._ratio_tests(U, V, max(abs(B), q) if c is None else c)
+            return A, B * q, oracle._ratio_tests(A, B * q, max(abs(B), q) if c is None else c)
 
         # growth by max(|B|, q): invariant on DEEP and on FALLING_UNIT,
         # whose interval's end, rho = 1, is the fixed point T(1) = 1 (the
         # eigen-solution 1**n); not on TRANSIENT, whose dominant root
         # 199/200 is below the growth of 1
         assert oracle._invariant(*tests(DEEP, None))
-        U, V, grow = tests(FALLING_UNIT, None)
+        A, Bq, grow = tests(FALLING_UNIT, None)
         (x, y), = grow
-        j = oracle._BLOCK
-        assert -y == x > 0 and (U[j] + V[j], U[j + 1] + V[j + 1]) == (1, 1)
-        assert oracle._invariant(U, V, grow)
+        assert -y == x > 0 and oracle._jump(A, Bq, 1, 1, oracle._BLOCK) == (1, 1)
+        assert oracle._invariant(A, Bq, grow)
         assert not oracle._invariant(*tests(TRANSIENT, None))
         # c = 0, E >= 0 over a block: FIB's and TABLE's interval is
         # unbounded above and maps into itself; RISING's lower end is a
         # solution with E[32] = 0, whose image has w0 = 0
         assert oracle._invariant(*tests(FIB, 0)) and oracle._invariant(*tests(TABLE, 0))
-        U, V, clean = tests(RISING, 0)
+        A, Bq, clean = tests(RISING, 0)
         (x, y), = clean
-        assert U[oracle._BLOCK] * -y + V[oracle._BLOCK] * x == 0
-        assert not oracle._invariant(U, V, clean)
+        assert oracle._jump(A, Bq, x, -y, oracle._BLOCK)[0] == 0
+        assert not oracle._invariant(A, Bq, clean)
         # rho >= 1 on roots 1 and -6: its end is the eigen-solution 1**n,
         # which maps to itself, but every larger ratio is drawn toward -6;
-        # only the image of the unbounded end, (U[32], U[33]) with
-        # U[32] < 0, shows it
-        U, V = oracle._block_tables(-5, -6)
-        j = oracle._BLOCK
-        assert (U[j] + V[j], U[j + 1] + V[j + 1]) == (1, 1)
-        assert U[j] < 0 and not oracle._invariant(U, V, [(1, -1)])
+        # only the image of the unbounded end (0, 1), whose w0 is the
+        # coefficient c1 of x**32's remainder and negative, shows it
+        assert oracle._jump(-5, -6, 1, 1, oracle._BLOCK) == (1, 1)
+        assert oracle._jump(-5, -6, 0, 1, oracle._BLOCK)[0] < 0
+        assert not oracle._invariant(-5, -6, [(1, -1)])
 
 
 TABLE_NEGATED = RecurrenceSpec(-TABLE.a, TABLE.b, TABLE.v0, TABLE.v1)
@@ -1186,15 +1183,17 @@ class TestCasoratianNorm:
             oracle.scan(FIB, 50, 0)
 
     def test_self_check_guards_the_block_advanced_pair(self, monkeypatch):
-        # a block table off by one advances M off its solution at the
-        # first certified block, and the norm at the walk's end shows it
-        def broken(A, Bq):
-            U, V = block_tables(A, Bq)
-            U[oracle._BLOCK] += 1
-            return U, V
+        # a jump off by one on the carrier's own pair, whose terms at the
+        # first certified block have hundreds of bits, advances M off its
+        # solution there, and the norm at the walk's end shows it; the
+        # images of the ratio test's small ends stay exact, so the block
+        # is still certified
+        def broken(A, Bq, w0, w1, s):
+            v0, v1 = jump(A, Bq, w0, w1, s)
+            return (v0 + 1, v1) if abs(w0) >= 1 << 64 else (v0, v1)
 
-        block_tables = oracle._block_tables
-        monkeypatch.setattr(oracle, "_block_tables", broken)
+        jump = oracle._jump
+        monkeypatch.setattr(oracle, "_jump", broken)
         with pytest.raises(InternalInconsistency, match="self-check"):
             oracle.scan(DEEP, 100, 0)
 
