@@ -31,7 +31,11 @@ induction does every later block.  In the P2/P3 stretch the test
 certifies growth of the carrier, which decides all three properties (see
 scan); the walk certifies a block there only where that test is
 invariant, so its first certificate decides every later index and ends
-the walk.
+the walk.  Where the dominant root is negative the terms alternate in
+sign, and the test runs on the mirror (-1)**n * M[n], which solves the
+recurrence with -A and keeps one sign: it certifies growth of |M| the
+same way, and P1, the one property that reads signs, then fails at every
+other index, read off its parity.
 
 For speed the scans run on a rescaled integer copy of the sequence,
 recurrence.integer_carrier: with a = A/q, b = B/q over a common
@@ -173,18 +177,23 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     leaves P3 open, the conjugate form (below: u and s*M*sqrt(d) differ
     in sign or d = 0, and N != 0) true at n and M[n], u[n] != 0, and
     after a refused try only after another such run: a spec whose tries
-    fail (terms of alternating sign, or a test that is not invariant,
-    below) pays one try per _BLOCK indices, and a complex pair or a
-    stretch where only P2 is open never reaches one.  The block is
-    certified where M keeps one sign and |M[i+1]| >= max(|B|, q)*|M[i]|
-    at each index i of it, the ratio test with c = max(|B|, q) made
-    positive at n, and where that test is invariant (below).  Since |B|
-    and q are integers of at least 1, growth alone gives positivity:
-    w[i+1] >= c*w[i] >= w[i] > 0 from w[n] > 0 on.  P1 holds where
-    M > 0; where M < 0 the test is strict, so |M[i+1]| > q*|M[i]| and
-    every index is a violation.  P3 holds at every index by its part
-    signs, since u too keeps one sign and grows by |B| (next), and P2
-    follows from P3 since |a[i+1]| >= |a[i]|.
+    fail (a test that is not invariant, below) pays one try per _BLOCK
+    indices, and a complex pair or a stretch where only P2 is open never
+    reaches one.  The test runs on the mirror w[i] = s**i * M[i], with s
+    the sign of the dominant root (below), which solves the carrier's
+    recurrence with s*A in place of A: where the dominant root is
+    negative the terms alternate in sign, and w keeps one.  The block is
+    certified where w keeps one sign and |M[i+1]| >= max(|B|, q)*|M[i]|
+    at each index i of it, the ratio test with c = max(|B|, q) on s*A
+    made positive at n, and where that test is invariant (below).  Since
+    |B| and q are integers of at least 1, growth alone gives positivity:
+    w[i+1] >= c*w[i] >= w[i] > 0 from w[n] > 0 on.  Where M keeps its
+    sign (s > 0), P1 holds where M > 0; where M < 0 the test is strict,
+    so |M[i+1]| > q*|M[i]| and every index is a violation.  Where M
+    alternates (s < 0), growth alone decides P1 and the test is plain:
+    P1 fails exactly where M[i] > 0 > M[i+1], at every other index.  P3
+    holds at every index by its part signs, since |u| too grows by |B|
+    (next), and P2 follows from P3 since |a[i+1]| >= |a[i]|.
 
     That u grows needs no test of its own: M's test and the run before
     the block imply it.  On the carrier's roots alpha' = q*alpha and
@@ -195,7 +204,12 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     and u[i+1]/u[i] = alpha'*(1 - r*x)/(1 - x).  At n, M[n], u[n] != 0
     rule out x = -1 and 1, and x[i] = x[n]*r**(i-n), so |x| < 1 from n
     on: M has P's sign, M keeping its sign makes alpha' > 0, and u keeps
-    its sign too.  Where x >= 0, u[i+1]/u[i] >= alpha' >= M[i+1]/M[i],
+    its sign too.  Where s < 0 the argument runs on w, whose roots are
+    -alpha' and -beta', in place of M: w keeping its sign makes
+    -alpha' > 0.  The mirror changes no quantity the argument reads,
+    since it maps u to (-1)**(i+1)*u and R' to (-1)**(i+1)*R' and leaves
+    d, N, |M|, |u| and the conjugate form as they are; only P1 reads
+    signs.  Where x >= 0, u[i+1]/u[i] >= alpha' >= M[i+1]/M[i],
     which is >= |B|.  Where x < 0, u[i+1]/u[i] equals
     alpha'*(1 + r*|x|)/(1 + |x|), which falls as |x| grows; at j = n - 1
     or n - 2, x[j] has x[i]'s sign and |x[j]| >= |x[i]|, and the run
@@ -212,13 +226,17 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     wherever its denominator stays positive: an open interval maps into
     itself exactly where its closure does, and one check of the plain
     test on the images of the interval's ends (_invariant) serves the
-    strict test too.  Where the test on M is invariant, the pair a
-    certified block advances to passes it again (strictly where M < 0),
-    with the conjugate form true and M, u != 0 by growth, and so by
-    induction does every later block: P2 and P3 hold through the window,
-    and P1 holds at every index from n on where M > 0, while where M < 0
-    every index is a violation, the from-k window's first at
-    max(n, from_k - 1).  So the first certified block ends the walk, even
+    strict test too.  Where the test on w is invariant, the pair a
+    certified block advances to passes it again (strictly where M < 0
+    keeps its sign), with the conjugate form true and M, u != 0 by
+    growth, and so by induction does every later block: P2 and P3 hold
+    through the window.  Where M keeps its sign, P1 holds at every index
+    from n on where M > 0, while where M < 0 every index is a violation,
+    the from-k window's first at max(n, from_k - 1).  Where M alternates,
+    P1 fails at every other index from n on, those with M > 0; where the
+    window's violations end before from_k - 1, the from-k window's first
+    is max(from_k - 1, window + 1) or, by parity, the index after it.
+    So the first certified block ends the walk, even
     one that runs past the window's end: the walk advances its pair to
     n + _BLOCK, runs the self-check below on it, and skips _p1_alone.
 
@@ -385,11 +403,14 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
         if run >= _BLOCK:
             # the run leaves P3 open, conj true at n and M[n], u[n] != 0
             if grow is None:
-                grow = _ratio_tests(A, Bq, max(aB, q))
-                invariant = _invariant(A, Bq, grow)
-            # M grows by max(|B|, q), strictly where M < 0 (u then grows by
-            # |B|), on this block and, the test being invariant, on every later one
-            if invariant and _ratio_in(grow, m0, m1, m0 < 0):
+                # on the mirror w[i] = s**i * M[i], which solves the
+                # recurrence with s*A and keeps one sign where M alternates
+                grow = _ratio_tests(s * A, Bq, max(aB, q))
+                invariant = _invariant(s * A, Bq, grow)
+            # |M| grows by max(|B|, q), strictly where M < 0 keeps its sign
+            # (|u| then grows by |B|), on this block and, the test being
+            # invariant, on every later one
+            if invariant and _ratio_in(grow, m0, s * m1, m0 < 0 < s):
                 certified = n
                 _emit(("p1", range(n)), ("certified", n), ("lasting", n + _BLOCK),
                       ("p1", range(n, window + 1)))
@@ -452,13 +473,21 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     if certified is None:
         _emit(("p1", range(n)))
         _p1_alone(q, A, Bq, m0, m1, n, window, from_k, p1)
-    elif m0 < 0:
-        # every index from the certified block on violates P1: the rest of
-        # the window, and the from-k window's first where that starts past it
-        p1.extend(range(certified, window + 1))
-        if k1 > window:
-            p1.append(k1)
-            _emit(("p1", range(k1, k1 + 1)))
+    elif s < 0 or m0 < 0:
+        # from the certified block on P1 fails at every index where M < 0
+        # keeps its sign, and where M alternates at every other one, those
+        # with M > 0 (m0 has M's sign at the certified index, _BLOCK being
+        # even); so the from-k window's first is max(k1, window + 1) or, by
+        # parity, the index after it, read where the window's violations
+        # end before k1
+        step = 1 if s > 0 else 2
+        lead = certified + (s < 0 and m0 < 0)
+        p1.extend(range(lead, window + 1, step))
+        far = max(k1, window + 1)
+        far += (far - lead) % step
+        if not (p1 and p1[-1] >= k1):
+            p1.append(far)
+            _emit(("p1", range(far, far + 1)))
     checked = (0, window)
     p2 = None
     if real:

@@ -796,9 +796,26 @@ class TestBlockWalk:
 
 roots_st = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 4))
 # the dominant root -1.62 alternates the terms' signs: P3's parts decide
-# every index, so the walk tries a block after each run of _BLOCK of them,
-# and the ratio test refuses every try
+# every index, and the test on the mirror (-1)**n * M[n], growth by 1, is
+# invariant, so the walk certifies the block at 32 and stops at 64
 ALTERNATING = RecurrenceSpec(-1, -1, 1, -1)
+
+
+def _mirrored(spec):
+    """The spec of (-1)**n * a[n]: coefficients (-a, b), start (v0, -v1)."""
+    return RecurrenceSpec(-spec.a, spec.b, spec.v0, -spec.v1)
+
+
+# TRANSIENT's terms with alternating signs: its dominant root -199/200 keeps
+# the test on the mirror from being invariant, so every try is refused
+TRANSIENT_MIRRORED = _mirrored(TRANSIENT)
+# roots 2.61 and -0.28
+TABLE = RecurrenceSpec(Fraction(7, 3), Fraction(-5, 7), Fraction(3, 4), Fraction(-2, 5))
+# dominant root -2.61 and terms of alternating sign; the walk certifies
+# the block at 33, where a[33] < 0
+TABLE_NEGATED = RecurrenceSpec(-TABLE.a, TABLE.b, TABLE.v0, TABLE.v1)
+# dominant root -2.26, a[n] = (-1)**n * DEEP's a[n], with a[32] > 0
+DEEP_MIRRORED = _mirrored(DEEP)
 # roots 3/4 and 1/2 and a start whose ratio 1/8 fails P2 at 0: the terms
 # turn negative and |a| shrinks by about 3/4 per index, enough for P3's
 # parts, which ask |a[n+1]| >= |b|*|a[n]| with |b| = 3/8, but not for
@@ -867,6 +884,16 @@ class TestCertifiedBlocks:
     @example((TRANSIENT, 100, 150))
     @example((FALLING_UNIT, 100, 150))
     @example((ALTERNATING, 100, 150))
+    # alternating terms: the from-k window's first index k1 past the window
+    # fails P1 where a[k1] > 0 (even k1 on ALTERNATING, from 34 on
+    # TABLE_NEGATED), else k1 + 1 does; and a certified block at the
+    # window's last index, where a[32] > 0 and a[33] < 0
+    @example((ALTERNATING, 100, 151))
+    @example((TABLE_NEGATED, 64, 66))
+    @example((TABLE_NEGATED, 64, 67))
+    @example((DEEP_MIRRORED, 64, 67))
+    @example((ALTERNATING, 32, 34))
+    @example((TABLE_NEGATED, 33, 35))
     @example((RecurrenceSpec(5, 6, 1, 2), 64, 66))  # on the eigen-solution 2^n
     @example((RecurrenceSpec(2, 1, -2**700, -3 * 2**700), 64, 66))  # repeated root 1
     @example((SHRINKING, 100, 102))
@@ -922,12 +949,12 @@ class TestCertifiedBlocks:
 
     def test_refused_blocks_fall_back(self):
         # inside the window: each run of _BLOCK indices decided on part
-        # signs ends in a try the alternating signs refuse, the one at 96,
-        # whose block would run past the window's end, included, and the
-        # walk steps on per index
-        got, events = _block_events(ALTERNATING, 100, 150)
+        # signs ends in a try that the test on the mirror, not invariant,
+        # refuses, the one at 96, whose block would run past the window's
+        # end, included, and the walk steps on per index
+        got, events = _block_events(TRANSIENT_MIRRORED, 100, 150)
         assert events == [("refused", 32), ("refused", 64), ("refused", 96)]
-        assert got == reference_windows(ALTERNATING, 100, 150)
+        assert got == reference_windows(TRANSIENT_MIRRORED, 100, 150)
         # past the window: E[5] > 0, and the walk jumps to k1 = 32 and
         # steps up to E's descent at 36
         got, events = _block_events(LATE_DESCENT_LONG, 4, 33, ("jump", "p1"))
@@ -980,9 +1007,6 @@ class TestCertifiedBlocks:
         assert oracle._ratio_in(tests, w0, w1, strict) == want
 
 
-TABLE = RecurrenceSpec(Fraction(7, 3), Fraction(-5, 7), Fraction(3, 4), Fraction(-2, 5))
-
-
 class TestLastingCertificates:
     """Where one block maps a ratio test's interval into itself
     (oracle._invariant), a block that passes the test decides every later
@@ -1015,9 +1039,19 @@ class TestLastingCertificates:
         # reads each index, past the terms' growth at window 300
         (TRANSIENT, 200, 0), (TRANSIENT, 300, 0), (RISING, 100, 150),
     )
+    # the dominant root negative: the test on the mirror (-1)**n * M[n]
+    # certifies the block at 32 (33 on TABLE_NEGATED), and P1 fails at
+    # every other index from there, where M > 0 (from 32 on ALTERNATING and
+    # DEEP_MIRRORED, from 34 on TABLE_NEGATED); certified blocks inside the
+    # window (100), ending on its last index (63) and past its end (40),
+    # and from-k windows before, at and past the window's end, the first
+    # index past it of either parity, and far
+    ALTERNATING_CASES = tuple(
+        (spec, w, k) for spec in (ALTERNATING, TABLE_NEGATED, DEEP_MIRRORED)
+        for w in (40, 63, 100) for k in (w // 2, w, w + 1, w + 2, w + 3, 2000))
 
     def test_scan_matches_references(self):
-        _assert_matches_references(self.CASES)
+        _assert_matches_references(self.CASES + self.ALTERNATING_CASES)
 
     def test_one_block_decides_the_rest(self):
         # DEEP: 32 indices on part signs, then one certified block, after
@@ -1043,6 +1077,26 @@ class TestLastingCertificates:
         got, events = _block_events(FIB, 20, 100, ("lasting", "jump", "p1"))
         assert events[-2:] == [("jump", 21, 99), ("p1", range(99, 121))]
         assert got == reference_windows(FIB, 20, 100)
+
+    def test_one_block_decides_alternating_terms(self):
+        for case in self.ALTERNATING_CASES:
+            at = 33 if case[0] is TABLE_NEGATED else 32
+            _, events = _block_events(*case)
+            assert events == [("certified", at), ("lasting", at + oracle._BLOCK)], case
+        # P1 read off the parity of the index, with no walk past the
+        # window: a[101] < 0 < a[102] on ALTERNATING, so the from-k window
+        # [101, 202] first fails at 102, and [100, 201] at 100
+        got, events = _block_events(ALTERNATING, 100, 102, ("jump", "p1"))
+        assert events == [("p1", range(32)), ("p1", range(32, 101)), ("p1", range(102, 103))]
+        assert got.n0_witness is None
+        assert got.p1_from_k.first_violation == 102
+        assert oracle.scan(ALTERNATING, 100, 101).p1_from_k.first_violation == 100
+        # a[33] < 0 on TABLE_NEGATED's certified block at 33, the window's
+        # last index: the window holds P1 from 33 on (n0 = 33), and its
+        # from-k window [33, 67] first fails one index past the window
+        got = oracle.scan(TABLE_NEGATED, 33, 34)
+        assert got.n0_witness == 33 and got.p1_from_k.first_violation == 34
+        assert got == reference_windows(TABLE_NEGATED, 33, 34)
 
     def test_invariant_ratio_tests(self):
         def tests(spec, c):
@@ -1076,7 +1130,6 @@ class TestLastingCertificates:
         assert not oracle._invariant(-5, -6, [(1, -1)])
 
 
-TABLE_NEGATED = RecurrenceSpec(-TABLE.a, TABLE.b, TABLE.v0, TABLE.v1)
 # the jump lengths every jump test covers: 0 to 64, and 2**j and 2**j +- 1
 # up to 5000
 JUMP_LENGTHS = sorted({*range(65), *(2**j + e for j in range(6, 13) for e in (-1, 0, 1))})
