@@ -16,7 +16,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .numtheory import boundary_characterization, enumerate_generalized_fibonacci
 from .qfield import quadratic_roots
@@ -124,13 +124,28 @@ def _bbox(text: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return tuple(parse_rational(p) for p in parts)  # type: ignore[return-value]
 
 
-def _add_spec_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--a", type=parse_rational, required=True, metavar="R")
-    sub.add_argument("--b", type=parse_rational, required=True, metavar="R")
-    sub.add_argument("--h-init", type=parse_rational, metavar="R",
-                     help="start from a[-1] = 0, a[0] = R (excludes --v0/--v1)")
-    sub.add_argument("--v0", type=parse_rational, metavar="R")
-    sub.add_argument("--v1", type=parse_rational, metavar="R")
+class _Option(NamedTuple):
+    """One option of a command: its flag, then what add_argument takes
+    for it.  A default is the value itself, never text for type to read."""
+
+    flag: str
+    type: Optional[Callable[[str], object]] = None
+    choices: Optional[tuple[str, ...]] = None
+    default: object = None
+    required: bool = False
+    metavar: Optional[str] = None
+    help: Optional[str] = None
+
+
+_SPEC_OPTIONS = (
+    _Option("--a", parse_rational, required=True, metavar="R"),
+    _Option("--b", parse_rational, required=True, metavar="R"),
+    _Option("--h-init", parse_rational, metavar="R",
+            help="start from a[-1] = 0, a[0] = R (excludes --v0/--v1)"),
+    _Option("--v0", parse_rational, metavar="R"),
+    _Option("--v1", parse_rational, metavar="R"),
+)
+_FORMAT = _Option("--format", choices=("json", "csv"), default="json")
 
 
 def _spec_from_args(args: argparse.Namespace) -> RecurrenceSpec:
@@ -331,85 +346,116 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
-    _add_spec_args(parser)
-    parser.add_argument("--window", type=_bounded_int(1, MAX_WINDOW), default=300, metavar="N")
-    parser.add_argument("--from-k", type=_bounded_int(0, MAX_FROM_K), default=0, metavar="K")
-    parser.add_argument("--out", metavar="PATH",
-                        help="write the JSON report here instead of stdout")
-
-
-def _add_sequence_args(parser: argparse.ArgumentParser) -> None:
-    _add_spec_args(parser)
-    parser.add_argument("--n", type=_bounded_int(0, MAX_N), required=True, metavar="N")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _add_enumerate_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--a-max", type=_bounded_int(1, MAX_A_MAX), required=True, metavar="N")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _add_regions_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--region", choices=[r.value for r in RegionId], required=True)
-    parser.add_argument(
-        "--bbox", type=_bbox, required=True, metavar="x0,x1,y0,y1",
-        help="rational corners; write --bbox=-3,3,-3,3 when x0 is negative",
-    )
-    parser.add_argument("--res", type=_bounded_int(2, MAX_RES), required=True, metavar="N")
-    parser.add_argument("--out", required=True, metavar="PATH")
-
-
-def _add_riccati_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--a", type=parse_rational, required=True, metavar="R")
-    parser.add_argument("--b", type=parse_rational, required=True, metavar="R")
-    parser.add_argument("--b0", type=parse_rational, required=True, metavar="R")
-    parser.add_argument("--n", type=_bounded_int(1, MAX_N), required=True, metavar="N")
-
-
-def _add_characterize_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scan-bound", type=_bounded_int(1), default=1000, metavar="N")
-
-
-# each command's help line in `recmono -h`, the function that adds its
-# arguments to its parser, and its handler; `recmono -h` lists them in
-# this order
+# each command's help line in `recmono -h`, its options and its handler;
+# `recmono -h` lists the commands in this order
 _COMMANDS = {
-    "analyze": ("full decision + oracle report for one recurrence",
-                _add_analyze_args, _cmd_analyze),
-    "sequence": ("print exact terms a[0..n]", _add_sequence_args, _cmd_sequence),
-    "enumerate": ("irreducible integer pairs in DP (a >= 1, |b + 1| <= a)",
-                  _add_enumerate_args, _cmd_enumerate),
-    "regions": ("rasterize a membership region to PGM or CSV",
-                _add_regions_args, _cmd_regions),
-    "riccati": ("orbit of the ratio map s -> (a*s - b)/s", _add_riccati_args, _cmd_riccati),
-    "characterize": ("integer boundary pairs whose polynomial is irreducible",
-                     _add_characterize_args, _cmd_characterize),
+    "analyze": ("full decision + oracle report for one recurrence", (
+        *_SPEC_OPTIONS,
+        _Option("--window", _bounded_int(1, MAX_WINDOW), default=300, metavar="N"),
+        _Option("--from-k", _bounded_int(0, MAX_FROM_K), default=0, metavar="K"),
+        _Option("--out", metavar="PATH", help="write the JSON report here instead of stdout"),
+    ), _cmd_analyze),
+    "sequence": ("print exact terms a[0..n]", (
+        *_SPEC_OPTIONS,
+        _Option("--n", _bounded_int(0, MAX_N), required=True, metavar="N"),
+        _FORMAT,
+    ), _cmd_sequence),
+    "enumerate": ("irreducible integer pairs in DP (a >= 1, |b + 1| <= a)", (
+        _Option("--a-max", _bounded_int(1, MAX_A_MAX), required=True, metavar="N"),
+        _FORMAT,
+    ), _cmd_enumerate),
+    "regions": ("rasterize a membership region to PGM or CSV", (
+        _Option("--region", choices=tuple(r.value for r in RegionId), required=True),
+        _Option("--bbox", _bbox, required=True, metavar="x0,x1,y0,y1",
+                help="rational corners; write --bbox=-3,3,-3,3 when x0 is negative"),
+        _Option("--res", _bounded_int(2, MAX_RES), required=True, metavar="N"),
+        _Option("--out", required=True, metavar="PATH"),
+    ), _cmd_regions),
+    "riccati": ("orbit of the ratio map s -> (a*s - b)/s", (
+        *_SPEC_OPTIONS[:2],
+        _Option("--b0", parse_rational, required=True, metavar="R"),
+        _Option("--n", _bounded_int(1, MAX_N), required=True, metavar="N"),
+    ), _cmd_riccati),
+    "characterize": ("integer boundary pairs whose polynomial is irreducible", (
+        _Option("--scan-bound", _bounded_int(1), default=1000, metavar="N"),
+    ), _cmd_characterize),
 }
+
+
+def _read(command: str, argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace _parser(command).parse_args(argv) returns, read
+    straight from the command's options, or None where argv is not a line
+    this reads.
+
+    It reads a line whose every token is --flag=value, or --flag followed
+    by a value that does not start with '-', where each flag is one of
+    the command's own spelled in full, each value passes its flag's type
+    and choices, and every required flag is given; a flag given twice
+    keeps its last value, as in argparse.  It returns None on anything
+    else: -h, an abbreviation, --, an unknown flag, a '-'-led value after
+    a space, a missing required flag or a value that its type or choices
+    reject.  argparse then reads the line, so help, every error message
+    and every exit code are argparse's own.
+    """
+    options = {option.flag: option for option in _COMMANDS[command][1]}
+    values = {}
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        option = options.get(flag)
+        if option is None:
+            return None
+        if not eq:
+            # a flag that ends the line has no value, like one before a '-'
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        if option.type is not None:
+            try:
+                value = option.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[flag] = value
+    if any(option.required and flag not in values for flag, option in options.items()):
+        return None
+    return argparse.Namespace(**{flag[2:].replace("-", "_"): values.get(flag, option.default)
+                                 for flag, option in options.items()})
 
 
 @functools.cache
 def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of one command, or with no command the top-level one,
-    built on first use and reused.
+    """The argparse parser of one command, or with no command the
+    top-level one, built on first use and reused.
 
-    A command's parser holds that command's arguments alone, and main
-    parses a command line once, with it.  One parser for all commands, a
-    subparser each, cost more than the work of a small call: on CPython
-    3.11.7 building all six commands took 845 microseconds and building
-    regions alone 121; a regions command line took 65 microseconds to
-    parse through the top-level parser and its subparser and 35 through
-    its own parser alone (analyze: 89 and 50).  Eight regions calls on
-    small rasters, the parser built afresh for the first, spent more than
-    half their time in argparse.
+    main reads a command's line with _read first, straight from the
+    command's options in _COMMANDS, and builds and runs this parser only
+    where _read declines the line: on -h, an abbreviation, --, an unknown
+    flag, a '-'-led value after a space, a missing required flag or a
+    value that its type or choices reject.  So a well-formed line builds
+    no parser, and every help text, error message and exit code is
+    argparse's own.  On CPython 3.11.7 (x86-64, best of 5 runs of 500)
+    building the regions parser took 140-150 microseconds and analyze's
+    180-220; parse_args took 31-44 on a regions line and 47-59 on an
+    analyze line, where _read took 12-21 and 15-24.  With every cache
+    cleared first, as in a fresh process, the eight regions lines of one
+    regions-raster benchmark operation took 90-180 microseconds to read
+    against 420-630 to build the parser and parse them (best of 7 passes
+    over the first 75 operations of seed 1).
 
-    The top-level parser's commands carry their names and help lines only:
-    it prints `recmono -h` and reports a missing or unknown command.
+    A command's parser holds that command's arguments alone: one parser
+    for all six commands, a subparser each, took 845 microseconds to
+    build.  The top-level parser's commands carry their names and help
+    lines only: it prints `recmono -h` and reports a missing or unknown
+    command.
     """
     if command is not None:
         parser = argparse.ArgumentParser(prog=f"recmono {command}")
-        _, add_args, _ = _COMMANDS[command]
-        add_args(parser)
+        for option in _COMMANDS[command][1]:
+            parser.add_argument(option.flag, type=option.type, choices=option.choices,
+                                default=option.default, required=option.required,
+                                metavar=option.metavar, help=option.help)
         return parser
     parser = argparse.ArgumentParser(
         prog="recmono",
@@ -438,7 +484,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _parser().error("the following arguments are required: command")
     # inputs are parsed under the interpreter's limit on int-to-str digits;
     # terms and orbit states grow past it and are rendered without one
-    args = _parser(command).parse_args(command_argv)
+    args = _read(command, command_argv)
+    if args is None:
+        args = _parser(command).parse_args(command_argv)
     _, _, run = _COMMANDS[command]
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

@@ -6,16 +6,19 @@ enforced here: a holding verdict with a dirty window, or a failing
 verdict whose forced violation (the index the verdict names as
 violation_by) is missing, raises InternalInconsistency (the CLI maps it
 to exit code 1), as does a failed self-check inside the oracle's
-residual walk.  All oracle windows come from one oracle.scan call: one
-walk of the integer carrier from index 0 through the window, which stops
-early at the first block whose certificate is invariant, since that
-block decides every later index, and goes past the window only while
-the from-k P1 window is still clean, by one jump to that window and one
-step per index through it.  Which clause
-forces which violation is stated in decisions alone; a start on the
-dominant eigen-solution is decided there too (its weighted residual is
-identically zero, so P3 holds), and the report only prints it as
-degenerate_geometric.
+residual walk.  All printed oracle windows come from one oracle.scan
+call: one walk of the integer carrier from index 0 through the window,
+which stops early at the first block whose certificate is invariant,
+since that block decides every later index, and goes past the window
+only while the from-k P1 window is still clean, by one jump to that
+window and one step per index through it.  A holding eventual verdict
+whose n0 lies past the window has k* = n0 + 1 found by the decisions
+(_first_clean_start) and certified by two more scans: a clean from-k
+window at k*, and a first violation at k* - 2 in the one at k* - 1.
+Which clause forces which violation is stated in decisions alone; a
+start on the dominant eigen-solution is decided there too (its weighted
+residual is identically zero, so P3 holds), and the report only prints
+it as degenerate_geometric.
 
 Rendering is exact work done once.  alpha, beta and the ratio limit are
 the very root objects alpha_plus and alpha_minus, so the two roots'
@@ -40,6 +43,14 @@ __all__ = ["InternalInconsistency", "build_report", "spec_json"]
 
 RICCATI_PREFIX_LEN = 8
 TERMS_PREVIEW_LEN = 9
+
+# the largest start at which the report looks for n0 past the window; one
+# decision read at k takes O(log k) products of O(k)-digit integers: on
+# (a, b, v0, v1) = (2, 1 - 10**-14, 1, 1 - 10**-8), whose search reaches
+# the limit, the read at 32768 took 0.27 s and the whole report 0.47 s,
+# and on (2, 1 - 10**-30, 1, 1 - 10**-16) 1.15 and 2.0 s (CPython 3.11.7,
+# x86-64); the largest n0 known on valid input is 10034
+N0_SEARCH_LIMIT = 1 << 15
 
 
 def spec_json(spec: RecurrenceSpec) -> dict:
@@ -81,6 +92,33 @@ def _window_json(w: Optional[WindowReport], **extra) -> Optional[dict]:
 
 def _abs_quad(x: QuadElem) -> QuadElem:
     return -x if x.sign() < 0 else x
+
+
+def _first_clean_start(spec: RecurrenceSpec, k: int) -> Optional[int]:
+    """The least start k* > k at which nondecreasing_from holds, for a
+    spec whose eventual verdict holds and whose from-k verdict fails at k;
+    None where it fails at every start up to N0_SEARCH_LIMIT.
+
+    nondecreasing_from(k) states a[n] <= a[n+1] for every n >= k - 1, so
+    it is monotone in k: the search gallops to k + 1, k + 2, k + 4, ...
+    until it holds, then bisects between the last start that failed and
+    the first that held.  Then n0 = k* - 1.
+    """
+    step = 1
+    while True:
+        hi = min(k + step, N0_SEARCH_LIMIT)
+        if decisions.nondecreasing_from(spec, hi).holds:
+            break
+        if hi == N0_SEARCH_LIMIT:
+            return None
+        k, step = hi, 2 * step
+    while hi - k > 1:
+        mid = (k + hi) // 2
+        if decisions.nondecreasing_from(spec, mid).holds:
+            hi = mid
+        else:
+            k = mid
+    return hi
 
 
 def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> dict:
@@ -144,10 +182,29 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
     if v_h_monotone is not None and v_h_monotone.holds and spec.v0 <= 0:
         _mismatch(f"positive_monotone_h holds but v0 = {spec.v0} is not positive")
     if v_eventual.holds and n0 is None:
-        _mismatch(
-            "eventually_nondecreasing holds but no clean tail starts within "
-            "the window; rerun with a larger --window"
-        )
+        # the window's last pair, at index window, violates, so n0 lies past
+        # the window and nondecreasing_from fails at window + 1; k* = n0 + 1
+        # is certified by a clean from-k window at k* and a violation at
+        # k* - 2, the first index of the from-k window at k* - 1
+        k = _first_clean_start(spec, window + 1)
+        if k is None:
+            _mismatch(
+                "eventually_nondecreasing holds but nondecreasing_from fails at every "
+                f"start up to {N0_SEARCH_LIMIT}"
+            )
+        late = oracle.scan(spec, window, k).p1_from_k.first_violation
+        if late is not None:
+            _mismatch(
+                f"eventually_nondecreasing holds from n0 = {k - 1} on, but the from-k "
+                f"window at {k} finds a violation at {late}"
+            )
+        last = oracle.scan(spec, window, k - 1).p1_from_k.first_violation
+        if last != k - 2:
+            _mismatch(
+                f"eventually_nondecreasing holds from n0 = {k - 1} on, which puts the "
+                f"last violation at {k - 2}, but the from-k window at {k - 1} finds "
+                f"its first at {last}"
+            )
     # under the hypothesis a positive nondecreasing start telescopes upward
     if hartman and 0 < spec.v0 <= spec.v1 and n0 != 0:
         _mismatch(

@@ -11,14 +11,18 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recmono.cli as cli
+from recmono import report
 from recmono.cli import main, parse_rational
 from recmono.recurrence import RecurrenceSpec, terms_between
+
+from sweep import sweep_argvs
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +196,38 @@ class TestAnalyze:
         code_direct, direct, _ = run_cli(capsys, "analyze", *argv)
         assert code == code_direct == 0 and rerun == direct
 
+    @pytest.mark.parametrize("argv, n0", [
+        (["--a", "2", "--b", "999999/1000000", "--v0", "11", "--v1", "10991/1000"], 1152),
+        # report-corpus seed 3, op 680
+        (["--a=199/100", "--b=98999/100000", "--v0=3/4", "--v1=113/152"], 336),
+        (["--a=1/3", "--b=-3/4", "--v0=4", "--v1=-2", "--window=2"], 15),
+        # past the --window cap, so no window can see it
+        (["--a=2", "--b=9999999999/10000000000", "--v0=1", "--v1=999999/1000000"], 10034),
+    ])
+    def test_n0_past_the_window_exits_zero(self, capsys, argv, n0):
+        # the eventual verdict holds and the window's last pair violates:
+        # n0 = k* - 1 is certified past the window, and n0_witness stays null
+        code, out, err = run_cli(capsys, "analyze", *argv)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["verdicts"]["p1_eventual"]["holds"]
+        assert payload["oracle_windows"]["n0_witness"] is None
+        args = cli._read("analyze", argv)
+        k = report._first_clean_start(cli._spec_from_args(args), args.window + 1)
+        assert k - 1 == n0
+
+    def test_sweep_slice_exits_zero(self, capsys):
+        # the sweep's first 410 lines hold three whose n0 lies past the window
+        # (lines 235, 404 and 409); tests/sweep.py runs all 19,964
+        for argv in islice(sweep_argvs(), 410):
+            assert main(argv) == 0, " ".join(argv)
+            capsys.readouterr()
+
+
+def _both_readings(command, argv):
+    """argv read by the command's argparse parser, then by the reader."""
+    return cli._parser(command).parse_args(argv), cli._read(command, argv)
+
 
 class TestIntegerArguments:
     @pytest.mark.parametrize(
@@ -229,29 +265,31 @@ class TestIntegerArguments:
         assert text in capsys.readouterr().err
 
     def test_res_bounds_are_inclusive(self):
-        # the parser alone: a raster at the cap is not run
+        # the parsers alone: a raster at the cap is not run
         for res in (2, cli.MAX_RES):
-            args = cli._parser("regions").parse_args(
-                ["--region", "D", "--bbox=-1,1,-1,1", "--res", str(res), "--out", "x.pgm"])
-            assert args.res == res
+            for args in _both_readings(
+                    "regions", ["--region", "D", "--bbox=-1,1,-1,1", "--res", str(res),
+                                "--out", "x.pgm"]):
+                assert args.res == res
 
     def test_n_cap_is_inclusive(self):
-        # the parser alone: terms and orbit states at the cap are not made
-        for argv in (["sequence", "--a", "1", "--b", "-1", "--h-init", "1"],
-                     ["riccati", "--a", "1", "--b", "-1", "--b0", "1/2"]):
-            args = cli._parser(argv[0]).parse_args([*argv[1:], "--n", "5000"])
-            assert args.n == cli.MAX_N == 5000
+        # the parsers alone: terms and orbit states at the cap are not made
+        for argv in (["sequence", "--a", "1", "--b=-1", "--h-init", "1"],
+                     ["riccati", "--a", "1", "--b=-1", "--b0", "1/2"]):
+            for args in _both_readings(argv[0], [*argv[1:], "--n", "5000"]):
+                assert args.n == cli.MAX_N == 5000
 
     def test_window_and_from_k_caps_are_inclusive(self):
-        # the parser alone: no report is built at the caps
-        args = cli._parser("analyze").parse_args(
-            ["--a", "1", "--b", "-1", "--h-init", "1", "--window", "10000", "--from-k", "50000"])
-        assert (args.window, args.from_k) == (cli.MAX_WINDOW, cli.MAX_FROM_K) == (10000, 50000)
+        # the parsers alone: no report is built at the caps
+        for args in _both_readings(
+                "analyze", ["--a", "1", "--b=-1", "--h-init", "1", "--window", "10000",
+                            "--from-k", "50000"]):
+            assert (args.window, args.from_k) == (cli.MAX_WINDOW, cli.MAX_FROM_K) == (10000, 50000)
 
     def test_a_max_cap_is_inclusive(self):
-        # the parser alone: the pairs at the cap are not listed
-        args = cli._parser("enumerate").parse_args(["--a-max", "300"])
-        assert args.a_max == cli.MAX_A_MAX == 300
+        # the parsers alone: the pairs at the cap are not listed
+        for args in _both_readings("enumerate", ["--a-max", "300"]):
+            assert args.a_max == cli.MAX_A_MAX == 300
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -589,20 +627,148 @@ class TestParserReuse:
         assert code == 0 and json.loads(out)["scan_bound"] == 5
         code, out, _ = run_cli(capsys, "enumerate", "--a-max", "1", "--format", "csv")
         assert code == 0 and out == "1,-1,1\n"
-        # the reused parser still rejects bad input with exit 2
-        with pytest.raises(SystemExit) as exc:
-            main(["enumerate", "--a-max", "0"])
-        assert exc.value.code == 2
-        assert cli._parser.cache_info().misses == 2
+        # well-formed lines are read without building a parser
+        assert cli._parser.cache_info().currsize == 0
+        # a rejected line builds its command's parser once, and exits 2
+        # through it; the next rejected line reuses it
+        for argv in (["enumerate", "--a-max", "0"], ["enumerate", "--a-max=x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert cli._parser.cache_info()[:2] == (1, 1)  # hits, misses
         # a command builds its own parser and no other
         cli._parser.cache_clear()
         out_path = tmp_path / "d.pgm"
         code, _, _ = run_cli(capsys, "regions", "--region", "D", "--bbox=-1,1,-1,1",
                              "--res", "4", "--out", str(out_path))
         assert code == 0 and out_path.exists()
+        assert cli._parser.cache_info().currsize == 0
+        with pytest.raises(SystemExit):
+            main(["regions", "--region", "D", "--bbox=-1,1,-1,1", "--res", "1",
+                  "--out", str(out_path)])
         assert cli._parser.cache_info().currsize == 1
         cli._parser("regions")
         assert cli._parser.cache_info().misses == 1
+
+
+# values for any flag: good ones, negative ones that argparse does and
+# does not take after a space, malformed and empty ones, past the caps,
+# bboxes and choices right and wrong, and '-'-led words
+_VALUES = ["1", "-1", "3/4", "-5/7", "+2", "0", "2", "300", "5000", "10000", "50001", "0.5",
+           "1/0", "x", "", "-", "--a", "-3,3,-3,3", "0,1,0,1", "1,2,3", "D", "DP", "d",
+           "json", "xml", "x.pgm", "-x.pgm"]
+
+
+def _read_both(command, argv):
+    """The reader's namespace, or None, and argparse's namespace, or the
+    code argparse exits with."""
+    read = cli._read(command, argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = cli._parser(command).parse_args(argv)
+        except SystemExit as exc:
+            parsed = exc.code
+    return read, parsed
+
+
+def _good_values(option):
+    """The values in _VALUES, and the choices, that option's type and
+    choices take."""
+    good = list(option.choices or ())
+    for value in _VALUES:
+        try:
+            read = option.type(value) if option.type else value
+        except argparse.ArgumentTypeError:
+            continue
+        if option.choices is None or read in option.choices:
+            good.append(value)
+    return good
+
+
+@st.composite
+def _command_lines(draw, well_formed):
+    """A command and a token list for it.  Well formed: every required
+    flag and some others, each in either spelling, full, with a value its
+    type and choices take and that does not start with '-' after a space.
+    Otherwise such a line with one to four changes: an item left out or
+    repeated; a flag abbreviated or unknown; a value from _VALUES or the
+    choices, in either spelling; a flag with a value it rejects; -h, --,
+    a bare word or a flag with no value put in."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._COMMANDS[command][1]
+    items = []
+    for option in options:
+        if option.required or draw(st.booleans()):
+            value = draw(st.sampled_from(_good_values(option)))
+            if value.startswith("-") or draw(st.booleans()):
+                items.append([f"{option.flag}={value}"])
+            else:
+                items.append([option.flag, value])
+    items = draw(st.permutations(items))
+    if not well_formed:
+        flags = [option.flag for option in options]
+        abbreviations = sorted({f[:i] for f in flags for i in range(3, len(f))} - set(flags))
+        names = st.sampled_from(flags + abbreviations + ["--bogus", "--help"])
+        values = st.sampled_from(_VALUES + [c for o in options for c in o.choices or ()])
+        for _ in range(draw(st.integers(1, 4))):
+            at = draw(st.integers(0, len(items)))
+            kind = draw(st.integers(0, 5))
+            if kind == 5:
+                option = draw(st.sampled_from([o for o in options if o.type or o.choices]))
+                bad = [v for v in _VALUES if v not in _good_values(option)]
+                items.insert(at, [f"{option.flag}={draw(st.sampled_from(bad))}"])
+            elif kind == 0 and at < len(items):
+                del items[at]
+            elif kind == 1 and at < len(items):
+                items.insert(at, items[at])
+            elif kind == 2:
+                items.insert(at, [f"{draw(names)}={draw(values)}"])
+            elif kind == 3:
+                items.insert(at, [draw(names), draw(values)])
+            else:
+                items.insert(at, [draw(st.sampled_from(["-h", "--", "-x", "x", ""]) | names)])
+    return command, [t for item in items for t in item]
+
+
+class TestReader:
+    """cli._read gives argparse's namespace on the lines it reads, and
+    declines every line that argparse exits on."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_command_lines(well_formed=False))
+    def test_agrees_with_argparse(self, line):
+        command, argv = line
+        read, parsed = _read_both(command, argv)
+        if read is not None:
+            assert isinstance(parsed, argparse.Namespace), (argv, parsed)
+            assert vars(read) == vars(parsed), argv
+            # a line read has only full flags, and no '-'-led value after a space
+            flags = {option.flag for option in cli._COMMANDS[command][1]}
+            assert all(t.partition("=")[0] in flags for t in argv if t.startswith("-")), argv
+
+    @settings(max_examples=200, deadline=None)
+    @given(_command_lines(well_formed=True))
+    def test_reads_well_formed_lines(self, line):
+        command, argv = line
+        read, parsed = _read_both(command, argv)
+        assert read is not None, argv
+        assert vars(read) == vars(parsed), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["regions", "--region", "XX", "--bbox=-1,1,-1,1", "--res", "4", "--out", "x.pgm"],
+        ["sequence", "--a=1", "--b=1", "--h-init=1", "--n=4", "--format=xml"],
+        ["analyze", "--a", "1", "--b", "-5/7", "--h-init", "1"],
+        ["regions", "--region", "D", "--bbox", "-1,1,-1,1", "--res", "4", "--out", "x.pgm"],
+        ["analyze", "--a", "1", "--b", "1", "--v", "1"],
+        ["regions", "--re", "D", "--bbox=-1,1,-1,1", "--res", "4", "--out", "x.pgm"],
+        ["regions", "--bbox=-1,1,-1,1", "--res", "4", "--out", "x.pgm"],
+        ["riccati", "--a", "1", "--b", "1", "--n", "4"],
+    ])
+    def test_declines_what_argparse_rejects(self, argv):
+        # bad choices, a '-'-led value after a space, an ambiguous
+        # abbreviation, a missing required flag
+        read, parsed = _read_both(argv[0], argv[1:])
+        assert read is None and parsed == 2
 
 
 class TestTopLevel:

@@ -236,7 +236,8 @@ CONTRADICTIONS = {
         "weighted_monotone", RecurrenceSpec(5, 6, 1, 3), 0,
         [], {"p3": 0},
     ),
-    # the single-line check: the last pair of the window violates
+    # the last pair of the window violates, and nondecreasing_from fails
+    # at every start the search for n0 tries
     "eventually_nondecreasing_no_clean_tail": (
         "eventually_nondecreasing", make_h_spec(1, -1, -1), 0,
         [("eventually_nondecreasing", Verdict(True, Branch.COND_MONOTONIC_1), None)], {},
@@ -261,6 +262,27 @@ class TestContractFires:
         _fake_windows(monkeypatch, **windows)
         with pytest.raises(InternalInconsistency, match=re.escape(name)):
             build_report(spec, 40, from_k)
+
+    @pytest.mark.parametrize("from_k, first", [(16, 20), (15, None), (15, 15)])
+    def test_n0_past_the_window_rows_fire(self, monkeypatch, from_k, first):
+        # n0 = 15 against a window of 2: the from-k window at k* = 16 must be
+        # clean, and the one at k* - 1 must find its first violation at 14
+        spec = RecurrenceSpec(Fraction(1, 3), Fraction(-3, 4), 4, -2)
+        build_report(spec, 2)  # consistent before the fake
+        real = oracle.scan
+
+        def fake(spec, window, k):
+            windows = real(spec, window, k)
+            if k != from_k:
+                return windows
+            p1 = dataclasses.replace(windows.p1_from_k, holds_on_window=first is None,
+                                     first_violation=first)
+            return dataclasses.replace(windows, p1_from_k=p1)
+
+        monkeypatch.setattr(oracle, "scan", fake)
+        with pytest.raises(InternalInconsistency,
+                           match="eventually_nondecreasing holds from n0 = 15 on"):
+            build_report(spec, 2)
 
     @pytest.mark.parametrize("v0, v1", [(1, 2), (2, 2), (Fraction(1, 3), 7)])
     def test_hartman_aurel_ordered_start_has_clean_tail(self, v0, v1):
