@@ -16,11 +16,10 @@ both routes separate is the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .qfield import RationalLike, cmp_abs
 from .recurrence import RecurrenceSpec, integer_carrier, term_minus_one
@@ -64,8 +63,7 @@ class Branch(Enum):
     COND3_FAIL_MODULUS = "COND3_FAIL_MODULUS"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     holds: bool
     branch: Branch
     violation_by: Optional[int] = None  # a failing clause forces a violation by it

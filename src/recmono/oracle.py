@@ -73,10 +73,9 @@ float enters: every verdict comes from an exact integer inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .qfield import dominant_root_sign, surd_sign
 from .recurrence import RecurrenceSpec, integer_carrier
@@ -112,8 +111,7 @@ class PropertyId(Enum):
     P3 = "P3"
 
 
-@dataclass(frozen=True)
-class WindowReport:
+class WindowReport(NamedTuple):
     """Result of one exact scan.
 
     checked_range is the closed index interval of compared positions;
@@ -128,8 +126,7 @@ class WindowReport:
     skipped_indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OracleWindows:
+class OracleWindows(NamedTuple):
     """Every oracle window of one report, from one walk of the carrier
     (see scan); p2 is None for complex roots."""
 

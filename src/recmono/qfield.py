@@ -45,11 +45,10 @@ API, and all are left out of `__all__`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -191,8 +190,7 @@ def cmp_abs(x: Union[QuadElem, RationalLike], y: Union[QuadElem, RationalLike]) 
     return (qx - qy).sign() * (qx + qy).sign()
 
 
-@dataclass(frozen=True)
-class RootPair:
+class RootPair(NamedTuple):
     """Roots of x^2 - a*x + b, with the complex case kept implicit.
 
     discriminant_sign > 0: two distinct real roots alpha_plus > alpha_minus.

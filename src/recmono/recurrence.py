@@ -32,12 +32,11 @@ the reader for a short stretch at a far index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .qfield import QuadElem, RationalLike, RootPair, over_common_denominator, quadratic_roots
 
@@ -54,25 +53,59 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class RecurrenceSpec:
-    """Coefficients and starting pair; h_type marks the a[-1] = 0 family."""
+    """Coefficients and starting pair; h_type marks the a[-1] = 0 family.
+
+    A read-only value: it compares and hashes by its five fields, and
+    setting or deleting an attribute raises AttributeError.  It is not a
+    NamedTuple, whose _replace and _make would skip the checks below.
+    """
 
     a: Fraction
     b: Fraction
     v0: Fraction
     v1: Fraction
-    h_type: bool = False
+    h_type: bool
 
-    def __post_init__(self):
-        for name in ("a", "b", "v0", "v1"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.a == 0 or self.b == 0:
+    def __init__(
+        self,
+        a: RationalLike,
+        b: RationalLike,
+        v0: RationalLike,
+        v1: RationalLike,
+        h_type: bool = False,
+    ):
+        a, b, v0, v1 = Fraction(a), Fraction(b), Fraction(v0), Fraction(v1)
+        if a == 0 or b == 0:
             raise ValueError("coefficients a and b must be nonzero")
-        if self.v0 == 0 and self.v1 == 0:
+        if v0 == 0 and v1 == 0:
             raise ValueError("starting pair must not be (0, 0)")
-        if self.h_type and (self.v0 == 0 or self.v1 != self.a * self.v0):
+        if h_type and (v0 == 0 or v1 != a * v0):
             raise ValueError("h-type requires v0 != 0 and v1 = a*v0")
+        self.__dict__.update(a=a, b=b, v0=v0, v1=v1, h_type=h_type)
+
+    def _key(self) -> tuple:
+        return self.a, self.b, self.v0, self.v1, self.h_type
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(a={self.a!r}, b={self.b!r}, v0={self.v0!r}, "
+            f"v1={self.v1!r}, h_type={self.h_type!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def roots(self) -> RootPair:
         """The roots of x^2 - a*x + b, built on first use and kept on the spec."""
@@ -80,7 +113,8 @@ class RecurrenceSpec:
 
     # The roots, and signs and a[-1] that several decisions, ratio_limit
     # and the report read, each computed on first use and kept on the spec
-    # (cached_property writes the instance dict, which frozen allows).
+    # (cached_property writes the instance dict directly, past
+    # __setattr__, so a read-only spec still keeps them).
     # The three signs need real roots.
 
     @cached_property
@@ -188,8 +222,7 @@ class LimitKind(Enum):
     DIVERGES = "diverges"
 
 
-@dataclass(frozen=True)
-class RatioLimit:
+class RatioLimit(NamedTuple):
     """Behavior of a[n+1]/a[n]; which_root tells which root is the limit."""
 
     kind: LimitKind

@@ -75,11 +75,10 @@ the tests check them against each other.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .qfield import RationalLike, g6_str, over_common_denominator
 
@@ -201,8 +200,7 @@ def _cell_numerators(
     return xs, ys, L
 
 
-@dataclass(frozen=True)
-class RasterGrid:
+class RasterGrid(NamedTuple):
     """Membership sampled at cell centers, 1 for a member and 0 otherwise.
 
     cells[row][col] with row 0 along the top edge (largest y); each row

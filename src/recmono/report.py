@@ -49,7 +49,8 @@ TERMS_PREVIEW_LEN = 9
 # (a, b, v0, v1) = (2, 1 - 10**-14, 1, 1 - 10**-8), whose search reaches
 # the limit, the read at 32768 took 0.27 s and the whole report 0.47 s,
 # and on (2, 1 - 10**-30, 1, 1 - 10**-16) 1.15 and 2.0 s (CPython 3.11.7,
-# x86-64); the largest n0 known on valid input is 10034
+# x86-64); n0 on valid input can lie far past the limit: on the first of
+# these it is near 10**6 (a float estimate), and that report exits 1
 N0_SEARCH_LIMIT = 1 << 15
 
 

@@ -17,17 +17,15 @@ gcd of two such integers, is most of either form's time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .qfield import RationalLike, over_common_denominator
 
 __all__ = ["RiccatiOrbit", "riccati_orbit"]
 
 
-@dataclass(frozen=True)
-class RiccatiOrbit:
+class RiccatiOrbit(NamedTuple):
     a: Fraction
     b: Fraction
     states: tuple[Fraction, ...]

@@ -13,6 +13,8 @@ import ast
 import contextlib
 import io
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import recmono
@@ -46,6 +48,25 @@ def _public_module_names() -> set[str]:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names |= {t.id for t in targets if isinstance(t, ast.Name)}
     return {name for name in names if not name.startswith("_")}
+
+
+def _modules_after(code: str) -> set[str]:
+    """Names in sys.modules once a fresh isolated interpreter has run code."""
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return set(run.stdout.split())
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # every record is a NamedTuple or a plain class: importing the CLI
+    # loads no dataclasses, nor the modules dataclasses pulls in
+    bare = _modules_after("pass")
+    cli = _modules_after(f"import sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+                         "import recmono.cli")
+    assert "recmono.cli" in cli
+    assert (cli - bare) & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
 
 
 def test_every_export_has_a_reader_in_the_package():

@@ -216,6 +216,15 @@ class TestAnalyze:
         k = report._first_clean_start(cli._spec_from_args(args), args.window + 1)
         assert k - 1 == n0
 
+    @pytest.mark.xfail(strict=True, reason="n0 is looked for only up to N0_SEARCH_LIMIT")
+    def test_n0_past_the_search_limit_exits_zero_or_two(self, capsys):
+        # valid input whose n0, near 10**6, lies past N0_SEARCH_LIMIT = 32768:
+        # the report may certify n0 (exit 0) or refuse the input (exit 2), but
+        # exit 1 says that the theorem and the oracle disagree
+        code, _, _ = run_cli(capsys, "analyze", "--a", "2", "--b", "99999999999999/100000000000000",
+                             "--v0", "1", "--v1", "99999999/100000000")
+        assert code in (0, 2)
+
     def test_sweep_slice_exits_zero(self, capsys):
         # the sweep's first 410 lines hold three whose n0 lies past the window
         # (lines 235, 404 and 409); tests/sweep.py runs all 19,964

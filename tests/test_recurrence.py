@@ -34,17 +34,17 @@ from conftest import build_corpus, random_fraction
 
 class TestSpecValidation:
     def test_zero_coefficients_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^coefficients a and b must be nonzero$"):
             RecurrenceSpec(0, 1, 1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^coefficients a and b must be nonzero$"):
             RecurrenceSpec(1, 0, 1, 1)
 
     def test_zero_start_pair_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^starting pair must not be \(0, 0\)$"):
             RecurrenceSpec(1, -1, 0, 0)
 
     def test_h_flag_requires_h_shape(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^h-type requires v0 != 0 and v1 = a\*v0$"):
             RecurrenceSpec(2, 1, 1, 3, h_type=True)  # v1 != a*v0
         with pytest.raises(ValueError):
             RecurrenceSpec(2, 1, 0, 0, h_type=True)
@@ -58,8 +58,44 @@ class TestSpecValidation:
             make_h_spec(0, -1, 1)
 
     def test_coercion_to_fractions(self):
-        spec = RecurrenceSpec(1, "-1", 2.0 if False else 2, 1)
-        assert isinstance(spec.a, Fraction) and isinstance(spec.b, Fraction)
+        spec = RecurrenceSpec(1, "-1", 2, 1)
+        fields = (spec.a, spec.b, spec.v0, spec.v1)
+        assert [type(x) for x in fields] == [Fraction] * 4
+        assert fields == (1, -1, 2, 1)
+
+
+class TestSpecValue:
+    """A spec is a read-only value, compared and hashed by its five fields."""
+
+    def test_repr(self):
+        assert repr(RecurrenceSpec(1, -1, 2, 1)) == (
+            "RecurrenceSpec(a=Fraction(1, 1), b=Fraction(-1, 1), v0=Fraction(2, 1), "
+            "v1=Fraction(1, 1), h_type=False)"
+        )
+
+    def test_equality_and_hash_read_every_field(self):
+        lucas = RecurrenceSpec(1, -1, 2, 1)
+        same = RecurrenceSpec(Fraction(1), "-1", Fraction(4, 2), 1)
+        assert lucas == same and hash(lucas) == hash(same)
+        fib, plain = make_h_spec(1, -1, 1), RecurrenceSpec(1, -1, 1, 1)
+        assert fib != plain and not fib == plain
+        assert fib == RecurrenceSpec(1, -1, 1, 1, h_type=True)
+        assert hash(fib) == hash(RecurrenceSpec(1, -1, 1, 1, h_type=True))
+        assert len({lucas, same, fib, plain}) == 3
+
+    def test_not_equal_to_a_tuple_of_its_fields(self):
+        spec = RecurrenceSpec(1, -1, 2, 1)
+        assert spec != (spec.a, spec.b, spec.v0, spec.v1, spec.h_type)
+
+    def test_read_only(self):
+        spec = RecurrenceSpec(1, -1, 2, 1)
+        with pytest.raises(AttributeError):
+            spec.a = Fraction(3)
+        with pytest.raises(AttributeError):
+            spec.c = 1
+        with pytest.raises(AttributeError):
+            del spec.v0
+        assert spec == RecurrenceSpec(1, -1, 2, 1)
 
 
 class TestIterate:

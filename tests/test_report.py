@@ -4,7 +4,6 @@ cross-check behavior, and determinism.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import json
 import re
@@ -166,12 +165,12 @@ def _fake_windows(monkeypatch, **firsts):
     def fake(spec, window, from_k):
         windows = real(spec, window, from_k)
         changed = {
-            field: dataclasses.replace(
-                getattr(windows, field), holds_on_window=first is None, first_violation=first
+            field: getattr(windows, field)._replace(
+                holds_on_window=first is None, first_violation=first
             )
             for field, first in firsts.items()
         }
-        return dataclasses.replace(windows, **changed)
+        return windows._replace(**changed)
 
     monkeypatch.setattr(oracle, "scan", fake)
 
@@ -275,9 +274,9 @@ class TestContractFires:
             windows = real(spec, window, k)
             if k != from_k:
                 return windows
-            p1 = dataclasses.replace(windows.p1_from_k, holds_on_window=first is None,
-                                     first_violation=first)
-            return dataclasses.replace(windows, p1_from_k=p1)
+            p1 = windows.p1_from_k._replace(holds_on_window=first is None,
+                                            first_violation=first)
+            return windows._replace(p1_from_k=p1)
 
         monkeypatch.setattr(oracle, "scan", fake)
         with pytest.raises(InternalInconsistency,
