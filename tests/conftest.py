@@ -1,5 +1,5 @@
-"""Shared randomized-corpus builders, decision-vs-oracle agreement checks
-and the quadratic Pisot test.
+"""Shared randomized-corpus builders, decision-vs-oracle agreement checks,
+the quadratic Pisot test and the oracle walk's event sink.
 
 Corpora are seeded and therefore deterministic.  Starting pairs lying on
 an eigen-solution (v1 - v0*root = 0 for either root) are excluded, which
@@ -12,9 +12,11 @@ holds both against a term scan on a grid of such starts.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from fractions import Fraction
 
+from recmono import oracle
 from recmono import (
     Branch,
     IntCoeffPair,
@@ -43,6 +45,19 @@ AGREE_WINDOW = 300  # oracle window length for verdict agreement
 SCAN = N0_CAP + AGREE_WINDOW
 DEEP_SCAN = 3000  # first escalation when a finite witness hides
 DEEPEST = 8000  # final escalation; a miss here is a genuine bug
+
+
+@contextlib.contextmanager
+def oracle_events():
+    """Install a list as the oracle walk's event sink (see oracle.scan)
+    for the with block, and yield it: every walk in the block appends its
+    events to it."""
+    events = []
+    oracle._events = events
+    try:
+        yield events
+    finally:
+        oracle._events = None
 
 
 def random_fraction(rng, *, nonzero=False, max_num=MAX_NUM, max_den=MAX_DEN):

@@ -22,6 +22,7 @@ from recmono import report
 from recmono.cli import main, parse_rational
 from recmono.recurrence import RecurrenceSpec, terms_between
 
+from smokes import SMOKES, check, run_row
 from sweep import sweep_argvs
 
 
@@ -855,3 +856,12 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == "1,-1,1\n"
+
+
+class TestSmokes:
+    @pytest.mark.parametrize("row", [row for row in SMOKES if not row.ci_only],
+                             ids=lambda row: row.name)
+    def test_row(self, row, tmp_path):
+        # tests/smokes.py, run as a script, also runs each row through the
+        # installed recmono script
+        assert check(row, *run_row(row, tmp_path)) == []

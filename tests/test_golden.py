@@ -11,6 +11,8 @@ report-deep-shaped calls whose oracle scans run on long operands, a
 start whose residual decimals cancel about 60 digits,
 coefficient-plane rasters whose cell centres land on a = 0 and b = 0,
 and rasters on an asymmetric bbox with unlike corner denominators.
+tests/smokes.py, run as a script, also runs every case through the
+installed recmono script against the same files.
 
 After an intended output change, regenerate the files and review the
 diff:
@@ -22,8 +24,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import pytest
 
@@ -137,30 +141,55 @@ CASES = {
 }
 
 
-def run_case(argv: list[str], tmp: Path) -> tuple[int, bytes, bytes | None]:
-    """(exit code, stdout bytes, --out file bytes or None) of one call."""
+class Run(NamedTuple):
+    """What one call did."""
+
+    code: int
+    stdout: bytes
+    written: bytes | None  # the --out file's bytes, None where none was written
+    stderr: str
+
+
+def run_case(argv: Sequence[str], tmp: Path, installed: bool = False) -> Run:
+    """One call: in process through main or, where installed, through the
+    installed recmono script.  OUT + suffix in an argument names a file in tmp."""
     out_path = None
     args = []
     for arg in argv:
-        if arg.startswith(OUT):
-            out_path = tmp / ("out" + arg[len(OUT):])
-            arg = str(out_path)
+        if OUT in arg:
+            option, _, suffix = arg.partition(OUT)
+            out_path = tmp / ("out" + suffix)
+            arg = option + str(out_path)
         args.append(arg)
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        code = main(args)
+    if installed:
+        done = subprocess.run(["recmono", *args], capture_output=True)
+        code, stdout, stderr = done.returncode, done.stdout, done.stderr.decode("utf-8")
+    else:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(args)
+            except SystemExit as exc:  # argparse's help and refusals
+                code = exc.code
+        stdout, stderr = out.getvalue().encode("utf-8"), err.getvalue()
     written = out_path.read_bytes() if out_path is not None and out_path.exists() else None
-    return code, stdout.getvalue().encode("utf-8"), written
+    return Run(code, stdout, written, stderr)
+
+
+def expected(name: str) -> tuple[int, bytes, bytes | None]:
+    """The exit code, stdout bytes and --out file bytes (or None) of case name."""
+    file_path = GOLDEN / f"{name}.file"
+    return (CASES[name][0], (GOLDEN / f"{name}.out").read_bytes(),
+            file_path.read_bytes() if file_path.exists() else None)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, tmp_path):
-    expected_code, argv = CASES[name]
-    code, stdout, written = run_case(argv, tmp_path)
-    assert code == expected_code
-    assert stdout == (GOLDEN / f"{name}.out").read_bytes()
-    file_path = GOLDEN / f"{name}.file"
-    assert written == (file_path.read_bytes() if file_path.exists() else None)
+    run = run_case(CASES[name][1], tmp_path)
+    code, stdout, written = expected(name)
+    assert run.code == code
+    assert run.stdout == stdout
+    assert run.written == written
 
 
 def test_no_orphaned_golden_files():
@@ -175,12 +204,12 @@ def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, (expected_code, argv) in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:
-            code, stdout, written = run_case(argv, Path(tmp))
-        if code != expected_code:
-            sys.exit(f"{name}: exit {code}, expected {expected_code}")
-        (GOLDEN / f"{name}.out").write_bytes(stdout)
-        if written is not None:
-            (GOLDEN / f"{name}.file").write_bytes(written)
+            run = run_case(argv, Path(tmp))
+        if run.code != expected_code:
+            sys.exit(f"{name}: exit {run.code}, expected {expected_code}")
+        (GOLDEN / f"{name}.out").write_bytes(run.stdout)
+        if run.written is not None:
+            (GOLDEN / f"{name}.file").write_bytes(run.written)
 
 
 if __name__ == "__main__":

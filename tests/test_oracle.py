@@ -37,7 +37,7 @@ from recmono.qfield import surd_sign
 from recmono.recurrence import _carrier_jump, integer_carrier
 from recmono.report import build_report
 
-from conftest import build_corpus
+from conftest import build_corpus, oracle_events
 
 FIB = make_h_spec(1, -1, 1)
 LUCAS = RecurrenceSpec(1, -1, 2, 1)
@@ -156,12 +156,8 @@ def _block_events(spec, window, from_k, names=("certified", "refused", "lasting"
     oracle.scan) whose names are in names: by default the block the P2/P3
     walk certifies, each try it refuses, and the index from which a
     lasting certificate decides every later one, where the walk stops."""
-    events = []
-    oracle._events = events
-    try:
+    with oracle_events() as events:
         got = oracle.scan(spec, window, from_k)
-    finally:
-        oracle._events = None
     return got, [event for event in events if event[0] in names]
 
 
