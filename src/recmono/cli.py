@@ -15,7 +15,6 @@ import functools
 import re
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .numtheory import boundary_characterization, enumerate_generalized_fibonacci
@@ -24,6 +23,11 @@ from .recurrence import RecurrenceSpec, iterate, make_h_spec
 from .regions import RegionId, rasterize, write_csv, write_pgm
 from .report import InternalInconsistency, build_report, spec_json
 from .riccati import riccati_orbit
+
+try:  # json's C escaper, without importing the json package
+    from _json import encode_basestring_ascii as _json_str
+except ImportError:  # an interpreter built without it
+    from json.encoder import encode_basestring_ascii as _json_str
 
 __all__ = ["main", "parse_rational"]
 
@@ -160,50 +164,64 @@ def _spec_from_args(args: argparse.Namespace) -> RecurrenceSpec:
     return RecurrenceSpec(args.a, args.b, args.v0, args.v1)
 
 
+# The JSON text of a leaf, by its exact type.  A subclass of str or int,
+# such as an IntEnum member, misses here and is written by _write_json
+# as its base type, as json writes it.
+_LEAVES = {
+    str: _json_str,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
+
+
 def _write_json(value, append, indent: str) -> None:
-    """Append the JSON text of the dict, list or tuple value, laid out as
+    """Append the JSON text of value, laid out as
     json.dumps(value, sort_keys=True, indent=2) lays it out, piece by
     piece through append; indent is the line break and the indentation of
-    the line value starts on.  A leaf is written here, without a call of
-    its own: a str by json's own escaping, an int by int.__repr__ (after
-    bools, which are ints), True, False and None as json writes them.
-    Anything else, and a key that is not a str, raises TypeError."""
+    the line value starts on.  A container item whose exact type is in
+    _LEAVES is written with the line it starts, in one append: a str by
+    json's own escaping, an int by int.__repr__, True, False and None as
+    json writes them.  A dict, list or tuple item, or a subclass of str or
+    int, takes a call of its own.  Anything else, and a key that is not a
+    str, raises TypeError."""
     inner = indent + "  "
+    head = inner  # the line an item starts, after a comma from the second on
     if isinstance(value, dict):
         if not value:
             append("{}")
             return
-        keys = sorted(value)
-        heads = [inner + _json_str(key) + ": " for key in keys]
-        items = [value[key] for key in keys]
-        opener, closer = "{", indent + "}"
+        append("{")
+        for key in sorted(value):
+            item = value[key]
+            leaf = _LEAVES.get(type(item))
+            if leaf is None:
+                append(f"{head}{_json_str(key)}: ")
+                _write_json(item, append, inner)
+            else:
+                append(f"{head}{_json_str(key)}: {leaf(item)}")
+            head = "," + inner
+        append(indent + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             append("[]")
             return
-        heads = [inner] * len(value)
-        items = value
-        opener, closer = "[", indent + "]"
+        append("[")
+        for item in value:
+            leaf = _LEAVES.get(type(item))
+            if leaf is None:
+                append(head)
+                _write_json(item, append, inner)
+            else:
+                append(head + leaf(item))
+            head = "," + inner
+        append(indent + "]")
+    elif isinstance(value, str):
+        append(_json_str(value))
+    elif isinstance(value, int):
+        append(int.__repr__(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    append(opener)
-    separator = ""
-    for head, item in zip(heads, items):
-        append(separator + head)
-        separator = ","
-        if isinstance(item, str):
-            append(_json_str(item))
-        elif item is None:
-            append("null")
-        elif item is True:
-            append("true")
-        elif item is False:
-            append("false")
-        elif isinstance(item, int):
-            append(int.__repr__(item))
-        else:
-            _write_json(item, append, inner)
-    append(closer)
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
@@ -212,11 +230,12 @@ def _emit_json(payload: dict, out: Optional[str]) -> None:
 
     With indent set, json leaves its C encoder for a chain of Python
     generators, one per container, on every CPython from 3.10 to 3.13.
-    On CPython 3.11.7 (x86-64) json.dumps took 157 microseconds per
-    analyze report of the report-deep benchmark against 87 for
-    _write_json (medians of 5 alternating rounds, each the best of 25
-    passes), and 0.50 s against 0.39 s on enumerate's 17 MB at
-    --a-max 300 (best of 7 interleaved passes).
+    On CPython 3.11.7 (x86-64) json.dumps took 117 microseconds per
+    analyze report of the report-deep benchmark against 55 for
+    _write_json, and 108 against 52 on report-corpus (medians of 5
+    alternating rounds, each the best of 25 passes), and 0.53 s against
+    0.27 s on enumerate's 17 MB at --a-max 300 (best of 7 interleaved
+    passes).
     """
     chunks: list[str] = []
     _write_json(payload, chunks.append, "\n")

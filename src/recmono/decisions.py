@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple, Optional
 
-from .qfield import RationalLike, cmp_abs
+from .qfield import RationalLike, cmp_abs, over_common_denominator
 from .recurrence import RecurrenceSpec, integer_carrier, term_minus_one
 
 __all__ = [
@@ -203,7 +203,7 @@ def eventually_ratio_monotone(spec: RecurrenceSpec) -> Verdict:
 
     Needs v0*v1 != 0.  Holds iff the discriminant is non-negative.
     """
-    if spec.v0 * spec.v1 == 0:
+    if not (spec.v0 and spec.v1):
         raise ValueError("ratio property needs a nonzero starting pair")
     roots = spec.roots()
     if roots.discriminant_sign >= 0:
@@ -218,7 +218,8 @@ def hartman_aurel_sufficient(a: RationalLike, b: RationalLike) -> bool:
     a[n+2] - a[n+1] = (a - 1 - b)*a[n+1] + b*(a[n+1] - a[n]),
     so any positive nondecreasing start stays nondecreasing.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
+    A, B, q = over_common_denominator(Fraction(a), Fraction(b))
+    if A == 0 or B == 0:
         raise ValueError("both coefficients must be nonzero")
-    return a - 1 - b > 0 and b > 0
+    # a - 1 - b = (A - q - B)/q and b = B/q, with q > 0
+    return A - q - B > 0 and B > 0

@@ -39,15 +39,16 @@ decided by value, as the sign of the difference.
 over one denominator, the first step of every integer route: the roots
 here, the integer carrier and `regions.contains_coeff_plane`.  With
 `surd_sign` and `dominant_root_sign` it is the package's integer
-kernel, and `g6_str` is the CSV layout; none is part of the exported
-API, and all are left out of `__all__`.
+kernel; `fraction_str` prints a rational held as two integers, as str
+of its Fraction would, and `g6_str` is the CSV layout.  None is part of
+the exported API, and all are left out of `__all__`.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple, Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -65,6 +66,13 @@ def over_common_denominator(x: RationalLike, y: RationalLike) -> tuple[int, int,
     """(X, Y, L) with x = X/L and y = Y/L over their least common denominator L > 0."""
     L = lcm(x.denominator, y.denominator)
     return x.numerator * (L // x.denominator), y.numerator * (L // y.denominator), L
+
+
+def fraction_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, from one gcd and no Fraction:
+    "p" for a whole number, else "p/q" in lowest terms."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def surd_sign(x: int, y: int, n: int) -> int:
@@ -175,11 +183,12 @@ class QuadElem:
     def __str__(self) -> str:
         """p + q*sqrt(d) with rational p = x/den, q = |y|/2 and d = 4*n/den^2,
         so a root (A +- sqrt(N))/(2L) prints as A/(2L) +- 1/2*sqrt(N/L^2)."""
-        p = Fraction(self.x, self.den)
+        p = fraction_str(self.x, self.den)
         if self.y == 0:
-            return str(p)
+            return p
         sign = "+" if self.y > 0 else "-"
-        return f"{p} {sign} {Fraction(abs(self.y), 2)}*sqrt({Fraction(4 * self.n, self.den**2)})"
+        d = fraction_str(4 * self.n, self.den * self.den)
+        return f"{p} {sign} {fraction_str(abs(self.y), 2)}*sqrt({d})"
 
 
 def cmp_abs(x: Union[QuadElem, RationalLike], y: Union[QuadElem, RationalLike]) -> int:

@@ -38,7 +38,15 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
-from .qfield import QuadElem, RationalLike, RootPair, over_common_denominator, quadratic_roots
+from .qfield import (
+    QuadElem,
+    RationalLike,
+    RootPair,
+    dominant_root_sign,
+    over_common_denominator,
+    quadratic_roots,
+    surd_sign,
+)
 
 __all__ = [
     "RecurrenceSpec",
@@ -111,34 +119,55 @@ class RecurrenceSpec:
         """The roots of x^2 - a*x + b, built on first use and kept on the spec."""
         return self._roots
 
-    # The roots, and signs and a[-1] that several decisions, ratio_limit
-    # and the report read, each computed on first use and kept on the spec
-    # (cached_property writes the instance dict directly, past
-    # __setattr__, so a read-only spec still keeps them).
-    # The three signs need real roots.
+    # The roots, the integer form, and the signs and a[-1] that several
+    # decisions, ratio_limit and the report read, each computed on first
+    # use and kept on the spec (cached_property writes the instance dict
+    # directly, past __setattr__, so a read-only spec still keeps them).
 
     @cached_property
     def _roots(self) -> RootPair:
         return quadratic_roots(self.a, self.b)
 
     @cached_property
+    def _integers(self) -> tuple[int, int, int, int, int, int]:
+        """(q, A, B, D, V0, V1): a = A/q and b = B/q over their least
+        common denominator q, v0 = V0/D and v1 = V1/D over theirs."""
+        A, B, q = over_common_denominator(self.a, self.b)
+        V0, V1, D = over_common_denominator(self.v0, self.v1)
+        return q, A, B, D, V0, V1
+
+    # The three signs need real roots.  On the integer form the roots
+    # are (A +- sqrt(N))/(2*q) with N = A*A - 4*B*q, alpha taking the
+    # sign s = dominant_root_sign(A), as quadratic_roots builds them, so
+    # v1 - v0*root = (2*q*V1 - A*V0 -+ V0*sqrt(N)) / (2*q*D) and each
+    # sign is one surd_sign call, exact for a square N too.
+
+    def _residual_sign(self, t: int) -> int:
+        """sign(v1 - v0*r) for the root r = (A + t*sqrt(N))/(2*q)."""
+        q, A, B, _, V0, V1 = self._integers
+        return surd_sign(2 * q * V1 - A * V0, -t * V0, A * A - 4 * B * q)
+
+    @cached_property
     def _beta_residual_sign(self) -> int:
         """sign(v1 - v0*beta), 0 exactly on a start along beta."""
-        return (self.v1 - self.v0 * self.roots().beta).sign()
+        return self._residual_sign(-dominant_root_sign(self.a))
 
     @cached_property
     def _alpha_residual_sign(self) -> int:
         """sign(v1 - v0*alpha), 0 exactly on the dominant eigen-solution."""
-        return (self.v1 - self.v0 * self.roots().alpha).sign()
+        return self._residual_sign(dominant_root_sign(self.a))
 
     @cached_property
     def _alpha_plus_vs_one(self) -> int:
-        """sign(alpha_plus - 1)."""
-        return (self.roots().alpha_plus - 1).sign()
+        """sign(alpha_plus - 1), of A - 2*q + sqrt(N)."""
+        q, A, B, _, _, _ = self._integers
+        return surd_sign(A - 2 * q, 1, A * A - 4 * B * q)
 
     @cached_property
     def _term_minus_one(self) -> Fraction:
-        return (self.a * self.v0 - self.v1) / self.b
+        """a[-1] = (a*v0 - v1)/b = (A*V0 - q*V1) / (B*D)."""
+        q, A, B, D, V0, V1 = self._integers
+        return Fraction(A * V0 - q * V1, B * D)
 
 
 def make_h_spec(a: RationalLike, b: RationalLike, c: RationalLike = 1) -> RecurrenceSpec:
@@ -168,14 +197,16 @@ def integer_carrier(
     With a = A/q, b = B/q over their common denominator q and D clearing
     the starting pair, M yields M[start], M[start+1], ... without end,
     where M[n] = a[n] * q**n * D obeys M[n+2] = A*M[n+1] - B*q*M[n].
+    The integers are the spec's own integer form, cleared once per spec
+    and kept on it, which the decisions, the oracle and the report share,
+    so a second carrier of one spec clears no denominator again.
     M[start] = M[1]*U[start] - B*q*M[0]*U[start-1] is reached by fast
     doubling (U[2k] = U[k]*(2*U[k+1] - A*U[k]),
     U[2k+1] = U[k+1]^2 - B*q*U[k]^2), without walking the prefix.
     """
     if start < 0:
         raise ValueError("start index must be non-negative")
-    A, B, q = over_common_denominator(spec.a, spec.b)
-    V0, V1, D = over_common_denominator(spec.v0, spec.v1)
+    q, A, B, D, V0, V1 = spec._integers
     m0, m1 = _carrier_jump(A, B * q, V0, V1 * q, start)
     return q, A, B, D, _carrier_terms(A, B * q, m0, m1)
 
@@ -238,7 +269,7 @@ def ratio_limit(spec: RecurrenceSpec) -> RatioLimit:
     its coefficient (v1 = v0*beta), in which case the orbit is a scaled
     power of beta and the ratio sits at beta from the start.
     """
-    if spec.v0 * spec.v1 == 0:
+    if not (spec.v0 and spec.v1):
         raise ValueError("ratio limit needs a nonzero starting pair")
     roots = spec.roots()
     if roots.discriminant_sign < 0:

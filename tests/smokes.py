@@ -161,13 +161,14 @@ SMOKES = [
           ("analyze", "--a=-7/3", "--b=-5/7", "--v0=3/4", "--v1=-2/5", "--window=10000"),
           walk=Walk((33,), (65,), exact=1)),
     # n0 past the window, 1152 against the default window of 300 and 15
-    # against a window of 2: each is certified on two from-k windows
+    # against a window of 2: each is certified on two from-k windows, the
+    # second scanned with window 0, so its walk jumps from index 1
     Smoke("n0_past_window",
           ("analyze", "--a", "2", "--b", "999999/1000000", "--v0", "11", "--v1", "10991/1000"),
-          walk=Walk(jumps=((301, 1152), (301, 1151)), exact=903)),
+          walk=Walk(jumps=((301, 1152), (1, 1151)), exact=603)),
     Smoke("n0_past_short_window",
           ("analyze", "--a=1/3", "--b=-3/4", "--v0=4", "--v1=-2", "--window=2"),
-          walk=Walk(jumps=((3, 15), (3, 14)), exact=12)),
+          walk=Walk(jumps=((3, 15), (1, 14)), exact=10)),
     # a '-'-led value after a space is left to argparse, which refuses it
     Smoke("dash_led_value",
           ("analyze", "--a", "1", "--b", "-1/2", "--h-init", "1"),

@@ -105,11 +105,13 @@ def _modules_after(code: str) -> set[str]:
 
 def test_cli_import_loads_no_introspection_modules():
     # every record is a NamedTuple or a plain class: importing the CLI
-    # loads no dataclasses, nor the modules dataclasses pulls in
+    # loads no dataclasses, nor the modules dataclasses pulls in; and the
+    # JSON writer takes its escaper from _json, so no json package either
     bare = _modules_after("pass")
     cli = _modules_after("import recmono.cli")
     assert "recmono.cli" in cli
     assert (cli - bare) & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+    assert "json" not in cli
 
 
 def test_every_export_has_a_reader_in_the_package():

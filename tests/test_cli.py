@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import enum
 import io
 import json
 import subprocess
 import sys
+from collections import OrderedDict
 from fractions import Fraction
 from itertools import islice
 
@@ -577,16 +579,25 @@ class TestCharacterize:
         assert "argument --scan-bound: must be at least 1" in capsys.readouterr().err
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = -7
+
+
+class _Name(str):
+    pass
+
+
 def _json_values():
     """Nested dicts with str keys, lists and tuples of what JSON writes:
     str (non-ASCII, control characters, quotes, backslashes, lone
-    surrogates), int (past the 4300-digit int-to-str limit too), bool and
-    None, with empty containers at every depth."""
+    surrogates), int (past the 4300-digit int-to-str limit too), bool,
+    None and IntEnum members, with empty containers at every depth."""
     text = st.text(st.characters(exclude_categories=()), max_size=12) | st.sampled_from(
         ["", '"', "\\", "\x00\x1f\x7f", "\u2028", "\ud800", "\u00e9", "\U0001f600", 'a"b\\c'])
     big = st.integers(4300, 4400).flatmap(
         lambda d: st.sampled_from([10**d, -(10**d) + 1, 7 * 10**d + 3]))
-    leaves = text | st.integers() | big | st.booleans() | st.none()
+    leaves = text | st.integers() | big | st.booleans() | st.none() | st.sampled_from(_Level)
     return st.recursive(
         leaves,
         lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
@@ -616,6 +627,17 @@ class TestJsonWriter:
             assert self._emitted(payload) == expected
         finally:
             sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("payload", [
+        {"level": _Level.HIGH, "flags": (True, False, None, (_Level.LOW, True))},
+        [_Level.LOW, {"b": (False,), "n": _Name("x\u00e9")}, (_Name("\""), True)],
+        OrderedDict([("z", [True, (False, _Level.HIGH)]), ("a", OrderedDict())]),
+        ((), {}, (1, (True,)), [[None]]),
+    ])
+    def test_subclass_leaves_and_containers(self, payload):
+        # a leaf whose exact type the writer's table misses (an IntEnum
+        # member, a str subclass) is written as its base type, as json does
+        assert self._emitted(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("bad", [{1, 2}, b"x", Fraction(1, 2)])
     def test_other_values_raise_type_error(self, bad):

@@ -10,18 +10,26 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from recmono import (
     InternalInconsistency,
+    QuadElem,
     RecurrenceSpec,
     build_report,
+    decimal_str,
     decisions,
+    hartman_aurel_sufficient,
     make_h_spec,
     oracle,
     ratio_limit,
+    term_minus_one,
+    terms_between,
 )
 from recmono.decisions import Branch, Verdict
 from recmono.qfield import quadratic_roots
+from recmono.report import TERMS_PREVIEW_LEN
 
 from conftest import build_corpus
 
@@ -348,3 +356,159 @@ class TestRootsBuiltOnce:
             build_report(spec, 40, 3)
             assert len(calls) == 1, spec
             assert len(seen) >= 8 and all(r is seen[0] for r in seen), spec
+
+
+# ---- the integer form against the Fraction and QuadElem expressions -------
+
+_SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_NONZERO = _SMALL.filter(bool)
+
+
+@st.composite
+def _specs(draw):
+    """Specs of every root shape: any (a, b), so irrational, complex and
+    rational roots alike; two rational roots, 1 often among them; or a
+    repeated root.  a < 0 is drawn as often as a > 0.  The start is
+    general, zero at v0 or at v1, along a rational root, or h-type."""
+    shape = draw(st.sampled_from(("any", "rational", "repeated")))
+    roots = ()
+    if shape == "any":
+        a, b = draw(_NONZERO), draw(_NONZERO)
+    else:
+        root = st.just(Fraction(1)) | _NONZERO
+        r1 = draw(root)
+        r2 = r1 if shape == "repeated" else draw(root)
+        assume(r1 + r2 != 0)
+        a, b, roots = r1 + r2, r1 * r2, (r1, r2)
+    start = draw(st.sampled_from(("pair", "v0 = 0", "v1 = 0", "eigen", "h")))
+    if start == "h":
+        return make_h_spec(a, b, draw(_NONZERO))
+    v0, v1 = draw(_SMALL), draw(_SMALL)
+    if start == "v0 = 0":
+        v0, v1 = 0, v1 or 1
+    elif start == "v1 = 0":
+        v0, v1 = v0 or 1, 0
+    elif start == "eigen" and roots:
+        v0 = v0 or 1
+        v1 = v0 * draw(st.sampled_from(roots))
+    assume((v0, v1) != (0, 0))
+    return RecurrenceSpec(a, b, v0, v1)
+
+
+def _reference_modulus(x: QuadElem) -> QuadElem:
+    return -x if x.sign() < 0 else x
+
+
+def _reference_str(x: QuadElem) -> str:
+    """QuadElem.__str__ as three Fractions print it."""
+    p = Fraction(x.x, x.den)
+    if x.y == 0:
+        return str(p)
+    sign = "+" if x.y > 0 else "-"
+    return f"{p} {sign} {Fraction(abs(x.y), 2)}*sqrt({Fraction(4 * x.n, x.den**2)})"
+
+
+class TestIntegerFormMatchesTheReference:
+    """Each quantity the spec's integer form gives equals its expression in
+    Fractions and QuadElem arithmetic, kept here as the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_specs())
+    def test_signs_terms_and_rendering(self, spec):
+        a, b, v0, v1 = spec.a, spec.b, spec.v0, spec.v1
+        assert term_minus_one(spec) == (a * v0 - v1) / b
+        assert hartman_aurel_sufficient(a, b) == (a - 1 - b > 0 and b > 0)
+        report = build_report(spec, 12)
+        terms = terms_between(spec, 0, TERMS_PREVIEW_LEN - 1)
+        assert report["terms_preview"] == [str(t) for t in terms]
+        roots = spec.roots()
+        if roots.discriminant_sign < 0:
+            return
+        alpha = roots.alpha
+        assert spec._beta_residual_sign == (v1 - v0 * roots.beta).sign()
+        assert spec._alpha_residual_sign == (v1 - v0 * alpha).sign()
+        assert spec._alpha_plus_vs_one == (roots.alpha_plus - 1).sign()
+        assert report["roots"]["alpha_plus"]["exact"] == _reference_str(roots.alpha_plus)
+        assert report["roots"]["alpha_minus"]["exact"] == _reference_str(roots.alpha_minus)
+        p2, p3 = report["oracle_windows"]["p2"], report["oracle_windows"]["p3"]
+        assert p3["residual_decimal_prefix"] == [
+            decimal_str(_reference_modulus(terms[n] * alpha - terms[n + 1])) for n in range(3)]
+        n = p2["first_violation"]
+        if n is not None:
+            t0, t1, t2 = terms_between(spec, n, n + 2)
+            assert p2["violation_detail"] == {
+                "index": n,
+                "lhs_decimal": decimal_str(_reference_modulus(alpha - t1 / t0)),
+                "rhs_decimal": decimal_str(_reference_modulus(alpha - t2 / t1)),
+            }
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**30, 10**30), st.integers(-10**6, 10**6),
+           st.integers(0, 10**9), st.integers(1, 10**20))
+    def test_quad_str(self, x, y, n, den):
+        element = QuadElem(x, y, n, den)
+        assert str(element) == _reference_str(element)
+
+
+class TestWorkCounts:
+    """The exact work one report does, counted by monkeypatch: QuadElem
+    constructions and over_common_denominator calls."""
+
+    # (spec, QuadElems, over_common_denominator calls) per build_report at
+    # window 40.  QuadElems: the two roots, three residual decimals, four
+    # in each cmp_abs (weighted_monotone's on real roots, and
+    # ratio_monotone_h's on h-type), and two for a P2 violation detail.
+    # over_common_denominator: the integer form clears (a, b) and
+    # (v0, v1) once each, and quadratic_roots, hartman_aurel_sufficient
+    # and, where v0*v1 != 0, riccati_orbit clear (a, b) once more each.
+    CASES = [
+        (RecurrenceSpec(Fraction(-7, 3), Fraction(-5, 7), Fraction(3, 4), Fraction(-2, 5)),
+         9, 5),
+        (RecurrenceSpec(Fraction(5, 2), 1, 3, -1), 11, 5),  # P2 fails at 0
+        (RecurrenceSpec(1, 1, 1, 2), 0, 5),  # complex roots
+        (make_h_spec(Fraction(11, 10), Fraction(1, 5), 2), 13, 5),
+        (RecurrenceSpec(3, 2, 0, 1), 9, 4),
+    ]
+
+    @staticmethod
+    def _count(monkeypatch):
+        quads, pairs = [], []
+        init = QuadElem.__init__
+
+        def counted_init(self, *args, **kwargs):
+            quads.append(args)
+            init(self, *args, **kwargs)
+
+        def counted_pair(x, y):
+            pairs.append((x, y))
+            return clear(x, y)
+
+        monkeypatch.setattr(QuadElem, "__init__", counted_init)
+        clear = importlib.import_module("recmono.qfield").over_common_denominator
+        for name in ("cli", "decisions", "numtheory", "oracle", "qfield", "recurrence",
+                     "regions", "report", "riccati"):
+            module = importlib.import_module(f"recmono.{name}")
+            if "over_common_denominator" in vars(module):
+                monkeypatch.setattr(module, "over_common_denominator", counted_pair)
+        return quads, pairs
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_build_report(self, monkeypatch, case):
+        spec, n_quads, n_pairs = self.CASES[case]
+        spec = RecurrenceSpec(spec.a, spec.b, spec.v0, spec.v1, spec.h_type)  # nothing cached
+        quads, pairs = self._count(monkeypatch)
+        build_report(spec, 40)
+        assert (len(quads), len(pairs)) == (n_quads, n_pairs)
+        assert pairs.count((spec.v0, spec.v1)) == 1  # the start pair, cleared once
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_signs_build_no_quad_elem(self, monkeypatch, case):
+        spec = self.CASES[case][0]
+        spec = RecurrenceSpec(spec.a, spec.b, spec.v0, spec.v1, spec.h_type)
+        real = spec.roots().discriminant_sign >= 0
+        quads, _ = self._count(monkeypatch)
+        signs = ((spec._beta_residual_sign, spec._alpha_residual_sign,
+                  spec._alpha_plus_vs_one) if real else ())
+        term_minus_one(spec)
+        hartman_aurel_sufficient(spec.a, spec.b)
+        assert quads == [] and set(signs) <= {-1, 0, 1}
