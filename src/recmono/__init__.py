@@ -27,7 +27,7 @@ from .numtheory import (
     is_irreducible,
 )
 from .oracle import PropertyId, WindowReport
-from .qfield import QuadElem, RootPair, cmp_abs, decimal_str, quadratic_roots
+from .qfield import QuadElem, RootPair, decimal_str, quadratic_roots
 from .recurrence import (
     LimitKind,
     RatioLimit,
@@ -70,7 +70,6 @@ __all__ = [
     "WindowReport",
     "boundary_characterization",
     "build_report",
-    "cmp_abs",
     "contains_coeff_plane",
     "decimal_str",
     "enumerate_generalized_fibonacci",

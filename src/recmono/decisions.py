@@ -5,8 +5,11 @@ Property 2: distance of consecutive-term ratios to the dominant root
             nonincreasing.
 Property 3: the root-weighted residual |a[n]*alpha - a[n+1]| nonincreasing.
 
-Each procedure is a finite, exact criterion on (a, b, v0, v1) and returns
-a Verdict carrying the clause that decided it, so reports can say why and
+Each procedure is a finite, exact criterion on (a, b, v0, v1), decided
+on the spec's integer form: the discriminant's sign is that of
+A*A - 4*B*q, and every root clause is one or two signs of
+`RecurrenceSpec._gap_sign`, so no root is built here.  Each returns a
+Verdict carrying the clause that decided it, so reports can say why and
 the oracle module can be pointed at the matching scan window.  A failing
 clause that forces an early violation also names the index it forces one
 by, so the report checks a window against the verdict alone.  The
@@ -21,7 +24,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple, Optional
 
-from .qfield import RationalLike, cmp_abs, over_common_denominator
+from .qfield import RationalLike, dominant_root_sign, over_common_denominator
 from .recurrence import RecurrenceSpec, integer_carrier, term_minus_one
 
 __all__ = [
@@ -74,6 +77,12 @@ def _require_h(spec: RecurrenceSpec, what: str) -> None:
         raise ValueError(f"{what} is stated only for h-type specs")
 
 
+def _complex_roots(spec: RecurrenceSpec) -> bool:
+    """Is the discriminant a^2 - 4*b = (A*A - 4*B*q)/q^2 negative?"""
+    q, A, B, _, _, _ = spec._integers
+    return A * A < 4 * B * q
+
+
 def _ordered_triple(spec: RecurrenceSpec, start: int) -> bool:
     """Is a[start] <= a[start+1] <= a[start+2]?  start = -1 reads a[-1] as
     term_minus_one; any other start is one carrier read, which costs
@@ -95,18 +104,18 @@ def _p1_verdict(spec: RecurrenceSpec, k: Optional[int]) -> Verdict:
     the discriminant check; the eventual test reads a[0], a[1], a[2] only
     on the two clauses that consult it, r+ = 1 and c = 0.
     """
-    roots = spec.roots()
-    if roots.discriminant_sign < 0:
+    if _complex_roots(spec):
         return Verdict(False, Branch.DISCRIMINANT_NEGATIVE)
     # an unordered from-k triple holds a violation at k - 1 or k
     unordered = Verdict(False, Branch.FAIL_INITIAL_TRIPLE, k)
     if k is not None and not _ordered_triple(spec, k - 1):
         return unordered
-    unit = spec._alpha_plus_vs_one  # sign(r+ - 1)
+    unit = -spec._gap_sign(1, 1, 1)  # sign(r+ - 1)
     if unit:
-        if roots.alpha_plus.sign() <= 0:
+        if spec._gap_sign(1, 1, 0) >= 0:  # r+ <= 0
             return Verdict(False, Branch.FAIL_ALPHA_PLUS_NOT_POSITIVE)
-        c = spec._beta_residual_sign  # beta = r+ if a < 0, else r-
+        _, A, _, _, V0, V1 = spec._integers
+        c = spec._gap_sign(-dominant_root_sign(A), V0, V1)  # beta = r+ if a < 0, else r-
         if c:
             if spec.a < 0:
                 return Verdict(False, Branch.FAIL_A_NOT_POSITIVE)
@@ -151,14 +160,13 @@ def positive_monotone_h(spec: RecurrenceSpec) -> Verdict:
     larger root is at least 1.
     """
     _require_h(spec, "positive_monotone_h")
-    roots = spec.roots()
-    if roots.discriminant_sign < 0:
+    if _complex_roots(spec):
         return Verdict(False, Branch.DISCRIMINANT_NEGATIVE)
     if spec.v0 <= 0:
         return Verdict(False, Branch.FAIL_INITIAL_NOT_POSITIVE)
     if spec.a < 1:
         return Verdict(False, Branch.FAIL_COEFF_BELOW_ONE)
-    if spec._alpha_plus_vs_one < 0:
+    if spec._gap_sign(1, 1, 1) > 0:  # r+ < 1
         return Verdict(False, Branch.FAIL_ALPHA_PLUS_BELOW_ONE)
     return Verdict(True, Branch.COND_H_MONOTONE)
 
@@ -169,10 +177,12 @@ def ratio_monotone_h(spec: RecurrenceSpec) -> Verdict:
     Holds iff the discriminant is non-negative and |a| >= |beta|.
     """
     _require_h(spec, "ratio_monotone_h")
-    roots = spec.roots()
-    if roots.discriminant_sign < 0:
+    if _complex_roots(spec):
         return Verdict(False, Branch.DISCRIMINANT_NEGATIVE)
-    if cmp_abs(spec.a, roots.beta) >= 0:
+    # (a - beta)*(a + beta) >= 0 with a = A/q, as sign(A - q*beta)*sign(-A - q*beta) <= 0
+    q, A, _, _, _, _ = spec._integers
+    t = -dominant_root_sign(A)
+    if spec._gap_sign(t, q, A) * spec._gap_sign(t, q, -A) <= 0:
         return Verdict(True, Branch.COND_RATIO_CONTRACTION)
     return Verdict(False, Branch.COND2_FAIL_MODULUS, 0)
 
@@ -186,14 +196,16 @@ def weighted_monotone(spec: RecurrenceSpec) -> Verdict:
     same comparison runs on the shared squared modulus of the conjugate
     pair, which is b.  Otherwise the residual grows from index 0 on.
     """
-    roots = spec.roots()
-    if roots.discriminant_sign < 0:
+    if _complex_roots(spec):
         if spec.b <= 1:
             return Verdict(True, Branch.COMPLEX_MODULUS)
         return Verdict(False, Branch.COND3_FAIL_MODULUS, 0)
-    if cmp_abs(roots.beta, 1) <= 0:
+    # (1 - beta)*(1 + beta) >= 0, as sign(1 - beta)*sign(-1 - beta) <= 0
+    _, A, _, _, V0, V1 = spec._integers
+    s = dominant_root_sign(A)
+    if spec._gap_sign(-s, 1, 1) * spec._gap_sign(-s, 1, -1) <= 0:
         return Verdict(True, Branch.COND_MODULUS_AT_MOST_ONE)
-    if spec._alpha_residual_sign == 0:
+    if spec._gap_sign(s, V0, V1) == 0:  # v1 = v0*alpha
         return Verdict(True, Branch.COND_GEOMETRIC)
     return Verdict(False, Branch.COND3_FAIL_MODULUS, 0)
 
@@ -205,8 +217,7 @@ def eventually_ratio_monotone(spec: RecurrenceSpec) -> Verdict:
     """
     if not (spec.v0 and spec.v1):
         raise ValueError("ratio property needs a nonzero starting pair")
-    roots = spec.roots()
-    if roots.discriminant_sign >= 0:
+    if not _complex_roots(spec):
         return Verdict(True, Branch.DISCRIMINANT_NONNEGATIVE)
     return Verdict(False, Branch.DISCRIMINANT_NEGATIVE)
 

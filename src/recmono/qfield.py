@@ -2,9 +2,8 @@
 
 Every inequality this package decides reduces to the sign of a number
 (x + y*sqrt(n))/den with integers x, y, n >= 0 and den > 0.  This
-module provides that number type, `QuadElem`, together with exact sign
-and absolute-value comparisons, and builds the characteristic roots of
-x^2 - a*x + b on top of it.  Nothing here touches floating point.
+module provides that number type, `QuadElem`, with its exact sign, and
+builds the characteristic roots of x^2 - a*x + b on top of it.  Nothing here touches floating point.
 Decimals are for display only.  One core, `_rounded`, rounds an element
 half-even to a number of significant digits, on integers, and two
 layouts print its result: `decimal_str` at 12 digits for reports and
@@ -13,8 +12,11 @@ layouts print its result: `decimal_str` at 12 digits for reports and
 Every sign is decided on integers, once: `surd_sign(x, y, n)` is the
 sign of x + y*sqrt(n) for integers x, y and n >= 0.  It is exact for
 any n, a perfect square included, because its only comparison is
-x^2 against y^2*n.  `QuadElem.sign` is one call of it, since den > 0;
-the exact fallback of the oracle's carrier walk calls it directly.
+x^2 against y^2*n.  `QuadElem.sign` is one call of it, since den > 0.
+The decisions call it directly on the spec's integer form, through
+`RecurrenceSpec._gap_sign`, and so does the exact fallback of the
+oracle's carrier walk: neither builds a `QuadElem`.  `QuadElem` is the
+type the roots are displayed in, and the tests' exact reference.
 
 A root is (A +- sqrt(N))/(2L) here and in the oracle alike: a = A/L
 and b = B/L over their common denominator L, and N = A^2 - 4*B*L, so
@@ -56,7 +58,6 @@ RationalLike = Union[int, Fraction]
 __all__ = [
     "QuadElem",
     "RootPair",
-    "cmp_abs",
     "quadratic_roots",
     "decimal_str",
 ]
@@ -189,14 +190,6 @@ class QuadElem:
         sign = "+" if self.y > 0 else "-"
         d = fraction_str(4 * self.n, self.den * self.den)
         return f"{p} {sign} {fraction_str(abs(self.y), 2)}*sqrt({d})"
-
-
-def cmp_abs(x: Union[QuadElem, RationalLike], y: Union[QuadElem, RationalLike]) -> int:
-    """Compare |x| with |y| exactly: sign of x^2 - y^2 = (x - y)*(x + y)."""
-    qx, qy = QuadElem._coerce(x), QuadElem._coerce(y)
-    if qx is None or qy is None:
-        raise TypeError("cmp_abs needs QuadElem or rational arguments")
-    return (qx - qy).sign() * (qx + qy).sign()
 
 
 class RootPair(NamedTuple):

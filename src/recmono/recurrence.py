@@ -119,10 +119,9 @@ class RecurrenceSpec:
         """The roots of x^2 - a*x + b, built on first use and kept on the spec."""
         return self._roots
 
-    # The roots, the integer form, and the signs and a[-1] that several
-    # decisions, ratio_limit and the report read, each computed on first
-    # use and kept on the spec (cached_property writes the instance dict
-    # directly, past __setattr__, so a read-only spec still keeps them).
+    # The roots and the integer form, each computed on first use and kept
+    # on the spec (cached_property writes the instance dict directly, past
+    # __setattr__, so a read-only spec still keeps them).
 
     @cached_property
     def _roots(self) -> RootPair:
@@ -136,38 +135,17 @@ class RecurrenceSpec:
         V0, V1, D = over_common_denominator(self.v0, self.v1)
         return q, A, B, D, V0, V1
 
-    # The three signs need real roots.  On the integer form the roots
-    # are (A +- sqrt(N))/(2*q) with N = A*A - 4*B*q, alpha taking the
-    # sign s = dominant_root_sign(A), as quadratic_roots builds them, so
-    # v1 - v0*root = (2*q*V1 - A*V0 -+ V0*sqrt(N)) / (2*q*D) and each
-    # sign is one surd_sign call, exact for a square N too.
+    # Every root clause of the decisions, and the sign ratio_limit and the
+    # report read, is one sign on the integer form.  With real roots
+    # (N = A*A - 4*B*q >= 0) the roots are (A +- sqrt(N))/(2*q), alpha
+    # taking the sign dominant_root_sign(A) as quadratic_roots builds
+    # them, and 2*q*(Y - X*r) = 2*q*Y - A*X - t*X*sqrt(N).
 
-    def _residual_sign(self, t: int) -> int:
-        """sign(v1 - v0*r) for the root r = (A + t*sqrt(N))/(2*q)."""
-        q, A, B, _, V0, V1 = self._integers
-        return surd_sign(2 * q * V1 - A * V0, -t * V0, A * A - 4 * B * q)
-
-    @cached_property
-    def _beta_residual_sign(self) -> int:
-        """sign(v1 - v0*beta), 0 exactly on a start along beta."""
-        return self._residual_sign(-dominant_root_sign(self.a))
-
-    @cached_property
-    def _alpha_residual_sign(self) -> int:
-        """sign(v1 - v0*alpha), 0 exactly on the dominant eigen-solution."""
-        return self._residual_sign(dominant_root_sign(self.a))
-
-    @cached_property
-    def _alpha_plus_vs_one(self) -> int:
-        """sign(alpha_plus - 1), of A - 2*q + sqrt(N)."""
+    def _gap_sign(self, t: int, X: int, Y: int) -> int:
+        """sign(Y - X*r) for the root r = (A + t*sqrt(N))/(2*q) and integers
+        X, Y over one positive denominator; exact for a square N too."""
         q, A, B, _, _, _ = self._integers
-        return surd_sign(A - 2 * q, 1, A * A - 4 * B * q)
-
-    @cached_property
-    def _term_minus_one(self) -> Fraction:
-        """a[-1] = (a*v0 - v1)/b = (A*V0 - q*V1) / (B*D)."""
-        q, A, B, D, V0, V1 = self._integers
-        return Fraction(A * V0 - q * V1, B * D)
+        return surd_sign(2 * q * Y - A * X, -t * X, A * A - 4 * B * q)
 
 
 def make_h_spec(a: RationalLike, b: RationalLike, c: RationalLike = 1) -> RecurrenceSpec:
@@ -245,7 +223,8 @@ def terms_between(spec: RecurrenceSpec, lo: int, hi: int) -> tuple[Fraction, ...
 
 def term_minus_one(spec: RecurrenceSpec) -> Fraction:
     """The unique backward extension a[-1] = (a*a[0] - a[1]) / b."""
-    return spec._term_minus_one
+    q, A, B, D, V0, V1 = spec._integers
+    return Fraction(A * V0 - q * V1, B * D)
 
 
 class LimitKind(Enum):
@@ -274,6 +253,7 @@ def ratio_limit(spec: RecurrenceSpec) -> RatioLimit:
     roots = spec.roots()
     if roots.discriminant_sign < 0:
         return RatioLimit(LimitKind.DIVERGES, None, None)
-    if spec._beta_residual_sign != 0:
+    _, A, _, _, V0, V1 = spec._integers
+    if spec._gap_sign(-dominant_root_sign(A), V0, V1) != 0:  # v1 != v0*beta
         return RatioLimit(LimitKind.CONVERGES, roots.alpha, "alpha")
     return RatioLimit(LimitKind.CONVERGES, roots.beta, "beta")

@@ -67,9 +67,10 @@ into one of degree at most 2 in X, Y and L:
 
 D2P and D3P are symmetric under a -> -a, so their lo is -hi.  Only
 `isqrt` touches a square, and its result is exact.  The decision
-procedures reach the coefficient-plane regions through `QuadElem`
-signs on a spec's own roots instead; the two routes share no code, and
-the tests check them against each other.
+procedures reach the coefficient-plane regions through `surd_sign`
+signs on a spec's own roots instead, one per root clause; apart from
+`over_common_denominator` the two routes share no code, and the tests
+check them against each other.
 """
 
 from __future__ import annotations

@@ -26,17 +26,17 @@ Rendering is exact work done once, on integers where it can be.
 alpha, beta and the ratio limit are the very root objects alpha_plus
 and alpha_minus, so the two roots' decimals are rendered once and the
 other blocks copy them.  The spec clears its denominators once, into
-its integer form (q, A, B, D, V0, V1), and the carrier, the signs
-several verdicts and ratio_limit read (sign(v1 - v0*beta),
-sign(v1 - v0*alpha) and sign(alpha_plus - 1), one surd_sign call each)
-and a[-1] read it; each is computed once per spec and kept on it, like
-its roots.  The terms preview prints the carrier's terms M[n] over
-q**n * D with one gcd each, and the P3 residuals and the P2 detail are
-one QuadElem each, built on alpha's own integers, with no QuadElem or
-Fraction arithmetic.  Outside the oracle scan, a median report-corpus
-op spends about 155 microseconds in build_report, and 12 of them on
-the root signs, a[-1] and hartman_aurel_sufficient (CPython 3.11.7,
-x86-64, per-op best of 5 rounds over the first 1,000 ops of seed 1).
+its integer form (q, A, B, D, V0, V1), kept on it like its roots.  The
+carrier, a[-1] and every root sign read it: the verdicts' and
+ratio_limit's, and degenerate_geometric's sign(v1 - v0*alpha), are one
+or two surd_sign calls each, with no QuadElem.  The terms preview
+prints the carrier's terms M[n] over q**n * D with one gcd each, and
+the P3 residuals and the P2 detail are one QuadElem each, built on
+alpha's own integers, with no QuadElem or Fraction arithmetic.  Outside
+the oracle scan, a median report-corpus op spends about 125
+microseconds in build_report, and 17 of them in the verdicts (with
+a[-1]) and hartman_aurel_sufficient (CPython 3.11.7, x86-64, per-op
+best of 5 rounds over the first 1,000 ops of seed 1).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Optional
 from . import decisions, oracle
 from .decisions import Verdict
 from .oracle import InternalInconsistency, WindowReport
-from .qfield import QuadElem, decimal_str, fraction_str, surd_sign
+from .qfield import QuadElem, decimal_str, dominant_root_sign, fraction_str, surd_sign
 from .recurrence import (
     RecurrenceSpec,
     integer_carrier,
@@ -179,10 +179,11 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
     w1_immediate, w1_from_k = windows.p1_immediate, windows.p1_from_k
     w2, w3, n0 = windows.p2, windows.p3, windows.n0_witness
 
-    # degenerate start: coefficient of the dominant root vanishes, the
-    # weighted residual is identically zero
+    # degenerate start: coefficient of the dominant root vanishes
+    # (v1 = v0*alpha), the weighted residual is identically zero
     alpha = roots.alpha
-    degenerate = real and spec._alpha_residual_sign == 0
+    _, A, _, _, V0, V1 = spec._integers
+    degenerate = real and spec._gap_sign(dominant_root_sign(A), V0, V1) == 0
 
     # ---- consistency: the decision/oracle contract -------------------------
     # One row per verdict an oracle window can contradict: its name, the

@@ -22,7 +22,6 @@ from recmono import (
     IntCoeffPair,
     RecurrenceSpec,
     WindowReport,
-    cmp_abs,
     eventually_nondecreasing,
     eventually_ratio_monotone,
     hartman_aurel_sufficient,
@@ -294,4 +293,5 @@ def is_quadratic_pisot(pair: IntCoeffPair) -> bool:
     roots = quadratic_roots(*pair)
     if roots.discriminant_sign < 0:
         return False
-    return (roots.alpha - 1).sign() > 0 and cmp_abs(roots.beta, 1) < 0
+    beta = roots.beta
+    return (roots.alpha - 1).sign() > 0 and ((beta - 1) * (beta + 1)).sign() < 0

@@ -9,13 +9,15 @@ modules, and it allows no exceptions.
 The source rules: the package imports only the standard library and
 holds no float; no module of the package or the tests imports a name it
 never uses; the tests import only what '.[test]' installs and never read
-source lines or frames; and the oracle's route stays apart from the
-decisions'.  Each source file is parsed once per session, by _tree.
+source lines or frames; the oracle's route stays apart from the
+decisions'; and the decisions read the spec's integer form, never a
+root.  Each source file is parsed once per session, by _tree.
 
 Run as a script, it prints each package module's code lines next to its
 wc -l count, the median launch time of the installed recmono next to a
-bare interpreter's, and the modules that importing the CLI adds; these
-figures are reported, not gated:
+bare interpreter's (skipped where the script is not installed), and the
+modules that importing the CLI adds; these figures are reported, not
+gated:
 
     python tests/test_api.py
 """
@@ -27,6 +29,7 @@ import contextlib
 import functools
 import io
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -222,6 +225,13 @@ def test_no_source_or_frame_reading_in_the_tests():
     assert bad == [], f"source or frame reading in the tests: {bad}"
 
 
+def _root_names_read(path: Path, banned: set[str]) -> set[str]:
+    """The names in `banned`, or starting with alpha, that a module reads."""
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(_tree(path)) if isinstance(node, (ast.Name, ast.Attribute))}
+    return {name for name in read if name in banned or name.startswith("alpha")}
+
+
 def test_oracle_route_is_independent_of_the_decisions():
     # the oracle checks each verdict by its own route: it reads the
     # carrier from index 0 and two root signs, never a root, the
@@ -231,14 +241,22 @@ def test_oracle_route_is_independent_of_the_decisions():
         "qfield.dominant_root_sign", "qfield.surd_sign",
         "recurrence.RecurrenceSpec", "recurrence.integer_carrier"}
     banned = {"roots", "_roots", "beta", "QuadElem", "quadratic_roots", "_carrier_jump"}
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(_tree(oracle)) if isinstance(node, (ast.Name, ast.Attribute))}
-    assert {name for name in read if name in banned or name.startswith("alpha")} == set()
+    assert _root_names_read(oracle, banned) == set()
     carriers = [node for node in ast.walk(_tree(oracle)) if isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name) and node.func.id == "integer_carrier"]
     assert carriers and all(len(c.args) == 1 and not c.keywords for c in carriers)
     for name in ("decisions.py", "regions.py"):
         assert not {i for i in _package_imports(PACKAGE / name) if i.partition(".")[0] == "oracle"}
+
+
+def test_decisions_read_only_the_integer_form():
+    # every clause is a sign on the spec's integer form: the discriminant's
+    # is that of A*A - 4*B*q, each root clause is one or two _gap_sign
+    # calls, and no decision builds or reads a root or a QuadElem
+    decisions = PACKAGE / "decisions.py"
+    banned = {"QuadElem", "cmp_abs", "quadratic_roots"}
+    assert {i for i in _package_imports(decisions) if i.partition(".")[2] in banned} == set()
+    assert _root_names_read(decisions, banned | {"roots", "_roots", "beta"}) == set()
 
 
 def main() -> int:
@@ -268,10 +286,14 @@ def main() -> int:
             times.append(time.perf_counter() - start)
         return statistics.median(times) * 1000
 
-    cli = median_launch(["recmono", "characterize", "--scan-bound=1"])
-    bare = median_launch([sys.executable, "-I", "-c", "pass"])
-    print(f"median of 15 launches: recmono characterize --scan-bound=1 {cli:.1f} ms, "
-          f"python -I -c pass {bare:.1f} ms")
+    if shutil.which("recmono") is None:
+        print("median of 15 launches: skipped, the recmono script is not installed "
+              "(pip install -e .)")
+    else:
+        cli = median_launch(["recmono", "characterize", "--scan-bound=1"])
+        bare = median_launch([sys.executable, "-I", "-c", "pass"])
+        print(f"median of 15 launches: recmono characterize --scan-bound=1 {cli:.1f} ms, "
+              f"python -I -c pass {bare:.1f} ms")
     added = sorted(_modules_after("import recmono.cli") - _modules_after("pass"))
     print(f"import recmono.cli adds {len(added)} modules: {' '.join(added)}")
     return 0

@@ -1,6 +1,6 @@
 """Quadratic-field arithmetic on the integer form (x + y*sqrt(n))/den:
-ring laws, exact sign and modulus comparison, root construction,
-decimal rendering.
+ring laws, exact sign, root signs on a spec's integer form, root
+construction, decimal rendering.
 
 High-precision Decimal evaluation serves as the independent oracle for
 sign, comparison and rendering results; exact-zero cases are asserted
@@ -14,15 +14,34 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from recmono import QuadElem, RecurrenceSpec, cmp_abs, decimal_str, quadratic_roots, riccati_orbit
+from recmono import QuadElem, RecurrenceSpec, decimal_str, quadratic_roots, riccati_orbit
 from recmono.qfield import dominant_root_sign, g6_str, surd_sign
 
 numerators_st = st.integers(-1500, 1500)
 denominators_st = st.integers(1, 30)
 radicands_st = st.sampled_from([2, 3, 5, 7, 11, 13, 20, 45])
+
+
+@st.composite
+def gap_cases(draw):
+    """(spec, t, X, Y) with real roots: two rational roots (a square N),
+    with Y = X*r on the t root at times, or any (a, b) with a^2 >= 4*b."""
+    ratios = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
+    t, X, Y = draw(st.sampled_from((-1, 1))), draw(numerators_st), draw(numerators_st)
+    if draw(st.booleans()):
+        r1, r2 = draw(ratios), draw(ratios)
+        assume(r1 != -r2)
+        a, b = r1 + r2, r1 * r2
+        if draw(st.booleans()):
+            r = max(r1, r2) if t > 0 else min(r1, r2)
+            X, Y = X * r.denominator, X * r.numerator
+    else:
+        a, b = draw(ratios), draw(ratios)
+        assume(a * a >= 4 * b)
+    return RecurrenceSpec(a, b, 1, 1), t, X, Y
 
 
 def approx(v: QuadElem, prec: int = 80) -> Decimal:
@@ -123,10 +142,10 @@ class TestArithmetic:
 
     def test_inexact_values_are_refused(self):
         # a float is no exact rational: the operators return NotImplemented, so
-        # Python raises TypeError, as cmp_abs and decimal_str do, and == is identity
+        # Python raises TypeError, as decimal_str does, and == is identity
         x = QuadElem(1)
         for op in (lambda: x + 1.5, lambda: x - 1.5, lambda: 1.5 - x, lambda: x * 1.5,
-                   lambda: cmp_abs(x, 1.5), lambda: decimal_str(1.5)):
+                   lambda: decimal_str(1.5)):
             with pytest.raises(TypeError):
                 op()
         assert (x == "x") is False
@@ -175,20 +194,22 @@ class TestSignAndCompare:
             # impossible for irrational sqrt(n) unless x = y = 0
             assert v.sign() == 0 and v.x == 0 and v.y == 0
 
-    @given(
-        x1=numerators_st, y1=numerators_st, d1=denominators_st,
-        x2=numerators_st, y2=numerators_st, d2=denominators_st,
-        n=st.sampled_from([2, 3, 5, 13]),
-    )
+    @given(gap_cases())
     @settings(max_examples=300, deadline=None)
-    def test_cmp_abs_matches_decimal(self, x1, y1, d1, x2, y2, d2, n):
-        x = QuadElem(x1, y1, n, d1)
-        y = QuadElem(x2, y2, n, d2)
-        gap = abs(approx(x)) - abs(approx(y))
+    def test_gap_sign_matches_decimal(self, case):
+        # sign(Y - X*r) for r = (a + t*sqrt(a^2 - 4*b))/2, read off a and b
+        # in Decimal, not off the spec's integer form
+        spec, t, X, Y = case
+        disc = spec.a**2 - 4 * spec.b
+        with localcontext() as ctx:
+            ctx.prec = 80
+            root = (Decimal(spec.a.numerator) / spec.a.denominator
+                    + t * (Decimal(disc.numerator) / disc.denominator).sqrt()) / 2
+            gap = Y - X * root
         if abs(gap) > Decimal("1e-40"):
-            assert cmp_abs(x, y) == (1 if gap > 0 else -1)
+            assert spec._gap_sign(t, X, Y) == (1 if gap > 0 else -1)
         else:
-            assert cmp_abs(x, y) == 0
+            assert spec._gap_sign(t, X, Y) == 0
 
     @given(
         x=st.integers(-10**6, 10**6), y=st.integers(-10**6, 10**6),
@@ -281,7 +302,8 @@ class TestCharacteristicRoots:
         plus, minus = roots.alpha_plus, roots.alpha_minus
         assert plus + minus == a
         assert plus * minus == b
-        assert cmp_abs(roots.alpha, roots.beta) >= 0
+        alpha, beta = roots.alpha, roots.beta
+        assert ((alpha - beta) * (alpha + beta)).sign() >= 0
         assert (roots.alpha, roots.beta) in ((plus, minus), (minus, plus))
 
 

@@ -284,9 +284,10 @@ class TestDecisionConsistency:
                     yield a, b
 
     def test_boundary_points_match_decisions(self):
-        # two routes that share no code: the decisions sign QuadElem
-        # surds built from the spec's roots, the regions compare X with
-        # their row's closed-form integer bounds over L
+        # two routes that share no code but over_common_denominator: the
+        # decisions take one surd_sign per root clause on the spec's
+        # integer form, the regions compare X with their row's
+        # closed-form integer bounds over L
         checked = 0
         for a, b in self._boundary_points():
             assert contains_coeff_plane(RegionId.D1P, a, b) == (
