@@ -31,11 +31,13 @@ induction does every later block.  In the P2/P3 stretch the test
 certifies growth of the carrier, which decides all three properties (see
 scan); the walk certifies a block there only where that test is
 invariant, so its first certificate decides every later index and ends
-the walk.  Where the dominant root is negative the terms alternate in
-sign, and the test runs on the mirror (-1)**n * M[n], which solves the
-recurrence with -A and keeps one sign: it certifies growth of |M| the
-same way, and P1, the one property that reads signs, then fails at every
-other index, read off its parity.
+the walk.  It tries a block as early as scan's proof allows, right after
+two indices in a row that P3's part signs decided, and decides the
+test's invariance once per scan.  Where the dominant root is negative
+the terms alternate in sign, and the test runs on the mirror
+(-1)**n * M[n], which solves the recurrence with -A and keeps one sign:
+it certifies growth of |M| the same way, and P1, the one property that
+reads signs, then fails at every other index, read off its parity.
 
 For speed the scans run on a rescaled integer copy of the sequence,
 recurrence.integer_carrier: with a = A/q, b = B/q over a common
@@ -169,14 +171,22 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     jump by _BLOCK indices (_jump) advances its pair.
 
     Certified blocks in the real-root P2/P3 stretch.  The walk tries a
-    block of indices [n, n + _BLOCK) at an index n of the window only
-    after _BLOCK indices in a row whose P3 the part signs decided, which
-    leaves P3 open, the conjugate form (below: u and s*M*sqrt(d) differ
-    in sign or d = 0, and N != 0) true at n and M[n], u[n] != 0, and
-    after a refused try only after another such run: a spec whose tries
-    fail (a test that is not invariant, below) pays one try per _BLOCK
-    indices, and a complex pair or a stretch where only P2 is open never
-    reaches one.  The test runs on the mirror w[i] = s**i * M[i], with s
+    block of indices [n, n + _BLOCK) at an index n of the window right
+    after two indices in a row, n - 2 and n - 1, whose P3 the part signs
+    decided: all the argument below reads of the walk.  That leaves P3
+    open; it gives the conjugate form (below: u and s*M*sqrt(d) differ in
+    sign or d = 0, and N != 0) at n - 2, n - 1 and n, and
+    |v[j+1]| >= |B|*|v[j]| for v = M and v = u at j = n - 2 and n - 1.
+    So M[n] != 0, since M[n] = 0 would make M[n-1] = 0 too, and a nonzero
+    solution has no two zeros in a row; and u[n] != 0 the same way, since
+    u, a solution too, is not identically 0: u = 0 makes M geometric with
+    ratio A/2, a root only where d = 0, and there N = u**2 - M**2*d = 0
+    rules out the conjugate form.  Whether the test is invariant (below)
+    depends on s*A, B*q and c alone, so the first try decides it for the
+    whole scan: where it is not, that try is refused and the walk tries no
+    more; where it is, a refused try waits for the next two such indices
+    in a row.  A complex pair or a stretch where only P2 is open never
+    tries.  The test runs on the mirror w[i] = s**i * M[i], with s
     the sign of the dominant root (below), which solves the carrier's
     recurrence with s*A in place of A: where the dominant root is
     negative the terms alternate in sign, and w keeps one.  The block is
@@ -192,8 +202,8 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     holds at every index by its part signs, since |u| too grows by |B|
     (next), and P2 follows from P3 since |a[i+1]| >= |a[i]|.
 
-    That u grows needs no test of its own: M's test and the run before
-    the block imply it.  On the carrier's roots alpha' = q*alpha and
+    That u grows needs no test of its own: M's test and the two indices
+    before the block imply it.  On the carrier's roots alpha' = q*alpha and
     beta' = q*beta, write M[i] = P[i] + Q[i] with P[i] = c1*alpha'**i and
     Q[i] = c2*beta'**i; then u = s*sqrt(d)*(Q - P), the conjugate form
     at i gives |Q[i]| <= |P[i]| and P, Q != 0, and with x = Q[i]/P[i]
@@ -208,13 +218,15 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     d, N, |M|, |u| and the conjugate form as they are; only P1 reads
     signs.  Where x >= 0, u[i+1]/u[i] >= alpha' >= M[i+1]/M[i],
     which is >= |B|.  Where x < 0, u[i+1]/u[i] equals
-    alpha'*(1 + r*|x|)/(1 + |x|), which falls as |x| grows; at j = n - 1
-    or n - 2, x[j] has x[i]'s sign and |x[j]| >= |x[i]|, and the run
-    (the conjugate form and the part on u), or the certified block
-    before, gives u[j+1]/u[j] >= |B|.  On a repeated root (d = 0),
+    alpha'*(1 + r*|x|)/(1 + |x|), which falls as |x| grows; for every
+    i >= n, in this block or a later one, one of j = n - 1 and n - 2 has
+    i - j even or r > 0, so x[j] = x[i]*r**(j-i) has x[i]'s sign and
+    |x[j]| >= |x[i]|, and the conjugate form and the part on u at j give
+    u[j+1]/u[j] >= |B|.  On a repeated root (d = 0),
     M[i] = (c1 + c2*i)*alpha'**i keeps its sign only where alpha' > 0,
-    and u[i] = -2*c2*alpha'**(i+1) grows by alpha', the ratio the run
-    read.  The roots enter this argument only; the walk reads none.
+    and u[i] = -2*c2*alpha'**(i+1), c2 != 0 since N = u**2 != 0, grows by
+    alpha', the ratio the part on u read at n - 1.  The roots enter this
+    argument only; the walk reads none.
 
     One certificate decides the rest.  Where x**_BLOCK leaves c1*x + c0
     modulo the carrier's characteristic polynomial, one block maps rho to
@@ -391,14 +403,16 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     first3: Optional[int] = None
     run = 0  # indices in a row whose P3 the part signs decided
     grow = None  # the ratio tests, built on first need
+    invariant = True  # until the first try decides it, once per scan
     certified: Optional[int] = None  # the first index of the certified block
     n = 0
     while n <= window and (first3 is None or (real and first2 is None)):
         m2 = next(M)
         # u[n+1] = A*M[n+1] - 2*M[n+2] on the carrier's recurrence, one product shorter
         u1 = Bq * m0 - m2
-        if run >= _BLOCK:
-            # the run leaves P3 open, conj true at n and M[n], u[n] != 0
+        if run >= 2 and invariant:
+            # the run at n - 2 and n - 1 leaves P3 open, conj true at n and
+            # M[n], u[n] != 0
             if grow is None:
                 # on the mirror w[i] = s**i * M[i], which solves the
                 # recurrence with s*A and keeps one sign where M alternates
@@ -565,15 +579,20 @@ def _ratio_tests(A: int, Bq: int, c: int) -> list[tuple[int, int]]:
     w[n+2] = A*w[n+1] - Bq*w[n] with w[n] > 0 has w[n+j+1] >= c*w[n+j]
     for every j < _BLOCK exactly where x*w[n+1] + y*w[n] >= 0 for every
     pair, and > c*w[n+j] for every j exactly where each is > 0.  Step j
-    is w[n+j+1] - c*w[n+j] = x[j]*w[n+1] + y[j]*w[n], whose coefficients
-    walk the same recurrence in j, from (x[0], x[1]) = (1, A - c) and
-    (y[0], y[1]) = (-c, -Bq).  On rho = w[n+1]/w[n] it asks
-    x[j]*rho + y[j] >= 0: a half-line, or all or nothing where the slope
-    is 0 (the offset then is not 0, since the map from (w[n], w[n+1]) to
-    (w[n+j], w[n+j+1]) is invertible).  The half-lines meet in one
-    interval, and its two ends are the pairs."""
+    is w[n+j+1] - c*w[n+j] = x[j]*w[n+1] + y[j]*w[n], whose slopes walk
+    the same recurrence in j, from (x[0], x[1]) = (1, A - c), and whose
+    offsets are y[0] = -c and y[j] = -Bq*x[j-1] for j >= 1: where
+    w[n+j] = X[j]*w[n+1] + Y[j]*w[n], X and Y solve the recurrence, and
+    so does -Bq*X[j-1], which agrees with Y at j = 1 and 2 (both 0, then
+    -Bq, since X[0] = 0 and X[1] = 1), so Y[j] = -Bq*X[j-1] for j >= 1,
+    and y[j] = Y[j+1] - c*Y[j] = -Bq*x[j-1].  So only x is stepped.  On
+    rho = w[n+1]/w[n] step j asks x[j]*rho + y[j] >= 0: a half-line, or
+    all or nothing where the slope is 0 (the offset then is not 0, since
+    the map from (w[n], w[n+1]) to (w[n+j], w[n+j+1]) is invertible).
+    The half-lines meet in one interval, and its two ends are the
+    pairs."""
     below = above = None
-    x, x1, y, y1 = 1, A - c, -c, -Bq
+    x, x1, y = 1, A - c, -c
     for _ in range(_BLOCK):
         if x > 0:
             # rho >= -y/x, tighter than the end so far
@@ -585,7 +604,9 @@ def _ratio_tests(A: int, Bq: int, c: int) -> list[tuple[int, int]]:
                 above = (x, y)
         elif y < 0:
             return [(0, -1)]
-        x, x1, y, y1 = x1, A * x1 - Bq * x, y1, A * y1 - Bq * y
+        # y[j+1] = -Bq*x[j], and x[j+2] = A*x[j+1] - Bq*x[j] = A*x[j+1] + y[j+1]
+        y = -Bq * x
+        x, x1 = x1, A * x1 + y
     return [end for end in (below, above) if end]
 
 

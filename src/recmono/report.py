@@ -32,16 +32,24 @@ ratio_limit's, and degenerate_geometric's sign(v1 - v0*alpha), are one
 or two surd_sign calls each, with no QuadElem.  The terms preview
 prints the carrier's terms M[n] over q**n * D with one gcd each, and
 the P3 residuals and the P2 detail are one QuadElem each, built on
-alpha's own integers, with no QuadElem or Fraction arithmetic.  Outside
-the oracle scan, a median report-corpus op spends about 125
-microseconds in build_report, and 17 of them in the verdicts (with
-a[-1]) and hartman_aurel_sufficient (CPython 3.11.7, x86-64, per-op
-best of 5 rounds over the first 1,000 ops of seed 1).
+alpha's own integers, with no QuadElem or Fraction arithmetic.  The
+Riccati prefix steps the ratio map on the integer form too
+(riccati._states), from b0 = V1/V0 reduced by one gcd, and prints each
+state with fraction_str.  Each state whose two terms are among the
+preview's carrier terms is checked against them, q*p*M[n] = r*M[n+1],
+and terminated_early against their first zero; a mismatch raises
+InternalInconsistency naming riccati_prefix.  Outside the oracle scan,
+a median report-corpus op spends about 117 microseconds in
+build_report (125 with the prefix built as Fractions), 17 of them in
+the verdicts (with a[-1]) and hartman_aurel_sufficient (CPython 3.11.7,
+x86-64, per-op best of 5 rounds over the first 1,000 ops of seed 1,
+median of three runs).
 """
 
 from __future__ import annotations
 
 from itertools import islice
+from math import gcd
 from typing import Optional
 
 from . import decisions, oracle
@@ -55,7 +63,7 @@ from .recurrence import (
     term_minus_one,
     terms_between,
 )
-from .riccati import riccati_orbit
+from .riccati import _states
 
 __all__ = ["InternalInconsistency", "build_report", "spec_json"]
 
@@ -182,7 +190,7 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
     # degenerate start: coefficient of the dominant root vanishes
     # (v1 = v0*alpha), the weighted residual is identically zero
     alpha = roots.alpha
-    _, A, _, _, V0, V1 = spec._integers
+    _, A, B, _, V0, V1 = spec._integers
     degenerate = real and spec._gap_sign(dominant_root_sign(A), V0, V1) == 0
 
     # ---- consistency: the decision/oracle contract -------------------------
@@ -294,16 +302,27 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
         "limit": None if limit.limit is None else dict(rendered[id(limit.limit)]),
     }
 
-    if spec.v0 and spec.v1:
-        b0 = spec.v1 / spec.v0
-        orbit = riccati_orbit(spec.a, spec.b, b0, RICCATI_PREFIX_LEN)
-        riccati_block = {
-            "b0": str(b0),
-            "states": [str(s) for s in orbit.states],
-            "terminated_early": orbit.terminated_early,
-        }
-    else:
-        riccati_block = None
+    riccati_block = None
+    if V0 and V1:
+        # b0 = v1/v0 = V1/V0, in lowest terms by one gcd; each state p/r
+        # whose two terms the carrier holds is a[n+1]/a[n],
+        # q*p*M[n] = r*M[n+1], and the orbit ends at the first zero among them
+        g = gcd(V1, V0) if V0 > 0 else -gcd(V1, V0)
+        cut = len(carrier) - 1
+        printed = []
+        for n, (p, r) in enumerate(_states(A, B, q, V1 // g, V0 // g, RICCATI_PREFIX_LEN)):
+            if n < cut and q * p * carrier[n] != r * carrier[n + 1]:
+                raise InternalInconsistency(
+                    f"riccati_prefix mismatch: state {n}, {fraction_str(p, r)}, is not "
+                    f"a[{n + 1}]/a[{n}] on the carrier's terms")
+            printed.append(fraction_str(p, r))
+        terminated = None if p else n
+        zero = carrier.index(0, 1) - 1 if 0 in carrier[1:] else None
+        if zero != terminated and (zero is not None or terminated < cut):
+            raise InternalInconsistency(
+                f"riccati_prefix mismatch: terminated_early is {terminated}, but the "
+                f"first n < {cut} with a[n+1] = 0 is {zero}")
+        riccati_block = {"b0": printed[0], "states": printed, "terminated_early": terminated}
 
     return {
         "schema": 1,

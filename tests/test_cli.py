@@ -9,6 +9,7 @@ import contextlib
 import enum
 import io
 import json
+import shutil
 import subprocess
 import sys
 from collections import OrderedDict
@@ -24,6 +25,7 @@ from recmono import report
 from recmono.cli import main, parse_rational
 from recmono.recurrence import RecurrenceSpec, terms_between
 
+import smokes
 from smokes import SMOKES, check, run_row
 from sweep import sweep_argvs
 
@@ -887,3 +889,12 @@ class TestSmokes:
         # tests/smokes.py, run as a script, also runs each row through the
         # installed recmono script
         assert check(row, *run_row(row, tmp_path)) == []
+
+    def test_script_without_the_installed_recmono_exits_two(self, monkeypatch, capsys):
+        # run as a script with no recmono on PATH it runs no row, says what
+        # it needs and exits 2
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        assert smokes.main() == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "tests/smokes.py needs the installed recmono script (pip install -e .)\n"

@@ -54,7 +54,7 @@ RISING = make_h_spec(5, 6, 1)
 # roots 199/200 and 99/100 and a[n] = alpha**n - (1 - 1/1000)*beta**n: the
 # terms grow by more than 1 per index up to about index 130, then shrink
 # toward the dominant root below 1, so the test on M (growth by q) is not
-# invariant and the walk refuses its tries at 32, 64, 96 and 128
+# invariant: the walk refuses its one try, at 2, and tries no more
 TRANSIENT = RecurrenceSpec(Fraction(397, 200), Fraction(19701, 20000),
                            Fraction(1, 1000), Fraction(599, 100000))
 # repeated root 1, a[n] = -1 - 2*n: every index violates P1, and the test on
@@ -512,10 +512,10 @@ class TestScan:
         # stepped up to index 120; the second stops at its violation at
         # 36, short of its end at 40; the third, 2**n + 2**(30 - n),
         # descends up to index 14, inside the window, so its from-k window
-        # [9, 30] needs no index past 20; at window 100 TRANSIENT's tries
-        # are refused, so it reads every index, and RISING steps its from-k
+        # [9, 30] needs no index past 20; at window 100 TRANSIENT's one try
+        # is refused, so it reads every index, and RISING steps its from-k
         # window [149, 250] after a jump; FALLING_UNIT's certified block at
-        # 32 makes every later index a violation: the rest of the window,
+        # 2 makes every later index a violation: the rest of the window,
         # and the first of a from-k window past it, 149
         for spec, w, k, last in (
             (RISING, 20, 100, 120),
@@ -793,7 +793,7 @@ class TestBlockWalk:
 roots_st = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 4))
 # the dominant root -1.62 alternates the terms' signs: P3's parts decide
 # every index, and the test on the mirror (-1)**n * M[n], growth by 1, is
-# invariant, so the walk certifies the block at 32 and stops at 64
+# invariant, so the walk certifies the block at 2 and stops at 34
 ALTERNATING = RecurrenceSpec(-1, -1, 1, -1)
 
 
@@ -803,19 +803,19 @@ def _mirrored(spec):
 
 
 # TRANSIENT's terms with alternating signs: its dominant root -199/200 keeps
-# the test on the mirror from being invariant, so every try is refused
+# the test on the mirror from being invariant, so its one try is refused
 TRANSIENT_MIRRORED = _mirrored(TRANSIENT)
 # roots 2.61 and -0.28
 TABLE = RecurrenceSpec(Fraction(7, 3), Fraction(-5, 7), Fraction(3, 4), Fraction(-2, 5))
 # dominant root -2.61 and terms of alternating sign; the walk certifies
-# the block at 33, where a[33] < 0
+# the block at 3, where a[3] < 0
 TABLE_NEGATED = RecurrenceSpec(-TABLE.a, TABLE.b, TABLE.v0, TABLE.v1)
-# dominant root -2.26, a[n] = (-1)**n * DEEP's a[n], with a[32] > 0
+# dominant root -2.26, a[n] = (-1)**n * DEEP's a[n], with a[2] > 0
 DEEP_MIRRORED = _mirrored(DEEP)
 # roots 3/4 and 1/2 and a start whose ratio 1/8 fails P2 at 0: the terms
 # turn negative and |a| shrinks by about 3/4 per index, enough for P3's
 # parts, which ask |a[n+1]| >= |b|*|a[n]| with |b| = 3/8, but not for
-# |a[n+1]| >= |a[n]|, which the test on M asks, so every try is refused
+# |a[n+1]| >= |a[n]|, which the test on M asks, so its one try is refused
 SHRINKING = RecurrenceSpec(Fraction(5, 4), Fraction(3, 8), 1, Fraction(1, 8))
 
 
@@ -831,27 +831,31 @@ def _ratio_tie(t, alpha=1 - Fraction(1, 2**70), beta=Fraction(1, 2)):
     return RecurrenceSpec(a, b, -rho.denominator, -rho.numerator)
 
 
-# the tie a[64] = a[63] falls on the last index of the first try [32, 64),
-# where every term is negative, and P1 holds at 63 (n0 = 63); the dominant
+# the tie a[34] = a[33] falls on the last index of the first try [2, 34),
+# where every term is negative, and P1 holds at 33 (n0 = 33); the dominant
 # root below 1 keeps the test on M from being invariant, so the invariance
-# check refuses every try before the strict test counts: at (70, 64) the
-# walk refuses 32 and 64 and steps on past the window
-TIE_AT_BLOCK_END = _ratio_tie(63)
-# roots 1003/1000 and -9/10: the tie a[35] = a[34] falls on the first index
-# of the try [34, 66), where every term is negative, and the test on M is
+# check refuses the try before the strict test counts: at (40, 34) the
+# walk refuses 2, tries no more and steps on through the window
+TIE_AT_BLOCK_END = _ratio_tie(33)
+# roots 539/500 and -1/2: the tie a[5] = a[4] falls on the first index of
+# the first try [4, 36), where every term is negative, and the test on M is
 # invariant, so only its strict form refuses that block; the plain form
-# would certify it and make 34 a violation
-TIE_AT_BLOCK_START = _ratio_tie(34, Fraction(1003, 1000), Fraction(-9, 10))
+# would certify it and make 4 a violation
+TIE_AT_BLOCK_START = _ratio_tie(4, Fraction(539, 500), Fraction(-1, 2))
+# roots 1.07 and -0.67 and a[1] = 0: |a| shrinks at every other index up to
+# 6, then grows; the test on M is invariant, the try at 6 is refused, since
+# |a[7]| < |a[6]|, and the one at 8, after the next two-index run, is
+# certified
+LATE_GROWTH = RecurrenceSpec(Fraction(2, 5), Fraction(-5, 7), Fraction(7, 3), 0)
 
 
 @st.composite
 def deep_cases(draw):
-    """(spec, window, from_k) with windows of 64-200, long enough for a
-    certified block inside the window (the first try comes at index
-    _BLOCK and needs _BLOCK more), and from-k windows past it: coefficients
-    of either sign (|B| > q and q > |B| alike), two rational roots (a
-    square discriminant) or one repeated root (a zero one), starts of
-    either sign, scaled by 1 or 2**700."""
+    """(spec, window, from_k) with windows of 64-200, long enough to hold a
+    whole certified block of _BLOCK indices, and from-k windows past it:
+    coefficients of either sign (|B| > q and q > |B| alike), two rational
+    roots (a square discriminant) or one repeated root (a zero one),
+    starts of either sign, scaled by 1 or 2**700."""
     shape = draw(st.sampled_from(("coefficients", "rational roots", "repeated root")))
     if shape == "coefficients":
         a, b = draw(coeffs_st), draw(coeffs_st)
@@ -871,7 +875,9 @@ def deep_cases(draw):
 class TestCertifiedBlocks:
     """Inside the window a real-root walk decides every index from a
     block of _BLOCK indices on where one invariant ratio test certifies
-    that M grows.  Each pinned case reaches the path it names, and every
+    that M grows; it tries a block after each two indices in a row that
+    the part signs decided, and not again once the test is found not to
+    be invariant.  Each pinned case reaches the path it names, and every
     field is held against the naive references."""
 
     @given(deep_cases())
@@ -881,20 +887,22 @@ class TestCertifiedBlocks:
     @example((FALLING_UNIT, 100, 150))
     @example((ALTERNATING, 100, 150))
     # alternating terms: the from-k window's first index k1 past the window
-    # fails P1 where a[k1] > 0 (even k1 on ALTERNATING, from 34 on
+    # fails P1 where a[k1] > 0 (even k1 on ALTERNATING, from 4 on
     # TABLE_NEGATED), else k1 + 1 does; and a certified block at the
-    # window's last index, where a[32] > 0 and a[33] < 0
+    # window's last index, where a[2] > 0 and a[3] < 0 on ALTERNATING, and
+    # a[3] < 0 on TABLE_NEGATED
     @example((ALTERNATING, 100, 151))
     @example((TABLE_NEGATED, 64, 66))
     @example((TABLE_NEGATED, 64, 67))
     @example((DEEP_MIRRORED, 64, 67))
-    @example((ALTERNATING, 32, 34))
-    @example((TABLE_NEGATED, 33, 35))
+    @example((ALTERNATING, 2, 4))
+    @example((TABLE_NEGATED, 3, 5))
     @example((RecurrenceSpec(5, 6, 1, 2), 64, 66))  # on the eigen-solution 2^n
     @example((RecurrenceSpec(2, 1, -2**700, -3 * 2**700), 64, 66))  # repeated root 1
     @example((SHRINKING, 100, 102))
-    @example((TIE_AT_BLOCK_END, 70, 64))
-    @example((TIE_AT_BLOCK_START, 100, 35))
+    @example((TIE_AT_BLOCK_END, 40, 34))
+    @example((TIE_AT_BLOCK_START, 100, 5))
+    @example((LATE_GROWTH, 100, 0))
     @settings(max_examples=150, deadline=None)
     def test_scan_matches_references(self, case):
         assert oracle.scan(*case) == reference_windows(*case), case
@@ -902,10 +910,10 @@ class TestCertifiedBlocks:
     def test_clean_blocks(self):
         # P1, P2 and P3 hold through the window and the terms grow by more
         # than 1 up to about index 130, but the test on M is not
-        # invariant: each try, the one at 96 past the window's end
-        # included, is refused, and the walk reads every index
+        # invariant: the one try, at 2, is refused, and the walk, trying
+        # no more, reads every index
         got, events = _block_events(TRANSIENT, 100, 150)
-        assert events == [("refused", 32), ("refused", 64), ("refused", 96)]
+        assert events == [("refused", 2)]
         assert got.p2.holds_on_window and got.p3.holds_on_window
         assert got.n0_witness == 0 and got.p1_from_k.first_violation == 149
         assert got == reference_windows(TRANSIENT, 100, 150)
@@ -929,27 +937,26 @@ class TestCertifiedBlocks:
         # invariant, so that block decides the rest
         case = (RecurrenceSpec(2, 1, 1, 3), 100, 0)
         got, events = _block_events(*case)
-        assert events == [("certified", 32), ("lasting", 64)]
+        assert events == [("certified", 2), ("lasting", 34)]
         assert got == reference_windows(*case)
 
     def test_all_violation_blocks(self):
         # every term is negative and falls: the strict test, whose interval
         # ends on the fixed point T(1) = 1, is invariant, so the certified
-        # block at 32 ends the walk and every index from 32 on is a
+        # block at 2 ends the walk and every index from 2 on is a
         # violation of P1, the from-k window's first at its first index
         got, events = _block_events(FALLING_UNIT, 100, 150)
-        assert events == [("certified", 32), ("lasting", 64)]
+        assert events == [("certified", 2), ("lasting", 34)]
         assert got.p2.holds_on_window and got.p3.holds_on_window
         assert got.n0_witness is None and got.p1_from_k.first_violation == 149
         assert got == reference_windows(FALLING_UNIT, 100, 150)
 
     def test_refused_blocks_fall_back(self):
-        # inside the window: each run of _BLOCK indices decided on part
-        # signs ends in a try that the test on the mirror, not invariant,
-        # refuses, the one at 96, whose block would run past the window's
-        # end, included, and the walk steps on per index
+        # inside the window: the first two indices decided on part signs
+        # lead to a try at 2 that the test on the mirror, not invariant,
+        # refuses, and the walk tries no more and steps on per index
         got, events = _block_events(TRANSIENT_MIRRORED, 100, 150)
-        assert events == [("refused", 32), ("refused", 64), ("refused", 96)]
+        assert events == [("refused", 2)]
         assert got == reference_windows(TRANSIENT_MIRRORED, 100, 150)
         # past the window: E[5] > 0, and the walk jumps to k1 = 32 and
         # steps up to E's descent at 36
@@ -960,25 +967,51 @@ class TestCertifiedBlocks:
 
     def test_growth_by_q_decides_p1(self):
         # P3's parts hold where the terms shrink by less than |b| per
-        # index, but P1 needs growth by q: the tries are refused
+        # index, but P1 needs growth by q: the one try, at 4, is refused
         got, events = _block_events(SHRINKING, 100, 102)
-        assert events[:2] == [("refused", 34), ("refused", 66)]
+        assert events == [("refused", 4)]
         assert got.p2.first_violation == 0 and got.p3.holds_on_window
         assert got == reference_windows(SHRINKING, 100, 102)
         # where the terms are negative a tie |M[n+1]| = q*|M[n]| is no
         # violation, so the test on M is strict there; the dominant root
         # below 1 keeps that test from being invariant too
-        got, events = _block_events(TIE_AT_BLOCK_END, 70, 64)
-        assert events[0] == ("refused", 32)
-        assert got.n0_witness == 63
-        assert got == reference_windows(TIE_AT_BLOCK_END, 70, 64)
+        got, events = _block_events(TIE_AT_BLOCK_END, 40, 34)
+        assert events == [("refused", 2)]
+        assert got.n0_witness == 33
+        assert got == reference_windows(TIE_AT_BLOCK_END, 40, 34)
         # on an invariant test, a tie at the try's first index: only the
-        # strict test refuses the block at 34, and the one at 66 decides the
-        # rest, so the from-k window's first violation is 35, not 34
-        got, events = _block_events(TIE_AT_BLOCK_START, 100, 35)
-        assert events == [("refused", 34), ("certified", 66), ("lasting", 98)]
-        assert got.p1_from_k.first_violation == 35
-        assert got == reference_windows(TIE_AT_BLOCK_START, 100, 35)
+        # strict test refuses the block at 4, and the one at 6, after the
+        # next two-index run, decides the rest, so the from-k window's
+        # first violation is 5, not 4
+        got, events = _block_events(TIE_AT_BLOCK_START, 100, 5)
+        assert events == [("refused", 4), ("certified", 6), ("lasting", 38)]
+        assert got.p1_from_k.first_violation == 5
+        assert got == reference_windows(TIE_AT_BLOCK_START, 100, 5)
+
+    def test_tries_follow_two_part_decided_indices(self):
+        # (case, events): DEEP tries at 2, after its first two indices,
+        # decided on part signs, and certifies; LATE_GROWTH's try at 6 is
+        # refused and the one at 8, after two more, certified, as on its
+        # mirror; the test that is not invariant tries once in a window of
+        # 300, on TRANSIENT and its mirror; the mirror certifies early on
+        # ALTERNATING, DEEP_MIRRORED and TABLE_NEGATED, whose first two-index
+        # run ends at 2, and so do the repeated root 1 and its mirror, -1
+        for case, want in (
+            ((DEEP, 100, 150), [("certified", 2), ("lasting", 34)]),
+            ((LATE_GROWTH, 100, 0), [("refused", 6), ("certified", 8), ("lasting", 40)]),
+            ((_mirrored(LATE_GROWTH), 100, 0),
+             [("refused", 6), ("certified", 8), ("lasting", 40)]),
+            ((TRANSIENT, 300, 0), [("refused", 2)]),
+            ((TRANSIENT_MIRRORED, 300, 0), [("refused", 2)]),
+            ((ALTERNATING, 100, 150), [("certified", 2), ("lasting", 34)]),
+            ((DEEP_MIRRORED, 100, 150), [("certified", 2), ("lasting", 34)]),
+            ((TABLE_NEGATED, 100, 150), [("certified", 3), ("lasting", 35)]),
+            ((RecurrenceSpec(2, 1, 1, 3), 100, 0), [("certified", 2), ("lasting", 34)]),
+            ((RecurrenceSpec(-2, 1, 1, -3), 100, 0), [("certified", 2), ("lasting", 34)]),
+        ):
+            got, events = _block_events(*case)
+            assert events == want, case
+            assert got == reference_windows(*case), case
 
     @given(st.integers(-30, 30), st.integers(-30, 30).filter(bool),
            st.sampled_from((0, 1, 2, 3, 13)), st.integers(-20, 20).filter(bool),
@@ -1010,89 +1043,93 @@ class TestLastingCertificates:
     against the naive references around each exit, and by event traces."""
 
     CASES = (
-        # the certificate at 32 decides [64, 300], far below the window's
+        # the certificate at 2 decides [34, 300], far below the window's
         # end, and the from-k window [299, 600] with it
         (DEEP, 300, 0), (DEEP, 300, 300),
-        # windows that are not a multiple of _BLOCK: the certified block
-        # [32, 64) ends on the window's last index (63) or inside it
+        # the certified block [2, 34) ends on the window's last index (33),
+        # and windows that are not a multiple of _BLOCK end past it
+        (DEEP, 33, 0), (DEEP, 33, 40), (DEEP_NEGATIVE, 33, 34), (DEEP_NEGATIVE, 33, 40),
         (DEEP, 63, 0), (DEEP, 63, 70), (DEEP_NEGATIVE, 63, 64), (DEEP_NEGATIVE, 63, 70),
         (DEEP, 77, 0), (DEEP, 95, 3), (DEEP_NEGATIVE, 95, 0),
-        # M < 0: every index from 64 on violates P1; the from-k window's
-        # first is max(64, k - 1), before, at and past the window's end
+        # M < 0: every index violates P1, those from the certified block on
+        # read off it; the from-k window's first is its first index k - 1,
+        # before, at and past the window's end
         (DEEP_NEGATIVE, 100, 0), (DEEP_NEGATIVE, 100, 50), (DEEP_NEGATIVE, 100, 70),
         (DEEP_NEGATIVE, 100, 101), (DEEP_NEGATIVE, 100, 102), (DEEP_NEGATIVE, 100, 150),
-        # certified blocks [32, 64) that run past the window's end (40),
-        # with the from-k window's first violation inside it and past it
+        # certified blocks [2, 34) that run past the window's end (10 and
+        # 40), with the from-k window's first violation inside it and past it
+        (DEEP, 10, 0), (DEEP_NEGATIVE, 10, 11), (DEEP_NEGATIVE, 10, 30),
         (DEEP, 40, 0), (DEEP_NEGATIVE, 40, 41), (DEEP_NEGATIVE, 40, 60),
         # the falling unit root, whose strict test is invariant: a wide
-        # window and from-k windows past it, each decided by the block at 32
+        # window and from-k windows past it, each decided by the block at 2
         (FALLING_UNIT, 3000, 0), (FALLING_UNIT, 100, 150), (FALLING_UNIT, 100, 5000),
         # far from-k windows, decided by the certified block
         (DEEP, 100, 2000), (DEEP_NEGATIVE, 100, 2000),
         # far from-k windows the walk jumps to
         (FIB, 20, 3000), (FIB, 0, 500), (FIB, 20, 100), (TABLE, 50, 600), (TABLE, 64, 1000),
-        # tests that are not invariant: the tries are refused and the walk
+        # tests that are not invariant: the one try is refused and the walk
         # reads each index, past the terms' growth at window 300
         (TRANSIENT, 200, 0), (TRANSIENT, 300, 0), (RISING, 100, 150),
     )
     # the dominant root negative: the test on the mirror (-1)**n * M[n]
-    # certifies the block at 32 (33 on TABLE_NEGATED), and P1 fails at
-    # every other index from there, where M > 0 (from 32 on ALTERNATING and
-    # DEEP_MIRRORED, from 34 on TABLE_NEGATED); certified blocks inside the
-    # window (100), ending on its last index (63) and past its end (40),
-    # and from-k windows before, at and past the window's end, the first
-    # index past it of either parity, and far
+    # certifies the block at 2 (3 on TABLE_NEGATED), and P1 fails at every
+    # other index from there, where M > 0 (from 2 on ALTERNATING and
+    # DEEP_MIRRORED, from 4 on TABLE_NEGATED); certified blocks inside the
+    # window (63 and 100), ending on its last index (33, and 34 on
+    # TABLE_NEGATED) and past its end (10), and from-k windows before, at
+    # and past the window's end, the first index past it of either parity,
+    # and far
     ALTERNATING_CASES = tuple(
         (spec, w, k) for spec in (ALTERNATING, TABLE_NEGATED, DEEP_MIRRORED)
-        for w in (40, 63, 100) for k in (w // 2, w, w + 1, w + 2, w + 3, 2000))
+        for w in (10, 33, 34, 63, 100) for k in (w // 2, w, w + 1, w + 2, w + 3, 2000))
 
     def test_scan_matches_references(self):
         _assert_matches_references(self.CASES + self.ALTERNATING_CASES)
 
     def test_one_block_decides_the_rest(self):
-        # DEEP: 32 indices on part signs, then one certified block, after
-        # which the walk stops at 64; its from-k window [149, 250] is
+        # DEEP: 2 indices on part signs, then one certified block, after
+        # which the walk stops at 34; its from-k window [149, 250] is
         # clean with no walk past the window
         got, events = _block_events(DEEP, 100, 150)
-        assert events == [("certified", 32), ("lasting", 64)]
+        assert events == [("certified", 2), ("lasting", 34)]
         assert got.p2.holds_on_window and got.p3.holds_on_window
         assert got.p1_from_k.holds_on_window and got.n0_witness == 0
         assert got == reference_windows(DEEP, 100, 150)
         # the same at from-k 10**5: no walk past the window either
         far, events = _block_events(DEEP, 100, 10**5)
-        assert events == [("certified", 32), ("lasting", 64)]
+        assert events == [("certified", 2), ("lasting", 34)]
         assert far.p1_from_k == WindowReport(PropertyId.P1, (10**5 - 1, 10**5 + 100), True, None, ())
         # every term negative: the from-k window's first violation is its
         # first index, 149, with no walk past the window
         got, events = _block_events(DEEP_NEGATIVE, 100, 150)
-        assert events == [("certified", 32), ("lasting", 64)]
+        assert events == [("certified", 2), ("lasting", 34)]
         assert got.n0_witness is None and got.p1_from_k.first_violation == 149
         assert got == reference_windows(DEEP_NEGATIVE, 100, 150)
-        # no certificate past the window: FIB jumps from 21 to 99 and steps
-        # through [99, 120]
-        got, events = _block_events(FIB, 20, 100, ("lasting", "jump", "p1"))
+        # no certificate: TRANSIENT's one try is refused, so P1 jumps from
+        # 21 to 99 and steps through [99, 120]
+        got, events = _block_events(TRANSIENT, 20, 100, ("lasting", "jump", "p1"))
         assert events[-2:] == [("jump", 21, 99), ("p1", range(99, 121))]
-        assert got == reference_windows(FIB, 20, 100)
+        assert got == reference_windows(TRANSIENT, 20, 100)
 
     def test_one_block_decides_alternating_terms(self):
         for case in self.ALTERNATING_CASES:
-            at = 33 if case[0] is TABLE_NEGATED else 32
+            at = 3 if case[0] is TABLE_NEGATED else 2
             _, events = _block_events(*case)
             assert events == [("certified", at), ("lasting", at + oracle._BLOCK)], case
         # P1 read off the parity of the index, with no walk past the
         # window: a[101] < 0 < a[102] on ALTERNATING, so the from-k window
         # [101, 202] first fails at 102, and [100, 201] at 100
         got, events = _block_events(ALTERNATING, 100, 102, ("jump", "p1"))
-        assert events == [("p1", range(32)), ("p1", range(32, 101)), ("p1", range(102, 103))]
+        assert events == [("p1", range(2)), ("p1", range(2, 101)), ("p1", range(102, 103))]
         assert got.n0_witness is None
         assert got.p1_from_k.first_violation == 102
         assert oracle.scan(ALTERNATING, 100, 101).p1_from_k.first_violation == 100
-        # a[33] < 0 on TABLE_NEGATED's certified block at 33, the window's
-        # last index: the window holds P1 from 33 on (n0 = 33), and its
-        # from-k window [33, 67] first fails one index past the window
-        got = oracle.scan(TABLE_NEGATED, 33, 34)
-        assert got.n0_witness == 33 and got.p1_from_k.first_violation == 34
-        assert got == reference_windows(TABLE_NEGATED, 33, 34)
+        # a[3] < 0 on TABLE_NEGATED's certified block at 3, the window's
+        # last index: the window holds P1 from 3 on (n0 = 3), and its
+        # from-k window [3, 7] first fails one index past the window
+        got = oracle.scan(TABLE_NEGATED, 3, 4)
+        assert got.n0_witness == 3 and got.p1_from_k.first_violation == 4
+        assert got == reference_windows(TABLE_NEGATED, 3, 4)
 
     def test_invariant_ratio_tests(self):
         def tests(spec, c):
@@ -1163,13 +1200,14 @@ class TestDifferenceJump:
                 assert got == (m1 - q * m0, m2 - q * m1), (spec, s)
 
     # far from-k windows with no certificate before them, so the walk
-    # jumps: the near-unit corner, the table spec negated and ALTERNATING,
-    # whose from-k window's first or second index violates, and a clean
+    # jumps: the near-unit corner; the table spec negated and ALTERNATING,
+    # whose from-k window's second or first index violates, at window 1,
+    # where the walk reads two indices, too few for a try; and a clean
     # from-k window of 1001 indices on RISING
     FAR_CASES = (
         (TestNearCornerExactStep.CORNER, 20, 2000),
-        (TABLE_NEGATED, 20, 2000),
-        (ALTERNATING, 30, 3000),
+        (TABLE_NEGATED, 1, 2000),
+        (ALTERNATING, 1, 3001),
         (RISING, 1000, 2000),
     )
 
@@ -1180,18 +1218,27 @@ class TestDifferenceJump:
             assert events == [("jump", case[1] + 1, case[2] - 1)], case
 
 
-def _broken_carrier(spec):
-    """The spec's integer carrier with the recurrence broken once: the
-    term after M[11] is off by 1, and the walk goes on from there."""
-    q, A, B, D, M = integer_carrier(spec)
+def _broken_carrier(at):
+    """integer_carrier with the recurrence broken once: M[at] is off by 1,
+    at >= 2, and the terms go on from there."""
 
-    def terms():
-        m0, m1 = next(M), next(M)
-        for n in count():
-            yield m0
-            m0, m1 = m1, A * m1 - B * q * m0 + (n == 10)
+    def carrier(spec):
+        q, A, B, D, M = integer_carrier(spec)
 
-    return q, A, B, D, terms()
+        def terms():
+            m0, m1 = next(M), next(M)
+            for n in count(2):
+                yield m0
+                m0, m1 = m1, A * m1 - B * q * m0 + (n == at)
+
+        return q, A, B, D, terms()
+
+    return carrier
+
+
+# DEEP on starts of 700 bits and more, whose carrier pair at the certified
+# block is far longer than the ends of its ratio test
+DEEP_LONG = make_h_spec(DEEP.a, DEEP.b, DEEP.v0 * 2**700)
 
 
 class TestCasoratianNorm:
@@ -1223,11 +1270,14 @@ class TestCasoratianNorm:
     def test_complex_p3_reads_the_carrier(self, monkeypatch):
         # b = 1: |beta| = 1 and every P3 comparison is a tie, until the
         # broken step makes M[12] one too large and N[11] exceed N[10]
-        monkeypatch.setattr(oracle, "integer_carrier", _broken_carrier)
+        monkeypatch.setattr(oracle, "integer_carrier", _broken_carrier(12))
         assert oracle.scan(RecurrenceSpec(1, 1, 1, 2), 50, 0).p3.first_violation == 10
 
     def test_self_check_raises_on_a_broken_recurrence(self, monkeypatch):
-        monkeypatch.setattr(oracle, "integer_carrier", _broken_carrier)
+        # FIB's walk reads M[0] to M[4] and certifies the block at 2 from
+        # (M[2], M[3]); M[3] one too large puts that pair off the solution
+        # the norm N[0] was read on
+        monkeypatch.setattr(oracle, "integer_carrier", _broken_carrier(3))
         with pytest.raises(InternalInconsistency, match="self-check"):
             oracle.scan(FIB, 50, 0)
 
@@ -1242,12 +1292,13 @@ class TestCasoratianNorm:
             return (v0 + 1, v1) if abs(w0) >= 1 << 64 else (v0, v1)
 
         jump = oracle._jump
+        assert _block_events(DEEP_LONG, 100, 0)[1] == [("certified", 2), ("lasting", 34)]
         monkeypatch.setattr(oracle, "_jump", broken)
         with pytest.raises(InternalInconsistency, match="self-check"):
-            oracle.scan(DEEP, 100, 0)
+            oracle.scan(DEEP_LONG, 100, 0)
 
     def test_self_check_reaches_the_cli_as_exit_one(self, monkeypatch, capsys):
-        monkeypatch.setattr(oracle, "integer_carrier", _broken_carrier)
+        monkeypatch.setattr(oracle, "integer_carrier", _broken_carrier(3))
         code = cli.main(["analyze", "--a", "1", "--b", "-1", "--h-init", "1",
                          "--window", "50"])
         out, err = capsys.readouterr()

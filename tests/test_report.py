@@ -24,12 +24,14 @@ from recmono import (
     make_h_spec,
     oracle,
     ratio_limit,
+    riccati_orbit,
     term_minus_one,
     terms_between,
 )
 from recmono.decisions import Branch, Verdict
 from recmono.qfield import quadratic_roots
-from recmono.report import TERMS_PREVIEW_LEN
+from recmono import report as report_module
+from recmono.report import RICCATI_PREFIX_LEN, TERMS_PREVIEW_LEN
 
 from conftest import build_corpus
 
@@ -96,6 +98,19 @@ class TestPinnedContent:
         assert report["verdicts"]["p2_eventual_ratio_monotone"] is None
         assert report["riccati_prefix"] is None
         assert report["ratio_limit"] is None
+
+    def test_riccati_prefix_is_the_orbit(self):
+        # the report's integer states print as riccati_orbit's Fractions, a
+        # zero-term spec and negative starts among them
+        specs = [RecurrenceSpec(3, 2, -31, -30), *build_corpus(31, 60)]
+        for spec in specs:
+            if not (spec.v0 and spec.v1):
+                continue
+            b0 = spec.v1 / spec.v0
+            orbit = riccati_orbit(spec.a, spec.b, b0, RICCATI_PREFIX_LEN)
+            assert build_report(spec, 10)["riccati_prefix"] == {
+                "b0": str(b0), "states": [str(s) for s in orbit.states],
+                "terminated_early": orbit.terminated_early}, spec
 
     def test_degenerate_geometric_flag(self):
         # start lying on the repeated eigen-solution 2^n
@@ -291,6 +306,35 @@ class TestContractFires:
                            match="eventually_nondecreasing holds from n0 = 15 on"):
             build_report(spec, 2)
 
+    # a[5] = 0 on RecurrenceSpec(3, 2, -31, -30): its orbit ends at state 4
+    @pytest.mark.parametrize("spec, fault", [
+        (make_h_spec(1, -1, 1), "one state late"),
+        (make_h_spec(1, -1, 1), "state 5 off by one"),
+        (RecurrenceSpec(Fraction(7, 3), Fraction(-5, 7), Fraction(3, 4), Fraction(-2, 5)),
+         "state 7 off by one"),
+        (RecurrenceSpec(3, 2, -31, -30), "zero state dropped"),
+        (RecurrenceSpec(3, 2, -31, -30), "one state early"),
+    ])
+    def test_riccati_prefix_row_fires(self, monkeypatch, spec, fault):
+        # the kernel broken one way at a time, against the carrier's terms
+        def broken(*args):
+            states = list(kernel(*args))
+            if fault == "one state late":
+                return states[1:]
+            if fault == "one state early":
+                return states[:1] + states
+            if fault == "zero state dropped":
+                return states[:-1]
+            n = int(fault.split()[1])
+            p, r = states[n]
+            return states[:n] + [(p + 1, r)] + states[n + 1:]
+
+        build_report(spec, 40)  # consistent before the fake
+        kernel = report_module._states
+        monkeypatch.setattr(report_module, "_states", broken)
+        with pytest.raises(InternalInconsistency, match="riccati_prefix"):
+            build_report(spec, 40)
+
     @pytest.mark.parametrize("v0, v1", [(1, 2), (2, 2), (Fraction(1, 3), 7)])
     def test_hartman_aurel_ordered_start_has_clean_tail(self, v0, v1):
         spec = RecurrenceSpec(Fraction(7, 2), Fraction(1, 2), v0, v1)
@@ -470,14 +514,14 @@ class TestWorkCounts:
     # residual decimals, and two for a P2 violation detail; the verdicts
     # and the signs the report reads build none.
     # over_common_denominator: the integer form clears (a, b) and
-    # (v0, v1) once each, and quadratic_roots, hartman_aurel_sufficient
-    # and, where v0*v1 != 0, riccati_orbit clear (a, b) once more each.
+    # (v0, v1) once each, and quadratic_roots and hartman_aurel_sufficient
+    # clear (a, b) once more each; the Riccati prefix reads the integer form.
     CASES = [
         (RecurrenceSpec(Fraction(-7, 3), Fraction(-5, 7), Fraction(3, 4), Fraction(-2, 5)),
-         5, 5),
-        (RecurrenceSpec(Fraction(5, 2), 1, 3, -1), 7, 5),  # P2 fails at 0
-        (RecurrenceSpec(1, 1, 1, 2), 0, 5),  # complex roots
-        (make_h_spec(Fraction(11, 10), Fraction(1, 5), 2), 5, 5),
+         5, 4),
+        (RecurrenceSpec(Fraction(5, 2), 1, 3, -1), 7, 4),  # P2 fails at 0
+        (RecurrenceSpec(1, 1, 1, 2), 0, 4),  # complex roots
+        (make_h_spec(Fraction(11, 10), Fraction(1, 5), 2), 5, 4),
         (RecurrenceSpec(3, 2, 0, 1), 5, 4),
     ]
 
