@@ -15,6 +15,35 @@ clause that forces an early violation also names the index it forces one
 by, so the report checks a window against the verdict alone.  The
 criteria quantify over all n; the oracle scans finite windows; keeping
 both routes separate is the point.
+
+One index bounds P1's tail where the dominant term is proven to win,
+_dominance_index, on the integer form alone.  With N = A*A - 4*B*q > 0
+the roots r+ = (A + sqrt(N))/(2*q) and r- = (A - sqrt(N))/(2*q) are
+distinct, a[n] = c1*r+**n + c2*r-**n, and the differences are
+a[n+1] - a[n] = C1*r+**n + C2*r-**n with C1 = c1*(r+ - 1) and
+C2 = c2*(r- - 1).  Over the positive 4*q*D*sqrt(N) each is a product of
+two linear surds: (X + V0*sqrt(N))*(A - 2*q + sqrt(N)) for C1 and
+(V0*sqrt(N) - X)*(A - 2*q - sqrt(N)) for C2, with X = 2*q*V1 - A*V0;
+and rho = r+/|r-| is (A + sqrt(N))/|A - sqrt(N)|.  One
+r = isqrt(N << 128) brackets 2**64*sqrt(N) in [r, r + 1], and so each
+factor, times 2**64, in an integer interval.  The brackets prove C1 > 0
+where both of its factors' intervals lie on one side of 0, and
+rho >= P/Q > 1 where the lower end P of A + sqrt(N) exceeds the upper
+end Q of |A - sqrt(N)|; else, or where N <= 0, _dominance_index proves
+nothing and returns None.  They bound |C2|/C1 by x/y, the products of the factors'
+largest and least moduli.  Then every n >= ceil(L*P/(P - Q)), with
+L = bits(x) - bits(y) + 1, has a[n] < a[n+1]: log2(x/y) < L, since
+x < 2**bits(x) and y >= 2**(bits(y) - 1); and
+log2(rho) >= ln(rho) >= (rho - 1)/rho >= (P - Q)/P, since
+ln(t) >= 1 - 1/t for t > 0, ln 2 < 1 and (t - 1)/t grows with t; so
+n*log2(rho) >= L > log2(|C2|/C1), that is C1*r+**n > |C2|*|r-|**n with
+r+ > 0.  Where x <= y the index is 0, since rho**n >= 1 >= |C2|/C1
+there (a[n] <= a[n+1]).  No float enters, and the proof
+reads nothing of the clause chain: the index holds wherever it is
+proven, which the chain allows only on COND_MONOTONIC_1.  A from-k test
+on that clause past the index needs no triple (_p1_verdict); on the
+10**-7 near-unit input (2, 1 - 10**-14, 1, 1 - 10**-8), whose n0 lies
+near 10**6, the index is 10000001.
 """
 
 from __future__ import annotations
@@ -22,6 +51,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
+from math import isqrt
 from typing import NamedTuple, Optional
 
 from .qfield import RationalLike, dominant_root_sign, over_common_denominator
@@ -98,18 +128,35 @@ def _ordered_triple(spec: RecurrenceSpec, start: int) -> bool:
 def _p1_verdict(spec: RecurrenceSpec, k: Optional[int]) -> Verdict:
     """The clause chain shared by both P1 tests; k = None is the eventual one.
 
-    With real roots, c = sign(v1 - v0*beta) is 0 exactly on a geometric
-    start and is the sign of the dominant root's coefficient where a > 0.
-    The from-k test reads its triple a[k-1], a[k], a[k+1] first, after
-    the discriminant check; the eventual test reads a[0], a[1], a[2] only
-    on the two clauses that consult it, r+ = 1 and c = 0.
+    The chain runs first.  A from-k test then reads its triple a[k-1],
+    a[k], a[k+1], which, unordered, fails it whatever the chain says, but
+    not where the chain holds on COND_MONOTONIC_1 at a k >= 2 with
+    k - 1 >= _dominance_index(spec): that index proves the triple ordered,
+    so the O(log k) read of three O(k)-digit terms is left out.
     """
     if _complex_roots(spec):
         return Verdict(False, Branch.DISCRIMINANT_NEGATIVE)
+    verdict = _p1_chain(spec, k is None)
+    if k is None:
+        return verdict
+    if k >= 2 and verdict.branch is Branch.COND_MONOTONIC_1:
+        clean = _dominance_index(spec)
+        if clean is not None and clean <= k - 1:
+            return verdict
     # an unordered from-k triple holds a violation at k - 1 or k
-    unordered = Verdict(False, Branch.FAIL_INITIAL_TRIPLE, k)
-    if k is not None and not _ordered_triple(spec, k - 1):
-        return unordered
+    if not _ordered_triple(spec, k - 1):
+        return Verdict(False, Branch.FAIL_INITIAL_TRIPLE, k)
+    return verdict
+
+
+def _p1_chain(spec: RecurrenceSpec, eventual: bool) -> Verdict:
+    """P1's clauses on real roots, past any from-k triple.
+
+    c = sign(v1 - v0*beta) is 0 exactly on a geometric start and is the
+    sign of the dominant root's coefficient where a > 0.  The eventual
+    test reads a[0], a[1], a[2] only on the two clauses that consult it,
+    r+ = 1 and c = 0.
+    """
     unit = -spec._gap_sign(1, 1, 1)  # sign(r+ - 1)
     if unit:
         if spec._gap_sign(1, 1, 0) >= 0:  # r+ <= 0
@@ -124,9 +171,49 @@ def _p1_verdict(spec: RecurrenceSpec, k: Optional[int]) -> Verdict:
     # r+ = 1, where the ordered start decides; or the geometric sequence
     # v0*beta**n, whose differences v0*beta**n*(beta - 1) share one sign if
     # beta > 0 and alternate if not, so its triple decides it
-    if k is None and not _ordered_triple(spec, 0):
-        return unordered
+    if eventual and not _ordered_triple(spec, 0):
+        return Verdict(False, Branch.FAIL_INITIAL_TRIPLE)
     return Verdict(True, Branch.COND_GEOMETRIC if unit else Branch.COND_ALPHA_ONE)
+
+
+def _dominance_index(spec: RecurrenceSpec) -> Optional[int]:
+    """An index from which a[n] <= a[n+1] at every n, proven where
+    C1*r+**n dominates (see the module docstring); None where N <= 0 or
+    the brackets do not prove C1 > 0 and rho > 1."""
+    q, A, B, _, V0, V1 = spec._integers
+    N = A * A - 4 * B * q
+    if N <= 0:
+        return None
+    r = isqrt(N << 128)  # r <= 2**64*sqrt(N) < r + 1
+
+    def bracket(x: int, y: int) -> tuple[int, int]:
+        """(lo, hi) with lo <= 2**64*(x + y*sqrt(N)) <= hi."""
+        ends = (x << 64) + y * r, (x << 64) + y * (r + 1)
+        return ends if y >= 0 else ends[::-1]
+
+    def most(lo: int, hi: int) -> int:
+        return max(-lo, hi)
+
+    # C1 > 0 where its two factors lie on one side of 0; |C2|/C1 <= c2/c1
+    X = 2 * q * V1 - A * V0
+    f_lo, f_hi = bracket(X, V0)
+    g_lo, g_hi = bracket(A - 2 * q, 1)
+    if f_lo > 0 and g_lo > 0:
+        c1 = f_lo * g_lo
+    elif f_hi < 0 and g_hi < 0:
+        c1 = f_hi * g_hi
+    else:
+        return None
+    c2 = most(*bracket(-X, V0)) * most(*bracket(A - 2 * q, -1))
+    # rho >= P/Q > 1
+    P, Q = bracket(A, 1)[0], most(*bracket(A, -1))
+    if P <= Q:
+        return None
+    if c2 <= c1:
+        return 0
+    # n*(P - Q)/P >= L > log2(c2/c1) from n = ceil(L*P/(P - Q)) on
+    L = c2.bit_length() - c1.bit_length() + 1
+    return -(-L * P // (P - Q))
 
 
 def eventually_nondecreasing(spec: RecurrenceSpec) -> Verdict:

@@ -38,6 +38,13 @@ the terms alternate in sign, and the test runs on the mirror
 (-1)**n * M[n], which solves the recurrence with -A and keeps one sign:
 it certifies growth of |M| the same way, and P1, the one property that
 reads signs, then fails at every other index, read off its parity.
+That argument holds for every even block length (the parity of the
+pair a certified block advances to needs it even).  Since tries follow
+two part-decided indices and invariance is decided once per scan, the
+length sets only how many ratio tests meet in one interval and how far
+_invariant and the certified pair jump, so _BLOCK is 2, the shortest:
+blocks of 32 certified and refused exactly the same scans of
+report-corpus, report-deep (seeds 1-3) and tests/sweep.py, at more cost.
 
 For speed the scans run on a rescaled integer copy of the sequence,
 recurrence.integer_carrier: with a = A/q, b = B/q over a common
@@ -90,8 +97,9 @@ __all__ = [
     "scan",
 ]
 
-# indices per certified block of the P2/P3 walk (see scan)
-_BLOCK = 32
+# indices per certified block of the P2/P3 walk (see scan); any even
+# length serves the proof, and the shortest costs least
+_BLOCK = 2
 
 # the walk's event sink (see scan): None, the default, emits nothing
 _events: Optional[list[tuple]] = None

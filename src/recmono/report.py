@@ -17,6 +17,11 @@ whose n0 lies past the window has k* = n0 + 1 found by the decisions
 window at k*, and a first violation at k* - 2 in the one at k* - 1,
 which is scanned at window 0, since its first two indices decide that
 fact and the P2/P3 walk over the window would only repeat the first scan.
+The search reads decisions past the dominance index at no far cost
+(decisions._dominance_index), and stops at N0_SEARCH_LIMIT.  Where it
+fails there, n0 may lie past it only if that index is proven and at
+least the limit: the input is then refused (ValueError, exit 2, naming
+the limit and the index), and otherwise the failure is a contradiction.
 Which clause forces which violation is stated in decisions alone; a
 start on the dominant eigen-solution is decided there too (its weighted
 residual is identically zero, so P3 holds), and the report only prints
@@ -71,12 +76,13 @@ RICCATI_PREFIX_LEN = 8
 TERMS_PREVIEW_LEN = 9
 
 # the largest start at which the report looks for n0 past the window; one
-# decision read at k takes O(log k) products of O(k)-digit integers: on
-# (a, b, v0, v1) = (2, 1 - 10**-14, 1, 1 - 10**-8), whose search reaches
-# the limit, the read at 32768 took 0.27 s and the whole report 0.47 s,
-# and on (2, 1 - 10**-30, 1, 1 - 10**-16) 1.15 and 2.0 s (CPython 3.11.7,
-# x86-64); n0 on valid input can lie far past the limit: on the first of
-# these it is near 10**6 (a float estimate), and that report exits 1
+# decision read at k before the dominance index takes O(log k) products of
+# O(k)-digit integers: on (a, b, v0, v1) = (2, 1 - 10**-14, 1, 1 - 10**-8),
+# whose search reaches the limit, the read at 32768 took 0.27 s and the
+# whole report 0.47 s, and on (2, 1 - 10**-30, 1, 1 - 10**-16) 1.15 and
+# 2.0 s (CPython 3.11.7, x86-64); n0 on valid input can lie far past the
+# limit: on the first of these it is near 10**6 (a float estimate), under
+# a proven dominance index of 10000001, and that report exits 2
 N0_SEARCH_LIMIT = 1 << 15
 
 
@@ -101,6 +107,10 @@ def _verdict_json(v: Optional[Verdict], **extra) -> Optional[dict]:
     out = {"holds": v.holds, "branch": v.branch.value}
     out.update(extra)
     return out
+
+
+def _said(v: Verdict) -> str:
+    return f"{'holds' if v.holds else 'fails'} on {v.branch.value}"
 
 
 def _window_json(w: Optional[WindowReport], **extra) -> Optional[dict]:
@@ -218,8 +228,13 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
                 f"{name} fails on {verdict.branch.value}, which forces a violation by "
                 f"index {by}, but the window's first violation is {first}"
             )
-    if v_h_monotone is not None and v_h_monotone.holds and spec.v0 <= 0:
-        _mismatch(f"positive_monotone_h holds but v0 = {spec.v0} is not positive")
+    # on an h-type spec a[-1] = 0, so positive_monotone_h (0 < a[0] <= a[n] <=
+    # a[n+1] for all n) says nondecreasing_from(0) and v0 > 0: two clause
+    # chains, held against each other
+    if v_h_monotone is not None and v_h_monotone.holds != (v_immediate.holds and spec.v0 > 0):
+        raise InternalInconsistency(
+            f"decision cross-check: positive_monotone_h {_said(v_h_monotone)}, but "
+            f"nondecreasing_from(0) {_said(v_immediate)} and v0 = {spec.v0}")
     if v_eventual.holds and n0 is None:
         # the window's last pair, at index window, violates, so n0 lies past
         # the window and nondecreasing_from fails at window + 1; k* = n0 + 1
@@ -227,6 +242,16 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
         # k* - 2, the first index of the from-k window at k* - 1
         k = _first_clean_start(spec, window + 1)
         if k is None:
+            # the failed search puts a violation at some n >= N0_SEARCH_LIMIT - 1,
+            # which a proven clean tail from N_hi on contradicts only where
+            # N_hi < N0_SEARCH_LIMIT; past that n0 <= N_hi may lie beyond the
+            # search, and the input is refused
+            clean = decisions._dominance_index(spec)
+            if clean is not None and clean >= N0_SEARCH_LIMIT:
+                raise ValueError(
+                    f"n0 lies past the search limit: nondecreasing_from fails at every "
+                    f"start up to {N0_SEARCH_LIMIT}, and the dominance bound proves "
+                    f"only n0 <= {clean}")
             _mismatch(
                 "eventually_nondecreasing holds but nondecreasing_from fails at every "
                 f"start up to {N0_SEARCH_LIMIT}"

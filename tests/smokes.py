@@ -87,39 +87,39 @@ CAP = {f"res_cap_{region}_{box}": (box, region) for box in CAP_BOXES for region 
 SMOKES = [
     Smoke("fibonacci",
           ("analyze", "--a", "1", "--b", "-1", "--h-init", "1", "--window", "50"),
-          walk=Walk((2,), (34,))),
+          walk=Walk((2,), (4,))),
     # the block certified at 2 decides P1, P2 and P3 at every later index,
     # so the clean from-k window [1999, 2050] needs no jump
     Smoke("fibonacci_from_k",
           ("analyze", "--a", "1", "--b", "-1", "--h-init", "1", "--window", "50",
            "--from-k", "2000"),
-          walk=Walk((2,), (34,)),
+          walk=Walk((2,), (4,)),
           facts={"oracle_windows.p1_from_k.checked_range": [1999, 2050],
                  "oracle_windows.p1_from_k.first_violation": None}),
     # every term negative from index 1 on and falling from 2 on: the
-    # certified block [4, 36) makes every later index a P1 violation, the
+    # certified block [4, 6) makes every later index a P1 violation, the
     # from-k window's first at its first index, with no jump
     Smoke("negative_from_34",
           ("analyze", "--a=7/3", "--b=-5/7", "--v0=3/4", "--v1=-2/5", "--window=300",
            "--from-k=30000"),
-          walk=Walk((4,), (36,), exact=2),
+          walk=Walk((4,), (6,), exact=2),
           facts={"oracle_windows.p1_from_k.first_violation": 29999}),
-    # the report-deep shape: one certified block [2, 34) decides P1, P2 and
+    # the report-deep shape: one certified block [2, 4) decides P1, P2 and
     # P3 at every later index, with no jump
     Smoke("deep", golden="analyze_deep_q13_neg_b",
-          walk=Walk((2,), (34,)),
+          walk=Walk((2,), (4,)),
           facts={"oracle_windows.p1_from_k.first_violation": None}),
     # the same with every term negative: the from-k window stops at its
     # first index
     Smoke("deep_negative",
           ("analyze", "--a=28/13", "--b=-3/13", "--h-init=-2/5", "--window=1000",
            "--from-k=1000"),
-          walk=Walk((2,), (34,)),
+          walk=Walk((2,), (4,)),
           facts={"oracle_windows.p1_from_k.first_violation": 999}),
     # rational roots 3 and 1/2, q = 2 < |B| = 3
     Smoke("rational_roots",
           ("analyze", "--a=7/2", "--b=3/2", "--v0=1", "--v1=2", "--window", "1000"),
-          walk=Walk((2,), (34,))),
+          walk=Walk((2,), (4,))),
     # past the window P1 jumps from 11 to the from-k window's first index,
     # 29, and steps from there to its violation at 36
     Smoke("from_k_far_violation", golden="analyze_from_k_far_violation",
@@ -135,33 +135,33 @@ SMOKES = [
     # repeated root 1: P3 ties at every index; a block of growth by 1
     Smoke("repeated_unit_root",
           ("analyze", "--a", "2", "--b", "1", "--v0", "1", "--v1", "3", "--window", "1000"),
-          walk=Walk((2,), (34,))),
+          walk=Walk((2,), (4,))),
     # the same root falling, a[n] = -1 - 2*n: every later index is a P1
     # violation, the from-k window's first at its first index
     Smoke("repeated_unit_root_falling",
           ("analyze", "--a", "2", "--b", "1", "--v0=-1", "--v1=-3", "--window=10000",
            "--from-k=50000"),
-          walk=Walk((2,), (34,)),
+          walk=Walk((2,), (4,)),
           facts={"oracle_windows.p1_from_k.first_violation": 49999}),
     # a growing spec at the --window and --from-k caps
     Smoke("caps",
           ("analyze", "--a=7/3", "--b=-5/7", "--v0=3/4", "--v1=-2/5", "--window=10000",
            "--from-k=50000"),
-          walk=Walk((4,), (36,), exact=2),
+          walk=Walk((4,), (6,), exact=2),
           facts={"oracle_windows.p1_from_k.first_violation": 49999}),
     # alternating terms, dominant root -1.62: the test on the mirror
-    # (-1)**n * M[n] certifies [2, 34); P1 fails at every even index from
+    # (-1)**n * M[n] certifies [2, 4); P1 fails at every even index from
     # 2 on, and the from-k window's first violation is read off its parity
     Smoke("alternating",
           ("analyze", "--a=-1", "--b=-1", "--v0=1", "--v1=-1", "--window=10000",
            "--from-k=50000"),
-          walk=Walk((2,), (34,)),
+          walk=Walk((2,), (4,)),
           facts={"oracle_windows.p1_from_k.first_violation": 50000}),
     # the spec of "caps" with a = -7/3, dominant root -2.61: the mirror
-    # certifies [3, 35)
+    # certifies [3, 5)
     Smoke("alternating_mirrored",
           ("analyze", "--a=-7/3", "--b=-5/7", "--v0=3/4", "--v1=-2/5", "--window=10000"),
-          walk=Walk((3,), (35,), exact=1)),
+          walk=Walk((3,), (5,), exact=1)),
     # n0 past the window, 1152 against the default window of 300 and 15
     # against a window of 2: each is certified on two from-k windows, the
     # second scanned with window 0, so its walk jumps from index 1
@@ -171,6 +171,14 @@ SMOKES = [
     Smoke("n0_past_short_window",
           ("analyze", "--a=1/3", "--b=-3/4", "--v0=4", "--v1=-2", "--window=2"),
           walk=Walk(jumps=((3, 15), (1, 14)), exact=10)),
+    # n0 near 10**6, past the search limit: the dominance bound proves the
+    # tail clean from 10000001 on, so the line is refused, not reported as
+    # an inconsistency
+    Smoke("n0_past_search_limit",
+          ("analyze", "--a", "2", "--b", "99999999999999/100000000000000", "--v0", "1",
+           "--v1", "99999999/100000000"),
+          code=2, stderr="fails at every start up to 32768, and the dominance bound proves "
+                         "only n0 <= 10000001", ci_only=True),
     # a '-'-led value after a space is left to argparse, which refuses it
     Smoke("dash_led_value",
           ("analyze", "--a", "1", "--b", "-1/2", "--h-init", "1"),

@@ -9,11 +9,15 @@ clause forces a violation (violation_by); the pinned cases check it.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from recmono import decisions, report
 from recmono import (
     Branch,
     RecurrenceSpec,
@@ -120,6 +124,158 @@ class TestNondecreasingFrom:
             for k in (0, 2):
                 if nondecreasing_from(spec, k).holds:
                     assert eventually_nondecreasing(spec).holds, (spec, k)
+
+
+small_st = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+wide_st = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 20))
+roots_st = st.builds(Fraction, st.integers(-40, 40).filter(bool), st.integers(1, 12))
+
+
+@st.composite
+def p1_specs(draw):
+    """Real-root specs in the shapes P1's tail is decided on: the sweep's
+    coefficients, the corpus's, the report-deep pool's (q = 13, h-type),
+    the near-unit corner's, and two rational roots, possibly close or
+    repeated, beta < 0 where b < 0; with starts drawn freely, h-type, on
+    either eigen-solution or near the second root's (a dominant
+    coefficient that is tiny against the other), scaled by 1 or 2**700."""
+    shape = draw(st.sampled_from(("sweep", "corpus", "deep", "corner", "roots", "repeated")))
+    roots = ()
+    if shape == "sweep":
+        a, b = draw(small_st), draw(small_st)
+    elif shape == "corpus":
+        a, b = draw(wide_st), draw(wide_st)
+    elif shape == "deep":
+        a = Fraction(draw(st.integers(27, 29)), 13)
+        b = Fraction(draw(st.sampled_from((-1, 1))) * draw(st.integers(1, 6)), 13)
+    elif shape == "corner":
+        a = 2 + draw(st.sampled_from((-1, 1))) * Fraction(draw(st.integers(1, 9)), 10)
+        b = a - 1 - Fraction(1, 10 ** draw(st.integers(2, 4)))
+    else:
+        r = draw(roots_st)
+        t = r if shape == "repeated" else draw(roots_st)
+        a, b, roots = r + t, r * t, (r, t)
+    assume(a and a * a >= 4 * b)
+    start = draw(st.sampled_from(("free", "h", "eigen", "near") if roots else ("free", "h")))
+    v0 = draw(small_st)
+    if start == "free":
+        v1 = draw(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+    elif start == "h":
+        v1 = a * v0
+    else:
+        root = draw(st.sampled_from(roots))
+        v1 = v0 * root
+        if start == "near":
+            v1 += v0 * Fraction(draw(st.sampled_from((-1, 1))), 2 ** draw(st.integers(1, 60)))
+    scale = draw(st.sampled_from((1, 2**700)))
+    return RecurrenceSpec(a, b, v0 * scale, v1 * scale, h_type=start == "h")
+
+
+@st.composite
+def late_tail_specs(draw):
+    """Specs whose terms fall before they rise for good: the near-unit
+    corner of report-corpus, with a start just below its successor, and
+    two rational roots r > |t|, r != 1, with a start near t's
+    eigen-solution whose dominant coefficient has sign(r - 1), so the
+    eventual verdict holds on COND_MONOTONIC_1."""
+    if draw(st.booleans()):
+        a = 2 + draw(st.sampled_from((-1, 1))) * Fraction(draw(st.integers(1, 9)), 10)
+        b = a - 1 - Fraction(1, 10 ** draw(st.integers(2, 4)))
+        v0, m = draw(small_st.filter(lambda v: v > 0)), draw(st.integers(10, 200))
+        return RecurrenceSpec(a, b, v0, v0 * m / (m + 1))
+    t = draw(roots_st)
+    r = abs(t) + draw(st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)))
+    assume(r != 1)
+    v0 = draw(small_st)
+    up = (1 if r > 1 else -1) * (1 if v0 > 0 else -1)
+    v1 = v0 * t + up * Fraction(abs(v0), 2 ** draw(st.integers(1, 60)))
+    return RecurrenceSpec(r + t, r * t, v0, v1)
+
+
+# (spec, n0): the far n0 cases of test_cli, each past its report's window
+FAR_N0 = (
+    (RecurrenceSpec(2, Fraction(999999, 1000000), 11, Fraction(10991, 1000)), 1152),
+    (RecurrenceSpec(Fraction(199, 100), Fraction(98999, 100000), Fraction(3, 4),
+                    Fraction(113, 152)), 336),
+    (RecurrenceSpec(Fraction(1, 3), Fraction(-3, 4), 4, -2), 15),
+    (RecurrenceSpec(2, Fraction(9999999999, 10000000000), 1, Fraction(999999, 1000000)), 10034),
+)
+# roots 1 +- 10**-7 and n0 near 10**6: the bound is 10000001
+FAR_PAST_THE_LIMIT = RecurrenceSpec(2, 1 - Fraction(1, 10**14), 1, 1 - Fraction(1, 10**8))
+# roots 10 and 1/2 and a start 2**-40 off the eigen-solution 2**-n: a
+# dominant coefficient 2**40 times smaller than the other, so the terms
+# fall up to n0 = 11, and rho = 20 is far from 1
+NEAR_SECOND_ROOT = RecurrenceSpec(Fraction(21, 2), 5, 1, Fraction(1, 2) + Fraction(1, 2**40))
+
+
+@contextmanager
+def _triple_only():
+    """A context in which nondecreasing_from reads every from-k triple."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decisions, "_dominance_index", lambda spec: None)
+        yield
+
+
+class TestDominanceIndex:
+    """decisions._dominance_index: an index from which a[n] < a[n+1], proven
+    where the dominant term overtakes the other, and the from-k triple it
+    spares."""
+
+    @given(p1_specs())
+    @example(NEAR_SECOND_ROOT)
+    @example(make_h_spec(1, -1, -1))  # C1 < 0: no bound
+    @example(RecurrenceSpec(Fraction(-5, 2), 1, 1, 1))  # roots -2 and -1/2: rho < 1
+    @settings(max_examples=300, deadline=None)
+    def test_clean_from_the_bound_on_naive_terms(self, spec):
+        # a[m] <= a[m+1] on [n, n + 64] on Fractions walked from a[0], a[1]
+        n = decisions._dominance_index(spec)
+        if n is None or n > 3000:
+            return
+        terms = iterate(spec, n + 65)
+        assert all(x <= y for x, y in zip(terms[n:], terms[n + 1:])), (spec, n)
+
+    def test_far_n0_bounds(self):
+        assert decisions._dominance_index(FAR_PAST_THE_LIMIT) == 10000001
+        assert decisions._dominance_index(NEAR_SECOND_ROOT) >= 11
+        # C1 < 0, rho < 1, complex and repeated roots prove nothing
+        for spec in (make_h_spec(1, -1, -1), RecurrenceSpec(Fraction(-5, 2), 1, 1, 1),
+                     RecurrenceSpec(1, 1, 1, 1), RecurrenceSpec(2, 1, 1, 3)):
+            assert decisions._dominance_index(spec) is None, spec
+
+    @given(p1_specs())
+    @example(NEAR_SECOND_ROOT)
+    @example(FAR_N0[2][0])
+    @settings(max_examples=100, deadline=None)
+    def test_from_k_equals_its_triple_only_verdict(self, spec):
+        with_bound = [nondecreasing_from(spec, k) for k in range(201)]
+        with _triple_only():
+            assert [nondecreasing_from(spec, k) for k in range(201)] == with_bound
+
+    def test_far_from_k_reads_no_triple(self, monkeypatch):
+        # past the bound the verdict is the chain's, with no triple read:
+        # at k = 10**7 + 2 a triple would be three terms of 10**8 digits
+        monkeypatch.setattr(decisions, "_ordered_triple", None)
+        for spec, k in ((FAR_PAST_THE_LIMIT, 10**7 + 2), (FAR_N0[0][0], 2504), (FIB, 1000)):
+            assert nondecreasing_from(spec, k) == (True, Branch.COND_MONOTONIC_1, None)
+
+    @pytest.mark.parametrize("spec, n0", FAR_N0)
+    def test_n0_within_the_bound(self, spec, n0):
+        with _triple_only():
+            assert report._first_clean_start(spec, 1) - 1 == n0
+        assert n0 <= decisions._dominance_index(spec)
+
+    @given(late_tail_specs())
+    @example(NEAR_SECOND_ROOT)
+    @settings(max_examples=100, deadline=None)
+    def test_n0_within_the_bound_on_holding_specs(self, spec):
+        # holding on COND_MONOTONIC_1 with distinct roots, and n0 >= 1
+        if (eventually_nondecreasing(spec).branch is not Branch.COND_MONOTONIC_1
+                or nondecreasing_from(spec, 1).holds):
+            return
+        n = decisions._dominance_index(spec)
+        assert n is not None, spec
+        with _triple_only():
+            assert report._first_clean_start(spec, 1) - 1 <= n, spec
 
 
 # roots for the eigen-start grid: both signs, moduli below, at and above 1

@@ -831,14 +831,14 @@ def _ratio_tie(t, alpha=1 - Fraction(1, 2**70), beta=Fraction(1, 2)):
     return RecurrenceSpec(a, b, -rho.denominator, -rho.numerator)
 
 
-# the tie a[34] = a[33] falls on the last index of the first try [2, 34),
-# where every term is negative, and P1 holds at 33 (n0 = 33); the dominant
+# the tie a[4] = a[3] falls on the last index of the first try [2, 4),
+# where every term is negative, and P1 holds at 3 (n0 = 3); the dominant
 # root below 1 keeps the test on M from being invariant, so the invariance
-# check refuses the try before the strict test counts: at (40, 34) the
+# check refuses the try before the strict test counts: at (40, 4) the
 # walk refuses 2, tries no more and steps on through the window
-TIE_AT_BLOCK_END = _ratio_tie(33)
+TIE_AT_BLOCK_END = _ratio_tie(3)
 # roots 539/500 and -1/2: the tie a[5] = a[4] falls on the first index of
-# the first try [4, 36), where every term is negative, and the test on M is
+# the first try [4, 6), where every term is negative, and the test on M is
 # invariant, so only its strict form refuses that block; the plain form
 # would certify it and make 4 a violation
 TIE_AT_BLOCK_START = _ratio_tie(4, Fraction(539, 500), Fraction(-1, 2))
@@ -851,11 +851,11 @@ LATE_GROWTH = RecurrenceSpec(Fraction(2, 5), Fraction(-5, 7), Fraction(7, 3), 0)
 
 @st.composite
 def deep_cases(draw):
-    """(spec, window, from_k) with windows of 64-200, long enough to hold a
-    whole certified block of _BLOCK indices, and from-k windows past it:
-    coefficients of either sign (|B| > q and q > |B| alike), two rational
-    roots (a square discriminant) or one repeated root (a zero one),
-    starts of either sign, scaled by 1 or 2**700."""
+    """(spec, window, from_k) with windows of 2*_BLOCK to 200, long enough
+    to hold a whole certified block of _BLOCK indices, and from-k windows
+    past it: coefficients of either sign (|B| > q and q > |B| alike), two
+    rational roots (a square discriminant) or one repeated root (a zero
+    one), starts of either sign, scaled by 1 or 2**700."""
     shape = draw(st.sampled_from(("coefficients", "rational roots", "repeated root")))
     if shape == "coefficients":
         a, b = draw(coeffs_st), draw(coeffs_st)
@@ -900,7 +900,7 @@ class TestCertifiedBlocks:
     @example((RecurrenceSpec(5, 6, 1, 2), 64, 66))  # on the eigen-solution 2^n
     @example((RecurrenceSpec(2, 1, -2**700, -3 * 2**700), 64, 66))  # repeated root 1
     @example((SHRINKING, 100, 102))
-    @example((TIE_AT_BLOCK_END, 40, 34))
+    @example((TIE_AT_BLOCK_END, 40, 4))
     @example((TIE_AT_BLOCK_START, 100, 5))
     @example((LATE_GROWTH, 100, 0))
     @settings(max_examples=150, deadline=None)
@@ -937,7 +937,7 @@ class TestCertifiedBlocks:
         # invariant, so that block decides the rest
         case = (RecurrenceSpec(2, 1, 1, 3), 100, 0)
         got, events = _block_events(*case)
-        assert events == [("certified", 2), ("lasting", 34)]
+        assert events == [("certified", 2), ("lasting", 4)]
         assert got == reference_windows(*case)
 
     def test_all_violation_blocks(self):
@@ -946,7 +946,7 @@ class TestCertifiedBlocks:
         # block at 2 ends the walk and every index from 2 on is a
         # violation of P1, the from-k window's first at its first index
         got, events = _block_events(FALLING_UNIT, 100, 150)
-        assert events == [("certified", 2), ("lasting", 34)]
+        assert events == [("certified", 2), ("lasting", 4)]
         assert got.p2.holds_on_window and got.p3.holds_on_window
         assert got.n0_witness is None and got.p1_from_k.first_violation == 149
         assert got == reference_windows(FALLING_UNIT, 100, 150)
@@ -975,16 +975,16 @@ class TestCertifiedBlocks:
         # where the terms are negative a tie |M[n+1]| = q*|M[n]| is no
         # violation, so the test on M is strict there; the dominant root
         # below 1 keeps that test from being invariant too
-        got, events = _block_events(TIE_AT_BLOCK_END, 40, 34)
+        got, events = _block_events(TIE_AT_BLOCK_END, 40, 4)
         assert events == [("refused", 2)]
-        assert got.n0_witness == 33
-        assert got == reference_windows(TIE_AT_BLOCK_END, 40, 34)
+        assert got.n0_witness == 3
+        assert got == reference_windows(TIE_AT_BLOCK_END, 40, 4)
         # on an invariant test, a tie at the try's first index: only the
         # strict test refuses the block at 4, and the one at 6, after the
         # next two-index run, decides the rest, so the from-k window's
         # first violation is 5, not 4
         got, events = _block_events(TIE_AT_BLOCK_START, 100, 5)
-        assert events == [("refused", 4), ("certified", 6), ("lasting", 38)]
+        assert events == [("refused", 4), ("certified", 6), ("lasting", 8)]
         assert got.p1_from_k.first_violation == 5
         assert got == reference_windows(TIE_AT_BLOCK_START, 100, 5)
 
@@ -997,17 +997,17 @@ class TestCertifiedBlocks:
         # ALTERNATING, DEEP_MIRRORED and TABLE_NEGATED, whose first two-index
         # run ends at 2, and so do the repeated root 1 and its mirror, -1
         for case, want in (
-            ((DEEP, 100, 150), [("certified", 2), ("lasting", 34)]),
-            ((LATE_GROWTH, 100, 0), [("refused", 6), ("certified", 8), ("lasting", 40)]),
+            ((DEEP, 100, 150), [("certified", 2), ("lasting", 4)]),
+            ((LATE_GROWTH, 100, 0), [("refused", 6), ("certified", 8), ("lasting", 10)]),
             ((_mirrored(LATE_GROWTH), 100, 0),
-             [("refused", 6), ("certified", 8), ("lasting", 40)]),
+             [("refused", 6), ("certified", 8), ("lasting", 10)]),
             ((TRANSIENT, 300, 0), [("refused", 2)]),
             ((TRANSIENT_MIRRORED, 300, 0), [("refused", 2)]),
-            ((ALTERNATING, 100, 150), [("certified", 2), ("lasting", 34)]),
-            ((DEEP_MIRRORED, 100, 150), [("certified", 2), ("lasting", 34)]),
-            ((TABLE_NEGATED, 100, 150), [("certified", 3), ("lasting", 35)]),
-            ((RecurrenceSpec(2, 1, 1, 3), 100, 0), [("certified", 2), ("lasting", 34)]),
-            ((RecurrenceSpec(-2, 1, 1, -3), 100, 0), [("certified", 2), ("lasting", 34)]),
+            ((ALTERNATING, 100, 150), [("certified", 2), ("lasting", 4)]),
+            ((DEEP_MIRRORED, 100, 150), [("certified", 2), ("lasting", 4)]),
+            ((TABLE_NEGATED, 100, 150), [("certified", 3), ("lasting", 5)]),
+            ((RecurrenceSpec(2, 1, 1, 3), 100, 0), [("certified", 2), ("lasting", 4)]),
+            ((RecurrenceSpec(-2, 1, 1, -3), 100, 0), [("certified", 2), ("lasting", 4)]),
         ):
             got, events = _block_events(*case)
             assert events == want, case
@@ -1043,11 +1043,12 @@ class TestLastingCertificates:
     against the naive references around each exit, and by event traces."""
 
     CASES = (
-        # the certificate at 2 decides [34, 300], far below the window's
+        # the certificate at 2 decides [4, 300], far below the window's
         # end, and the from-k window [299, 600] with it
         (DEEP, 300, 0), (DEEP, 300, 300),
-        # the certified block [2, 34) ends on the window's last index (33),
-        # and windows that are not a multiple of _BLOCK end past it
+        # the certified block [2, 4) ends on the window's last index (3),
+        # and longer windows, odd and even, end past it
+        (DEEP, 3, 0), (DEEP, 3, 4), (DEEP_NEGATIVE, 3, 4), (DEEP_NEGATIVE, 3, 10),
         (DEEP, 33, 0), (DEEP, 33, 40), (DEEP_NEGATIVE, 33, 34), (DEEP_NEGATIVE, 33, 40),
         (DEEP, 63, 0), (DEEP, 63, 70), (DEEP_NEGATIVE, 63, 64), (DEEP_NEGATIVE, 63, 70),
         (DEEP, 77, 0), (DEEP, 95, 3), (DEEP_NEGATIVE, 95, 0),
@@ -1056,8 +1057,9 @@ class TestLastingCertificates:
         # before, at and past the window's end
         (DEEP_NEGATIVE, 100, 0), (DEEP_NEGATIVE, 100, 50), (DEEP_NEGATIVE, 100, 70),
         (DEEP_NEGATIVE, 100, 101), (DEEP_NEGATIVE, 100, 102), (DEEP_NEGATIVE, 100, 150),
-        # certified blocks [2, 34) that run past the window's end (10 and
-        # 40), with the from-k window's first violation inside it and past it
+        # certified blocks [2, 4) that run past the window's end (2), with
+        # the from-k window's first violation inside it and past it
+        (DEEP, 2, 0), (DEEP_NEGATIVE, 2, 3), (DEEP_NEGATIVE, 2, 5),
         (DEEP, 10, 0), (DEEP_NEGATIVE, 10, 11), (DEEP_NEGATIVE, 10, 30),
         (DEEP, 40, 0), (DEEP_NEGATIVE, 40, 41), (DEEP_NEGATIVE, 40, 60),
         # the falling unit root, whose strict test is invariant: a wide
@@ -1075,13 +1077,15 @@ class TestLastingCertificates:
     # certifies the block at 2 (3 on TABLE_NEGATED), and P1 fails at every
     # other index from there, where M > 0 (from 2 on ALTERNATING and
     # DEEP_MIRRORED, from 4 on TABLE_NEGATED); certified blocks inside the
-    # window (63 and 100), ending on its last index (33, and 34 on
-    # TABLE_NEGATED) and past its end (10), and from-k windows before, at
-    # and past the window's end, the first index past it of either parity,
-    # and far
+    # window (10 to 100), ending on its last index (3, and 4 on
+    # TABLE_NEGATED) and past its end (2, and 3 on TABLE_NEGATED), and
+    # from-k windows before, at and past the window's end, the first index
+    # past it of either parity, and far (TABLE_NEGATED's window of 2 ends
+    # before its first try)
     ALTERNATING_CASES = tuple(
         (spec, w, k) for spec in (ALTERNATING, TABLE_NEGATED, DEEP_MIRRORED)
-        for w in (10, 33, 34, 63, 100) for k in (w // 2, w, w + 1, w + 2, w + 3, 2000))
+        for w in (2, 3, 4, 10, 33, 34, 63, 100) if (spec, w) != (TABLE_NEGATED, 2)
+        for k in (w // 2, w, w + 1, w + 2, w + 3, 2000))
 
     def test_scan_matches_references(self):
         _assert_matches_references(self.CASES + self.ALTERNATING_CASES)
@@ -1091,18 +1095,18 @@ class TestLastingCertificates:
         # which the walk stops at 34; its from-k window [149, 250] is
         # clean with no walk past the window
         got, events = _block_events(DEEP, 100, 150)
-        assert events == [("certified", 2), ("lasting", 34)]
+        assert events == [("certified", 2), ("lasting", 4)]
         assert got.p2.holds_on_window and got.p3.holds_on_window
         assert got.p1_from_k.holds_on_window and got.n0_witness == 0
         assert got == reference_windows(DEEP, 100, 150)
         # the same at from-k 10**5: no walk past the window either
         far, events = _block_events(DEEP, 100, 10**5)
-        assert events == [("certified", 2), ("lasting", 34)]
+        assert events == [("certified", 2), ("lasting", 4)]
         assert far.p1_from_k == WindowReport(PropertyId.P1, (10**5 - 1, 10**5 + 100), True, None, ())
         # every term negative: the from-k window's first violation is its
         # first index, 149, with no walk past the window
         got, events = _block_events(DEEP_NEGATIVE, 100, 150)
-        assert events == [("certified", 2), ("lasting", 34)]
+        assert events == [("certified", 2), ("lasting", 4)]
         assert got.n0_witness is None and got.p1_from_k.first_violation == 149
         assert got == reference_windows(DEEP_NEGATIVE, 100, 150)
         # no certificate: TRANSIENT's one try is refused, so P1 jumps from
@@ -1148,7 +1152,7 @@ class TestLastingCertificates:
         assert not oracle._invariant(*tests(TRANSIENT, None))
         # c = 0, E >= 0 over a block: FIB's and TABLE's interval is
         # unbounded above and maps into itself; RISING's lower end is a
-        # solution with E[32] = 0, whose image has w0 = 0
+        # solution with E[_BLOCK] = 0, whose image has w0 = 0
         assert oracle._invariant(*tests(FIB, 0)) and oracle._invariant(*tests(TABLE, 0))
         A, Bq, clean = tests(RISING, 0)
         (x, y), = clean
@@ -1157,7 +1161,7 @@ class TestLastingCertificates:
         # rho >= 1 on roots 1 and -6: its end is the eigen-solution 1**n,
         # which maps to itself, but every larger ratio is drawn toward -6;
         # only the image of the unbounded end (0, 1), whose w0 is the
-        # coefficient c1 of x**32's remainder and negative, shows it
+        # coefficient c1 of x**_BLOCK's remainder and negative, shows it
         assert oracle._jump(-5, -6, 1, 1, oracle._BLOCK) == (1, 1)
         assert oracle._jump(-5, -6, 0, 1, oracle._BLOCK)[0] < 0
         assert not oracle._invariant(-5, -6, [(1, -1)])
@@ -1292,7 +1296,7 @@ class TestCasoratianNorm:
             return (v0 + 1, v1) if abs(w0) >= 1 << 64 else (v0, v1)
 
         jump = oracle._jump
-        assert _block_events(DEEP_LONG, 100, 0)[1] == [("certified", 2), ("lasting", 34)]
+        assert _block_events(DEEP_LONG, 100, 0)[1] == [("certified", 2), ("lasting", 4)]
         monkeypatch.setattr(oracle, "_jump", broken)
         with pytest.raises(InternalInconsistency, match="self-check"):
             oracle.scan(DEEP_LONG, 100, 0)

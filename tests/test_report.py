@@ -230,7 +230,8 @@ CONTRADICTIONS = {
         "positive_monotone_h", make_h_spec(1, 1, 1), 0,
         [("positive_monotone_h", Verdict(True, Branch.COND_H_MONOTONE), None)], {},
     ),
-    # the single-line check: a clean window, but a[0] is not positive
+    # the cross row with nondecreasing_from(0): a clean window, but a[0] is
+    # not positive
     "positive_monotone_h_nonpositive_v0": (
         "positive_monotone_h", make_h_spec(1, -1, -1), 0,
         [("positive_monotone_h", Verdict(True, Branch.COND_H_MONOTONE), None),
@@ -284,6 +285,25 @@ class TestContractFires:
         _fake_windows(monkeypatch, **windows)
         with pytest.raises(InternalInconsistency, match=re.escape(name)):
             build_report(spec, 40, from_k)
+
+    # roots 2 and 1 and a[n] = 2**(n+1) - 1: both verdicts hold, on
+    # COND_H_MONOTONE and COND_MONOTONIC_1; each is faked to fail in turn
+    @pytest.mark.parametrize("decision, verdict, message", [
+        ("positive_monotone_h", Verdict(False, Branch.FAIL_COEFF_BELOW_ONE),
+         "positive_monotone_h fails on FAIL_COEFF_BELOW_ONE, but nondecreasing_from(0) "
+         "holds on COND_MONOTONIC_1 and v0 = 1"),
+        ("nondecreasing_from", Verdict(False, Branch.FAIL_GROWTH_PRODUCT),
+         "positive_monotone_h holds on COND_H_MONOTONE, but nondecreasing_from(0) "
+         "fails on FAIL_GROWTH_PRODUCT and v0 = 1"),
+    ])
+    def test_h_monotone_cross_row_fires(self, monkeypatch, decision, verdict, message):
+        # neither faked verdict names a forced index, so no oracle row reads
+        # it: only the cross row between the two chains fires
+        spec = make_h_spec(3, 2, 1)
+        build_report(spec, 40)  # consistent before the fake
+        _fake_verdict(monkeypatch, decision, verdict, 0 if decision == "nondecreasing_from" else None)
+        with pytest.raises(InternalInconsistency, match=re.escape(message)):
+            build_report(spec, 40)
 
     @pytest.mark.parametrize("from_k, first", [(16, 20), (15, None), (15, 15)])
     def test_n0_past_the_window_rows_fire(self, monkeypatch, from_k, first):
