@@ -1,9 +1,12 @@
-"""Exact arithmetic in real quadratic extensions of the rationals.
+"""Exact signs and decimals of numbers in real quadratic extensions of
+the rationals.
 
 Every inequality this package decides reduces to the sign of a number
 (x + y*sqrt(n))/den with integers x, y, n >= 0 and den > 0.  This
-module provides that number type, `QuadElem`, with its exact sign, and
-builds the characteristic roots of x^2 - a*x + b on top of it.  Nothing here touches floating point.
+module decides that sign, builds the characteristic roots of
+x^2 - a*x + b, and renders them.  `QuadElem` is the display type: it
+holds the four integers and has an exact sign and a str, but no
+arithmetic.  Nothing here touches floating point.
 Decimals are for display only.  One core, `_rounded`, rounds an element
 half-even to a number of significant digits, on integers, and two
 layouts print its result: `decimal_str` at 12 digits for reports and
@@ -15,8 +18,9 @@ any n, a perfect square included, because its only comparison is
 x^2 against y^2*n.  `QuadElem.sign` is one call of it, since den > 0.
 The decisions call it directly on the spec's integer form, through
 `RecurrenceSpec._gap_sign`, and so does the exact fallback of the
-oracle's carrier walk: neither builds a `QuadElem`.  `QuadElem` is the
-type the roots are displayed in, and the tests' exact reference.
+oracle's carrier walk: neither builds a `QuadElem`.  The tests keep an
+exact reference of their own, with its own surd ring, in
+tests/reference.py.
 
 A root is (A +- sqrt(N))/(2L) here and in the oracle alike: a = A/L
 and b = B/L over their common denominator L, and N = A^2 - 4*B*L, so
@@ -28,14 +32,10 @@ this rule; `quadratic_roots` and the oracle's residual walk apply it.
 
 The radicand is kept exactly as constructed (for roots: N) and is not
 reduced to squarefree form, nor is den reduced against x and y.
-Elements built over different radicands never mix in practice, one
-recurrence fixes one discriminant, and the arithmetic raises if they
-do; an element with y = 0 is rational and combines with anything.
 `quadratic_roots` decides squareness for the roots it builds (one
 `isqrt`): a perfect-square N gives rational roots, so a root with
 y != 0 has sqrt(N) irrational.  The oracle decides squareness on its
-own, which keeps its route independent of this one.  Equality is
-decided by value, as the sign of the difference.
+own, which keeps its route independent of this one.
 
 `over_common_denominator` writes a rational pair as integer numerators
 over one denominator, the first step of every integer route: the roots
@@ -104,12 +104,13 @@ def dominant_root_sign(a: Union[int, Fraction]) -> int:
 
 
 class QuadElem:
-    """The real number (x + y*sqrt(n))/den, held as integers.
+    """The real number (x + y*sqrt(n))/den, held as integers, for display.
 
-    Immutable after construction, with n >= 0 and den > 0.  Arithmetic
-    is closed over a fixed radicand; combining two elements with y != 0
-    and distinct radicands raises ValueError.  Elements with y == 0
-    combine with anything.
+    Built with n >= 0 and den > 0 and not changed after.  The package
+    reads its fields, `sign()` and `str()`; it defines no arithmetic,
+    and `==` is identity.  It is not a NamedTuple: `_replace` would skip
+    the check below, and `==` would compare the unreduced fields, so
+    that (1, 0, 0, 2) != (2, 0, 0, 4) although both are 1/2.
     """
 
     __slots__ = ("x", "y", "n", "den")
@@ -122,64 +123,9 @@ class QuadElem:
         self.n = n
         self.den = den
 
-    @staticmethod
-    def _coerce(value: object) -> Optional["QuadElem"]:
-        if isinstance(value, QuadElem):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QuadElem(value.numerator, 0, 0, value.denominator)
-        return None
-
-    def _common_radicand(self, other: "QuadElem") -> int:
-        if self.y == 0:
-            return other.n
-        if other.y == 0 or self.n == other.n:
-            return self.n
-        raise ValueError(f"mixed radicands: sqrt({self.n}) versus sqrt({other.n})")
-
-    def __add__(self, other: object) -> "QuadElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadElem(self.x * o.den + o.x * self.den, self.y * o.den + o.y * self.den,
-                        self._common_radicand(o), self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadElem":
-        return QuadElem(-self.x, -self.y, self.n, self.den)
-
-    def __sub__(self, other: object) -> "QuadElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: object) -> "QuadElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other: object) -> "QuadElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = self._common_radicand(o)
-        return QuadElem(self.x * o.x + self.y * o.y * n, self.x * o.y + self.y * o.x,
-                        n, self.den * o.den)
-
-    __rmul__ = __mul__
-
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}; den > 0 drops out."""
         return surd_sign(self.x, self.y, self.n)
-
-    def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() == 0
 
     def __str__(self) -> str:
         """p + q*sqrt(d) with rational p = x/den, q = |y|/2 and d = 4*n/den^2,
@@ -196,7 +142,7 @@ class RootPair(NamedTuple):
     """Roots of x^2 - a*x + b, with the complex case kept implicit.
 
     discriminant_sign > 0: two distinct real roots alpha_plus > alpha_minus.
-    discriminant_sign = 0: alpha_plus == alpha_minus, both rational.
+    discriminant_sign = 0: alpha_plus and alpha_minus are one rational value.
     In both, alpha is the root of largest modulus and beta the other;
     alpha is alpha_plus exactly when `dominant_root_sign(a)` is +1, so
     for a repeated root it is alpha_plus.
@@ -247,8 +193,8 @@ def _rounded(x: Union[QuadElem, RationalLike], digits: int) -> tuple[int, int, i
     `exact` says that c*10**k is |v| itself; it is decided for rationals
     only, and a surd reports False.  Zero gives (0, 0, 0, True).
     """
-    q = QuadElem._coerce(x)
-    if q is None:
+    q = QuadElem(x.numerator, 0, 0, x.denominator) if isinstance(x, (int, Fraction)) else x
+    if not isinstance(q, QuadElem):
         raise TypeError(f"cannot render {type(x).__name__}")
     s = q.sign()
     if s == 0:

@@ -1,5 +1,5 @@
-"""Shared randomized-corpus builders, decision-vs-oracle agreement checks,
-the quadratic Pisot test and the oracle walk's event sink.
+"""Shared randomized-corpus builders, decision-vs-oracle agreement checks
+and the oracle walk's event sink.
 
 Corpora are seeded and therefore deterministic.  Starting pairs lying on
 an eigen-solution (v1 - v0*root = 0 for either root) are excluded, which
@@ -19,17 +19,14 @@ from fractions import Fraction
 from recmono import oracle
 from recmono import (
     Branch,
-    IntCoeffPair,
     RecurrenceSpec,
     WindowReport,
     eventually_nondecreasing,
     eventually_ratio_monotone,
     hartman_aurel_sufficient,
-    is_irreducible,
     make_h_spec,
     nondecreasing_from,
     positive_monotone_h,
-    quadratic_roots,
     ratio_monotone_h,
     terms_between,
     weighted_monotone,
@@ -282,16 +279,3 @@ def check_all_agreements(spec: RecurrenceSpec) -> None:
     check_hartman_soundness(spec)
     if spec.h_type:
         check_h_agreements(spec, windows)
-
-
-def is_quadratic_pisot(pair: IntCoeffPair) -> bool:
-    """True iff the dominant root of x^2 - a*x + b is a quadratic Pisot
-    number: the polynomial is irreducible over the integers, the dominant
-    root is > 1 and its conjugate has absolute value < 1; all exact."""
-    if not is_irreducible(pair):
-        return False
-    roots = quadratic_roots(*pair)
-    if roots.discriminant_sign < 0:
-        return False
-    beta = roots.beta
-    return (roots.alpha - 1).sign() > 0 and ((beta - 1) * (beta + 1)).sign() < 0

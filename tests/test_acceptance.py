@@ -28,12 +28,9 @@ from recmono import (
 )
 from recmono.cli import main
 
-from conftest import (
-    build_corpus,
-    build_h_corpus,
-    check_all_agreements,
-    is_quadratic_pisot,
-)
+import reference
+from conftest import build_corpus, build_h_corpus, check_all_agreements
+from reference import is_quadratic_pisot
 
 FIB = make_h_spec(1, -1, 1)
 LUCAS = RecurrenceSpec(1, -1, 2, 1)
@@ -121,7 +118,7 @@ def test_criterion_05_growing_distance_counterexample():
     spec = RecurrenceSpec(Fraction(1, 10), Fraction(-21, 5), 1, 3)
     terms = iterate(spec, 2)
     assert terms[2] == Fraction(9, 2)
-    scaled = spec.roots().beta * (terms[1] / terms[2])
+    scaled = reference.from_elem(spec.roots().beta) * (terms[1] / terms[2])
     assert scaled == Fraction(-4, 3)
     report = build_report(spec, window=40)
     assert report["oracle_windows"]["p2"]["first_violation"] == 1

@@ -10,8 +10,9 @@ The source rules: the package imports only the standard library and
 holds no float; no module of the package or the tests imports a name it
 never uses; the tests import only what '.[test]' installs and never read
 source lines or frames; the oracle's route stays apart from the
-decisions'; and the decisions read the spec's integer form, never a
-root.  Each source file is parsed once per session, by _tree.
+decisions', and the tests' exact reference apart from the package's
+roots and signs; and the decisions read the spec's integer form, never
+a root.  Each source file is parsed once per session, by _tree.
 
 Run as a script, it prints each package module's code lines next to its
 wc -l count, the median launch time of the installed recmono next to a
@@ -257,6 +258,24 @@ def test_decisions_read_only_the_integer_form():
     banned = {"QuadElem", "cmp_abs", "quadratic_roots"}
     assert {i for i in _package_imports(decisions) if i.partition(".")[2] in banned} == set()
     assert _root_names_read(decisions, banned | {"roots", "_roots", "beta"}) == set()
+
+
+def test_reference_route_is_independent():
+    # tests/reference.py builds its roots from (a, b) on a ring of its own:
+    # it imports the spec, the term readers and the window records, and
+    # reads no root, root sign, integer form, carrier or scan of the
+    # package; its own names (its roots function among them) pass
+    reference = TESTS / "reference.py"
+    assert _package_imports(reference) <= {
+        "RecurrenceSpec", "make_h_spec", "iterate", "term_minus_one",
+        "oracle.OracleWindows", "WindowReport", "PropertyId"}
+    banned = {"surd_sign", "dominant_root_sign", "quadratic_roots", "roots", "_roots",
+              "_gap_sign", "_integers", "integer_carrier", "_carrier_jump", "_jump", "scan"}
+    tree = _tree(reference)
+    own = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} - own
+    assert read & banned == set()
 
 
 def main() -> int:

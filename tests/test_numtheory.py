@@ -16,7 +16,7 @@ from recmono import (
     is_irreducible,
 )
 
-from conftest import is_quadratic_pisot
+from reference import is_quadratic_pisot
 
 
 def divisor_irreducible(a: int, b: int) -> bool:

@@ -2,13 +2,14 @@
 the telescoping residual identity, and the Casoratian norm the residual
 walk carries for real roots and computes for a complex pair.
 
-The production scanner runs on a rescaled integer carrier; the reference
-implementations here redo every comparison naively on Fractions and field
-elements, and reference_windows assembles them into the whole OracleWindows
-that scan must return, checked ranges and skipped indices included.  Each
-reference check is the one equality scan(spec, window, from_k) ==
-reference_windows(spec, window, from_k); held on a random corpus, it is
-the main correctness argument for the rescaling.
+The production scanner runs on a rescaled integer carrier; the naive
+references in reference.py redo every comparison on Fractions and on
+roots of their own, and reference_windows assembles them into the whole
+OracleWindows that scan must return, checked ranges and skipped indices
+included.  Each reference check is the one equality
+scan(spec, window, from_k) == reference_windows(spec, window, from_k);
+held on a random corpus, it is the main correctness argument for the
+rescaling.
 """
 
 from __future__ import annotations
@@ -29,15 +30,15 @@ from recmono import (
     WindowReport,
     iterate,
     make_h_spec,
-    term_minus_one,
     terms_between,
 )
-from recmono.oracle import OracleWindows
 from recmono.qfield import surd_sign
 from recmono.recurrence import _carrier_jump, integer_carrier
 from recmono.report import build_report
 
+import reference
 from conftest import build_corpus, oracle_events
+from reference import reference_windows
 
 FIB = make_h_spec(1, -1, 1)
 LUCAS = RecurrenceSpec(1, -1, 2, 1)
@@ -61,89 +62,6 @@ TRANSIENT = RecurrenceSpec(Fraction(397, 200), Fraction(19701, 20000),
 # M is invariant, strict or not: its interval's end, the tie a[n+1] = a[n],
 # is the fixed point T(1) = 1 of one block's map
 FALLING_UNIT = RecurrenceSpec(2, 1, -1, -3)
-
-
-# ----------------------------------------------------------------------
-# naive references: every comparison done directly on exact values
-# ----------------------------------------------------------------------
-
-def ref_p1(spec, k, n_max, terms=None):
-    """(holds, first_violation) for a[n] <= a[n+1] on n in [k-1, n_max]."""
-    terms = iterate(spec, n_max + 1) if terms is None else terms
-    pairs = []
-    if k == 0:
-        pairs.append((-1, term_minus_one(spec), terms[0]))
-        lo = 0
-    else:
-        lo = k - 1
-    pairs.extend((n, terms[n], terms[n + 1]) for n in range(lo, n_max + 1))
-    for n, x, y in pairs:
-        if x > y:
-            return False, n
-    return True, None
-
-
-def ref_p2(spec, n_max, terms=None):
-    """(holds, first_violation, skipped) for the ratio-distance scan."""
-    terms = iterate(spec, n_max + 2) if terms is None else terms
-    alpha = spec.roots().alpha
-    skipped = []
-    for n in range(n_max + 1):
-        if terms[n] == 0 or terms[n + 1] == 0:
-            skipped.append(n)
-            continue
-        res_n = alpha * terms[n] - terms[n + 1]
-        res_n1 = alpha * terms[n + 1] - terms[n + 2]
-        lhs = res_n * res_n * (terms[n + 1] ** 2)
-        rhs = res_n1 * res_n1 * (terms[n] ** 2)
-        if (lhs - rhs).sign() < 0:
-            return False, n, tuple(skipped)
-    return True, None, tuple(skipped)
-
-
-def ref_p3(spec, n_max, terms=None):
-    """(holds, first_violation) for the weighted-residual scan."""
-    roots = spec.roots()
-    if roots.discriminant_sign >= 0:
-        terms = iterate(spec, n_max + 2) if terms is None else terms
-        alpha = roots.alpha
-        res = [alpha * terms[n] - terms[n + 1] for n in range(n_max + 2)]
-        for n in range(n_max + 1):
-            if (res[n] * res[n] - res[n + 1] * res[n + 1]).sign() < 0:
-                return False, n
-        return True, None
-    m = spec.v1**2 - spec.a * spec.v0 * spec.v1 + spec.b * spec.v0**2
-    values = [m * spec.b**n for n in range(n_max + 2)]
-    for n in range(n_max + 1):
-        if values[n] < values[n + 1]:
-            return False, n
-    return True, None
-
-
-def ref_n0(spec, n_cap, terms=None):
-    terms = iterate(spec, n_cap + 1) if terms is None else terms
-    n0 = 0
-    for n in range(n_cap + 1):
-        if terms[n] > terms[n + 1]:
-            n0 = n + 1
-    return n0 if n0 <= n_cap else None
-
-
-def reference_windows(spec, window, from_k):
-    """The OracleWindows that oracle.scan(spec, window, from_k) must
-    return, every field from the naive references on one iterate walk."""
-    last = from_k + window
-    terms = iterate(spec, max(last, window + 1) + 1)
-    real = spec.roots().discriminant_sign >= 0
-    return OracleWindows(
-        WindowReport(PropertyId.P1, (-1, window), *ref_p1(spec, 0, window, terms), ()),
-        WindowReport(PropertyId.P1, (from_k - 1, last),
-                     *ref_p1(spec, from_k, last, terms), ()),
-        WindowReport(PropertyId.P2, (0, window), *ref_p2(spec, window, terms))
-        if real else None,
-        WindowReport(PropertyId.P3, (0, window), *ref_p3(spec, window, terms), ()),
-        ref_n0(spec, window, terms),
-    )
 
 
 def _assert_matches_references(cases):
@@ -250,7 +168,8 @@ class TestResidualTelescoping:
             RecurrenceSpec(Fraction(1, 2), Fraction(-3, 4), 1, 5),
             make_h_spec(2, Fraction(3, 4), 1),
         ):
-            alpha, beta = spec.roots().alpha, spec.roots().beta
+            roots = reference.roots(spec.a, spec.b)
+            alpha, beta = roots.alpha, roots.beta
             terms = iterate(spec, 31)
             res = [alpha * terms[n] - terms[n + 1] for n in range(31)]
             for n in range(30):
@@ -558,7 +477,7 @@ class TestScan:
 def _near_beta_eigen(a, b, k):
     """The two starts (1, v1) with v1 a multiple of 2**-k next to beta,
     the non-dominant root: R' cancels on a long prefix of their walks."""
-    beta = RecurrenceSpec(a, b, 1, 1).roots().beta
+    beta = reference.roots(a, b).beta
     lo, hi = -(2 ** (k + 8)), 2 ** (k + 8)
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -1,10 +1,12 @@
-"""Quadratic-field arithmetic on the integer form (x + y*sqrt(n))/den:
-ring laws, exact sign, root signs on a spec's integer form, root
-construction, decimal rendering.
+"""Numbers (x + y*sqrt(n))/den on the integer form: exact sign, root
+signs on a spec's integer form, root construction, decimal rendering,
+and the ring laws of the tests' own surd type.
 
-High-precision Decimal evaluation serves as the independent oracle for
-sign, comparison and rendering results; exact-zero cases are asserted
-directly since no float can witness them.
+`QuadElem` has no arithmetic; the tests compute in reference.Surd and
+compare the package's roots with reference.roots(a, b), built from a
+and b alone.  High-precision Decimal evaluation serves as the
+independent oracle for sign, ring and rendering results; exact-zero
+cases are asserted directly since no float can witness them.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from hypothesis import strategies as st
 
 from recmono import QuadElem, RecurrenceSpec, decimal_str, quadratic_roots, riccati_orbit
 from recmono.qfield import dominant_root_sign, g6_str, surd_sign
+
+import reference
+from reference import Surd
 
 numerators_st = st.integers(-1500, 1500)
 denominators_st = st.integers(1, 30)
@@ -44,10 +49,11 @@ def gap_cases(draw):
     return RecurrenceSpec(a, b, 1, 1), t, X, Y
 
 
-def approx(v: QuadElem, prec: int = 80) -> Decimal:
+def approx(v: QuadElem | Surd, prec: int = 80) -> Decimal:
+    x, y, n, den = v.fields() if isinstance(v, Surd) else (v.x, v.y, v.n, v.den)
     with localcontext() as ctx:
         ctx.prec = prec
-        return (Decimal(v.x) + Decimal(v.y) * Decimal(v.n).sqrt()) / Decimal(v.den)
+        return (Decimal(x) + Decimal(y) * Decimal(n).sqrt()) / Decimal(den)
 
 
 def half_even(v: Fraction, digits: int) -> tuple[int, int]:
@@ -94,10 +100,11 @@ class TestNormalForm:
         assert (str(roots.alpha), str(roots.beta)) == ("-1/2", "-1/3")
 
     def test_zero_coefficient_clears_radicand(self):
-        # y = 0 is rational: it prints without a root and meets any radicand
+        # y = 0 is rational: it prints without a root, and read into the
+        # reference it meets any radicand
         x = QuadElem(5, 0, 7)
         assert str(x) == "5" and decimal_str(x) == "5"
-        assert (x + QuadElem(0, 1, 2)).n == 2
+        assert (reference.from_elem(x) + Surd(0, 1, 2)).d == 2
 
     def test_irrational_radicand_kept_unreduced(self):
         x = QuadElem(0, 1, 8)
@@ -117,38 +124,47 @@ class TestNormalForm:
 
 
 class TestArithmetic:
+    """The reference's surd ring, which the tests compute in; the
+    package's QuadElem has no arithmetic and compares by identity."""
+
     def test_golden_ratio_identity(self):
-        phi = QuadElem(1, 1, 5, 2)
+        phi = reference.from_elem(QuadElem(1, 1, 5, 2))
         assert phi * phi == phi + 1
 
     def test_conjugate_product_is_norm(self):
-        x = QuadElem(3, 2, 7)
-        conj = QuadElem(3, -2, 7)
-        assert x * conj == QuadElem(9 - 4 * 7)
+        x = Surd(3, 2, 7)
+        conj = Surd(3, -2, 7)
+        assert x * conj == 9 - 4 * 7
 
     def test_mixed_radicands_rejected(self):
-        x = QuadElem(0, 1, 2)
-        y = QuadElem(0, 1, 3)
+        x = Surd(0, 1, 2)
+        y = Surd(0, 1, 3)
         with pytest.raises(ValueError):
             x + y
+        # == compares values, over any radicands: 2*sqrt(2) = sqrt(8)
+        assert Surd(0, 2, 2) == Surd(0, 1, 8) and Surd(0, 1, 2) != Surd(0, 1, 3)
 
     def test_rational_coerces_into_any_radicand(self):
-        x = QuadElem(0, 1, 2)
-        three = QuadElem(3)
-        assert (x + three).n == 2
+        x = Surd(0, 1, 2)
+        three = Surd(3)
+        assert (x + three).d == 2
         assert x + 3 == x + three
         assert 3 - x == -(x - 3)
-        assert Fraction(1, 3) * x == QuadElem(0, 1, 2, 3)
+        assert Fraction(1, 3) * x == reference.from_elem(QuadElem(0, 1, 2, 3))
 
     def test_inexact_values_are_refused(self):
-        # a float is no exact rational: the operators return NotImplemented, so
-        # Python raises TypeError, as decimal_str does, and == is identity
+        # QuadElem defines no operator, so each raises TypeError, and ==
+        # is identity; the renderers refuse what is no int or Fraction, and
+        # the reference's operators refuse a float
         x = QuadElem(1)
         for op in (lambda: x + 1.5, lambda: x - 1.5, lambda: 1.5 - x, lambda: x * 1.5,
-                   lambda: decimal_str(1.5)):
+                   lambda: x + 1, lambda: x * QuadElem(1),
+                   lambda: decimal_str(1.5), lambda: g6_str(1.5), lambda: decimal_str("1/2"),
+                   lambda: Surd(1) + 1.5, lambda: 1.5 - Surd(1), lambda: Surd(1) * 1.5):
             with pytest.raises(TypeError):
                 op()
         assert (x == "x") is False
+        assert (QuadElem(1) == QuadElem(1)) is False
 
     @given(
         x1=numerators_st, y1=numerators_st, d1=denominators_st,
@@ -156,8 +172,8 @@ class TestArithmetic:
     )
     @settings(max_examples=200, deadline=None)
     def test_ring_laws_match_decimal(self, x1, y1, d1, x2, y2, d2, n):
-        x = QuadElem(x1, y1, n, d1)
-        y = QuadElem(x2, y2, n, d2)
+        x = reference.from_elem(QuadElem(x1, y1, n, d1))
+        y = reference.from_elem(QuadElem(x2, y2, n, d2))
         for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
             exact = approx(op(x, y))
             with localcontext() as ctx:
@@ -171,8 +187,8 @@ class TestSignAndCompare:
     def test_exact_zero_sign(self):
         # 3 - sqrt(9) = 0 on a square radicand
         assert QuadElem(3, -1, 9).sign() == 0
-        # sqrt(5) - sqrt(5) = 0 via subtraction
-        r5 = QuadElem(0, 1, 5)
+        # sqrt(5) - sqrt(5) = 0 via the reference's subtraction
+        r5 = Surd(0, 1, 5)
         assert (r5 - r5).sign() == 0
 
     def test_mixed_sign_cases(self):
@@ -186,6 +202,7 @@ class TestSignAndCompare:
     @settings(max_examples=300, deadline=None)
     def test_sign_matches_decimal(self, x, y, den, n):
         v = QuadElem(x, y, n, den)
+        assert reference.from_elem(v).sign() == v.sign()
         val = approx(v)
         if abs(val) > Decimal("1e-40"):
             assert v.sign() == (1 if val > 0 else -1)
@@ -258,16 +275,17 @@ class TestCharacteristicRoots:
         roots = quadratic_roots(1, -1)
         assert roots.discriminant == 5
         assert roots.discriminant_sign == 1
-        assert roots.alpha_plus == QuadElem(1, 1, 5, 2)
+        plus, minus = reference.from_elem(roots.alpha_plus), reference.from_elem(roots.alpha_minus)
+        assert plus == Surd(Fraction(1, 2), Fraction(1, 2), 5)
         assert roots.alpha is roots.alpha_plus and roots.beta is roots.alpha_minus
-        assert roots.alpha_plus + roots.alpha_minus == 1
-        assert roots.alpha_plus * roots.alpha_minus == -1
+        assert plus + minus == 1
+        assert plus * minus == -1
 
     def test_repeated_root(self):
         roots = quadratic_roots(2, 1)
         assert roots.discriminant_sign == 0
-        assert roots.alpha_plus == roots.alpha_minus == 1
-        assert roots.alpha == roots.beta == 1
+        for root in (roots.alpha_plus, roots.alpha_minus, roots.alpha, roots.beta):
+            assert reference.from_elem(root) == 1
 
     def test_complex_pair(self):
         roots = quadratic_roots(1, 1)
@@ -295,16 +313,23 @@ class TestCharacteristicRoots:
     )
     @settings(max_examples=300, deadline=None)
     def test_vieta_and_ordering(self, a, b):
-        roots = quadratic_roots(a, b)
+        # each root against the reference's, built from a and b alone, and
+        # the reference's roots against Vieta and the modulus order
+        roots, ref = quadratic_roots(a, b), reference.roots(a, b)
+        assert roots.discriminant_sign == ref.discriminant_sign
         if roots.discriminant_sign < 0:
             assert roots.modulus_squared == b > 0
+            assert roots.alpha_plus is roots.alpha_minus is roots.alpha is roots.beta is None
             return
-        plus, minus = roots.alpha_plus, roots.alpha_minus
+        for name in ("alpha_plus", "alpha_minus", "alpha", "beta"):
+            assert reference.from_elem(getattr(roots, name)) == getattr(ref, name), name
+        plus, minus = ref.alpha_plus, ref.alpha_minus
         assert plus + minus == a
         assert plus * minus == b
-        alpha, beta = roots.alpha, roots.beta
+        alpha, beta = ref.alpha, ref.beta
         assert ((alpha - beta) * (alpha + beta)).sign() >= 0
-        assert (roots.alpha, roots.beta) in ((plus, minus), (minus, plus))
+        assert (roots.alpha, roots.beta) in ((roots.alpha_plus, roots.alpha_minus),
+                                             (roots.alpha_minus, roots.alpha_plus))
 
 
 class TestDecimalRendering:

@@ -18,7 +18,6 @@ import pytest
 
 from recmono import (
     LimitKind,
-    QuadElem,
     RecurrenceSpec,
     decimal_str,
     iterate,
@@ -29,6 +28,7 @@ from recmono import (
 )
 from recmono.recurrence import integer_carrier
 
+import reference
 from conftest import build_corpus, random_fraction
 
 
@@ -250,14 +250,14 @@ class TestRatioLimit:
         lim = ratio_limit(make_h_spec(1, -1, 1))
         assert lim.kind is LimitKind.CONVERGES
         assert lim.which_root == "alpha"
-        assert lim.limit == QuadElem(1, 1, 5, 2)
+        assert reference.from_elem(lim.limit) == reference.Surd(Fraction(1, 2), Fraction(1, 2), 5)
 
     def test_degenerate_start_sits_at_beta(self):
         # roots 2 and 1; the start (1, 1) has no alpha component
         lim = ratio_limit(RecurrenceSpec(3, 2, 1, 1))
         assert lim.kind is LimitKind.CONVERGES
         assert lim.which_root == "beta"
-        assert lim.limit == 1
+        assert reference.from_elem(lim.limit) == 1
 
     def test_complex_diverges(self):
         lim = ratio_limit(RecurrenceSpec(1, 1, 1, 1))

@@ -33,7 +33,9 @@ from recmono.qfield import quadratic_roots
 from recmono import report as report_module
 from recmono.report import RICCATI_PREFIX_LEN, TERMS_PREVIEW_LEN
 
+import reference
 from conftest import build_corpus
+from reference import Surd, ref_str
 
 
 class TestShape:
@@ -461,22 +463,14 @@ def _specs(draw):
     return RecurrenceSpec(a, b, v0, v1)
 
 
-def _reference_modulus(x: QuadElem) -> QuadElem:
-    return -x if x.sign() < 0 else x
-
-
-def _reference_str(x: QuadElem) -> str:
-    """QuadElem.__str__ as three Fractions print it."""
-    p = Fraction(x.x, x.den)
-    if x.y == 0:
-        return str(p)
-    sign = "+" if x.y > 0 else "-"
-    return f"{p} {sign} {Fraction(abs(x.y), 2)}*sqrt({Fraction(4 * x.n, x.den**2)})"
+def _modulus_decimal(x: Surd) -> str:
+    """decimal_str of |x|, a reference value, read as a QuadElem's integers."""
+    return decimal_str(QuadElem(*abs(x).fields()))
 
 
 class TestIntegerFormMatchesTheReference:
     """Each quantity the spec's integer form gives equals its expression in
-    Fractions and QuadElem arithmetic, kept here as the reference."""
+    Fractions and in the roots reference.roots builds from a and b alone."""
 
     @settings(max_examples=300, deadline=None)
     @given(_specs())
@@ -487,34 +481,37 @@ class TestIntegerFormMatchesTheReference:
         report = build_report(spec, 12)
         terms = terms_between(spec, 0, TERMS_PREVIEW_LEN - 1)
         assert report["terms_preview"] == [str(t) for t in terms]
-        # each root clause of the decisions, as they write it on the
-        # integer form, against its QuadElem arithmetic
-        roots = spec.roots()
+        # the package's roots, and each root clause of the decisions as
+        # they write it on the integer form, against the reference's roots
+        roots, ref = spec.roots(), reference.roots(a, b)
         q, A, B, _, V0, V1 = spec._integers
-        assert (A * A < 4 * B * q) == (roots.discriminant_sign < 0)
-        if roots.discriminant_sign < 0:
+        assert (A * A < 4 * B * q) == (ref.discriminant_sign < 0)
+        assert roots.discriminant_sign == ref.discriminant_sign
+        if ref.discriminant_sign < 0:
             return
-        alpha, beta, gap = roots.alpha, roots.beta, spec._gap_sign
-        s = 1 if alpha is roots.alpha_plus else -1  # alpha's t, beta's is -s
-        assert -gap(1, 1, 0) == roots.alpha_plus.sign()
-        assert -gap(1, 1, 1) == (roots.alpha_plus - 1).sign()
+        for name in ("alpha_plus", "alpha_minus", "alpha", "beta"):
+            assert reference.from_elem(getattr(roots, name)) == getattr(ref, name), name
+        alpha, beta, gap = ref.alpha, ref.beta, spec._gap_sign
+        s = 1 if alpha is ref.alpha_plus else -1  # alpha's t, beta's is -s
+        assert -gap(1, 1, 0) == ref.alpha_plus.sign()
+        assert -gap(1, 1, 1) == (ref.alpha_plus - 1).sign()
         assert gap(-s, V0, V1) == (v1 - v0 * beta).sign()
         assert gap(s, V0, V1) == (v1 - v0 * alpha).sign()
         assert report["degenerate_geometric"] == ((v1 - v0 * alpha).sign() == 0)
         assert gap(-s, 1, 1) * gap(-s, 1, -1) == ((beta - 1) * (beta + 1)).sign()
         assert gap(-s, q, A) * gap(-s, q, -A) == -((a - beta) * (a + beta)).sign()
-        assert report["roots"]["alpha_plus"]["exact"] == _reference_str(roots.alpha_plus)
-        assert report["roots"]["alpha_minus"]["exact"] == _reference_str(roots.alpha_minus)
+        assert report["roots"]["alpha_plus"]["exact"] == ref_str(roots.alpha_plus)
+        assert report["roots"]["alpha_minus"]["exact"] == ref_str(roots.alpha_minus)
         p2, p3 = report["oracle_windows"]["p2"], report["oracle_windows"]["p3"]
         assert p3["residual_decimal_prefix"] == [
-            decimal_str(_reference_modulus(terms[n] * alpha - terms[n + 1])) for n in range(3)]
+            _modulus_decimal(terms[n] * alpha - terms[n + 1]) for n in range(3)]
         n = p2["first_violation"]
         if n is not None:
             t0, t1, t2 = terms_between(spec, n, n + 2)
             assert p2["violation_detail"] == {
                 "index": n,
-                "lhs_decimal": decimal_str(_reference_modulus(alpha - t1 / t0)),
-                "rhs_decimal": decimal_str(_reference_modulus(alpha - t2 / t1)),
+                "lhs_decimal": _modulus_decimal(alpha - t1 / t0),
+                "rhs_decimal": _modulus_decimal(alpha - t2 / t1),
             }
 
     @settings(max_examples=300, deadline=None)
@@ -522,7 +519,7 @@ class TestIntegerFormMatchesTheReference:
            st.integers(0, 10**9), st.integers(1, 10**20))
     def test_quad_str(self, x, y, n, den):
         element = QuadElem(x, y, n, den)
-        assert str(element) == _reference_str(element)
+        assert str(element) == ref_str(element)
 
 
 class TestWorkCounts:

@@ -17,6 +17,8 @@ from recmono import (
     riccati_orbit,
 )
 
+import reference
+
 
 def _reference_orbit(a: Fraction, b: Fraction, b0: Fraction, n_max: int) -> list[Fraction]:
     """s -> (a*s - b)/s in Fractions, from b0 until n_max steps or a zero state."""
@@ -99,11 +101,8 @@ class TestOrbits:
         # s = (a*s - b)/s  <=>  s^2 - a*s + b = 0
         for a, b in ((1, -1), (3, 2), (2, -1), (Fraction(1, 2), Fraction(-3, 4))):
             roots = quadratic_roots(a, b)
-            for root in (roots.alpha_plus, roots.alpha_minus):
-                a_f, b_f = Fraction(a), Fraction(b)
-                lhs = root * root
-                rhs = root * a_f - b_f
-                assert lhs == rhs, (a, b)
+            for root in map(reference.from_elem, (roots.alpha_plus, roots.alpha_minus)):
+                assert root * root == root * Fraction(a) - Fraction(b), (a, b)
 
 
 class TestAgainstReference:
