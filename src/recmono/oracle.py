@@ -18,33 +18,24 @@ polynomial, a different algorithm from the Lucas fast doubling by which
 the decisions and terms_between reach far terms, so the two routes
 reach a far index independently.  All comparisons are exact.
 
-Where the terms grow, a whole block of _BLOCK indices is decided at once
-by an exact certificate.  On every solution w of the carrier's
-recurrence, w[n+j] is an integer combination of w[n] and w[n+1], so with
-w[n] made positive the ratios w[n+1]/w[n] that pass a clean test at
-every index of a block form one interval, whose two ends are integer
-pairs: a cross-multiplication against each end decides the block.  One
-block is the jump by the remainder of x**_BLOCK (_jump), the same kernel
-P1 reaches the from-k window by.  Where it maps that interval into
-itself (_invariant), the block after a passing one passes too, and so by
-induction does every later block.  In the P2/P3 stretch the test
-certifies growth of the carrier, which decides all three properties (see
-scan); the walk certifies a block there only where that test is
-invariant, so its first certificate decides every later index and ends
-the walk.  It tries a block as early as scan's proof allows, right after
-two indices in a row that P3's part signs decided, and decides the
-test's invariance once per scan.  Where the dominant root is negative
-the terms alternate in sign, and the test runs on the mirror
-(-1)**n * M[n], which solves the recurrence with -A and keeps one sign:
-it certifies growth of |M| the same way, and P1, the one property that
-reads signs, then fails at every other index, read off its parity.
-That argument holds for every even block length (the parity of the
-pair a certified block advances to needs it even).  Since tries follow
-two part-decided indices and invariance is decided once per scan, the
-length sets only how many ratio tests meet in one interval and how far
-_invariant and the certified pair jump, so _BLOCK is 2, the shortest:
-blocks of 32 certified and refused exactly the same scans of
-report-corpus, report-deep (seeds 1-3) and tests/sweep.py, at more cost.
+Where the terms grow, the walk decides every later index at once by an
+exact certificate.  In the P2/P3 stretch it tests growth of the carrier,
+|M[i+1]| >= c*|M[i]| with c = max(|B|, q), which decides all three
+properties (see scan), on a block of two indices: two
+cross-multiplications of terms already read.  Whether a block that
+passes makes every later index pass is the sign of one number, the
+mirrored carrier's characteristic polynomial at c, read once per scan;
+where it is not, the walk refuses its first try and tries no more.
+So the first certified block ends the walk.  It tries a block as early
+as scan's proof allows, right after two indices in a row that P3's
+part signs decided.  Where the dominant root is negative the terms alternate in
+sign, and the test runs on the mirror (-1)**n * M[n], which solves the
+recurrence with -A and keeps one sign: it certifies growth of |M| the
+same way, and P1, the one property that reads signs, then fails at
+every other index, read off its parity.  This is the positivity of a
+second-order recurrence read off its dominant root (Halava, Harju and
+Hirvensalo, Discrete Applied Mathematics 154, 2006), here on the steps
+M[i+1] - c*M[i].
 
 For speed the scans run on a rescaled integer copy of the sequence,
 recurrence.integer_carrier: with a = A/q, b = B/q over a common
@@ -96,10 +87,6 @@ __all__ = [
     "WindowReport",
     "scan",
 ]
-
-# indices per certified block of the P2/P3 walk (see scan); any even
-# length serves the proof, and the shortest costs least
-_BLOCK = 2
 
 # the walk's event sink (see scan): None, the default, emits nothing
 _events: Optional[list[tuple]] = None
@@ -166,20 +153,16 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     P1 walks the whole window, for n0, and past it only while the from-k
     window is clean.
 
-    Ratio tests.  On every solution w of the carrier's recurrence,
-    w[n+j+1] - c*w[n+j] = x[j]*w[n+1] + y[j]*w[n] with integer
-    coefficients that walk the same recurrence in j.  For such a w with
-    w[n] > 0 and rho = w[n+1]/w[n], w[n+j+1] >= c*w[n+j] is
-    x[j]*rho + y[j] >= 0, a half-line in rho.  The rho that pass it at
-    every j < _BLOCK form one interval, whose ends _ratio_tests writes as
-    integer pairs (x, y) with x*rho + y >= 0, on first need and once per
-    scan; the strict test, every w[n+j+1] > c*w[n+j], is the open
-    interval, x*rho + y > 0.  A block then costs a cross-multiplication
-    of w[n], w[n+1] against each end (most intervals have one), and one
-    jump by _BLOCK indices (_jump) advances its pair.
+    Growth test.  On a solution w of the carrier's recurrence, or of the
+    mirror's (below), with w[n] > 0, it asks w[i+1] >= c*w[i] with
+    c = max(|B|, q) at i = n and n + 1, a block of two indices, and
+    w[i+1] > c*w[i] where it is strict: the block's two steps
+    e[i] = w[i+1] - c*w[i], on w[n], w[n+1] and w[n+2], which the walk has
+    read when it tries n.  A certified block advances the pair by two
+    steps of the carrier's recurrence.
 
     Certified blocks in the real-root P2/P3 stretch.  The walk tries a
-    block of indices [n, n + _BLOCK) at an index n of the window right
+    block of indices [n, n + 2) at an index n of the window right
     after two indices in a row, n - 2 and n - 1, whose P3 the part signs
     decided: all the argument below reads of the walk.  That leaves P3
     open; it gives the conjugate form (below: u and s*M*sqrt(d) differ in
@@ -190,25 +173,25 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     u, a solution too, is not identically 0: u = 0 makes M geometric with
     ratio A/2, a root only where d = 0, and there N = u**2 - M**2*d = 0
     rules out the conjugate form.  Whether the test is invariant (below)
-    depends on s*A, B*q and c alone, so the first try decides it for the
-    whole scan: where it is not, that try is refused and the walk tries no
-    more; where it is, a refused try waits for the next two such indices
-    in a row.  A complex pair or a stretch where only P2 is open never
-    tries.  The test runs on the mirror w[i] = s**i * M[i], with s
-    the sign of the dominant root (below), which solves the carrier's
-    recurrence with s*A in place of A: where the dominant root is
-    negative the terms alternate in sign, and w keeps one.  The block is
-    certified where w keeps one sign and |M[i+1]| >= max(|B|, q)*|M[i]|
-    at each index i of it, the ratio test with c = max(|B|, q) on s*A
-    made positive at n, and where that test is invariant (below).  Since
-    |B| and q are integers of at least 1, growth alone gives positivity:
-    w[i+1] >= c*w[i] >= w[i] > 0 from w[n] > 0 on.  Where M keeps its
-    sign (s > 0), P1 holds where M > 0; where M < 0 the test is strict,
-    so |M[i+1]| > q*|M[i]| and every index is a violation.  Where M
-    alternates (s < 0), growth alone decides P1 and the test is plain:
-    P1 fails exactly where M[i] > 0 > M[i+1], at every other index.  P3
-    holds at every index by its part signs, since |u| too grows by |B|
-    (next), and P2 follows from P3 since |a[i+1]| >= |a[i]|.
+    depends on s*A, B*q and c alone and is read once per scan: where it
+    is not, the first try is refused and the walk tries no more; where it
+    is, a refused try waits for the next two such indices in a row.  A
+    complex pair or a stretch where only P2 is open never tries.  The
+    test runs on the mirror w[i] = s**i * M[i], with s the sign of the
+    dominant root (below), which solves the carrier's recurrence with s*A
+    in place of A: where the dominant root is negative the terms
+    alternate in sign, and w keeps one.  The block is certified where w
+    keeps one sign and |M[i+1]| >= max(|B|, q)*|M[i]| at each index i of
+    it, the growth test on w made positive at n, and where that test is
+    invariant (below).  Since |B| and q are integers of at least 1,
+    growth alone gives positivity: w[i+1] >= c*w[i] >= w[i] > 0 from
+    w[n] > 0 on.  Where M keeps its sign (s > 0), P1 holds where M > 0;
+    where M < 0 the test is strict, so |M[i+1]| > q*|M[i]| and every
+    index is a violation.  Where M alternates (s < 0), growth alone
+    decides P1 and the test is plain: P1 fails exactly where
+    M[i] > 0 > M[i+1], at every other index.  P3 holds at every index
+    by its part signs, since |u| too grows by |B| (next), and P2 follows
+    from P3 since |a[i+1]| >= |a[i]|.
 
     That u grows needs no test of its own: M's test and the two indices
     before the block imply it.  On the carrier's roots alpha' = q*alpha and
@@ -236,26 +219,43 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     alpha', the ratio the part on u read at n - 1.  The roots enter this
     argument only; the walk reads none.
 
-    One certificate decides the rest.  Where x**_BLOCK leaves c1*x + c0
-    modulo the carrier's characteristic polynomial, one block maps rho to
-    T(rho) = ((A*c1 + c0)*rho - B*q*c1) / (c1*rho + c0), whose
-    determinant is (B*q)**_BLOCK != 0, so T is strictly monotone
-    wherever its denominator stays positive: an open interval maps into
-    itself exactly where its closure does, and one check of the plain
-    test on the images of the interval's ends (_invariant) serves the
-    strict test too.  Where the test on w is invariant, the pair a
-    certified block advances to passes it again (strictly where M < 0
-    keeps its sign), with the conjugate form true and M, u != 0 by
-    growth, and so by induction does every later block: P2 and P3 hold
-    through the window.  Where M keeps its sign, P1 holds at every index
-    from n on where M > 0, while where M < 0 every index is a violation,
-    the from-k window's first at max(n, from_k - 1).  Where M alternates,
-    P1 fails at every other index from n on, those with M > 0; where the
-    window's violations end before from_k - 1, the from-k window's first
-    is max(from_k - 1, window + 1) or, by parity, the index after it.
-    So the first certified block ends the walk, even
-    one that runs past the window's end: the walk advances its pair to
-    n + _BLOCK, runs the self-check below on it, and skips _p1_alone.
+    One certificate decides the rest.  The steps e solve the recurrence
+    too, and with P(x) = x**2 - s*A*x + B*q, the mirror's characteristic
+    polynomial, e[i+1] = (s*A - c)*e[i] - P(c)*w[i], where s*A = |A| > 0.
+    The test is invariant, a block that passes it making every later
+    index pass it, exactly where P(c) <= 0, given c*c >= |B*q|, which
+    c = max(|B|, q) gives; on the spec's roots that c makes P(c) <= 0
+    the same as |beta| <= 1 <= |alpha|.  Where B*q > 0, P(c) <= 0 gives
+    s*A >= c + B*q/c > c, so e[i] >= 0 and w[i] > 0 give e[i+1] >= 0 and
+    w[i+1] >= c*w[i] > 0, index by index.  Where B*q < 0,
+    e[i+2] = s*A*e[i+1] + |B*q|*e[i], so two steps >= 0 in a row give a
+    third.  Both keep > where e[i] > 0, so the strict test, asked where
+    M < 0 keeps its sign, is invariant on the same sign of P(c).  The tie
+    P(c) = 0, c a root of P, falls on the invariant side: there
+    e[i+1] = (s*A - c)*e[i], and the eigen-solution c**i ties at every
+    index, passing the plain test and failing the strict one.  Where
+    P(c) > 0 and B*q < 0, s*A < c, so e[n+1] < 0 wherever e[n] >= 0 and
+    no block passes; where B*q > 0, c*c >= B*q, the product of P's
+    roots, and P(c) > 0 put c above both, where the ratio w[i+1]/w[i]
+    falls toward the larger one, so a passing block is followed by a
+    failing index.  For smaller c the sign of P(c) is not the
+    invariance: c below both roots has P(c) > 0 and an invariant test.
+    The closed form decides no violation: it only stops the tries, and a
+    block is certified only where its two steps pass on the terms read
+    at the try.
+
+    Where the test is invariant, every index from a certified block on
+    passes it (strictly where M < 0 keeps its sign), with the conjugate
+    form true and M, u != 0 by growth: P2 and P3 hold through the window.
+    Where M keeps its sign, P1 holds at every index from n on where
+    M > 0, while where M < 0 every index is a violation, the from-k
+    window's first at max(n, from_k - 1).  Where M alternates, P1 fails
+    at every other index from n on, those with M > 0; where the window's
+    violations end before from_k - 1, the from-k window's first is
+    max(from_k - 1, window + 1) or, by parity, the index after it.  So
+    the first certified block ends the walk, even one that runs past the
+    window's end: the walk advances its pair to n + 2, runs the
+    self-check below on it, and skips _p1_alone.
 
     P2 scans |alpha - a[n+1]/a[n]| >= |alpha - a[n+2]/a[n+1]|, with alpha
     the dominant root; it is None for complex roots, where the compared
@@ -376,6 +376,10 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
 
         # where d = t**2, X = u + gt*M is the integer R', or R where N = 0
         gt = (-sd if ns else sd) * t
+        # the growth the certificate asks, and whether it is invariant:
+        # P(c) <= 0 on the mirror's polynomial x**2 - s*A*x + B*q (see scan)
+        c = max(aB, q)
+        invariant = c * c - s * A * c + Bq <= 0
 
         def holds(p2: bool) -> bool:
             """P2 at the walk's index n if p2, else P3, on the loop's
@@ -410,34 +414,31 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     first2: Optional[int] = None
     first3: Optional[int] = None
     run = 0  # indices in a row whose P3 the part signs decided
-    grow = None  # the ratio tests, built on first need
-    invariant = True  # until the first try decides it, once per scan
+    tries = True  # until a try on a test that is not invariant is refused
     certified: Optional[int] = None  # the first index of the certified block
     n = 0
     while n <= window and (first3 is None or (real and first2 is None)):
         m2 = next(M)
         # u[n+1] = A*M[n+1] - 2*M[n+2] on the carrier's recurrence, one product shorter
         u1 = Bq * m0 - m2
-        if run >= 2 and invariant:
+        if run >= 2 and tries:
             # the run at n - 2 and n - 1 leaves P3 open, conj true at n and
-            # M[n], u[n] != 0
-            if grow is None:
-                # on the mirror w[i] = s**i * M[i], which solves the
-                # recurrence with s*A and keeps one sign where M alternates
-                grow = _ratio_tests(s * A, Bq, max(aB, q))
-                invariant = _invariant(s * A, Bq, grow)
-            # |M| grows by max(|B|, q), strictly where M < 0 keeps its sign
-            # (|u| then grows by |B|), on this block and, the test being
-            # invariant, on every later one
-            if invariant and _ratio_in(grow, m0, s * m1, m0 < 0 < s):
+            # M[n], u[n] != 0; |M| grows by c at n and n + 1, strictly where
+            # M < 0 keeps its sign (|u| then grows by |B|), where the two
+            # steps w[i+1] - c*w[i] of the mirror w[i] = s**i * M[i], made
+            # positive at n by g, pass; and, the test being invariant, at
+            # every later index
+            g, w1 = (1 if m0 > 0 else -1), s * m1
+            if invariant and min(g * (w1 - c * m0), g * (m2 - c * w1)) >= (m0 < 0 < s):
                 certified = n
-                _emit(("p1", range(n)), ("certified", n), ("lasting", n + _BLOCK),
+                _emit(("p1", range(n)), ("certified", n), ("lasting", n + 2),
                       ("p1", range(n, window + 1)))
-                m0, m1 = _jump(A, Bq, m0, m1, _BLOCK)
-                n += _BLOCK
-                break  # every later block is certified too (see above)
+                m0, m1 = m2, A * m2 - Bq * m1
+                n += 2
+                break  # every later index is certified too (see above)
             _emit(("refused", n))
             run = 0
+            tries = invariant
         lm2 = m2.bit_length()
         # (m0, m1, m2) = (M[n], M[n+1], M[n+2]); P1 is q*M[n] > M[n+1],
         # which is M[n+1] < 0 where the bits make |M[n+1]| > q*|M[n]| certain
@@ -495,8 +496,8 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     elif s < 0 or m0 < 0:
         # from the certified block on P1 fails at every index where M < 0
         # keeps its sign, and where M alternates at every other one, those
-        # with M > 0 (m0 has M's sign at the certified index, _BLOCK being
-        # even); so the from-k window's first is max(k1, window + 1) or, by
+        # with M > 0 (m0, two indices on, has M's sign at the certified
+        # index); so the from-k window's first is max(k1, window + 1) or, by
         # parity, the index after it, read where the window's violations
         # end before k1
         step = 1 if s > 0 else 2
@@ -562,8 +563,9 @@ def _p1_alone(q: int, A: int, Bq: int, m0: int, m1: int, n: int, window: int,
 
 
 def _jump(A: int, Bq: int, w0: int, w1: int, s: int) -> tuple[int, int]:
-    """(w[n+s], w[n+s+1]) from (w[n], w[n+1]) = (w0, w1) on any solution w
-    of w[n+2] = A*w[n+1] - Bq*w[n], in O(log s) products; s = 0 gives
+    """P1's far jump (_p1_alone): (w[n+s], w[n+s+1]) from
+    (w[n], w[n+1]) = (w0, w1) on any solution w of
+    w[n+2] = A*w[n+1] - Bq*w[n], in O(log s) products; s = 0 gives
     (w0, w1) back.
 
     The shift S, (S w)[n] = w[n+1], obeys S**2 = A*S - Bq on every such
@@ -580,80 +582,3 @@ def _jump(A: int, Bq: int, w0: int, w1: int, s: int) -> tuple[int, int]:
         if bit == "1":
             c1, c0 = A * c1 + c0, -Bq * c1
     return c1 * w1 + c0 * w0, (A * c1 + c0) * w1 - Bq * c1 * w0
-
-
-def _ratio_tests(A: int, Bq: int, c: int) -> list[tuple[int, int]]:
-    """Integer pairs (x, y) such that a solution w of
-    w[n+2] = A*w[n+1] - Bq*w[n] with w[n] > 0 has w[n+j+1] >= c*w[n+j]
-    for every j < _BLOCK exactly where x*w[n+1] + y*w[n] >= 0 for every
-    pair, and > c*w[n+j] for every j exactly where each is > 0.  Step j
-    is w[n+j+1] - c*w[n+j] = x[j]*w[n+1] + y[j]*w[n], whose slopes walk
-    the same recurrence in j, from (x[0], x[1]) = (1, A - c), and whose
-    offsets are y[0] = -c and y[j] = -Bq*x[j-1] for j >= 1: where
-    w[n+j] = X[j]*w[n+1] + Y[j]*w[n], X and Y solve the recurrence, and
-    so does -Bq*X[j-1], which agrees with Y at j = 1 and 2 (both 0, then
-    -Bq, since X[0] = 0 and X[1] = 1), so Y[j] = -Bq*X[j-1] for j >= 1,
-    and y[j] = Y[j+1] - c*Y[j] = -Bq*x[j-1].  So only x is stepped.  On
-    rho = w[n+1]/w[n] step j asks x[j]*rho + y[j] >= 0: a half-line, or
-    all or nothing where the slope is 0 (the offset then is not 0, since
-    the map from (w[n], w[n+1]) to (w[n+j], w[n+j+1]) is invertible).
-    The half-lines meet in one interval, and its two ends are the
-    pairs."""
-    below = above = None
-    x, x1, y = 1, A - c, -c
-    for _ in range(_BLOCK):
-        if x > 0:
-            # rho >= -y/x, tighter than the end so far
-            if below is None or y * below[0] < below[1] * x:
-                below = (x, y)
-        elif x < 0:
-            # rho <= -y/x
-            if above is None or y * above[0] > above[1] * x:
-                above = (x, y)
-        elif y < 0:
-            return [(0, -1)]
-        # y[j+1] = -Bq*x[j], and x[j+2] = A*x[j+1] - Bq*x[j] = A*x[j+1] + y[j+1]
-        y = -Bq * x
-        x, x1 = x1, A * x1 + y
-    return [end for end in (below, above) if end]
-
-
-def _invariant(A: int, Bq: int, tests: list[tuple[int, int]]) -> bool:
-    """Whether every block after one that passes tests passes them too,
-    and strictly after one that passes them strictly.
-
-    Where x**_BLOCK leaves c1*x + c0 modulo x**2 - A*x + Bq (_jump), one
-    block maps rho = w[n+1]/w[n] to
-    T(rho) = ((A*c1 + c0)*rho - Bq*c1) / (c1*rho + c0), whose denominator
-    is w[n+_BLOCK]/w[n] and whose determinant, c0**2 + A*c1*c0 + Bq*c1**2,
-    the norm of c1*x + c0, is Bq**_BLOCK, not 0.  On an interval where the
-    denominator stays positive, T is continuous and strictly monotone, so
-    it maps the closed interval C of tests onto the closed interval
-    between the images of C's two ends, and into C where both images pass
-    tests.  It then maps C's interior, the open interval of the strict
-    test, onto an open interval inside C, which lies inside that
-    interior: one check of the plain test serves both.  An end (x, y) is
-    the pair (w0, w1) = (|x|, -y) for x > 0 and (|x|, y) for x < 0; an
-    end unbounded above is (0, 1), whose image is (c1, A*c1 + c0).  Each
-    image is _jump's over _BLOCK indices.  An image with w0 <= 0 counts as
-    failing: where each end's image has w0 > 0, so does all of C, the
-    denominator being affine in rho.  By induction, a block that passes
-    invariant tests starts a run of passing blocks with no end."""
-    ends = [(abs(x), -y if x > 0 else y) for x, y in tests]
-    if all(x > 0 for x, _ in tests):
-        ends.append((0, 1))
-    for w0, w1 in ends:
-        v0, v1 = _jump(A, Bq, w0, w1, _BLOCK)
-        if v0 <= 0 or not _ratio_in(tests, v0, v1):
-            return False
-    return True
-
-
-def _ratio_in(tests: list[tuple[int, int]], w0: int, w1: int, strict: bool = False) -> bool:
-    """Whether w1/w0 passes every pair of _ratio_tests, strictly if
-    strict; w0 != 0, and a negative w0 flips the solution's sign."""
-    for x, y in tests:
-        v = x * w1 + y * w0
-        if (v if w0 > 0 else -v) < strict:
-            return False
-    return True

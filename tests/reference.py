@@ -280,3 +280,40 @@ def reference_windows(spec: RecurrenceSpec, window: int, from_k: int) -> OracleW
         WindowReport(PropertyId.P3, (0, window), *ref_p3(spec, window, terms), ()),
         ref_n0(spec, window, terms),
     )
+
+
+# ----------------------------------------------------------------------
+# the growth certificate's invariance, by the image of its interval
+# ----------------------------------------------------------------------
+
+def growth_invariant(t: int, bq: int, c: int) -> bool:
+    """Whether every block of two indices that passes w[i+1] >= c*w[i],
+    on a solution w of w[i+2] = t*w[i+1] - bq*w[i] with w[0] > 0, is
+    followed by one that passes too; False where no block passes.
+
+    The block's two steps ask rho = w[1]/w[0] >= c and
+    (t - c)*rho >= bq, since w[2] - c*w[1] = (t - c)*w[1] - bq*w[0]: the
+    ratios that pass form one interval.  Two steps of the recurrence map
+    rho to w[3]/w[2], a fractional-linear map of rho with determinant
+    bq**2 != 0, monotone where its denominator w[2]/w[0], affine in rho,
+    stays positive, which holds on the interval where it holds at both
+    ends.  So the interval maps into itself exactly where the image of
+    each end does, an end unbounded above being the pair (w[0], w[1]) =
+    (0, 1).
+    """
+    lo, hi = Fraction(c), None  # the interval [lo, hi], hi None if unbounded
+    slope = t - c
+    if slope > 0:
+        lo = max(lo, Fraction(bq, slope))
+    elif slope < 0:
+        hi = Fraction(bq, slope)
+    elif bq > 0:
+        return False
+    if hi is not None and hi < lo:
+        return False
+    for w0, w1 in ((1, lo), (0, 1) if hi is None else (1, hi)):
+        w2 = t * w1 - bq * w0
+        w3 = t * w2 - bq * w1
+        if w2 <= 0 or w3 / w2 < lo or hi is not None and w3 / w2 > hi:
+            return False
+    return True

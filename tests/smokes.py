@@ -43,12 +43,14 @@ class Walk(NamedTuple):
     """The oracle walks of an analyze line, over every scan it runs, in
     walk order: each certified block's first index, each index where a
     lasting certificate ended a walk, each (n, k1) where P1 jumped from n
-    to the from-k window's first index k1, and the number of exact steps."""
+    to the from-k window's first index k1, the number of exact steps, and
+    each refused try's first index."""
 
     certified: tuple[int, ...] = ()
     lasting: tuple[int, ...] = ()
     jumps: tuple[tuple[int, int], ...] = ()
     exact: int = 0
+    refused: tuple[int, ...] = ()
 
 
 def walk_of(events: list[tuple]) -> Walk:
@@ -56,7 +58,8 @@ def walk_of(events: list[tuple]) -> Walk:
     return Walk(tuple(e[1] for e in events if e[0] == "certified"),
                 tuple(e[1] for e in events if e[0] == "lasting"),
                 tuple(e[1:] for e in events if e[0] == "jump"),
-                sum(e[0] == "exact" for e in events))
+                sum(e[0] == "exact" for e in events),
+                tuple(e[1] for e in events if e[0] == "refused"))
 
 
 class Smoke(NamedTuple):
@@ -116,6 +119,19 @@ SMOKES = [
            "--from-k=1000"),
           walk=Walk((2,), (4,)),
           facts={"oracle_windows.p1_from_k.first_violation": 999}),
+    # the terms grow by more than 1 up to about index 130, then shrink
+    # toward the dominant root 199/200: P(1) > 0, so the growth test is not
+    # invariant, and the walk refuses its one try and tries no more
+    Smoke("transient_refused",
+          ("analyze", "--a=397/200", "--b=19701/20000", "--v0=1/1000", "--v1=599/100000",
+           "--window=300"),
+          walk=Walk(refused=(2,))),
+    # |a| shrinks at every other index up to 6, then grows: the growth test
+    # is invariant, P(c) < 0, so the walk tries again after its refused try
+    # at 6 and certifies the block at 8
+    Smoke("late_growth",
+          ("analyze", "--a=2/5", "--b=-5/7", "--v0=7/3", "--v1=0", "--window=100"),
+          walk=Walk((8,), (10,), refused=(6,), exact=5)),
     # rational roots 3 and 1/2, q = 2 < |B| = 3
     Smoke("rational_roots",
           ("analyze", "--a=7/2", "--b=3/2", "--v0=1", "--v1=2", "--window", "1000"),

@@ -49,8 +49,7 @@ SPREAD_H = make_h_spec(1, -3, 1)
 DEEP = make_h_spec(Fraction(28, 13), Fraction(-3, 13), Fraction(2, 5))
 DEEP_NEGATIVE = make_h_spec(Fraction(28, 13), Fraction(-3, 13), Fraction(-2, 5))
 # roots 3 and 2: the terms and their differences E grow, and every
-# from-k window is clean; a ratio test for E >= 0 over a block (c = 0) is
-# not invariant on it, the image of its lower end having E = 0
+# from-k window is clean
 RISING = make_h_spec(5, 6, 1)
 # roots 199/200 and 99/100 and a[n] = alpha**n - (1 - 1/1000)*beta**n: the
 # terms grow by more than 1 per index up to about index 130, then shrink
@@ -59,8 +58,8 @@ RISING = make_h_spec(5, 6, 1)
 TRANSIENT = RecurrenceSpec(Fraction(397, 200), Fraction(19701, 20000),
                            Fraction(1, 1000), Fraction(599, 100000))
 # repeated root 1, a[n] = -1 - 2*n: every index violates P1, and the test on
-# M is invariant, strict or not: its interval's end, the tie a[n+1] = a[n],
-# is the fixed point T(1) = 1 of one block's map
+# M is invariant, strict or not: c = 1 is the root of P(x) = (x - 1)**2, the
+# tie P(1) = 0, and the eigen-solution 1**n ties a[n+1] = a[n]
 FALLING_UNIT = RecurrenceSpec(2, 1, -1, -3)
 
 
@@ -761,6 +760,10 @@ TIE_AT_BLOCK_END = _ratio_tie(3)
 # invariant, so only its strict form refuses that block; the plain form
 # would certify it and make 4 a violation
 TIE_AT_BLOCK_START = _ratio_tie(4, Fraction(539, 500), Fraction(-1, 2))
+# its twin with every term positive, where the plain test certifies the
+# block at 4
+TIE_AT_BLOCK_START_POSITIVE = RecurrenceSpec(
+    TIE_AT_BLOCK_START.a, TIE_AT_BLOCK_START.b, -TIE_AT_BLOCK_START.v0, -TIE_AT_BLOCK_START.v1)
 # roots 1.07 and -0.67 and a[1] = 0: |a| shrinks at every other index up to
 # 6, then grows; the test on M is invariant, the try at 6 is refused, since
 # |a[7]| < |a[6]|, and the one at 8, after the next two-index run, is
@@ -768,10 +771,14 @@ TIE_AT_BLOCK_START = _ratio_tie(4, Fraction(539, 500), Fraction(-1, 2))
 LATE_GROWTH = RecurrenceSpec(Fraction(2, 5), Fraction(-5, 7), Fraction(7, 3), 0)
 
 
+# the indices of a certified block
+BLOCK = 2
+
+
 @st.composite
 def deep_cases(draw):
-    """(spec, window, from_k) with windows of 2*_BLOCK to 200, long enough
-    to hold a whole certified block of _BLOCK indices, and from-k windows
+    """(spec, window, from_k) with windows of 2*BLOCK to 200, long enough
+    to hold a whole certified block of BLOCK indices, and from-k windows
     past it: coefficients of either sign (|B| > q and q > |B| alike), two
     rational roots (a square discriminant) or one repeated root (a zero
     one), starts of either sign, scaled by 1 or 2**700."""
@@ -786,14 +793,14 @@ def deep_cases(draw):
     v0, v1 = draw(starts_st), draw(starts_st)
     assume(v0 or v1)
     scale = draw(st.sampled_from((1, 2**700)))
-    window = draw(st.integers(2 * oracle._BLOCK, 200))
-    from_k = draw(st.integers(window + 2, 2 * window + 2 * oracle._BLOCK))
+    window = draw(st.integers(2 * BLOCK, 200))
+    from_k = draw(st.integers(window + 2, 2 * window + 2 * BLOCK))
     return RecurrenceSpec(a, b, v0 * scale, v1 * scale), window, from_k
 
 
 class TestCertifiedBlocks:
     """Inside the window a real-root walk decides every index from a
-    block of _BLOCK indices on where one invariant ratio test certifies
+    block of BLOCK indices on where one invariant growth test certifies
     that M grows; it tries a block after each two indices in a row that
     the part signs decided, and not again once the test is found not to
     be invariant.  Each pinned case reaches the path it names, and every
@@ -860,10 +867,10 @@ class TestCertifiedBlocks:
         assert got == reference_windows(*case)
 
     def test_all_violation_blocks(self):
-        # every term is negative and falls: the strict test, whose interval
-        # ends on the fixed point T(1) = 1, is invariant, so the certified
-        # block at 2 ends the walk and every index from 2 on is a
-        # violation of P1, the from-k window's first at its first index
+        # every term is negative and falls: the strict test, on the tie
+        # P(1) = 0, is invariant, so the certified block at 2 ends the walk
+        # and every index from 2 on is a violation of P1, the from-k
+        # window's first at its first index
         got, events = _block_events(FALLING_UNIT, 100, 150)
         assert events == [("certified", 2), ("lasting", 4)]
         assert got.p2.holds_on_window and got.p3.holds_on_window
@@ -932,34 +939,69 @@ class TestCertifiedBlocks:
             assert events == want, case
             assert got == reference_windows(*case), case
 
-    @given(st.integers(-30, 30), st.integers(-30, 30).filter(bool),
-           st.sampled_from((0, 1, 2, 3, 13)), st.integers(-20, 20).filter(bool),
-           st.integers(-600, 600), st.booleans())
-    # on the eigen-solutions 3^n and 2^n of roots 2 and 3 every step ties
-    # w[j+1] = c*w[j]: the plain test passes, the strict one fails
-    @example(5, 6, 3, 1, 3, False)
-    @example(5, 6, 3, 1, 3, True)
-    @example(5, 6, 2, -2, -4, True)
-    # w = 1, 0, -1, 0, ...: step 1 has slope 0 and fails for every rho
-    @example(0, 1, 0, 1, 0, False)
-    @settings(max_examples=300, deadline=None)
-    def test_ratio_tests_decide_every_step(self, A, Bq, c, w0, w1, strict):
-        # w[j+1] >= c*w[j] at every j < _BLOCK, w made positive at 0,
-        # against the walked solution
-        w = [w0, w1]
-        for _ in range(oracle._BLOCK - 1):
-            w.append(A * w[-1] - Bq * w[-2])
-        sign = 1 if w0 > 0 else -1
-        want = all(sign * (y - c * x) >= strict for x, y in zip(w, w[1:]))
-        tests = oracle._ratio_tests(A, Bq, c)
-        assert oracle._ratio_in(tests, w0, w1, strict) == want
+    @given(deep_cases())
+    # ties at the try's first step, a[5] = a[4]: the strict test refuses
+    # the block at 4 where every term is negative, and on the twin with
+    # positive terms the plain test certifies it
+    @example((TIE_AT_BLOCK_START, 100, 5))
+    @example((TIE_AT_BLOCK_START_POSITIVE, 100, 5))
+    # the tie P(1) = 0 on the repeated root 1, strict where the terms fall
+    # and plain where they rise
+    @example((FALLING_UNIT, 100, 150))
+    @example((RecurrenceSpec(2, 1, 1, 3), 100, 0))
+    # s*A = c = 3: the second step is -P(3)*w[n] = 3*w[n] > 0 whatever the
+    # ratio, and the first decides
+    @example((RecurrenceSpec(3, -3, 1, 1), 60, 0))
+    # a refused try and a certified one on an invariant test, one refused
+    # try on a test that is not invariant, and the mirror
+    @example((LATE_GROWTH, 100, 0))
+    @example((TRANSIENT, 300, 0))
+    @example((TRANSIENT_MIRRORED, 300, 0))
+    @example((TABLE_NEGATED, 100, 150))
+    @settings(max_examples=150, deadline=None)
+    def test_tries_read_two_steps_of_the_walked_solution(self, case):
+        # each try at n is certified exactly where the growth test is
+        # invariant (the reference's image check) and the block's two
+        # steps pass on the terms iterate walks: on the mirror
+        # w[i] = (s*q)**i * a[i], a positive multiple of s**i * M[i], made
+        # positive at n, w[i+1] - c*w[i] >= 0 at n and n + 1, > 0 where
+        # the terms are negative and keep their sign; a test that is not
+        # invariant is tried at most once
+        spec, window, _ = case
+        _, events = _block_events(*case, ("certified", "refused"))
+        if not events:
+            return
+        q, A, B, _, _ = integer_carrier(spec)
+        s, c = reference.roots(spec.a, spec.b).alpha.sign(), max(abs(B), q)
+        invariant = reference.growth_invariant(s * A, B * q, c)
+        assert invariant or len(events) == 1, case
+        terms = iterate(spec, window + 3)
+        for name, n in events:
+            w = [(s * q) ** i * terms[i] for i in (n, n + 1, n + 2)]
+            sign = 1 if w[0] > 0 else -1
+            steps = [sign * (y - c * x) for x, y in zip(w, w[1:])]
+            strict = terms[n] < 0 < s
+            passes = all(e > 0 if strict else e >= 0 for e in steps)
+            assert (name == "certified") == (invariant and passes), (case, n)
+
+
+@st.composite
+def growth_triples(draw):
+    """(t, B*q, c) with c >= 1 and c*c >= |B*q| != 0, where the closed form
+    claims the image check; one time in two c is a root of
+    x**2 - t*x + B*q, the tie P(c) = 0, with the other root r, |r| <= c."""
+    c = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        r = draw(st.integers(-c, c).filter(bool))
+        return c + r, c * r, c
+    return draw(st.integers(-130, 130)), draw(st.integers(-c * c, c * c).filter(bool)), c
 
 
 class TestLastingCertificates:
-    """Where one block maps a ratio test's interval into itself
-    (oracle._invariant), a block that passes the test decides every later
-    index: the walk stops after its first certified block.  Pinned
-    against the naive references around each exit, and by event traces."""
+    """Where the growth test is invariant, P(c) <= 0 in closed form, a
+    block that passes the test decides every later index: the walk stops
+    after its first certified block.  Pinned against the naive references
+    around each exit, and by event traces."""
 
     CASES = (
         # the certificate at 2 decides [4, 300], far below the window's
@@ -1038,7 +1080,7 @@ class TestLastingCertificates:
         for case in self.ALTERNATING_CASES:
             at = 3 if case[0] is TABLE_NEGATED else 2
             _, events = _block_events(*case)
-            assert events == [("certified", at), ("lasting", at + oracle._BLOCK)], case
+            assert events == [("certified", at), ("lasting", at + BLOCK)], case
         # P1 read off the parity of the index, with no walk past the
         # window: a[101] < 0 < a[102] on ALTERNATING, so the from-k window
         # [101, 202] first fails at 102, and [100, 201] at 100
@@ -1054,36 +1096,53 @@ class TestLastingCertificates:
         assert got.n0_witness == 3 and got.p1_from_k.first_violation == 4
         assert got == reference_windows(TABLE_NEGATED, 3, 4)
 
-    def test_invariant_ratio_tests(self):
-        def tests(spec, c):
+    def test_closed_form_decides_invariance(self):
+        # P(c) = c*c - s*A*c + B*q at c = max(|B|, q), the sign scan reads
+        # once per scan, against the reference's image check: DEEP is
+        # invariant; FALLING_UNIT ties, P(1) = 0, c = 1 being the double
+        # root of P, and is invariant; TRANSIENT is not, its dominant root
+        # 199/200 being below the growth of 1
+        def closed_form(spec):
             q, A, B, _, _ = integer_carrier(spec)
-            return A, B * q, oracle._ratio_tests(A, B * q, max(abs(B), q) if c is None else c)
+            s, c = (1 if A > 0 else -1), max(abs(B), q)
+            return c * c - s * A * c + B * q, reference.growth_invariant(s * A, B * q, c)
 
-        # growth by max(|B|, q): invariant on DEEP and on FALLING_UNIT,
-        # whose interval's end, rho = 1, is the fixed point T(1) = 1 (the
-        # eigen-solution 1**n); not on TRANSIENT, whose dominant root
-        # 199/200 is below the growth of 1
-        assert oracle._invariant(*tests(DEEP, None))
-        A, Bq, grow = tests(FALLING_UNIT, None)
-        (x, y), = grow
-        assert -y == x > 0 and oracle._jump(A, Bq, 1, 1, oracle._BLOCK) == (1, 1)
-        assert oracle._invariant(A, Bq, grow)
-        assert not oracle._invariant(*tests(TRANSIENT, None))
-        # c = 0, E >= 0 over a block: FIB's and TABLE's interval is
-        # unbounded above and maps into itself; RISING's lower end is a
-        # solution with E[_BLOCK] = 0, whose image has w0 = 0
-        assert oracle._invariant(*tests(FIB, 0)) and oracle._invariant(*tests(TABLE, 0))
-        A, Bq, clean = tests(RISING, 0)
-        (x, y), = clean
-        assert oracle._jump(A, Bq, x, -y, oracle._BLOCK)[0] == 0
-        assert not oracle._invariant(A, Bq, clean)
-        # rho >= 1 on roots 1 and -6: its end is the eigen-solution 1**n,
-        # which maps to itself, but every larger ratio is drawn toward -6;
-        # only the image of the unbounded end (0, 1), whose w0 is the
-        # coefficient c1 of x**_BLOCK's remainder and negative, shows it
-        assert oracle._jump(-5, -6, 1, 1, oracle._BLOCK) == (1, 1)
-        assert oracle._jump(-5, -6, 0, 1, oracle._BLOCK)[0] < 0
-        assert not oracle._invariant(-5, -6, [(1, -1)])
+        p, invariant = closed_form(DEEP)
+        assert p < 0 and invariant
+        assert closed_form(FALLING_UNIT) == (0, True)
+        p, invariant = closed_form(TRANSIENT)
+        assert p > 0 and not invariant
+
+    @given(growth_triples())
+    # P(c) = 0 on rational roots: (t, B*q) = (5, 6) at its root 3 (c*c >= 6),
+    # the repeated root 1 of (2, 1), and (1, -6) at its root 3, B*q < 0
+    @example((5, 6, 3))
+    @example((2, 1, 1))
+    @example((1, -6, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_equals_the_image_check(self, triple):
+        # c*c - t*c + B*q <= 0 is the reference's image check wherever
+        # c*c >= |B*q|, the condition scan's c = max(|B|, q) meets
+        t, Bq, c = triple
+        assert (c * c - t * c + Bq <= 0) == reference.growth_invariant(t, Bq, c), triple
+
+    @given(coeffs_st, coeffs_st)
+    @example(Fraction(28, 13), Fraction(-3, 13))  # DEEP
+    @example(2, 1)  # repeated root 1
+    @example(Fraction(5, 2), Fraction(3, 2))  # roots 3/2 and 1
+    @example(Fraction(-5, 2), Fraction(3, 2))  # roots -3/2 and -1
+    @example(Fraction(3, 2), Fraction(-1))  # roots 2 and -1/2
+    @example(Fraction(1, 2), Fraction(-1, 2))  # roots 1 and -1/2
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_reads_the_roots(self, a, b):
+        # on real roots, with s the dominant root's sign, the test is
+        # invariant exactly where |beta| <= 1 <= |alpha|
+        r = reference.roots(a, b)
+        assume(r.discriminant_sign >= 0)
+        q, A, B, _, _ = integer_carrier(RecurrenceSpec(a, b, 1, 0))
+        s, c = r.alpha.sign(), max(abs(B), q)
+        want = (abs(r.beta) - 1).sign() <= 0 <= (abs(r.alpha) - 1).sign()
+        assert (c * c - s * A * c + B * q <= 0) == want, (a, b)
 
 
 # the jump lengths every jump test covers: 0 to 64, and 2**j and 2**j +- 1
@@ -1159,8 +1218,8 @@ def _broken_carrier(at):
     return carrier
 
 
-# DEEP on starts of 700 bits and more, whose carrier pair at the certified
-# block is far longer than the ends of its ratio test
+# DEEP on starts of 700 bits and more, so that a term one off at the
+# certified block leaves its growth test as it is
 DEEP_LONG = make_h_spec(DEEP.a, DEEP.b, DEEP.v0 * 2**700)
 
 
@@ -1205,20 +1264,15 @@ class TestCasoratianNorm:
             oracle.scan(FIB, 50, 0)
 
     def test_self_check_guards_the_block_advanced_pair(self, monkeypatch):
-        # a jump off by one on the carrier's own pair, whose terms at the
-        # first certified block have hundreds of bits, advances M off its
-        # solution there, and the norm at the walk's end shows it; the
-        # images of the ratio test's small ends stay exact, so the block
-        # is still certified
-        def broken(A, Bq, w0, w1, s):
-            v0, v1 = jump(A, Bq, w0, w1, s)
-            return (v0 + 1, v1) if abs(w0) >= 1 << 64 else (v0, v1)
-
-        jump = oracle._jump
+        # M[4] one too large, read by the try at 2 and advanced with M[3]
+        # to (M[4], M[5]): on terms of hundreds of bits the block is still
+        # certified, and the norm at the walk's end shows the pair off the
+        # solution N[0] was read on
         assert _block_events(DEEP_LONG, 100, 0)[1] == [("certified", 2), ("lasting", 4)]
-        monkeypatch.setattr(oracle, "_jump", broken)
-        with pytest.raises(InternalInconsistency, match="self-check"):
+        monkeypatch.setattr(oracle, "integer_carrier", _broken_carrier(4))
+        with oracle_events() as events, pytest.raises(InternalInconsistency, match="self-check"):
             oracle.scan(DEEP_LONG, 100, 0)
+        assert ("certified", 2) in events
 
     def test_self_check_reaches_the_cli_as_exit_one(self, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "integer_carrier", _broken_carrier(3))
