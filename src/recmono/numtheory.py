@@ -5,8 +5,10 @@ integers exactly when its discriminant is a perfect square (a rational
 root of a monic integer polynomial is an integer, and the parities of a
 and isqrt(disc) agree automatically).  Inside the closed coefficient
 region the reducible integer pairs are exactly b in {-a-1, 0, a-1}.
-The boundary characterization reads membership off DP's one closed
-form, `regions.contains_coeff_plane(RegionId.DP, a, b)`.
+Both read DP's one closed form: the enumeration takes each row's
+integer points off DP's row bounds (`regions._dp`), and the boundary
+characterization reads membership off
+`regions.contains_coeff_plane(RegionId.DP, a, b)`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .regions import RegionId, contains_coeff_plane
+from .regions import RegionId, _dp, contains_coeff_plane
 
 __all__ = [
     "IntCoeffPair",
@@ -40,18 +42,16 @@ def enumerate_generalized_fibonacci(a_max: int) -> list[IntCoeffPair]:
     """The irreducible integer pairs of the closed coefficient region
     DP = {a >= 1, -a-1 <= b <= a-1} with a <= a_max, ordered by a then b.
 
-    For each a in [1, a_max] that is b in [-a, a-2] with b = 0 dropped
-    (the values -a-1, 0, a-1 are exactly the reducible ones).  The pair
-    (1, -1), DP's one irreducible pair at a = 1, lies on its edge.
+    Row b of DP holds the integers a >= hi read off DP's row bounds
+    (regions._dp(b, 1)); rows b < -a_max - 1 and b > a_max - 1 hold none
+    up to a_max.  The pair (1, -1), DP's one irreducible pair at a = 1,
+    lies on its edge.
     """
     if a_max < 1:
         raise ValueError("a_max must be at least 1")
-    pairs = []
-    for a in range(1, a_max + 1):
-        for b in range(-a, a - 1):
-            if b != 0:
-                pairs.append(IntCoeffPair(a, b))
-    return pairs
+    rows = (IntCoeffPair(a, b) for b in range(-a_max - 1, a_max)
+            for a in range(_dp(b, 1)[1], a_max + 1))
+    return sorted(p for p in rows if is_irreducible(p))
 
 
 def boundary_characterization() -> list[IntCoeffPair]:

@@ -16,7 +16,11 @@ per index from there.  The jump (_jump) is the oracle's own
 square-and-multiply of x**s modulo the carrier's characteristic
 polynomial, a different algorithm from the Lucas fast doubling by which
 the decisions and terms_between reach far terms, so the two routes
-reach a far index independently.  All comparisons are exact.
+reach a far index independently.  first_p1_violation is that P1 walk
+alone, with no window of its own: from M[0], M[1] it jumps E to the
+first index of a range and steps to its first violation.  The report
+reads with it the two rows that certify an n0 past the window, so no
+report scans twice.  All comparisons are exact.
 
 Where the terms grow, the walk decides every later index at once by an
 exact certificate.  In the P2/P3 stretch it tests growth of the carrier,
@@ -85,6 +89,7 @@ __all__ = [
     "PropertyId",
     "OracleWindows",
     "WindowReport",
+    "first_p1_violation",
     "scan",
 ]
 
@@ -341,7 +346,8 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     try at a certified block, ("lasting", n) where a lasting certificate
     ends the walk at n, ("p1", r) for the range r of indices a stretch
     decides P1 on, one by one or as a block, ("jump", n, k1) where P1
-    jumps from n to the from-k window's first index k1, and
+    jumps from n to the from-k window's first index k1 (in
+    first_p1_violation, its range's first index), and
     ("exact", bits(M[n])) at each exact step.  Beyond exact steps, no
     event is emitted per walked index.
     """
@@ -492,7 +498,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     last, k1 = from_k + window, from_k - 1
     if certified is None:
         _emit(("p1", range(n)))
-        _p1_alone(q, A, Bq, m0, m1, n, window, from_k, p1)
+        _p1_alone(q, A, Bq, m0, m1, n, window, k1, last, p1)
     elif s < 0 or m0 < 0:
         # from the certified block on P1 fails at every index where M < 0
         # keeps its sign, and where M alternates at every other one, those
@@ -521,8 +527,24 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     return OracleWindows(immediate, from_k_window, p2, p3, n0 if n0 <= window else None)
 
 
+def first_p1_violation(spec: RecurrenceSpec, lo: int, hi: int) -> Optional[int]:
+    """The first n in [lo, hi], 0 <= lo <= hi, with a[n] > a[n+1]; None
+    where there is none.
+
+    The P1 reader with no P2 or P3 and no window of its own: _p1_alone
+    from M[0], M[1] with window -1, which jumps E to lo and steps from
+    there to the first violation or hi, as scan's far from-k window does.
+    """
+    if not 0 <= lo <= hi:
+        raise ValueError("the range must have 0 <= lo <= hi")
+    q, A, B, _, M = integer_carrier(spec)
+    p1: list[int] = []
+    _p1_alone(q, A, B * q, next(M), next(M), 0, -1, lo, hi, p1)
+    return p1[0] if p1 else None
+
+
 def _p1_alone(q: int, A: int, Bq: int, m0: int, m1: int, n: int, window: int,
-              from_k: int, p1: list[int]) -> None:
+              k1: int, last: int, p1: list[int]) -> None:
     """P1 from index n on, once scan's walk is done with P2 and P3:
     appends each violation it reads to p1, from (m0, m1) = (M[n], M[n+1]).
 
@@ -532,12 +554,11 @@ def _p1_alone(q: int, A: int, Bq: int, m0: int, m1: int, n: int, window: int,
     q*M[n], a comparison of two long terms and a step of the carrier's
     generator.  Inside the window it steps on E once per index, for n0.
 
-    Past the window only the from-k window's first violation counts, at
-    or after k1 = from_k - 1, and only while none has been read.  Where
+    Past the window only the from-k window [k1, last]'s first violation
+    counts, and only while none has been read at or after k1.  Where
     k1 > n, P1 jumps the pair (E[n], E[n+1]) to (E[k1], E[k1+1]) in
     O(log k1) products (_jump), reading nothing in between; from there it
-    steps on E as inside the window, up to the first violation or
-    from_k + window.
+    steps on E as inside the window, up to the first violation or last.
     """
     e0, e1 = m1 - q * m0, (A - q) * m1 - Bq * m0
     _emit(("p1", range(n, window + 1)))
@@ -546,7 +567,6 @@ def _p1_alone(q: int, A: int, Bq: int, m0: int, m1: int, n: int, window: int,
             p1.append(n)
         n += 1
         e0, e1 = e1, A * e1 - Bq * e0
-    last, k1 = from_k + window, from_k - 1
     if n > last or p1 and p1[-1] >= k1:
         return
     if k1 > n:

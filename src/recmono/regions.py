@@ -6,8 +6,9 @@ P suffix) constrain (a, b) through the roots of x^2 - a*x + b.  The
 closed coefficient region DP = {a >= 1, -a - 1 <= b <= a - 1} equals the
 intersection of the three primed regions; rasters make that visible and
 the test suite checks it pointwise.  That closed form, as DP's row
-bounds, is its one definition: `numtheory.boundary_characterization`
-reads its boundary off it too.
+bounds, is its one definition: `numtheory.enumerate_generalized_fibonacci`
+reads its integer points off it, and `numtheory.boundary_characterization`
+its boundary.
 
 Membership is decided exactly, on integers.  A point (x, y) is written
 as integer numerators X, Y over one positive denominator L:

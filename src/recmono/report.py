@@ -13,15 +13,17 @@ since that block decides every later index, and goes past the window
 only while the from-k P1 window is still clean, by one jump to that
 window and one step per index through it.  A holding eventual verdict
 whose n0 lies past the window has k* = n0 + 1 found by the decisions
-(_first_clean_start) and certified by two more scans: a clean from-k
-window at k*, and a first violation at k* - 2 in the one at k* - 1,
-which is scanned at window 0, since its first two indices decide that
-fact and the P2/P3 walk over the window would only repeat the first scan.
-The search reads decisions past the dominance index at no far cost
-(decisions._dominance_index), and stops at N0_SEARCH_LIMIT.  Where it
-fails there, n0 may lie past it only if that index is proven and at
-least the limit: the input is then refused (ValueError, exit 2, naming
-the limit and the index), and otherwise the failure is a contradiction.
+(_first_clean_start) and certified by two more rows of the same
+contract, each read by oracle.first_p1_violation, P1 alone with no
+P2/P3 walk: nondecreasing_from(k*), which holds, on [k* - 1, k* + window],
+and nondecreasing_from(k* - 1), which fails on its triple by k* - 1, on
+the one index k* - 2.  So the scan is the report's one walk of the
+window, and all seven rows pass one rule.  The search reads decisions
+past the dominance index at no far cost (decisions._dominance_index),
+and stops at N0_SEARCH_LIMIT.  Where it fails there, n0 may lie past it
+only if that index is proven and at least the limit: the input is then
+refused (ValueError, exit 2, naming the limit and the index), and
+otherwise the failure is a contradiction.
 Which clause forces which violation is stated in decisions alone; a
 start on the dominant eigen-solution is decided there too (its weighted
 residual is identically zero, so P3 holds), and the report only prints
@@ -37,8 +39,10 @@ ratio_limit's, and degenerate_geometric's sign(v1 - v0*alpha), are one
 or two surd_sign calls each, with no QuadElem.  The terms preview
 prints the carrier's terms M[n] over q**n * D with one gcd each, and
 the P3 residuals and the P2 detail are one QuadElem each, built on
-alpha's own integers, with no QuadElem or Fraction arithmetic.  The
-Riccati prefix steps the ratio map on the integer form too
+alpha's own integers, with no QuadElem or Fraction arithmetic: the
+residuals on the carrier's terms, the detail on the numerators and
+denominators of terms_between's three terms.  The Riccati prefix
+steps the ratio map on the integer form too
 (riccati._states), from b0 = V1/V0 reduced by one gcd, and prints each
 state with fraction_str.  Each state whose two terms are among the
 preview's carrier terms is checked against them, q*p*M[n] = r*M[n+1],
@@ -205,41 +209,25 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
 
     # ---- consistency: the decision/oracle contract -------------------------
     # One row per verdict an oracle window can contradict: its name, the
-    # verdict and the window.  A holding verdict needs a clean window; a
-    # failing one that names a forced violation needs one by that index.
+    # verdict and the window's first violation.  A holding verdict needs
+    # none; a failing one that names a forced violation needs one by that
+    # index.
     def _mismatch(msg: str) -> None:
         raise InternalInconsistency(f"decision/oracle mismatch: {msg}")
 
-    contract = (
-        (f"nondecreasing_from({from_k})", v_from_k, w1_from_k),
-        ("nondecreasing_from(0)", v_immediate, w1_immediate),
-        ("positive_monotone_h", v_h_monotone, w1_immediate),
-        ("ratio_monotone_h", v_h_ratio, w2),
-        ("weighted_monotone", v_weighted, w3),
-    )
-    for name, verdict, wind in contract:
-        if verdict is None or wind is None:
-            continue
-        first, by = wind.first_violation, verdict.violation_by
-        if verdict.holds and first is not None:
-            _mismatch(f"{name} holds but the window finds a violation at {first}")
-        if by is not None and (first is None or first > by):
-            _mismatch(
-                f"{name} fails on {verdict.branch.value}, which forces a violation by "
-                f"index {by}, but the window's first violation is {first}"
-            )
-    # on an h-type spec a[-1] = 0, so positive_monotone_h (0 < a[0] <= a[n] <=
-    # a[n+1] for all n) says nondecreasing_from(0) and v0 > 0: two clause
-    # chains, held against each other
-    if v_h_monotone is not None and v_h_monotone.holds != (v_immediate.holds and spec.v0 > 0):
-        raise InternalInconsistency(
-            f"decision cross-check: positive_monotone_h {_said(v_h_monotone)}, but "
-            f"nondecreasing_from(0) {_said(v_immediate)} and v0 = {spec.v0}")
+    contract = [
+        (f"nondecreasing_from({from_k})", v_from_k, w1_from_k.first_violation),
+        ("nondecreasing_from(0)", v_immediate, w1_immediate.first_violation),
+        ("positive_monotone_h", v_h_monotone, w1_immediate.first_violation),
+        ("ratio_monotone_h", v_h_ratio, w2 and w2.first_violation),
+        ("weighted_monotone", v_weighted, w3.first_violation),
+    ]
     if v_eventual.holds and n0 is None:
         # the window's last pair, at index window, violates, so n0 lies past
         # the window and nondecreasing_from fails at window + 1; k* = n0 + 1
-        # is certified by a clean from-k window at k* and a violation at
-        # k* - 2, the first index of the from-k window at k* - 1
+        # is certified by two rows: nondecreasing_from(k*) on a clean
+        # [k* - 1, k* + window], and nondecreasing_from(k* - 1), which fails
+        # on its triple by k* - 1, on [k* - 2, k* - 2]
         k = _first_clean_start(spec, window + 1)
         if k is None:
             # the failed search puts a violation at some n >= N0_SEARCH_LIMIT - 1,
@@ -256,20 +244,31 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
                 "eventually_nondecreasing holds but nondecreasing_from fails at every "
                 f"start up to {N0_SEARCH_LIMIT}"
             )
-        late = oracle.scan(spec, window, k).p1_from_k.first_violation
-        if late is not None:
+        held = f"(eventually_nondecreasing holds from n0 = {k - 1} on)"
+        contract += [
+            (f"nondecreasing_from({k}) {held}", decisions.nondecreasing_from(spec, k),
+             oracle.first_p1_violation(spec, k - 1, k + window)),
+            (f"nondecreasing_from({k - 1}) {held}", decisions.nondecreasing_from(spec, k - 1),
+             oracle.first_p1_violation(spec, k - 2, k - 2)),
+        ]
+    for name, verdict, first in contract:
+        if verdict is None:
+            continue
+        by = verdict.violation_by
+        if verdict.holds and first is not None:
+            _mismatch(f"{name} holds but the window finds a violation at {first}")
+        if by is not None and (first is None or first > by):
             _mismatch(
-                f"eventually_nondecreasing holds from n0 = {k - 1} on, but the from-k "
-                f"window at {k} finds a violation at {late}"
+                f"{name} fails on {verdict.branch.value}, which forces a violation by "
+                f"index {by}, but the window's first violation is {first}"
             )
-        # its from-k window [k - 2, k - 1] decides this alone
-        last = oracle.scan(spec, 0, k - 1).p1_from_k.first_violation
-        if last != k - 2:
-            _mismatch(
-                f"eventually_nondecreasing holds from n0 = {k - 1} on, which puts the "
-                f"last violation at {k - 2}, but the from-k window at {k - 1} finds "
-                f"its first at {last}"
-            )
+    # on an h-type spec a[-1] = 0, so positive_monotone_h (0 < a[0] <= a[n] <=
+    # a[n+1] for all n) says nondecreasing_from(0) and v0 > 0: two clause
+    # chains, held against each other
+    if v_h_monotone is not None and v_h_monotone.holds != (v_immediate.holds and spec.v0 > 0):
+        raise InternalInconsistency(
+            f"decision cross-check: positive_monotone_h {_said(v_h_monotone)}, but "
+            f"nondecreasing_from(0) {_said(v_immediate)} and v0 = {spec.v0}")
     # under the hypothesis a positive nondecreasing start telescopes upward
     if hartman and 0 < spec.v0 <= spec.v1 and n0 != 0:
         _mismatch(
@@ -303,15 +302,13 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
     p2_extra = {}
     if w2 is not None and w2.first_violation is not None:
         n = w2.first_violation
-        # the window skips zero terms, so t0 and t1 are not 0;
-        # |alpha - r| = |den*alpha - num| / den for the ratio r = num/den
-        t0, t1, t2 = terms_between(spec, n, n + 2)
-        r1, r2 = t1 / t0, t2 / t1
-        p2_extra["violation_detail"] = {
-            "index": n,
-            "lhs_decimal": _modulus_decimal(alpha, r1.denominator, r1.numerator, r1.denominator),
-            "rhs_decimal": _modulus_decimal(alpha, r2.denominator, r2.numerator, r2.denominator),
-        }
+        # the window skips zero terms, so a[n] and a[n+1] are not 0; for
+        # u = a[i] and v = a[i+1] over their lowest terms,
+        # |alpha - v/u| = |u.num*v.den*alpha - v.num*u.den| / (|u.num|*v.den)
+        t = terms_between(spec, n, n + 2)
+        lhs, rhs = (_modulus_decimal(alpha, u.numerator * v.denominator, v.numerator * u.denominator,
+                                     abs(u.numerator) * v.denominator) for u, v in zip(t, t[1:]))
+        p2_extra["violation_detail"] = {"index": n, "lhs_decimal": lhs, "rhs_decimal": rhs}
     p3_extra = {}
     if real:
         # a[n]*alpha - a[n+1] = (q*M[n]*alpha - M[n+1]) / scales[n+1]

@@ -1,7 +1,7 @@
 """The command-line smokes: one table of recmono lines and what each pins.
 
 A row is a command line and its exit code, and, as the line calls for:
-the walk its oracle scans take (Walk), facts of its JSON stdout, a
+the walk its oracle reads take (Walk), facts of its JSON stdout, a
 stderr substring, patterns its stdout matches, the golden case of
 tests/test_golden.py whose output it prints, and whether its stdout is
 laid out as json.dumps(sort_keys=True, indent=2) lays it out.  A row
@@ -40,11 +40,12 @@ from test_golden import CASES, OUT, Run, expected, run_case
 
 
 class Walk(NamedTuple):
-    """The oracle walks of an analyze line, over every scan it runs, in
-    walk order: each certified block's first index, each index where a
-    lasting certificate ended a walk, each (n, k1) where P1 jumped from n
-    to the from-k window's first index k1, the number of exact steps, and
-    each refused try's first index."""
+    """The oracle walks of an analyze line, over its scan and its P1-only
+    reads (oracle.first_p1_violation), in walk order: each certified
+    block's first index, each index where a lasting certificate ended a
+    walk, each (n, k1) where P1 jumped from n to the first index k1 of a
+    from-k window or a read's range, the number of exact steps, and each
+    refused try's first index."""
 
     certified: tuple[int, ...] = ()
     lasting: tuple[int, ...] = ()
@@ -179,14 +180,14 @@ SMOKES = [
           ("analyze", "--a=-7/3", "--b=-5/7", "--v0=3/4", "--v1=-2/5", "--window=10000"),
           walk=Walk((3,), (5,), exact=1)),
     # n0 past the window, 1152 against the default window of 300 and 15
-    # against a window of 2: each is certified on two from-k windows, the
-    # second scanned with window 0, so its walk jumps from index 1
+    # against a window of 2: the one scan is followed by two P1-only reads,
+    # [k*-1, k*+window] and [k*-2, k*-2], each jumping from index 0
     Smoke("n0_past_window",
           ("analyze", "--a", "2", "--b", "999999/1000000", "--v0", "11", "--v1", "10991/1000"),
-          walk=Walk(jumps=((301, 1152), (1, 1151)), exact=603)),
+          walk=Walk(jumps=((0, 1152), (0, 1151)), exact=301)),
     Smoke("n0_past_short_window",
           ("analyze", "--a=1/3", "--b=-3/4", "--v0=4", "--v1=-2", "--window=2"),
-          walk=Walk(jumps=((3, 15), (1, 14)), exact=10)),
+          walk=Walk(jumps=((0, 15), (0, 14)), exact=4)),
     # n0 near 10**6, past the search limit: the dominance bound proves the
     # tail clean from 10000001 on, so the line is refused, not reported as
     # an inconsistency

@@ -14,6 +14,9 @@ decisions', and the tests' exact reference apart from the package's
 roots and signs; and the decisions read the spec's integer form, never
 a root.  Each source file is parsed once per session, by _tree.
 
+The package's total of code lines (less blank lines, comment lines and
+docstrings) is pinned as an upper bound, PACKAGE_CODE_LINES.
+
 Run as a script, it prints each package module's code lines next to its
 wc -l count, the median launch time of the installed recmono next to a
 bare interpreter's (skipped where the script is not installed), and the
@@ -278,21 +281,38 @@ def test_reference_route_is_independent():
     assert read & banned == set()
 
 
+def _code_lines(path: Path) -> int:
+    """A source file's code lines: less blank lines, comment lines and
+    docstrings."""
+    docs = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    text = path.read_text(encoding="utf-8")
+    return sum(1 for i, line in enumerate(text.splitlines(), 1)
+               if i not in docs and line.strip() and not line.strip().startswith("#"))
+
+
+# the package's code lines may not grow past this; lowering it takes a
+# line in CHANGES.md, and raising it a reason there
+PACKAGE_CODE_LINES = 1459
+
+
+def test_package_code_lines_stay_under_the_pin():
+    total = sum(_code_lines(path) for path in PACKAGE_SOURCES)
+    assert total <= PACKAGE_CODE_LINES, (
+        f"the package has {total} code lines, over the pin of {PACKAGE_CODE_LINES}")
+
+
 def main() -> int:
     total = lines = 0
     print("  code   wc -l")
     for path in PACKAGE_SOURCES:
-        docs = set()
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = node.body[0] if node.body else None
-                if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
-                        and isinstance(first.value.value, str)):
-                    docs.update(range(first.lineno, first.end_lineno + 1))
-        text = path.read_text(encoding="utf-8")
-        code = sum(1 for i, line in enumerate(text.splitlines(), 1)
-                   if i not in docs and line.strip() and not line.strip().startswith("#"))
-        n = text.count("\n")
+        code = _code_lines(path)
+        n = path.read_text(encoding="utf-8").count("\n")
         total, lines = total + code, lines + n
         print(f"{code:6d} {n:7d}  {path.relative_to(ROOT)}")
     print(f"{total:6d} {lines:7d}  total")

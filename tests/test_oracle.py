@@ -1200,6 +1200,83 @@ class TestDifferenceJump:
             assert events == [("jump", case[1] + 1, case[2] - 1)], case
 
 
+@st.composite
+def p1_read_cases(draw):
+    """(spec, lo, hi): a spec of coeffs_st (real, complex and
+    negative-dominant roots among them), a repeated root, or a start on
+    either eigen-solution of two rational roots, with its start scaled by
+    1 or 2**700; and a range [lo, hi] drawn against a window of up to 40
+    indices: from 0, one index, inside the window, straddling its end, or
+    far past it."""
+    kind = draw(st.sampled_from(("any", "repeated", "eigen")))
+    v0, v1 = draw(starts_st), draw(starts_st)
+    if kind == "any":
+        a, b = draw(coeffs_st), draw(coeffs_st)
+    else:
+        r = draw(roots_st)
+        t = r if kind == "repeated" else draw(roots_st)
+        assume(r + t)
+        a, b = r + t, r * t
+        if kind == "eigen":
+            v0 = v0 or 1
+            v1 = v0 * draw(st.sampled_from((r, t)))
+    assume(v0 or v1)
+    scale = draw(st.sampled_from((1, 2**700)))
+    window = draw(st.integers(0, 40))
+    place = draw(st.sampled_from(("from_0", "one", "inside", "straddling", "far")))
+    if place == "from_0":
+        lo, hi = 0, draw(st.integers(0, window))
+    elif place == "one":
+        lo = hi = draw(st.integers(0, 2 * window + 10))
+    elif place == "inside":
+        lo = draw(st.integers(0, window))
+        hi = draw(st.integers(lo, window))
+    elif place == "straddling":
+        lo = draw(st.integers(0, window))
+        hi = draw(st.integers(window + 1, 2 * window + 2))
+    else:
+        lo = window + 2 + draw(jump_lengths_st)
+        hi = lo + draw(st.integers(0, 20))
+    return RecurrenceSpec(a, b, v0 * scale, v1 * scale), lo, hi
+
+
+class TestFirstP1Violation:
+    """oracle.first_p1_violation, P1 alone from index 0 with no window of
+    its own: the first violation in [lo, hi], held against the naive
+    reference and against scan's from-k window on the same range."""
+
+    @given(p1_read_cases())
+    @example((LATE_DESCENT_LONG, 30, 40))
+    @example((PERIOD_THREE, 6, 7))
+    @example((NEAR_BETA_EIGEN, 23, 30))
+    @example((ALTERNATING, 3000, 3000))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case):
+        spec, lo, hi = case
+        first = oracle.first_p1_violation(spec, lo, hi)
+        assert first == reference.ref_p1(spec, lo + 1, hi)[1], case
+        if hi > lo:
+            # scan's from-k window at k = lo + 1 and window hi - lo - 1 is [lo, hi]
+            assert first == oracle.scan(spec, hi - lo - 1, lo + 1).p1_from_k.first_violation, case
+
+    def test_jumps_from_zero_and_steps_to_the_first_violation(self):
+        # NEAR_BETA_EIGEN descends from 26 on, LATE_DESCENT_LONG from 36;
+        # the empty in-window stretch of window -1 is left out
+        for spec, lo, hi, first, events in (
+            (NEAR_BETA_EIGEN, 23, 30, 26, [("jump", 0, 23), ("p1", range(23, 27))]),
+            (LATE_DESCENT_LONG, 30, 33, None, [("jump", 0, 30), ("p1", range(30, 34))]),
+            (LATE_DESCENT_LONG, 0, 40, 36, [("p1", range(37))]),
+        ):
+            with oracle_events() as seen:
+                assert oracle.first_p1_violation(spec, lo, hi) == first
+            assert [e for e in seen if e[0] != "p1" or e[1]] == events
+
+    def test_rejects_bad_ranges(self):
+        for lo, hi in ((-1, 3), (4, 3), (-2, -1)):
+            with pytest.raises(ValueError):
+                oracle.first_p1_violation(FIB, lo, hi)
+
+
 def _broken_carrier(at):
     """integer_carrier with the recurrence broken once: M[at] is off by 1,
     at >= 2, and the terms go on from there."""

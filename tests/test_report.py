@@ -35,6 +35,7 @@ from recmono.report import RICCATI_PREFIX_LEN, TERMS_PREVIEW_LEN
 
 import reference
 from conftest import build_corpus
+from test_decisions import FAR_N0
 from reference import Surd, ref_str
 
 
@@ -307,26 +308,33 @@ class TestContractFires:
         with pytest.raises(InternalInconsistency, match=re.escape(message)):
             build_report(spec, 40)
 
-    @pytest.mark.parametrize("from_k, first", [(16, 20), (15, None), (15, 15)])
-    def test_n0_past_the_window_rows_fire(self, monkeypatch, from_k, first):
-        # n0 = 15 against a window of 2: the from-k window at k* = 16 must be
-        # clean, and the one at k* - 1 must find its first violation at 14
+    # the violations at and past k* - 2 = 14 that the fake reader reports
+    # in place of the real ones, {14}: one more inside [k* - 1, k* + window],
+    # none at k* - 2, and the last at k* - 1 instead of k* - 2
+    @pytest.mark.parametrize("violations, message", [
+        ({14, 17}, "nondecreasing_from(16) (eventually_nondecreasing holds from n0 = 15 on) "
+                   "holds but the window finds a violation at 17"),
+        (set(), "nondecreasing_from(15) (eventually_nondecreasing holds from n0 = 15 on) "
+                "fails on FAIL_INITIAL_TRIPLE, which forces a violation by index 15, but "
+                "the window's first violation is None"),
+        ({15}, "nondecreasing_from(16) (eventually_nondecreasing holds from n0 = 15 on) "
+               "holds but the window finds a violation at 15"),
+    ], ids=["late_violation", "none_at_k_minus_2", "last_at_k_minus_1"])
+    def test_n0_past_the_window_rows_fire(self, monkeypatch, violations, message):
+        # n0 = 15 against a window of 2: nondecreasing_from(16) holds on a
+        # clean [15, 18], and nondecreasing_from(15) fails by 15 on [14, 14]
         spec = RecurrenceSpec(Fraction(1, 3), Fraction(-3, 4), 4, -2)
         build_report(spec, 2)  # consistent before the fake
-        real = oracle.scan
+        asked = []
 
-        def fake(spec, window, k):
-            windows = real(spec, window, k)
-            if k != from_k:
-                return windows
-            p1 = windows.p1_from_k._replace(holds_on_window=first is None,
-                                            first_violation=first)
-            return windows._replace(p1_from_k=p1)
+        def fake(spec, lo, hi):
+            asked.append((lo, hi))
+            return min((i for i in violations if lo <= i <= hi), default=None)
 
-        monkeypatch.setattr(oracle, "scan", fake)
-        with pytest.raises(InternalInconsistency,
-                           match="eventually_nondecreasing holds from n0 = 15 on"):
+        monkeypatch.setattr(oracle, "first_p1_violation", fake)
+        with pytest.raises(InternalInconsistency, match=re.escape(message)):
             build_report(spec, 2)
+        assert asked == [(15, 18), (14, 14)]
 
     # a[5] = 0 on RecurrenceSpec(3, 2, -31, -30): its orbit ends at state 4
     @pytest.mark.parametrize("spec, fault", [
@@ -362,6 +370,36 @@ class TestContractFires:
         spec = RecurrenceSpec(Fraction(7, 2), Fraction(1, 2), v0, v1)
         assert decisions.hartman_aurel_sufficient(spec.a, spec.b)
         assert build_report(spec, 60)["oracle_windows"]["n0_witness"] == 0
+
+
+class TestOneScanPerReport:
+    """Each report walks the carrier once: n0 past the window is certified
+    by two P1-only reads, not by more scans."""
+
+    # the far n0 cases, each past its window: 15 against a window of 2
+    # (the n0_past_short_window smoke), the rest against the default 300
+    @pytest.mark.parametrize("spec, n0", FAR_N0, ids=[str(n0) for _, n0 in FAR_N0])
+    def test_n0_past_the_window_scans_once(self, monkeypatch, spec, n0):
+        window = 2 if n0 == 15 else 300
+        scans, reads = [], []
+        scan, read = oracle.scan, oracle.first_p1_violation
+
+        def counted_scan(*args):
+            scans.append(args)
+            return scan(*args)
+
+        def counted_read(spec, lo, hi):
+            reads.append((lo, hi))
+            return read(spec, lo, hi)
+
+        monkeypatch.setattr(oracle, "scan", counted_scan)
+        monkeypatch.setattr(oracle, "first_p1_violation", counted_read)
+        report = build_report(spec, window)
+        assert report["verdicts"]["p1_eventual"]["holds"]
+        assert report["oracle_windows"]["n0_witness"] is None
+        assert scans == [(spec, window, 0)]
+        # k* = n0 + 1: [k* - 1, k* + window] and [k* - 2, k* - 2]
+        assert reads == [(n0, n0 + 1 + window), (n0 - 1, n0 - 1)]
 
 
 class TestRootsBuiltOnce:
