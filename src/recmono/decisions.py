@@ -29,7 +29,7 @@ r = isqrt(N << 128) brackets 2**64*sqrt(N) in [r, r + 1], and so each
 factor, times 2**64, in an integer interval.  The brackets prove C1 > 0
 where both of its factors' intervals lie on one side of 0, and
 rho >= P/Q > 1 where the lower end P of A + sqrt(N) exceeds the upper
-end Q of |A - sqrt(N)|; else, or where N <= 0, _dominance_index proves
+end Q of |A - sqrt(N)|; else, or where N < 0, _dominance_index proves
 nothing and returns None.  They bound |C2|/C1 by x/y, the products of the factors'
 largest and least moduli.  Then every n >= ceil(L*P/(P - Q)), with
 L = bits(x) - bits(y) + 1, has a[n] < a[n+1]: log2(x/y) < L, since
@@ -44,6 +44,15 @@ proven, which the chain allows only on COND_MONOTONIC_1.  A from-k test
 on that clause past the index needs no triple (_p1_verdict); on the
 10**-7 near-unit input (2, 1 - 10**-14, 1, 1 - 10**-8), whose n0 lies
 near 10**6, the index is 10000001.
+
+With N = 0 the root r = A/(2*q) repeats, a[n] = (c1 + c2*n)*r**n with
+c1 = v0 and c2 = v1/r - v0, and, where A > 0, a[n+1] - a[n] is
+r**n*(K + S*n) over the positive 2*q*D*A, with K = 2*q*A*(V1 - V0) and
+S = X*(A - 2*q).  Where S > 0 the factor K + S*n rises through 0 once,
+so the index max(0, ceil(-K/S)) is n0 itself: a[n] <= a[n+1] from it
+on and a[n] > a[n+1] before it.  Else it is None.  On
+(4, 4, -1, -2 + 10**-30), a start 10**-30 above the eigen-solution
+-2**n, the index is 2*10**30 - 2.
 """
 
 from __future__ import annotations
@@ -178,12 +187,17 @@ def _p1_chain(spec: RecurrenceSpec, eventual: bool) -> Verdict:
 
 def _dominance_index(spec: RecurrenceSpec) -> Optional[int]:
     """An index from which a[n] <= a[n+1] at every n, proven where
-    C1*r+**n dominates (see the module docstring); None where N <= 0 or
-    the brackets do not prove C1 > 0 and rho > 1."""
+    C1*r+**n dominates, or on a repeated root where the differences'
+    linear factor rises (see the module docstring); None where N < 0, or
+    where that proof fails."""
     q, A, B, _, V0, V1 = spec._integers
     N = A * A - 4 * B * q
+    X = 2 * q * V1 - A * V0
     if N <= 0:
-        return None
+        # a repeated root A/(2*q) > 0: a[n+1] - a[n] is its n-th power times
+        # 2*q*A*(V1 - V0) + S*n over 2*q*D*A, with S = X*(A - 2*q)
+        S = X * (A - 2 * q) if N == 0 and A > 0 else 0
+        return max(0, -(2 * q * A * (V1 - V0) // S)) if S > 0 else None
     r = isqrt(N << 128)  # r <= 2**64*sqrt(N) < r + 1
 
     def bracket(x: int, y: int) -> tuple[int, int]:
@@ -195,7 +209,6 @@ def _dominance_index(spec: RecurrenceSpec) -> Optional[int]:
         return max(-lo, hi)
 
     # C1 > 0 where its two factors lie on one side of 0; |C2|/C1 <= c2/c1
-    X = 2 * q * V1 - A * V0
     f_lo, f_hi = bracket(X, V0)
     g_lo, g_hi = bracket(A - 2 * q, 1)
     if f_lo > 0 and g_lo > 0:

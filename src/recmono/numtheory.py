@@ -43,15 +43,17 @@ def enumerate_generalized_fibonacci(a_max: int) -> list[IntCoeffPair]:
     DP = {a >= 1, -a-1 <= b <= a-1} with a <= a_max, ordered by a then b.
 
     Row b of DP holds the integers a >= hi read off DP's row bounds
-    (regions._dp(b, 1)); rows b < -a_max - 1 and b > a_max - 1 hold none
-    up to a_max.  The pair (1, -1), DP's one irreducible pair at a = 1,
-    lies on its edge.
+    (regions._dp(b, 1)), read once per row; rows b < -a_max - 1 and
+    b > a_max - 1 hold none up to a_max.  The pairs come column by
+    column, a ascending and in each column b ascending over the rows
+    whose bound is at most a, so they need no sort.  The pair (1, -1),
+    DP's one irreducible pair at a = 1, lies on its edge.
     """
     if a_max < 1:
         raise ValueError("a_max must be at least 1")
-    rows = (IntCoeffPair(a, b) for b in range(-a_max - 1, a_max)
-            for a in range(_dp(b, 1)[1], a_max + 1))
-    return sorted(p for p in rows if is_irreducible(p))
+    rows = [(b, _dp(b, 1)[1]) for b in range(-a_max - 1, a_max)]
+    pairs = (IntCoeffPair(a, b) for a in range(1, a_max + 1) for b, hi in rows if hi <= a)
+    return [p for p in pairs if is_irreducible(p)]
 
 
 def boundary_characterization() -> list[IntCoeffPair]:

@@ -7,18 +7,17 @@ the n0 witness, P2 and P3 -- in one walk of the carrier from index 0.
 The walk tests P1 through the whole window (n0 needs its last violation)
 and goes past it only for the from-k P1 window, and only while that
 window is still clean; P2 and P3 ride on the same indices until both
-have a violation or the window ends.  From there P1 walks on its own
-(_p1_alone), on the difference sequence E[n] = M[n+1] - q*M[n] of the
-carrier below, which obeys the carrier's recurrence and is negative
-exactly where a[n] > a[n+1]: one step per index to the end of the
-window, then one jump to the from-k window's first index and one step
-per index from there.  The jump (_jump) is the oracle's own
-square-and-multiply of x**s modulo the carrier's characteristic
-polynomial, a different algorithm from the Lucas fast doubling by which
-the decisions and terms_between reach far terms, so the two routes
-reach a far index independently.  first_p1_violation is that P1 walk
-alone, with no window of its own: from M[0], M[1] it jumps E to the
-first index of a range and steps to its first violation.  The report
+have a violation or the window ends.  From there P1 walks on its own,
+on the difference sequence E[n] = M[n+1] - q*M[n] of the carrier below,
+which obeys the carrier's recurrence and is negative exactly where
+a[n] > a[n+1]: one step per index to the end of the window, then one
+reader (_first_e) for the from-k window past it, which jumps to the
+range's first index and steps from there to its first violation.  The
+jump (_jump) is the oracle's own square-and-multiply of x**s modulo the
+carrier's characteristic polynomial, a different algorithm from the
+Lucas fast doubling by which the decisions and terms_between reach far
+terms, so the two routes reach a far index independently.
+first_p1_violation is that reader alone, from M[0], M[1]: the report
 reads with it the two rows that certify an n0 past the window, so no
 report scans twice.  All comparisons are exact.
 
@@ -145,10 +144,9 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     The walk is one pass from index 0, reading integer_carrier(spec)
     while P2 or P3 is open, up to the first certified block (below).
     It tests P1 once per index n, as q*M[n] > M[n+1], that is
-    a[n] > a[n+1], which is M[n+1] < 0 where
-    bits(M[n+1]) > bits(M[n]) + bits(q) makes |M[n+1]| > q*|M[n]|
-    certain, or on a whole certified block; once P2 and P3 are done,
-    _p1_alone takes P1 on from the last two terms read.  Each violation
+    a[n] > a[n+1], or on a whole certified block; once P2 and P3 are
+    done, P1 steps on E from the last two terms read to the end of the
+    window, and _first_e reads the from-k window past it.  Each violation
     goes into one ascending list, led by n = -1 where the backward
     extension a[-1] exceeds a[0], and each P1 field reads it: the
     immediate window takes its first entry in [-1, window], the from-k
@@ -260,7 +258,7 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     max(from_k - 1, window + 1) or, by parity, the index after it.  So
     the first certified block ends the walk, even one that runs past the
     window's end: the walk advances its pair to n + 2, runs the
-    self-check below on it, and skips _p1_alone.
+    self-check below on it, and reads no E.
 
     P2 scans |alpha - a[n+1]/a[n]| >= |alpha - a[n+2]/a[n+1]|, with alpha
     the dominant root; it is None for complex roots, where the compared
@@ -306,10 +304,8 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     |R'| = |u| + |M|*sqrt(d) at both, and P3 at n is the sign of
     x3 + y3*sqrt(d) with the integer parts x3 = |u[n+1]| - |B|*|u[n]| and
     y3 = |M[n+1]| - |B|*|M[n]|.  Where both are >= 0, P3 holds with no
-    further test, and P2 with it where |a[n+1]| >= |a[n]| (below).  Each
-    part's sign, and |M[n+1]| >= q*|M[n]|, is read off bit lengths where
-    bits(v[n+1]) > bits(v[n]) + bits(c) makes |v[n+1]| >= c*|v[n]|
-    certain, else off that comparison.  Only an index whose parts differ
+    further test, and P2 with it where |a[n+1]| >= |a[n]| (below), that
+    is |M[n+1]| >= q*|M[n]|.  Only an index whose parts differ
     in sign, or where P2 is open and P3 does not imply it, goes on to the
     weighted comparison, which tries brackets wherever bits(M[n]) >= 64.
     With k = bits(M[n]) - 64, x_v the top word v >> k of each v in
@@ -345,9 +341,9 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     tuple led by its name: ("refused", n) and ("certified", n) for each
     try at a certified block, ("lasting", n) where a lasting certificate
     ends the walk at n, ("p1", r) for the range r of indices a stretch
-    decides P1 on, one by one or as a block, ("jump", n, k1) where P1
-    jumps from n to the from-k window's first index k1 (in
-    first_p1_violation, its range's first index), and
+    decides P1 on, one by one or as a block, ("jump", n, k1) where
+    _first_e jumps from n to its range's first index k1, the from-k
+    window's in scan, and
     ("exact", bits(M[n])) at each exact step.  Beyond exact steps, no
     event is emitted per walked index.
     """
@@ -366,7 +362,6 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     p1 = [-1] if ((lhs > rhs) if B > 0 else (lhs < rhs)) else []
     u0 = A * m0 - 2 * m1
     norm = u0 * u0 - m0 * m0 * d
-    qbits, lm0, lm1 = q.bit_length(), m0.bit_length(), m1.bit_length()
     if real:
         s = dominant_root_sign(A)
         sd = s if d else 0
@@ -375,7 +370,6 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
         square = t * t == d  # rational roots: sqrt(d) = t
         span = (1 << 64) + r + 1  # hi - lo, less the top word of |M|
         aB, aBq = abs(B), abs(Bq)
-        bbits, lu0 = aB.bit_length(), u0.bit_length()
         # the conjugate form holds at n: N != 0 and R' does not cancel,
         # u and s*M*sqrt(d) differing in sign or d = 0
         conj0 = ns != 0 and (not sd or ((u0 < 0) != (m0 < 0)) != (sd < 0))
@@ -391,19 +385,19 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
             """P2 at the walk's index n if p2, else P3, on the loop's
             variables: the brackets where they confirm it, else the exact step
             on X = R', or on X = R where N = 0."""
-            c = aBq if p2 else aB
-            if conj and lm0 >= 64 and (p2 or not square):
+            c, bits = (aBq if p2 else aB), m0.bit_length()
+            if conj and bits >= 64 and (p2 or not square):
                 # brackets [lo, hi) of 2**(64 - k)*|R'| at n and n+1,
                 # weighed by [y, y + 1) for P2; not for P3 on rational
                 # roots, whose ties at |beta| = 1 no bracket confirms
-                k = lm0 - 64
+                k = bits - 64
                 y0, y1 = abs(m0) >> k, abs(m1) >> k
                 lo0 = ((abs(u0) >> k) << 64) + y0 * r
                 lo1 = ((abs(u1) >> k) << 64) + y1 * r
                 v0, v1, e = (y0, y1, 1) if p2 else (1, 1, 0)
                 if v1 * lo1 >= c * (v0 + e) * (lo0 + span + y0):
                     return True
-            _emit(("exact", lm0))
+            _emit(("exact", bits))
             if square:
                 x0, x1 = abs(u0 + gt * m0), abs(u1 + gt * m1)
                 if ns:
@@ -445,12 +439,9 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
             _emit(("refused", n))
             run = 0
             tries = invariant
-        lm2 = m2.bit_length()
-        # (m0, m1, m2) = (M[n], M[n+1], M[n+2]); P1 is q*M[n] > M[n+1],
-        # which is M[n+1] < 0 where the bits make |M[n+1]| > q*|M[n]| certain
-        grows = lm1 > lm0 + qbits
-        qm0 = 0 if grows else q * m0
-        if (m1 < 0) if grows else qm0 > m1:
+        # (m0, m1, m2) = (M[n], M[n+1], M[n+2]); P1 is q*M[n] > M[n+1]
+        qm0 = q * m0
+        if qm0 > m1:
             p1.append(n)
         if not real:
             norm1 = u1 * u1 - m1 * m1 * d
@@ -465,15 +456,12 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
             need3 = first3 is None
             conj1 = ns != 0 and (not sd or ((u1 < 0) != (m1 < 0)) != (sd < 0))
             conj = conj0 and conj1
-            # |v1| >= c*|v0| is certain where bits(v1) > bits(v0) + bits(c)
-            lu1 = u1.bit_length()
             parts = False
             # |a[n+1]| >= |a[n]| is |M[n+1]| >= q*|M[n]|
-            if need3 and (not need2 or grows or abs(m1) >= abs(qm0)):
+            if need3 and (not need2 or abs(m1) >= abs(qm0)):
                 # P3 in the conjugate form, decided on the signs of its
                 # parts alone where both are >= 0: no bracket, no exact test
-                parts = (conj and (lu1 > lu0 + bbits or abs(u1) >= aB * abs(u0))
-                         and (lm1 > lm0 + bbits or abs(m1) >= aB * abs(m0)))
+                parts = conj and abs(u1) >= aB * abs(u0) and abs(m1) >= aB * abs(m0)
                 h3 = parts or holds(False)
                 h2 = not need2 or h3 or holds(True)
             else:
@@ -484,10 +472,9 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
                 first3 = n
             if not h2:
                 first2 = n
-            conj0, lu0 = conj1, lu1
+            conj0 = conj1
         n += 1
         u0, m0, m1 = u1, m1, m2
-        lm0, lm1 = lm1, lm2
     # the direct norm at n, on u[n] = A*M[n] - 2*M[n+1] as defined
     if real and norm * Bq**n != (A * m0 - 2 * m1) ** 2 - m0 * m0 * d:
         raise InternalInconsistency(
@@ -497,8 +484,18 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
         )
     last, k1 = from_k + window, from_k - 1
     if certified is None:
-        _emit(("p1", range(n)))
-        _p1_alone(q, A, Bq, m0, m1, n, window, k1, last, p1)
+        # P1 on E from n to the end of the window, for n0, then the from-k
+        # window's first violation past it while none is read at or after k1
+        e0, e1 = m1 - q * m0, (A - q) * m1 - Bq * m0
+        _emit(("p1", range(n)), ("p1", range(n, window + 1)))
+        for i in range(n, window + 1):
+            if e0 < 0:
+                p1.append(i)
+            e0, e1 = e1, A * e1 - Bq * e0
+        if last > window and not (p1 and p1[-1] >= k1):
+            far = _first_e(A, Bq, e0, e1, window + 1, k1, last)
+            if far is not None:
+                p1.append(far)
     elif s < 0 or m0 < 0:
         # from the certified block on P1 fails at every index where M < 0
         # keeps its sign, and where M alternates at every other one, those
@@ -531,59 +528,43 @@ def first_p1_violation(spec: RecurrenceSpec, lo: int, hi: int) -> Optional[int]:
     """The first n in [lo, hi], 0 <= lo <= hi, with a[n] > a[n+1]; None
     where there is none.
 
-    The P1 reader with no P2 or P3 and no window of its own: _p1_alone
-    from M[0], M[1] with window -1, which jumps E to lo and steps from
-    there to the first violation or hi, as scan's far from-k window does.
+    The P1 reader with no P2 or P3 and no window of its own: _first_e
+    from E[0], E[1], which jumps E to lo and steps from there to the
+    first violation or hi, as scan's far from-k window does.
     """
     if not 0 <= lo <= hi:
         raise ValueError("the range must have 0 <= lo <= hi")
     q, A, B, _, M = integer_carrier(spec)
-    p1: list[int] = []
-    _p1_alone(q, A, B * q, next(M), next(M), 0, -1, lo, hi, p1)
-    return p1[0] if p1 else None
+    m0, m1, Bq = next(M), next(M), B * q
+    return _first_e(A, Bq, m1 - q * m0, (A - q) * m1 - Bq * m0, 0, lo, hi)
 
 
-def _p1_alone(q: int, A: int, Bq: int, m0: int, m1: int, n: int, window: int,
-              k1: int, last: int, p1: list[int]) -> None:
-    """P1 from index n on, once scan's walk is done with P2 and P3:
-    appends each violation it reads to p1, from (m0, m1) = (M[n], M[n+1]).
+def _first_e(A: int, Bq: int, e0: int, e1: int, n: int, lo: int, hi: int) -> Optional[int]:
+    """The first index in [max(n, lo), hi], n <= hi, with a[i] > a[i+1],
+    from (e0, e1) = (E[n], E[n+1]); None where there is none.
 
-    P1 walks the difference sequence E[n] = M[n+1] - q*M[n], which obeys
-    the carrier's recurrence E[n+2] = A*E[n+1] - B*q*E[n] and is negative
-    exactly where a[n] > a[n+1]: that spares per index the product
-    q*M[n], a comparison of two long terms and a step of the carrier's
-    generator.  Inside the window it steps on E once per index, for n0.
-
-    Past the window only the from-k window [k1, last]'s first violation
-    counts, and only while none has been read at or after k1.  Where
-    k1 > n, P1 jumps the pair (E[n], E[n+1]) to (E[k1], E[k1+1]) in
-    O(log k1) products (_jump), reading nothing in between; from there it
-    steps on E as inside the window, up to the first violation or last.
+    E[n] = M[n+1] - q*M[n] obeys the carrier's recurrence
+    E[n+2] = A*E[n+1] - B*q*E[n] and is negative exactly where
+    a[n] > a[n+1]: that spares per index the product q*M[n], a comparison
+    of two long terms and a step of the carrier's generator.  Where
+    lo > n, the pair jumps to (E[lo], E[lo+1]) in O(log(lo - n))
+    products (_jump), reading nothing in between; from there it steps on
+    E once per index, up to the first violation or hi.
     """
-    e0, e1 = m1 - q * m0, (A - q) * m1 - Bq * m0
-    _emit(("p1", range(n, window + 1)))
-    while n <= window:
-        if e0 < 0:
-            p1.append(n)
-        n += 1
-        e0, e1 = e1, A * e1 - Bq * e0
-    if n > last or p1 and p1[-1] >= k1:
-        return
-    if k1 > n:
-        _emit(("jump", n, k1))
-        e0, e1 = _jump(A, Bq, e0, e1, k1 - n)
-        n = k1
+    if lo > n:
+        _emit(("jump", n, lo))
+        e0, e1 = _jump(A, Bq, e0, e1, lo - n)
+        n = lo
     first = n
-    while e0 >= 0 and n < last:
+    while e0 >= 0 and n < hi:
         n += 1
         e0, e1 = e1, A * e1 - Bq * e0
-    if e0 < 0:
-        p1.append(n)
     _emit(("p1", range(first, n + 1)))
+    return n if e0 < 0 else None
 
 
 def _jump(A: int, Bq: int, w0: int, w1: int, s: int) -> tuple[int, int]:
-    """P1's far jump (_p1_alone): (w[n+s], w[n+s+1]) from
+    """P1's far jump (_first_e): (w[n+s], w[n+s+1]) from
     (w[n], w[n+1]) = (w0, w1) on any solution w of
     w[n+2] = A*w[n+1] - Bq*w[n], in O(log s) products; s = 0 gives
     (w0, w1) back.

@@ -15,9 +15,12 @@ recmono.cli.main with the oracle's event sink installed
 about 0.5 s each in process, or, at --res 4096, feed the cellwise-AND
 check.  Run as a script, with recmono installed, it runs every row in
 process and checks it, runs it again through the installed recmono
-script, which must give the same exit code, stdout and --out bytes, and
+script, which must give the same exit code, stdout and --out bytes,
 runs every golden case through the installed script against its golden
-files; it exits 1 on any difference, and 2, running nothing, where no
+files, and runs the benchmark (perfbench/run.py) on every workload for
+one second, untraced and traced, where a crash or a last line whose
+correct is not true is a failure and a failed operation is only
+reported; it exits 1 on any failure, and 2, running nothing, where no
 recmono script is on PATH:
 
     python tests/smokes.py
@@ -30,6 +33,7 @@ import json
 import os
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -87,6 +91,9 @@ class Smoke(NamedTuple):
 CAP_BOXES = ("-3,3,-3,3", "-1,5,-7,5")
 CAP_REGIONS = ("D1", "D2", "D3", "D", "D1P", "D2P", "D3P", "DP")
 CAP = {f"res_cap_{region}_{box}": (box, region) for box in CAP_BOXES for region in CAP_REGIONS}
+# the benchmark's workloads, each run for one second untraced and traced
+BENCH = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+BENCH_WORKLOADS = ("report-corpus", "report-deep", "regions-raster")
 
 SMOKES = [
     Smoke("fibonacci",
@@ -341,6 +348,24 @@ def cellwise_and(box: str, rasters: dict[str, bytes]) -> list[str]:
             if cells[whole] != cells[parts[0]] & cells[parts[1]] & cells[parts[2]]]
 
 
+def bench_smoke(workload: str, trace: str) -> list[str]:
+    """Where one second of the benchmark on workload, traced where trace
+    is "1", crashes or reports an output that fails its check; [] where it
+    does neither.  It prints the run's failed operations, which it does
+    not gate."""
+    name = f"perfbench {workload} --trace {trace}"
+    run = subprocess.run([sys.executable, str(BENCH), "--workload", workload, "--seed", "1",
+                          "--seconds", "1", "--trace", trace], capture_output=True, text=True)
+    try:
+        last = json.loads(run.stdout.splitlines()[-1])
+    except (IndexError, ValueError):
+        last = None
+    if run.returncode or not isinstance(last, dict):
+        return [f"{name}: failed to run (exit {run.returncode})\n{run.stderr}"]
+    print(f"{name}: {last['attempted']} attempted, {last['failed']} failed")
+    return [] if last["correct"] is True else [f"{name}: not correct: {last}"]
+
+
 def main() -> int:
     if shutil.which("recmono") is None:
         print("tests/smokes.py needs the installed recmono script (pip install -e .)",
@@ -372,6 +397,7 @@ def main() -> int:
             run = run_case(argv, Path(tmp), installed=True)
         if (run.code, run.stdout, run.written) != expected(name):
             failures.append(f"golden case {name}: the installed script's output differs")
+    failures += [f for w in BENCH_WORKLOADS for t in ("0", "1") for f in bench_smoke(w, t)]
     for failure in failures:
         print(failure, file=sys.stderr)
     print(f"{len(failures)} failures over {len(SMOKES)} rows and {len(CASES)} golden cases")

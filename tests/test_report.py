@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from recmono import (
@@ -629,3 +629,74 @@ class TestWorkCounts:
         term_minus_one(spec)
         hartman_aurel_sufficient(spec.a, spec.b)
         assert quads == []
+
+
+# ---- the assembled report against the naive reference ---------------------
+
+_ROOT = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+_EIGEN_OFFSETS = (0, Fraction(1, 10**30), -Fraction(1, 10**30))
+
+
+@st.composite
+def _report_cases(draw):
+    """(spec, window, from_k) for build_report: any (a, b); a repeated
+    root; a complex pair; two rational roots with a start on either
+    eigen-solution or within 10**-30 of it; an h-type start; or a spec
+    near the repeated-unit-root corner shaped like report-corpus slot 0
+    (a = 2 -+ u/10**i, b = a - 1 - 10**-j, v1 just below v0).  Starts of
+    any pair keep their zero terms.  The from-k window lies inside the
+    window or past it."""
+    kind = draw(st.sampled_from(("any", "repeated", "complex", "eigen", "h", "corner")))
+    v0, v1 = draw(_SMALL), draw(_SMALL)
+    if kind == "corner":
+        a = 2 + draw(st.sampled_from((-1, 1))) * Fraction(draw(st.integers(1, 9)),
+                                                          10 ** draw(st.integers(1, 2)))
+        b = a - 1 - Fraction(1, 10 ** draw(st.integers(4, 7)))
+        v0, m = draw(_NONZERO.filter(lambda v: v > 0)), draw(st.integers(10, 200))
+        v1 = v0 * m / (m + 1)
+    elif kind in ("repeated", "eigen"):
+        r = draw(_ROOT)
+        t = r if kind == "repeated" else draw(_ROOT)
+        assume(r + t)
+        a, b = r + t, r * t
+        if kind == "eigen":
+            v0 = v0 or 1
+            v1 = v0 * draw(st.sampled_from((r, t))) + draw(st.sampled_from(_EIGEN_OFFSETS))
+    else:
+        a, b = draw(_NONZERO), draw(_NONZERO)
+        if kind == "complex":
+            b = a * a / 4 + abs(b)
+    assume(v0 or v1)
+    spec = make_h_spec(a, b, draw(_NONZERO)) if kind == "h" else RecurrenceSpec(a, b, v0, v1)
+    window = draw(st.integers(1, 30))
+    from_k = draw(st.integers(0, window) | st.integers(window + 1, 3 * window + 40))
+    return spec, window, from_k
+
+
+class TestReportMatchesTheReference:
+    """The assembled report, not only scan, against the naive reference:
+    build_report raises no InternalInconsistency, and every oracle
+    window's first violation, P2's skipped indices and the n0 witness it
+    prints equal reference.reference_windows.  A spec whose n0 lies past
+    N0_SEARCH_LIMIT is refused (exit 2) instead."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_report_cases())
+    # the repeated root 2, a start 10**-30 above its eigen-solution -2**n:
+    # n0 near 2*10**30, past the search, under a dominance index proven exact
+    @example((RecurrenceSpec(4, 4, -1, -2 + Fraction(1, 10**30)), 1, 0))
+    def test_oracle_windows(self, case):
+        try:
+            got = build_report(*case)["oracle_windows"]
+        except ValueError as refused:
+            assert "n0 lies past the search limit" in str(refused), case
+            return
+        want = reference.reference_windows(*case)
+        for key in ("p1_immediate", "p1_from_k", "p3"):
+            assert got[key]["first_violation"] == getattr(want, key).first_violation, (case, key)
+        if want.p2 is None:
+            assert got["p2"] is None, case
+        else:
+            assert got["p2"]["first_violation"] == want.p2.first_violation, case
+            assert got["p2"]["skipped_indices"] == list(want.p2.skipped_indices), case
+        assert got["n0_witness"] == want.n0_witness, case
