@@ -92,12 +92,13 @@ def parse_rational(text: str) -> Fraction:
             "decimal literals are not accepted)"
         )
     _check_digit_limit(text)
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise argparse.ArgumentTypeError(f"zero denominator: {_echo(text)}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    if not den:
+        return Fraction(int(num))
+    den = int(den)
+    if den == 0:
+        raise argparse.ArgumentTypeError(f"zero denominator: {_echo(text)}")
+    return Fraction(int(num), den)
 
 
 def _bounded_int(lower: int, upper: Optional[int] = None):
@@ -401,6 +402,21 @@ _COMMANDS = {
 }
 
 
+def _reader(options: Sequence[_Option]) -> tuple[dict, frozenset, dict]:
+    """What _read needs of a command's options: each flag's dest, type
+    and choices, the dests of its required flags, and every dest's
+    default, in the options' order."""
+    dests = {option.flag: option.flag[2:].replace("-", "_") for option in options}
+    return ({option.flag: (dests[option.flag], option.type, option.choices)
+             for option in options},
+            frozenset(dests[option.flag] for option in options if option.required),
+            {dests[option.flag]: option.default for option in options})
+
+
+# _read's table of each command, built once
+_READERS = {command: _reader(options) for command, (_, options, _) in _COMMANDS.items()}
+
+
 def _read(command: str, argv: Sequence[str]) -> Optional[argparse.Namespace]:
     """The namespace _parser(command).parse_args(argv) returns, read
     straight from the command's options, or None where argv is not a line
@@ -416,7 +432,7 @@ def _read(command: str, argv: Sequence[str]) -> Optional[argparse.Namespace]:
     reject.  argparse then reads the line, so help, every error message
     and every exit code are argparse's own.
     """
-    options = {option.flag: option for option in _COMMANDS[command][1]}
+    options, required, defaults = _READERS[command]
     values = {}
     tokens = iter(argv)
     for token in tokens:
@@ -424,23 +440,23 @@ def _read(command: str, argv: Sequence[str]) -> Optional[argparse.Namespace]:
         option = options.get(flag)
         if option is None:
             return None
+        dest, parse, choices = option
         if not eq:
             # a flag that ends the line has no value, like one before a '-'
             value = next(tokens, "-")
             if value.startswith("-"):
                 return None
-        if option.type is not None:
+        if parse is not None:
             try:
-                value = option.type(value)
+                value = parse(value)
             except (argparse.ArgumentTypeError, TypeError, ValueError):
                 return None
-        if option.choices is not None and value not in option.choices:
+        if choices is not None and value not in choices:
             return None
-        values[flag] = value
-    if any(option.required and flag not in values for flag, option in options.items()):
+        values[dest] = value
+    if not required <= values.keys():
         return None
-    return argparse.Namespace(**{flag[2:].replace("-", "_"): values.get(flag, option.default)
-                                 for flag, option in options.items()})
+    return argparse.Namespace(**{**defaults, **values})
 
 
 @functools.cache
@@ -456,12 +472,13 @@ def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     no parser, and every help text, error message and exit code is
     argparse's own.  On CPython 3.11.7 (x86-64, best of 5 runs of 500)
     building the regions parser took 140-150 microseconds and analyze's
-    180-220; parse_args took 31-44 on a regions line and 47-59 on an
-    analyze line, where _read took 12-21 and 15-24.  With every cache
-    cleared first, as in a fresh process, the eight regions lines of one
-    regions-raster benchmark operation took 90-180 microseconds to read
-    against 420-630 to build the parser and parse them (best of 7 passes
-    over the first 75 operations of seed 1).
+    180-220; parse_args took 28-42 on a regions line and 38-49 on an
+    analyze line, where _read, on the tables _READERS built at import,
+    took 9-15 and 10-13.  With every cache cleared first, as in a fresh
+    process, the eight regions lines of one regions-raster benchmark
+    operation took 77-89 microseconds to read against 380-560 to build
+    the parser and parse them (best of 7 passes over the first 75
+    operations of seed 1).
 
     A command's parser holds that command's arguments alone: one parser
     for all six commands, a subparser each, took 845 microseconds to

@@ -63,13 +63,15 @@ the terms at every index.  For real roots R cancels once the sequence
 follows its dominant root, but its conjugate R' = u - y*sqrt(d) does
 not, and N, carried by the Casoratian identity N[n+1] = B*q*N[n],
 divides out (see scan): each property is then one weighted comparison
-P*|R'[n+1]| >= Q*|R'[n]|, one usually implying the other.  Each index is
-decided in three steps, each only where the one before leaves it open:
-the signs of P3's two integer parts, which decide almost every index
-where the terms grow; brackets of the weighted moduli built from top
-words at one shift, which only confirm a comparison that holds; and one
-exact step on R' (on R where N = 0), which decides every violation: a
-comparison of integers where d is a square (rational roots), where P3
+P*|R'[n+1]| >= Q*|R'[n]|, one usually implying the other.  While the
+sequence follows the other root, R' cancels and R does not.  Each index
+is decided in three steps, each only where the one before leaves it
+open: the signs of P3's two integer parts, which decide almost every
+index where the terms grow; brackets of the weighted moduli, of |R'|
+where it does not cancel or else of |R| where that does not, built from
+top words at one shift, which only confirm a comparison that holds; and
+one exact step on R' (on R where N = 0), which decides every violation:
+a comparison of integers where d is a square (rational roots), where P3
 skips the brackets, else two exact signs from qfield.surd_sign.  No
 float enters: every verdict comes from an exact integer inequality.
 """
@@ -317,8 +319,23 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
     holds where the lower bracket of its left side reaches the upper one
     of its right side, and every other index goes to the exact step.
 
+    Where the conjugate form fails at n or n+1 and d != 0, the walk reads
+    whether u and s*M*sqrt(d) agree in sign at both, and only there:
+    then R does not cancel, |R| = |u| + |M|*sqrt(d) at both, and the
+    same top words bracket 2**(64 - k)*|R| in
+    [lo, lo + 2**64 + x_M + r + 1), since 2**-k*|u| and 2**-k*|M| lie in
+    [x_u, x_u + 1) and [x_M, x_M + 1), so that
+    x_u*2**64 + x_M*r <= 2**(64 - k)*|R| < (x_u + 1)*2**64 + (x_M + 1)*(r + 1).
+    No norm is divided out there: P3 is q*|R[n]| >= |R[n+1]| and P2
+    |M[n+1]|*|R[n]| >= |M[n]|*|R[n+1]|, as defined, each confirmed where
+    the lower bracket of its left side reaches the upper one of its right
+    side.  The brackets read no root: r is isqrt(d << 128), as above.
+    That is the stretch where the terms follow the non-dominant root: R'
+    cancels there and no certificate ends it, so without these brackets
+    each of its indices would take an exact step.
+
     What the part signs and brackets leave open, including every
-    violation and every index where R' cancels, goes to one exact step
+    violation and every index no bracket confirms, goes to one exact step
     on X = R', or on X = R where N = 0.  N = u[0]**2 - M[0]**2*d = 0
     forces d to be a square, since M[0] = 0 would make the start (0, 0).
     Where d = t**2, X is the integer u + gt*M with gt = -s*t where N != 0
@@ -386,16 +403,21 @@ def scan(spec: RecurrenceSpec, window: int, from_k: int) -> OracleWindows:
             variables: the brackets where they confirm it, else the exact step
             on X = R', or on X = R where N = 0."""
             c, bits = (aBq if p2 else aB), m0.bit_length()
-            if conj and bits >= 64 and (p2 or not square):
-                # brackets [lo, hi) of 2**(64 - k)*|R'| at n and n+1,
-                # weighed by [y, y + 1) for P2; not for P3 on rational
-                # roots, whose ties at |beta| = 1 no bracket confirms
+            # brackets where R' does not cancel, or else where R does not,
+            # u and s*M*sqrt(d) agreeing in sign at n and n+1, d != 0; not
+            # for P3 on rational roots, whose ties at |beta| = 1 no
+            # bracket confirms
+            if bits >= 64 and (p2 or not square) and (conj or sd and (
+                    ((u0 < 0) != (m0 < 0)) == (sd < 0) == ((u1 < 0) != (m1 < 0)))):
+                # brackets [lo, lo + span + y) of 2**(64 - k)*|R'| or
+                # 2**(64 - k)*|R| at n and n+1, weighed by [y, y + 1) for P2
                 k = bits - 64
                 y0, y1 = abs(m0) >> k, abs(m1) >> k
                 lo0 = ((abs(u0) >> k) << 64) + y0 * r
                 lo1 = ((abs(u1) >> k) << 64) + y1 * r
                 v0, v1, e = (y0, y1, 1) if p2 else (1, 1, 0)
-                if v1 * lo1 >= c * (v0 + e) * (lo0 + span + y0):
+                if (v1 * lo1 >= c * (v0 + e) * (lo0 + span + y0) if conj
+                        else (v1 if p2 else q) * lo0 >= (v0 + e) * (lo1 + span + y1)):
                     return True
             _emit(("exact", bits))
             if square:

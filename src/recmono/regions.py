@@ -24,8 +24,10 @@ the point (X/L, Y/L) is a member iff X <= lo where X < 0, or X >= hi
 where X >= 0, and a bound of None means that side of the row holds no
 member.  So along a row (y = b or beta fixed) the members are a prefix
 of the cells with x < 0 and a suffix of those with x >= 0, by
-construction: `rasterize` finds both ends of a row by bisection on its
-integer numerators, and `contains_coeff_plane` makes one comparison.
+construction: `rasterize` cuts each row in one loop, one call of the
+region's bounds function and two bisections on its integer numerators
+per row, and slices the row out of two rows built once per raster, all
+members and no members; `contains_coeff_plane` makes one comparison.
 Write c(m) for the least X >= 0 with X^2 >= m, 0 for m <= 0 and
 isqrt(m - 1) + 1 otherwise; each bound is read off the region's
 definition as follows.
@@ -187,19 +189,22 @@ def contains_coeff_plane(region: RegionId, a: RationalLike, b: RationalLike) -> 
 
 def _cell_numerators(
     bbox: tuple[Fraction, Fraction, Fraction, Fraction], resolution: int
-) -> tuple[list[int], list[int], int]:
+) -> tuple[list[int], range, int]:
     """(Xs by column, Ys by row, L): cell centres as numerators over L.
 
     The centre x0 + (2*col + 1)*(x1 - x0)/(2*res) is an integer over
-    L = 2*res*lcm of the corner denominators, and so is every y.
+    L = 2*res*lcm of the corner denominators, and so is every y.  A bbox
+    without positive area is refused here, on the corners' numerators.
     """
     L = 2 * resolution * lcm(*(v.denominator for v in bbox))
     X0, X1, Y0, Y1 = (v.numerator * (L // v.denominator) for v in bbox)
+    if X0 >= X1 or Y0 >= Y1:
+        raise ValueError("bbox must have positive area")
     step_x = (X1 - X0) // (2 * resolution)
     step_y = (Y1 - Y0) // (2 * resolution)
-    xs = [X0 + (2 * col + 1) * step_x for col in range(resolution)]
-    ys = [Y1 - (2 * row + 1) * step_y for row in range(resolution)]
-    return xs, ys, L
+    # xs as a list, which bisects faster than a range
+    xs = list(range(X0 + step_x, X1, 2 * step_x))
+    return xs, range(Y1 - step_y, Y0, -2 * step_y), L
 
 
 class RasterGrid(NamedTuple):
@@ -222,25 +227,22 @@ def rasterize(
     resolution: int,
 ) -> RasterGrid:
     """Sample region membership on a resolution x resolution center grid;
-    each row is cut at its two bounds."""
-    x0, x1, y0, y1 = box = tuple(Fraction(v) for v in bbox)
+    each row is cut at its two bounds: its members are the X <= lo of the
+    cells with x < 0 and the X >= hi of those with x >= 0."""
+    box = tuple(v if type(v) is Fraction else Fraction(v) for v in bbox)
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if x0 >= x1 or y0 >= y1:
-        raise ValueError("bbox must have positive area")
     bounds = _BOUNDS[region]
     xs, ys, L = _cell_numerators(box, resolution)
     split = bisect_left(xs, 0)
-    cells = tuple(_row(xs, split, *bounds(Y, L)) for Y in ys)
-    return RasterGrid(region, box, resolution, cells)
-
-
-def _row(xs: list[int], split: int, lo: Optional[int], hi: Optional[int]) -> bytes:
-    """One row's cells: members are the X <= lo of xs[:split] (x < 0)
-    and the X >= hi of xs[split:] (x >= 0)."""
-    left = 0 if lo is None else bisect_right(xs, lo, 0, split)
-    right = len(xs) if hi is None else bisect_left(xs, hi, split)
-    return b"\x01" * left + b"\x00" * (right - left) + b"\x01" * (len(xs) - right)
+    ones, zeros = b"\x01" * resolution, bytes(resolution)
+    cells = []
+    for Y in ys:
+        lo, hi = bounds(Y, L)
+        left = 0 if lo is None else bisect_right(xs, lo, 0, split)
+        right = resolution if hi is None else bisect_left(xs, hi, split)
+        cells.append(ones[:left] + zeros[left:right] + ones[right:])
+    return RasterGrid(region, box, resolution, tuple(cells))
 
 
 _PGM_LEVELS = bytes.maketrans(b"\x01", b"\xff")  # member 1 -> 255, others 0 -> 0
@@ -248,10 +250,10 @@ _PGM_LEVELS = bytes.maketrans(b"\x01", b"\xff")  # member 1 -> 255, others 0 -> 
 
 def write_pgm(grid: RasterGrid, path: str) -> None:
     """Binary PGM (P5, maxval 255): member cells 255, others 0."""
-    res = grid.resolution
+    header = b"P5\n%d %d\n255\n" % (grid.resolution, grid.resolution)
+    # the header holds no byte 1, so one translate maps the cells alone
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{res} {res}\n255\n".encode("ascii"))
-        fh.write(b"".join(grid.cells).translate(_PGM_LEVELS))
+        fh.write(b"".join((header, *grid.cells)).translate(_PGM_LEVELS))
 
 
 def write_csv(grid: RasterGrid, path: str) -> None:

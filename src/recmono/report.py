@@ -233,13 +233,14 @@ def build_report(spec: RecurrenceSpec, window: int = 300, from_k: int = 0) -> di
             # the failed search puts a violation at some n >= N0_SEARCH_LIMIT - 1,
             # which a proven clean tail from N_hi on contradicts only where
             # N_hi < N0_SEARCH_LIMIT; past that n0 <= N_hi may lie beyond the
-            # search, and the input is refused
+            # search, and the input is refused; on a repeated root the index
+            # is n0 itself, and the refusal names it exactly
             clean = decisions._dominance_index(spec)
             if clean is not None and clean >= N0_SEARCH_LIMIT:
+                proves = f"n0 = {clean}" if roots.discriminant_sign == 0 else f"only n0 <= {clean}"
                 raise ValueError(
                     f"n0 lies past the search limit: nondecreasing_from fails at every "
-                    f"start up to {N0_SEARCH_LIMIT}, and the dominance bound proves "
-                    f"only n0 <= {clean}")
+                    f"start up to {N0_SEARCH_LIMIT}, and the dominance bound proves {proves}")
             _mismatch(
                 "eventually_nondecreasing holds but nondecreasing_from fails at every "
                 f"start up to {N0_SEARCH_LIMIT}"

@@ -154,7 +154,7 @@ SMOKES = [
     Smoke("near_unit_corner_from_k",
           ("analyze", "--a=101/50", "--b=1019999/1000000", "--v0=1", "--v1=72/73",
            "--window=300", "--from-k=50000"),
-          walk=Walk(jumps=((301, 49999),), exact=47),
+          walk=Walk(jumps=((301, 49999),), exact=5),
           facts={"oracle_windows.p1_from_k.first_violation": 49999}),
     # repeated root 1: P3 ties at every index; a block of growth by 1
     Smoke("repeated_unit_root",
@@ -191,7 +191,7 @@ SMOKES = [
     # [k*-1, k*+window] and [k*-2, k*-2], each jumping from index 0
     Smoke("n0_past_window",
           ("analyze", "--a", "2", "--b", "999999/1000000", "--v0", "11", "--v1", "10991/1000"),
-          walk=Walk(jumps=((0, 1152), (0, 1151)), exact=301)),
+          walk=Walk(jumps=((0, 1152), (0, 1151)), exact=3)),
     Smoke("n0_past_short_window",
           ("analyze", "--a=1/3", "--b=-3/4", "--v0=4", "--v1=-2", "--window=2"),
           walk=Walk(jumps=((0, 15), (0, 14)), exact=4)),
@@ -216,11 +216,20 @@ SMOKES = [
     Smoke("decaying",
           ("analyze", "--a=11/10", "--b=1/5", "--h-init=1", "--window=1000"),
           walk=Walk(exact=18)),
-    # near the repeated-unit-root corner the exact step runs 47 times
+    # near the repeated-unit-root corner R' cancels, R does not, and its
+    # brackets leave the exact step 5 indices
     Smoke("near_unit_corner",
           ("analyze", "--a=101/50", "--b=1019999/1000000", "--v0=1", "--v1=72/73",
            "--window=300"),
-          walk=Walk(exact=47)),
+          walk=Walk(exact=5)),
+    # irrational roots near 1 and a start that follows the smaller one up
+    # to about index 5000, at the --window cap: brackets of R, which does
+    # not cancel there, decide every index but 3 until the block certified
+    # at 5011 ends the walk
+    Smoke("near_unit_transient_cap",
+          ("analyze", "--a=2", "--b=4999999999/5000000000", "--v0=1", "--v1=999999/1000000",
+           "--window=10000"),
+          walk=Walk((5011,), (5013,), exact=3)),
     # a start on the non-dominant eigen-solution 2^n: P1 holds on
     # COND_GEOMETRIC, P3 fails, and the ratio sits at beta
     Smoke("eigen_start_beta",

@@ -298,7 +298,7 @@ def _code_lines(path: Path) -> int:
 
 # the package's code lines may not grow past this; lowering it takes a
 # line in CHANGES.md, and raising it a reason there
-PACKAGE_CODE_LINES = 1449
+PACKAGE_CODE_LINES = 1459
 
 
 def test_package_code_lines_stay_under_the_pin():

@@ -232,6 +232,16 @@ class TestAnalyze:
         assert code in (0, 2)
         assert code == 0 or "up to 32768" in err and "n0 <= 10000001" in err
 
+    def test_repeated_root_refusal_names_n0(self, capsys):
+        # the repeated root 2, a start 10**-30 above its eigen-solution -2**n:
+        # the dominance index of a repeated root is n0 itself, so the
+        # refusal names it as exact, not as a bound
+        n0 = 2 * 10**30 - 2
+        code, _, err = run_cli(capsys, "analyze", "--a=4", "--b=4", "--v0=-1",
+                               f"--v1={-2 + Fraction(1, 10**30)}")
+        assert code == 2
+        assert "n0 lies past the search limit" in err and f"proves n0 = {n0}\n" in err
+
     def test_sweep_slice_exits_zero(self, capsys):
         # the sweep's first 410 lines hold three whose n0 lies past the window
         # (lines 235, 404 and 409); tests/sweep.py runs all 19,964

@@ -33,6 +33,7 @@ from recmono import (
     weighted_monotone,
 )
 
+import reference
 from conftest import (
     build_corpus,
     build_h_corpus,
@@ -237,10 +238,16 @@ class TestDominanceIndex:
     def test_far_n0_bounds(self):
         assert decisions._dominance_index(FAR_PAST_THE_LIMIT) == 10000001
         assert decisions._dominance_index(NEAR_SECOND_ROOT) >= 11
-        # C1 < 0, rho < 1, complex and repeated roots prove nothing
+        # C1 < 0, rho < 1 and complex roots prove nothing, nor does the
+        # repeated root 1, where the differences' linear factor is constant
         for spec in (make_h_spec(1, -1, -1), RecurrenceSpec(Fraction(-5, 2), 1, 1, 1),
                      RecurrenceSpec(1, 1, 1, 1), RecurrenceSpec(2, 1, 1, 3)):
             assert decisions._dominance_index(spec) is None, spec
+        # on the repeated roots 2 and 3/2 with a rising linear factor the
+        # index is n0 itself
+        for spec, n0 in ((RecurrenceSpec(4, 4, -1, Fraction(-19, 10)), 18),
+                         (RecurrenceSpec(3, Fraction(9, 4), -1, Fraction(-13, 10)), 5)):
+            assert decisions._dominance_index(spec) == reference.ref_n0(spec, 100) == n0, spec
 
     @given(p1_specs())
     @example(NEAR_SECOND_ROOT)

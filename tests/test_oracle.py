@@ -520,7 +520,7 @@ class TestNearCornerExactStep:
 
     def test_the_product_step_runs(self, monkeypatch):
         # the step is the only caller of surd_sign, two calls each time;
-        # on CORNER that is 94 calls, on operands of up to 941 bits
+        # on CORNER that is 10 calls, on operands of up to 941 bits
         calls = []
 
         def counted(x, y, n):
@@ -532,6 +532,28 @@ class TestNearCornerExactStep:
             calls.clear()
             oracle.scan(spec, self.WINDOW, 0)
             assert calls and len(calls) % 2 == 0, spec
+
+
+class TestNonCancellingResidual:
+    """Two positive roots near 1 and a start that follows the smaller one
+    for thousands of indices: u and s*M*sqrt(d) agree in sign, so R'
+    cancels and the conjugate form fails, but R = u + s*M*sqrt(d) does
+    not cancel, and top-word brackets of |R| decide every index where
+    bits(M[n]) >= 64 (the terms shrink, so P2 leads and implies P3).
+    Rational roots 1 +- 10**-5 and an irrational pair, pinned against
+    the naive scans at window 300."""
+
+    TRANSIENTS = (
+        RecurrenceSpec(2, Fraction(9999999999, 10000000000), 1, Fraction(999999, 1000000)),
+        RecurrenceSpec(2, Fraction(4999999999, 5000000000), 1, Fraction(999999, 1000000)),
+    )
+
+    def test_brackets_leave_two_exact_steps(self):
+        # the two steps fall at indices 0 and 1, where M has under 64 bits
+        for spec in self.TRANSIENTS:
+            got, exact = _block_events(spec, 300, 0, ("exact",))
+            assert got == reference_windows(spec, 300, 0), spec
+            assert [bits < 64 for _, bits in exact] == [True, True], spec
 
 
 def _split_part_signs(spec, window):

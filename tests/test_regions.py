@@ -348,6 +348,14 @@ class TestRasterGrid:
         with pytest.raises(ValueError):
             rasterize(RegionId.DP, (0, 0, -1, 1), 8)
 
+    @pytest.mark.parametrize("bbox", [(0, 0, -1, 1), (-1, 1, 2, 2), (1, -1, -1, 1),
+                                      (-1, 1, 1, -1)])
+    def test_empty_bbox_is_refused_by_its_own_message(self, bbox):
+        # the area is read on the corners' integer numerators, before any
+        # centre is built
+        with pytest.raises(ValueError, match="bbox must have positive area"):
+            rasterize(RegionId.D, bbox, 8)
+
 
 @st.composite
 def raster_boxes(draw):
@@ -427,14 +435,18 @@ class TestBoundsAgainstReference:
     def test_every_point_of_a_square(self, L):
         # the square |X|, |Y| <= 9L crosses every curve where membership
         # flips, and holds the axes and the lines |x|, |y| = 1 and x = 2
-        # with margin on both sides
+        # with margin on both sides; each row is cut from its bounds, the
+        # X <= lo with X < 0 and the X >= hi with X >= 0
         R = 9 * L
         xs = list(range(-R, R + 1))
         for region in RegionId:
             bounds, member = regions._BOUNDS[region], REFERENCE[region]
             for Y in range(-R, R + 1):
+                lo, hi = bounds(Y, L)
+                row = bytes(lo is not None and X <= lo if X < 0 else hi is not None and X >= hi
+                            for X in xs)
                 want = bytes(map(member, xs, repeat(Y), repeat(L)))
-                assert regions._row(xs, R, *bounds(Y, L)) == want, (region, Y, L)
+                assert row == want, (region, Y, L)
 
     @given(point=points_near_a_bound())
     @settings(max_examples=400, deadline=None)
